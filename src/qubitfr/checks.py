@@ -258,13 +258,16 @@ def check_monte_carlo(n_trajectories: int = 100_000) -> CheckResult:
     """Estimates vs exact maps at 4 binomial sigma, plus worker invariance."""
     worst_sigma = 0.0
     worst_name = ""
-    slowest = 0.0
+    slowest, slowest_name = 0.0, ""
+    sampler_s = 0.0
     for name in scenarios.PRESETS:
         start = time.perf_counter()
         res = scenarios.resolve(scenarios.get_preset(name))
         pc = res.protocol_at(res.config.t_f_grid[-1])
+        sample_start = time.perf_counter()
         stats = montecarlo.run_ensemble(pc, n_trajectories,
                                         res.config.master_seed)
+        sampler_s += time.perf_counter() - sample_start
         exact = protocol.conditional_matrix(pc)
         est = stats.conditional_estimate()
         err = stats.std_err()
@@ -275,7 +278,10 @@ def check_monte_carlo(n_trajectories: int = 100_000) -> CheckResult:
                                              else diff / sigma)
             if pulls > worst_sigma:
                 worst_sigma, worst_name = pulls, name
-        slowest = max(slowest, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        if elapsed > slowest:
+            slowest, slowest_name = elapsed, name
+    throughput = 2 * n_trajectories * len(scenarios.PRESETS) / sampler_s
 
     res = scenarios.resolve(scenarios.get_preset("fig6e"))
     pc = res.protocol_at(res.config.t_f_grid[-1])
@@ -289,7 +295,8 @@ def check_monte_carlo(n_trajectories: int = 100_000) -> CheckResult:
         "monte carlo consistency", passed,
         f"worst pull {worst_sigma:.2f} sigma ({worst_name}, tol 4); "
         f"1 vs 4 workers identical: {identical}; slowest preset "
-        f"{slowest:.1f} s (tol 30)")
+        f"{slowest_name} {slowest:.1f} s (tol 30); sampler "
+        f"{throughput:.3g} trajectories/s over {len(scenarios.PRESETS)} presets")
 
 
 def check_inequalities() -> CheckResult:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,31 +147,51 @@ class _Engine:
                    config.channel.p_absorb, config.channel.p_pump)
 
 
+@lru_cache(maxsize=1)
+def _engine_for(config: ProtocolConfig) -> _Engine:
+    """Engine of ``config``; the last one is kept, so the two
+    initializations of ``run_ensemble`` share a single build."""
+    return _Engine.build(config)
+
+
 def _run_chunk_vectorized(engine: _Engine, initial_index: int, master_seed: int,
                           lo: int, hi: int) -> tuple[int, int]:
-    """(final-up count, absorbed-pulse count) for trajectory indices [lo, hi)."""
+    """(final-up count, absorbed-pulse count) for trajectory indices [lo, hi).
+
+    One Philox is re-keyed to (master_seed, i) for each trajectory: the
+    reused state dict resets counter and buffer, so row i holds exactly
+    ``derive_stream(master_seed, i).random(3 * n_pulses + 1)`` without
+    constructing a generator per trajectory.
+    """
     m = hi - lo
     n_pulses = len(engine.rotations)
+    bitgen = np.random.Philox(key=np.array([master_seed, lo], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
     draws = np.empty((m, 3 * n_pulses + 1))
     for i in range(m):
-        draws[i] = derive_stream(master_seed, lo + i).random(3 * n_pulses + 1)
+        key[1] = lo + i
+        bitgen.state = state
+        gen.random(out=draws[i])
+    u = draws.T  # u[k] is draw k of every trajectory
 
     sign = 1.0 if initial_index == 0 else -1.0
-    r = np.tile(sign * engine.start_up, (m, 1))
+    r = np.repeat(sign * engine.start_up[:, None], m, axis=1)  # (3, m)
     absorbed_total = 0
     for n, rot in enumerate(engine.rotations):
-        r = r @ rot.T
-        col = 3 * n
-        absorbed = draws[:, col] < engine.p_absorb
-        p_up_z = 0.5 * (1.0 + r[:, 2])
-        ends_up = (draws[:, col + 1] < p_up_z) | (draws[:, col + 2] < engine.p_pump)
-        r[absorbed, 0] = 0.0
-        r[absorbed, 1] = 0.0
-        r[absorbed, 2] = np.where(ends_up[absorbed], 1.0, -1.0)
-        absorbed_total += int(absorbed.sum())
-    r = r @ engine.tail.T
+        r = rot @ r
+        absorbed = u[3 * n] < engine.p_absorb
+        ends_up = ((u[3 * n + 1] < 0.5 * (1.0 + r[2]))
+                   | (u[3 * n + 2] < engine.p_pump))
+        r[2] = np.where(absorbed, np.where(ends_up, 1.0, -1.0), r[2])
+        r[:2] = np.where(absorbed, 0.0, r[:2])
+        absorbed_total += int(np.count_nonzero(absorbed))
+    # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the row-major
+    # product keeps the Born probabilities of earlier releases bit for bit.
+    r = np.ascontiguousarray((engine.tail @ r).T)
     p_final_up = 0.5 * (1.0 + r @ engine.final_axis)
-    ups = int(np.count_nonzero(draws[:, 3 * n_pulses] < p_final_up))
+    ups = int(np.count_nonzero(u[3 * n_pulses] < p_final_up))
     return ups, absorbed_total
 
 
@@ -213,7 +234,7 @@ def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
         raise ValueError(f"need at least one trajectory, got n = {n}")
     if initial_index not in (0, 1):
         raise ValueError(f"initial_index must be 0 or 1, got {initial_index}")
-    engine = _Engine.build(config)
+    engine = _engine_for(config)
     bounds = [(lo, min(lo + chunk_size, index_offset + n))
               for lo in range(index_offset, index_offset + n, chunk_size)]
 

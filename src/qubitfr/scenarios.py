@@ -106,10 +106,17 @@ class ScenarioConfig:
         object.__setattr__(self, "t_f_grid", grid)
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        for field_name in ("n_trajectories", "workers", "master_seed"):
+            value = getattr(self, field_name)
+            if type(value) is not int:  # bool is an int subclass; reject it too
+                raise ConfigError(f"{field_name} must be an integer, got {value!r}")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(
+                f"master_seed must be in [0, 2**64), got {self.master_seed}")
 
     def to_dict(self) -> dict:
         out = {}

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qubitfr
 from qubitfr import scenarios
 from qubitfr.channel import PulseChannelParams, invert_pump_probability
 from qubitfr.cli import main
@@ -60,6 +65,18 @@ class TestScenarioConfig:
         data["surprise"] = 1
         with pytest.raises(ConfigError, match="surprise"):
             ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("field,value", [
+        ("master_seed", -5), ("master_seed", 2**64), ("master_seed", True),
+        ("master_seed", 7.0), ("n_trajectories", True), ("n_trajectories", 10.0),
+        ("workers", True), ("workers", "2")])
+    def test_seed_and_counts_must_be_exact_ints_in_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_phase_config(**{field: value})
+
+    def test_extreme_seeds_accepted(self):
+        assert small_phase_config(master_seed=0).master_seed == 0
+        assert small_phase_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
     def test_with_overrides_revalidates(self):
         cfg = small_phase_config()
@@ -233,6 +250,31 @@ class TestCli:
         data["kind"] = "sideways"
         bad.write_text(json.dumps(data))
         assert main(["run", str(bad), "--outdir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_out_of_range_seed_is_config_error(self, tmp_path, seed):
+        src = str(Path(qubitfr.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qubitfr.cli", "run", "fig6e",
+             "--mode", "montecarlo", "--seed", seed, "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "master_seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        assert main(["run", "fig6e", "--mode", "montecarlo",
+                     "--seed", str(2**64 - 1), "--trajectories", "200",
+                     "--outdir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "fig6e_manifest.json").read_text())
+        assert manifest["scenario_config"]["master_seed"] == 2**64 - 1
+        rows = read_rows(tmp_path / "fig6e.csv")
+        assert [r["mode"] for r in rows] == ["montecarlo"]
 
     def test_contract_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(res):

@@ -8,11 +8,13 @@ import pytest
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext)
-from qubitfr.montecarlo import (EnsembleStats, IncompleteEnsembleError,
-                                derive_stream, fr_estimate_mc, mean_energy_mc,
-                                run_ensemble, run_trajectories)
+from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats,
+                                IncompleteEnsembleError, derive_stream,
+                                fr_estimate_mc, mean_energy_mc, run_ensemble,
+                                run_trajectories)
 from qubitfr.protocol import (ProtocolConfig, conditional_matrix,
                               energy_change_distribution, fr_target)
+from qubitfr.scenarios import get_preset, resolve
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -51,22 +53,54 @@ class TestStreams:
         assert np.array_equal(batch, sequential)
 
 
+# (master_seed, index_offset, chunk_size) for the engine cross-check.  The
+# first case is the default call; its test ids stay the bare config names.
+REKEY_CASES = [(SEED, 0, DEFAULT_CHUNK), (SEED, 0, 97), (0, 1_000_003, 97),
+               (2**64 - 1, 250, 97), (2**64 - 1, 0, DEFAULT_CHUNK)]
+
+
+def rekey_params():
+    for make in (amplitude_config, phase_config):
+        for k, (seed, offset, chunk) in enumerate(REKEY_CASES):
+            label = make.__name__ if k == 0 else (
+                f"{make.__name__}-seed{seed}-offset{offset}-chunk{chunk}")
+            yield pytest.param(make, seed, offset, chunk, id=label)
+
+
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("make", [amplitude_config, phase_config])
-    def test_record_engine_matches_vectorized_engine(self, make):
+    @pytest.mark.parametrize("make,seed,offset,chunk_size", rekey_params())
+    def test_record_engine_matches_vectorized_engine(self, make, seed, offset,
+                                                     chunk_size):
+        # The record engine draws from derive_stream directly, so it is an
+        # independent reference for the vectorized engine's re-keyed
+        # generator, across chunk boundaries and at the ends of the seed range.
         config = make()
-        fast, _ = run_trajectories(config, 0, 600, SEED)
-        slow, records = run_trajectories(config, 0, 600, SEED,
-                                         keep_records=True)
+        fast, _ = run_trajectories(config, 0, 600, seed, index_offset=offset,
+                                   chunk_size=chunk_size)
+        slow, records = run_trajectories(config, 0, 600, seed,
+                                         index_offset=offset, keep_records=True)
         assert fast.to_dict() == slow.to_dict()
         assert len(records) == 600
-        assert {r.seed_index for r in records} == set(range(600))
+        assert {r.seed_index for r in records} == set(range(offset, offset + 600))
         assert all(len(r.pulse_events) == config.n_pulses for r in records)
         rebuilt_ups = sum(r.final_index == 0 for r in records)
         assert rebuilt_ups == fast.counts[0, 0]
         rebuilt_absorbed = sum(e.absorbed for r in records
                                for e in r.pulse_events)
         assert rebuilt_absorbed == fast.absorbed_pulses
+
+    @pytest.mark.parametrize("preset,counts,absorbed", [
+        ("fig5d", [[2138, 975], [17862, 19025]], 500788),
+        ("fig4b", [[10353, 9659], [9647, 10341]], 119896)],
+        ids=["fig5d", "fig4b"])
+    def test_realizations_are_pinned(self, preset, counts, absorbed):
+        # Counts recorded before the sampler was re-keyed per chunk; any
+        # change to the streams or to the propagation arithmetic shows here.
+        res = resolve(get_preset(preset))
+        stats = run_ensemble(res.protocol_at(res.config.t_f_grid[-1]),
+                             20_000, 777)
+        assert stats.counts.tolist() == counts
+        assert stats.absorbed_pulses == absorbed
 
     def test_chunking_is_invisible(self):
         config = phase_config()
