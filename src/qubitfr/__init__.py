@@ -6,31 +6,28 @@ by stochastic reset pulses, and evaluates two-point energy statistics
 both exactly (affine Bloch maps) and by trajectory sampling.
 """
 
-from .channel import (DegenerateChannelError, PulseChannelParams, PulseEvent,
+from .channel import (DegenerateChannelError, PulseChannelParams,
                       apply_pulse_map, channel_fixed_point,
-                      invert_pump_probability, sample_pulse,
-                      stationary_upper_population)
+                      invert_pump_probability, stationary_upper_population)
 from .core import (AmplitudeModulatedDrive, EigenSystem, PhaseRotatingDrive,
                    QubitState, ThermalContext, bloch_rotation, evolve_unitary,
                    free_energy_delta, gibbs_population,
                    instantaneous_eigensystem, partition_function,
                    phase_integral)
-from .montecarlo import (EnsembleStats, IncompleteEnsembleError,
-                         TrajectoryRecord, derive_stream, fr_estimate_mc,
+from .montecarlo import (EnsembleStats, IncompleteEnsembleError, fr_estimate_mc,
                          mean_energy_mc, run_ensemble, run_trajectories)
 from .oracle import (WorkHeatSeries, floquet_asymptote,
                      floquet_population_recursion, floquet_recursion_gap,
                      invert_pump_closed_form, irreversible_work_relative_entropy,
-                     k_factor, k_factor_projective, mean_heat_amplitude,
-                     mean_heat_phase, mean_work_amplitude,
+                     k_factor, k_factor_projective, mean_heat_phase,
                      population_after_n_pulses, rabi_conditional,
                      work_heat_series_amplitude, w_irr)
 from .protocol import (ConditionalMatrix, EnergyChangeDistribution, FrReport,
                        ProtocolConfig, beta_reservoir, conditional_fixed_point,
                        conditional_matrix, energy_change_distribution,
                        first_law_check, fr_functional, fr_report, fr_target,
-                       initial_probabilities, mean_energy_change,
-                       mean_trajectory, propagate_mean, pulses_applied)
+                       initial_probabilities, mean_trajectory, propagate_mean,
+                       pulses_applied)
 from .scenarios import (PRESETS, ConfigError, NumericalContractError,
                         ScenarioConfig, get_preset, list_presets, load_config,
                         resolve, run_scenario, with_overrides)
@@ -42,22 +39,20 @@ __all__ = [
     "DegenerateChannelError", "EigenSystem", "EnergyChangeDistribution",
     "EnsembleStats", "FrReport", "IncompleteEnsembleError",
     "NumericalContractError", "PRESETS", "PhaseRotatingDrive",
-    "ProtocolConfig", "PulseChannelParams", "PulseEvent", "QubitState",
-    "ScenarioConfig", "ThermalContext", "TrajectoryRecord", "WorkHeatSeries",
-    "apply_pulse_map", "beta_reservoir", "bloch_rotation",
-    "channel_fixed_point", "conditional_fixed_point", "conditional_matrix",
-    "derive_stream", "energy_change_distribution", "evolve_unitary",
+    "ProtocolConfig", "PulseChannelParams", "QubitState", "ScenarioConfig",
+    "ThermalContext", "WorkHeatSeries", "apply_pulse_map", "beta_reservoir",
+    "bloch_rotation", "channel_fixed_point", "conditional_fixed_point",
+    "conditional_matrix", "energy_change_distribution", "evolve_unitary",
     "first_law_check", "floquet_asymptote", "floquet_population_recursion",
     "floquet_recursion_gap", "fr_estimate_mc", "fr_functional", "fr_report",
     "fr_target", "free_energy_delta", "get_preset", "gibbs_population",
     "initial_probabilities", "instantaneous_eigensystem",
     "invert_pump_closed_form", "invert_pump_probability",
     "irreversible_work_relative_entropy", "k_factor", "k_factor_projective",
-    "list_presets", "load_config", "mean_energy_change", "mean_energy_mc",
-    "mean_heat_amplitude", "mean_heat_phase", "mean_trajectory",
-    "mean_work_amplitude", "partition_function", "phase_integral",
+    "list_presets", "load_config", "mean_energy_mc", "mean_heat_phase",
+    "mean_trajectory", "partition_function", "phase_integral",
     "population_after_n_pulses", "propagate_mean", "pulses_applied",
     "rabi_conditional", "resolve", "run_ensemble", "run_scenario",
-    "run_trajectories", "sample_pulse", "stationary_upper_population",
-    "w_irr", "with_overrides", "work_heat_series_amplitude",
+    "run_trajectories", "stationary_upper_population", "w_irr",
+    "with_overrides", "work_heat_series_amplitude",
 ]

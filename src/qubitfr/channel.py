@@ -11,7 +11,9 @@ is the affine map
 
 One drive period of free evolution followed by a pulse is a contraction
 whenever pa > 0, so its fixed point exists and is obtained here by a
-direct linear solve rather than by iterating the map.
+direct linear solve rather than by iterating the map.  The fixed point is
+linear-fractional in pd, so the pump probability that puts it on a target
+population is found in closed form.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import DriveSpec, QubitState, bloch_rotation
+from .core import (DriveSpec, QubitState, bloch_rotation,
+                   instantaneous_eigensystem)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 
@@ -44,20 +46,6 @@ class PulseChannelParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
 
 
-@dataclass(frozen=True)
-class PulseEvent:
-    """Outcome record of one stochastically sampled pulse.
-
-    ``projection_outcome`` and ``pumped`` are None when the pulse was not
-    absorbed; otherwise the outcome is 0 for |0> and 1 for |1>, and
-    ``pumped`` records whether a |1> outcome was transferred to |0>.
-    """
-
-    absorbed: bool
-    projection_outcome: int | None = None
-    pumped: bool | None = None
-
-
 def apply_pulse_map(state: QubitState, params: PulseChannelParams) -> QubitState:
     """Ensemble-averaged action of one pulse."""
     pa, pd = params.p_absorb, params.p_pump
@@ -67,25 +55,6 @@ def apply_pulse_map(state: QubitState, params: PulseChannelParams) -> QubitState
         (1.0 - pa) * state.ry,
         (1.0 - pa) * state.rz + pa * rz_pulsed,
     )
-
-
-def sample_pulse(state: QubitState, params: PulseChannelParams,
-                 rng: np.random.Generator) -> tuple[QubitState, PulseEvent]:
-    """Sample one pulse acting on a pure-state trajectory.
-
-    Consumes exactly three uniform variates (absorption, projection
-    outcome, pump success) regardless of which branches fire, so that
-    trajectories with a fixed pulse count draw a fixed-length stream.
-    """
-    u_absorb, u_outcome, u_pump = rng.random(3)
-    if u_absorb >= params.p_absorb:
-        return state, PulseEvent(absorbed=False)
-    p_upper = 0.5 * (1.0 + state.rz)  # population of |0> in the z-basis
-    if u_outcome < p_upper:
-        return QubitState(0.0, 0.0, 1.0), PulseEvent(True, 0, False)
-    if u_pump < params.p_pump:
-        return QubitState(0.0, 0.0, 1.0), PulseEvent(True, 1, True)
-    return QubitState(0.0, 0.0, -1.0), PulseEvent(True, 1, False)
 
 
 def _period_map(drive: DriveSpec, params: PulseChannelParams,
@@ -121,8 +90,6 @@ def channel_fixed_point(drive: DriveSpec, params: PulseChannelParams,
 def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
                                 tau: float) -> float:
     """Upper-level occupation of the channel fixed point in the measurement basis."""
-    from .core import instantaneous_eigensystem
-
     fp = channel_fixed_point(drive, params, tau)
     return fp.population_along(instantaneous_eigensystem(drive, 0.0).basis_plus)
 
@@ -131,27 +98,33 @@ def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
                             target_upper_population: float) -> float:
     """Pump probability whose channel fixed point has the requested occupation.
 
-    The occupation is monotone in p_pump at fixed p_absorb, so a bracketing
-    root search on [0, 1] suffices.  Raises ValueError when the target is
-    outside the reachable range.
+    Only the z-row of the pulse map depends on p_pump: its linear part is
+    (1-pa) I + pa (1-pd) e_z e_z^T and its offset pa pd e_z.  With
+    R = bloch_rotation(drive, 0, tau) and g = (I - (1-pa) R)^-1 e_z,
+    Sherman-Morrison gives the fixed point r = pa pd g / (1 - pa (1-pd) h)
+    with h = R[2] . g.  Setting u . r = 2 target - 1, u the measured
+    up-axis, gives pd = s (1 - pa h) / (pa (u . g - s h)) with
+    s = 2 target - 1.  Raises ``DegenerateChannelError``
+    for p_absorb = 0 and ValueError when the target is outside (0, 1) or
+    needs a pump probability outside [0, 1].
     """
     if not (0.0 < target_upper_population < 1.0):
         raise ValueError(f"target population must lie in (0, 1), "
                          f"got {target_upper_population}")
-
-    def gap(pd: float) -> float:
-        params = PulseChannelParams(p_absorb, pd)
-        return stationary_upper_population(drive, params, tau) - target_upper_population
-
-    lo, hi = 1e-12, 1.0
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if g_lo * g_hi > 0.0:
+    PulseChannelParams(p_absorb, 0.0)  # rejects p_absorb outside [0, 1]
+    if p_absorb == 0.0:
+        raise DegenerateChannelError("p_absorb = 0: the period map is unitary "
+                                     "and has no attracting fixed point")
+    pa = p_absorb
+    rot = bloch_rotation(drive, 0.0, tau)
+    g = np.linalg.solve(np.eye(3) - (1.0 - pa) * rot, np.array([0.0, 0.0, 1.0]))
+    a = float(instantaneous_eigensystem(drive, 0.0).basis_plus.as_array() @ g)
+    h = float(rot[2] @ g)
+    s = 2.0 * target_upper_population - 1.0
+    denom = pa * (a - s * h)
+    p_pump = s * (1.0 - pa * h) / denom if denom != 0.0 else math.nan
+    if not (0.0 <= p_pump <= 1.0):
         raise ValueError(f"target population {target_upper_population} is not "
-                         f"reachable at p_absorb={p_absorb}: endpoint occupations "
-                         f"{g_lo + target_upper_population:.6f} and "
-                         f"{g_hi + target_upper_population:.6f}")
-    return float(brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16))
+                         f"reachable at p_absorb={p_absorb}: it needs "
+                         f"p_pump = {p_pump:.6g}, outside [0, 1]")
+    return p_pump

@@ -9,8 +9,9 @@ many workers run them.
 Each trajectory consumes a fixed number of uniforms, 3 per pulse
 (absorption, projection outcome, pump success) plus 1 for the final
 measurement, whether or not the corresponding branches fire.  The
-vectorized engine and the record-keeping scalar engine walk the same
-streams and produce identical outcomes.
+engine is vectorized over a chunk of trajectories; the tests hold it to
+an independent scalar walker that builds one generator per trajectory
+and walks the same streams pulse by pulse.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import PulseEvent, sample_pulse
-from .core import QubitState, instantaneous_eigensystem
+from .core import instantaneous_eigensystem
 from .protocol import (ConditionalMatrix, FrReport, ProtocolConfig,
                        energy_change_distribution, fr_functional, fr_target,
                        initial_probabilities, segment_rotations)
@@ -32,27 +32,6 @@ DEFAULT_CHUNK = 16384
 
 class IncompleteEnsembleError(ValueError):
     """Raised when an estimate needs initializations that were never run."""
-
-
-def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
-    """Independent random stream for one trajectory.
-
-    Counter-based keying: the stream is a pure function of
-    (master_seed, trajectory_index), so any evaluation order yields the
-    same draws.
-    """
-    key = np.array([master_seed, trajectory_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One sampled protocol run."""
-
-    initial_index: int
-    final_index: int
-    pulse_events: tuple[PulseEvent, ...]
-    seed_index: int
 
 
 @dataclass(frozen=True)
@@ -160,8 +139,8 @@ def _run_chunk_vectorized(engine: _Engine, initial_index: int, master_seed: int,
 
     One Philox is re-keyed to (master_seed, i) for each trajectory: the
     reused state dict resets counter and buffer, so row i holds exactly
-    ``derive_stream(master_seed, i).random(3 * n_pulses + 1)`` without
-    constructing a generator per trajectory.
+    ``Generator(Philox(key=[master_seed, i])).random(3 * n_pulses + 1)``
+    without constructing a generator per trajectory.
     """
     m = hi - lo
     n_pulses = len(engine.rotations)
@@ -195,36 +174,9 @@ def _run_chunk_vectorized(engine: _Engine, initial_index: int, master_seed: int,
     return ups, absorbed_total
 
 
-def _run_chunk_records(config: ProtocolConfig, engine: _Engine, initial_index: int,
-                       master_seed: int, lo: int,
-                       hi: int) -> tuple[int, int, list[TrajectoryRecord]]:
-    ups = 0
-    absorbed_total = 0
-    records = []
-    sign = 1.0 if initial_index == 0 else -1.0
-    params = config.channel
-    for idx in range(lo, hi):
-        rng = derive_stream(master_seed, idx)
-        state = QubitState.from_array(sign * engine.start_up)
-        events = []
-        for rot in engine.rotations:
-            state = QubitState.from_array(rot @ state.as_array())
-            state, event = sample_pulse(state, params, rng)
-            events.append(event)
-            absorbed_total += int(event.absorbed)
-        state = QubitState.from_array(engine.tail @ state.as_array())
-        p_up = 0.5 * (1.0 + float(state.as_array() @ engine.final_axis))
-        final_index = 0 if rng.random() < p_up else 1
-        ups += int(final_index == 0)
-        records.append(TrajectoryRecord(initial_index, final_index,
-                                        tuple(events), idx))
-    return ups, absorbed_total, records
-
-
 def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
                      master_seed: int, *, workers: int = 1, index_offset: int = 0,
-                     chunk_size: int = DEFAULT_CHUNK, keep_records: bool = False,
-                     ) -> tuple[EnsembleStats, list[TrajectoryRecord] | None]:
+                     chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
     """Sample n trajectories from one initial basis state.
 
     Trajectory i uses stream index ``index_offset + i``; pass disjoint
@@ -238,14 +190,8 @@ def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
     bounds = [(lo, min(lo + chunk_size, index_offset + n))
               for lo in range(index_offset, index_offset + n, chunk_size)]
 
-    records: list[TrajectoryRecord] | None = [] if keep_records else None
-    if keep_records:
-        def work(span):
-            return _run_chunk_records(config, engine, initial_index,
-                                      master_seed, *span)
-    else:
-        def work(span):
-            return _run_chunk_vectorized(engine, initial_index, master_seed, *span)
+    def work(span):
+        return _run_chunk_vectorized(engine, initial_index, master_seed, *span)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -255,30 +201,24 @@ def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
 
     ups = sum(res[0] for res in results)
     absorbed = sum(res[1] for res in results)
-    if keep_records:
-        for res in results:
-            records.extend(res[2])
-
     counts = np.zeros((2, 2), dtype=np.int64)
     counts[0, initial_index] = ups
     counts[1, initial_index] = n - ups
     n_per_initial = np.zeros(2, dtype=np.int64)
     n_per_initial[initial_index] = n
-    stats = EnsembleStats(counts, n_per_initial, absorbed,
-                          n * config.n_pulses, master_seed)
-    return stats, records
+    return EnsembleStats(counts, n_per_initial, absorbed,
+                         n * config.n_pulses, master_seed)
 
 
 def run_ensemble(config: ProtocolConfig, n_per_initial: int, master_seed: int,
                  *, workers: int = 1,
                  chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
     """Both initializations with disjoint stream indices ([0,n) and [n,2n))."""
-    up, _ = run_trajectories(config, 0, n_per_initial, master_seed,
-                             workers=workers, index_offset=0,
-                             chunk_size=chunk_size)
-    down, _ = run_trajectories(config, 1, n_per_initial, master_seed,
-                               workers=workers, index_offset=n_per_initial,
-                               chunk_size=chunk_size)
+    up = run_trajectories(config, 0, n_per_initial, master_seed,
+                          workers=workers, index_offset=0, chunk_size=chunk_size)
+    down = run_trajectories(config, 1, n_per_initial, master_seed,
+                            workers=workers, index_offset=n_per_initial,
+                            chunk_size=chunk_size)
     return up.merge(down)
 
 

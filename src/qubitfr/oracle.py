@@ -98,20 +98,6 @@ def work_heat_series_amplitude(config: ProtocolConfig,
                           mean_q=float(per_q.sum()))
 
 
-def mean_work_amplitude(config: ProtocolConfig,
-                        t_f: float | None = None) -> tuple[float, WorkHeatSeries]:
-    series = work_heat_series_amplitude(config, t_f)
-    return series.mean_w, series
-
-
-def mean_heat_amplitude(config: ProtocolConfig,
-                        n_pulses: int | None = None) -> tuple[float, WorkHeatSeries]:
-    if n_pulses is None:
-        n_pulses = config.n_pulses
-    series = work_heat_series_amplitude(config, t_f=n_pulses * config.tau)
-    return series.mean_q, series
-
-
 def k_factor(p_pump: float, alpha: float) -> float:
     """Pulse-strength factor 1 + (1 - p_pump) cos^2(alpha), in [1, 2]."""
     if not (0.0 <= p_pump <= 1.0):

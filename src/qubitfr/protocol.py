@@ -59,7 +59,6 @@ class ProtocolConfig:
     n_pulses: int
     thermal: ThermalContext
     t_f: float | None = None
-    gibbs_weighting: str = "post_weight"
 
     def __post_init__(self) -> None:
         if self.tau <= 0:
@@ -72,16 +71,6 @@ class ProtocolConfig:
         if self.t_f < min_tf * (1.0 - PULSE_COUNT_RTOL) - PULSE_COUNT_RTOL:
             raise ValueError(f"t_f = {self.t_f} precedes pulse {self.n_pulses} "
                              f"at {min_tf}")
-        if self.gibbs_weighting not in ("post_weight", "sample_initial"):
-            raise ValueError(f"unknown gibbs_weighting {self.gibbs_weighting!r}")
-
-    @classmethod
-    def from_final_time(cls, drive: DriveSpec, channel: PulseChannelParams,
-                        tau: float, t_f: float, thermal: ThermalContext,
-                        gibbs_weighting: str = "post_weight") -> "ProtocolConfig":
-        """Config with a pulse at every whole multiple of tau up to t_f."""
-        return cls(drive, channel, tau, pulses_applied(t_f, tau), thermal,
-                   t_f=t_f, gibbs_weighting=gibbs_weighting)
 
 
 def segment_rotations(config: ProtocolConfig) -> tuple[list[np.ndarray], np.ndarray]:
@@ -250,10 +239,6 @@ def energy_change_distribution(cm: ConditionalMatrix,
 def fr_functional(dist: EnergyChangeDistribution, gamma: float) -> float:
     """<exp(-gamma * dE)> over the distribution."""
     return float(np.dot(dist.probs, np.exp(-gamma * dist.values)))
-
-
-def mean_energy_change(dist: EnergyChangeDistribution) -> float:
-    return dist.mean()
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 from importlib import metadata
@@ -55,6 +56,15 @@ DEFAULT_TRAJECTORIES = 100_000
 OUTDIR_ENV = "QUBITFR_OUTDIR"
 
 
+FLOAT_FIELDS = ("omega0", "tau", "beta", "p_absorb", "tau_a", "theta", "p_pump",
+                "target_upper_population")
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -79,6 +89,21 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("scenario name must be nonempty")
+        for field_name in ("name", "prefix"):
+            value = getattr(self, field_name)
+            if value is not None and (
+                    not isinstance(value, str) or value in (".", "..")
+                    or any(c in value for c in "/\\\0")):
+                raise ConfigError(f"{field_name} must be a plain file name "
+                                  f"without path separators, got {value!r}")
+        for field_name in FLOAT_FIELDS:
+            value = getattr(self, field_name)
+            if value is not None and not _is_finite_number(value):
+                raise ConfigError(f"{field_name} must be a finite number, "
+                                  f"got {value!r}")
+        if not all(_is_finite_number(t) for t in self.t_f_grid):
+            raise ConfigError(f"t_f_grid must hold finite numbers, "
+                              f"got {list(self.t_f_grid)!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; choose from {KINDS}")
         if self.drive_family not in FAMILIES:
@@ -170,10 +195,19 @@ def build_drive(config: ScenarioConfig) -> DriveSpec:
 def resolve(config: ScenarioConfig) -> ResolvedScenario:
     """Fill in the pump probability and reservoir temperature.
 
-    Inversion targets the exact channel fixed point; the closed-form
-    inversions are reported alongside in the derived block for
-    comparison, never used to set parameters.
+    The pump inversion is exact for the channel fixed point (closed form,
+    ``channel.invert_pump_probability``).  Only the ``oracle`` k-factor
+    inversions are comparison-only: they are reported in the derived block
+    and never used to set parameters.  A value the drive, channel or
+    thermal model rejects raises ``ConfigError``.
     """
+    try:
+        return _resolve(config)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _resolve(config: ScenarioConfig) -> ResolvedScenario:
     drive = build_drive(config)
     derived: dict = {"energy_unit": "hbar_omega0", "omega0_rad_per_ns": config.omega0}
 
@@ -361,44 +395,50 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _mc_points(config: ScenarioConfig) -> list[int]:
-    if config.mc_grid == "all":
-        return list(range(len(config.t_f_grid)))
-    return [len(config.t_f_grid) - 1]
+def _grid(res: ResolvedScenario):
+    """(t_f, protocol, mode, conditional matrix, stats or None) per CSV row.
+
+    Deterministic rows cover the whole grid with the exact matrix;
+    Monte-Carlo rows follow at the sampled points with the empirical
+    matrix and the ensemble they came from.
+    """
+    cfg = res.config
+    if cfg.mode in ("deterministic", "both"):
+        for t_f in cfg.t_f_grid:
+            pc = res.protocol_at(t_f)
+            yield t_f, pc, "deterministic", protocol.conditional_matrix(pc), None
+    if cfg.mode in ("montecarlo", "both"):
+        sampled = cfg.t_f_grid if cfg.mc_grid == "all" else cfg.t_f_grid[-1:]
+        for t_f in sampled:
+            pc = res.protocol_at(t_f)
+            stats = montecarlo.run_ensemble(pc, cfg.n_trajectories,
+                                            cfg.master_seed, workers=cfg.workers)
+            yield t_f, pc, "montecarlo", stats.conditional_estimate(), stats
+
+
+def _grid_rows(res: ResolvedScenario, columns: list[str],
+               row) -> tuple[list[str], list[list]]:
+    """One CSV row per ``_grid`` point: t_f, pulse count, mode, then
+    ``row(t_f, pc, cm, stats)``."""
+    return (["t_f_ns", "n_pulses", "mode"] + columns,
+            [[t_f, pc.n_pulses, mode, *row(t_f, pc, cm, stats)]
+             for t_f, pc, mode, cm, stats in _grid(res)])
 
 
 def _conditional_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     cfg = res.config
     rabi = cfg.kind == "rabi"
-    header = ["t_f_ns", "n_pulses", "mode", "p_up_given_up", "p_up_given_down",
-              "err_up_given_up", "err_up_given_down"]
-    if rabi:
-        header.append("closed_form_p_up_given_up")
-    rows = []
-    if cfg.mode in ("deterministic", "both"):
-        for t_f in cfg.t_f_grid:
-            pc = res.protocol_at(t_f)
-            cm = protocol.conditional_matrix(pc)
-            row = [t_f, pc.n_pulses, "deterministic",
-                   cm.p_up_given_up, cm.p_up_given_down, 0.0, 0.0]
-            if rabi:
-                row.append(oracle.rabi_conditional(cfg.omega0, cfg.theta, t_f))
-            rows.append(row)
-    if cfg.mode in ("montecarlo", "both"):
-        for i in _mc_points(cfg):
-            t_f = cfg.t_f_grid[i]
-            pc = res.protocol_at(t_f)
-            stats = montecarlo.run_ensemble(pc, cfg.n_trajectories,
-                                            cfg.master_seed, workers=cfg.workers)
-            est = stats.conditional_estimate()
-            err = stats.std_err()
-            row = [t_f, pc.n_pulses, "montecarlo",
-                   est.p_up_given_up, est.p_up_given_down,
-                   err[0, 0], err[0, 1]]
-            if rabi:
-                row.append(oracle.rabi_conditional(cfg.omega0, cfg.theta, t_f))
-            rows.append(row)
-    return header, rows
+    columns = ["p_up_given_up", "p_up_given_down", "err_up_given_up",
+               "err_up_given_down"] + (["closed_form_p_up_given_up"] if rabi else [])
+
+    def row(t_f, pc, cm, stats):
+        err = (0.0, 0.0) if stats is None else stats.std_err()[0]
+        out = [cm.p_up_given_up, cm.p_up_given_down, err[0], err[1]]
+        if rabi:
+            out.append(oracle.rabi_conditional(cfg.omega0, cfg.theta, t_f))
+        return out
+
+    return _grid_rows(res, columns, row)
 
 
 def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
@@ -425,107 +465,57 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 
 
 def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
+    cfg = res.config
+    w0 = cfg.omega0
+
+    def mean_energy(pc, cm, stats):
+        if stats is None:
+            return protocol.energy_change_distribution(cm, pc).mean(), 0.0
+        return montecarlo.mean_energy_mc(stats, pc)
+
     if isinstance(res.drive, AmplitudeModulatedDrive):
-        return _energetics_rows_amplitude(res)
-    return _energetics_rows_phase(res)
+        columns = ["mean_delta_e", "mean_work", "mean_heat", "work_plus_heat",
+                   "delta_f", "first_law_residual", "err_mean_delta_e"]
 
+        def row(t_f, pc, cm, stats):
+            mean_de, err = mean_energy(pc, cm, stats)
+            series = oracle.work_heat_series_amplitude(pc, t_f)
+            w, q = series.mean_w, series.mean_q
+            df = free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta else 0.0
+            # Each mode keeps the rounding its rows have always had.
+            residual = mean_de - (w + q) if stats is None else mean_de - w - q
+            return [mean_de / w0, w / w0, q / w0, (w + q) / w0, df / w0,
+                    residual / w0, err / w0]
+    else:
+        delta_beta = res.thermal.beta - res.thermal.beta_r
+        columns = ["mean_delta_e", "mean_heat_recursion", "recursion_gap",
+                   "delta_beta_mean_delta_e", "delta_beta_mean_heat_recursion",
+                   "err_mean_delta_e"]
 
-def _energetics_rows_amplitude(res: ResolvedScenario) -> tuple[list[str], list[list]]:
-    cfg = res.config
-    w0 = cfg.omega0
-    header = ["t_f_ns", "n_pulses", "mode", "mean_delta_e", "mean_work",
-              "mean_heat", "work_plus_heat", "delta_f", "first_law_residual",
-              "err_mean_delta_e"]
-    rows = []
-
-    def analytic(pc: protocol.ProtocolConfig, t_f: float):
-        series = oracle.work_heat_series_amplitude(pc, t_f)
-        df = free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta else 0.0
-        return series, df
-
-    if cfg.mode in ("deterministic", "both"):
-        for t_f in cfg.t_f_grid:
-            pc = res.protocol_at(t_f)
-            dist = protocol.energy_change_distribution(
-                protocol.conditional_matrix(pc), pc)
-            series, df = analytic(pc, t_f)
-            residual = protocol.first_law_check(dist, series.mean_w, series.mean_q)
-            rows.append([t_f, pc.n_pulses, "deterministic",
-                         dist.mean() / w0, series.mean_w / w0, series.mean_q / w0,
-                         (series.mean_w + series.mean_q) / w0, df / w0,
-                         residual / w0, 0.0])
-    if cfg.mode in ("montecarlo", "both"):
-        for i in _mc_points(cfg):
-            t_f = cfg.t_f_grid[i]
-            pc = res.protocol_at(t_f)
-            stats = montecarlo.run_ensemble(pc, cfg.n_trajectories,
-                                            cfg.master_seed, workers=cfg.workers)
-            mean_de, err = montecarlo.mean_energy_mc(stats, pc)
-            series, df = analytic(pc, t_f)
-            rows.append([t_f, pc.n_pulses, "montecarlo",
-                         mean_de / w0, series.mean_w / w0, series.mean_q / w0,
-                         (series.mean_w + series.mean_q) / w0, df / w0,
-                         (mean_de - series.mean_w - series.mean_q) / w0,
-                         err / w0])
-    return header, rows
-
-
-def _energetics_rows_phase(res: ResolvedScenario) -> tuple[list[str], list[list]]:
-    cfg = res.config
-    w0 = cfg.omega0
-    delta_beta = res.thermal.beta - res.thermal.beta_r
-    header = ["t_f_ns", "n_pulses", "mode", "mean_delta_e", "mean_heat_recursion",
-              "recursion_gap", "delta_beta_mean_delta_e",
-              "delta_beta_mean_heat_recursion", "err_mean_delta_e"]
-    rows = []
-    if cfg.mode in ("deterministic", "both"):
-        for t_f in cfg.t_f_grid:
-            pc = res.protocol_at(t_f)
-            dist = protocol.energy_change_distribution(
-                protocol.conditional_matrix(pc), pc)
+        def row(t_f, pc, cm, stats):
+            mean_de, err = mean_energy(pc, cm, stats)
             heat = oracle.mean_heat_phase(pc)
-            rows.append([t_f, pc.n_pulses, "deterministic",
-                         dist.mean() / w0, heat / w0,
-                         (dist.mean() - heat) / w0,
-                         delta_beta * dist.mean(), delta_beta * heat, 0.0])
-    if cfg.mode in ("montecarlo", "both"):
-        for i in _mc_points(cfg):
-            t_f = cfg.t_f_grid[i]
-            pc = res.protocol_at(t_f)
-            stats = montecarlo.run_ensemble(pc, cfg.n_trajectories,
-                                            cfg.master_seed, workers=cfg.workers)
-            mean_de, err = montecarlo.mean_energy_mc(stats, pc)
-            heat = oracle.mean_heat_phase(pc)
-            rows.append([t_f, pc.n_pulses, "montecarlo",
-                         mean_de / w0, heat / w0, (mean_de - heat) / w0,
-                         delta_beta * mean_de, delta_beta * heat, err / w0])
-    return header, rows
+            return [mean_de / w0, heat / w0, (mean_de - heat) / w0,
+                    delta_beta * mean_de, delta_beta * heat, err / w0]
+
+    return _grid_rows(res, columns, row)
 
 
 def _fr_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
-    cfg = res.config
-    gamma = res.thermal.beta - res.thermal.beta_r
-    header = ["t_f_ns", "n_pulses", "mode", "gamma_omega0", "fr_value",
-              "fr_target", "fr_deviation", "err_fr_value"]
-    rows = []
-    if cfg.mode in ("deterministic", "both"):
-        for t_f in cfg.t_f_grid:
-            pc = res.protocol_at(t_f)
-            report = protocol.fr_report(pc)
-            rows.append([t_f, pc.n_pulses, "deterministic",
-                         gamma * cfg.omega0, report.fr_value,
-                         report.fr_target, report.deviation, 0.0])
-    if cfg.mode in ("montecarlo", "both"):
-        for i in _mc_points(cfg):
-            t_f = cfg.t_f_grid[i]
-            pc = res.protocol_at(t_f)
-            stats = montecarlo.run_ensemble(pc, cfg.n_trajectories,
-                                            cfg.master_seed, workers=cfg.workers)
+    gamma_omega0 = (res.thermal.beta - res.thermal.beta_r) * res.config.omega0
+    columns = ["gamma_omega0", "fr_value", "fr_target", "fr_deviation",
+               "err_fr_value"]
+
+    def row(t_f, pc, cm, stats):
+        if stats is None:
+            report, err = protocol.fr_report(pc, cm), 0.0
+        else:
             report = montecarlo.fr_estimate_mc(stats, pc)
-            rows.append([t_f, pc.n_pulses, "montecarlo",
-                         gamma * cfg.omega0, report.fr_value,
-                         report.fr_target, report.deviation, report.std_err])
-    return header, rows
+            err = report.std_err
+        return [gamma_omega0, report.fr_value, report.fr_target,
+                report.deviation, err]
+
+    return _grid_rows(res, columns, row)
 
 
 _ROW_BUILDERS = {
@@ -539,7 +529,7 @@ _ROW_BUILDERS = {
 
 def _package_versions() -> dict:
     versions = {}
-    for pkg in ("qubitfr", "numpy", "scipy"):
+    for pkg in ("qubitfr", "numpy"):
         try:
             versions[pkg] = metadata.version(pkg)
         except metadata.PackageNotFoundError:

@@ -1,0 +1,91 @@
+"""Independent scalar reference for the trajectory sampler.
+
+Each trajectory gets its own freshly constructed counter-based generator
+keyed by (master_seed, index) and is walked pulse by pulse on a single
+Bloch vector, recording every pulse outcome.  Nothing here shares code
+with ``qubitfr.montecarlo``: the package engine re-keys one generator
+per chunk and propagates a whole chunk at once, so agreement between the
+two is a meaningful check of streams, draw order and branch logic.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from qubitfr.channel import PulseChannelParams
+from qubitfr.core import QubitState, instantaneous_eigensystem
+from qubitfr.protocol import ProtocolConfig, segment_rotations
+
+
+def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
+    """Random stream of one trajectory, a pure function of its two keys."""
+    key = np.array([master_seed, trajectory_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@dataclass(frozen=True)
+class PulseEvent:
+    """Outcome record of one stochastically sampled pulse.
+
+    ``projection_outcome`` and ``pumped`` are None when the pulse was not
+    absorbed; otherwise the outcome is 0 for |0> and 1 for |1>, and
+    ``pumped`` records whether a |1> outcome was transferred to |0>.
+    """
+
+    absorbed: bool
+    projection_outcome: int | None = None
+    pumped: bool | None = None
+
+
+@dataclass(frozen=True)
+class TrajectoryRecord:
+    """One sampled protocol run."""
+
+    initial_index: int
+    final_index: int
+    pulse_events: tuple[PulseEvent, ...]
+    seed_index: int
+
+
+def sample_pulse(state: QubitState, params: PulseChannelParams,
+                 rng: np.random.Generator) -> tuple[QubitState, PulseEvent]:
+    """Sample one pulse acting on a pure-state trajectory.
+
+    Consumes exactly three uniform variates (absorption, projection
+    outcome, pump success) regardless of which branches fire, so that
+    trajectories with a fixed pulse count draw a fixed-length stream.
+    """
+    u_absorb, u_outcome, u_pump = rng.random(3)
+    if u_absorb >= params.p_absorb:
+        return state, PulseEvent(absorbed=False)
+    p_upper = 0.5 * (1.0 + state.rz)  # population of |0> in the z-basis
+    if u_outcome < p_upper:
+        return QubitState(0.0, 0.0, 1.0), PulseEvent(True, 0, False)
+    if u_pump < params.p_pump:
+        return QubitState(0.0, 0.0, 1.0), PulseEvent(True, 1, True)
+    return QubitState(0.0, 0.0, -1.0), PulseEvent(True, 1, False)
+
+
+def run_records(config: ProtocolConfig, initial_index: int, n: int,
+                master_seed: int, index_offset: int = 0) -> list[TrajectoryRecord]:
+    """Trajectories ``index_offset .. index_offset + n - 1`` from one basis state."""
+    rots, tail = segment_rotations(config)
+    start = instantaneous_eigensystem(config.drive, 0.0).basis_plus.as_array()
+    final_axis = instantaneous_eigensystem(config.drive,
+                                           config.t_f).basis_plus.as_array()
+    sign = 1.0 if initial_index == 0 else -1.0
+    records = []
+    for idx in range(index_offset, index_offset + n):
+        rng = derive_stream(master_seed, idx)
+        state = QubitState.from_array(sign * start)
+        events = []
+        for rot in rots:
+            state = QubitState.from_array(rot @ state.as_array())
+            state, event = sample_pulse(state, config.channel, rng)
+            events.append(event)
+        state = QubitState.from_array(tail @ state.as_array())
+        p_up = 0.5 * (1.0 + float(state.as_array() @ final_axis))
+        final_index = 0 if rng.random() < p_up else 1
+        records.append(TrajectoryRecord(initial_index, final_index,
+                                        tuple(events), idx))
+    return records

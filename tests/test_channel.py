@@ -1,4 +1,4 @@
-"""Pulse channel tests: mean map, sampling, fixed point, inversion."""
+"""Pulse channel tests: mean map, fixed point, inversion."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 import dmtools
 from qubitfr.channel import (DegenerateChannelError, PulseChannelParams,
                              apply_pulse_map, channel_fixed_point,
-                             invert_pump_probability, sample_pulse,
+                             invert_pump_probability,
                              stationary_upper_population)
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           QubitState, bloch_rotation, instantaneous_eigensystem)
@@ -66,48 +66,6 @@ class TestMeanMap:
         assert out.norm() <= 1.0 + 1e-12
 
 
-class TestSamplePulse:
-    def test_consumes_exactly_three_uniforms(self):
-        rng = np.random.default_rng(42)
-        sample_pulse(QubitState(0.0, 0.0, 0.2), PulseChannelParams(0.5, 0.5), rng)
-        witness = np.random.default_rng(42)
-        witness.random(3)
-        assert rng.random() == witness.random()
-
-    def test_not_absorbed_leaves_state(self):
-        state = QubitState(0.1, 0.2, 0.3)
-        out, event = sample_pulse(state, PulseChannelParams(0.0, 1.0),
-                                  np.random.default_rng(0))
-        assert out == state
-        assert not event.absorbed
-        assert event.projection_outcome is None and event.pumped is None
-
-    def test_certain_absorption_projects_to_poles(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            out, event = sample_pulse(QubitState(0.3, -0.1, 0.4),
-                                      PulseChannelParams(1.0, 0.5), rng)
-            assert event.absorbed
-            assert abs(out.rz) == 1.0 and out.rx == 0.0 and out.ry == 0.0
-            if event.projection_outcome == 0:
-                assert out.rz == 1.0 and event.pumped is False
-            else:
-                assert event.pumped == (out.rz == 1.0)
-
-    def test_sampling_mean_matches_channel(self):
-        state = QubitState(0.4, 0.1, -0.35)
-        params = PulseChannelParams(0.6, 0.45)
-        rng = np.random.default_rng(123)
-        n = 40_000
-        total = np.zeros(3)
-        for _ in range(n):
-            out, _ = sample_pulse(state, params, rng)
-            total += out.as_array()
-        expected = apply_pulse_map(state, params).as_array()
-        # rz outcomes are +-1 with probability ~1/2, so sigma <~ 1/sqrt(n).
-        assert np.all(np.abs(total / n - expected) < 4.0 / math.sqrt(n))
-
-
 class TestFixedPoint:
     def test_invariant_under_period_map(self):
         drive = phase_drive(616.0)
@@ -151,16 +109,22 @@ class TestFixedPoint:
 
 
 class TestInversion:
+    @pytest.mark.parametrize("p_absorb", [0.25, 0.05, 1.0])
     @pytest.mark.parametrize("tau_theta,target", [(1296.0, 0.276),
                                                   (616.0, 0.138),
                                                   (308.0, 0.050)])
-    def test_round_trip(self, tau_theta, target):
+    def test_round_trip(self, tau_theta, target, p_absorb):
         drive = phase_drive(tau_theta)
-        pd = invert_pump_probability(drive, 0.25, drive.tau_theta, target)
+        pd = invert_pump_probability(drive, p_absorb, drive.tau_theta, target)
         assert 0.0 < pd < 1.0
         achieved = stationary_upper_population(
-            drive, PulseChannelParams(0.25, pd), drive.tau_theta)
+            drive, PulseChannelParams(p_absorb, pd), drive.tau_theta)
         assert achieved == pytest.approx(target, abs=1e-12)
+
+    def test_no_absorption_is_degenerate(self):
+        drive = phase_drive(616.0)
+        with pytest.raises(DegenerateChannelError):
+            invert_pump_probability(drive, 0.0, drive.tau_theta, 0.138)
 
     def test_unreachable_target_raises(self):
         drive = phase_drive(616.0)

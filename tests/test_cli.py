@@ -24,6 +24,20 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def run_python(*args):
+    """A fresh interpreter that imports qubitfr from this tree."""
+    src = str(Path(qubitfr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def run_cli(*args):
+    return run_python("-m", "qubitfr.cli", *args)
+
+
 def small_phase_config(**overrides):
     base = dict(
         name="case", kind="fr", drive_family="phase",
@@ -71,6 +85,20 @@ class TestScenarioConfig:
         ("master_seed", 7.0), ("n_trajectories", True), ("n_trajectories", 10.0),
         ("workers", True), ("workers", "2")])
     def test_seed_and_counts_must_be_exact_ints_in_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_phase_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("name", "a/b"), ("name", "a\\b"), ("name", ".."), ("name", "."),
+        ("prefix", "../up"), ("prefix", "/abs")])
+    def test_file_names_must_be_plain(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_phase_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("tau", math.nan), ("beta", -math.inf), ("p_absorb", "0.25"),
+        ("omega0", True), ("t_f_grid", (0.0, "616"))])
+    def test_floats_must_be_finite_numbers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_phase_config(**{field: value})
 
@@ -253,19 +281,45 @@ class TestCli:
 
     @pytest.mark.parametrize("seed", ["-5", str(2**64)])
     def test_out_of_range_seed_is_config_error(self, tmp_path, seed):
-        src = str(Path(qubitfr.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "qubitfr.cli", "run", "fig6e",
-             "--mode", "montecarlo", "--seed", seed, "--outdir", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli("run", "fig6e", "--mode", "montecarlo", "--seed", seed,
+                       "--outdir", str(tmp_path))
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert "master_seed" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("overrides", [
+        {"omega0": -1}, {"theta": -1}, {"beta": math.inf},
+        {"target_upper_population": "0.1"}, {"t_f_grid": [0.0, math.nan]},
+        {"tau": math.nan}], ids=["omega0", "theta", "beta", "target",
+                                 "t_f_grid", "tau"])
+    def test_bad_config_values_are_config_errors(self, tmp_path, overrides):
+        cfg_path = tmp_path / "bad.json"
+        data = small_phase_config().to_dict()
+        data.update(overrides)
+        cfg_path.write_text(json.dumps(data))
+        proc = run_cli("run", str(cfg_path), "--outdir", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value", [("name", "../evil_escape"),
+                                             ("prefix", "../evil_prefix")])
+    def test_outputs_stay_inside_outdir(self, tmp_path, field, value):
+        cfg_path = tmp_path / "cfg" / "escape.json"
+        cfg_path.parent.mkdir()
+        data = small_phase_config().to_dict()
+        data[field] = value
+        cfg_path.write_text(json.dumps(data))
+        outdir = tmp_path / "a" / "out"
+        proc = run_cli("run", str(cfg_path), "--outdir", str(outdir))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        written = {p for p in tmp_path.rglob("*") if p.is_file()}
+        assert written == {cfg_path}
 
     def test_largest_seed_runs(self, tmp_path, capsys):
         assert main(["run", "fig6e", "--mode", "montecarlo",
@@ -301,3 +355,17 @@ class TestCli:
         assert main(["invert", "--target", "0.1",
                      "--tau-theta", "-4"]) == 2
         capsys.readouterr()
+
+    def test_invert_without_absorption_is_config_error(self):
+        proc = run_cli("invert", "--target", "0.138", "--tau-theta", "616",
+                       "--p-absorb", "0")
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    proc = run_python("-c", "import qubitfr, sys; print(sorted(m for m in "
+                      "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from qubitfr.channel import PulseChannelParams
+from qubitfr.channel import PulseChannelParams, apply_pulse_map
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          ThermalContext)
+                          QubitState, ThermalContext)
 from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats,
-                                IncompleteEnsembleError, derive_stream,
-                                fr_estimate_mc, mean_energy_mc, run_ensemble,
-                                run_trajectories)
+                                IncompleteEnsembleError, fr_estimate_mc,
+                                mean_energy_mc, run_ensemble, run_trajectories)
 from qubitfr.protocol import (ProtocolConfig, conditional_matrix,
                               energy_change_distribution, fr_target)
 from qubitfr.scenarios import get_preset, resolve
+from scalar_sampler import derive_stream, run_records, sample_pulse
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -45,8 +45,8 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
     def test_batched_draws_equal_sequential_draws(self):
-        # The two engines rely on a block request consuming the stream
-        # exactly like repeated scalar requests.
+        # The package engine and the scalar reference rely on a block
+        # request consuming the stream exactly like repeated scalar requests.
         batch = derive_stream(SEED, 5).random(13)
         rng = derive_stream(SEED, 5)
         sequential = np.array([rng.random() for _ in range(13)])
@@ -67,27 +67,68 @@ def rekey_params():
             yield pytest.param(make, seed, offset, chunk, id=label)
 
 
+class TestSamplePulse:
+    def test_consumes_exactly_three_uniforms(self):
+        rng = np.random.default_rng(42)
+        sample_pulse(QubitState(0.0, 0.0, 0.2), PulseChannelParams(0.5, 0.5), rng)
+        witness = np.random.default_rng(42)
+        witness.random(3)
+        assert rng.random() == witness.random()
+
+    def test_not_absorbed_leaves_state(self):
+        state = QubitState(0.1, 0.2, 0.3)
+        out, event = sample_pulse(state, PulseChannelParams(0.0, 1.0),
+                                  np.random.default_rng(0))
+        assert out == state
+        assert not event.absorbed
+        assert event.projection_outcome is None and event.pumped is None
+
+    def test_certain_absorption_projects_to_poles(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            out, event = sample_pulse(QubitState(0.3, -0.1, 0.4),
+                                      PulseChannelParams(1.0, 0.5), rng)
+            assert event.absorbed
+            assert abs(out.rz) == 1.0 and out.rx == 0.0 and out.ry == 0.0
+            if event.projection_outcome == 0:
+                assert out.rz == 1.0 and event.pumped is False
+            else:
+                assert event.pumped == (out.rz == 1.0)
+
+    def test_sampling_mean_matches_channel(self):
+        state = QubitState(0.4, 0.1, -0.35)
+        params = PulseChannelParams(0.6, 0.45)
+        rng = np.random.default_rng(123)
+        n = 40_000
+        total = np.zeros(3)
+        for _ in range(n):
+            out, _ = sample_pulse(state, params, rng)
+            total += out.as_array()
+        expected = apply_pulse_map(state, params).as_array()
+        # rz outcomes are +-1 with probability ~1/2, so sigma <~ 1/sqrt(n).
+        assert np.all(np.abs(total / n - expected) < 4.0 / math.sqrt(n))
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("make,seed,offset,chunk_size", rekey_params())
     def test_record_engine_matches_vectorized_engine(self, make, seed, offset,
                                                      chunk_size):
-        # The record engine draws from derive_stream directly, so it is an
-        # independent reference for the vectorized engine's re-keyed
-        # generator, across chunk boundaries and at the ends of the seed range.
+        # The scalar reference builds one generator per trajectory, so it
+        # checks the package engine's re-keyed generator across chunk
+        # boundaries and at the ends of the seed range.
         config = make()
-        fast, _ = run_trajectories(config, 0, 600, seed, index_offset=offset,
-                                   chunk_size=chunk_size)
-        slow, records = run_trajectories(config, 0, 600, seed,
-                                         index_offset=offset, keep_records=True)
-        assert fast.to_dict() == slow.to_dict()
+        fast = run_trajectories(config, 0, 600, seed, index_offset=offset,
+                                chunk_size=chunk_size)
+        records = run_records(config, 0, 600, seed, index_offset=offset)
         assert len(records) == 600
         assert {r.seed_index for r in records} == set(range(offset, offset + 600))
         assert all(len(r.pulse_events) == config.n_pulses for r in records)
-        rebuilt_ups = sum(r.final_index == 0 for r in records)
-        assert rebuilt_ups == fast.counts[0, 0]
-        rebuilt_absorbed = sum(e.absorbed for r in records
-                               for e in r.pulse_events)
-        assert rebuilt_absorbed == fast.absorbed_pulses
+        ups = sum(r.final_index == 0 for r in records)
+        absorbed = sum(e.absorbed for r in records for e in r.pulse_events)
+        assert fast.to_dict() == {
+            "counts": [[ups, 0], [600 - ups, 0]], "n_per_initial": [600, 0],
+            "absorbed_pulses": absorbed, "total_pulses": 600 * config.n_pulses,
+            "master_seed": seed}
 
     @pytest.mark.parametrize("preset,counts,absorbed", [
         ("fig5d", [[2138, 975], [17862, 19025]], 500788),
@@ -116,9 +157,9 @@ class TestEngineEquivalence:
 
     def test_offset_split_merges_to_whole(self):
         config = phase_config(n_pulses=2)
-        first, _ = run_trajectories(config, 0, 500, SEED, index_offset=0)
-        second, _ = run_trajectories(config, 0, 700, SEED, index_offset=500)
-        whole, _ = run_trajectories(config, 0, 1200, SEED)
+        first = run_trajectories(config, 0, 500, SEED, index_offset=0)
+        second = run_trajectories(config, 0, 700, SEED, index_offset=500)
+        whole = run_trajectories(config, 0, 1200, SEED)
         assert first.merge(second).to_dict() == whole.to_dict()
 
 
@@ -133,7 +174,7 @@ class TestEnsembleStats:
 
     def test_single_sided_stats_raise_on_full_estimates(self):
         config = amplitude_config(n_pulses=1)
-        stats, _ = run_trajectories(config, 0, 200, SEED)
+        stats = run_trajectories(config, 0, 200, SEED)
         assert 0.0 <= stats.column_estimate(0) <= 1.0
         with pytest.raises(IncompleteEnsembleError):
             stats.column_estimate(1)
@@ -142,8 +183,8 @@ class TestEnsembleStats:
 
     def test_merge_refuses_mixed_seeds(self):
         config = amplitude_config(n_pulses=1)
-        a, _ = run_trajectories(config, 0, 100, SEED)
-        b, _ = run_trajectories(config, 1, 100, SEED + 1)
+        a = run_trajectories(config, 0, 100, SEED)
+        b = run_trajectories(config, 1, 100, SEED + 1)
         with pytest.raises(ValueError, match="seed"):
             a.merge(b)
 

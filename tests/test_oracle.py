@@ -15,8 +15,7 @@ from qubitfr.oracle import (WorkHeatSeries, floquet_asymptote,
                             floquet_population_recursion,
                             floquet_recursion_gap, invert_pump_closed_form,
                             irreversible_work_relative_entropy, k_factor,
-                            k_factor_projective, mean_heat_amplitude,
-                            mean_heat_phase, mean_work_amplitude,
+                            k_factor_projective, mean_heat_phase,
                             population_after_n_pulses, rabi_conditional,
                             w_irr, work_heat_series_amplitude)
 from qubitfr.protocol import ProtocolConfig
@@ -97,12 +96,13 @@ class TestWorkHeatSeries:
         assert series.mean_w == pytest.approx(sum(work) + tail_w, abs=1e-15)
         assert series.mean_q == pytest.approx(sum(heat), abs=1e-15)
 
-    def test_wrappers_expose_totals(self):
+    def test_totals_at_last_pulse_have_no_tail(self):
         pc = amplitude_config(tau=410.0, n_pulses=3)
-        w, series_w = mean_work_amplitude(pc, 3 * 410.0)
-        q, series_q = mean_heat_amplitude(pc, 3)
-        assert w == pytest.approx(series_w.mean_w)
-        assert q == pytest.approx(series_q.mean_q)
+        series = work_heat_series_amplitude(pc, 3 * 410.0)
+        assert series.per_pulse_w.size == series.per_pulse_q.size == 3
+        assert series.tail_w == 0.0
+        assert series.mean_w == pytest.approx(series.per_pulse_w.sum())
+        assert series.mean_q == pytest.approx(series.per_pulse_q.sum())
 
     def test_rejects_rotating_drive(self):
         with pytest.raises(TypeError):

@@ -19,8 +19,8 @@ from qubitfr.protocol import (ConditionalMatrix, EnergyChangeDistribution,
                               conditional_fixed_point, conditional_matrix,
                               energy_change_distribution, first_law_check,
                               fr_functional, fr_report, fr_target,
-                              initial_probabilities, mean_energy_change,
-                              mean_trajectory, propagate_mean, pulses_applied)
+                              initial_probabilities, mean_trajectory,
+                              propagate_mean, pulses_applied)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -74,19 +74,6 @@ class TestProtocolConfig:
     def test_negative_pulses_rejected(self):
         with pytest.raises(ValueError):
             amplitude_config(n_pulses=-1)
-
-    def test_unknown_weighting_rejected(self):
-        drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(drive, PulseChannelParams(0.25, 0.0), 410.0, 1,
-                           ThermalContext(0.0), gibbs_weighting="bogus")
-
-    def test_from_final_time_counts_pulses(self):
-        drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
-        pc = ProtocolConfig.from_final_time(drive, PulseChannelParams(0.25, 0.0),
-                                            410.0, 1500.0, ThermalContext(0.0))
-        assert pc.n_pulses == 3
-        assert pc.t_f == 1500.0
 
 
 class TestConditionalMatrixClass:
@@ -238,7 +225,6 @@ class TestEnergyChangeDistribution:
         dist = EnergyChangeDistribution(np.array([-1.0, 0.0, 2.0]),
                                         np.array([0.25, 0.5, 0.25]))
         assert dist.mean() == pytest.approx(0.25)
-        assert mean_energy_change(dist) == pytest.approx(0.25)
 
     def test_cyclic_final_time_gives_three_atoms(self):
         # At whole modulation periods the spectra at 0 and t_f coincide,
