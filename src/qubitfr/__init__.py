@@ -24,8 +24,9 @@ from .oracle import (WorkHeatSeries, floquet_asymptote,
                      work_heat_series_amplitude, w_irr)
 from .protocol import (ConditionalMatrix, EnergyChangeDistribution, FrReport,
                        ProtocolConfig, beta_reservoir, conditional_fixed_point,
-                       conditional_matrix, energy_change_distribution,
-                       first_law_check, fr_functional, fr_report, fr_target,
+                       conditional_matrices, conditional_matrix,
+                       energy_change_distribution, first_law_check,
+                       fr_functional, fr_report, fr_target,
                        initial_probabilities, mean_trajectory, propagate_mean,
                        pulses_applied)
 from .scenarios import (PRESETS, ConfigError, NumericalContractError,
@@ -42,7 +43,8 @@ __all__ = [
     "ProtocolConfig", "PulseChannelParams", "QubitState", "ScenarioConfig",
     "ThermalContext", "WorkHeatSeries", "apply_pulse_map", "beta_reservoir",
     "bloch_rotation", "channel_fixed_point", "conditional_fixed_point",
-    "conditional_matrix", "energy_change_distribution", "evolve_unitary",
+    "conditional_matrices", "conditional_matrix",
+    "energy_change_distribution", "evolve_unitary",
     "first_law_check", "floquet_asymptote", "floquet_population_recursion",
     "floquet_recursion_gap", "fr_estimate_mc", "fr_functional", "fr_report",
     "fr_target", "free_energy_delta", "get_preset", "gibbs_population",

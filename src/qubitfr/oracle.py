@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import apply_pulse_map
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
-                   QubitState, bloch_rotation, free_energy_delta,
-                   gibbs_population, instantaneous_eigensystem)
-from .protocol import ProtocolConfig, pulses_applied
+                   free_energy_delta, gibbs_population,
+                   instantaneous_eigensystem)
+from .protocol import ProtocolConfig, pulse_train, pulses_applied
 
 SERIES_SUM_TOL = 1e-12
 
@@ -204,26 +203,25 @@ def floquet_recursion_gap(config: ProtocolConfig, n_max: int,
                           k: float | None = None) -> np.ndarray:
     """|recursion - full map| per pulse count, maximized over basis starts.
 
-    Propagates both dressed basis states through the exact one-period map
-    and compares their upper-level weights with the recursion at the same
-    pulse count; entry n is the larger of the two absolute gaps.
+    Propagates both dressed basis states through ``pulse_train`` (exact
+    drive periods, then pulses) and compares their upper-level weights
+    with the recursion at the same pulse count; entry n is the larger of
+    the two absolute gaps.
     """
     drive = config.drive
     if not isinstance(drive, PhaseRotatingDrive):
         raise TypeError("recursion gap is defined for the rotating drive")
     params = config.channel
-    rot = bloch_rotation(drive, 0.0, config.tau)
-    up = instantaneous_eigensystem(drive, 0.0).basis_plus
-    axis = up.as_array()
+    axis = instantaneous_eigensystem(drive, 0.0).basis_plus.as_array()
+    train = ProtocolConfig(drive, params, config.tau, n_max, config.thermal)
+    post, _ = pulse_train(train, [axis, -1.0 * axis], range(n_max + 1))
     gaps = np.zeros(n_max + 1)
-    for p0, sign in ((1.0, 1.0), (0.0, -1.0)):
-        r = sign * axis
+    for start, p0 in enumerate((1.0, 0.0)):
         for n in range(n_max + 1):
-            exact = 0.5 * (1.0 + float(r @ axis))
+            exact = 0.5 * (1.0 + float(post[n][start] @ axis))
             predicted = floquet_population_recursion(
                 p0, params.p_absorb, params.p_pump, drive.alpha, n, k=k)
             gaps[n] = max(gaps[n], abs(exact - predicted))
-            r = apply_pulse_map(QubitState.from_array(rot @ r), params).as_array()
     return gaps
 
 

@@ -5,7 +5,9 @@ basis at t = 0, evolve under the drive with a pulse at each multiple of
 ``tau`` up to ``n_pulses``, coast to ``t_f``, measure again.  The
 deterministic engine propagates the two initial basis states through the
 ensemble-averaged channel, which is exact for all probabilities that are
-linear in the density operator.
+linear in the density operator.  ``pulse_train`` is its one
+rotate-then-pulse loop; a sweep over final times walks it once, since
+every point's pulses are a prefix of the last point's.
 
 The measured object is the 2x2 ``ConditionalMatrix``; from it and the
 initial Gibbs weights the ``EnergyChangeDistribution`` follows, and the
@@ -15,6 +17,7 @@ fluctuation functionals <exp(-gamma * dE)> are plain sums over its atoms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,13 @@ class ProtocolConfig:
                              f"at {min_tf}")
 
 
+def _tail_rotation(config: ProtocolConfig) -> np.ndarray:
+    t_last = config.n_pulses * config.tau
+    if config.t_f > t_last:
+        return bloch_rotation(config.drive, t_last, config.t_f)
+    return np.eye(3)
+
+
 def segment_rotations(config: ProtocolConfig) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-period drive rotations plus the final partial-interval rotation.
 
@@ -81,36 +91,50 @@ def segment_rotations(config: ProtocolConfig) -> tuple[list[np.ndarray], np.ndar
     """
     rots = [bloch_rotation(config.drive, (n - 1) * config.tau, n * config.tau)
             for n in range(1, config.n_pulses + 1)]
-    t_last = config.n_pulses * config.tau
-    if config.t_f > t_last:
-        tail = bloch_rotation(config.drive, t_last, config.t_f)
-    else:
-        tail = np.eye(3)
-    return rots, tail
+    return rots, _tail_rotation(config)
+
+
+def pulse_train(config: ProtocolConfig, starts: Sequence[np.ndarray],
+                counts: Sequence[int]) -> tuple[list[list[np.ndarray]], np.ndarray]:
+    """Post-pulse Bloch vectors of each start at each requested pulse count.
+
+    Walks the rotate-then-pulse steps of ``segment_rotations(config)`` once
+    and keeps only the states at ``counts`` (each in 0..config.n_pulses,
+    repeats allowed): entry [k][s] is start s after counts[k] pulses.  Also
+    returns the config's tail rotation, which carries the last post-pulse
+    state to t_f.  Every pulse goes through ``QubitState``, so a state that
+    leaves the Bloch ball raises ValueError.
+    """
+    if any(not 0 <= n <= config.n_pulses for n in counts):
+        raise ValueError(f"pulse counts {list(counts)} outside "
+                         f"0..{config.n_pulses}")
+    rots, tail = segment_rotations(config)
+    wanted = set(counts)
+    rs = [np.asarray(r, dtype=float) for r in starts]
+    kept = {0: rs}
+    for n, rot in enumerate(rots[:max(wanted, default=0)], start=1):
+        rs = [apply_pulse_map(QubitState.from_array(rot @ r), config.channel).as_array()
+              for r in rs]
+        if n in wanted:
+            kept[n] = rs
+    return [kept[n] for n in counts], tail
 
 
 def propagate_mean(config: ProtocolConfig, state: QubitState) -> QubitState:
     """Ensemble-averaged state at t_f starting from the given state at 0."""
-    rots, tail = segment_rotations(config)
-    r = state.as_array()
-    for rot in rots:
-        r = rot @ r
-        state_n = apply_pulse_map(QubitState.from_array(r), config.channel)
-        r = state_n.as_array()
-    return QubitState.from_array(tail @ r)
+    (final,), tail = pulse_train(config, [state.as_array()], [config.n_pulses])
+    return QubitState.from_array(tail @ final[0])
 
 
 def mean_trajectory(config: ProtocolConfig,
                     state: QubitState) -> list[tuple[float, QubitState]]:
     """Post-pulse snapshots (t_n, state) for n = 0..N plus the final state."""
-    rots, tail = segment_rotations(config)
-    out = [(0.0, state)]
-    r = state.as_array()
-    for n, rot in enumerate(rots, start=1):
-        r = apply_pulse_map(QubitState.from_array(rot @ r), config.channel).as_array()
-        out.append((n * config.tau, QubitState.from_array(r)))
+    post, tail = pulse_train(config, [state.as_array()],
+                             range(config.n_pulses + 1))
+    out = [(0.0, state)] + [(n * config.tau, QubitState.from_array(rs[0]))
+                            for n, rs in enumerate(post[1:], start=1)]
     if config.t_f > config.n_pulses * config.tau:
-        out.append((config.t_f, QubitState.from_array(tail @ r)))
+        out.append((config.t_f, QubitState.from_array(tail @ post[-1][0])))
     return out
 
 
@@ -156,15 +180,39 @@ class ConditionalMatrix:
         return self.matrix.copy()
 
 
+def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalMatrix]:
+    """Transition probabilities between the bases at 0 and each config's t_f.
+
+    The configs must share drive, channel and tau.  Pulses fire at tau,
+    2 tau, ... whatever t_f is, so every point with n pulses has the same
+    post-pulse state: one ``pulse_train`` to the largest pulse count serves
+    the whole sweep, and each point adds its own tail rotation and final
+    basis.  A sweep costs O(N_max + grid) rotations, not O(grid * N).
+    """
+    if not configs:
+        return []
+    first = configs[0]
+    if any((pc.drive, pc.channel, pc.tau) != (first.drive, first.channel, first.tau)
+           for pc in configs):
+        raise ValueError("a sweep's configs must share drive, channel and tau")
+    longest = max(configs, key=lambda pc: pc.n_pulses)
+    eig0 = instantaneous_eigensystem(first.drive, 0.0)
+    post, longest_tail = pulse_train(
+        longest, [eig0.basis_plus.as_array(), eig0.basis_minus.as_array()],
+        [pc.n_pulses for pc in configs])
+    out = []
+    for pc, rs in zip(configs, post):
+        tail = longest_tail if pc is longest else _tail_rotation(pc)
+        final_up = instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus
+        up, down = (QubitState.from_array(tail @ r).population_along(final_up)
+                    for r in rs)
+        out.append(ConditionalMatrix.from_upper_row(up, down))
+    return out
+
+
 def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
     """Transition probabilities between the measurement bases at 0 and t_f."""
-    eig0 = instantaneous_eigensystem(config.drive, 0.0)
-    eigf = instantaneous_eigensystem(config.drive, config.t_f)
-    cols = []
-    for initial in (eig0.basis_plus, eig0.basis_minus):
-        final = propagate_mean(config, initial)
-        cols.append(final.population_along(eigf.basis_plus))
-    return ConditionalMatrix.from_upper_row(cols[0], cols[1])
+    return conditional_matrices([config])[0]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from importlib import metadata
 from pathlib import Path
@@ -54,6 +55,13 @@ PHASE_OMEGA0 = 2.0 * math.pi * 0.8e-3
 DEFAULT_MASTER_SEED = 20260814
 DEFAULT_TRAJECTORIES = 100_000
 OUTDIR_ENV = "QUBITFR_OUTDIR"
+
+# Admits every preset (at most 50 pulses) and 500-pulse sweeps, and bounds a
+# Monte-Carlo chunk's draws at 16384 x 3001 float64 (about 393 MB).
+MAX_PULSES = 1000
+# UTF-8 bytes of a name or prefix: "<prefix>_manifest.json" plus a
+# temporary-file suffix must fit the common 255-byte file-name limit.
+MAX_NAME_LENGTH = 200
 
 
 FLOAT_FIELDS = ("omega0", "tau", "beta", "p_absorb", "tau_a", "theta", "p_pump",
@@ -91,11 +99,20 @@ class ScenarioConfig:
             raise ConfigError("scenario name must be nonempty")
         for field_name in ("name", "prefix"):
             value = getattr(self, field_name)
-            if value is not None and (
-                    not isinstance(value, str) or value in (".", "..")
+            if value is None:
+                continue
+            if (not isinstance(value, str) or value in (".", "..")
                     or any(c in value for c in "/\\\0")):
                 raise ConfigError(f"{field_name} must be a plain file name "
                                   f"without path separators, got {value!r}")
+            try:
+                size = len(value.encode("utf-8"))
+            except UnicodeEncodeError:  # lone surrogates have no UTF-8 form
+                raise ConfigError(f"{field_name} must be valid Unicode text, "
+                                  f"got {value!r}") from None
+            if size > MAX_NAME_LENGTH:
+                raise ConfigError(f"{field_name} takes {size} bytes in UTF-8; "
+                                  f"at most {MAX_NAME_LENGTH} are allowed")
         for field_name in FLOAT_FIELDS:
             value = getattr(self, field_name)
             if value is not None and not _is_finite_number(value):
@@ -131,6 +148,14 @@ class ScenarioConfig:
         object.__setattr__(self, "t_f_grid", grid)
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        # The ratio test comes first: pulses_applied rounds t_f / tau to an
+        # int, which raises OverflowError when the ratio is infinite.
+        if self.kind != "rabi" and (
+                grid[-1] / self.tau > 2 * MAX_PULSES
+                or protocol.pulses_applied(grid[-1], self.tau) > MAX_PULSES):
+            raise ConfigError(f"t_f_grid ends at {grid[-1]} ns, past pulse "
+                              f"{MAX_PULSES} at tau = {self.tau} ns; at most "
+                              f"{MAX_PULSES} pulses are allowed")
         for field_name in ("n_trajectories", "workers", "master_seed"):
             value = getattr(self, field_name)
             if type(value) is not int:  # bool is an int subclass; reject it too
@@ -387,8 +412,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _replace_on_close(path: Path):
+    """Text file that appears at ``path`` only once it is fully written.
+
+    The content goes to a temporary file beside ``path`` and is renamed over
+    it, so no reader sees a partial file; if writing fails, the temporary
+    file is removed and ``path`` is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replace_on_close(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -404,9 +446,9 @@ def _grid(res: ResolvedScenario):
     """
     cfg = res.config
     if cfg.mode in ("deterministic", "both"):
-        for t_f in cfg.t_f_grid:
-            pc = res.protocol_at(t_f)
-            yield t_f, pc, "deterministic", protocol.conditional_matrix(pc), None
+        pcs = [res.protocol_at(t_f) for t_f in cfg.t_f_grid]
+        for t_f, pc, cm in zip(cfg.t_f_grid, pcs, protocol.conditional_matrices(pcs)):
+            yield t_f, pc, "deterministic", cm, None
     if cfg.mode in ("montecarlo", "both"):
         sampled = cfg.t_f_grid if cfg.mc_grid == "all" else cfg.t_f_grid[-1:]
         for t_f in sampled:
@@ -554,7 +596,10 @@ def run_scenario(config: ScenarioConfig | str | Path,
     if outdir is None:
         outdir = os.environ.get(OUTDIR_ENV, ".")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path exists and is a file
+        raise ConfigError(f"cannot use output directory {outdir}: {exc}") from exc
 
     try:
         header, rows = _ROW_BUILDERS[config.kind](resolved)
@@ -577,7 +622,7 @@ def run_scenario(config: ScenarioConfig | str | Path,
         "versions": _package_versions(),
     }
     manifest_path = outdir / f"{prefix}_manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with _replace_on_close(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     manifest["manifest_path"] = str(manifest_path)

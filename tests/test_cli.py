@@ -90,10 +90,24 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("name", "a/b"), ("name", "a\\b"), ("name", ".."), ("name", "."),
-        ("prefix", "../up"), ("prefix", "/abs")])
+        ("prefix", "../up"), ("prefix", "/abs"), ("name", "x" * 201),
+        ("prefix", "x" * 201), ("name", "\u00e9" * 101),
+        ("name", "a\ud800b")])
     def test_file_names_must_be_plain(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_phase_config(**{field: value})
+
+    def test_pulse_count_is_capped(self):
+        cap = scenarios.MAX_PULSES
+        with pytest.raises(ConfigError, match="pulses"):
+            small_phase_config(tau=1e-9, t_f_grid=(0.0, 1.0))
+        with pytest.raises(ConfigError, match="pulses"):
+            small_phase_config(t_f_grid=(0.0, (cap + 1) * 616.0))
+        with pytest.raises(ConfigError, match="pulses"):
+            small_phase_config(tau=1e-300, t_f_grid=(0.0, 1e300))
+        assert small_phase_config(t_f_grid=(0.0, cap * 616.0 + 300.0))
+        # Rabi scenarios fire no pulses, whatever tau is.
+        assert small_phase_config(kind="rabi", tau=1e-9, t_f_grid=(0.0, 1.0))
 
     @pytest.mark.parametrize("field,value", [
         ("tau", math.nan), ("beta", -math.inf), ("p_absorb", "0.25"),
@@ -152,6 +166,28 @@ class TestRunScenario:
         assert len(rows) == 4
         assert rows[0]["mode"] == "deterministic"
         assert float(rows[0]["fr_value"]) == pytest.approx(1.0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "case.csv", "case_manifest.json"]
+
+    def test_longest_prefix_fits_the_file_system(self, tmp_path):
+        prefix = "p" * scenarios.MAX_NAME_LENGTH
+        run_scenario(small_phase_config(prefix=prefix), outdir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{prefix}.csv", f"{prefix}_manifest.json"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        run_scenario(small_phase_config(), outdir=tmp_path)
+        before = (tmp_path / "case.csv").read_bytes()
+
+        def fail(value):
+            raise OSError("synthetic write failure")
+
+        monkeypatch.setattr(scenarios, "_fmt", fail)
+        with pytest.raises(OSError, match="synthetic"):
+            run_scenario(small_phase_config(beta=0.5), outdir=tmp_path)
+        assert (tmp_path / "case.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "case.csv", "case_manifest.json"]
 
     def test_deterministic_rerun_is_byte_identical(self, tmp_path):
         run_scenario(small_phase_config(), outdir=tmp_path / "a")
@@ -320,6 +356,35 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         written = {p for p in tmp_path.rglob("*") if p.is_file()}
         assert written == {cfg_path}
+
+    def test_huge_pulse_count_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "huge.json"
+        data = small_phase_config().to_dict()
+        data.update(tau=1e-9, t_f_grid=[0.0, 1.0])
+        cfg_path.write_text(json.dumps(data))
+        proc = run_cli("run", str(cfg_path), "--outdir", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "pulses" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["long_name", "outdir_is_file"])
+    def test_output_path_errors_are_config_errors(self, tmp_path, case):
+        data = small_phase_config().to_dict()
+        outdir = tmp_path / "out"
+        if case == "long_name":
+            data["name"] = "n" * 300
+        else:
+            outdir.write_text("not a directory")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        proc = run_cli("run", str(cfg_path), "--outdir", str(outdir))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            ["cfg.json"] + (["out"] if case == "outdir_is_file" else []))
 
     def test_largest_seed_runs(self, tmp_path, capsys):
         assert main(["run", "fig6e", "--mode", "montecarlo",

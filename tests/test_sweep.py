@@ -1,0 +1,126 @@
+"""The shared pulse train of a deterministic sweep against the per-point
+reference walker in ``sweep_reference``: exact equality on presets and on
+generated sweeps, the rotation count of a sweep, and mixed-sweep errors."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import sweep_reference
+from qubitfr import protocol, scenarios
+from qubitfr.channel import PulseChannelParams
+from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
+                          ThermalContext, instantaneous_eigensystem)
+from qubitfr.protocol import (ProtocolConfig, conditional_matrices,
+                              mean_trajectory, pulses_applied)
+
+OMEGA0_A = math.pi / 616.0
+OMEGA0_P = 2.0 * math.pi * 0.8e-3
+
+
+def preset_sweep(name, **overrides):
+    cfg = scenarios.get_preset(name)
+    if overrides:
+        cfg = scenarios.with_overrides(cfg, **overrides)
+    res = scenarios.resolve(cfg)
+    return [res.protocol_at(t_f) for t_f in cfg.t_f_grid]
+
+
+def assert_matches_reference(pcs):
+    swept = conditional_matrices(pcs)
+    assert len(swept) == len(pcs)
+    for pc, cm in zip(pcs, swept):
+        expected = sweep_reference.conditional_matrix(pc)
+        assert np.array_equal(cm.matrix, expected.matrix), pc.t_f
+
+
+def fig5d_500_pulses():
+    tau = scenarios.get_preset("fig5d").tau
+    pcs = preset_sweep("fig5d", t_f_grid=tuple(np.linspace(0.0, 500 * tau, 51)))
+    assert pcs[-1].n_pulses == 500
+    return pcs
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: preset_sweep("fig2a"),  # dense grid, tau 410 != tau_a 616
+    lambda: preset_sweep("fig4b"),
+    fig5d_500_pulses,
+    lambda: preset_sweep("fig5a"),  # no pulses
+], ids=["fig2a", "fig4b", "fig5d_500", "fig5a"])
+def test_preset_sweeps_equal_per_point_reference(sweep):
+    assert_matches_reference(sweep())
+
+
+def test_mean_trajectory_equals_reference():
+    res = scenarios.resolve(scenarios.get_preset("fig2bcd"))
+    pc = res.protocol_at(res.config.t_f_grid[-1])
+    eig0 = instantaneous_eigensystem(res.drive, 0.0)
+    for start in (eig0.basis_plus, eig0.basis_minus):
+        assert mean_trajectory(pc, start) == \
+            sweep_reference.mean_trajectory(pc, start)
+    tail = ProtocolConfig(pc.drive, pc.channel, pc.tau, 3, pc.thermal,
+                          t_f=3.4 * pc.tau)
+    assert mean_trajectory(tail, eig0.basis_plus) == \
+        sweep_reference.mean_trajectory(tail, eig0.basis_plus)
+
+
+@given(family=st.sampled_from(["amplitude", "phase"]),
+       tau=st.floats(50.0, 2000.0),
+       drive_period=st.none() | st.floats(200.0, 2000.0),
+       p_absorb=st.floats(0.0, 1.0),
+       p_pump=st.floats(0.0, 1.0),
+       points=st.lists(st.tuples(st.integers(0, 60),
+                                 st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)),
+                       min_size=1, max_size=12))
+def test_generated_sweeps_equal_per_point_reference(family, tau, drive_period,
+                                                    p_absorb, p_pump, points):
+    """Ascending grids up to 60 pulses, with repeated pulse counts and
+    repeated times; ``drive_period`` None ties the drive period to tau."""
+    period = tau if drive_period is None else drive_period
+    if family == "amplitude":
+        drive = AmplitudeModulatedDrive(OMEGA0_A, period)
+    else:
+        drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)
+    channel = PulseChannelParams(p_absorb, p_pump)
+    grid = [(n + frac) * tau for n, frac in sorted(points)]
+    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
+                          ThermalContext(0.0), t_f=t_f) for t_f in grid]
+    assert_matches_reference(pcs)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig5d"])
+def test_sweep_builds_each_rotation_about_once(name, tmp_path, monkeypatch):
+    """A deterministic run computes each period rotation once and at most
+    one tail per grid point, not every rotation again at every point."""
+    cfg = scenarios.get_preset(name)
+    pcs = preset_sweep(name)
+    real = protocol.bloch_rotation
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "bloch_rotation", counting)
+    scenarios.run_scenario(cfg, outdir=tmp_path)
+    n_max = max(pc.n_pulses for pc in pcs)
+    assert 0 < len(calls) <= n_max + len(pcs) + 2
+
+
+@pytest.mark.parametrize("change", [
+    {"drive": AmplitudeModulatedDrive(OMEGA0_A, 410.0)},
+    {"channel": PulseChannelParams(0.3, 0.0)},
+    {"tau": 616.0, "t_f": 616.0}], ids=["drive", "channel", "tau"])
+def test_mixed_sweeps_are_rejected(change):
+    pcs = preset_sweep("fig4a")[:3]
+    fields = dict(drive=pcs[1].drive, channel=pcs[1].channel, tau=pcs[1].tau,
+                  n_pulses=pcs[1].n_pulses, thermal=pcs[1].thermal, t_f=pcs[1].t_f)
+    fields.update(change)
+    with pytest.raises(ValueError, match="share drive, channel and tau"):
+        conditional_matrices([pcs[0], ProtocolConfig(**fields), pcs[2]])
+
+
+def test_empty_sweep():
+    assert conditional_matrices([]) == []
