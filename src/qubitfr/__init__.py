@@ -27,8 +27,7 @@ from .protocol import (ConditionalMatrix, EnergyChangeDistribution, FrReport,
                        conditional_matrices, conditional_matrix,
                        energy_change_distribution, first_law_check,
                        fr_functional, fr_report, fr_target,
-                       initial_probabilities, mean_trajectory, propagate_mean,
-                       pulses_applied)
+                       initial_probabilities, mean_trajectory, pulses_applied)
 from .scenarios import (PRESETS, ConfigError, NumericalContractError,
                         ScenarioConfig, get_preset, list_presets, load_config,
                         resolve, run_scenario, with_overrides)
@@ -53,7 +52,7 @@ __all__ = [
     "irreversible_work_relative_entropy", "k_factor", "k_factor_projective",
     "list_presets", "load_config", "mean_energy_mc", "mean_heat_phase",
     "mean_trajectory", "partition_function", "phase_integral",
-    "population_after_n_pulses", "propagate_mean", "pulses_applied",
+    "population_after_n_pulses", "pulses_applied",
     "rabi_conditional", "resolve", "run_ensemble", "run_scenario",
     "run_trajectories", "stationary_upper_population", "w_irr",
     "with_overrides", "work_heat_series_amplitude",

@@ -255,8 +255,9 @@ def check_rabi_oscillation() -> CheckResult:
                        f"{len(res.config.t_f_grid)} points (tol 1e-9)")
 
 
-def check_monte_carlo(n_trajectories: int = 100_000) -> CheckResult:
-    """Estimates vs exact maps at 4 binomial sigma, plus worker invariance."""
+def check_monte_carlo() -> CheckResult:
+    """Estimates vs exact maps at 4 binomial sigma, plus chunk-size invariance."""
+    n_trajectories = 100_000
     worst_sigma = 0.0
     worst_name = ""
     slowest, slowest_name = 0.0, ""
@@ -286,16 +287,15 @@ def check_monte_carlo(n_trajectories: int = 100_000) -> CheckResult:
 
     res = scenarios.resolve(scenarios.get_preset("fig6e"))
     pc = res.protocol_at(res.config.t_f_grid[-1])
-    serial = montecarlo.run_ensemble(pc, 20_000, res.config.master_seed,
-                                     workers=1)
-    threaded = montecarlo.run_ensemble(pc, 20_000, res.config.master_seed,
-                                       workers=4)
-    identical = serial.to_dict() == threaded.to_dict()
+    default = montecarlo.run_ensemble(pc, 20_000, res.config.master_seed)
+    chunked = montecarlo.run_ensemble(pc, 20_000, res.config.master_seed,
+                                      chunk_size=97)
+    identical = default.to_dict() == chunked.to_dict()
     passed = worst_sigma <= 4.0 and identical and slowest < 30.0
     return CheckResult(
         "monte carlo consistency", passed,
         f"worst pull {worst_sigma:.2f} sigma ({worst_name}, tol 4); "
-        f"1 vs 4 workers identical: {identical}; slowest preset "
+        f"chunk 97 vs default chunk identical: {identical}; slowest preset "
         f"{slowest_name} {slowest:.1f} s (tol 30); sampler "
         f"{throughput:.3g} trajectories/s over {len(scenarios.PRESETS)} presets")
 

@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the ensemble master seed")
     run_p.add_argument("--trajectories", type=int, default=None,
                        help="override the trajectory count per initialization")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="worker threads for the sampler")
     run_p.add_argument("--mc-grid", choices=("final", "all"), default=None,
                        help="sample only the last grid time, or every point")
 
@@ -80,8 +78,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["master_seed"] = args.seed
     if args.trajectories is not None:
         overrides["n_trajectories"] = args.trajectories
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.mc_grid is not None:
         overrides["mc_grid"] = args.mc_grid
     if overrides:

@@ -3,8 +3,7 @@
 Reproducibility contract: trajectory i draws from its own counter-based
 stream keyed by (master_seed, i), and every aggregate is assembled from
 exact integer counts.  Results are therefore bit-identical for a fixed
-(config, master_seed, n) no matter how trajectories are chunked or how
-many workers run them.
+(config, master_seed, n) no matter how trajectories are chunked.
 
 Each trajectory consumes a fixed number of uniforms, 3 per pulse
 (absorption, projection outcome, pump success) plus 1 for the final
@@ -16,7 +15,6 @@ and walks the same streams pulse by pulse.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -175,7 +173,7 @@ def _run_chunk_vectorized(engine: _Engine, initial_index: int, master_seed: int,
 
 
 def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
-                     master_seed: int, *, workers: int = 1, index_offset: int = 0,
+                     master_seed: int, *, index_offset: int = 0,
                      chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
     """Sample n trajectories from one initial basis state.
 
@@ -187,20 +185,13 @@ def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
     if initial_index not in (0, 1):
         raise ValueError(f"initial_index must be 0 or 1, got {initial_index}")
     engine = _engine_for(config)
-    bounds = [(lo, min(lo + chunk_size, index_offset + n))
-              for lo in range(index_offset, index_offset + n, chunk_size)]
-
-    def work(span):
-        return _run_chunk_vectorized(engine, initial_index, master_seed, *span)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, bounds))
-    else:
-        results = [work(span) for span in bounds]
-
-    ups = sum(res[0] for res in results)
-    absorbed = sum(res[1] for res in results)
+    ups = absorbed = 0
+    for lo in range(index_offset, index_offset + n, chunk_size):
+        hi = min(lo + chunk_size, index_offset + n)
+        chunk_ups, chunk_absorbed = _run_chunk_vectorized(
+            engine, initial_index, master_seed, lo, hi)
+        ups += chunk_ups
+        absorbed += chunk_absorbed
     counts = np.zeros((2, 2), dtype=np.int64)
     counts[0, initial_index] = ups
     counts[1, initial_index] = n - ups
@@ -211,43 +202,48 @@ def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
 
 
 def run_ensemble(config: ProtocolConfig, n_per_initial: int, master_seed: int,
-                 *, workers: int = 1,
-                 chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
+                 *, chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
     """Both initializations with disjoint stream indices ([0,n) and [n,2n))."""
     up = run_trajectories(config, 0, n_per_initial, master_seed,
-                          workers=workers, index_offset=0, chunk_size=chunk_size)
+                          index_offset=0, chunk_size=chunk_size)
     down = run_trajectories(config, 1, n_per_initial, master_seed,
-                            workers=workers, index_offset=n_per_initial,
-                            chunk_size=chunk_size)
+                            index_offset=n_per_initial, chunk_size=chunk_size)
     return up.merge(down)
 
 
-def fr_estimate_mc(stats: EnsembleStats, config: ProtocolConfig,
-                   gamma: float | None = None) -> FrReport:
+def _binomial_std_err(stats: EnsembleStats, config: ProtocolConfig,
+                      spreads: tuple[float, float]) -> float:
+    """Standard error of sum_i w_i * spreads[i] * P(up | i), w the Gibbs
+    weights, from the two independent binomial column estimates."""
+    weights = initial_probabilities(config)
+    variance = 0.0
+    for i, spread in enumerate(spreads):
+        p = stats.column_estimate(i)
+        n_i = float(stats.n_per_initial[i])
+        variance += (weights[i] * spread) ** 2 * p * (1.0 - p) / n_i
+    return float(np.sqrt(variance))
+
+
+def fr_estimate_mc(stats: EnsembleStats, config: ProtocolConfig) -> FrReport:
     """Fluctuation functional from empirical conditional frequencies.
 
-    Gibbs weights are applied as post-weighting; the standard error
-    propagates the two independent binomial column estimates.
+    Gibbs weights are applied as post-weighting, with gamma = beta - beta_r
+    from the thermal context; the standard error propagates the two
+    independent binomial column estimates.
     """
     cm = stats.conditional_estimate()  # raises if a column is missing
-    if gamma is None:
-        gamma = config.thermal.beta - config.thermal.beta_r
+    gamma = config.thermal.beta - config.thermal.beta_r
     dist = energy_change_distribution(cm, config)
     value = fr_functional(dist, gamma)
 
     eig0 = instantaneous_eigensystem(config.drive, 0.0)
     eigf = instantaneous_eigensystem(config.drive, config.t_f)
-    weights = initial_probabilities(config)
-    variance = 0.0
-    for i, e_i in enumerate((eig0.e_plus, eig0.e_minus)):
-        spread = (np.exp(-gamma * (eigf.e_plus - e_i))
-                  - np.exp(-gamma * (eigf.e_minus - e_i)))
-        p = stats.column_estimate(i)
-        n_i = float(stats.n_per_initial[i])
-        variance += (weights[i] * spread) ** 2 * p * (1.0 - p) / n_i
+    spreads = tuple(np.exp(-gamma * (eigf.e_plus - e_i))
+                    - np.exp(-gamma * (eigf.e_minus - e_i))
+                    for e_i in (eig0.e_plus, eig0.e_minus))
     return FrReport(mean_delta_e=dist.mean(), fr_value=value,
                     fr_target=fr_target(config), gamma=gamma,
-                    std_err=float(np.sqrt(variance)))
+                    std_err=_binomial_std_err(stats, config, spreads))
 
 
 def mean_energy_mc(stats: EnsembleStats,
@@ -255,13 +251,6 @@ def mean_energy_mc(stats: EnsembleStats,
     """Empirical <dE> with its propagated binomial standard error."""
     cm = stats.conditional_estimate()
     dist = energy_change_distribution(cm, config)
-    eig0 = instantaneous_eigensystem(config.drive, 0.0)
     eigf = instantaneous_eigensystem(config.drive, config.t_f)
-    weights = initial_probabilities(config)
     spread = eigf.e_plus - eigf.e_minus
-    variance = 0.0
-    for i in (0, 1):
-        p = stats.column_estimate(i)
-        n_i = float(stats.n_per_initial[i])
-        variance += (weights[i] * spread) ** 2 * p * (1.0 - p) / n_i
-    return dist.mean(), float(np.sqrt(variance))
+    return dist.mean(), _binomial_std_err(stats, config, (spread, spread))

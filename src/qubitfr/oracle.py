@@ -164,9 +164,9 @@ def invert_pump_closed_form(target: float, alpha: float,
     return excess * (1.0 + s * c * c) / denom
 
 
-def mean_heat_phase(config: ProtocolConfig, n_pulses: int | None = None,
-                    k: float | None = None) -> float:
-    """Cumulative heat after n stroboscopic pulses of the rotating drive.
+def mean_heat_phase(config: ProtocolConfig) -> float:
+    """Cumulative heat after the config's n stroboscopic pulses of the
+    rotating drive, with the default k factor.
 
     E_theta (1 - (1 - p_absorb k)^n)(1 - (p_pump/k) cos(alpha) - 2 P(0)),
     which equals gap * (P(n) - P(0)) for the recursion populations.
@@ -174,16 +174,11 @@ def mean_heat_phase(config: ProtocolConfig, n_pulses: int | None = None,
     drive = config.drive
     if not isinstance(drive, PhaseRotatingDrive):
         raise TypeError("stroboscopic heat requires the rotating drive")
-    if n_pulses is None:
-        n_pulses = config.n_pulses
-    if n_pulses < 0:
-        raise ValueError(f"n_pulses must be nonnegative, got {n_pulses}")
     pd = config.channel.p_pump
-    if k is None:
-        k = k_factor(pd, drive.alpha)
+    k = k_factor(pd, drive.alpha)
     p0 = gibbs_population(config.thermal.beta, drive, 0.0)
     damp = 1.0 - config.channel.p_absorb * k
-    return drive.e_theta * (1.0 - damp ** n_pulses) * (
+    return drive.e_theta * (1.0 - damp ** config.n_pulses) * (
         1.0 - (pd / k) * math.cos(drive.alpha) - 2.0 * p0)
 
 

@@ -35,11 +35,11 @@ PULSE_COUNT_RTOL = 1e-9
 UPPER, LOWER = 0, 1
 
 
-def pulses_applied(t_f: float, tau: float, rel_tol: float = PULSE_COUNT_RTOL) -> int:
+def pulses_applied(t_f: float, tau: float) -> int:
     """Number of pulses fired in [0, t_f] with pulses at tau, 2*tau, ...
 
-    A pulse coinciding with t_f (within rel_tol, relative) is counted: the
-    final measurement happens immediately after it.
+    A pulse coinciding with t_f (within PULSE_COUNT_RTOL, relative) is
+    counted: the final measurement happens immediately after it.
     """
     if t_f < 0:
         raise ValueError(f"t_f must be nonnegative, got {t_f}")
@@ -47,7 +47,7 @@ def pulses_applied(t_f: float, tau: float, rel_tol: float = PULSE_COUNT_RTOL) ->
         raise ValueError(f"tau must be positive, got {tau}")
     ratio = t_f / tau
     nearest = round(ratio)
-    if abs(ratio - nearest) <= rel_tol * max(1.0, abs(ratio)):
+    if abs(ratio - nearest) <= PULSE_COUNT_RTOL * max(1.0, abs(ratio)):
         return int(nearest)
     return int(math.floor(ratio))
 
@@ -118,12 +118,6 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[np.ndarray],
         if n in wanted:
             kept[n] = rs
     return [kept[n] for n in counts], tail
-
-
-def propagate_mean(config: ProtocolConfig, state: QubitState) -> QubitState:
-    """Ensemble-averaged state at t_f starting from the given state at 0."""
-    (final,), tail = pulse_train(config, [state.as_array()], [config.n_pulses])
-    return QubitState.from_array(tail @ final[0])
 
 
 def mean_trajectory(config: ProtocolConfig,
@@ -321,16 +315,13 @@ def fr_target(config: ProtocolConfig) -> float:
             / partition_function(beta, config.drive, 0.0))
 
 
-def fr_report(config: ProtocolConfig, cm: ConditionalMatrix | None = None,
-              gamma: float | None = None) -> FrReport:
-    """Deterministic fluctuation-relation evaluation for one config.
-
-    ``gamma`` defaults to beta - beta_r from the thermal context.
-    """
+def fr_report(config: ProtocolConfig,
+              cm: ConditionalMatrix | None = None) -> FrReport:
+    """Deterministic fluctuation-relation evaluation for one config,
+    with gamma = beta - beta_r from the thermal context."""
     if cm is None:
         cm = conditional_matrix(config)
-    if gamma is None:
-        gamma = config.thermal.beta - config.thermal.beta_r
+    gamma = config.thermal.beta - config.thermal.beta_r
     dist = energy_change_distribution(cm, config)
     return FrReport(mean_delta_e=dist.mean(),
                     fr_value=fr_functional(dist, gamma),

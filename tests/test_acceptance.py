@@ -64,8 +64,9 @@ def test_criterion_6_dressed_state_oscillation():
 def test_criterion_7_monte_carlo_consistency():
     """With 1e5 trajectories per initialization, every preset's sampled
     conditional probabilities sit within 4 binomial sigma of the exact
-    map, results are bit-identical across worker counts, and no preset
-    takes 30 s."""
+    map, results on fig6e at 20,000 trajectories per initialization are
+    bit-identical between chunks of 97 and the default chunk size, and no
+    preset takes 30 s."""
     _gate(checks.check_monte_carlo())
 
 

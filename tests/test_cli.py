@@ -82,8 +82,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("master_seed", -5), ("master_seed", 2**64), ("master_seed", True),
-        ("master_seed", 7.0), ("n_trajectories", True), ("n_trajectories", 10.0),
-        ("workers", True), ("workers", "2")])
+        ("master_seed", 7.0), ("n_trajectories", True), ("n_trajectories", 10.0)])
     def test_seed_and_counts_must_be_exact_ints_in_range(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_phase_config(**{field: value})
@@ -134,9 +133,15 @@ class TestResolve:
                 p_pump=None, target_upper_population=0.9))
 
     def test_inversion_requires_absorption(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="inversion"):
             scenarios.resolve(small_phase_config(
                 p_pump=None, target_upper_population=0.2, p_absorb=0.0))
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.5])
+    def test_target_outside_unit_interval_is_config_error(self, target):
+        with pytest.raises(ConfigError, match="inversion"):
+            scenarios.resolve(small_phase_config(
+                p_pump=None, target_upper_population=target))
 
     def test_derived_block_reports_channel_quantities(self):
         res = scenarios.resolve(get_preset("fig5c"))
@@ -201,6 +206,20 @@ class TestRunScenario:
         reloaded = load_config(first["manifest_path"])
         assert reloaded == cfg
         run_scenario(reloaded, outdir=tmp_path / "b")
+        assert (tmp_path / "a/case.csv").read_bytes() == \
+            (tmp_path / "b/case.csv").read_bytes()
+
+    def test_manifest_with_thread_count_reproduces_run(self, tmp_path):
+        # Earlier versions wrote the sampler's thread count into the
+        # manifest; loading one drops that key and reproduces the CSV.
+        cfg = small_phase_config(mode="both", n_trajectories=1500)
+        first = run_scenario(cfg, outdir=tmp_path / "a")
+        path = Path(first["manifest_path"])
+        manifest = json.loads(path.read_text())
+        manifest["scenario_config"]["workers"] = 4
+        path.write_text(json.dumps(manifest))
+        assert load_config(path) == cfg
+        run_scenario(path, outdir=tmp_path / "b")
         assert (tmp_path / "a/case.csv").read_bytes() == \
             (tmp_path / "b/case.csv").read_bytes()
 
@@ -276,6 +295,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("value", ["5", '["name"]'])
+    def test_manifest_config_must_be_an_object(self, tmp_path, value):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"scenario_config": ' + value + "}")
+        with pytest.raises(ConfigError, match="object"):
+            load_config(path)
+
 
 class TestCli:
     def test_presets_lists_catalog(self, capsys):
@@ -296,13 +322,21 @@ class TestCli:
         cfg_path.write_text(json.dumps(small_phase_config().to_dict()))
         code = main(["run", str(cfg_path), "--outdir", str(tmp_path),
                      "--mode", "both", "--trajectories", "1200",
-                     "--seed", "31", "--workers", "2"])
+                     "--seed", "31", "--mc-grid", "all"])
         assert code == 0
         capsys.readouterr()
         manifest = json.loads((tmp_path / "case_manifest.json").read_text())
         sc = manifest["scenario_config"]
         assert (sc["mode"], sc["n_trajectories"], sc["master_seed"],
-                sc["workers"]) == ("both", 1200, 31, 2)
+                sc["mc_grid"]) == ("both", 1200, 31, "all")
+        assert "workers" not in sc
+
+    def test_workers_option_is_gone(self, tmp_path):
+        proc = run_cli("run", "fig6e", "--workers", "2", "--outdir", str(tmp_path))
+        assert proc.returncode == 2
+        assert "--workers" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_preset_or_file_is_config_error(self, tmp_path, capsys):
         assert main(["run", "no_such_preset", "--outdir", str(tmp_path)]) == 2
@@ -314,6 +348,22 @@ class TestCli:
         data["kind"] = "sideways"
         bad.write_text(json.dumps(data))
         assert main(["run", str(bad), "--outdir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("case", ["directory", "not_utf8", "huge_integer"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, case):
+        path = tmp_path / "cfg.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b'{"name": "\xff\xfe"}')
+        else:
+            path.write_text('{"n_trajectories": ' + "9" * 5000 + "}")
+        outdir = tmp_path / "out"
+        proc = run_cli("run", str(path), "--outdir", str(outdir))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("seed", ["-5", str(2**64)])
     def test_out_of_range_seed_is_config_error(self, tmp_path, seed):

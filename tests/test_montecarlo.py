@@ -149,12 +149,6 @@ class TestEngineEquivalence:
         big = run_ensemble(config, 3000, SEED, chunk_size=100_000)
         assert small.to_dict() == big.to_dict()
 
-    def test_workers_are_invisible(self):
-        config = amplitude_config()
-        serial = run_ensemble(config, 4000, SEED, workers=1)
-        threaded = run_ensemble(config, 4000, SEED, workers=5)
-        assert serial.to_dict() == threaded.to_dict()
-
     def test_offset_split_merges_to_whole(self):
         config = phase_config(n_pulses=2)
         first = run_trajectories(config, 0, 500, SEED, index_offset=0)
@@ -237,13 +231,6 @@ class TestStatisticalAgreement:
         assert report.fr_target == pytest.approx(fr_target(config))
         assert report.std_err > 0.0
         assert abs(report.fr_value - report.fr_target) <= 4.0 * report.std_err
-
-    def test_fr_estimate_accepts_explicit_gamma(self):
-        config = phase_config(n_pulses=2)
-        stats = run_ensemble(config, 5000, SEED)
-        report = fr_estimate_mc(stats, config, gamma=0.0)
-        assert report.fr_value == pytest.approx(1.0)
-        assert report.std_err == pytest.approx(0.0, abs=1e-15)
 
     def test_mean_energy_matches_deterministic_within_errors(self):
         config = phase_config(n_pulses=4, pd=0.5184, beta=44.0)

@@ -20,7 +20,7 @@ from qubitfr.protocol import (ConditionalMatrix, EnergyChangeDistribution,
                               energy_change_distribution, first_law_check,
                               fr_functional, fr_report, fr_target,
                               initial_probabilities, mean_trajectory,
-                              propagate_mean, pulses_applied)
+                              pulses_applied)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -194,14 +194,6 @@ class TestMeanPropagation:
         snaps = mean_trajectory(pc, QubitState(0.0, 0.0, 1.0))
         assert len(snaps) == 4
         assert snaps[-1][0] == pytest.approx(1000.0)
-
-    def test_propagate_mean_matches_trajectory_endpoint(self):
-        pc = phase_config(tau_theta=308.0, n_pulses=3, t_f=3.7 * 308.0)
-        start = instantaneous_eigensystem(pc.drive, 0.0).basis_minus
-        end = propagate_mean(pc, start)
-        assert np.allclose(end.as_array(),
-                           mean_trajectory(pc, start)[-1][1].as_array(),
-                           atol=1e-14)
 
 
 class TestEnergyChangeDistribution:
