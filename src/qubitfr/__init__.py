@@ -14,8 +14,8 @@ from .core import (AmplitudeModulatedDrive, EigenSystem, PhaseRotatingDrive,
                    free_energy_delta, gibbs_population,
                    instantaneous_eigensystem, partition_function,
                    phase_integral)
-from .montecarlo import (EnsembleStats, IncompleteEnsembleError, fr_estimate_mc,
-                         mean_energy_mc, run_ensemble, run_trajectories)
+from .montecarlo import (EnsembleStats, IncompleteEnsembleError, fr_std_err,
+                         mean_energy_std_err, run_ensemble, run_trajectories)
 from .oracle import (WorkHeatSeries, floquet_asymptote,
                      floquet_population_recursion, floquet_recursion_gap,
                      invert_pump_closed_form, irreversible_work_relative_entropy,
@@ -45,12 +45,12 @@ __all__ = [
     "conditional_matrices", "conditional_matrix",
     "energy_change_distribution", "evolve_unitary",
     "first_law_check", "floquet_asymptote", "floquet_population_recursion",
-    "floquet_recursion_gap", "fr_estimate_mc", "fr_functional", "fr_report",
+    "floquet_recursion_gap", "fr_functional", "fr_report", "fr_std_err",
     "fr_target", "free_energy_delta", "get_preset", "gibbs_population",
     "initial_probabilities", "instantaneous_eigensystem",
     "invert_pump_closed_form", "invert_pump_probability",
     "irreversible_work_relative_entropy", "k_factor", "k_factor_projective",
-    "list_presets", "load_config", "mean_energy_mc", "mean_heat_phase",
+    "list_presets", "load_config", "mean_energy_std_err", "mean_heat_phase",
     "mean_trajectory", "partition_function", "phase_integral",
     "population_after_n_pulses", "pulses_applied",
     "rabi_conditional", "resolve", "run_ensemble", "run_scenario",

@@ -166,13 +166,13 @@ def check_first_law() -> CheckResult:
         for t_f, pc, cm in zip(res.config.t_f_grid, pcs,
                                protocol.conditional_matrices(pcs)):
             dist = protocol.energy_change_distribution(cm, pc)
-            series = oracle.work_heat_series_amplitude(pc, t_f)
+            series = oracle.work_heat_series_amplitude(pc)
             residual = protocol.first_law_check(dist, series.mean_w, series.mean_q)
             worst = max(worst, abs(residual) / w0)
         if res.config.tau == res.drive.tau_a:
             for n in range(13):
                 series = oracle.work_heat_series_amplitude(
-                    res.protocol_at(n * res.config.tau), n * res.config.tau)
+                    res.protocol_at(n * res.config.tau))
                 worst_strobo_w = max(worst_strobo_w, abs(series.mean_w) / w0)
     passed = worst <= 1e-9 and worst_strobo_w <= 1e-12
     return CheckResult("first law", passed,
@@ -206,7 +206,7 @@ def check_oracle_equivalence() -> CheckResult:
             rx = [rs[0][0] for rs in post]
             energy = 0.5 * drive.omega(0.0) * rx[0]
             work = heat = 0.0
-            series = oracle.work_heat_series_amplitude(pc, 50 * tau)
+            series = oracle.work_heat_series_amplitude(pc)
             for n in range(1, 51):
                 e_before = 0.5 * drive.omega(n * tau) * rx[n - 1]
                 work += e_before - energy
@@ -224,9 +224,9 @@ def check_oracle_equivalence() -> CheckResult:
     for name in ("fig5b", "fig5c", "fig5d"):
         res = scenarios.resolve(scenarios.get_preset(name))
         pc = res.protocol_at(50 * res.config.tau)
-        gd = float(oracle.floquet_recursion_gap(pc, 50).max())
+        gd = float(oracle.floquet_recursion_gap(pc).max())
         kp = oracle.k_factor_projective(res.channel.p_pump, res.drive.alpha)
-        gp = float(oracle.floquet_recursion_gap(pc, 50, k=kp).max())
+        gp = float(oracle.floquet_recursion_gap(pc, k=kp).max())
         gap_default = max(gap_default, gd)
         gap_projective = max(gap_projective, gp)
         per_preset.append(f"{name} {gd:.3f}/{gp:.4f}")
@@ -275,7 +275,7 @@ def check_monte_carlo() -> CheckResult:
         err = stats.std_err()
         for i in (0, 1):
             diff = abs(est.matrix[0, i] - exact.matrix[0, i])
-            sigma = err[0, i]
+            sigma = err[i]
             pulls = 0.0 if diff == 0.0 else (math.inf if sigma == 0.0
                                              else diff / sigma)
             if pulls > worst_sigma:

@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the ensemble master seed")
     run_p.add_argument("--trajectories", type=int, default=None,
                        help="override the trajectory count per initialization")
-    run_p.add_argument("--mc-grid", choices=("final", "all"), default=None,
+    run_p.add_argument("--mc-grid", choices=scenarios.MC_GRIDS, default=None,
                        help="sample only the last grid time, or every point")
 
     sub.add_parser("presets", help="list the bundled scenario catalog")

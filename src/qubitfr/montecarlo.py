@@ -11,6 +11,10 @@ measurement, whether or not the corresponding branches fire.  The
 engine is vectorized over a chunk of trajectories; the tests hold it to
 an independent scalar walker that builds one generator per trajectory
 and walks the same streams pulse by pulse.
+
+Estimates are the ``protocol`` functionals evaluated on the empirical
+matrix ``EnsembleStats.conditional_estimate()``; this module adds only
+their binomial standard errors.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import instantaneous_eigensystem
-from .protocol import (ConditionalMatrix, FrReport, ProtocolConfig,
-                       energy_change_distribution, fr_functional, fr_target,
-                       initial_probabilities, segment_rotations)
+from .protocol import (ConditionalMatrix, ProtocolConfig, initial_probabilities,
+                       segment_rotations)
 
 DEFAULT_CHUNK = 16384
 
@@ -85,13 +88,9 @@ class EnsembleStats:
                                                 self.column_estimate(1))
 
     def std_err(self) -> np.ndarray:
-        """Binomial standard errors, entry for entry with the estimate."""
-        out = np.zeros((2, 2))
-        for i in (0, 1):
-            p = self.column_estimate(i)
-            err = np.sqrt(p * (1.0 - p) / float(self.n_per_initial[i]))
-            out[:, i] = err
-        return out
+        """Binomial standard errors of the two column estimates, shape (2,)."""
+        p = np.array([self.column_estimate(0), self.column_estimate(1)])
+        return np.sqrt(p * (1.0 - p) / self.n_per_initial)
 
     def to_dict(self) -> dict:
         return {
@@ -103,36 +102,19 @@ class EnsembleStats:
         }
 
 
-@dataclass(frozen=True)
-class _Engine:
-    """Precomputed geometry shared by every trajectory of one config."""
-
-    rotations: tuple[np.ndarray, ...]
-    tail: np.ndarray
-    start_up: np.ndarray
-    final_axis: np.ndarray
-    p_absorb: float
-    p_pump: float
-
-    @classmethod
-    def build(cls, config: ProtocolConfig) -> "_Engine":
-        rots, tail = segment_rotations(config)
-        eig0 = instantaneous_eigensystem(config.drive, 0.0)
-        eigf = instantaneous_eigensystem(config.drive, config.t_f)
-        return cls(tuple(rots), tail, eig0.basis_plus.as_array(),
-                   eigf.basis_plus.as_array(),
-                   config.channel.p_absorb, config.channel.p_pump)
-
-
 @lru_cache(maxsize=1)
-def _engine_for(config: ProtocolConfig) -> _Engine:
-    """Engine of ``config``; the last one is kept, so the two
+def _geometry(config: ProtocolConfig):
+    """(per-period rotations, tail rotation, initial up-axis, final
+    up-axis) of ``config``; the last one is kept, so the two
     initializations of ``run_ensemble`` share a single build."""
-    return _Engine.build(config)
+    rots, tail = segment_rotations(config)
+    return (rots, tail,
+            instantaneous_eigensystem(config.drive, 0.0).basis_plus.as_array(),
+            instantaneous_eigensystem(config.drive, config.t_f).basis_plus.as_array())
 
 
-def _run_chunk_vectorized(engine: _Engine, initial_index: int, master_seed: int,
-                          lo: int, hi: int) -> tuple[int, int]:
+def _run_chunk_vectorized(config: ProtocolConfig, initial_index: int,
+                          master_seed: int, lo: int, hi: int) -> tuple[int, int]:
     """(final-up count, absorbed-pulse count) for trajectory indices [lo, hi).
 
     One Philox is re-keyed to (master_seed, i) for each trajectory: the
@@ -140,8 +122,10 @@ def _run_chunk_vectorized(engine: _Engine, initial_index: int, master_seed: int,
     ``Generator(Philox(key=[master_seed, i])).random(3 * n_pulses + 1)``
     without constructing a generator per trajectory.
     """
+    rotations, tail, start_up, final_axis = _geometry(config)
+    p_absorb, p_pump = config.channel.p_absorb, config.channel.p_pump
     m = hi - lo
-    n_pulses = len(engine.rotations)
+    n_pulses = len(rotations)
     bitgen = np.random.Philox(key=np.array([master_seed, lo], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     state = bitgen.state
@@ -154,20 +138,20 @@ def _run_chunk_vectorized(engine: _Engine, initial_index: int, master_seed: int,
     u = draws.T  # u[k] is draw k of every trajectory
 
     sign = 1.0 if initial_index == 0 else -1.0
-    r = np.repeat(sign * engine.start_up[:, None], m, axis=1)  # (3, m)
+    r = np.repeat(sign * start_up[:, None], m, axis=1)  # (3, m)
     absorbed_total = 0
-    for n, rot in enumerate(engine.rotations):
+    for n, rot in enumerate(rotations):
         r = rot @ r
-        absorbed = u[3 * n] < engine.p_absorb
+        absorbed = u[3 * n] < p_absorb
         ends_up = ((u[3 * n + 1] < 0.5 * (1.0 + r[2]))
-                   | (u[3 * n + 2] < engine.p_pump))
+                   | (u[3 * n + 2] < p_pump))
         r[2] = np.where(absorbed, np.where(ends_up, 1.0, -1.0), r[2])
         r[:2] = np.where(absorbed, 0.0, r[:2])
         absorbed_total += int(np.count_nonzero(absorbed))
     # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the row-major
     # product keeps the Born probabilities of earlier releases bit for bit.
-    r = np.ascontiguousarray((engine.tail @ r).T)
-    p_final_up = 0.5 * (1.0 + r @ engine.final_axis)
+    r = np.ascontiguousarray((tail @ r).T)
+    p_final_up = 0.5 * (1.0 + r @ final_axis)
     ups = int(np.count_nonzero(u[3 * n_pulses] < p_final_up))
     return ups, absorbed_total
 
@@ -184,12 +168,11 @@ def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
         raise ValueError(f"need at least one trajectory, got n = {n}")
     if initial_index not in (0, 1):
         raise ValueError(f"initial_index must be 0 or 1, got {initial_index}")
-    engine = _engine_for(config)
     ups = absorbed = 0
     for lo in range(index_offset, index_offset + n, chunk_size):
         hi = min(lo + chunk_size, index_offset + n)
         chunk_ups, chunk_absorbed = _run_chunk_vectorized(
-            engine, initial_index, master_seed, lo, hi)
+            config, initial_index, master_seed, lo, hi)
         ups += chunk_ups
         absorbed += chunk_absorbed
     counts = np.zeros((2, 2), dtype=np.int64)
@@ -224,33 +207,21 @@ def _binomial_std_err(stats: EnsembleStats, config: ProtocolConfig,
     return float(np.sqrt(variance))
 
 
-def fr_estimate_mc(stats: EnsembleStats, config: ProtocolConfig) -> FrReport:
-    """Fluctuation functional from empirical conditional frequencies.
-
-    Gibbs weights are applied as post-weighting, with gamma = beta - beta_r
-    from the thermal context; the standard error propagates the two
-    independent binomial column estimates.
-    """
-    cm = stats.conditional_estimate()  # raises if a column is missing
+def fr_std_err(stats: EnsembleStats, config: ProtocolConfig) -> float:
+    """Binomial standard error of <exp(-gamma dE)> evaluated on
+    ``stats.conditional_estimate()``, gamma = beta - beta_r."""
     gamma = config.thermal.beta - config.thermal.beta_r
-    dist = energy_change_distribution(cm, config)
-    value = fr_functional(dist, gamma)
-
     eig0 = instantaneous_eigensystem(config.drive, 0.0)
     eigf = instantaneous_eigensystem(config.drive, config.t_f)
     spreads = tuple(np.exp(-gamma * (eigf.e_plus - e_i))
                     - np.exp(-gamma * (eigf.e_minus - e_i))
                     for e_i in (eig0.e_plus, eig0.e_minus))
-    return FrReport(mean_delta_e=dist.mean(), fr_value=value,
-                    fr_target=fr_target(config), gamma=gamma,
-                    std_err=_binomial_std_err(stats, config, spreads))
+    return _binomial_std_err(stats, config, spreads)
 
 
-def mean_energy_mc(stats: EnsembleStats,
-                   config: ProtocolConfig) -> tuple[float, float]:
-    """Empirical <dE> with its propagated binomial standard error."""
-    cm = stats.conditional_estimate()
-    dist = energy_change_distribution(cm, config)
+def mean_energy_std_err(stats: EnsembleStats, config: ProtocolConfig) -> float:
+    """Binomial standard error of <dE> evaluated on
+    ``stats.conditional_estimate()``."""
     eigf = instantaneous_eigensystem(config.drive, config.t_f)
     spread = eigf.e_plus - eigf.e_minus
-    return dist.mean(), _binomial_std_err(stats, config, (spread, spread))
+    return _binomial_std_err(stats, config, (spread, spread))

@@ -26,7 +26,7 @@ import numpy as np
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
                    free_energy_delta, gibbs_population,
                    instantaneous_eigensystem)
-from .protocol import ProtocolConfig, pulse_train, pulses_applied
+from .protocol import ProtocolConfig, pulse_train
 
 SERIES_SUM_TOL = 1e-12
 
@@ -67,9 +67,8 @@ class WorkHeatSeries:
             raise ValueError("total heat inconsistent with its parts")
 
 
-def work_heat_series_amplitude(config: ProtocolConfig,
-                               t_f: float | None = None) -> WorkHeatSeries:
-    """Exact work/heat bookkeeping for the fixed-axis drive up to t_f.
+def work_heat_series_amplitude(config: ProtocolConfig) -> WorkHeatSeries:
+    """Exact work/heat bookkeeping for the fixed-axis drive up to config.t_f.
 
     Work accrues between pulses while the populations sit still; pulse n
     contributes heat (omega(n tau)/2) p_absorb (1-p_absorb)^(n-1) (1-2P(0)).
@@ -78,10 +77,7 @@ def work_heat_series_amplitude(config: ProtocolConfig,
     drive = config.drive
     if not isinstance(drive, AmplitudeModulatedDrive):
         raise TypeError("work/heat series requires the fixed-axis drive")
-    if t_f is None:
-        t_f = config.t_f
-    tau = config.tau
-    n_pulses = min(pulses_applied(t_f, tau), config.n_pulses)
+    t_f, tau, n_pulses = config.t_f, config.tau, config.n_pulses
     pa = config.channel.p_absorb
     d0 = 1.0 - 2.0 * gibbs_population(config.thermal.beta, drive, 0.0)
 
@@ -194,9 +190,10 @@ def rabi_conditional(omega0: float, theta: float, t: float) -> float:
     return 1.0 - weight * math.sin(0.5 * theta * t) ** 2
 
 
-def floquet_recursion_gap(config: ProtocolConfig, n_max: int,
+def floquet_recursion_gap(config: ProtocolConfig,
                           k: float | None = None) -> np.ndarray:
-    """|recursion - full map| per pulse count, maximized over basis starts.
+    """|recursion - full map| per pulse count 0..config.n_pulses,
+    maximized over basis starts.
 
     Propagates both dressed basis states through ``pulse_train`` (exact
     drive periods, then pulses) and compares their upper-level weights
@@ -207,9 +204,9 @@ def floquet_recursion_gap(config: ProtocolConfig, n_max: int,
     if not isinstance(drive, PhaseRotatingDrive):
         raise TypeError("recursion gap is defined for the rotating drive")
     params = config.channel
+    n_max = config.n_pulses
     axis = instantaneous_eigensystem(drive, 0.0).basis_plus.as_array()
-    train = ProtocolConfig(drive, params, config.tau, n_max, config.thermal)
-    post, _ = pulse_train(train, [axis, -1.0 * axis], range(n_max + 1))
+    post, _ = pulse_train(config, [axis, -1.0 * axis], range(n_max + 1))
     gaps = np.zeros(n_max + 1)
     for start, p0 in enumerate((1.0, 0.0)):
         for n in range(n_max + 1):
@@ -220,18 +217,14 @@ def floquet_recursion_gap(config: ProtocolConfig, n_max: int,
     return gaps
 
 
-def w_irr(beta: float, drive: DriveSpec, t_f: float,
-          tau: float | None = None) -> float:
+def w_irr(beta: float, drive: DriveSpec, t_f: float) -> float:
     """Irreversible work <W> - dF of the pulse-free (closed) segment.
 
-    Valid only before the first pulse; pass ``tau`` to enforce t_f < tau.
-    Nonnegative for every t_f, vanishing at whole drive periods.
+    Valid only before the first pulse.  Nonnegative for every t_f,
+    vanishing at whole drive periods.
     """
     if not isinstance(drive, AmplitudeModulatedDrive):
         raise TypeError("irreversible work is defined for the fixed-axis drive")
-    if tau is not None and t_f >= tau:
-        raise ValueError(f"t_f = {t_f} reaches the first pulse at {tau}; "
-                         "the system is no longer closed")
     d0 = 2.0 * gibbs_population(beta, drive, 0.0) - 1.0
     mean_w = 0.5 * (drive.omega(t_f) - drive.omega(0.0)) * d0
     return mean_w - free_energy_delta(beta, drive, t_f)

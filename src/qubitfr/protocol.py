@@ -291,7 +291,6 @@ class FrReport:
     fr_value: float
     fr_target: float
     gamma: float
-    std_err: float | None = None
 
     def __post_init__(self) -> None:
         if not self.fr_value > 0.0:

@@ -46,6 +46,9 @@ class NumericalContractError(Exception):
 KINDS = ("conditional", "bloch", "energetics", "fr", "rabi")
 MODES = ("deterministic", "montecarlo", "both")
 FAMILIES = ("amplitude", "phase")
+MC_GRIDS = ("final", "all")
+CHOICES = {"kind": KINDS, "drive_family": FAMILIES, "mode": MODES,
+           "mc_grid": MC_GRIDS}
 
 AMPLITUDE_TAU_A = 616.0
 AMPLITUDE_OMEGA0 = math.pi / AMPLITUDE_TAU_A
@@ -59,6 +62,10 @@ OUTDIR_ENV = "QUBITFR_OUTDIR"
 # Admits every preset (at most 50 pulses) and 500-pulse sweeps, and bounds a
 # Monte-Carlo chunk's draws at 16384 x 3001 float64 (about 393 MB).
 MAX_PULSES = 1000
+# Caps a run's sampling work: 2 x n_trajectories x the sum, over the sampled
+# grid points, of (pulses + 1).  16x the largest preset, fig5b/c/d with
+# mc_grid "all" at the default trajectory count (2.65e8).
+MAX_SAMPLED_STEPS = 2**32
 # UTF-8 bytes of a name or prefix: "<prefix>_manifest.json" plus a
 # temporary-file suffix must fit the common 255-byte file-name limit.
 MAX_NAME_LENGTH = 200
@@ -120,24 +127,21 @@ class ScenarioConfig:
         if not all(_is_finite_number(t) for t in self.t_f_grid):
             raise ConfigError(f"t_f_grid must hold finite numbers, "
                               f"got {list(self.t_f_grid)!r}")
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown kind {self.kind!r}; choose from {KINDS}")
-        if self.drive_family not in FAMILIES:
-            raise ConfigError(f"unknown drive family {self.drive_family!r}")
+        for field_name, choices in CHOICES.items():
+            value = getattr(self, field_name)
+            if value not in choices:
+                raise ConfigError(f"unknown {field_name} {value!r}; "
+                                  f"choose from {choices}")
         if self.drive_family == "amplitude" and not self.tau_a:
             raise ConfigError("amplitude drives need tau_a")
         if self.drive_family == "phase" and not self.theta:
             raise ConfigError("phase drives need theta")
-        if not (0.0 <= self.p_absorb <= 1.0):
-            raise ConfigError(f"p_absorb must be in [0, 1], got {self.p_absorb}")
         if self.p_pump is None and self.target_upper_population is None:
             raise ConfigError("give p_pump or a target asymptotic population")
-        if self.p_pump is not None and not (0.0 <= self.p_pump <= 1.0):
-            raise ConfigError(f"p_pump must be in [0, 1], got {self.p_pump}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.mc_grid not in ("final", "all"):
-            raise ConfigError(f"mc_grid must be 'final' or 'all', got {self.mc_grid}")
+        for field_name in ("p_absorb", "p_pump"):
+            value = getattr(self, field_name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{field_name} must be in [0, 1], got {value}")
         if self.kind == "bloch" and self.mode != "deterministic":
             raise ConfigError("bloch scenarios have no stochastic estimator")
         grid = tuple(float(t) for t in self.t_f_grid)
@@ -164,6 +168,22 @@ class ScenarioConfig:
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(
                 f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        sampled = self.sampled_grid()
+        steps = 2 * self.n_trajectories * sum(1 + self.pulses_at(t)
+                                              for t in sampled)
+        if steps > MAX_SAMPLED_STEPS:
+            raise ConfigError(
+                f"n_trajectories = {self.n_trajectories} asks for {steps:.3g} "
+                f"sampled pulse steps at the {len(sampled)} sampled grid "
+                f"point(s); at most {MAX_SAMPLED_STEPS} are allowed")
+
+    def pulses_at(self, t_f: float) -> int:
+        """Pulses fired up to t_f; rabi scenarios fire none."""
+        return 0 if self.kind == "rabi" else protocol.pulses_applied(t_f, self.tau)
+
+    def sampled_grid(self) -> tuple[float, ...]:
+        """Final times the Monte-Carlo modes sample."""
+        return self.t_f_grid if self.mc_grid == "all" else self.t_f_grid[-1:]
 
     def to_dict(self) -> dict:
         out = {}
@@ -201,13 +221,10 @@ class ResolvedScenario:
     thermal: ThermalContext
     derived: dict
 
-    def protocol_at(self, t_f: float,
-                    n_pulses: int | None = None) -> protocol.ProtocolConfig:
-        if n_pulses is None:
-            n_pulses = 0 if self.config.kind == "rabi" else protocol.pulses_applied(
-                t_f, self.config.tau)
+    def protocol_at(self, t_f: float) -> protocol.ProtocolConfig:
         return protocol.ProtocolConfig(self.drive, self.channel, self.config.tau,
-                                       n_pulses, self.thermal, t_f=t_f)
+                                       self.config.pulses_at(t_f), self.thermal,
+                                       t_f=t_f)
 
 
 def build_drive(config: ScenarioConfig) -> DriveSpec:
@@ -443,8 +460,7 @@ def _grid(res: ResolvedScenario):
         for t_f, pc, cm in zip(cfg.t_f_grid, pcs, protocol.conditional_matrices(pcs)):
             yield t_f, pc, "deterministic", cm, None
     if cfg.mode in ("montecarlo", "both"):
-        sampled = cfg.t_f_grid if cfg.mc_grid == "all" else cfg.t_f_grid[-1:]
-        for t_f in sampled:
+        for t_f in cfg.sampled_grid():
             pc = res.protocol_at(t_f)
             stats = montecarlo.run_ensemble(pc, cfg.n_trajectories, cfg.master_seed)
             yield t_f, pc, "montecarlo", stats.conditional_estimate(), stats
@@ -466,7 +482,7 @@ def _conditional_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
                "err_up_given_down"] + (["closed_form_p_up_given_up"] if rabi else [])
 
     def row(t_f, pc, cm, stats):
-        err = (0.0, 0.0) if stats is None else stats.std_err()[0]
+        err = (0.0, 0.0) if stats is None else stats.std_err()
         out = [cm.p_up_given_up, cm.p_up_given_down, err[0], err[1]]
         if rabi:
             out.append(oracle.rabi_conditional(cfg.omega0, cfg.theta, t_f))
@@ -503,9 +519,8 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     w0 = cfg.omega0
 
     def mean_energy(pc, cm, stats):
-        if stats is None:
-            return protocol.energy_change_distribution(cm, pc).mean(), 0.0
-        return montecarlo.mean_energy_mc(stats, pc)
+        err = 0.0 if stats is None else montecarlo.mean_energy_std_err(stats, pc)
+        return protocol.energy_change_distribution(cm, pc).mean(), err
 
     if isinstance(res.drive, AmplitudeModulatedDrive):
         columns = ["mean_delta_e", "mean_work", "mean_heat", "work_plus_heat",
@@ -513,7 +528,7 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 
         def row(t_f, pc, cm, stats):
             mean_de, err = mean_energy(pc, cm, stats)
-            series = oracle.work_heat_series_amplitude(pc, t_f)
+            series = oracle.work_heat_series_amplitude(pc)
             w, q = series.mean_w, series.mean_q
             df = free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta else 0.0
             # Each mode keeps the rounding its rows have always had.
@@ -541,11 +556,8 @@ def _fr_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
                "err_fr_value"]
 
     def row(t_f, pc, cm, stats):
-        if stats is None:
-            report, err = protocol.fr_report(pc, cm), 0.0
-        else:
-            report = montecarlo.fr_estimate_mc(stats, pc)
-            err = report.std_err
+        report = protocol.fr_report(pc, cm)
+        err = 0.0 if stats is None else montecarlo.fr_std_err(stats, pc)
         return [gamma_omega0, report.fr_value, report.fr_target,
                 report.deviation, err]
 

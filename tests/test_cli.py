@@ -108,6 +108,26 @@ class TestScenarioConfig:
         # Rabi scenarios fire no pulses, whatever tau is.
         assert small_phase_config(kind="rabi", tau=1e-9, t_f_grid=(0.0, 1.0))
 
+    def test_sampling_work_is_capped(self, tmp_path, capsys):
+        # Validation alone decides; no trajectory is started here.
+        cap = scenarios.MAX_SAMPLED_STEPS
+        # Four grid points with 0..3 pulses; "final" samples only the last.
+        assert small_phase_config(n_trajectories=cap // 8)
+        with pytest.raises(ConfigError, match="n_trajectories"):
+            small_phase_config(n_trajectories=cap // 8 + 1)
+        with pytest.raises(ConfigError, match="n_trajectories"):
+            small_phase_config(mc_grid="all", n_trajectories=cap // 8)
+        with pytest.raises(ConfigError, match="n_trajectories"):
+            with_overrides(get_preset("fig6e"), n_trajectories=10**15)
+        assert main(["run", "fig6e", "--trajectories", str(10**15),
+                     "--outdir", str(tmp_path)]) == 2
+        assert "n_trajectories" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+        for cfg in scenarios.PRESETS.values():
+            modes = ("deterministic",) if cfg.kind == "bloch" else scenarios.MODES
+            for mode in modes:
+                assert with_overrides(cfg, mode=mode, mc_grid="all")
+
     @pytest.mark.parametrize("field,value", [
         ("tau", math.nan), ("beta", -math.inf), ("p_absorb", "0.25"),
         ("omega0", True), ("t_f_grid", (0.0, "616"))])

@@ -65,7 +65,7 @@ class TestWorkHeatSeries:
         tau, n_pulses = 410.0, 4
         t_f = n_pulses * tau + 150.0
         pc = amplitude_config(tau=tau, n_pulses=n_pulses, t_f=t_f)
-        series = work_heat_series_amplitude(pc, t_f)
+        series = work_heat_series_amplitude(pc)
 
         ham = lambda t: dmtools.ham_amplitude(OMEGA0_A, 616.0, t)
         rho = expm(-BETA_A * ham(0.0))
@@ -98,7 +98,7 @@ class TestWorkHeatSeries:
 
     def test_totals_at_last_pulse_have_no_tail(self):
         pc = amplitude_config(tau=410.0, n_pulses=3)
-        series = work_heat_series_amplitude(pc, 3 * 410.0)
+        series = work_heat_series_amplitude(pc)
         assert series.per_pulse_w.size == series.per_pulse_q.size == 3
         assert series.tail_w == 0.0
         assert series.mean_w == pytest.approx(series.per_pulse_w.sum())
@@ -106,11 +106,11 @@ class TestWorkHeatSeries:
 
     def test_rejects_rotating_drive(self):
         with pytest.raises(TypeError):
-            work_heat_series_amplitude(phase_config(), 616.0)
+            work_heat_series_amplitude(phase_config())
 
     def test_no_pulses_is_pure_work(self):
         pc = amplitude_config(tau=410.0, n_pulses=0, t_f=200.0)
-        series = work_heat_series_amplitude(pc, 200.0)
+        series = work_heat_series_amplitude(pc)
         assert series.per_pulse_w.size == 0
         assert series.mean_q == 0.0
         mean_sx = 2.0 * gibbs_population(BETA_A, pc.drive, 0.0) - 1.0
@@ -244,20 +244,20 @@ class TestRabiConditional:
 
 class TestRecursionGap:
     def test_exact_at_zero_pulses(self):
-        gaps = floquet_recursion_gap(phase_config(n_pulses=0), 6)
+        gaps = floquet_recursion_gap(phase_config(n_pulses=6))
         assert gaps.shape == (7,)
         assert gaps[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_projective_reading_tracks_map_more_closely(self):
-        pc = phase_config(tau_theta=616.0, n_pulses=0, pd=0.4498)
+        pc = phase_config(tau_theta=616.0, n_pulses=50, pd=0.4498)
         kp = k_factor_projective(0.4498, pc.drive.alpha)
-        gap_default = floquet_recursion_gap(pc, 50).max()
-        gap_projective = floquet_recursion_gap(pc, 50, k=kp).max()
+        gap_default = floquet_recursion_gap(pc).max()
+        gap_projective = floquet_recursion_gap(pc, k=kp).max()
         assert gap_projective < gap_default
 
     def test_rejects_fixed_axis_drive(self):
         with pytest.raises(TypeError):
-            floquet_recursion_gap(amplitude_config(), 5)
+            floquet_recursion_gap(amplitude_config())
 
 
 class TestIrreversibleWork:
@@ -284,12 +284,6 @@ class TestIrreversibleWork:
         mean_w = 0.5 * (drive.omega(t_f) - drive.omega(0.0)) * d0
         assert w_irr(BETA_A, drive, t_f) == pytest.approx(
             mean_w - free_energy_delta(BETA_A, drive, t_f), abs=1e-18)
-
-    def test_pulse_boundary_enforced_when_given(self):
-        drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
-        w_irr(BETA_A, drive, 400.0, tau=410.0)
-        with pytest.raises(ValueError):
-            w_irr(BETA_A, drive, 410.0, tau=410.0)
 
     def test_rejects_rotating_drive(self):
         drive = PhaseRotatingDrive(OMEGA0_P, 0.01)
