@@ -1,16 +1,19 @@
 """Reproducible trajectory ensembles for the pulsed protocols.
 
-Reproducibility contract: trajectory i draws from its own counter-based
-stream keyed by (master_seed, i), and every aggregate is assembled from
-exact integer counts.  Results are therefore bit-identical for a fixed
-(config, master_seed, n) no matter how trajectories are chunked.
+Reproducibility contract (random-number layout ``RNG_LAYOUT`` = 2): all
+trajectories of a run share the counter-based stream
+``Philox(key=[master_seed, 0])``, and trajectory i owns its words
+``[i * Wp, (i + 1) * Wp)``, ``Wp = 4 * ceil((3 * n_pulses + 1) / 4)``
+(whole Philox blocks).  It uses the first 3 per pulse (absorption,
+projection outcome, pump success) plus 1 for the final measurement,
+whether or not the branches fire.  A chunk skips ahead to its first
+trajectory and draws all its words in one call; aggregates are exact
+integer counts.  Results are therefore a pure function of (master_seed,
+i) per trajectory and bit-identical however trajectories are chunked.
 
-Each trajectory consumes a fixed number of uniforms, 3 per pulse
-(absorption, projection outcome, pump success) plus 1 for the final
-measurement, whether or not the corresponding branches fire.  The
-engine is vectorized over a chunk of trajectories; the tests hold it to
-an independent scalar walker that builds one generator per trajectory
-and walks the same streams pulse by pulse.
+The engine is vectorized over a chunk of trajectories; the tests hold it
+to an independent scalar walker that builds each trajectory's generator
+at its counter and walks the same words pulse by pulse.
 
 Estimates are the ``protocol`` functionals evaluated on the empirical
 matrix ``EnsembleStats.conditional_estimate()``; this module adds only
@@ -19,6 +22,7 @@ their binomial standard errors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +32,10 @@ from .core import instantaneous_eigensystem
 from .protocol import (ConditionalMatrix, ProtocolConfig, initial_probabilities,
                        segment_rotations)
 
-DEFAULT_CHUNK = 16384
+DEFAULT_CHUNK = 4096
+# Recorded in sampling manifests.  Layout 1 keyed a separate stream
+# (master_seed, i) per trajectory.
+RNG_LAYOUT = 2
 
 
 class IncompleteEnsembleError(ValueError):
@@ -115,27 +122,16 @@ def _geometry(config: ProtocolConfig):
 
 def _run_chunk_vectorized(config: ProtocolConfig, initial_index: int,
                           master_seed: int, lo: int, hi: int) -> tuple[int, int]:
-    """(final-up count, absorbed-pulse count) for trajectory indices [lo, hi).
-
-    One Philox is re-keyed to (master_seed, i) for each trajectory: the
-    reused state dict resets counter and buffer, so row i holds exactly
-    ``Generator(Philox(key=[master_seed, i])).random(3 * n_pulses + 1)``
-    without constructing a generator per trajectory.
-    """
+    """(final-up count, absorbed-pulse count) for trajectory indices [lo,
+    hi); after a skip-ahead, one draw holds trajectory i's words in row i - lo."""
     rotations, tail, start_up, final_axis = _geometry(config)
     p_absorb, p_pump = config.channel.p_absorb, config.channel.p_pump
     m = hi - lo
     n_pulses = len(rotations)
-    bitgen = np.random.Philox(key=np.array([master_seed, lo], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = state["state"]["key"]
-    draws = np.empty((m, 3 * n_pulses + 1))
-    for i in range(m):
-        key[1] = lo + i
-        bitgen.state = state
-        gen.random(out=draws[i])
-    u = draws.T  # u[k] is draw k of every trajectory
+    stride = 4 * -(-(3 * n_pulses + 1) // 4)  # Wp, whole 4-word Philox blocks
+    bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+    bitgen.advance(lo * stride // 4)
+    u = np.random.Generator(bitgen).random((m, stride)).T  # u[k]: word k of each
 
     sign = 1.0 if initial_index == 0 else -1.0
     r = np.repeat(sign * start_up[:, None], m, axis=1)  # (3, m)
@@ -162,25 +158,24 @@ def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
     """Sample n trajectories from one initial basis state.
 
     Trajectory i uses stream index ``index_offset + i``; pass disjoint
-    offsets to combine ensembles without stream reuse.
+    offsets to combine ensembles without stream reuse.  Raises
+    ``ValueError`` naming the argument when n or chunk_size is below 1 or
+    index_offset is negative.
     """
-    if n < 1:
-        raise ValueError(f"need at least one trajectory, got n = {n}")
+    for name, value, least in (("n", n, 1), ("index_offset", index_offset, 0),
+                               ("chunk_size", chunk_size, 1)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if initial_index not in (0, 1):
         raise ValueError(f"initial_index must be 0 or 1, got {initial_index}")
-    ups = absorbed = 0
-    for lo in range(index_offset, index_offset + n, chunk_size):
-        hi = min(lo + chunk_size, index_offset + n)
-        chunk_ups, chunk_absorbed = _run_chunk_vectorized(
-            config, initial_index, master_seed, lo, hi)
-        ups += chunk_ups
-        absorbed += chunk_absorbed
+    end = index_offset + n
+    ups, absorbed = map(sum, zip(*(
+        _run_chunk_vectorized(config, initial_index, master_seed, lo,
+                              min(lo + chunk_size, end))
+        for lo in range(index_offset, end, chunk_size))))
     counts = np.zeros((2, 2), dtype=np.int64)
-    counts[0, initial_index] = ups
-    counts[1, initial_index] = n - ups
-    n_per_initial = np.zeros(2, dtype=np.int64)
-    n_per_initial[initial_index] = n
-    return EnsembleStats(counts, n_per_initial, absorbed,
+    counts[:, initial_index] = ups, n - ups
+    return EnsembleStats(counts, counts.sum(axis=0), absorbed,
                          n * config.n_pulses, master_seed)
 
 

@@ -60,7 +60,7 @@ DEFAULT_TRAJECTORIES = 100_000
 OUTDIR_ENV = "QUBITFR_OUTDIR"
 
 # Admits every preset (at most 50 pulses) and 500-pulse sweeps, and bounds a
-# Monte-Carlo chunk's draws at 16384 x 3001 float64 (about 393 MB).
+# Monte-Carlo chunk's draws at 4096 x 3004 float64 (about 98 MB).
 MAX_PULSES = 1000
 # Caps a run's sampling work: 2 x n_trajectories x the sum, over the sampled
 # grid points, of (pulses + 1).  16x the largest preset, fig5b/c/d with
@@ -413,9 +413,7 @@ def list_presets() -> list[str]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -607,8 +605,6 @@ def run_scenario(config: ScenarioConfig | str | Path,
 
     try:
         header, rows = _ROW_BUILDERS[config.kind](resolved)
-    except ConfigError:
-        raise
     except (ValueError, ArithmeticError) as exc:
         raise NumericalContractError(str(exc)) from exc
 
@@ -625,6 +621,8 @@ def run_scenario(config: ScenarioConfig | str | Path,
         "derived": resolved.derived,
         "versions": _package_versions(),
     }
+    if config.mode != "deterministic":
+        manifest["rng_layout"] = montecarlo.RNG_LAYOUT
     manifest_path = outdir / f"{prefix}_manifest.json"
     with _replace_on_close(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -644,11 +642,18 @@ def load_config(path: str | Path) -> ScenarioConfig:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # a directory, bad UTF-8, bad JSON
         raise ConfigError(f"cannot read {path} as JSON: {exc}") from exc
+    layout = montecarlo.RNG_LAYOUT  # a plain config pins no earlier layout
     if isinstance(data, dict) and "scenario_config" in data:
+        layout = data.get("rng_layout")
         data = data["scenario_config"]
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object of config fields")
-    return ScenarioConfig.from_dict(data)
+    config = ScenarioConfig.from_dict(data)
+    if config.mode != "deterministic" and layout != montecarlo.RNG_LAYOUT:
+        found = "no rng_layout" if layout is None else f"rng_layout {layout!r}"
+        raise ConfigError(f"{path} records {found}; this version samples only "
+                          f"with rng_layout {montecarlo.RNG_LAYOUT}")
+    return config
 
 
 def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:

@@ -1,11 +1,13 @@
 """Independent scalar reference for the trajectory sampler.
 
-Each trajectory gets its own freshly constructed counter-based generator
-keyed by (master_seed, index) and is walked pulse by pulse on a single
-Bloch vector, recording every pulse outcome.  Nothing here shares code
-with ``qubitfr.montecarlo``: the package engine re-keys one generator
-per chunk and propagates a whole chunk at once, so agreement between the
-two is a meaningful check of streams, draw order and branch logic.
+Each trajectory gets its own freshly constructed counter-based generator,
+positioned by its ``counter`` argument at the trajectory's first block of
+the run's stream (random-number layout 2), and is walked pulse by pulse on
+a single Bloch vector, recording every pulse outcome.  Nothing here
+shares code with ``qubitfr.montecarlo``: the package engine skips ahead
+with ``advance`` and draws a whole chunk at once, then propagates the
+chunk at once, so agreement between the two is a meaningful check of
+stream positions, draw order and branch logic.
 """
 
 from dataclasses import dataclass
@@ -17,10 +19,19 @@ from qubitfr.core import QubitState, instantaneous_eigensystem
 from qubitfr.protocol import ProtocolConfig, segment_rotations
 
 
-def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
-    """Random stream of one trajectory, a pure function of its two keys."""
-    key = np.array([master_seed, trajectory_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def words_per_trajectory(n_pulses: int) -> int:
+    """``Wp``: 3 uniforms per pulse plus 1, rounded up to whole 4-word blocks."""
+    return 4 * ((3 * n_pulses + 1 + 3) // 4)
+
+
+def derive_stream(master_seed: int, trajectory_index: int,
+                  n_pulses: int) -> np.random.Generator:
+    """Generator whose first ``Wp`` words are trajectory ``trajectory_index``'s
+    words ``[i * Wp, (i + 1) * Wp)`` of ``Philox(key=[master_seed, 0])``."""
+    key = np.array([master_seed, 0], dtype=np.uint64)
+    block = trajectory_index * words_per_trajectory(n_pulses) // 4
+    counter = np.array([block, 0, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ def run_records(config: ProtocolConfig, initial_index: int, n: int,
     sign = 1.0 if initial_index == 0 else -1.0
     records = []
     for idx in range(index_offset, index_offset + n):
-        rng = derive_stream(master_seed, idx)
+        rng = derive_stream(master_seed, idx, config.n_pulses)
         state = QubitState.from_array(sign * start)
         events = []
         for rot in rots:

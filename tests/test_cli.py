@@ -322,6 +322,55 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="object"):
             load_config(path)
 
+    @pytest.mark.parametrize("mode", ["deterministic", "montecarlo", "both"])
+    def test_manifest_records_rng_layout_when_sampling(self, tmp_path, mode):
+        manifest = run_scenario(small_phase_config(mode=mode, n_trajectories=200),
+                                outdir=tmp_path)
+        on_disk = json.loads(Path(manifest["manifest_path"]).read_text())
+        if mode == "deterministic":
+            assert "rng_layout" not in on_disk
+        else:
+            assert on_disk["rng_layout"] == 2
+
+    def test_deterministic_manifest_without_layout_loads(self, tmp_path):
+        manifest = run_scenario(small_phase_config(), outdir=tmp_path)
+        path = Path(manifest["manifest_path"])
+        assert "rng_layout" not in json.loads(path.read_text())
+        assert load_config(path) == small_phase_config()
+
+    def test_plain_sampling_config_needs_no_layout(self, tmp_path):
+        # Only a manifest pins the realizations of a run; a config file
+        # asks for a fresh run with this version's layout.
+        cfg = small_phase_config(mode="both")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("layout", [None, 1, 3, "2"],
+                             ids=["absent", "1", "3", "string"])
+    def test_manifest_of_another_rng_layout_is_rejected(self, tmp_path, layout):
+        # A sampled manifest of another layout cannot be reproduced, so
+        # `run` refuses it with exit 2 before anything is written.
+        cfg = small_phase_config(mode="both", n_trajectories=200)
+        path = Path(run_scenario(cfg, outdir=tmp_path / "first")["manifest_path"])
+        manifest = json.loads(path.read_text())
+        if layout is None:
+            del manifest["rng_layout"]
+        else:
+            manifest["rng_layout"] = layout
+        path.write_text(json.dumps(manifest))
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        proc = run_cli("run", str(path), "--outdir", str(outdir))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert ("no rng_layout" if layout is None
+                else f"rng_layout {layout!r}") in proc.stderr
+        assert "samples only with rng_layout 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not list(outdir.iterdir())
+
 
 class TestCli:
     def test_presets_lists_catalog(self, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qubitfr.channel import PulseChannelParams, apply_pulse_map
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
@@ -15,7 +17,8 @@ from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats,
 from qubitfr.protocol import (ProtocolConfig, conditional_matrix,
                               energy_change_distribution, fr_report, fr_target)
 from qubitfr.scenarios import get_preset, resolve
-from scalar_sampler import derive_stream, run_records, sample_pulse
+from scalar_sampler import (derive_stream, run_records, sample_pulse,
+                            words_per_trajectory)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -36,28 +39,46 @@ def phase_config(n_pulses=4, tau_theta=616.0, pd=0.45, beta=0.0, beta_r=0.0):
 
 class TestStreams:
     def test_streams_are_reproducible(self):
-        a = derive_stream(SEED, 17).random(8)
-        b = derive_stream(SEED, 17).random(8)
+        a = derive_stream(SEED, 17, 3).random(8)
+        b = derive_stream(SEED, 17, 3).random(8)
         assert np.array_equal(a, b)
 
     def test_streams_are_distinct_per_index(self):
-        a = derive_stream(SEED, 0).random(8)
-        b = derive_stream(SEED, 1).random(8)
+        a = derive_stream(SEED, 0, 3).random(8)
+        b = derive_stream(SEED, 1, 3).random(8)
         assert not np.array_equal(a, b)
 
     def test_batched_draws_equal_sequential_draws(self):
         # The package engine and the scalar reference rely on a block
         # request consuming the stream exactly like repeated scalar requests.
-        batch = derive_stream(SEED, 5).random(13)
-        rng = derive_stream(SEED, 5)
+        batch = derive_stream(SEED, 5, 3).random(13)
+        rng = derive_stream(SEED, 5, 3)
         sequential = np.array([rng.random() for _ in range(13)])
         assert np.array_equal(batch, sequential)
+
+    @pytest.mark.parametrize("n_pulses", [0, 50])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_advance_counter_and_slicing_agree(self, seed, n_pulses):
+        # Three independent ways to reach trajectory i's words of layout 2:
+        # skip ahead (the package engine), construct at a counter (the
+        # scalar reference), and slice one long draw from the start.
+        wp = words_per_trajectory(n_pulses)
+        assert wp % 4 == 0 and 3 * n_pulses + 1 <= wp < 3 * n_pulses + 5
+        key = np.array([seed, 0], dtype=np.uint64)
+        whole = np.random.Generator(np.random.Philox(key=key)).random(12346 * wp)
+        for i in (0, 1, 7, 12345):
+            bitgen = np.random.Philox(key=key)
+            bitgen.advance(i * wp // 4)
+            advanced = np.random.Generator(bitgen).random(wp)
+            assert np.array_equal(advanced, derive_stream(seed, i, n_pulses).random(wp))
+            assert np.array_equal(advanced, whole[i * wp:(i + 1) * wp])
 
 
 # (master_seed, index_offset, chunk_size) for the engine cross-check.  The
 # first case is the default call; its test ids stay the bare config names.
+# The last draws all 600 trajectories in one chunk larger than the run.
 REKEY_CASES = [(SEED, 0, DEFAULT_CHUNK), (SEED, 0, 97), (0, 1_000_003, 97),
-               (2**64 - 1, 250, 97), (2**64 - 1, 0, DEFAULT_CHUNK)]
+               (2**64 - 1, 250, 97), (2**64 - 1, 0, 16384)]
 
 
 def rekey_params():
@@ -114,9 +135,9 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("make,seed,offset,chunk_size", rekey_params())
     def test_record_engine_matches_vectorized_engine(self, make, seed, offset,
                                                      chunk_size):
-        # The scalar reference builds one generator per trajectory, so it
-        # checks the package engine's re-keyed generator across chunk
-        # boundaries and at the ends of the seed range.
+        # The scalar reference builds one generator per trajectory at its
+        # counter, so it checks the package engine's skip-ahead chunk draws
+        # across chunk boundaries and at the ends of the seed range.
         config = make()
         fast = run_trajectories(config, 0, 600, seed, index_offset=offset,
                                 chunk_size=chunk_size)
@@ -132,12 +153,12 @@ class TestEngineEquivalence:
             "master_seed": seed}
 
     @pytest.mark.parametrize("preset,counts,absorbed", [
-        ("fig5d", [[2138, 975], [17862, 19025]], 500788),
-        ("fig4b", [[10353, 9659], [9647, 10341]], 119896)],
+        ("fig5d", [[2116, 901], [17884, 19099]], 500378),
+        ("fig4b", [[10352, 9618], [9648, 10382]], 120071)],
         ids=["fig5d", "fig4b"])
     def test_realizations_are_pinned(self, preset, counts, absorbed):
-        # Counts recorded before the sampler was re-keyed per chunk; any
-        # change to the streams or to the propagation arithmetic shows here.
+        # Counts of random-number layout 2; any change to the streams or to
+        # the propagation arithmetic shows here.
         res = resolve(get_preset(preset))
         stats = run_ensemble(res.protocol_at(res.config.t_f_grid[-1]),
                              20_000, 777)
@@ -149,6 +170,27 @@ class TestEngineEquivalence:
         small = run_ensemble(config, 3000, SEED, chunk_size=97)
         big = run_ensemble(config, 3000, SEED, chunk_size=100_000)
         assert small.to_dict() == big.to_dict()
+
+    @given(seed=st.integers(0, 2**64 - 1), offset=st.integers(0, 2**40),
+           chunk_size=st.integers(1, 700), n_pulses=st.integers(0, 12),
+           n=st.integers(1, 400), initial_index=st.sampled_from([0, 1]),
+           data=st.data())
+    def test_any_chunking_and_split_equals_default_run(
+            self, seed, offset, chunk_size, n_pulses, n, initial_index, data):
+        config = phase_config(n_pulses=n_pulses)
+        whole = run_trajectories(config, initial_index, n, seed,
+                                 index_offset=offset).to_dict()
+        chunked = run_trajectories(config, initial_index, n, seed,
+                                   index_offset=offset, chunk_size=chunk_size)
+        assert chunked.to_dict() == whole
+        if n > 1:
+            k = data.draw(st.integers(1, n - 1), label="split")
+            first = run_trajectories(config, initial_index, k, seed,
+                                     index_offset=offset, chunk_size=chunk_size)
+            second = run_trajectories(config, initial_index, n - k, seed,
+                                      index_offset=offset + k,
+                                      chunk_size=chunk_size)
+            assert first.merge(second).to_dict() == whole
 
     def test_offset_split_merges_to_whole(self):
         config = phase_config(n_pulses=2)
@@ -213,6 +255,18 @@ class TestEnsembleStats:
             run_trajectories(amplitude_config(), 0, 0, SEED)
         with pytest.raises(ValueError):
             run_trajectories(amplitude_config(), 2, 10, SEED)
+
+    def test_rejects_nonpositive_chunk_size(self):
+        # A negative chunk once made the chunk loop empty and returned all
+        # trajectories as "down" with no pulse absorbed.
+        for chunk_size in (0, -5):
+            with pytest.raises(ValueError, match="chunk_size"):
+                run_trajectories(amplitude_config(), 0, 100, SEED,
+                                 chunk_size=chunk_size)
+
+    def test_rejects_negative_index_offset(self):
+        with pytest.raises(ValueError, match="index_offset"):
+            run_trajectories(amplitude_config(), 0, 100, SEED, index_offset=-3)
 
 
 class TestStatisticalAgreement:
