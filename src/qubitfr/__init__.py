@@ -15,7 +15,8 @@ from .core import (AmplitudeModulatedDrive, EigenSystem, PhaseRotatingDrive,
                    instantaneous_eigensystem, partition_function,
                    phase_integral)
 from .montecarlo import (EnsembleStats, IncompleteEnsembleError, fr_std_err,
-                         mean_energy_std_err, run_ensemble, run_trajectories)
+                         mean_energy_std_err, run_ensemble, run_ensembles,
+                         run_trajectories)
 from .oracle import (WorkHeatSeries, floquet_asymptote,
                      floquet_population_recursion, floquet_recursion_gap,
                      invert_pump_closed_form, irreversible_work_relative_entropy,
@@ -53,7 +54,7 @@ __all__ = [
     "list_presets", "load_config", "mean_energy_std_err", "mean_heat_phase",
     "mean_trajectory", "partition_function", "phase_integral",
     "population_after_n_pulses", "pulses_applied",
-    "rabi_conditional", "resolve", "run_ensemble", "run_scenario",
+    "rabi_conditional", "resolve", "run_ensemble", "run_ensembles", "run_scenario",
     "run_trajectories", "stationary_upper_population", "w_irr",
     "with_overrides", "work_heat_series_amplitude",
 ]

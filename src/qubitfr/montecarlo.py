@@ -6,10 +6,17 @@ trajectories of a run share the counter-based stream
 ``[i * Wp, (i + 1) * Wp)``, ``Wp = 4 * ceil((3 * n_pulses + 1) / 4)``
 (whole Philox blocks).  It uses the first 3 per pulse (absorption,
 projection outcome, pump success) plus 1 for the final measurement,
-whether or not the branches fire.  A chunk skips ahead to its first
-trajectory and draws all its words in one call; aggregates are exact
-integer counts.  Results are therefore a pure function of (master_seed,
-i) per trajectory and bit-identical however trajectories are chunked.
+whether or not the branches fire.  A walk skips ahead to its first
+trajectory once and draws each chunk's words in one call; aggregates are
+exact integer counts.  Results are therefore a pure function of
+(master_seed, i) per trajectory and bit-identical however trajectories
+are chunked.
+
+An ensemble's up starts own indices [0, n) and its down starts [n, 2n),
+so both are one walk over [0, 2n).  Trajectory i's words depend only on
+(master_seed, i, n_pulses), so a sweep walks once per distinct pulse
+count and its points of that count differ only in tail rotation and
+final axis: they share trajectories, and their estimates are correlated.
 
 The engine is vectorized over a chunk of trajectories; the tests hold it
 to an independent scalar walker that builds each trajectory's generator
@@ -22,15 +29,15 @@ their binomial standard errors.
 
 from __future__ import annotations
 
-import numbers
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import instantaneous_eigensystem
-from .protocol import (ConditionalMatrix, ProtocolConfig, initial_probabilities,
-                       segment_rotations)
+from .protocol import (ConditionalMatrix, ProtocolConfig, _sweep_longest,
+                       _tail_rotation, initial_probabilities, segment_rotations)
 
 DEFAULT_CHUNK = 4096
 # Recorded in sampling manifests.  Layout 1 keyed a separate stream
@@ -109,46 +116,53 @@ class EnsembleStats:
         }
 
 
-@lru_cache(maxsize=1)
-def _geometry(config: ProtocolConfig):
-    """(per-period rotations, tail rotation, initial up-axis, final
-    up-axis) of ``config``; the last one is kept, so the two
-    initializations of ``run_ensemble`` share a single build."""
-    rots, tail = segment_rotations(config)
-    return (rots, tail,
-            instantaneous_eigensystem(config.drive, 0.0).basis_plus.as_array(),
-            instantaneous_eigensystem(config.drive, config.t_f).basis_plus.as_array())
+def _check_arguments(*table: tuple[str, object, int, float]) -> None:
+    """Raise ``ValueError`` naming the first (name, value, least, end) whose
+    value is not an exact int (``bool`` excluded) in [least, end)."""
+    for name, value, least, end in table:
+        if type(value) is not int or not least <= value < end:
+            raise ValueError(f"{name} must be an int in [{least}, {end}), "
+                             f"got {value!r}")
 
 
-def _run_chunk_vectorized(config: ProtocolConfig, initial_index: int,
-                          master_seed: int, lo: int, hi: int) -> tuple[int, int]:
-    """(final-up count, absorbed-pulse count) for trajectory indices [lo,
-    hi); after a skip-ahead, one draw holds trajectory i's words in row i - lo."""
-    rotations, tail, start_up, final_axis = _geometry(config)
-    p_absorb, p_pump = config.channel.p_absorb, config.channel.p_pump
-    m = hi - lo
+def _walk(rotations: list[np.ndarray], configs: Sequence[ProtocolConfig],
+          tails: Sequence[np.ndarray], master_seed: int, lo: int, split: int,
+          hi: int, chunk_size: int) -> tuple[np.ndarray, int]:
+    """(final-up counts of the up and the down starts per config, shape
+    (len(configs), 2); absorbed-pulse count) of trajectory indices [lo, hi)
+    walked through ``rotations``, starting up below ``split``.  The configs
+    share that pulse count; ``tails`` are their tail rotations."""
+    channel = configs[0].channel
+    start_up = instantaneous_eigensystem(configs[0].drive, 0.0).basis_plus.as_array()
+    axes = [instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus.as_array()
+            for pc in configs]
     n_pulses = len(rotations)
     stride = 4 * -(-(3 * n_pulses + 1) // 4)  # Wp, whole 4-word Philox blocks
     bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
     bitgen.advance(lo * stride // 4)
-    u = np.random.Generator(bitgen).random((m, stride)).T  # u[k]: word k of each
-
-    sign = 1.0 if initial_index == 0 else -1.0
-    r = np.repeat(sign * start_up[:, None], m, axis=1)  # (3, m)
+    draw = np.random.Generator(bitgen).random  # each chunk draws in one call
+    ups = np.zeros((len(configs), 2), dtype=np.int64)
     absorbed_total = 0
-    for n, rot in enumerate(rotations):
-        r = rot @ r
-        absorbed = u[3 * n] < p_absorb
-        ends_up = ((u[3 * n + 1] < 0.5 * (1.0 + r[2]))
-                   | (u[3 * n + 2] < p_pump))
-        r[2] = np.where(absorbed, np.where(ends_up, 1.0, -1.0), r[2])
-        r[:2] = np.where(absorbed, 0.0, r[:2])
-        absorbed_total += int(np.count_nonzero(absorbed))
-    # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the row-major
-    # product keeps the Born probabilities of earlier releases bit for bit.
-    r = np.ascontiguousarray((tail @ r).T)
-    p_final_up = 0.5 * (1.0 + r @ final_axis)
-    ups = int(np.count_nonzero(u[3 * n_pulses] < p_final_up))
+    for start in range(lo, hi, chunk_size):
+        stop = min(start + chunk_size, hi)
+        u = draw((stop - start, stride)).T  # u[k]: word k of each trajectory
+        r = start_up[:, None] * np.where(np.arange(start, stop) < split, 1.0, -1.0)
+        for n, rot in enumerate(rotations):
+            r = rot @ r
+            absorbed = u[3 * n] < channel.p_absorb
+            ends_up = ((u[3 * n + 1] < 0.5 * (1.0 + r[2]))
+                       | (u[3 * n + 2] < channel.p_pump))
+            r[2] = np.where(absorbed, np.where(ends_up, 1.0, -1.0), r[2])
+            r[:2] = np.where(absorbed, 0.0, r[:2])
+            absorbed_total += int(np.count_nonzero(absorbed))
+        n_up = min(max(split - start, 0), stop - start)
+        for counts, tail, axis in zip(ups, tails, axes):
+            # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the
+            # row-major product keeps earlier releases' Born probabilities.
+            r_final = np.ascontiguousarray((tail @ r).T)
+            hit = u[3 * n_pulses] < 0.5 * (1.0 + r_final @ axis)
+            counts += np.count_nonzero(hit[:n_up]), np.count_nonzero(hit[n_up:])
+        del u  # free this chunk's words before the next draw
     return ups, absorbed_total
 
 
@@ -159,34 +173,57 @@ def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
 
     Trajectory i uses stream index ``index_offset + i``; pass disjoint
     offsets to combine ensembles without stream reuse.  Raises
-    ``ValueError`` naming the argument when n or chunk_size is below 1 or
-    index_offset is negative.
+    ``ValueError`` naming the first argument that is not an int in range.
     """
-    for name, value, least in (("n", n, 1), ("index_offset", index_offset, 0),
-                               ("chunk_size", chunk_size, 1)):
-        if not isinstance(value, numbers.Integral) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    if initial_index not in (0, 1):
-        raise ValueError(f"initial_index must be 0 or 1, got {initial_index}")
+    _check_arguments(("initial_index", initial_index, 0, 2), ("n", n, 1, math.inf),
+                     ("index_offset", index_offset, 0, math.inf),
+                     ("chunk_size", chunk_size, 1, math.inf),
+                     ("master_seed", master_seed, 0, 2**64))
+    rotations, tail = segment_rotations(config)
     end = index_offset + n
-    ups, absorbed = map(sum, zip(*(
-        _run_chunk_vectorized(config, initial_index, master_seed, lo,
-                              min(lo + chunk_size, end))
-        for lo in range(index_offset, end, chunk_size))))
+    ups, absorbed = _walk(rotations, [config], [tail], master_seed, index_offset,
+                          end if initial_index == 0 else index_offset, end, chunk_size)
     counts = np.zeros((2, 2), dtype=np.int64)
-    counts[:, initial_index] = ups, n - ups
+    counts[:, initial_index] = ups[0, initial_index], n - ups[0, initial_index]
     return EnsembleStats(counts, counts.sum(axis=0), absorbed,
                          n * config.n_pulses, master_seed)
+
+
+def run_ensembles(configs: Sequence[ProtocolConfig], n_per_initial: int,
+                  master_seed: int, *,
+                  chunk_size: int = DEFAULT_CHUNK) -> list[EnsembleStats]:
+    """Both initializations at each config of a sweep, walked once per
+    distinct pulse count: the sampled ``protocol.conditional_matrices``.
+
+    The configs must share drive, channel and tau, else ``ValueError``;
+    arguments are checked as in ``run_trajectories``.
+    """
+    _check_arguments(("n_per_initial", n_per_initial, 1, math.inf),
+                     ("chunk_size", chunk_size, 1, math.inf),
+                     ("master_seed", master_seed, 0, 2**64))
+    if not configs:
+        return []
+    longest = _sweep_longest(configs)
+    rotations, longest_tail = segment_rotations(longest)
+    n = n_per_initial
+    stats = {}
+    for k in {pc.n_pulses for pc in configs}:
+        group = [pc for pc in configs if pc.n_pulses == k]
+        tails = [longest_tail if pc is longest else _tail_rotation(pc) for pc in group]
+        ups, absorbed = _walk(rotations[:k], group, tails, master_seed, 0, n, 2 * n,
+                              chunk_size)
+        for pc, (up, down) in zip(group, ups):
+            counts = np.array([[up, down], [n - up, n - down]])
+            stats[pc] = EnsembleStats(counts, counts.sum(axis=0), absorbed,
+                                      2 * n * k, master_seed)
+    return [stats[pc] for pc in configs]
 
 
 def run_ensemble(config: ProtocolConfig, n_per_initial: int, master_seed: int,
                  *, chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
     """Both initializations with disjoint stream indices ([0,n) and [n,2n))."""
-    up = run_trajectories(config, 0, n_per_initial, master_seed,
-                          index_offset=0, chunk_size=chunk_size)
-    down = run_trajectories(config, 1, n_per_initial, master_seed,
-                            index_offset=n_per_initial, chunk_size=chunk_size)
-    return up.merge(down)
+    return run_ensembles([config], n_per_initial, master_seed,
+                         chunk_size=chunk_size)[0]
 
 
 def _binomial_std_err(stats: EnsembleStats, config: ProtocolConfig,

@@ -174,6 +174,16 @@ class ConditionalMatrix:
         return self.matrix.copy()
 
 
+def _sweep_longest(configs: Sequence[ProtocolConfig]) -> ProtocolConfig:
+    """The config of a sweep with the most pulses; raises ``ValueError``
+    unless all share drive, channel and tau."""
+    first = configs[0]
+    if any((pc.drive, pc.channel, pc.tau) != (first.drive, first.channel, first.tau)
+           for pc in configs):
+        raise ValueError("a sweep's configs must share drive, channel and tau")
+    return max(configs, key=lambda pc: pc.n_pulses)
+
+
 def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalMatrix]:
     """Transition probabilities between the bases at 0 and each config's t_f.
 
@@ -185,12 +195,8 @@ def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalM
     """
     if not configs:
         return []
-    first = configs[0]
-    if any((pc.drive, pc.channel, pc.tau) != (first.drive, first.channel, first.tau)
-           for pc in configs):
-        raise ValueError("a sweep's configs must share drive, channel and tau")
-    longest = max(configs, key=lambda pc: pc.n_pulses)
-    eig0 = instantaneous_eigensystem(first.drive, 0.0)
+    longest = _sweep_longest(configs)
+    eig0 = instantaneous_eigensystem(longest.drive, 0.0)
     post, longest_tail = pulse_train(
         longest, [eig0.basis_plus.as_array(), eig0.basis_minus.as_array()],
         [pc.n_pulses for pc in configs])

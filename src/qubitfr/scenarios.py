@@ -22,7 +22,7 @@ import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from importlib import metadata
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -458,10 +458,10 @@ def _grid(res: ResolvedScenario):
         for t_f, pc, cm in zip(cfg.t_f_grid, pcs, protocol.conditional_matrices(pcs)):
             yield t_f, pc, "deterministic", cm, None
     if cfg.mode in ("montecarlo", "both"):
-        for t_f in cfg.sampled_grid():
-            pc = res.protocol_at(t_f)
-            stats = montecarlo.run_ensemble(pc, cfg.n_trajectories, cfg.master_seed)
-            yield t_f, pc, "montecarlo", stats.conditional_estimate(), stats
+        pcs = [res.protocol_at(t_f) for t_f in cfg.sampled_grid()]
+        for pc, stats in zip(pcs, montecarlo.run_ensembles(pcs, cfg.n_trajectories,
+                                                           cfg.master_seed)):
+            yield pc.t_f, pc, "montecarlo", stats.conditional_estimate(), stats
 
 
 def _grid_rows(res: ResolvedScenario, columns: list[str],
@@ -571,7 +571,10 @@ _ROW_BUILDERS = {
 }
 
 
+@cache
 def _package_versions() -> dict:
+    from importlib import metadata  # about 17 ms; only manifests need it
+
     versions = {}
     for pkg in ("qubitfr", "numpy"):
         try:
@@ -619,7 +622,7 @@ def run_scenario(config: ScenarioConfig | str | Path,
         "csv_files": [csv_path.name],
         "scenario_config": config.to_dict(),
         "derived": resolved.derived,
-        "versions": _package_versions(),
+        "versions": dict(_package_versions()),
     }
     if config.mode != "deterministic":
         manifest["rng_layout"] = montecarlo.RNG_LAYOUT

@@ -31,7 +31,7 @@ from pathlib import Path
 from qubitfr import cli
 from qubitfr.scenarios import PRESETS
 
-SAMPLED = ("fig2a", "fig3a", "fig3b", "fig4b", "fig5d", "fig6b", "fig6e")
+SAMPLED = ("fig2a", "fig3a", "fig3b", "fig4b", "fig5a", "fig5d", "fig6b", "fig6e")
 SAMPLED_ARGS = ("--mode", "both", "--mc-grid", "all", "--trajectories", "500",
                 "--seed", "7")
 ELAPSED = re.compile(r"\b\d+\.\d+ s\b")

@@ -13,7 +13,7 @@ from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
 from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats,
                                 IncompleteEnsembleError, fr_std_err,
                                 mean_energy_std_err, run_ensemble,
-                                run_trajectories)
+                                run_ensembles, run_trajectories)
 from qubitfr.protocol import (ProtocolConfig, conditional_matrix,
                               energy_change_distribution, fr_report, fr_target)
 from qubitfr.scenarios import get_preset, resolve
@@ -255,6 +255,9 @@ class TestEnsembleStats:
             run_trajectories(amplitude_config(), 0, 0, SEED)
         with pytest.raises(ValueError):
             run_trajectories(amplitude_config(), 2, 10, SEED)
+        for n in (0, -3, 2.0):
+            with pytest.raises(ValueError, match="n_per_initial"):
+                run_ensembles([amplitude_config()], n, SEED)
 
     def test_rejects_nonpositive_chunk_size(self):
         # A negative chunk once made the chunk loop empty and returned all
@@ -263,6 +266,18 @@ class TestEnsembleStats:
             with pytest.raises(ValueError, match="chunk_size"):
                 run_trajectories(amplitude_config(), 0, 100, SEED,
                                  chunk_size=chunk_size)
+            with pytest.raises(ValueError, match="chunk_size"):
+                run_ensembles([amplitude_config()], 100, SEED,
+                              chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_rejects_seed_outside_uint64_ints(self, seed):
+        # -1 and 2**64 once died in the key array with an OverflowError;
+        # 1.5 and True ran silently as seed 1.
+        with pytest.raises(ValueError, match="master_seed"):
+            run_trajectories(amplitude_config(), 0, 10, seed)
+        with pytest.raises(ValueError, match="master_seed"):
+            run_ensembles([amplitude_config()], 10, seed)
 
     def test_rejects_negative_index_offset(self):
         with pytest.raises(ValueError, match="index_offset"):

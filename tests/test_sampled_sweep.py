@@ -1,0 +1,112 @@
+"""The grouped walk of a sampled sweep: ``run_ensembles`` against separate
+per-point, per-initial-state runs and against the scalar reference walker,
+a pinned CSV digest, and the work a sampled sweep does."""
+
+import hashlib
+import math
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from qubitfr import protocol, scenarios
+from qubitfr.channel import PulseChannelParams
+from qubitfr.cli import main
+from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
+from qubitfr.montecarlo import run_ensembles, run_trajectories
+from qubitfr.protocol import ProtocolConfig, pulses_applied
+from scalar_sampler import run_records
+
+OMEGA0_A = math.pi / 616.0
+OMEGA0_P = 2.0 * math.pi * 0.8e-3
+
+
+def preset_sweep(name, **overrides):
+    cfg = scenarios.with_overrides(scenarios.get_preset(name), **overrides)
+    res = scenarios.resolve(cfg)
+    return cfg, [res.protocol_at(t_f) for t_f in cfg.sampled_grid()]
+
+
+@given(family=st.sampled_from(["amplitude", "phase"]),
+       tau=st.floats(50.0, 2000.0),
+       drive_period=st.none() | st.floats(200.0, 2000.0),
+       p_absorb=st.floats(0.0, 1.0),
+       p_pump=st.floats(0.0, 1.0),
+       points=st.lists(st.tuples(st.integers(0, 12),
+                                 st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)),
+                       min_size=1, max_size=12),
+       n=st.integers(1, 300), chunk_size=st.integers(1, 700),
+       seed=st.integers(0, 2**64 - 1))
+def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
+                                           p_pump, points, n, chunk_size, seed):
+    """Ascending grids up to 12 pulses with repeated pulse counts: one walk
+    per pulse count over both initial states equals, point by point, the
+    up and down halves run on their own and merged."""
+    period = tau if drive_period is None else drive_period
+    if family == "amplitude":
+        drive = AmplitudeModulatedDrive(OMEGA0_A, period)
+    else:
+        drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)
+    channel = PulseChannelParams(p_absorb, p_pump)
+    grid = [(k + frac) * tau for k, frac in sorted(points)]
+    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
+                          ThermalContext(0.0), t_f=t_f) for t_f in grid]
+    grouped = run_ensembles(pcs, n, seed, chunk_size=chunk_size)
+    assert len(grouped) == len(pcs)
+    for pc, stats in zip(pcs, grouped):
+        separate = run_trajectories(pc, 0, n, seed).merge(
+            run_trajectories(pc, 1, n, seed, index_offset=n))
+        assert stats.to_dict() == separate.to_dict(), pc.t_f
+
+
+def test_grouped_walk_equals_scalar_reference():
+    """fig2a's first 17 grid points share pulse counts; every point's
+    counts equal the scalar walker's, up starts on [0, 60) and down starts
+    on [60, 120)."""
+    _, pcs = preset_sweep("fig2a", mc_grid="all")
+    pcs = pcs[:17]
+    assert len({pc.n_pulses for pc in pcs}) < len(pcs)
+    seed, n = 777, 60
+    for pc, stats in zip(pcs, run_ensembles(pcs, n, seed)):
+        up = run_records(pc, 0, n, seed)
+        down = run_records(pc, 1, n, seed, index_offset=n)
+        ups = [sum(r.final_index == 0 for r in side) for side in (up, down)]
+        absorbed = sum(e.absorbed for r in up + down for e in r.pulse_events)
+        assert stats.to_dict() == {
+            "counts": [ups, [n - ups[0], n - ups[1]]], "n_per_initial": [n, n],
+            "absorbed_pulses": absorbed, "total_pulses": 2 * n * pc.n_pulses,
+            "master_seed": seed}, pc.t_f
+
+
+def test_sampled_sweep_csv_is_pinned(tmp_path):
+    # Derived before sweeps were grouped by pulse count; any change to the
+    # streams, the propagation or the CSV shows here.
+    assert main(["run", "fig2a", "--mode", "montecarlo", "--mc-grid", "all",
+                 "--trajectories", "200", "--seed", "777",
+                 "--outdir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "fig2a.csv").read_bytes()).hexdigest()
+    assert digest == "e02a78c2b3de3cfa34cb4bd44850339bc2ec97ff8af53edc0896eb6626ab3a9f"
+
+
+def test_sampled_sweep_walks_once_per_pulse_count(tmp_path, monkeypatch):
+    """One random stream per distinct pulse count (13 on fig2a's 97 points,
+    not two per point), and each period rotation built about once."""
+    cfg, pcs = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
+                            n_trajectories=200)
+    streams, rotations = [], []
+    real_philox, real_rotation = np.random.Philox, protocol.bloch_rotation
+
+    def counting_philox(*args, **kwargs):
+        streams.append(args)
+        return real_philox(*args, **kwargs)
+
+    def counting_rotation(*args):
+        rotations.append(args)
+        return real_rotation(*args)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(protocol, "bloch_rotation", counting_rotation)
+    scenarios.run_scenario(cfg, outdir=tmp_path)
+    assert len({pc.n_pulses for pc in pcs}) == 13
+    assert len(streams) == 13
+    n_max = max(pc.n_pulses for pc in pcs)
+    assert 0 < len(rotations) <= n_max + len(pcs) + 2

@@ -1,6 +1,7 @@
 """The shared pulse train of a deterministic sweep against the per-point
 reference walker in ``sweep_reference``: exact equality on presets and on
-generated sweeps, the rotation count of a sweep, and mixed-sweep errors."""
+generated sweeps, the rotation count of a sweep, and mixed-sweep errors
+(also of the sampled sweep, ``run_ensembles``)."""
 
 import math
 
@@ -13,6 +14,7 @@ from qubitfr import protocol, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, instantaneous_eigensystem)
+from qubitfr.montecarlo import run_ensembles
 from qubitfr.protocol import (ProtocolConfig, conditional_matrices,
                               mean_trajectory, pulses_applied)
 
@@ -118,9 +120,12 @@ def test_mixed_sweeps_are_rejected(change):
     fields = dict(drive=pcs[1].drive, channel=pcs[1].channel, tau=pcs[1].tau,
                   n_pulses=pcs[1].n_pulses, thermal=pcs[1].thermal, t_f=pcs[1].t_f)
     fields.update(change)
-    with pytest.raises(ValueError, match="share drive, channel and tau"):
-        conditional_matrices([pcs[0], ProtocolConfig(**fields), pcs[2]])
+    mixed = [pcs[0], ProtocolConfig(**fields), pcs[2]]
+    for sweep in (conditional_matrices, lambda pcs: run_ensembles(pcs, 10, 0)):
+        with pytest.raises(ValueError, match="share drive, channel and tau"):
+            sweep(mixed)
 
 
 def test_empty_sweep():
     assert conditional_matrices([]) == []
+    assert run_ensembles([], 10, 0) == []
