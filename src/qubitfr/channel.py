@@ -46,15 +46,18 @@ class PulseChannelParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
 
 
+def pulse_step(rx: float, ry: float, rz: float, p_absorb: float,
+               p_pump: float) -> tuple[float, float, float]:
+    """Ensemble-averaged action of one pulse on Bloch-vector components."""
+    rz_pulsed = rz + p_pump * (1.0 - rz)
+    return ((1.0 - p_absorb) * rx, (1.0 - p_absorb) * ry,
+            (1.0 - p_absorb) * rz + p_absorb * rz_pulsed)
+
+
 def apply_pulse_map(state: QubitState, params: PulseChannelParams) -> QubitState:
     """Ensemble-averaged action of one pulse."""
-    pa, pd = params.p_absorb, params.p_pump
-    rz_pulsed = state.rz + pd * (1.0 - state.rz)
-    return QubitState(
-        (1.0 - pa) * state.rx,
-        (1.0 - pa) * state.ry,
-        (1.0 - pa) * state.rz + pa * rz_pulsed,
-    )
+    return QubitState(*pulse_step(state.rx, state.ry, state.rz,
+                                  params.p_absorb, params.p_pump))
 
 
 def _period_map(drive: DriveSpec, params: PulseChannelParams,

@@ -24,7 +24,9 @@ anywhere in the package.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,18 @@ BLOCH_NORM_TOL = 1e-12
 
 # Relative slack used to recognise stroboscopic times t = n * tau_theta.
 _STROBE_RTOL = 1e-9
+
+# Cache key of a rotation: the bits of (kx, ky, kz, angle).
+_ROTATION_KEY = struct.Struct("<4d")
+
+
+def check_bloch_vector(rx: float, ry: float, rz: float) -> None:
+    """Raise ValueError unless (rx, ry, rz) is finite and lies in the unit
+    ball, up to BLOCH_NORM_TOL."""
+    n = math.sqrt(rx * rx + ry * ry + rz * rz)
+    if not math.isfinite(n) or n > 1.0 + BLOCH_NORM_TOL:
+        raise ValueError(f"Bloch vector ({rx}, {ry}, {rz}) "
+                         f"has norm {n!r}, outside the unit ball")
 
 
 @dataclass(frozen=True)
@@ -44,10 +58,7 @@ class QubitState:
     rz: float
 
     def __post_init__(self) -> None:
-        n = self.norm()
-        if not math.isfinite(n) or n > 1.0 + BLOCH_NORM_TOL:
-            raise ValueError(f"Bloch vector ({self.rx}, {self.ry}, {self.rz}) "
-                             f"has norm {n!r}, outside the unit ball")
+        check_bloch_vector(self.rx, self.ry, self.rz)
 
     def norm(self) -> float:
         return math.sqrt(self.rx * self.rx + self.ry * self.ry + self.rz * self.rz)
@@ -171,12 +182,35 @@ def phase_integral(drive: AmplitudeModulatedDrive, t0: float, t1: float) -> floa
     return anti(t1) - anti(t0)
 
 
-def _axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
-    kx, ky, kz = axis
+def _axis_angle(kx: float, ky: float, kz: float, angle: float) -> np.ndarray:
+    """Rodrigues rotation matrix about the unit axis (kx, ky, kz); read-only.
+
+    Memoized on the bit patterns of the four floats (0.0 and -0.0 compare
+    equal but give different signed zeros in the matrix), so a sweep
+    builds each distinct rotation once.
+    """
+    return _rodrigues(_ROTATION_KEY.pack(kx, ky, kz, angle))
+
+
+# A sweep needs one rotation per distinct angle: a few per period and one
+# tail per grid point; the four 500-pulse sweeps of the benchmark fit.
+@functools.lru_cache(maxsize=2048)
+def _rodrigues(key: bytes) -> np.ndarray:
+    # Element (i, j) is (c I_ij + s K_ij) + (1 - c) k_i k_j, K the cross-product
+    # matrix, in that order and with the zero terms kept, so every bit
+    # (signed zeros included) matches the array expression
+    # c * eye(3) + s * K + (1 - c) * outer(k, k).
+    kx, ky, kz, angle = _ROTATION_KEY.unpack(key)
     c, s = math.cos(angle), math.sin(angle)
-    cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(axis, axis)
+    t = 1.0 - c
+    c0, s0 = c * 0.0, s * 0.0
+    m = np.array([
+        [c + s0 + t * (kx * kx), c0 + s * -kz + t * (kx * ky), c0 + s * ky + t * (kx * kz)],
+        [c0 + s * kz + t * (ky * kx), c + s0 + t * (ky * ky), c0 + s * -kx + t * (ky * kz)],
+        [c0 + s * -ky + t * (kz * kx), c0 + s * kx + t * (kz * ky), c + s0 + t * (kz * kz)],
+    ])
+    m.flags.writeable = False
+    return m
 
 
 def _rot_z(angle: float) -> np.ndarray:
@@ -184,11 +218,11 @@ def _rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _dressed_axis(drive: PhaseRotatingDrive) -> np.ndarray:
+def _dressed_axis(drive: PhaseRotatingDrive) -> tuple[float, float, float]:
     # The +e_theta level must sit on the opposite side of the pump target |0>,
     # so the dressed axis carries a negative z-component.
     e = 2.0 * drive.e_theta
-    return np.array([drive.omega0 / e, 0.0, -drive.theta / e])
+    return drive.omega0 / e, 0.0, -drive.theta / e
 
 
 def _is_stroboscopic(t: float, tau: float) -> bool:
@@ -202,14 +236,14 @@ def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> np.ndarray:
     For the rotating-axis family the propagator is assembled as
     R_z(theta * t1) . R_dressed(2 e_theta (t1 - t0)) . R_z(-theta * t0);
     when both endpoints are whole drive periods the outer z-rotations are
-    dropped exactly instead of being evaluated at large arguments.
+    dropped exactly instead of being evaluated at large arguments.  The
+    result may be a shared read-only matrix; copy it before writing.
     """
     if t1 < t0:
         raise ValueError(f"time interval reversed: t0={t0}, t1={t1}")
     if isinstance(drive, AmplitudeModulatedDrive):
-        return _axis_angle(np.array([1.0, 0.0, 0.0]), phase_integral(drive, t0, t1))
-    axis = _dressed_axis(drive)
-    inner = _axis_angle(axis, 2.0 * drive.e_theta * (t1 - t0))
+        return _axis_angle(1.0, 0.0, 0.0, phase_integral(drive, t0, t1))
+    inner = _axis_angle(*_dressed_axis(drive), 2.0 * drive.e_theta * (t1 - t0))
     tau = drive.tau_theta
     if _is_stroboscopic(t0, tau) and _is_stroboscopic(t1, tau):
         return inner
@@ -233,9 +267,9 @@ def instantaneous_eigensystem(drive: DriveSpec, t: float) -> EigenSystem:
         up = QubitState(1.0, 0.0, 0.0)
         down = QubitState(-1.0, 0.0, 0.0)
         return EigenSystem(e, -e, up, down)
-    ax = _dressed_axis(drive)
-    up = QubitState.from_array(ax)
-    down = QubitState.from_array(-ax)
+    kx, ky, kz = _dressed_axis(drive)
+    up = QubitState(kx, ky, kz)
+    down = QubitState(-kx, -ky, -kz)
     return EigenSystem(drive.e_theta, -drive.e_theta, up, down)
 
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PulseChannelParams, apply_pulse_map
+from .channel import PulseChannelParams, pulse_step
 from .core import (DriveSpec, QubitState, ThermalContext, bloch_rotation,
-                   gibbs_population, instantaneous_eigensystem)
+                   check_bloch_vector, gibbs_population,
+                   instantaneous_eigensystem)
 
 COLUMN_SUM_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
@@ -102,21 +103,29 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[np.ndarray],
     and keeps only the states at ``counts`` (each in 0..config.n_pulses,
     repeats allowed): entry [k][s] is start s after counts[k] pulses.  Also
     returns the config's tail rotation, which carries the last post-pulse
-    state to t_f.  Every pulse goes through ``QubitState``, so a state that
-    leaves the Bloch ball raises ValueError.
+    state to t_f.  Each step is one numpy ``rot @ r`` product per start,
+    then ``channel.pulse_step`` on plain floats; a state that leaves the
+    Bloch ball, after the rotation or after the pulse, raises ValueError.
     """
     if any(not 0 <= n <= config.n_pulses for n in counts):
         raise ValueError(f"pulse counts {list(counts)} outside "
                          f"0..{config.n_pulses}")
     rots, tail = segment_rotations(config)
+    pa, pd = config.channel.p_absorb, config.channel.p_pump
     wanted = set(counts)
     rs = [np.asarray(r, dtype=float) for r in starts]
     kept = {0: rs}
     for n, rot in enumerate(rots[:max(wanted, default=0)], start=1):
-        rs = [apply_pulse_map(QubitState.from_array(rot @ r), config.channel).as_array()
-              for r in rs]
+        stepped = []
+        for r in rs:
+            rotated = (rot @ r).tolist()
+            check_bloch_vector(*rotated)
+            pulsed = pulse_step(*rotated, pa, pd)
+            check_bloch_vector(*pulsed)
+            stepped.append(pulsed)
+        rs = stepped
         if n in wanted:
-            kept[n] = rs
+            kept[n] = [np.array(r) for r in rs]
     return [kept[n] for n in counts], tail
 
 

@@ -13,13 +13,18 @@ Prints one ``<sha256>  <label>`` line per output.  Two trees whose
 digests match produce byte-identical files and text.  Exits 1 if any
 command exits nonzero.  Not collected by pytest; run it as
 
-    python3 tests/output_digest.py
+    python3 tests/output_digest.py > digests.txt
+    python3 tests/output_digest.py --against digests.txt
 
-with the package importable (installed, or ``PYTHONPATH=src``).
+with the package importable (installed, or ``PYTHONPATH=src``).  With
+``--against FILE`` it compares with digests saved earlier instead of
+printing them: it prints each label whose digest differs or that only
+one side has, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -48,7 +53,8 @@ def _main(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def main() -> int:
+def digests() -> tuple[list[str], list[str]]:
+    """(``<sha256>  <label>`` lines, commands that exited nonzero)."""
     failed = []
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -69,10 +75,40 @@ def main() -> int:
                 failed.append(" ".join(argv))
             text = ELAPSED.sub("<elapsed> s", text)
             lines.append(f"{_digest(text.encode('utf-8'))}  stdout of {' '.join(argv)}")
-    print("\n".join(lines))
+    return lines, failed
+
+
+def _by_label(lines: list[str]) -> dict[str, str]:
+    return {label: digest for digest, label in
+            (line.split("  ", 1) for line in lines if line.strip())}
+
+
+def differing_labels(saved: list[str], current: list[str]) -> list[str]:
+    """Labels whose digest differs, or that only one of the two lists has."""
+    old, new = _by_label(saved), _by_label(current)
+    return [label for label in sorted(old.keys() | new.keys())
+            if old.get(label) != new.get(label)]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with digests saved from an earlier run")
+    args = parser.parse_args(argv)
+    lines, failed = digests()
+    if args.against is None:
+        print("\n".join(lines))
+        differ = []
+    else:
+        saved = Path(args.against).read_text(encoding="utf-8").splitlines()
+        differ = differing_labels(saved, lines)
+        for label in differ:
+            print(f"differs: {label}")
+        if not differ:
+            print(f"all {len(lines)} digests match {args.against}")
     for command in failed:
         print(f"nonzero exit: {command}", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if failed or differ else 0
 
 
 if __name__ == "__main__":

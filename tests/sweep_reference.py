@@ -6,11 +6,41 @@ before sweeps shared one train.  It costs O(grid x N) and shares no
 propagation code with ``qubitfr.protocol.pulse_train``, so exact equality
 between the two is a meaningful check of the shared-prefix bookkeeping:
 pulse counts, tail rotations and final bases.
+
+``axis_angle`` and ``bloch_rotation`` are the numpy array-expression
+rotation builder the package used before it built each matrix element by
+element; the element-wise builder must match them bit for bit.
 """
 
+import math
+
+import numpy as np
+
 from qubitfr.channel import apply_pulse_map
-from qubitfr.core import QubitState, instantaneous_eigensystem
+from qubitfr.core import (AmplitudeModulatedDrive, QubitState, _is_stroboscopic,
+                          _rot_z, instantaneous_eigensystem, phase_integral)
 from qubitfr.protocol import ConditionalMatrix, ProtocolConfig, segment_rotations
+
+
+def axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis."""
+    kx, ky, kz = axis
+    c, s = math.cos(angle), math.sin(angle)
+    cross = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(axis, axis)
+
+
+def bloch_rotation(drive, t0: float, t1: float) -> np.ndarray:
+    """``qubitfr.core.bloch_rotation`` on top of ``axis_angle``."""
+    if isinstance(drive, AmplitudeModulatedDrive):
+        return axis_angle(np.array([1.0, 0.0, 0.0]), phase_integral(drive, t0, t1))
+    e = 2.0 * drive.e_theta
+    axis = np.array([drive.omega0 / e, 0.0, -drive.theta / e])
+    inner = axis_angle(axis, 2.0 * drive.e_theta * (t1 - t0))
+    tau = drive.tau_theta
+    if _is_stroboscopic(t0, tau) and _is_stroboscopic(t1, tau):
+        return inner
+    return _rot_z(drive.theta * t1) @ inner @ _rot_z(-drive.theta * t0)
 
 
 def propagate_mean(config: ProtocolConfig, state: QubitState) -> QubitState:

@@ -1,6 +1,7 @@
 """Command-line and scenario-runner tests: outputs, round trips, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -546,6 +547,68 @@ class TestCli:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# SHA-256 of each preset's deterministic CSV.  Any change to these bytes,
+# however small, is a change to the published numbers and must be deliberate:
+# re-derive with ``python3 tests/output_digest.py`` and say why.  Derived on
+# x86-64 Linux with numpy 2.4; a platform whose libm rounds cos or sin
+# differently would need its own table.
+PRESET_CSV_SHA256 = {
+    "fig2a":
+        "fcde37385e718a0d84afa8acfa88cc686c616b5320d8635c623674f8e58f8e37",
+    "fig2bcd":
+        "ba9269dae4ff50f357b864fbcea36e8c774efc26fab2971cea7a9d31b4ae3aa3",
+    "fig3a":
+        "a3263e8743229413d0b30e83f969a77050ee371a532b5ed33da166c3573ea74b",
+    "fig3b":
+        "b3594cc05eb0e1bb1c489de91362da3912b23f891e85b49f71f2fd759f0b775d",
+    "fig4a":
+        "f8b3d4328bb768660b520f9e700db85cf1bdfea06211700466713bfaf1078ec3",
+    "fig4b":
+        "5a5e4334c14385e86b0628c4e71ed00d58110f9fc6c20c17978f1e6d2a40bf7c",
+    "fig5a":
+        "28685631de9796ba3d8655a9f49f89d4294eaaf9e4c36d07744766be21bdf421",
+    "fig5b":
+        "7fa955a0880ebd4ff8f6fd41258108c20f9f070b1f5a34ae708d4677035d5e47",
+    "fig5c":
+        "45faf08a8ed1cdb8f306b1d0e609425c5408822c1ab2ea14893e1e462d6e5181",
+    "fig5d":
+        "fb075e57da1b4e38809711d1b9c08855b723ce3da136f0c79a52b4b78c83b6f3",
+    "fig6a":
+        "6766630ef2ef44dc2a7a7c6ac0ac7f1eadb6e4421448fd206d436c01520616af",
+    "fig6b":
+        "e72033fecd68f0211f36f0cb7d567c92ef175bf7a6d3fe7f7a8f080f9ff169a9",
+    "fig6c":
+        "02b77d7b41ae0dbb8a23e1d228df61844a0c9a8992b88064f1937bf02b29ccf8",
+    "fig6d":
+        "b913c63c901df91b7f52aa087dcb4939cefd8779d6fc4c3160f03f89670a586c",
+    "fig6e":
+        "f4de2407b65cbff499c871196d5aaac88f89a2099e8d1b2552a216322ce05cb5",
+    "fig6f":
+        "55c20bdceff1047a4e6fafa2e7c11950d457d0e52036ce34aa55e7eb23fc6ddd",
+}
+
+
+def test_every_preset_is_pinned():
+    assert sorted(PRESET_CSV_SHA256) == sorted(scenarios.PRESETS)
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_CSV_SHA256))
+def test_preset_csv_bytes_are_pinned(name, tmp_path):
+    scenarios.run_scenario(name, outdir=tmp_path)
+    data = (tmp_path / f"{name}.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PRESET_CSV_SHA256[name]
+
+
+def test_output_digest_reports_changed_and_missing_labels():
+    import output_digest
+
+    saved = ["aa  presets/fig2a.csv", "bb  presets/fig3a.csv", "cc  stdout of presets"]
+    current = ["aa  presets/fig2a.csv", "bd  presets/fig3a.csv", "dd  sampled/x.csv"]
+    assert output_digest.differing_labels(saved, saved) == []
+    assert output_digest.differing_labels(saved, current) == [
+        "presets/fig3a.csv", "sampled/x.csv", "stdout of presets"]
 
 
 def test_import_loads_no_scipy():

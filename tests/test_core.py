@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
 import dmtools
+import sweep_reference
+from qubitfr import core
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           QubitState, ThermalContext, bloch_rotation,
                           evolve_unitary, free_energy_delta, gibbs_population,
@@ -166,6 +169,82 @@ class TestBlochRotation:
         state = QubitState(0.36, 0.48, -0.6)
         out = evolve_unitary(state, drive, 0.0, 777.0)
         assert out.norm() == pytest.approx(state.norm(), abs=1e-13)
+
+
+def same_bits(a, b):
+    """Equal shape and bytes: unlike ==, this tells 0.0 from -0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _normalized(v):
+    n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return tuple(x / n for x in v)
+
+
+COORDINATE_AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                   (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0),
+                   (1.0, -0.0, 0.0), (1.0, 0.0, -0.0)]
+unit_axes = (st.sampled_from(COORDINATE_AXES)
+             | st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+             .filter(lambda v: max(map(abs, v)) > 1e-3).map(_normalized))
+# cos > 0, cos < 0, and anything a long drive window can produce.
+angles = (st.floats(-1.5, 1.5) | st.floats(1.65, 4.6) | st.floats(-4.6, -1.65)
+          | st.floats(-1e5, 1e5))
+
+
+class TestRotationBuilder:
+    """The element-wise, memoized Rodrigues builder against the numpy array
+    expression it replaced, compared bit for bit (signed zeros included)."""
+
+    @given(axis=unit_axes, angle=angles)
+    def test_axis_angle_bits_match_reference(self, axis, angle):
+        built = core._axis_angle(*axis, angle)
+        assert same_bits(built, sweep_reference.axis_angle(np.array(axis), angle))
+
+    def test_signed_zero_axes_are_cached_apart(self):
+        for axis in ((1.0, 0.0, 0.0), (1.0, -0.0, 0.0), (1.0, 0.0, -0.0)):
+            for angle in (2.5, -2.5, 0.0, -0.0):
+                assert same_bits(core._axis_angle(*axis, angle),
+                                 sweep_reference.axis_angle(np.array(axis), angle))
+
+    @given(family=st.sampled_from(["amplitude", "phase"]),
+           period=st.floats(200.0, 2000.0),
+           n0=st.integers(0, 600), n1=st.integers(0, 40),
+           f0=st.just(0.0) | st.floats(0.0, 0.999),
+           f1=st.just(0.0) | st.floats(0.0, 0.999))
+    def test_bloch_rotation_bits_match_reference(self, family, period, n0, n1,
+                                                 f0, f1):
+        """f0 = f1 = 0 puts both endpoints on whole drive periods."""
+        if family == "amplitude":
+            drive = AmplitudeModulatedDrive(OMEGA0_A, period)
+        else:
+            drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)
+        t0 = (n0 + f0) * period
+        t1 = t0 + (n1 + f1) * period
+        assert same_bits(bloch_rotation(drive, t0, t1),
+                         sweep_reference.bloch_rotation(drive, t0, t1))
+
+    @pytest.mark.parametrize("drive", [AmplitudeModulatedDrive(OMEGA0_A, 616.0),
+                                       PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)],
+                             ids=["amplitude", "phase"])
+    @pytest.mark.parametrize("t0, t1", [(0.0, 616.0), (1848.0, 3080.0),
+                                        (0.0, 251.7), (151.0, 1000.0)])
+    def test_bloch_rotation_endpoints(self, drive, t0, t1):
+        assert same_bits(bloch_rotation(drive, t0, t1),
+                         sweep_reference.bloch_rotation(drive, t0, t1))
+
+    def test_matrices_are_read_only_and_repeatable(self):
+        first = core._axis_angle(0.6, 0.0, -0.8, 2.0)
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        assert same_bits(first, core._axis_angle(0.6, 0.0, -0.8, 2.0))
+        assert same_bits(first, sweep_reference.axis_angle(
+            np.array([0.6, 0.0, -0.8]), 2.0))
+        drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
+        per_period = bloch_rotation(drive, 616.0, 1232.0)
+        with pytest.raises(ValueError):
+            per_period[1, 2] = 0.0
+        assert same_bits(per_period, bloch_rotation(drive, 616.0, 1232.0))
 
 
 class TestEigensystem:

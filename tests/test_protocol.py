@@ -20,7 +20,7 @@ from qubitfr.protocol import (ConditionalMatrix, EnergyChangeDistribution,
                               energy_change_distribution, first_law_check,
                               fr_functional, fr_report, fr_target,
                               initial_probabilities, mean_trajectory,
-                              pulses_applied)
+                              pulse_train, pulses_applied)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -194,6 +194,21 @@ class TestMeanPropagation:
         snaps = mean_trajectory(pc, QubitState(0.0, 0.0, 1.0))
         assert len(snaps) == 4
         assert snaps[-1][0] == pytest.approx(1000.0)
+
+
+class TestPulseTrainBlochCheck:
+    @pytest.mark.parametrize("pa", [0.25, 1.0])
+    def test_start_of_norm_one_and_a_half_rejected(self, pa):
+        """An x-rotation keeps rx = 1.5.  At p_absorb = 1 the pulse maps
+        that to the origin, so only the check on the rotated state sees it."""
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            pulse_train(amplitude_config(pa=pa), [np.array([1.5, 0.0, 0.0])], [1])
+
+    @pytest.mark.parametrize("config", [amplitude_config(), phase_config()],
+                             ids=["amplitude", "phase"])
+    def test_nan_start_rejected(self, config):
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            pulse_train(config, [np.array([math.nan, 0.0, 0.0])], [1])
 
 
 class TestEnergyChangeDistribution:

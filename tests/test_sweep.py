@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sweep_reference
-from qubitfr import protocol, scenarios
+from qubitfr import core, protocol, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, instantaneous_eigensystem)
@@ -109,6 +109,21 @@ def test_sweep_builds_each_rotation_about_once(name, tmp_path, monkeypatch):
     scenarios.run_scenario(cfg, outdir=tmp_path)
     n_max = max(pc.n_pulses for pc in pcs)
     assert 0 < len(calls) <= n_max + len(pcs) + 2
+
+
+def test_rotating_sweep_builds_rotations_independent_of_pulse_count(tmp_path):
+    """The per-period rotation of a rotating drive is memoized: a 51-point
+    fig5d sweep to 500 pulses builds no more matrices than one to 50."""
+    base = scenarios.get_preset("fig5d")
+    built = []
+    for n in (50, 500):
+        grid = tuple(float(t) for t in np.linspace(0.0, n * base.tau, 51))
+        cfg = scenarios.with_overrides(base, t_f_grid=grid, p_absorb=0.25,
+                                       mode="deterministic")
+        core._rodrigues.cache_clear()
+        scenarios.run_scenario(cfg, outdir=tmp_path)
+        built.append(core._rodrigues.cache_info().misses)
+    assert 0 < built[1] <= built[0]
 
 
 @pytest.mark.parametrize("change", [
