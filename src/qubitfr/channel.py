@@ -54,12 +54,6 @@ def pulse_step(rx: float, ry: float, rz: float, p_absorb: float,
             (1.0 - p_absorb) * rz + p_absorb * rz_pulsed)
 
 
-def apply_pulse_map(state: QubitState, params: PulseChannelParams) -> QubitState:
-    """Ensemble-averaged action of one pulse."""
-    return QubitState(*pulse_step(state.rx, state.ry, state.rz,
-                                  params.p_absorb, params.p_pump))
-
-
 def _period_map(drive: DriveSpec, params: PulseChannelParams,
                 tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Linear part and offset of one period of drive followed by a pulse."""
@@ -70,9 +64,10 @@ def _period_map(drive: DriveSpec, params: PulseChannelParams,
     return pulse_lin @ rot, offset
 
 
-def channel_fixed_point(drive: DriveSpec, params: PulseChannelParams,
-                        tau: float) -> QubitState:
-    """Stationary Bloch vector of the period map (drive for tau, then pulse).
+def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
+                                tau: float) -> float:
+    """Upper-level occupation, in the measurement basis, of the stationary
+    Bloch vector of the period map (drive for tau, then pulse).
 
     Solves (I - A) r = b exactly and verifies the residual; raises
     ``DegenerateChannelError`` when p_absorb = 0, where the map is a pure
@@ -87,14 +82,8 @@ def channel_fixed_point(drive: DriveSpec, params: PulseChannelParams,
     if residual > FIXED_POINT_RESIDUAL_TOL:
         raise DegenerateChannelError(f"fixed-point residual {residual:.3e} exceeds "
                                      f"{FIXED_POINT_RESIDUAL_TOL:.0e}")
-    return QubitState.from_array(r)
-
-
-def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
-                                tau: float) -> float:
-    """Upper-level occupation of the channel fixed point in the measurement basis."""
-    fp = channel_fixed_point(drive, params, tau)
-    return fp.population_along(instantaneous_eigensystem(drive, 0.0).basis_plus)
+    return QubitState.from_array(r).population_along(
+        instantaneous_eigensystem(drive, 0.0).basis_plus)
 
 
 def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,

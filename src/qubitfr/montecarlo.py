@@ -6,9 +6,9 @@ trajectories of a run share the counter-based stream
 ``[i * Wp, (i + 1) * Wp)``, ``Wp = 4 * ceil((3 * n_pulses + 1) / 4)``
 (whole Philox blocks).  It uses the first 3 per pulse (absorption,
 projection outcome, pump success) plus 1 for the final measurement,
-whether or not the branches fire.  A walk skips ahead to its first
-trajectory once and draws each chunk's words in one call; aggregates are
-exact integer counts.  Results are therefore a pure function of
+whether or not the branches fire.  A walk starts at trajectory 0 and
+draws each chunk's words in one call; aggregates are exact integer
+counts.  Results are therefore a pure function of
 (master_seed, i) per trajectory and bit-identical however trajectories
 are chunked.
 
@@ -45,18 +45,13 @@ DEFAULT_CHUNK = 4096
 RNG_LAYOUT = 2
 
 
-class IncompleteEnsembleError(ValueError):
-    """Raised when an estimate needs initializations that were never run."""
-
-
 @dataclass(frozen=True)
 class EnsembleStats:
     """Exact-integer tallies of an ensemble of trajectories.
 
     ``counts[j, i]`` is the number of trajectories initialized in basis
     state i whose final measurement gave j; ``n_per_initial[i]`` the
-    number initialized in i.  Stats from disjoint index ranges merge by
-    plain addition.
+    number initialized in i, which must be positive for both states.
     """
 
     counts: np.ndarray
@@ -73,29 +68,16 @@ class EnsembleStats:
         if np.any(c.sum(axis=0) != n):
             raise ValueError(f"column totals {c.sum(axis=0).tolist()} disagree "
                              f"with trajectory counts {n.tolist()}")
+        for i in (0, 1):
+            if n[i] < 1:
+                raise ValueError(f"no trajectories were initialized in state {i}")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "n_per_initial", n)
 
-    @property
-    def n_trajectories(self) -> int:
-        return int(self.n_per_initial.sum())
-
-    def merge(self, other: "EnsembleStats") -> "EnsembleStats":
-        if other.master_seed != self.master_seed:
-            raise ValueError("refusing to merge stats from different master seeds")
-        return EnsembleStats(self.counts + other.counts,
-                             self.n_per_initial + other.n_per_initial,
-                             self.absorbed_pulses + other.absorbed_pulses,
-                             self.total_pulses + other.total_pulses,
-                             self.master_seed)
-
     def column_estimate(self, initial_index: int) -> float:
         """Empirical P(final = up | initial = initial_index)."""
-        n = int(self.n_per_initial[initial_index])
-        if n == 0:
-            raise IncompleteEnsembleError(
-                f"no trajectories were initialized in state {initial_index}")
-        return float(self.counts[0, initial_index]) / n
+        return (float(self.counts[0, initial_index])
+                / int(self.n_per_initial[initial_index]))
 
     def conditional_estimate(self) -> ConditionalMatrix:
         return ConditionalMatrix.from_upper_row(self.column_estimate(0),
@@ -126,12 +108,13 @@ def _check_arguments(*table: tuple[str, object, int, float]) -> None:
 
 
 def _walk(rotations: list[np.ndarray], configs: Sequence[ProtocolConfig],
-          tails: Sequence[np.ndarray], master_seed: int, lo: int, split: int,
-          hi: int, chunk_size: int) -> tuple[np.ndarray, int]:
+          tails: Sequence[np.ndarray], master_seed: int,
+          n_per_initial: int, chunk_size: int) -> tuple[np.ndarray, int]:
     """(final-up counts of the up and the down starts per config, shape
-    (len(configs), 2); absorbed-pulse count) of trajectory indices [lo, hi)
-    walked through ``rotations``, starting up below ``split``.  The configs
-    share that pulse count; ``tails`` are their tail rotations."""
+    (len(configs), 2); absorbed-pulse count) of trajectory indices
+    [0, 2 * n_per_initial) walked through ``rotations``, starting up below
+    n_per_initial.  The configs share that pulse count; ``tails`` are
+    their tail rotations."""
     channel = configs[0].channel
     start_up = instantaneous_eigensystem(configs[0].drive, 0.0).basis_plus.as_array()
     axes = [instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus.as_array()
@@ -139,14 +122,15 @@ def _walk(rotations: list[np.ndarray], configs: Sequence[ProtocolConfig],
     n_pulses = len(rotations)
     stride = 4 * -(-(3 * n_pulses + 1) // 4)  # Wp, whole 4-word Philox blocks
     bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-    bitgen.advance(lo * stride // 4)
     draw = np.random.Generator(bitgen).random  # each chunk draws in one call
     ups = np.zeros((len(configs), 2), dtype=np.int64)
     absorbed_total = 0
-    for start in range(lo, hi, chunk_size):
-        stop = min(start + chunk_size, hi)
+    end = 2 * n_per_initial
+    for start in range(0, end, chunk_size):
+        stop = min(start + chunk_size, end)
         u = draw((stop - start, stride)).T  # u[k]: word k of each trajectory
-        r = start_up[:, None] * np.where(np.arange(start, stop) < split, 1.0, -1.0)
+        sign = np.where(np.arange(start, stop) < n_per_initial, 1.0, -1.0)
+        r = start_up[:, None] * sign
         for n, rot in enumerate(rotations):
             r = rot @ r
             absorbed = u[3 * n] < channel.p_absorb
@@ -155,7 +139,7 @@ def _walk(rotations: list[np.ndarray], configs: Sequence[ProtocolConfig],
             r[2] = np.where(absorbed, np.where(ends_up, 1.0, -1.0), r[2])
             r[:2] = np.where(absorbed, 0.0, r[:2])
             absorbed_total += int(np.count_nonzero(absorbed))
-        n_up = min(max(split - start, 0), stop - start)
+        n_up = min(max(n_per_initial - start, 0), stop - start)
         for counts, tail, axis in zip(ups, tails, axes):
             # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the
             # row-major product keeps earlier releases' Born probabilities.
@@ -166,37 +150,15 @@ def _walk(rotations: list[np.ndarray], configs: Sequence[ProtocolConfig],
     return ups, absorbed_total
 
 
-def run_trajectories(config: ProtocolConfig, initial_index: int, n: int,
-                     master_seed: int, *, index_offset: int = 0,
-                     chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
-    """Sample n trajectories from one initial basis state.
-
-    Trajectory i uses stream index ``index_offset + i``; pass disjoint
-    offsets to combine ensembles without stream reuse.  Raises
-    ``ValueError`` naming the first argument that is not an int in range.
-    """
-    _check_arguments(("initial_index", initial_index, 0, 2), ("n", n, 1, math.inf),
-                     ("index_offset", index_offset, 0, math.inf),
-                     ("chunk_size", chunk_size, 1, math.inf),
-                     ("master_seed", master_seed, 0, 2**64))
-    rotations, tail = segment_rotations(config)
-    end = index_offset + n
-    ups, absorbed = _walk(rotations, [config], [tail], master_seed, index_offset,
-                          end if initial_index == 0 else index_offset, end, chunk_size)
-    counts = np.zeros((2, 2), dtype=np.int64)
-    counts[:, initial_index] = ups[0, initial_index], n - ups[0, initial_index]
-    return EnsembleStats(counts, counts.sum(axis=0), absorbed,
-                         n * config.n_pulses, master_seed)
-
-
 def run_ensembles(configs: Sequence[ProtocolConfig], n_per_initial: int,
                   master_seed: int, *,
                   chunk_size: int = DEFAULT_CHUNK) -> list[EnsembleStats]:
     """Both initializations at each config of a sweep, walked once per
     distinct pulse count: the sampled ``protocol.conditional_matrices``.
 
-    The configs must share drive, channel and tau, else ``ValueError``;
-    arguments are checked as in ``run_trajectories``.
+    The configs must share drive, channel and tau, else ``ValueError``,
+    which is also raised naming the first argument that is not an int in
+    range.
     """
     _check_arguments(("n_per_initial", n_per_initial, 1, math.inf),
                      ("chunk_size", chunk_size, 1, math.inf),
@@ -210,8 +172,7 @@ def run_ensembles(configs: Sequence[ProtocolConfig], n_per_initial: int,
     for k in {pc.n_pulses for pc in configs}:
         group = [pc for pc in configs if pc.n_pulses == k]
         tails = [longest_tail if pc is longest else _tail_rotation(pc) for pc in group]
-        ups, absorbed = _walk(rotations[:k], group, tails, master_seed, 0, n, 2 * n,
-                              chunk_size)
+        ups, absorbed = _walk(rotations[:k], group, tails, master_seed, n, chunk_size)
         for pc, (up, down) in zip(group, ups):
             counts = np.array([[up, down], [n - up, n - down]])
             stats[pc] = EnsembleStats(counts, counts.sum(axis=0), absorbed,

@@ -155,11 +155,14 @@ class ConditionalMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ValueError(f"conditional matrix must be 2x2, got {m.shape}")
-        if np.any(m < -PROBABILITY_TOL) or np.any(m > 1.0 + PROBABILITY_TOL):
-            raise ValueError(f"entries outside [0, 1]: {m.tolist()}")
-        sums = m.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > COLUMN_SUM_TOL):
-            raise ValueError(f"columns must sum to 1, got {sums.tolist()}")
+        # Float comparisons, each written so that NaN fails it.
+        (a, b), (c, d) = rows = m.tolist()
+        lo, hi = -PROBABILITY_TOL, 1.0 + PROBABILITY_TOL
+        if not all(lo <= x <= hi for x in (a, b, c, d)):
+            raise ValueError(f"entries outside [0, 1]: {rows}")
+        sums = [a + c, b + d]
+        if not all(-COLUMN_SUM_TOL <= s - 1.0 <= COLUMN_SUM_TOL for s in sums):
+            raise ValueError(f"columns must sum to 1, got {sums}")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -178,9 +181,6 @@ class ConditionalMatrix:
     @property
     def p_up_given_down(self) -> float:
         return float(self.matrix[UPPER, LOWER])
-
-    def as_array(self) -> np.ndarray:
-        return self.matrix.copy()
 
 
 def _sweep_longest(configs: Sequence[ProtocolConfig]) -> ProtocolConfig:
@@ -240,10 +240,10 @@ class EnergyChangeDistribution:
         p = np.asarray(self.probs, dtype=float)
         if v.shape != p.shape or v.ndim != 1:
             raise ValueError("values and probs must be matching 1-d arrays")
-        if np.any(p < -PROBABILITY_TOL):
-            raise ValueError(f"negative probability in {p.tolist()}")
+        if not all(-PROBABILITY_TOL <= x for x in p.tolist()):
+            raise ValueError(f"negative or NaN probability in {p.tolist()}")
         total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not (-1e-12 <= total - 1.0 <= 1e-12):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
@@ -261,10 +261,6 @@ class EnergyChangeDistribution:
                 values.append(value)
                 probs.append(prob)
         return cls(np.array(values), np.array(probs))
-
-    @property
-    def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.values.tolist(), self.probs.tolist()))
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -4,10 +4,10 @@ Each trajectory gets its own freshly constructed counter-based generator,
 positioned by its ``counter`` argument at the trajectory's first block of
 the run's stream (random-number layout 2), and is walked pulse by pulse on
 a single Bloch vector, recording every pulse outcome.  Nothing here
-shares code with ``qubitfr.montecarlo``: the package engine skips ahead
-with ``advance`` and draws a whole chunk at once, then propagates the
-chunk at once, so agreement between the two is a meaningful check of
-stream positions, draw order and branch logic.
+shares code with ``qubitfr.montecarlo``: the package engine walks the
+stream in order from trajectory 0, drawing and propagating a whole chunk
+at once, so agreement between the two is a meaningful check of stream
+positions, draw order and branch logic.
 """
 
 from dataclasses import dataclass

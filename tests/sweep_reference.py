@@ -3,9 +3,11 @@
 Every grid point rebuilds all of its period rotations and walks its own
 pulse train from t = 0, one basis state at a time, as the engine did
 before sweeps shared one train.  It costs O(grid x N) and shares no
-propagation code with ``qubitfr.protocol.pulse_train``, so exact equality
-between the two is a meaningful check of the shared-prefix bookkeeping:
-pulse counts, tail rotations and final bases.
+propagation code with ``qubitfr.protocol.pulse_train``: ``pulse`` is its
+own copy of the pulse arithmetic, in the package's expression order.  So
+exact equality between the two is a meaningful check of the shared-prefix
+bookkeeping (pulse counts, tail rotations and final bases) and of the
+pulse arithmetic itself.
 
 ``axis_angle`` and ``bloch_rotation`` are the numpy array-expression
 rotation builder the package used before it built each matrix element by
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from qubitfr.channel import apply_pulse_map
+from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, QubitState, _is_stroboscopic,
                           _rot_z, instantaneous_eigensystem, phase_integral)
 from qubitfr.protocol import ConditionalMatrix, ProtocolConfig, segment_rotations
@@ -43,14 +45,22 @@ def bloch_rotation(drive, t0: float, t1: float) -> np.ndarray:
     return _rot_z(drive.theta * t1) @ inner @ _rot_z(-drive.theta * t0)
 
 
+def pulse(r: np.ndarray, channel: PulseChannelParams) -> np.ndarray:
+    """Ensemble-averaged action of one pulse: z-coherences erased and the
+    populations pumped toward |0>, with probability p_absorb."""
+    rx, ry, rz = r
+    pa, pd = channel.p_absorb, channel.p_pump
+    rz_pumped = rz + pd * (1.0 - rz)
+    return np.array([(1.0 - pa) * rx, (1.0 - pa) * ry,
+                     (1.0 - pa) * rz + pa * rz_pumped])
+
+
 def propagate_mean(config: ProtocolConfig, state: QubitState) -> QubitState:
     """Ensemble-averaged state at t_f starting from the given state at 0."""
     rots, tail = segment_rotations(config)
     r = state.as_array()
     for rot in rots:
-        r = rot @ r
-        state_n = apply_pulse_map(QubitState.from_array(r), config.channel)
-        r = state_n.as_array()
+        r = pulse(rot @ r, config.channel)
     return QubitState.from_array(tail @ r)
 
 
@@ -61,7 +71,7 @@ def mean_trajectory(config: ProtocolConfig,
     out = [(0.0, state)]
     r = state.as_array()
     for n, rot in enumerate(rots, start=1):
-        r = apply_pulse_map(QubitState.from_array(rot @ r), config.channel).as_array()
+        r = pulse(rot @ r, config.channel)
         out.append((n * config.tau, QubitState.from_array(r)))
     if config.t_f > config.n_pulses * config.tau:
         out.append((config.t_f, QubitState.from_array(tail @ r)))

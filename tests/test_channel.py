@@ -7,17 +7,34 @@ import pytest
 
 import dmtools
 from qubitfr.channel import (DegenerateChannelError, PulseChannelParams,
-                             apply_pulse_map, channel_fixed_point,
-                             invert_pump_probability,
+                             invert_pump_probability, pulse_step,
                              stationary_upper_population)
-from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          QubitState, bloch_rotation, instantaneous_eigensystem)
+from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive
 
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
 
 
 def phase_drive(tau_theta):
     return PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / tau_theta)
+
+
+def pulse(r, pa, pd):
+    return np.array(pulse_step(*r, pa, pd))
+
+
+def iterated_upper_population(tau_theta, pa, pd, periods=400):
+    """Upper population, in the dressed basis measured at t = 0, of the
+    density-matrix period map (drive for one period, then pulse) iterated
+    from the maximally mixed state."""
+    theta = 2.0 * math.pi / tau_theta
+    u = dmtools.propagate_unitary(lambda t: dmtools.ham_phase(OMEGA0_P, theta, t),
+                                  0.0, tau_theta)
+    rho = dmtools.rho_from_bloch([0.0, 0.0, 0.0])
+    for _ in range(periods):
+        rho = dmtools.pulse_dm(u @ rho @ u.conj().T, pa, pd)
+    h_eff = 0.5 * (OMEGA0_P * dmtools.SX - theta * dmtools.SZ)
+    upper, _, _, _ = dmtools.projectors_from_ham(h_eff)
+    return np.trace(rho @ upper).real
 
 
 class TestParams:
@@ -38,65 +55,49 @@ class TestMeanMap:
             v = rng.normal(size=3)
             v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
             pa, pd = rng.uniform(0.0, 1.0, size=2)
-            state = QubitState.from_array(v)
-            out = apply_pulse_map(state, PulseChannelParams(pa, pd))
+            out = pulse(v, pa, pd)
             rho = dmtools.pulse_dm(dmtools.rho_from_bloch(v), pa, pd)
-            assert np.allclose(out.as_array(), dmtools.bloch_from_rho(rho),
-                               atol=1e-14)
+            assert np.allclose(out, dmtools.bloch_from_rho(rho), atol=1e-14)
 
     def test_identity_when_never_absorbed(self):
-        state = QubitState(0.2, -0.4, 0.3)
-        out = apply_pulse_map(state, PulseChannelParams(0.0, 0.7))
-        assert out == state
+        assert pulse_step(0.2, -0.4, 0.3, 0.0, 0.7) == (0.2, -0.4, 0.3)
 
     def test_always_absorbed_full_pump_resets_north(self):
-        out = apply_pulse_map(QubitState(0.5, 0.5, -0.5),
-                              PulseChannelParams(1.0, 1.0))
-        assert np.allclose(out.as_array(), [0.0, 0.0, 1.0], atol=1e-15)
+        out = pulse([0.5, 0.5, -0.5], 1.0, 1.0)
+        assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_north_pole_invariant(self):
-        north = QubitState(0.0, 0.0, 1.0)
         for pd in (0.0, 0.3, 1.0):
-            out = apply_pulse_map(north, PulseChannelParams(0.6, pd))
-            assert np.allclose(out.as_array(), [0.0, 0.0, 1.0], atol=1e-15)
+            out = pulse([0.0, 0.0, 1.0], 0.6, pd)
+            assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_contracts_into_unit_ball(self):
-        state = QubitState(0.6, 0.0, 0.8)
-        out = apply_pulse_map(state, PulseChannelParams(0.4, 0.25))
-        assert out.norm() <= 1.0 + 1e-12
+        out = pulse([0.6, 0.0, 0.8], 0.4, 0.25)
+        assert np.linalg.norm(out) <= 1.0 + 1e-12
 
 
 class TestFixedPoint:
-    def test_invariant_under_period_map(self):
-        drive = phase_drive(616.0)
-        params = PulseChannelParams(0.25, 0.45)
-        tau = drive.tau_theta
-        fp = channel_fixed_point(drive, params, tau)
-        rolled = apply_pulse_map(QubitState.from_array(
-            bloch_rotation(drive, 0.0, tau) @ fp.as_array()), params)
-        assert np.allclose(rolled.as_array(), fp.as_array(), atol=1e-12)
+    @pytest.mark.parametrize("tau_theta,pd", [(616.0, 0.45), (1296.0, 0.5184)])
+    def test_equals_iterated_period_map(self, tau_theta, pd):
+        # The direct solve against the attractor of the density-matrix
+        # period map, reached by iteration from the maximally mixed state.
+        drive = phase_drive(tau_theta)
+        got = stationary_upper_population(drive, PulseChannelParams(0.25, pd),
+                                          drive.tau_theta)
+        assert got == pytest.approx(iterated_upper_population(tau_theta, 0.25, pd),
+                                    abs=1e-10)
 
     def test_amplitude_fixed_point_is_center_axis(self):
         # Full pump failure (p_pump = 0) leaves only the isotropic decay
         # toward the maximally mixed state.
         drive = AmplitudeModulatedDrive(math.pi / 616.0, 616.0)
-        fp = channel_fixed_point(drive, PulseChannelParams(0.25, 0.0), 410.0)
-        assert fp.norm() == pytest.approx(0.0, abs=1e-12)
+        pop = stationary_upper_population(drive, PulseChannelParams(0.25, 0.0), 410.0)
+        assert pop == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_without_absorption(self):
         with pytest.raises(DegenerateChannelError):
-            channel_fixed_point(phase_drive(616.0),
-                                PulseChannelParams(0.0, 0.5), 616.0)
-
-    def test_stationary_population_matches_projection(self):
-        drive = phase_drive(1296.0)
-        params = PulseChannelParams(0.25, 0.5184)
-        fp = channel_fixed_point(drive, params, drive.tau_theta)
-        eig = instantaneous_eigensystem(drive, 0.0)
-        expected = 0.5 * (1.0 + float(fp.as_array()
-                                      @ eig.basis_plus.as_array()))
-        got = stationary_upper_population(drive, params, drive.tau_theta)
-        assert got == pytest.approx(expected, abs=1e-15)
+            stationary_upper_population(phase_drive(616.0),
+                                        PulseChannelParams(0.0, 0.5), 616.0)
 
     def test_stronger_pump_lowers_upper_population(self):
         drive = phase_drive(616.0)

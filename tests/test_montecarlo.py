@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qubitfr.channel import PulseChannelParams, apply_pulse_map
+from qubitfr.channel import PulseChannelParams, pulse_step
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           QubitState, ThermalContext)
-from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats,
-                                IncompleteEnsembleError, fr_std_err,
+from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, fr_std_err,
                                 mean_energy_std_err, run_ensemble,
-                                run_ensembles, run_trajectories)
+                                run_ensembles)
 from qubitfr.protocol import (ProtocolConfig, conditional_matrix,
                               energy_change_distribution, fr_report, fr_target)
 from qubitfr.scenarios import get_preset, resolve
@@ -60,8 +59,8 @@ class TestStreams:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_advance_counter_and_slicing_agree(self, seed, n_pulses):
         # Three independent ways to reach trajectory i's words of layout 2:
-        # skip ahead (the package engine), construct at a counter (the
-        # scalar reference), and slice one long draw from the start.
+        # skip ahead, construct at a counter (the scalar reference), and
+        # slice one long draw from the start (the package engine).
         wp = words_per_trajectory(n_pulses)
         assert wp % 4 == 0 and 3 * n_pulses + 1 <= wp < 3 * n_pulses + 5
         key = np.array([seed, 0], dtype=np.uint64)
@@ -74,19 +73,20 @@ class TestStreams:
             assert np.array_equal(advanced, whole[i * wp:(i + 1) * wp])
 
 
-# (master_seed, index_offset, chunk_size) for the engine cross-check.  The
-# first case is the default call; its test ids stay the bare config names.
-# The last draws all 600 trajectories in one chunk larger than the run.
-REKEY_CASES = [(SEED, 0, DEFAULT_CHUNK), (SEED, 0, 97), (0, 1_000_003, 97),
-               (2**64 - 1, 250, 97), (2**64 - 1, 0, 16384)]
+# (master_seed, chunk_size) for the engine cross-check.  The first case is
+# the default call; its test ids stay the bare config names.  Chunks of 97
+# straddle the up/down boundary at trajectory 300; the last case draws all
+# 600 trajectories in one chunk larger than the run.
+REKEY_CASES = [(SEED, DEFAULT_CHUNK), (SEED, 97), (0, 97), (2**64 - 1, 97),
+               (2**64 - 1, 16384)]
 
 
 def rekey_params():
     for make in (amplitude_config, phase_config):
-        for k, (seed, offset, chunk) in enumerate(REKEY_CASES):
+        for k, (seed, chunk) in enumerate(REKEY_CASES):
             label = make.__name__ if k == 0 else (
-                f"{make.__name__}-seed{seed}-offset{offset}-chunk{chunk}")
-            yield pytest.param(make, seed, offset, chunk, id=label)
+                f"{make.__name__}-seed{seed}-chunk{chunk}")
+            yield pytest.param(make, seed, chunk, id=label)
 
 
 class TestSamplePulse:
@@ -126,30 +126,32 @@ class TestSamplePulse:
         for _ in range(n):
             out, _ = sample_pulse(state, params, rng)
             total += out.as_array()
-        expected = apply_pulse_map(state, params).as_array()
+        expected = np.array(pulse_step(state.rx, state.ry, state.rz,
+                                       params.p_absorb, params.p_pump))
         # rz outcomes are +-1 with probability ~1/2, so sigma <~ 1/sqrt(n).
         assert np.all(np.abs(total / n - expected) < 4.0 / math.sqrt(n))
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("make,seed,offset,chunk_size", rekey_params())
-    def test_record_engine_matches_vectorized_engine(self, make, seed, offset,
-                                                     chunk_size):
+    @pytest.mark.parametrize("make,seed,chunk_size", rekey_params())
+    def test_record_engine_matches_vectorized_engine(self, make, seed, chunk_size):
         # The scalar reference builds one generator per trajectory at its
-        # counter, so it checks the package engine's skip-ahead chunk draws
-        # across chunk boundaries and at the ends of the seed range.
+        # counter, so it checks the package engine's chunk draws across
+        # chunk boundaries, across the up/down boundary and at the ends of
+        # the seed range.
         config = make()
-        fast = run_trajectories(config, 0, 600, seed, index_offset=offset,
-                                chunk_size=chunk_size)
-        records = run_records(config, 0, 600, seed, index_offset=offset)
-        assert len(records) == 600
-        assert {r.seed_index for r in records} == set(range(offset, offset + 600))
+        n = 300
+        fast = run_ensemble(config, n, seed, chunk_size=chunk_size)
+        up = run_records(config, 0, n, seed)
+        down = run_records(config, 1, n, seed, index_offset=n)
+        records = up + down
+        assert {r.seed_index for r in records} == set(range(2 * n))
         assert all(len(r.pulse_events) == config.n_pulses for r in records)
-        ups = sum(r.final_index == 0 for r in records)
+        ups = [sum(r.final_index == 0 for r in side) for side in (up, down)]
         absorbed = sum(e.absorbed for r in records for e in r.pulse_events)
         assert fast.to_dict() == {
-            "counts": [[ups, 0], [600 - ups, 0]], "n_per_initial": [600, 0],
-            "absorbed_pulses": absorbed, "total_pulses": 600 * config.n_pulses,
+            "counts": [ups, [n - ups[0], n - ups[1]]], "n_per_initial": [n, n],
+            "absorbed_pulses": absorbed, "total_pulses": 2 * n * config.n_pulses,
             "master_seed": seed}
 
     @pytest.mark.parametrize("preset,counts,absorbed", [
@@ -171,33 +173,15 @@ class TestEngineEquivalence:
         big = run_ensemble(config, 3000, SEED, chunk_size=100_000)
         assert small.to_dict() == big.to_dict()
 
-    @given(seed=st.integers(0, 2**64 - 1), offset=st.integers(0, 2**40),
-           chunk_size=st.integers(1, 700), n_pulses=st.integers(0, 12),
-           n=st.integers(1, 400), initial_index=st.sampled_from([0, 1]),
-           data=st.data())
-    def test_any_chunking_and_split_equals_default_run(
-            self, seed, offset, chunk_size, n_pulses, n, initial_index, data):
-        config = phase_config(n_pulses=n_pulses)
-        whole = run_trajectories(config, initial_index, n, seed,
-                                 index_offset=offset).to_dict()
-        chunked = run_trajectories(config, initial_index, n, seed,
-                                   index_offset=offset, chunk_size=chunk_size)
-        assert chunked.to_dict() == whole
-        if n > 1:
-            k = data.draw(st.integers(1, n - 1), label="split")
-            first = run_trajectories(config, initial_index, k, seed,
-                                     index_offset=offset, chunk_size=chunk_size)
-            second = run_trajectories(config, initial_index, n - k, seed,
-                                      index_offset=offset + k,
-                                      chunk_size=chunk_size)
-            assert first.merge(second).to_dict() == whole
-
-    def test_offset_split_merges_to_whole(self):
-        config = phase_config(n_pulses=2)
-        first = run_trajectories(config, 0, 500, SEED, index_offset=0)
-        second = run_trajectories(config, 0, 700, SEED, index_offset=500)
-        whole = run_trajectories(config, 0, 1200, SEED)
-        assert first.merge(second).to_dict() == whole.to_dict()
+    @given(seed=st.integers(0, 2**64 - 1), chunk_size=st.integers(1, 700),
+           n_pulses=st.integers(0, 12), n=st.integers(1, 400))
+    def test_any_chunking_equals_default_run(self, seed, chunk_size, n_pulses, n):
+        # A sweep of up to three pulse counts, so up to three walks.
+        configs = [phase_config(n_pulses=k)
+                   for k in sorted({0, n_pulses // 2, n_pulses})]
+        whole = [s.to_dict() for s in run_ensembles(configs, n, seed)]
+        chunked = run_ensembles(configs, n, seed, chunk_size=chunk_size)
+        assert [s.to_dict() for s in chunked] == whole
 
 
 class TestEnsembleStats:
@@ -205,34 +189,21 @@ class TestEnsembleStats:
         config = amplitude_config(n_pulses=1)
         stats = run_ensemble(config, 800, SEED)
         assert stats.n_per_initial.tolist() == [800, 800]
-        assert stats.n_trajectories == 1600
         assert stats.total_pulses == 1600 * config.n_pulses
         assert 0 <= stats.absorbed_pulses <= stats.total_pulses
 
-    def test_single_sided_stats_raise_on_full_estimates(self):
-        config = amplitude_config(n_pulses=1)
-        stats = run_trajectories(config, 0, 200, SEED)
-        assert 0.0 <= stats.column_estimate(0) <= 1.0
-        with pytest.raises(IncompleteEnsembleError):
-            stats.column_estimate(1)
-        with pytest.raises(IncompleteEnsembleError):
-            stats.conditional_estimate()
-        with pytest.raises(IncompleteEnsembleError):
-            fr_std_err(stats, config)
-        with pytest.raises(IncompleteEnsembleError):
-            mean_energy_std_err(stats, config)
-
-    def test_merge_refuses_mixed_seeds(self):
-        config = amplitude_config(n_pulses=1)
-        a = run_trajectories(config, 0, 100, SEED)
-        b = run_trajectories(config, 1, 100, SEED + 1)
-        with pytest.raises(ValueError, match="seed"):
-            a.merge(b)
-
     def test_count_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="disagree"):
             EnsembleStats(np.array([[5, 0], [4, 0]]), np.array([10, 0]),
                           0, 0, SEED)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_empty_column_rejected(self, column):
+        # Every estimate divides by both columns' trajectory counts.
+        counts = np.array([[3, 3], [4, 4]])
+        counts[:, column] = 0
+        with pytest.raises(ValueError, match=f"state {column}"):
+            EnsembleStats(counts, counts.sum(axis=0), 0, 0, SEED)
 
     def test_zero_pulse_trajectories_are_deterministic(self):
         # Without pulses a basis start stays a basis state, so the final
@@ -251,10 +222,6 @@ class TestEnsembleStats:
             assert err[i] == pytest.approx(math.sqrt(p * (1.0 - p) / 2000.0))
 
     def test_rejects_too_few_trajectories(self):
-        with pytest.raises(ValueError):
-            run_trajectories(amplitude_config(), 0, 0, SEED)
-        with pytest.raises(ValueError):
-            run_trajectories(amplitude_config(), 2, 10, SEED)
         for n in (0, -3, 2.0):
             with pytest.raises(ValueError, match="n_per_initial"):
                 run_ensembles([amplitude_config()], n, SEED)
@@ -264,9 +231,6 @@ class TestEnsembleStats:
         # trajectories as "down" with no pulse absorbed.
         for chunk_size in (0, -5):
             with pytest.raises(ValueError, match="chunk_size"):
-                run_trajectories(amplitude_config(), 0, 100, SEED,
-                                 chunk_size=chunk_size)
-            with pytest.raises(ValueError, match="chunk_size"):
                 run_ensembles([amplitude_config()], 100, SEED,
                               chunk_size=chunk_size)
 
@@ -275,13 +239,7 @@ class TestEnsembleStats:
         # -1 and 2**64 once died in the key array with an OverflowError;
         # 1.5 and True ran silently as seed 1.
         with pytest.raises(ValueError, match="master_seed"):
-            run_trajectories(amplitude_config(), 0, 10, seed)
-        with pytest.raises(ValueError, match="master_seed"):
             run_ensembles([amplitude_config()], 10, seed)
-
-    def test_rejects_negative_index_offset(self):
-        with pytest.raises(ValueError, match="index_offset"):
-            run_trajectories(amplitude_config(), 0, 100, SEED, index_offset=-3)
 
 
 class TestStatisticalAgreement:

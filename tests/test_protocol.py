@@ -95,6 +95,15 @@ class TestConditionalMatrixClass:
         with pytest.raises(ValueError):
             ConditionalMatrix(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN fails every comparison, so a check written as "x < lo" or
+        # "|sum - 1| > tol" lets it through.
+        with pytest.raises(ValueError, match="outside"):
+            ConditionalMatrix.from_upper_row(bad, 0.3)
+        with pytest.raises(ValueError, match="outside"):
+            ConditionalMatrix(np.array([[0.7, 0.2], [0.3, bad]]))
+
 
 class TestConditionalMatrixAgainstDensityMatrices:
     def test_amplitude_with_tail(self):
@@ -174,7 +183,7 @@ class TestConditionalMatrixAgainstDensityMatrices:
     def test_no_pulses_is_identity_for_amplitude(self):
         pc = amplitude_config(tau=410.0, n_pulses=0, t_f=333.0)
         cm = conditional_matrix(pc)
-        assert np.allclose(cm.as_array(), np.eye(2), atol=1e-14)
+        assert np.allclose(cm.matrix, np.eye(2), atol=1e-14)
 
 
 class TestMeanPropagation:
@@ -227,6 +236,18 @@ class TestEnergyChangeDistribution:
         with pytest.raises(ValueError):
             EnergyChangeDistribution(np.array([0.0, 1.0]),
                                      np.array([1.1, -0.1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        for probs in ([bad, 1.0], [1.0, bad], [bad, bad]):
+            with pytest.raises(ValueError):
+                EnergyChangeDistribution(np.array([0.0, 1.0]), np.array(probs))
+
+    def test_nan_probability_fails_the_sign_check(self):
+        # NaN fails every comparison, so "p < -tol" lets it through.
+        with pytest.raises(ValueError, match="negative or NaN"):
+            EnergyChangeDistribution(np.array([0.0, 1.0]),
+                                     np.array([math.nan, 1.0]))
 
     def test_mean(self):
         dist = EnergyChangeDistribution(np.array([-1.0, 0.0, 2.0]),

@@ -1,6 +1,6 @@
 """The grouped walk of a sampled sweep: ``run_ensembles`` against separate
-per-point, per-initial-state runs and against the scalar reference walker,
-a pinned CSV digest, and the work a sampled sweep does."""
+per-point runs and against the scalar reference walker, a pinned CSV
+digest, and the work a sampled sweep does."""
 
 import hashlib
 import math
@@ -12,7 +12,7 @@ from qubitfr import protocol, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.cli import main
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
-from qubitfr.montecarlo import run_ensembles, run_trajectories
+from qubitfr.montecarlo import run_ensemble, run_ensembles
 from qubitfr.protocol import ProtocolConfig, pulses_applied
 from scalar_sampler import run_records
 
@@ -39,8 +39,8 @@ def preset_sweep(name, **overrides):
 def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
                                            p_pump, points, n, chunk_size, seed):
     """Ascending grids up to 12 pulses with repeated pulse counts: one walk
-    per pulse count over both initial states equals, point by point, the
-    up and down halves run on their own and merged."""
+    per pulse count over both initial states equals, point by point, each
+    point run on its own."""
     period = tau if drive_period is None else drive_period
     if family == "amplitude":
         drive = AmplitudeModulatedDrive(OMEGA0_A, period)
@@ -53,8 +53,7 @@ def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
     grouped = run_ensembles(pcs, n, seed, chunk_size=chunk_size)
     assert len(grouped) == len(pcs)
     for pc, stats in zip(pcs, grouped):
-        separate = run_trajectories(pc, 0, n, seed).merge(
-            run_trajectories(pc, 1, n, seed, index_offset=n))
+        separate = run_ensemble(pc, n, seed)
         assert stats.to_dict() == separate.to_dict(), pc.t_f
 
 
