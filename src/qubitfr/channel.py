@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DriveSpec, QubitState, bloch_rotation,
-                   instantaneous_eigensystem)
+from .core import (DriveSpec, bloch_rotation, instantaneous_eigensystem,
+                   population_along)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 
@@ -82,8 +82,7 @@ def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
     if residual > FIXED_POINT_RESIDUAL_TOL:
         raise DegenerateChannelError(f"fixed-point residual {residual:.3e} exceeds "
                                      f"{FIXED_POINT_RESIDUAL_TOL:.0e}")
-    return QubitState.from_array(r).population_along(
-        instantaneous_eigensystem(drive, 0.0).basis_plus)
+    return population_along(r, instantaneous_eigensystem(drive, 0.0).basis_plus)
 
 
 def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
@@ -110,7 +109,7 @@ def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
     pa = p_absorb
     rot = bloch_rotation(drive, 0.0, tau)
     g = np.linalg.solve(np.eye(3) - (1.0 - pa) * rot, np.array([0.0, 0.0, 1.0]))
-    a = float(instantaneous_eigensystem(drive, 0.0).basis_plus.as_array() @ g)
+    a = float(np.array(instantaneous_eigensystem(drive, 0.0).basis_plus) @ g)
     h = float(rot[2] @ g)
     s = 2.0 * target_upper_population - 1.0
     denom = pa * (a - s * h)

@@ -80,13 +80,11 @@ def check_exchange_fr() -> CheckResult:
         res = scenarios.resolve(scenarios.get_preset(name))
         pcs = [res.protocol_at(n * res.config.tau) for n in range(21)]
         cms = protocol.conditional_matrices(pcs)
-        for pc, cm in zip(pcs, cms):
-            report = protocol.fr_report(pc, cm)
-            worst_sweep = max(worst_sweep, abs(report.fr_value - 1.0))
+        deviations = [abs(protocol.fr_report(pc, cm).fr_value - 1.0)
+                      for pc, cm in zip(pcs, cms)]
+        worst_sweep = max(worst_sweep, *deviations)
+        worst_one_pulse_channel = max(worst_one_pulse_channel, deviations[1])
         pc1, cm1 = pcs[1], cms[1]
-        report_channel = protocol.fr_report(pc1, cm=cm1)
-        worst_one_pulse_channel = max(worst_one_pulse_channel,
-                                      abs(report_channel.fr_value - 1.0))
         beta_r1 = protocol.beta_reservoir(protocol.conditional_fixed_point(cm1),
                                           res.drive.gap)
         gamma1 = res.thermal.beta - beta_r1

@@ -1,8 +1,9 @@
 """Bloch-vector model of a periodically driven two-level system.
 
 States are Bloch vectors r = (rx, ry, rz) of the density operator
-rho = (I + r . sigma)/2, with |0> at the north pole (rz = +1) and |1> at
-the south pole.  Units: hbar = 1, time in ns, angular frequencies in
+rho = (I + r . sigma)/2, held as three floats or a length-3 array (there
+is no state class), with |0> at the north pole (rz = +1) and |1> at the
+south pole.  Units: hbar = 1, time in ns, angular frequencies in
 rad/ns, so energies are in rad/ns as well.
 
 Two drive families are supported:
@@ -49,36 +50,13 @@ def check_bloch_vector(rx: float, ry: float, rz: float) -> None:
                          f"has norm {n!r}, outside the unit ball")
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Bloch vector of a qubit density operator."""
-
-    rx: float
-    ry: float
-    rz: float
-
-    def __post_init__(self) -> None:
-        check_bloch_vector(self.rx, self.ry, self.rz)
-
-    def norm(self) -> float:
-        return math.sqrt(self.rx * self.rx + self.ry * self.ry + self.rz * self.rz)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rx, self.ry, self.rz], dtype=float)
-
-    @classmethod
-    def from_array(cls, r) -> "QubitState":
-        rx, ry, rz = (float(v) for v in r)
-        return cls(rx, ry, rz)
-
-    def population_along(self, basis_state: "QubitState") -> float:
-        """Probability of finding this state in the given pure basis state.
-
-        Tr[rho |u><u|] = (1 + r . u)/2 for a pure state with Bloch vector u.
-        """
-        dot = (self.rx * basis_state.rx + self.ry * basis_state.ry
-               + self.rz * basis_state.rz)
-        return 0.5 * (1.0 + dot)
+def population_along(r, axis: tuple[float, float, float]) -> float:
+    """Weight (1 + r . u)/2 = Tr[rho |u><u|] of Bloch vector r on the pure
+    state with unit Bloch vector u = ``axis``; ValueError unless |r| <= 1."""
+    rx, ry, rz = (float(v) for v in r)
+    check_bloch_vector(rx, ry, rz)
+    ux, uy, uz = axis
+    return 0.5 * (1.0 + (rx * ux + ry * uy + rz * uz))
 
 
 @dataclass(frozen=True)
@@ -141,12 +119,12 @@ DriveSpec = AmplitudeModulatedDrive | PhaseRotatingDrive
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Measurement basis and energies at a given time."""
+    """Measurement basis (unit Bloch vectors) and energies at a given time."""
 
     e_plus: float
     e_minus: float
-    basis_plus: QubitState
-    basis_minus: QubitState
+    basis_plus: tuple[float, float, float]
+    basis_minus: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -250,12 +228,6 @@ def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> np.ndarray:
     return _rot_z(drive.theta * t1) @ inner @ _rot_z(-drive.theta * t0)
 
 
-def evolve_unitary(state: QubitState, drive: DriveSpec, t0: float, t1: float) -> QubitState:
-    """Propagate a state under the bare drive from t0 to t1 (no pulses)."""
-    r = bloch_rotation(drive, t0, t1) @ state.as_array()
-    return QubitState.from_array(r)
-
-
 def instantaneous_eigensystem(drive: DriveSpec, t: float) -> EigenSystem:
     """Measurement basis and energies used by the two-point protocol at time t.
 
@@ -264,13 +236,13 @@ def instantaneous_eigensystem(drive: DriveSpec, t: float) -> EigenSystem:
     """
     if isinstance(drive, AmplitudeModulatedDrive):
         e = 0.5 * drive.omega(t)
-        up = QubitState(1.0, 0.0, 0.0)
-        down = QubitState(-1.0, 0.0, 0.0)
-        return EigenSystem(e, -e, up, down)
-    kx, ky, kz = _dressed_axis(drive)
-    up = QubitState(kx, ky, kz)
-    down = QubitState(-kx, -ky, -kz)
-    return EigenSystem(drive.e_theta, -drive.e_theta, up, down)
+        up, down = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
+    else:
+        e = drive.e_theta
+        kx, ky, kz = up = _dressed_axis(drive)
+        down = (-kx, -ky, -kz)
+    check_bloch_vector(*up)  # down = -up has the same norm
+    return EigenSystem(e, -e, up, down)
 
 
 def partition_function(beta: float, drive: DriveSpec, t: float) -> float:

@@ -116,8 +116,8 @@ def _walk(rotations: list[np.ndarray], configs: Sequence[ProtocolConfig],
     n_per_initial.  The configs share that pulse count; ``tails`` are
     their tail rotations."""
     channel = configs[0].channel
-    start_up = instantaneous_eigensystem(configs[0].drive, 0.0).basis_plus.as_array()
-    axes = [instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus.as_array()
+    start_up = np.array(instantaneous_eigensystem(configs[0].drive, 0.0).basis_plus)
+    axes = [np.array(instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus)
             for pc in configs]
     n_pulses = len(rotations)
     stride = 4 * -(-(3 * n_pulses + 1) // 4)  # Wp, whole 4-word Philox blocks

@@ -205,7 +205,7 @@ def floquet_recursion_gap(config: ProtocolConfig,
         raise TypeError("recursion gap is defined for the rotating drive")
     params = config.channel
     n_max = config.n_pulses
-    axis = instantaneous_eigensystem(drive, 0.0).basis_plus.as_array()
+    axis = np.array(instantaneous_eigensystem(drive, 0.0).basis_plus)
     post, _ = pulse_train(config, [axis, -1.0 * axis], range(n_max + 1))
     gaps = np.zeros(n_max + 1)
     for start, p0 in enumerate((1.0, 0.0)):

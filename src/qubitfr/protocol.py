@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PulseChannelParams, pulse_step
-from .core import (DriveSpec, QubitState, ThermalContext, bloch_rotation,
-                   check_bloch_vector, gibbs_population,
-                   instantaneous_eigensystem)
+from .core import (DriveSpec, ThermalContext, bloch_rotation, check_bloch_vector,
+                   gibbs_population, instantaneous_eigensystem, population_along)
 
 COLUMN_SUM_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
@@ -129,15 +128,18 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[np.ndarray],
     return [kept[n] for n in counts], tail
 
 
-def mean_trajectory(config: ProtocolConfig,
-                    state: QubitState) -> list[tuple[float, QubitState]]:
-    """Post-pulse snapshots (t_n, state) for n = 0..N plus the final state."""
-    post, tail = pulse_train(config, [state.as_array()],
-                             range(config.n_pulses + 1))
-    out = [(0.0, state)] + [(n * config.tau, QubitState.from_array(rs[0]))
-                            for n, rs in enumerate(post[1:], start=1)]
+def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, np.ndarray]]:
+    """Snapshots (t_n, r_n) after pulses n = 0..N from start r, then (t_f, r)
+    past pulse N; each r is a length-3 array checked to lie in the Bloch ball."""
+    r = np.asarray(r, dtype=float)
+    check_bloch_vector(*r.tolist())
+    post, tail = pulse_train(config, [r], range(config.n_pulses + 1))
+    out = [(0.0, r)] + [(n * config.tau, rs[0])
+                        for n, rs in enumerate(post[1:], start=1)]
     if config.t_f > config.n_pulses * config.tau:
-        out.append((config.t_f, QubitState.from_array(tail @ post[-1][0])))
+        final = tail @ post[-1][0]
+        check_bloch_vector(*final.tolist())
+        out.append((config.t_f, final))
     return out
 
 
@@ -207,14 +209,13 @@ def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalM
     longest = _sweep_longest(configs)
     eig0 = instantaneous_eigensystem(longest.drive, 0.0)
     post, longest_tail = pulse_train(
-        longest, [eig0.basis_plus.as_array(), eig0.basis_minus.as_array()],
+        longest, [np.array(eig0.basis_plus), np.array(eig0.basis_minus)],
         [pc.n_pulses for pc in configs])
     out = []
     for pc, rs in zip(configs, post):
         tail = longest_tail if pc is longest else _tail_rotation(pc)
         final_up = instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus
-        up, down = (QubitState.from_array(tail @ r).population_along(final_up)
-                    for r in rs)
+        up, down = (population_along(tail @ r, final_up) for r in rs)
         out.append(ConditionalMatrix.from_upper_row(up, down))
     return out
 
@@ -240,6 +241,8 @@ class EnergyChangeDistribution:
         p = np.asarray(self.probs, dtype=float)
         if v.shape != p.shape or v.ndim != 1:
             raise ValueError("values and probs must be matching 1-d arrays")
+        if not all(math.isfinite(x) for x in v.tolist()):
+            raise ValueError(f"non-finite energy change in {v.tolist()}")
         if not all(-PROBABILITY_TOL <= x for x in p.tolist()):
             raise ValueError(f"negative or NaN probability in {p.tolist()}")
         total = float(p.sum())
@@ -325,12 +328,9 @@ def fr_target(config: ProtocolConfig) -> float:
             / partition_function(beta, config.drive, 0.0))
 
 
-def fr_report(config: ProtocolConfig,
-              cm: ConditionalMatrix | None = None) -> FrReport:
-    """Deterministic fluctuation-relation evaluation for one config,
+def fr_report(config: ProtocolConfig, cm: ConditionalMatrix) -> FrReport:
+    """Fluctuation-relation evaluation of one config's transition matrix,
     with gamma = beta - beta_r from the thermal context."""
-    if cm is None:
-        cm = conditional_matrix(config)
     gamma = config.thermal.beta - config.thermal.beta_r
     dist = energy_change_distribution(cm, config)
     return FrReport(mean_delta_e=dist.mean(),

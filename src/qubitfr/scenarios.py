@@ -31,8 +31,9 @@ from . import channel as channel_mod
 from . import montecarlo, oracle, protocol
 from .channel import PulseChannelParams
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
-                   ThermalContext, evolve_unitary, free_energy_delta,
-                   gibbs_population, instantaneous_eigensystem)
+                   ThermalContext, bloch_rotation, check_bloch_vector,
+                   free_energy_delta, gibbs_population,
+                   instantaneous_eigensystem)
 
 
 class ConfigError(Exception):
@@ -389,15 +390,13 @@ def list_presets() -> list[str]:
     for name, cfg in PRESETS.items():
         bits = [f"{name}: {cfg.kind}", f"family={cfg.drive_family}"]
         if cfg.drive_family == "phase":
-            tau_theta = 2.0 * math.pi / cfg.theta
-            alpha = abs(math.degrees(math.atan2(cfg.omega0, cfg.theta)))
-            bits.append(f"tau_theta = {tau_theta:.0f} ns")
-            bits.append(f"alpha = {alpha:.1f} deg")
+            drive = build_drive(cfg)
+            bits.append(f"tau_theta = {drive.tau_theta:.0f} ns")
+            bits.append(f"alpha = {abs(math.degrees(drive.alpha)):.1f} deg")
             if cfg.target_upper_population is not None:
                 bits.append(f"target P_up_inf = {cfg.target_upper_population}")
             if cfg.beta != 0.0:
-                gap = math.hypot(cfg.omega0, cfg.theta)
-                p0 = 1.0 / (1.0 + math.exp(cfg.beta * gap))
+                p0 = gibbs_population(cfg.beta, drive, 0.0)
                 bits.append(f"P_up(0) = {p0:.3f}")
         else:
             bits.append(f"tau = {cfg.tau:.0f} ns")
@@ -501,14 +500,14 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
         snapshots = protocol.mean_trajectory(pc, start)
         for (t0, s0), (t1, _) in zip(snapshots, snapshots[1:]):
             for t in np.linspace(t0, t1, 17)[:-1]:
-                s = evolve_unitary(s0, res.drive, t0, float(t))
+                s = bloch_rotation(res.drive, t0, float(t)) @ s0
+                check_bloch_vector(*s.tolist())
                 n = protocol.pulses_applied(t0, cfg.tau)
                 rows.append([float(t), n, "deterministic", label,
-                             s.rx, s.ry, s.rz, int(t == t0 and t0 > 0)])
+                             *s, int(t == t0 and t0 > 0)])
         t_end, s_end = snapshots[-1]
         n_end = protocol.pulses_applied(t_end, cfg.tau)
-        rows.append([t_end, n_end, "deterministic", label,
-                     s_end.rx, s_end.ry, s_end.rz, int(t_end > 0)])
+        rows.append([t_end, n_end, "deterministic", label, *s_end, int(t_end > 0)])
     return header, rows
 
 

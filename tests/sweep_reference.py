@@ -7,7 +7,9 @@ propagation code with ``qubitfr.protocol.pulse_train``: ``pulse`` is its
 own copy of the pulse arithmetic, in the package's expression order.  So
 exact equality between the two is a meaningful check of the shared-prefix
 bookkeeping (pulse counts, tail rotations and final bases) and of the
-pulse arithmetic itself.
+pulse arithmetic itself.  Its Bloch vectors are local float triples
+(``triple``), and ``upper_population`` is its own copy of the package's
+measurement arithmetic.
 
 ``axis_angle`` and ``bloch_rotation`` are the numpy array-expression
 rotation builder the package used before it built each matrix element by
@@ -19,8 +21,8 @@ import math
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr.core import (AmplitudeModulatedDrive, QubitState, _is_stroboscopic,
-                          _rot_z, instantaneous_eigensystem, phase_integral)
+from qubitfr.core import (AmplitudeModulatedDrive, _is_stroboscopic, _rot_z,
+                          instantaneous_eigensystem, phase_integral)
 from qubitfr.protocol import ConditionalMatrix, ProtocolConfig, segment_rotations
 
 
@@ -55,26 +57,39 @@ def pulse(r: np.ndarray, channel: PulseChannelParams) -> np.ndarray:
                      (1.0 - pa) * rz + pa * rz_pumped])
 
 
-def propagate_mean(config: ProtocolConfig, state: QubitState) -> QubitState:
-    """Ensemble-averaged state at t_f starting from the given state at 0."""
+def triple(r) -> tuple[float, float, float]:
+    """The Bloch vector r as three floats; asserts that it lies in the ball."""
+    rx, ry, rz = (float(v) for v in r)
+    assert math.sqrt(rx * rx + ry * ry + rz * rz) <= 1.0 + 1e-12, (rx, ry, rz)
+    return rx, ry, rz
+
+
+def upper_population(r, axis) -> float:
+    """(1 + r . u)/2, the weight of Bloch vector r on the pure state u."""
+    (rx, ry, rz), (ux, uy, uz) = triple(r), axis
+    return 0.5 * (1.0 + (rx * ux + ry * uy + rz * uz))
+
+
+def propagate_mean(config: ProtocolConfig, start) -> tuple[float, float, float]:
+    """Ensemble-averaged Bloch vector at t_f from the given vector at 0."""
     rots, tail = segment_rotations(config)
-    r = state.as_array()
+    r = np.array(start)
     for rot in rots:
         r = pulse(rot @ r, config.channel)
-    return QubitState.from_array(tail @ r)
+    return triple(tail @ r)
 
 
 def mean_trajectory(config: ProtocolConfig,
-                    state: QubitState) -> list[tuple[float, QubitState]]:
-    """Post-pulse snapshots (t_n, state) for n = 0..N plus the final state."""
+                    start) -> list[tuple[float, tuple[float, float, float]]]:
+    """Post-pulse snapshots (t_n, r_n) for n = 0..N plus the final vector."""
     rots, tail = segment_rotations(config)
-    out = [(0.0, state)]
-    r = state.as_array()
+    out = [(0.0, triple(start))]
+    r = np.array(start)
     for n, rot in enumerate(rots, start=1):
         r = pulse(rot @ r, config.channel)
-        out.append((n * config.tau, QubitState.from_array(r)))
+        out.append((n * config.tau, triple(r)))
     if config.t_f > config.n_pulses * config.tau:
-        out.append((config.t_f, QubitState.from_array(tail @ r)))
+        out.append((config.t_f, triple(tail @ r)))
     return out
 
 
@@ -82,6 +97,6 @@ def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
     """Transition probabilities between the measurement bases at 0 and t_f."""
     eig0 = instantaneous_eigensystem(config.drive, 0.0)
     eigf = instantaneous_eigensystem(config.drive, config.t_f)
-    cols = [propagate_mean(config, initial).population_along(eigf.basis_plus)
+    cols = [upper_population(propagate_mean(config, initial), eigf.basis_plus)
             for initial in (eig0.basis_plus, eig0.basis_minus)]
     return ConditionalMatrix.from_upper_row(cols[0], cols[1])

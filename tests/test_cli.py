@@ -589,6 +589,14 @@ PRESET_CSV_SHA256 = {
         "55c20bdceff1047a4e6fafa2e7c11950d457d0e52036ce34aa55e7eb23fc6ddd",
 }
 
+# SHA-256 of the stdout of two catalog commands, pinned on the same terms.
+STDOUT_SHA256 = {
+    ("presets",):
+        "b2a471151d77e41b3b87cb155443c0e2ae7ac1fd399c49f51433ddd92b263ef1",
+    ("invert", "--target", "0.138", "--tau-theta", "616"):
+        "5de13da232755c9ca80903709c84840d01a7b3c164e1d2440d1846d07633d861",
+}
+
 
 def test_every_preset_is_pinned():
     assert sorted(PRESET_CSV_SHA256) == sorted(scenarios.PRESETS)
@@ -599,6 +607,13 @@ def test_preset_csv_bytes_are_pinned(name, tmp_path):
     scenarios.run_scenario(name, outdir=tmp_path)
     data = (tmp_path / f"{name}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == PRESET_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=lambda a: a[0])
+def test_command_stdout_is_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[argv]
 
 
 def test_output_digest_reports_changed_and_missing_labels():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qubitfr.channel import PulseChannelParams, pulse_step
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          QubitState, ThermalContext)
+                          ThermalContext)
 from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, fr_std_err,
                                 mean_energy_std_err, run_ensemble,
                                 run_ensembles)
@@ -92,13 +92,13 @@ def rekey_params():
 class TestSamplePulse:
     def test_consumes_exactly_three_uniforms(self):
         rng = np.random.default_rng(42)
-        sample_pulse(QubitState(0.0, 0.0, 0.2), PulseChannelParams(0.5, 0.5), rng)
+        sample_pulse((0.0, 0.0, 0.2), PulseChannelParams(0.5, 0.5), rng)
         witness = np.random.default_rng(42)
         witness.random(3)
         assert rng.random() == witness.random()
 
     def test_not_absorbed_leaves_state(self):
-        state = QubitState(0.1, 0.2, 0.3)
+        state = (0.1, 0.2, 0.3)
         out, event = sample_pulse(state, PulseChannelParams(0.0, 1.0),
                                   np.random.default_rng(0))
         assert out == state
@@ -108,26 +108,26 @@ class TestSamplePulse:
     def test_certain_absorption_projects_to_poles(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            out, event = sample_pulse(QubitState(0.3, -0.1, 0.4),
+            out, event = sample_pulse((0.3, -0.1, 0.4),
                                       PulseChannelParams(1.0, 0.5), rng)
             assert event.absorbed
-            assert abs(out.rz) == 1.0 and out.rx == 0.0 and out.ry == 0.0
+            rx, ry, rz = out
+            assert abs(rz) == 1.0 and rx == 0.0 and ry == 0.0
             if event.projection_outcome == 0:
-                assert out.rz == 1.0 and event.pumped is False
+                assert rz == 1.0 and event.pumped is False
             else:
-                assert event.pumped == (out.rz == 1.0)
+                assert event.pumped == (rz == 1.0)
 
     def test_sampling_mean_matches_channel(self):
-        state = QubitState(0.4, 0.1, -0.35)
+        state = (0.4, 0.1, -0.35)
         params = PulseChannelParams(0.6, 0.45)
         rng = np.random.default_rng(123)
         n = 40_000
         total = np.zeros(3)
         for _ in range(n):
             out, _ = sample_pulse(state, params, rng)
-            total += out.as_array()
-        expected = np.array(pulse_step(state.rx, state.ry, state.rz,
-                                       params.p_absorb, params.p_pump))
+            total += out
+        expected = np.array(pulse_step(*state, params.p_absorb, params.p_pump))
         # rz outcomes are +-1 with probability ~1/2, so sigma <~ 1/sqrt(n).
         assert np.all(np.abs(total / n - expected) < 4.0 / math.sqrt(n))
 

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 import dmtools
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          QubitState, ThermalContext, free_energy_delta,
+                          ThermalContext, free_energy_delta,
                           gibbs_population)
 from qubitfr.oracle import (WorkHeatSeries, floquet_asymptote,
                             floquet_population_recursion,

@@ -1,5 +1,6 @@
-"""Every public module-level function and class of the package is used by
-the package itself, so API that only the tests call cannot accumulate."""
+"""Every public module-level function and class of the package, and every
+public method and property of its classes, is used by the package itself,
+so API that only the tests call cannot accumulate."""
 
 import ast
 from pathlib import Path
@@ -35,4 +36,26 @@ def test_every_public_definition_is_used_in_the_package():
         if not any(node.name in names for _, other, names in statements
                    if other is not node):
             unused.append(f"{module}:{node.lineno} {node.name}")
+    assert unused == []
+
+
+def test_every_public_method_and_property_is_used_in_the_package():
+    # Units: each statement of a class body, and each other top-level
+    # statement, over the package; a method's own body is not a use.
+    units = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            for stmt in node.body if owner else [node]:
+                units.append((f"{path.name}:{stmt.lineno} {owner}", stmt,
+                              loaded_names(stmt), owner))
+    assert any(owner == "EnsembleStats" for *_, owner in units)
+    unused = []
+    for label, stmt, _, owner in units:
+        if (owner is None or not isinstance(stmt, ast.FunctionDef)
+                or stmt.name.startswith("_")):
+            continue
+        if not any(stmt.name in names for _, other, names, _ in units
+                   if other is not stmt):
+            unused.append(f"{label}.{stmt.name}")
     assert unused == []

@@ -11,8 +11,9 @@ import dmtools
 from qubitfr import scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          QubitState, ThermalContext, gibbs_population,
-                          instantaneous_eigensystem, partition_function)
+                          ThermalContext, gibbs_population,
+                          instantaneous_eigensystem, partition_function,
+                          population_along)
 from qubitfr.oracle import population_after_n_pulses
 from qubitfr.protocol import (ConditionalMatrix, EnergyChangeDistribution,
                               FrReport, ProtocolConfig, beta_reservoir,
@@ -194,15 +195,23 @@ class TestMeanPropagation:
         assert len(snaps) == 7
         for n, (t_n, state) in enumerate(snaps):
             assert t_n == pytest.approx(n * 410.0)
-            pop = state.population_along(eig.basis_plus)
+            pop = population_along(state, eig.basis_plus)
             assert pop == pytest.approx(
                 population_after_n_pulses(1.0, 0.25, n), abs=1e-14)
 
     def test_tail_snapshot_appended(self):
         pc = amplitude_config(tau=410.0, n_pulses=2, t_f=1000.0)
-        snaps = mean_trajectory(pc, QubitState(0.0, 0.0, 1.0))
+        snaps = mean_trajectory(pc, (0.0, 0.0, 1.0))
         assert len(snaps) == 4
         assert snaps[-1][0] == pytest.approx(1000.0)
+        assert snaps[0][1].tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("start", [(1.0, 0.0, 0.1), (math.nan, 0.0, 0.0)],
+                             ids=["off_ball", "nan"])
+    def test_start_outside_the_ball_rejected(self, start):
+        pc = amplitude_config(tau=410.0, n_pulses=0)  # no pulse, no tail
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            mean_trajectory(pc, start)
 
 
 class TestPulseTrainBlochCheck:
@@ -242,6 +251,12 @@ class TestEnergyChangeDistribution:
         for probs in ([bad, 1.0], [1.0, bad], [bad, bad]):
             with pytest.raises(ValueError):
                 EnergyChangeDistribution(np.array([0.0, 1.0]), np.array(probs))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        for values in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(ValueError, match="non-finite energy change"):
+                EnergyChangeDistribution(np.array(values), np.array([0.5, 0.5]))
 
     def test_nan_probability_fails_the_sign_check(self):
         # NaN fails every comparison, so "p < -tol" lets it through.
@@ -302,7 +317,7 @@ class TestFunctionals:
         # No pulses: the conditional matrix is the identity and the
         # functional telescopes to the partition ratio.
         pc = amplitude_config(tau=410.0, n_pulses=0, t_f=287.0)
-        report = fr_report(pc)
+        report = fr_report(pc, conditional_matrix(pc))
         assert report.deviation <= 1e-14
         assert report.gamma == pytest.approx(pc.thermal.beta)
 

@@ -55,17 +55,21 @@ def test_preset_sweeps_equal_per_point_reference(sweep):
     assert_matches_reference(sweep())
 
 
+def assert_snapshots_equal(pc, start):
+    """Each (t, r) snapshot equals the reference's, float by float."""
+    got = [(t, tuple(r.tolist())) for t, r in mean_trajectory(pc, start)]
+    assert got == sweep_reference.mean_trajectory(pc, start)
+
+
 def test_mean_trajectory_equals_reference():
     res = scenarios.resolve(scenarios.get_preset("fig2bcd"))
     pc = res.protocol_at(res.config.t_f_grid[-1])
     eig0 = instantaneous_eigensystem(res.drive, 0.0)
     for start in (eig0.basis_plus, eig0.basis_minus):
-        assert mean_trajectory(pc, start) == \
-            sweep_reference.mean_trajectory(pc, start)
+        assert_snapshots_equal(pc, start)
     tail = ProtocolConfig(pc.drive, pc.channel, pc.tau, 3, pc.thermal,
                           t_f=3.4 * pc.tau)
-    assert mean_trajectory(tail, eig0.basis_plus) == \
-        sweep_reference.mean_trajectory(tail, eig0.basis_plus)
+    assert_snapshots_equal(tail, eig0.basis_plus)
 
 
 @given(family=st.sampled_from(["amplitude", "phase"]),
