@@ -1,26 +1,23 @@
 """Reproducible trajectory ensembles for the pulsed protocols.
 
-Reproducibility contract (random-number layout ``RNG_LAYOUT`` = 2): all
-trajectories of a run share the counter-based stream
-``Philox(key=[master_seed, 0])``, and trajectory i owns its words
-``[i * Wp, (i + 1) * Wp)``, ``Wp = 4 * ceil((3 * n_pulses + 1) / 4)``
-(whole Philox blocks).  It uses the first 3 per pulse (absorption,
-projection outcome, pump success) plus 1 for the final measurement,
-whether or not the branches fire.  A walk starts at trajectory 0 and
-draws each chunk's words in one call; aggregates are exact integer
-counts.  Results are therefore a pure function of
-(master_seed, i) per trajectory and bit-identical however trajectories
-are chunked.
+Reproducibility contract (random-number layout ``RNG_LAYOUT`` = 3): the
+uniform of role k (0 absorption, 1 projection outcome, 2 pump success,
+3 final measurement) read after j pulses is word i, for trajectory i, of
+its own counter-based stream ``Philox(key=[master_seed, 4 * j + k + 1])``.
+A pulse uses its three words whether or not the branches fire, and a
+chunk draws its words of each stream in one call; aggregates are exact
+integer counts.  Results are therefore a pure function of (master_seed, i)
+per trajectory and bit-identical however trajectories are chunked.
 
 An ensemble's up starts own indices [0, n) and its down starts [n, 2n),
-so both are one walk over [0, 2n).  Trajectory i's words depend only on
-(master_seed, i, n_pulses), so a sweep walks once per distinct pulse
-count and its points of that count differ only in tail rotation and
-final axis: they share trajectories, and their estimates are correlated.
+so both are one walk over [0, 2n).  No word depends on a point's pulse
+count, so a sweep is one walk to its largest count that measures each
+point when its count comes up: the points share trajectory prefixes, and
+their estimates are correlated across t_f.
 
 The engine is vectorized over a chunk of trajectories; the tests hold it
-to an independent scalar walker that builds each trajectory's generator
-at its counter and walks the same words pulse by pulse.
+to an independent scalar walker that builds each word's generator at its
+counter and walks the same words pulse by pulse.
 
 Estimates are the ``protocol`` functionals evaluated on the empirical
 matrix ``EnsembleStats.conditional_estimate()``; this module adds only
@@ -40,9 +37,9 @@ from .protocol import (ConditionalMatrix, ProtocolConfig, _sweep_longest,
                        _tail_rotation, initial_probabilities, segment_rotations)
 
 DEFAULT_CHUNK = 4096
-# Recorded in sampling manifests.  Layout 1 keyed a separate stream
-# (master_seed, i) per trajectory.
-RNG_LAYOUT = 2
+# Recorded in sampling manifests.  Layout 1 keyed a stream per trajectory,
+# layout 2 a block of one stream sized by the trajectory's pulse count.
+RNG_LAYOUT = 3
 
 
 @dataclass(frozen=True)
@@ -107,54 +104,67 @@ def _check_arguments(*table: tuple[str, object, int, float]) -> None:
                              f"got {value!r}")
 
 
-def _walk(rotations: list[np.ndarray], configs: Sequence[ProtocolConfig],
-          tails: Sequence[np.ndarray], master_seed: int,
-          n_per_initial: int, chunk_size: int) -> tuple[np.ndarray, int]:
+def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: int,
+          chunk_size: int) -> tuple[np.ndarray, dict[int, int]]:
     """(final-up counts of the up and the down starts per config, shape
-    (len(configs), 2); absorbed-pulse count) of trajectory indices
-    [0, 2 * n_per_initial) walked through ``rotations``, starting up below
-    n_per_initial.  The configs share that pulse count; ``tails`` are
-    their tail rotations."""
-    channel = configs[0].channel
-    start_up = np.array(instantaneous_eigensystem(configs[0].drive, 0.0).basis_plus)
-    axes = [np.array(instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus)
-            for pc in configs]
-    n_pulses = len(rotations)
-    stride = 4 * -(-(3 * n_pulses + 1) // 4)  # Wp, whole 4-word Philox blocks
-    bitgen = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-    draw = np.random.Generator(bitgen).random  # each chunk draws in one call
+    (len(configs), 2); absorbed-pulse count at each config's pulse count)
+    of trajectory indices [0, 2 * n_per_initial), starting up below
+    n_per_initial, walked once to the largest pulse count."""
+    longest = _sweep_longest(configs)
+    rotations, longest_tail = segment_rotations(longest)
+    start_up = np.array(instantaneous_eigensystem(longest.drive, 0.0).basis_plus)
+    points: dict[int, list] = {}  # pulse count -> (config, tail, final axis)
+    for c, pc in enumerate(configs):
+        points.setdefault(pc.n_pulses, []).append((
+            c, longest_tail if pc is longest else _tail_rotation(pc),
+            np.array(instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus)))
+
+    def stream(n: int, role: int):  # role's uniforms read after n pulses
+        key = np.array([master_seed, 4 * n + role + 1], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key)).random
+
+    pulse_draws = [[stream(n, role) for role in range(3)]
+                   for n in range(len(rotations))]
+    final_draws = {n: stream(n, 3) for n in points}
+    p_absorb, p_pump = longest.channel.p_absorb, longest.channel.p_pump
     ups = np.zeros((len(configs), 2), dtype=np.int64)
-    absorbed_total = 0
+    absorbed_at = dict.fromkeys(points, 0)
     end = 2 * n_per_initial
     for start in range(0, end, chunk_size):
         stop = min(start + chunk_size, end)
-        u = draw((stop - start, stride)).T  # u[k]: word k of each trajectory
+        m = stop - start
+        n_up = min(max(n_per_initial - start, 0), m)
         sign = np.where(np.arange(start, stop) < n_per_initial, 1.0, -1.0)
         r = start_up[:, None] * sign
-        for n, rot in enumerate(rotations):
-            r = rot @ r
-            absorbed = u[3 * n] < channel.p_absorb
-            ends_up = ((u[3 * n + 1] < 0.5 * (1.0 + r[2]))
-                       | (u[3 * n + 2] < channel.p_pump))
+        absorbed_total = 0
+        for n in range(len(rotations) + 1):
+            if n in points:
+                u_final = final_draws[n](m)
+                for c, tail, axis in points[n]:
+                    # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the
+                    # row-major product keeps earlier releases' Born probabilities.
+                    r_final = np.ascontiguousarray((tail @ r).T)
+                    hit = u_final < 0.5 * (1.0 + r_final @ axis)
+                    ups[c] += (np.count_nonzero(hit[:n_up]),
+                               np.count_nonzero(hit[n_up:]))
+                absorbed_at[n] += absorbed_total
+            if n == len(rotations):
+                break
+            u_absorb, u_outcome, u_pump = (draw(m) for draw in pulse_draws[n])
+            r = rotations[n] @ r
+            absorbed = u_absorb < p_absorb
+            ends_up = (u_outcome < 0.5 * (1.0 + r[2])) | (u_pump < p_pump)
             r[2] = np.where(absorbed, np.where(ends_up, 1.0, -1.0), r[2])
             r[:2] = np.where(absorbed, 0.0, r[:2])
             absorbed_total += int(np.count_nonzero(absorbed))
-        n_up = min(max(n_per_initial - start, 0), stop - start)
-        for counts, tail, axis in zip(ups, tails, axes):
-            # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the
-            # row-major product keeps earlier releases' Born probabilities.
-            r_final = np.ascontiguousarray((tail @ r).T)
-            hit = u[3 * n_pulses] < 0.5 * (1.0 + r_final @ axis)
-            counts += np.count_nonzero(hit[:n_up]), np.count_nonzero(hit[n_up:])
-        del u  # free this chunk's words before the next draw
-    return ups, absorbed_total
+    return ups, absorbed_at
 
 
 def run_ensembles(configs: Sequence[ProtocolConfig], n_per_initial: int,
                   master_seed: int, *,
                   chunk_size: int = DEFAULT_CHUNK) -> list[EnsembleStats]:
-    """Both initializations at each config of a sweep, walked once per
-    distinct pulse count: the sampled ``protocol.conditional_matrices``.
+    """Both initializations at each config of a sweep, walked once to the
+    largest pulse count: the sampled ``protocol.conditional_matrices``.
 
     The configs must share drive, channel and tau, else ``ValueError``,
     which is also raised naming the first argument that is not an int in
@@ -165,19 +175,11 @@ def run_ensembles(configs: Sequence[ProtocolConfig], n_per_initial: int,
                      ("master_seed", master_seed, 0, 2**64))
     if not configs:
         return []
-    longest = _sweep_longest(configs)
-    rotations, longest_tail = segment_rotations(longest)
     n = n_per_initial
-    stats = {}
-    for k in {pc.n_pulses for pc in configs}:
-        group = [pc for pc in configs if pc.n_pulses == k]
-        tails = [longest_tail if pc is longest else _tail_rotation(pc) for pc in group]
-        ups, absorbed = _walk(rotations[:k], group, tails, master_seed, n, chunk_size)
-        for pc, (up, down) in zip(group, ups):
-            counts = np.array([[up, down], [n - up, n - down]])
-            stats[pc] = EnsembleStats(counts, counts.sum(axis=0), absorbed,
-                                      2 * n * k, master_seed)
-    return [stats[pc] for pc in configs]
+    ups, absorbed = _walk(configs, master_seed, n, chunk_size)
+    return [EnsembleStats([[up, down], [n - up, n - down]], [n, n],
+                          absorbed[pc.n_pulses], 2 * n * pc.n_pulses, master_seed)
+            for pc, (up, down) in zip(configs, ups)]
 
 
 def run_ensemble(config: ProtocolConfig, n_per_initial: int, master_seed: int,

@@ -60,12 +60,11 @@ DEFAULT_MASTER_SEED = 20260814
 DEFAULT_TRAJECTORIES = 100_000
 OUTDIR_ENV = "QUBITFR_OUTDIR"
 
-# Admits every preset (at most 50 pulses) and 500-pulse sweeps, and bounds a
-# Monte-Carlo chunk's draws at 4096 x 3004 float64 (about 98 MB).
+# Admits every preset (at most 50 pulses) and 500-pulse sweeps.
 MAX_PULSES = 1000
-# Caps a run's sampling work: 2 x n_trajectories x the sum, over the sampled
-# grid points, of (pulses + 1).  16x the largest preset, fig5b/c/d with
-# mc_grid "all" at the default trajectory count (2.65e8).
+# Caps a run's sampling work, one walk to the largest sampled pulse count:
+# 2 x n_trajectories x (that count + the number of sampled points).  107x
+# the largest preset, fig5a with mc_grid "all" at the default count (4.0e7).
 MAX_SAMPLED_STEPS = 2**32
 # UTF-8 bytes of a name or prefix: "<prefix>_manifest.json" plus a
 # temporary-file suffix must fit the common 255-byte file-name limit.
@@ -169,13 +168,12 @@ class ScenarioConfig:
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(
                 f"master_seed must be in [0, 2**64), got {self.master_seed}")
-        sampled = self.sampled_grid()
-        steps = 2 * self.n_trajectories * sum(1 + self.pulses_at(t)
-                                              for t in sampled)
+        sampled = self.sampled_grid()  # ascending, so the last has the most pulses
+        steps = 2 * self.n_trajectories * (self.pulses_at(sampled[-1]) + len(sampled))
         if steps > MAX_SAMPLED_STEPS:
             raise ConfigError(
-                f"n_trajectories = {self.n_trajectories} asks for {steps:.3g} "
-                f"sampled pulse steps at the {len(sampled)} sampled grid "
+                f"n_trajectories = {self.n_trajectories} asks for {steps:.3g} pulse "
+                f"steps and measurements over {len(sampled)} sampled grid "
                 f"point(s); at most {MAX_SAMPLED_STEPS} are allowed")
 
     def pulses_at(self, t_f: float) -> int:

@@ -1,13 +1,17 @@
 """Independent scalar reference for the trajectory sampler.
 
-Each trajectory gets its own freshly constructed counter-based generator,
-positioned by its ``counter`` argument at the trajectory's first block of
-the run's stream (random-number layout 2), and is walked pulse by pulse on
-a single Bloch vector, a local (rx, ry, rz) float triple, recording every
-pulse outcome.  Nothing here shares code with ``qubitfr.montecarlo``: the
-package engine walks the stream in order from trajectory 0, drawing and
-propagating a whole chunk at once, so agreement between the two is a
-meaningful check of stream positions, draw order and branch logic.
+Random-number layout 3: the uniform of role k (0 absorption, 1 projection
+outcome, 2 pump success, 3 final measurement) read after j pulses is word
+i of stream ``Philox(key=[master_seed, 4 * j + k + 1])`` for trajectory
+i.  Here every such word gets its own freshly constructed generator,
+positioned by its ``counter`` argument at the word's 4-word block, and
+each trajectory is walked pulse by pulse on a single Bloch vector, a local
+(rx, ry, rz) float triple, recording every pulse outcome.  Nothing here
+shares code with ``qubitfr.montecarlo``: the package engine draws each
+stream in order from trajectory 0, a whole chunk per call, and walks the
+chunk once for a whole sweep, so agreement between the two is a
+meaningful check of stream keys, word positions, draw order and branch
+logic.
 """
 
 import math
@@ -20,19 +24,21 @@ from qubitfr.core import instantaneous_eigensystem
 from qubitfr.protocol import ProtocolConfig, segment_rotations
 
 
-def words_per_trajectory(n_pulses: int) -> int:
-    """``Wp``: 3 uniforms per pulse plus 1, rounded up to whole 4-word blocks."""
-    return 4 * ((3 * n_pulses + 1 + 3) // 4)
+def derive_stream(master_seed: int, n: int, role: int,
+                  trajectory_index: int) -> np.random.Generator:
+    """Generator whose next word is word ``trajectory_index`` of the stream
+    of ``role`` read after ``n`` pulses: built at the word's block, then
+    advanced past the ``trajectory_index % 4`` words before it."""
+    key = np.array([master_seed, 4 * n + role + 1], dtype=np.uint64)
+    counter = np.array([trajectory_index // 4, 0, 0, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    rng.random(trajectory_index % 4)
+    return rng
 
 
-def derive_stream(master_seed: int, trajectory_index: int,
-                  n_pulses: int) -> np.random.Generator:
-    """Generator whose first ``Wp`` words are trajectory ``trajectory_index``'s
-    words ``[i * Wp, (i + 1) * Wp)`` of ``Philox(key=[master_seed, 0])``."""
-    key = np.array([master_seed, 0], dtype=np.uint64)
-    block = trajectory_index * words_per_trajectory(n_pulses) // 4
-    counter = np.array([block, 0, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+def uniform(master_seed: int, n: int, role: int, trajectory_index: int) -> float:
+    """Trajectory ``trajectory_index``'s uniform of ``role`` after ``n`` pulses."""
+    return float(derive_stream(master_seed, n, role, trajectory_index).random())
 
 
 @dataclass(frozen=True)
@@ -72,15 +78,11 @@ def triple(r) -> Triple:
     return rx, ry, rz
 
 
-def sample_pulse(state: Triple, params: PulseChannelParams,
-                 rng: np.random.Generator) -> tuple[Triple, PulseEvent]:
-    """Sample one pulse acting on a pure-state trajectory (rx, ry, rz).
-
-    Consumes exactly three uniform variates (absorption, projection
-    outcome, pump success) regardless of which branches fire, so that
-    trajectories with a fixed pulse count draw a fixed-length stream.
-    """
-    u_absorb, u_outcome, u_pump = rng.random(3)
+def sample_pulse(state: Triple, params: PulseChannelParams, u_absorb: float,
+                 u_outcome: float, u_pump: float) -> tuple[Triple, PulseEvent]:
+    """Sample one pulse acting on a pure-state trajectory (rx, ry, rz) from
+    its three uniforms (absorption, projection outcome, pump success), all
+    drawn whether or not the branches fire."""
     if u_absorb >= params.p_absorb:
         return state, PulseEvent(absorbed=False)
     p_upper = 0.5 * (1.0 + state[2])  # population of |0> in the z-basis
@@ -101,16 +103,18 @@ def run_records(config: ProtocolConfig, initial_index: int, n: int,
     sign = 1.0 if initial_index == 0 else -1.0
     records = []
     for idx in range(index_offset, index_offset + n):
-        rng = derive_stream(master_seed, idx, config.n_pulses)
         state = triple(sign * start)
         events = []
-        for rot in rots:
+        for j, rot in enumerate(rots):
             state = triple(rot @ np.array(state))
-            state, event = sample_pulse(state, config.channel, rng)
+            state, event = sample_pulse(
+                state, config.channel,
+                *(uniform(master_seed, j, role, idx) for role in range(3)))
             events.append(event)
         state = triple(tail @ np.array(state))
         p_up = 0.5 * (1.0 + float(np.array(state) @ final_axis))
-        final_index = 0 if rng.random() < p_up else 1
+        u_final = uniform(master_seed, config.n_pulses, 3, idx)
+        final_index = 0 if u_final < p_up else 1
         records.append(TrajectoryRecord(initial_index, final_index,
                                         tuple(events), idx))
     return records

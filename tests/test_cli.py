@@ -331,7 +331,7 @@ class TestLoadConfig:
         if mode == "deterministic":
             assert "rng_layout" not in on_disk
         else:
-            assert on_disk["rng_layout"] == 2
+            assert on_disk["rng_layout"] == 3
 
     def test_deterministic_manifest_without_layout_loads(self, tmp_path):
         manifest = run_scenario(small_phase_config(), outdir=tmp_path)
@@ -347,8 +347,8 @@ class TestLoadConfig:
         path.write_text(json.dumps(cfg.to_dict()))
         assert load_config(path) == cfg
 
-    @pytest.mark.parametrize("layout", [None, 1, 3, "2"],
-                             ids=["absent", "1", "3", "string"])
+    @pytest.mark.parametrize("layout", [None, 1, 2, "3"],
+                             ids=["absent", "1", "2", "string"])
     def test_manifest_of_another_rng_layout_is_rejected(self, tmp_path, layout):
         # A sampled manifest of another layout cannot be reproduced, so
         # `run` refuses it with exit 2 before anything is written.
@@ -367,7 +367,7 @@ class TestLoadConfig:
         assert "configuration error" in proc.stderr
         assert ("no rng_layout" if layout is None
                 else f"rng_layout {layout!r}") in proc.stderr
-        assert "samples only with rng_layout 2" in proc.stderr
+        assert "samples only with rng_layout 3" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert not list(outdir.iterdir())

@@ -16,8 +16,7 @@ from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, fr_std_err,
 from qubitfr.protocol import (ProtocolConfig, conditional_matrix,
                               energy_change_distribution, fr_report, fr_target)
 from qubitfr.scenarios import get_preset, resolve
-from scalar_sampler import (derive_stream, run_records, sample_pulse,
-                            words_per_trajectory)
+from scalar_sampler import PulseEvent, derive_stream, run_records, sample_pulse
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -38,39 +37,41 @@ def phase_config(n_pulses=4, tau_theta=616.0, pd=0.45, beta=0.0, beta_r=0.0):
 
 class TestStreams:
     def test_streams_are_reproducible(self):
-        a = derive_stream(SEED, 17, 3).random(8)
-        b = derive_stream(SEED, 17, 3).random(8)
+        a = derive_stream(SEED, 2, 1, 17).random(8)
+        b = derive_stream(SEED, 2, 1, 17).random(8)
         assert np.array_equal(a, b)
 
     def test_streams_are_distinct_per_index(self):
-        a = derive_stream(SEED, 0, 3).random(8)
-        b = derive_stream(SEED, 1, 3).random(8)
-        assert not np.array_equal(a, b)
+        # Per trajectory, and per pulse count and role of the same word.
+        words = {(n, role, i): derive_stream(SEED, n, role, i).random()
+                 for n in (0, 1, 12) for role in range(4) for i in (0, 1, 5)}
+        assert len(set(words.values())) == len(words)
 
     def test_batched_draws_equal_sequential_draws(self):
         # The package engine and the scalar reference rely on a block
         # request consuming the stream exactly like repeated scalar requests.
-        batch = derive_stream(SEED, 5, 3).random(13)
-        rng = derive_stream(SEED, 5, 3)
+        batch = derive_stream(SEED, 3, 0, 5).random(13)
+        rng = derive_stream(SEED, 3, 0, 5)
         sequential = np.array([rng.random() for _ in range(13)])
         assert np.array_equal(batch, sequential)
 
     @pytest.mark.parametrize("n_pulses", [0, 50])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_advance_counter_and_slicing_agree(self, seed, n_pulses):
-        # Three independent ways to reach trajectory i's words of layout 2:
-        # skip ahead, construct at a counter (the scalar reference), and
-        # slice one long draw from the start (the package engine).
-        wp = words_per_trajectory(n_pulses)
-        assert wp % 4 == 0 and 3 * n_pulses + 1 <= wp < 3 * n_pulses + 5
-        key = np.array([seed, 0], dtype=np.uint64)
-        whole = np.random.Generator(np.random.Philox(key=key)).random(12346 * wp)
-        for i in (0, 1, 7, 12345):
-            bitgen = np.random.Philox(key=key)
-            bitgen.advance(i * wp // 4)
-            advanced = np.random.Generator(bitgen).random(wp)
-            assert np.array_equal(advanced, derive_stream(seed, i, n_pulses).random(wp))
-            assert np.array_equal(advanced, whole[i * wp:(i + 1) * wp])
+        # Three independent ways to reach word i of the layout-3 stream of
+        # each role read after n_pulses pulses: skip ahead, construct at a
+        # counter (the scalar reference), and slice one long draw from the
+        # start (the package engine).
+        for role in range(4):
+            key = np.array([seed, 4 * n_pulses + role + 1], dtype=np.uint64)
+            whole = np.random.Generator(np.random.Philox(key=key)).random(12350)
+            for i in (0, 1, 7, 12345):
+                bitgen = np.random.Philox(key=key)
+                bitgen.advance(i // 4)
+                advanced = np.random.Generator(bitgen).random(i % 4 + 4)[i % 4:]
+                assert np.array_equal(
+                    advanced, derive_stream(seed, n_pulses, role, i).random(4))
+                assert np.array_equal(advanced, whole[i:i + 4])
 
 
 # (master_seed, chunk_size) for the engine cross-check.  The first case is
@@ -90,17 +91,20 @@ def rekey_params():
 
 
 class TestSamplePulse:
-    def test_consumes_exactly_three_uniforms(self):
-        rng = np.random.default_rng(42)
-        sample_pulse((0.0, 0.0, 0.2), PulseChannelParams(0.5, 0.5), rng)
-        witness = np.random.default_rng(42)
-        witness.random(3)
-        assert rng.random() == witness.random()
+    def test_thresholds_are_strict(self):
+        # A uniform equal to its probability takes the branch that the
+        # probability excludes: not absorbed, then outcome 1, then not pumped.
+        params = PulseChannelParams(0.5, 0.25)
+        state = (0.0, 0.0, 0.0)
+        assert sample_pulse(state, params, 0.5, 0.0, 0.0) == (
+            state, PulseEvent(absorbed=False))
+        assert sample_pulse(state, params, 0.0, 0.5, 0.25) == (
+            (0.0, 0.0, -1.0), PulseEvent(True, 1, False))
 
     def test_not_absorbed_leaves_state(self):
         state = (0.1, 0.2, 0.3)
         out, event = sample_pulse(state, PulseChannelParams(0.0, 1.0),
-                                  np.random.default_rng(0))
+                                  *np.random.default_rng(0).random(3))
         assert out == state
         assert not event.absorbed
         assert event.projection_outcome is None and event.pumped is None
@@ -109,7 +113,7 @@ class TestSamplePulse:
         rng = np.random.default_rng(5)
         for _ in range(50):
             out, event = sample_pulse((0.3, -0.1, 0.4),
-                                      PulseChannelParams(1.0, 0.5), rng)
+                                      PulseChannelParams(1.0, 0.5), *rng.random(3))
             assert event.absorbed
             rx, ry, rz = out
             assert abs(rz) == 1.0 and rx == 0.0 and ry == 0.0
@@ -125,7 +129,7 @@ class TestSamplePulse:
         n = 40_000
         total = np.zeros(3)
         for _ in range(n):
-            out, _ = sample_pulse(state, params, rng)
+            out, _ = sample_pulse(state, params, *rng.random(3))
             total += out
         expected = np.array(pulse_step(*state, params.p_absorb, params.p_pump))
         # rz outcomes are +-1 with probability ~1/2, so sigma <~ 1/sqrt(n).
@@ -135,7 +139,7 @@ class TestSamplePulse:
 class TestEngineEquivalence:
     @pytest.mark.parametrize("make,seed,chunk_size", rekey_params())
     def test_record_engine_matches_vectorized_engine(self, make, seed, chunk_size):
-        # The scalar reference builds one generator per trajectory at its
+        # The scalar reference builds one generator per word at its
         # counter, so it checks the package engine's chunk draws across
         # chunk boundaries, across the up/down boundary and at the ends of
         # the seed range.
@@ -155,11 +159,11 @@ class TestEngineEquivalence:
             "master_seed": seed}
 
     @pytest.mark.parametrize("preset,counts,absorbed", [
-        ("fig5d", [[2116, 901], [17884, 19099]], 500378),
-        ("fig4b", [[10352, 9618], [9648, 10382]], 120071)],
+        ("fig5d", [[2036, 956], [17964, 19044]], 499490),
+        ("fig4b", [[10305, 9640], [9695, 10360]], 119868)],
         ids=["fig5d", "fig4b"])
     def test_realizations_are_pinned(self, preset, counts, absorbed):
-        # Counts of random-number layout 2; any change to the streams or to
+        # Counts of random-number layout 3; any change to the streams or to
         # the propagation arithmetic shows here.
         res = resolve(get_preset(preset))
         stats = run_ensemble(res.protocol_at(res.config.t_f_grid[-1]),
@@ -176,7 +180,7 @@ class TestEngineEquivalence:
     @given(seed=st.integers(0, 2**64 - 1), chunk_size=st.integers(1, 700),
            n_pulses=st.integers(0, 12), n=st.integers(1, 400))
     def test_any_chunking_equals_default_run(self, seed, chunk_size, n_pulses, n):
-        # A sweep of up to three pulse counts, so up to three walks.
+        # A sweep of up to three pulse counts, walked once.
         configs = [phase_config(n_pulses=k)
                    for k in sorted({0, n_pulses // 2, n_pulses})]
         whole = [s.to_dict() for s in run_ensembles(configs, n, seed)]

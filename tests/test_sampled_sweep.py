@@ -1,4 +1,4 @@
-"""The grouped walk of a sampled sweep: ``run_ensembles`` against separate
+"""The single walk of a sampled sweep: ``run_ensembles`` against separate
 per-point runs and against the scalar reference walker, a pinned CSV
 digest, and the work a sampled sweep does."""
 
@@ -35,12 +35,14 @@ def preset_sweep(name, **overrides):
                                  st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)),
                        min_size=1, max_size=12),
        n=st.integers(1, 300), chunk_size=st.integers(1, 700),
-       seed=st.integers(0, 2**64 - 1))
+       single_chunk_size=st.integers(1, 700), seed=st.integers(0, 2**64 - 1))
 def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
-                                           p_pump, points, n, chunk_size, seed):
+                                           p_pump, points, n, chunk_size,
+                                           single_chunk_size, seed):
     """Ascending grids up to 12 pulses with repeated pulse counts: one walk
-    per pulse count over both initial states equals, point by point, each
-    point run on its own."""
+    of the whole sweep over both initial states equals, point by point and
+    absorbed pulses included, each point run on its own under another
+    chunk size."""
     period = tau if drive_period is None else drive_period
     if family == "amplitude":
         drive = AmplitudeModulatedDrive(OMEGA0_A, period)
@@ -53,7 +55,7 @@ def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
     grouped = run_ensembles(pcs, n, seed, chunk_size=chunk_size)
     assert len(grouped) == len(pcs)
     for pc, stats in zip(pcs, grouped):
-        separate = run_ensemble(pc, n, seed)
+        separate = run_ensemble(pc, n, seed, chunk_size=single_chunk_size)
         assert stats.to_dict() == separate.to_dict(), pc.t_f
 
 
@@ -77,35 +79,55 @@ def test_grouped_walk_equals_scalar_reference():
 
 
 def test_sampled_sweep_csv_is_pinned(tmp_path):
-    # Derived before sweeps were grouped by pulse count; any change to the
-    # streams, the propagation or the CSV shows here.
+    # Derived under random-number layout 3; any change to the streams, the
+    # propagation or the CSV shows here.
     assert main(["run", "fig2a", "--mode", "montecarlo", "--mc-grid", "all",
                  "--trajectories", "200", "--seed", "777",
                  "--outdir", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "fig2a.csv").read_bytes()).hexdigest()
-    assert digest == "e02a78c2b3de3cfa34cb4bd44850339bc2ec97ff8af53edc0896eb6626ab3a9f"
+    assert digest == "c591abe63f33121959a4e46d82bc5c25267a56f13c96b6ee8582bc9f7869d607"
 
 
-def test_sampled_sweep_walks_once_per_pulse_count(tmp_path, monkeypatch):
-    """One random stream per distinct pulse count (13 on fig2a's 97 points,
-    not two per point), and each period rotation built about once."""
+def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch):
+    """fig2a's 97 points on 13 pulse counts: each chunk steps through the
+    longest point's pulses once, with one stream per (pulse, role) and one
+    final-measurement stream per distinct count, and each period rotation
+    is built about once."""
     cfg, pcs = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
                             n_trajectories=200)
-    streams, rotations = [], []
+    streams, rotations, draws = [], [], []
     real_philox, real_rotation = np.random.Philox, protocol.bloch_rotation
+    real_generator = np.random.Generator
 
     def counting_philox(*args, **kwargs):
-        streams.append(args)
+        streams.append(kwargs["key"][1])
         return real_philox(*args, **kwargs)
 
     def counting_rotation(*args):
         rotations.append(args)
         return real_rotation(*args)
 
+    class CountingGenerator(real_generator):
+        def random(self, size=None, **kwargs):
+            draws.append(size)
+            return super().random(size, **kwargs)
+
     monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     monkeypatch.setattr(protocol, "bloch_rotation", counting_rotation)
     scenarios.run_scenario(cfg, outdir=tmp_path)
-    assert len({pc.n_pulses for pc in pcs}) == 13
-    assert len(streams) == 13
-    n_max = max(pc.n_pulses for pc in pcs)
+    counts = {pc.n_pulses for pc in pcs}
+    n_max = max(counts)
+    assert (len(pcs), len(counts), n_max) == (97, 13, 12)
+    # Keys 4 j + k + 1: roles 0..2 of each pulse, role 3 at each count.
+    role_keys = [4 * j + k + 1 for j in range(n_max) for k in range(3)]
+    assert sorted(streams) == sorted(role_keys + [4 * n + 4 for n in counts])
+    assert len(streams) == 3 * n_max + len(counts)
+    # Per chunk, three draws per pulse step and one per measured count:
+    # one chunk of 400 trajectories here, chunks of 150, 150 and 100 below.
+    per_chunk = 3 * n_max + len(counts)
+    assert draws == [400] * per_chunk
     assert 0 < len(rotations) <= n_max + len(pcs) + 2
+    draws.clear()
+    run_ensembles(pcs, 200, 777, chunk_size=150)
+    assert draws == [150] * per_chunk + [150] * per_chunk + [100] * per_chunk
