@@ -54,8 +54,8 @@ def pulse_step(rx: float, ry: float, rz: float, p_absorb: float,
             (1.0 - p_absorb) * rz + p_absorb * rz_pulsed)
 
 
-def _period_map(drive: DriveSpec, params: PulseChannelParams,
-                tau: float) -> tuple[np.ndarray, np.ndarray]:
+def period_map(drive: DriveSpec, params: PulseChannelParams,
+               tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Linear part and offset of one period of drive followed by a pulse."""
     rot = bloch_rotation(drive, 0.0, tau)
     pa, pd = params.p_absorb, params.p_pump
@@ -76,7 +76,7 @@ def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
     if params.p_absorb == 0.0:
         raise DegenerateChannelError("p_absorb = 0: the period map is unitary "
                                      "and has no attracting fixed point")
-    lin, offset = _period_map(drive, params, tau)
+    lin, offset = period_map(drive, params, tau)
     r = np.linalg.solve(np.eye(3) - lin, offset)
     residual = float(np.max(np.abs(lin @ r + offset - r)))
     if residual > FIXED_POINT_RESIDUAL_TOL:

@@ -111,7 +111,7 @@ def _cmd_invert(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     k = oracle.k_factor(p_pump, drive.alpha)
-    k_proj = oracle.k_factor_projective(p_pump, drive.alpha)
+    k_proj = oracle.k_factor(p_pump, drive.alpha, projective=True)
     beta_r = beta_reservoir(args.target, drive.gap)
     print(f"p_pump            {p_pump!r}")
     print(f"closed-form p_pump {oracle.invert_pump_closed_form(args.target, drive.alpha)!r}"

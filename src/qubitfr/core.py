@@ -91,8 +91,10 @@ class PhaseRotatingDrive:
     def __post_init__(self) -> None:
         if not (self.omega0 > 0 and math.isfinite(self.omega0)):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if not (self.theta > 0 and math.isfinite(self.theta)):
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not (self.theta > 0 and math.isfinite(self.theta)
+                and math.isfinite(self.tau_theta)):
+            raise ValueError(f"theta = {self.theta!r} must be positive, with a "
+                             f"finite period 2 pi / theta")
 
     @property
     def tau_theta(self) -> float:

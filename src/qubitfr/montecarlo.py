@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import instantaneous_eigensystem
-from .protocol import (ConditionalMatrix, ProtocolConfig, _sweep_longest,
-                       _tail_rotation, initial_probabilities, segment_rotations)
+from .protocol import (ConditionalMatrix, ProtocolConfig, initial_probabilities,
+                       segment_rotations, sweep_longest, tail_rotation)
 
 DEFAULT_CHUNK = 4096
 # Recorded in sampling manifests.  Layout 1 keyed a stream per trajectory,
@@ -110,14 +110,13 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
     (len(configs), 2); absorbed-pulse count at each config's pulse count)
     of trajectory indices [0, 2 * n_per_initial), starting up below
     n_per_initial, walked once to the largest pulse count."""
-    longest = _sweep_longest(configs)
-    rotations, longest_tail = segment_rotations(longest)
+    longest = sweep_longest(configs)
+    rotations = segment_rotations(longest)
     start_up = np.array(instantaneous_eigensystem(longest.drive, 0.0).basis_plus)
     points: dict[int, list] = {}  # pulse count -> (config, tail, final axis)
     for c, pc in enumerate(configs):
-        points.setdefault(pc.n_pulses, []).append((
-            c, longest_tail if pc is longest else _tail_rotation(pc),
-            np.array(instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus)))
+        axis = np.array(instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus)
+        points.setdefault(pc.n_pulses, []).append((c, tail_rotation(pc), axis))
 
     def stream(n: int, role: int):  # role's uniforms read after n pulses
         key = np.array([master_seed, 4 * n + role + 1], dtype=np.uint64)

@@ -7,11 +7,11 @@ rises).
 
 The fixed-axis (amplitude) family is exactly solvable: each pulse pulls
 the measured population toward 1/2 by a factor (1 - p_absorb) and the
-drive never mixes populations, giving geometric per-pulse work and heat
-series.  The rotating (phase) family admits a one-pulse population
-recursion built on a pulse-strength factor k; two readings of k are
-provided (see ``k_factor`` and ``k_factor_projective``) and the gap
-between recursion and full propagation is measurable via
+drive never mixes populations, so the mean work and heat are sums of
+geometric per-pulse terms.  The rotating (phase) family admits a
+one-pulse population recursion built on a pulse-strength factor k; two
+readings of k are provided (``k_factor``'s ``projective`` flag) and the
+gap between recursion and full propagation is measurable via
 ``floquet_recursion_gap`` instead of being assumed zero.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
                    free_energy_delta, gibbs_population,
                    instantaneous_eigensystem)
 from .protocol import ProtocolConfig, pulse_train
-
-SERIES_SUM_TOL = 1e-12
 
 
 def population_after_n_pulses(p0: float, p_absorb: float, n: int) -> float:
@@ -46,29 +43,8 @@ def population_after_n_pulses(p0: float, p_absorb: float, n: int) -> float:
     return 0.5 * (1.0 - (1.0 - p_absorb) ** n * (1.0 - 2.0 * p0))
 
 
-@dataclass(frozen=True)
-class WorkHeatSeries:
-    """Per-pulse work/heat terms with their totals (system-gained heat)."""
-
-    per_pulse_w: np.ndarray
-    per_pulse_q: np.ndarray
-    tail_w: float
-    mean_w: float
-    mean_q: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.per_pulse_w, dtype=float)
-        q = np.asarray(self.per_pulse_q, dtype=float)
-        object.__setattr__(self, "per_pulse_w", w)
-        object.__setattr__(self, "per_pulse_q", q)
-        if abs(self.mean_w - (w.sum() + self.tail_w)) > SERIES_SUM_TOL:
-            raise ValueError("total work inconsistent with its parts")
-        if abs(self.mean_q - q.sum()) > SERIES_SUM_TOL:
-            raise ValueError("total heat inconsistent with its parts")
-
-
-def work_heat_series_amplitude(config: ProtocolConfig) -> WorkHeatSeries:
-    """Exact work/heat bookkeeping for the fixed-axis drive up to config.t_f.
+def work_heat_series_amplitude(config: ProtocolConfig) -> tuple[float, float]:
+    """Exact (mean work, mean heat) of the fixed-axis drive up to config.t_f.
 
     Work accrues between pulses while the populations sit still; pulse n
     contributes heat (omega(n tau)/2) p_absorb (1-p_absorb)^(n-1) (1-2P(0)).
@@ -88,40 +64,33 @@ def work_heat_series_amplitude(config: ProtocolConfig) -> WorkHeatSeries:
                       for n in range(1, n_pulses + 1)])
     tail = -0.5 * (1.0 - pa) ** n_pulses * d0 * (drive.omega(t_f)
                                                  - drive.omega(n_pulses * tau))
-    return WorkHeatSeries(per_w, per_q, tail_w=tail,
-                          mean_w=float(per_w.sum()) + tail,
-                          mean_q=float(per_q.sum()))
+    return float(per_w.sum()) + tail, float(per_q.sum())
 
 
-def k_factor(p_pump: float, alpha: float) -> float:
-    """Pulse-strength factor 1 + (1 - p_pump) cos^2(alpha), in [1, 2]."""
-    if not (0.0 <= p_pump <= 1.0):
-        raise ValueError(f"p_pump must be a probability, got {p_pump}")
-    return 1.0 + (1.0 - p_pump) * math.cos(alpha) ** 2
+def k_factor(p_pump: float, alpha: float, projective: bool = False) -> float:
+    """Pulse-strength factor 1 + s (1 - p_pump) cos^2(alpha).
 
-
-def k_factor_projective(p_pump: float, alpha: float) -> float:
-    """Variant reading 1 - (1 - p_pump) cos^2(alpha), in [0, 1].
-
-    This is the factor produced by composing projection and pumping
-    exactly on a dressed-basis-diagonal state; kept alongside ``k_factor``
-    so the two readings can be compared against full propagation.
+    The default reading (s = +1) lies in [1, 2].  The projective reading
+    (s = -1, in [0, 1]) is the factor produced by composing projection and
+    pumping exactly on a dressed-basis-diagonal state; both are kept so
+    they can be compared against full propagation.
     """
     if not (0.0 <= p_pump <= 1.0):
         raise ValueError(f"p_pump must be a probability, got {p_pump}")
-    return 1.0 - (1.0 - p_pump) * math.cos(alpha) ** 2
+    s = -1.0 if projective else 1.0
+    return 1.0 + s * (1.0 - p_pump) * math.cos(alpha) ** 2
 
 
-def floquet_asymptote(p_pump: float, alpha: float, k: float | None = None) -> float:
-    """Limiting upper-level weight 1/2 (1 - (p_pump/k) cos(alpha))."""
-    if k is None:
-        k = k_factor(p_pump, alpha)
+def floquet_asymptote(p_pump: float, alpha: float, projective: bool = False) -> float:
+    """Limiting upper-level weight 1/2 (1 - (p_pump/k) cos(alpha)), k from
+    ``k_factor`` in the chosen reading."""
+    k = k_factor(p_pump, alpha, projective)
     return 0.5 * (1.0 - (p_pump / k) * math.cos(alpha))
 
 
 def floquet_population_recursion(p0: float, p_absorb: float, p_pump: float,
                                  alpha: float, n: int,
-                                 k: float | None = None) -> float:
+                                 projective: bool = False) -> float:
     """n-pulse upper-level population for the rotating drive.
 
     P(n) = (1 - p_absorb k)^n P(0) + (1 - (1 - p_absorb k)^n) P_inf with
@@ -131,13 +100,12 @@ def floquet_population_recursion(p0: float, p_absorb: float, p_pump: float,
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if k is None:
-        k = k_factor(p_pump, alpha)
+    k = k_factor(p_pump, alpha, projective)
     damp = 1.0 - p_absorb * k
     if damp <= 0.0:
         warnings.warn(f"p_absorb * k = {p_absorb * k:.4f} >= 1: recursion "
                       "leaves the monotone-contraction regime", stacklevel=2)
-    p_inf = floquet_asymptote(p_pump, alpha, k)
+    p_inf = floquet_asymptote(p_pump, alpha, projective)
     return damp ** n * p0 + (1.0 - damp ** n) * p_inf
 
 
@@ -191,14 +159,14 @@ def rabi_conditional(omega0: float, theta: float, t: float) -> float:
 
 
 def floquet_recursion_gap(config: ProtocolConfig,
-                          k: float | None = None) -> np.ndarray:
+                          projective: bool = False) -> np.ndarray:
     """|recursion - full map| per pulse count 0..config.n_pulses,
     maximized over basis starts.
 
     Propagates both dressed basis states through ``pulse_train`` (exact
     drive periods, then pulses) and compares their upper-level weights
-    with the recursion at the same pulse count; entry n is the larger of
-    the two absolute gaps.
+    with the recursion, in the chosen k reading, at the same pulse count;
+    entry n is the larger of the two absolute gaps.
     """
     drive = config.drive
     if not isinstance(drive, PhaseRotatingDrive):
@@ -206,13 +174,13 @@ def floquet_recursion_gap(config: ProtocolConfig,
     params = config.channel
     n_max = config.n_pulses
     axis = np.array(instantaneous_eigensystem(drive, 0.0).basis_plus)
-    post, _ = pulse_train(config, [axis, -1.0 * axis], range(n_max + 1))
+    post = pulse_train(config, [axis, -1.0 * axis], range(n_max + 1))
     gaps = np.zeros(n_max + 1)
     for start, p0 in enumerate((1.0, 0.0)):
         for n in range(n_max + 1):
             exact = 0.5 * (1.0 + float(post[n][start] @ axis))
             predicted = floquet_population_recursion(
-                p0, params.p_absorb, params.p_pump, drive.alpha, n, k=k)
+                p0, params.p_absorb, params.p_pump, drive.alpha, n, projective)
             gaps[n] = max(gaps[n], abs(exact - predicted))
     return gaps
 

@@ -76,40 +76,38 @@ class ProtocolConfig:
                              f"at {min_tf}")
 
 
-def _tail_rotation(config: ProtocolConfig) -> np.ndarray:
+def tail_rotation(config: ProtocolConfig) -> np.ndarray:
+    """Drive rotation over the partial interval (N*tau, t_f) after the last
+    pulse; the identity when t_f lands on it."""
     t_last = config.n_pulses * config.tau
     if config.t_f > t_last:
         return bloch_rotation(config.drive, t_last, config.t_f)
     return np.eye(3)
 
 
-def segment_rotations(config: ProtocolConfig) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-period drive rotations plus the final partial-interval rotation.
-
-    Entry n-1 carries ((n-1)tau, n*tau); the tail carries (N*tau, t_f) and
-    is the identity when t_f lands on the last pulse.
-    """
-    rots = [bloch_rotation(config.drive, (n - 1) * config.tau, n * config.tau)
+def segment_rotations(config: ProtocolConfig) -> list[np.ndarray]:
+    """Per-period drive rotations: entry n-1 carries ((n-1)tau, n*tau)."""
+    return [bloch_rotation(config.drive, (n - 1) * config.tau, n * config.tau)
             for n in range(1, config.n_pulses + 1)]
-    return rots, _tail_rotation(config)
 
 
 def pulse_train(config: ProtocolConfig, starts: Sequence[np.ndarray],
-                counts: Sequence[int]) -> tuple[list[list[np.ndarray]], np.ndarray]:
+                counts: Sequence[int]) -> list[list[np.ndarray]]:
     """Post-pulse Bloch vectors of each start at each requested pulse count.
 
     Walks the rotate-then-pulse steps of ``segment_rotations(config)`` once
     and keeps only the states at ``counts`` (each in 0..config.n_pulses,
-    repeats allowed): entry [k][s] is start s after counts[k] pulses.  Also
-    returns the config's tail rotation, which carries the last post-pulse
-    state to t_f.  Each step is one numpy ``rot @ r`` product per start,
-    then ``channel.pulse_step`` on plain floats; a state that leaves the
-    Bloch ball, after the rotation or after the pulse, raises ValueError.
+    repeats allowed): entry [k][s] is start s after counts[k] pulses.  A
+    state after k pulses reaches any later t_f before the next pulse through
+    that point's ``tail_rotation``.  Each step is one numpy ``rot @ r``
+    product per start, then ``channel.pulse_step`` on plain floats; a state
+    that leaves the Bloch ball, after the rotation or after the pulse,
+    raises ValueError.
     """
     if any(not 0 <= n <= config.n_pulses for n in counts):
         raise ValueError(f"pulse counts {list(counts)} outside "
                          f"0..{config.n_pulses}")
-    rots, tail = segment_rotations(config)
+    rots = segment_rotations(config)
     pa, pd = config.channel.p_absorb, config.channel.p_pump
     wanted = set(counts)
     rs = [np.asarray(r, dtype=float) for r in starts]
@@ -125,7 +123,7 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[np.ndarray],
         rs = stepped
         if n in wanted:
             kept[n] = [np.array(r) for r in rs]
-    return [kept[n] for n in counts], tail
+    return [kept[n] for n in counts]
 
 
 def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, np.ndarray]]:
@@ -133,11 +131,11 @@ def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, np.ndarray]]
     past pulse N; each r is a length-3 array checked to lie in the Bloch ball."""
     r = np.asarray(r, dtype=float)
     check_bloch_vector(*r.tolist())
-    post, tail = pulse_train(config, [r], range(config.n_pulses + 1))
+    post = pulse_train(config, [r], range(config.n_pulses + 1))
     out = [(0.0, r)] + [(n * config.tau, rs[0])
                         for n, rs in enumerate(post[1:], start=1)]
     if config.t_f > config.n_pulses * config.tau:
-        final = tail @ post[-1][0]
+        final = tail_rotation(config) @ post[-1][0]
         check_bloch_vector(*final.tolist())
         out.append((config.t_f, final))
     return out
@@ -185,7 +183,7 @@ class ConditionalMatrix:
         return float(self.matrix[UPPER, LOWER])
 
 
-def _sweep_longest(configs: Sequence[ProtocolConfig]) -> ProtocolConfig:
+def sweep_longest(configs: Sequence[ProtocolConfig]) -> ProtocolConfig:
     """The config of a sweep with the most pulses; raises ``ValueError``
     unless all share drive, channel and tau."""
     first = configs[0]
@@ -206,14 +204,14 @@ def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalM
     """
     if not configs:
         return []
-    longest = _sweep_longest(configs)
+    longest = sweep_longest(configs)
     eig0 = instantaneous_eigensystem(longest.drive, 0.0)
-    post, longest_tail = pulse_train(
+    post = pulse_train(
         longest, [np.array(eig0.basis_plus), np.array(eig0.basis_minus)],
         [pc.n_pulses for pc in configs])
     out = []
     for pc, rs in zip(configs, post):
-        tail = longest_tail if pc is longest else _tail_rotation(pc)
+        tail = tail_rotation(pc)
         final_up = instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus
         up, down = (population_along(tail @ r, final_up) for r in rs)
         out.append(ConditionalMatrix.from_upper_row(up, down))
@@ -265,9 +263,6 @@ class EnergyChangeDistribution:
                 probs.append(prob)
         return cls(np.array(values), np.array(probs))
 
-    def __len__(self) -> int:
-        return int(self.values.size)
-
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
 
@@ -301,10 +296,8 @@ def fr_functional(dist: EnergyChangeDistribution, gamma: float) -> float:
 class FrReport:
     """One evaluation of a fluctuation functional against its target."""
 
-    mean_delta_e: float
     fr_value: float
     fr_target: float
-    gamma: float
 
     def __post_init__(self) -> None:
         if not self.fr_value > 0.0:
@@ -333,10 +326,8 @@ def fr_report(config: ProtocolConfig, cm: ConditionalMatrix) -> FrReport:
     with gamma = beta - beta_r from the thermal context."""
     gamma = config.thermal.beta - config.thermal.beta_r
     dist = energy_change_distribution(cm, config)
-    return FrReport(mean_delta_e=dist.mean(),
-                    fr_value=fr_functional(dist, gamma),
-                    fr_target=fr_target(config),
-                    gamma=gamma)
+    return FrReport(fr_value=fr_functional(dist, gamma),
+                    fr_target=fr_target(config))
 
 
 def beta_reservoir(p_up_infinity: float, gap: float) -> float:
@@ -365,8 +356,3 @@ def conditional_fixed_point(cm: ConditionalMatrix) -> float:
                          "stationary weight undefined")
     return cm.p_up_given_down / denom
 
-
-def first_law_check(dist: EnergyChangeDistribution, mean_w: float,
-                    mean_q: float) -> float:
-    """Residual <dE> - (<W> + <Q>), both heats in the system-gained sign."""
-    return dist.mean() - (mean_w + mean_q)

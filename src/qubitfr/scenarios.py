@@ -151,6 +151,17 @@ class ScenarioConfig:
         object.__setattr__(self, "t_f_grid", grid)
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        # The drive phases the propagators take cos and sin of, up to the
+        # last grid time or tau if later, must not overflow.
+        t = max(grid[-1], self.tau)
+        phases = ({"theta": self.theta * t,
+                   "omega0": math.hypot(self.omega0, self.theta) * t}
+                  if self.drive_family == "phase" else
+                  {"tau_a": 2.0 * math.pi * t / self.tau_a, "omega0": self.omega0 * t})
+        for field_name, phase in phases.items():
+            if not math.isfinite(phase):
+                raise ConfigError(f"{field_name} = {getattr(self, field_name)!r} "
+                                  f"makes the drive phase overflow by t = {t} ns")
         # The ratio test comes first: pulses_applied rounds t_f / tau to an
         # int, which raises OverflowError when the ratio is infinite.
         if self.kind != "rabi" and (
@@ -274,14 +285,12 @@ def _resolve(config: ScenarioConfig) -> ResolvedScenario:
         derived["alpha_deg_abs"] = abs(math.degrees(drive.alpha))
         derived["e_theta"] = drive.e_theta / config.omega0
         derived["gap"] = drive.gap / config.omega0
-        derived["k_factor"] = oracle.k_factor(p_pump, drive.alpha)
-        derived["k_factor_projective"] = oracle.k_factor_projective(
-            p_pump, drive.alpha)
-        if config.target_upper_population is not None:
-            derived["p_pump_closed_form"] = oracle.invert_pump_closed_form(
-                config.target_upper_population, drive.alpha)
-            derived["p_pump_closed_form_projective"] = oracle.invert_pump_closed_form(
-                config.target_upper_population, drive.alpha, projective=True)
+        for suffix, projective in (("", False), ("_projective", True)):
+            derived["k_factor" + suffix] = oracle.k_factor(
+                p_pump, drive.alpha, projective)
+            if config.target_upper_population is not None:
+                derived["p_pump_closed_form" + suffix] = oracle.invert_pump_closed_form(
+                    config.target_upper_population, drive.alpha, projective)
         if config.p_absorb > 0.0:
             p_inf = channel_mod.stationary_upper_population(
                 drive, params, config.tau)
@@ -523,8 +532,7 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 
         def row(t_f, pc, cm, stats):
             mean_de, err = mean_energy(pc, cm, stats)
-            series = oracle.work_heat_series_amplitude(pc)
-            w, q = series.mean_w, series.mean_q
+            w, q = oracle.work_heat_series_amplitude(pc)
             df = free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta else 0.0
             # Each mode keeps the rounding its rows have always had.
             residual = mean_de - (w + q) if stats is None else mean_de - w - q

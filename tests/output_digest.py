@@ -11,7 +11,8 @@ directory:
 
 Prints one ``<sha256>  <label>`` line per output.  Two trees whose
 digests match produce byte-identical files and text.  Exits 1 if any
-command exits nonzero.  Not collected by pytest; run it as
+command exits nonzero or writes a manifest that is not strict JSON
+(``Infinity``, ``-Infinity`` or ``NaN``).  Not collected by pytest; run it as
 
     python3 tests/output_digest.py > digests.txt
     python3 tests/output_digest.py --against digests.txt
@@ -28,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -46,6 +48,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def strict_json(text: str, name: str):
+    """Parse JSON text; the constants ``Infinity``, ``-Infinity`` and ``NaN``,
+    which ``json`` accepts by default, raise ValueError naming ``name``."""
+    def reject(constant: str):
+        raise ValueError(f"{name} holds {constant}, which is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _main(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -54,7 +65,8 @@ def _main(argv: list[str]) -> tuple[int, str]:
 
 
 def digests() -> tuple[list[str], list[str]]:
-    """(``<sha256>  <label>`` lines, commands that exited nonzero)."""
+    """(``<sha256>  <label>`` lines, one message per failed command or
+    non-strict manifest)."""
     failed = []
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -64,15 +76,21 @@ def digests() -> tuple[list[str], list[str]]:
             outdir = Path(tmp) / group
             code, _ = _main(["run", name, "--outdir", str(outdir), *extra])
             if code:
-                failed.append(f"run {name} {' '.join(extra)}".strip())
+                failed.append(f"nonzero exit: run {name} {' '.join(extra)}".strip())
                 continue
             for path in (outdir / f"{name}.csv", outdir / f"{name}_manifest.json"):
                 lines.append(f"{_digest(path.read_bytes())}  {group}/{path.name}")
+            manifest = f"{name}_manifest.json"
+            try:
+                strict_json((outdir / manifest).read_text(encoding="utf-8"),
+                            f"{group}/{manifest}")
+            except ValueError as exc:
+                failed.append(str(exc))
         for argv in (["presets"], ["invert", "--target", "0.138", "--tau-theta", "616"],
                      ["check", "--skip-mc"]):
             code, text = _main(argv)
             if code:
-                failed.append(" ".join(argv))
+                failed.append(f"nonzero exit: {' '.join(argv)}")
             text = ELAPSED.sub("<elapsed> s", text)
             lines.append(f"{_digest(text.encode('utf-8'))}  stdout of {' '.join(argv)}")
     return lines, failed
@@ -106,8 +124,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"differs: {label}")
         if not differ:
             print(f"all {len(lines)} digests match {args.against}")
-    for command in failed:
-        print(f"nonzero exit: {command}", file=sys.stderr)
+    for message in failed:
+        print(message, file=sys.stderr)
     return 1 if failed or differ else 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import instantaneous_eigensystem
-from qubitfr.protocol import ProtocolConfig, segment_rotations
+from qubitfr.protocol import ProtocolConfig, segment_rotations, tail_rotation
 
 
 def derive_stream(master_seed: int, n: int, role: int,
@@ -96,7 +96,7 @@ def sample_pulse(state: Triple, params: PulseChannelParams, u_absorb: float,
 def run_records(config: ProtocolConfig, initial_index: int, n: int,
                 master_seed: int, index_offset: int = 0) -> list[TrajectoryRecord]:
     """Trajectories ``index_offset .. index_offset + n - 1`` from one basis state."""
-    rots, tail = segment_rotations(config)
+    rots, tail = segment_rotations(config), tail_rotation(config)
     start = np.array(instantaneous_eigensystem(config.drive, 0.0).basis_plus)
     final_axis = np.array(instantaneous_eigensystem(config.drive,
                                                     config.t_f).basis_plus)

@@ -3,13 +3,14 @@
 Every grid point rebuilds all of its period rotations and walks its own
 pulse train from t = 0, one basis state at a time, as the engine did
 before sweeps shared one train.  It costs O(grid x N) and shares no
-propagation code with ``qubitfr.protocol.pulse_train``: ``pulse`` is its
-own copy of the pulse arithmetic, in the package's expression order.  So
-exact equality between the two is a meaningful check of the shared-prefix
-bookkeeping (pulse counts, tail rotations and final bases) and of the
-pulse arithmetic itself.  Its Bloch vectors are local float triples
-(``triple``), and ``upper_population`` is its own copy of the package's
-measurement arithmetic.
+propagation code with ``qubitfr.protocol.pulse_train``: it takes only the
+rotations from the package (``segment_rotations`` and ``tail_rotation``),
+and ``pulse`` is its own copy of the pulse arithmetic, in the package's
+expression order.  So exact equality between the two is a meaningful
+check of the shared-prefix bookkeeping (pulse counts, tail rotations and
+final bases) and of the pulse arithmetic itself.  Its Bloch vectors are
+local float triples (``triple``), and ``upper_population`` is its own copy
+of the package's measurement arithmetic.
 
 ``axis_angle`` and ``bloch_rotation`` are the numpy array-expression
 rotation builder the package used before it built each matrix element by
@@ -23,7 +24,8 @@ import numpy as np
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, _is_stroboscopic, _rot_z,
                           instantaneous_eigensystem, phase_integral)
-from qubitfr.protocol import ConditionalMatrix, ProtocolConfig, segment_rotations
+from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, segment_rotations,
+                              tail_rotation)
 
 
 def axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -72,24 +74,22 @@ def upper_population(r, axis) -> float:
 
 def propagate_mean(config: ProtocolConfig, start) -> tuple[float, float, float]:
     """Ensemble-averaged Bloch vector at t_f from the given vector at 0."""
-    rots, tail = segment_rotations(config)
     r = np.array(start)
-    for rot in rots:
+    for rot in segment_rotations(config):
         r = pulse(rot @ r, config.channel)
-    return triple(tail @ r)
+    return triple(tail_rotation(config) @ r)
 
 
 def mean_trajectory(config: ProtocolConfig,
                     start) -> list[tuple[float, tuple[float, float, float]]]:
     """Post-pulse snapshots (t_n, r_n) for n = 0..N plus the final vector."""
-    rots, tail = segment_rotations(config)
     out = [(0.0, triple(start))]
     r = np.array(start)
-    for n, rot in enumerate(rots, start=1):
+    for n, rot in enumerate(segment_rotations(config), start=1):
         r = pulse(rot @ r, config.channel)
         out.append((n * config.tau, triple(r)))
     if config.t_f > config.n_pulses * config.tau:
-        out.append((config.t_f, triple(tail @ r)))
+        out.append((config.t_f, triple(tail_rotation(config) @ r)))
     return out
 
 

@@ -5,7 +5,7 @@ asserts the check's verdict at its stated tolerance.  Tolerances live in
 ``qubitfr.checks`` next to the measurements; nothing here loosens them.
 """
 
-from qubitfr import checks
+from qubitfr import checks, oracle
 
 
 def _gate(result):
@@ -46,6 +46,21 @@ def test_criterion_4_first_law():
     energetics sweeps, and <W> vanishes at whole modulation periods when
     the pulse spacing equals the modulation period."""
     _gate(checks.check_first_law())
+
+
+def test_criterion_4_reports_a_first_law_residual(monkeypatch):
+    """A heat off by 1e-6 omega0 at every grid time fails the check, and the
+    residual it prints is that offset."""
+    real = oracle.work_heat_series_amplitude
+
+    def off_by_one_micro(pc):
+        mean_w, mean_q = real(pc)
+        return mean_w, mean_q + 1e-6 * pc.drive.omega0
+
+    monkeypatch.setattr(oracle, "work_heat_series_amplitude", off_by_one_micro)
+    result = checks.check_first_law()
+    assert not result.passed
+    assert "max |dE - (W+Q)| = 1.000e-06 omega0" in result.detail
 
 
 def test_criterion_5_oracle_equivalence():

@@ -18,11 +18,18 @@ from qubitfr.cli import main
 from qubitfr.core import PhaseRotatingDrive
 from qubitfr.scenarios import (ConfigError, ScenarioConfig, get_preset,
                                load_config, run_scenario, with_overrides)
+from output_digest import strict_json
 
 
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_manifest(path):
+    """A written manifest, parsed as strict JSON: ``Infinity`` or ``NaN``
+    raises ValueError naming the file."""
+    return strict_json(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def run_python(*args):
@@ -184,7 +191,7 @@ class TestRunScenario:
         manifest = run_scenario(small_phase_config(), outdir=tmp_path)
         assert (tmp_path / "case.csv").exists()
         assert (tmp_path / "case_manifest.json").exists()
-        on_disk = json.loads((tmp_path / "case_manifest.json").read_text())
+        on_disk = read_manifest(tmp_path / "case_manifest.json")
         assert on_disk["scenario"] == "case"
         assert on_disk["csv_files"] == ["case.csv"]
         assert manifest["derived"]["p_pump"] == 0.45
@@ -236,7 +243,7 @@ class TestRunScenario:
         cfg = small_phase_config(mode="both", n_trajectories=1500)
         first = run_scenario(cfg, outdir=tmp_path / "a")
         path = Path(first["manifest_path"])
-        manifest = json.loads(path.read_text())
+        manifest = read_manifest(path)
         manifest["scenario_config"]["workers"] = 4
         path.write_text(json.dumps(manifest))
         assert load_config(path) == cfg
@@ -327,7 +334,7 @@ class TestLoadConfig:
     def test_manifest_records_rng_layout_when_sampling(self, tmp_path, mode):
         manifest = run_scenario(small_phase_config(mode=mode, n_trajectories=200),
                                 outdir=tmp_path)
-        on_disk = json.loads(Path(manifest["manifest_path"]).read_text())
+        on_disk = read_manifest(manifest["manifest_path"])
         if mode == "deterministic":
             assert "rng_layout" not in on_disk
         else:
@@ -336,7 +343,7 @@ class TestLoadConfig:
     def test_deterministic_manifest_without_layout_loads(self, tmp_path):
         manifest = run_scenario(small_phase_config(), outdir=tmp_path)
         path = Path(manifest["manifest_path"])
-        assert "rng_layout" not in json.loads(path.read_text())
+        assert "rng_layout" not in read_manifest(path)
         assert load_config(path) == small_phase_config()
 
     def test_plain_sampling_config_needs_no_layout(self, tmp_path):
@@ -354,7 +361,7 @@ class TestLoadConfig:
         # `run` refuses it with exit 2 before anything is written.
         cfg = small_phase_config(mode="both", n_trajectories=200)
         path = Path(run_scenario(cfg, outdir=tmp_path / "first")["manifest_path"])
-        manifest = json.loads(path.read_text())
+        manifest = read_manifest(path)
         if layout is None:
             del manifest["rng_layout"]
         else:
@@ -395,7 +402,7 @@ class TestCli:
                      "--seed", "31", "--mc-grid", "all"])
         assert code == 0
         capsys.readouterr()
-        manifest = json.loads((tmp_path / "case_manifest.json").read_text())
+        manifest = read_manifest(tmp_path / "case_manifest.json")
         sc = manifest["scenario_config"]
         assert (sc["mode"], sc["n_trajectories"], sc["master_seed"],
                 sc["mc_grid"]) == ("both", 1200, 31, "all")
@@ -510,7 +517,7 @@ class TestCli:
         assert main(["run", "fig6e", "--mode", "montecarlo",
                      "--seed", str(2**64 - 1), "--trajectories", "200",
                      "--outdir", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "fig6e_manifest.json").read_text())
+        manifest = read_manifest(tmp_path / "fig6e_manifest.json")
         assert manifest["scenario_config"]["master_seed"] == 2**64 - 1
         rows = read_rows(tmp_path / "fig6e.csv")
         assert [r["mode"] for r in rows] == ["montecarlo"]
@@ -540,6 +547,34 @@ class TestCli:
         assert main(["invert", "--target", "0.1",
                      "--tau-theta", "-4"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("preset,overrides,field", [
+        ("fig6e", {"theta": 1e-320, "p_pump": 0.3,
+                   "target_upper_population": None}, "theta"),
+        ("fig6e", {"theta": 1e308}, "theta"),
+        ("fig5a", {"theta": 1e306}, "theta"),
+        ("fig4b", {"tau_a": 1e-320}, "tau_a"),
+        ("fig6e", {"omega0": 1e307}, "omega0"),
+        ("fig4b", {"omega0": 1e306}, "omega0"),
+        ("fig6e", {"theta": 1e308, "t_f_grid": [0.0]}, "theta"),
+    ], ids=["period", "phase_grid", "phase_rabi", "tau_a", "omega0_phase",
+            "omega0_amplitude", "phase_tau"])
+    def test_overflowing_drive_phase_is_config_error(self, tmp_path, capsys,
+                                                     preset, overrides, field):
+        data = get_preset(preset).to_dict()
+        data.update(overrides)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} = "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_invert_with_overflowing_period_is_config_error(self, capsys):
+        assert main(["invert", "--target", "0.138", "--theta", "1e-320"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: theta = 1e-320")
+        assert captured.out == ""
 
     def test_invert_without_absorption_is_config_error(self):
         proc = run_cli("invert", "--target", "0.138", "--tau-theta", "616",
@@ -607,6 +642,7 @@ def test_preset_csv_bytes_are_pinned(name, tmp_path):
     scenarios.run_scenario(name, outdir=tmp_path)
     data = (tmp_path / f"{name}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == PRESET_CSV_SHA256[name]
+    assert read_manifest(tmp_path / f"{name}_manifest.json")["scenario"] == name
 
 
 @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256), ids=lambda a: a[0])
@@ -624,6 +660,14 @@ def test_output_digest_reports_changed_and_missing_labels():
     assert output_digest.differing_labels(saved, saved) == []
     assert output_digest.differing_labels(saved, current) == [
         "presets/fig3a.csv", "sampled/x.csv", "stdout of presets"]
+
+
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_strict_json_rejects_non_standard_constants(constant):
+    text = '{"derived": {"tau_theta_ns": ' + constant + '}}'
+    assert json.loads(text)  # the json module's default accepts them
+    with pytest.raises(ValueError, match=f"x_manifest.json holds {constant}"):
+        strict_json(text, "x_manifest.json")
 
 
 def test_import_loads_no_scipy():

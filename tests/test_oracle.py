@@ -11,13 +11,12 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, free_energy_delta,
                           gibbs_population)
-from qubitfr.oracle import (WorkHeatSeries, floquet_asymptote,
-                            floquet_population_recursion,
+from qubitfr.oracle import (floquet_asymptote, floquet_population_recursion,
                             floquet_recursion_gap, invert_pump_closed_form,
                             irreversible_work_relative_entropy, k_factor,
-                            k_factor_projective, mean_heat_phase,
-                            population_after_n_pulses, rabi_conditional,
-                            w_irr, work_heat_series_amplitude)
+                            mean_heat_phase, population_after_n_pulses,
+                            rabi_conditional, w_irr,
+                            work_heat_series_amplitude)
 from qubitfr.protocol import ProtocolConfig
 
 OMEGA0_A = math.pi / 616.0
@@ -56,16 +55,13 @@ class TestPopulationAfterPulses:
 
 
 class TestWorkHeatSeries:
-    def test_totals_validated_against_parts(self):
-        with pytest.raises(ValueError):
-            WorkHeatSeries(np.array([1.0]), np.array([0.5]), tail_w=0.0,
-                           mean_w=2.0, mean_q=0.5)
-
-    def test_against_density_matrix_bookkeeping(self):
-        tau, n_pulses = 410.0, 4
-        t_f = n_pulses * tau + 150.0
+    @pytest.mark.parametrize("n_pulses,tail", [(4, 150.0), (3, 0.0)],
+                             ids=["tail", "at_last_pulse"])
+    def test_against_density_matrix_bookkeeping(self, n_pulses, tail):
+        tau = 410.0
+        t_f = n_pulses * tau + tail
         pc = amplitude_config(tau=tau, n_pulses=n_pulses, t_f=t_f)
-        series = work_heat_series_amplitude(pc)
+        mean_w, mean_q = work_heat_series_amplitude(pc)
 
         ham = lambda t: dmtools.ham_amplitude(OMEGA0_A, 616.0, t)
         rho = expm(-BETA_A * ham(0.0))
@@ -90,19 +86,8 @@ class TestWorkHeatSeries:
         rho = drift(rho, n_pulses * tau, t_f)
         tail_w = dmtools.mean_energy(rho, ham(t_f)) - tail_before
 
-        assert series.per_pulse_w.tolist() == pytest.approx(work, abs=1e-15)
-        assert series.per_pulse_q.tolist() == pytest.approx(heat, abs=1e-15)
-        assert series.tail_w == pytest.approx(tail_w, abs=1e-15)
-        assert series.mean_w == pytest.approx(sum(work) + tail_w, abs=1e-15)
-        assert series.mean_q == pytest.approx(sum(heat), abs=1e-15)
-
-    def test_totals_at_last_pulse_have_no_tail(self):
-        pc = amplitude_config(tau=410.0, n_pulses=3)
-        series = work_heat_series_amplitude(pc)
-        assert series.per_pulse_w.size == series.per_pulse_q.size == 3
-        assert series.tail_w == 0.0
-        assert series.mean_w == pytest.approx(series.per_pulse_w.sum())
-        assert series.mean_q == pytest.approx(series.per_pulse_q.sum())
+        assert mean_w == pytest.approx(sum(work) + tail_w, abs=1e-15)
+        assert mean_q == pytest.approx(sum(heat), abs=1e-15)
 
     def test_rejects_rotating_drive(self):
         with pytest.raises(TypeError):
@@ -110,35 +95,34 @@ class TestWorkHeatSeries:
 
     def test_no_pulses_is_pure_work(self):
         pc = amplitude_config(tau=410.0, n_pulses=0, t_f=200.0)
-        series = work_heat_series_amplitude(pc)
-        assert series.per_pulse_w.size == 0
-        assert series.mean_q == 0.0
+        mean_w, mean_q = work_heat_series_amplitude(pc)
+        assert mean_q == 0.0
         mean_sx = 2.0 * gibbs_population(BETA_A, pc.drive, 0.0) - 1.0
         expected = 0.5 * (pc.drive.omega(200.0) - pc.drive.omega(0.0)) * mean_sx
-        assert series.mean_w == pytest.approx(expected)
-        assert series.mean_w > 0.0  # rate drops while <sigma_x> is negative
+        assert mean_w == pytest.approx(expected)
+        assert mean_w > 0.0  # rate drops while <sigma_x> is negative
 
 
 class TestPulseStrengthFactor:
     def test_reference_values(self):
         assert k_factor(0.5, -math.pi / 4) == pytest.approx(1.25)
-        assert k_factor_projective(0.5, -math.pi / 4) == pytest.approx(0.75)
+        assert k_factor(0.5, -math.pi / 4, projective=True) == pytest.approx(0.75)
 
     def test_readings_are_complementary(self):
         for pd in (0.1, 0.45, 0.9):
             alpha = -0.3
-            assert k_factor(pd, alpha) + k_factor_projective(pd, alpha) == \
+            assert k_factor(pd, alpha) + k_factor(pd, alpha, projective=True) == \
                 pytest.approx(2.0)
 
     def test_full_pump_collapses_both_readings(self):
         assert k_factor(1.0, -0.8) == pytest.approx(1.0)
-        assert k_factor_projective(1.0, -0.8) == pytest.approx(1.0)
+        assert k_factor(1.0, -0.8, projective=True) == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             k_factor(1.5, -0.3)
         with pytest.raises(ValueError):
-            k_factor_projective(-0.1, -0.3)
+            k_factor(-0.1, -0.3, projective=True)
 
 
 class TestFloquetRecursion:
@@ -155,12 +139,14 @@ class TestFloquetRecursion:
         assert floquet_population_recursion(*args, 4000) == pytest.approx(
             floquet_asymptote(0.45, -0.3))
 
-    def test_single_step_is_affine(self):
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_single_step_is_affine(self, projective):
         p0, pa, pd, alpha = 0.3, 0.25, 0.45, -0.3
-        k = k_factor(pd, alpha)
+        k = k_factor(pd, alpha, projective)
         expected = ((1.0 - pa * k) * p0
-                    + pa * k * floquet_asymptote(pd, alpha))
-        assert floquet_population_recursion(p0, pa, pd, alpha, 1) == \
+                    + pa * k * floquet_asymptote(pd, alpha, projective))
+        assert floquet_population_recursion(p0, pa, pd, alpha, 1,
+                                            projective) == \
             pytest.approx(expected, abs=1e-15)
 
     def test_warns_outside_contraction_regime(self):
@@ -179,10 +165,8 @@ class TestClosedFormInversion:
                                               (0.050, -0.2415)])
     def test_round_trip_through_asymptote(self, target, alpha, projective):
         pd = invert_pump_closed_form(target, alpha, projective=projective)
-        k = (k_factor_projective(pd, alpha) if projective
-             else k_factor(pd, alpha))
-        assert floquet_asymptote(pd, alpha, k) == pytest.approx(target,
-                                                                abs=1e-12)
+        assert floquet_asymptote(pd, alpha, projective) == pytest.approx(
+            target, abs=1e-12)
 
     def test_singular_denominator_rejected(self):
         # excess * cos(alpha) = -1 makes the default-reading denominator
@@ -250,9 +234,8 @@ class TestRecursionGap:
 
     def test_projective_reading_tracks_map_more_closely(self):
         pc = phase_config(tau_theta=616.0, n_pulses=50, pd=0.4498)
-        kp = k_factor_projective(0.4498, pc.drive.alpha)
         gap_default = floquet_recursion_gap(pc).max()
-        gap_projective = floquet_recursion_gap(pc, k=kp).max()
+        gap_projective = floquet_recursion_gap(pc, projective=True).max()
         assert gap_projective < gap_default
 
     def test_rejects_fixed_axis_drive(self):

@@ -1,6 +1,7 @@
-"""Every public module-level function and class of the package, and every
-public method and property of its classes, is used by the package itself,
-so API that only the tests call cannot accumulate."""
+"""Every public module-level function and class of the package, every
+public method and property of its classes, and every public dataclass
+field is used by the package itself, so API that only the tests call cannot
+accumulate; and no module imports another's private names."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,43 @@ def test_every_public_method_and_property_is_used_in_the_package():
                    if other is not stmt):
             unused.append(f"{label}.{stmt.name}")
     assert unused == []
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_public_dataclass_field_is_read_in_the_package():
+    # A field counts as read where it is loaded as an attribute, anywhere
+    # in the package except in its own class's __post_init__.
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    classes = [node for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef) and is_dataclass(node)]
+    assert any(node.name == "EnsembleStats" for node in classes)
+    reads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for cls in classes:
+        validation = {id(node) for stmt in cls.body
+                      if isinstance(stmt, ast.FunctionDef)
+                      and stmt.name == "__post_init__"
+                      for node in ast.walk(stmt)}
+        for stmt in cls.body:
+            if (not isinstance(stmt, ast.AnnAssign)
+                    or stmt.target.id.startswith("_")):
+                continue
+            if not any(node.attr == stmt.target.id and id(node) not in validation
+                       for node in reads):
+                unread.append(f"{cls.name}.{stmt.target.id}")
+    assert unread == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    private = [f"{path.name}:{node.lineno} {alias.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("qubitfr"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -18,10 +18,9 @@ from qubitfr.oracle import population_after_n_pulses
 from qubitfr.protocol import (ConditionalMatrix, EnergyChangeDistribution,
                               FrReport, ProtocolConfig, beta_reservoir,
                               conditional_fixed_point, conditional_matrix,
-                              energy_change_distribution, first_law_check,
-                              fr_functional, fr_report, fr_target,
-                              initial_probabilities, mean_trajectory,
-                              pulse_train, pulses_applied)
+                              energy_change_distribution, fr_functional,
+                              fr_report, fr_target, initial_probabilities,
+                              mean_trajectory, pulse_train, pulses_applied)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -233,7 +232,7 @@ class TestEnergyChangeDistribution:
     def test_merging_of_coincident_atoms(self):
         dist = EnergyChangeDistribution.from_atoms(
             [(1.0, 0.25), (1.0 + 1e-15, 0.25), (-1.0, 0.5)], merge_tol=1e-12)
-        assert len(dist) == 2
+        assert dist.values.size == 2
         assert dist.probs.tolist() == pytest.approx([0.5, 0.5])
 
     def test_probabilities_must_sum_to_one(self):
@@ -274,13 +273,13 @@ class TestEnergyChangeDistribution:
         # so the two zero-change outcomes merge.
         pc = amplitude_config(tau=616.0, n_pulses=2, t_f=2 * 616.0)
         dist = energy_change_distribution(conditional_matrix(pc), pc)
-        assert len(dist) == 3
+        assert dist.values.size == 3
         assert dist.values[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_generic_final_time_gives_four_atoms(self):
         pc = amplitude_config(tau=410.0, n_pulses=2, t_f=2 * 410.0)
         dist = energy_change_distribution(conditional_matrix(pc), pc)
-        assert len(dist) == 4
+        assert dist.values.size == 4
 
 
 class TestInitialWeights:
@@ -317,9 +316,12 @@ class TestFunctionals:
         # No pulses: the conditional matrix is the identity and the
         # functional telescopes to the partition ratio.
         pc = amplitude_config(tau=410.0, n_pulses=0, t_f=287.0)
-        report = fr_report(pc, conditional_matrix(pc))
+        cm = conditional_matrix(pc)
+        report = fr_report(pc, cm)
         assert report.deviation <= 1e-14
-        assert report.gamma == pytest.approx(pc.thermal.beta)
+        # gamma = beta - beta_r, and beta_r is 0 here.
+        assert report.fr_value == fr_functional(
+            energy_change_distribution(cm, pc), pc.thermal.beta)
 
     def test_one_pulse_exchange_identity_with_matrix_fixed_point(self):
         pc = phase_config(tau_theta=616.0, n_pulses=1, pd=0.45)
@@ -328,9 +330,10 @@ class TestFunctionals:
         dist = energy_change_distribution(cm, pc)
         assert fr_functional(dist, -beta_r) == pytest.approx(1.0, abs=1e-12)
 
-    def test_fr_report_requires_positive_value(self):
-        with pytest.raises(ValueError):
-            FrReport(mean_delta_e=0.0, fr_value=0.0, fr_target=1.0, gamma=0.0)
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_fr_report_requires_positive_value(self, value):
+        with pytest.raises(ValueError, match="fr_value must be positive"):
+            FrReport(fr_value=value, fr_target=1.0)
 
 
 class TestReservoirTemperature:
@@ -367,13 +370,3 @@ class TestConditionalFixedPoint:
         with pytest.raises(ValueError):
             conditional_fixed_point(ConditionalMatrix.from_upper_row(1.0, 0.0))
 
-
-class TestFirstLawCheck:
-    def test_zero_residual_for_consistent_numbers(self):
-        dist = EnergyChangeDistribution(np.array([-0.5, 0.5]),
-                                        np.array([0.3, 0.7]))
-        assert first_law_check(dist, dist.mean(), 0.0) == pytest.approx(0.0)
-
-    def test_reports_signed_residual(self):
-        dist = EnergyChangeDistribution(np.array([1.0]), np.array([1.0]))
-        assert first_law_check(dist, 0.25, 0.5) == pytest.approx(0.25)
