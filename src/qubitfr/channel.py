@@ -23,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DriveSpec, bloch_rotation, instantaneous_eigensystem,
-                   population_along)
+from .core import (BLOCH_NORM_TOL, DriveSpec, bloch_rotation,
+                   instantaneous_eigensystem, population_along)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
+# Largest |plateau - target| an inverted pump may leave (presets: 3.5e-16).
+PLATEAU_TOL = 1e-9
+NO_FIXED_POINT = "the period map has no unique fixed point"
 
 
 class DegenerateChannelError(ValueError):
@@ -69,19 +72,24 @@ def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
     """Upper-level occupation, in the measurement basis, of the stationary
     Bloch vector of the period map (drive for tau, then pulse).
 
-    Solves (I - A) r = b exactly and verifies the residual; raises
-    ``DegenerateChannelError`` when p_absorb = 0, where the map is a pure
-    rotation and generically has only the trivial fixed point.
+    Solves (I - A) r = b exactly; raises ``DegenerateChannelError`` for
+    p_absorb = 0, a singular I - A, or a residual or |r| past tolerance.
     """
     if params.p_absorb == 0.0:
         raise DegenerateChannelError("p_absorb = 0: the period map is unitary "
                                      "and has no attracting fixed point")
     lin, offset = period_map(drive, params, tau)
-    r = np.linalg.solve(np.eye(3) - lin, offset)
+    channel = f"p_absorb = {params.p_absorb!r}, p_pump = {params.p_pump!r}, tau = {tau!r}"
+    try:
+        r = np.linalg.solve(np.eye(3) - lin, offset)
+    except np.linalg.LinAlgError:
+        raise DegenerateChannelError(f"{channel}: {NO_FIXED_POINT}") from None
     residual = float(np.max(np.abs(lin @ r + offset - r)))
-    if residual > FIXED_POINT_RESIDUAL_TOL:
-        raise DegenerateChannelError(f"fixed-point residual {residual:.3e} exceeds "
-                                     f"{FIXED_POINT_RESIDUAL_TOL:.0e}")
+    norm = float(np.linalg.norm(r))
+    if not (residual <= FIXED_POINT_RESIDUAL_TOL and norm <= 1.0 + BLOCH_NORM_TOL):
+        raise DegenerateChannelError(  # NaN fails too
+            f"{channel}: the fixed point has residual {residual:.3e} (at most "
+            f"{FIXED_POINT_RESIDUAL_TOL:.0e}) and norm {norm!r} (at most 1)")
     return population_along(r, instantaneous_eigensystem(drive, 0.0).basis_plus)
 
 
@@ -95,9 +103,10 @@ def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
     Sherman-Morrison gives the fixed point r = pa pd g / (1 - pa (1-pd) h)
     with h = R[2] . g.  Setting u . r = 2 target - 1, u the measured
     up-axis, gives pd = s (1 - pa h) / (pa (u . g - s h)) with
-    s = 2 target - 1.  Raises ``DegenerateChannelError``
-    for p_absorb = 0 and ValueError when the target is outside (0, 1) or
-    needs a pump probability outside [0, 1].
+    s = 2 target - 1, and a direct solve checks the plateau it reaches.
+    Raises ``DegenerateChannelError`` for a channel without a unique fixed
+    point, and ValueError when the target is outside (0, 1), needs a pump
+    outside [0, 1], or is missed by more than PLATEAU_TOL.
     """
     if not (0.0 < target_upper_population < 1.0):
         raise ValueError(f"target population must lie in (0, 1), "
@@ -108,7 +117,11 @@ def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
                                      "and has no attracting fixed point")
     pa = p_absorb
     rot = bloch_rotation(drive, 0.0, tau)
-    g = np.linalg.solve(np.eye(3) - (1.0 - pa) * rot, np.array([0.0, 0.0, 1.0]))
+    try:
+        g = np.linalg.solve(np.eye(3) - (1.0 - pa) * rot, np.array([0.0, 0.0, 1.0]))
+    except np.linalg.LinAlgError:  # 1 - pa rounds to 1
+        raise DegenerateChannelError(
+            f"p_absorb = {pa!r}, tau = {tau!r}: {NO_FIXED_POINT}") from None
     a = float(np.array(instantaneous_eigensystem(drive, 0.0).basis_plus) @ g)
     h = float(rot[2] @ g)
     s = 2.0 * target_upper_population - 1.0
@@ -118,4 +131,8 @@ def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
         raise ValueError(f"target population {target_upper_population} is not "
                          f"reachable at p_absorb={p_absorb}: it needs "
                          f"p_pump = {p_pump:.6g}, outside [0, 1]")
+    plateau = stationary_upper_population(drive, PulseChannelParams(pa, p_pump), tau)
+    if not abs(plateau - target_upper_population) <= PLATEAU_TOL:
+        raise ValueError(f"p_pump = {p_pump!r} puts the plateau at {plateau!r}, not "
+                         f"at the target population {target_upper_population!r}")
     return p_pump

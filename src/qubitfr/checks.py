@@ -16,8 +16,7 @@ import numpy as np
 
 from . import montecarlo, oracle, protocol, scenarios
 from .channel import PulseChannelParams, period_map
-from .core import (AmplitudeModulatedDrive, ThermalContext, free_energy_delta,
-                   gibbs_population)
+from .core import free_energy_delta
 
 # Empirical recursion-vs-propagation bounds for the three rotating-drive
 # presets (max absolute population gap over 50 pulses, basis starts).
@@ -186,11 +185,9 @@ def check_oracle_equivalence() -> CheckResult:
     recursion gap is measured for the three presets and held to the
     frozen empirical bounds for both k readings.
     """
-    drive = AmplitudeModulatedDrive(scenarios.AMPLITUDE_OMEGA0,
-                                    scenarios.AMPLITUDE_TAU_A)
-    beta = 2.0 / drive.omega0
-    thermal = ThermalContext(beta)
-    p0 = gibbs_population(beta, drive, 0.0)
+    res = scenarios.resolve(scenarios.get_preset("fig3b"))
+    drive, thermal = res.drive, res.thermal
+    p0 = res.derived["initial_upper_population"]
     worst_amp = 0.0
     for pa in np.linspace(0.05, 0.95, 10):
         params = PulseChannelParams(float(pa), 0.0)
@@ -310,9 +307,8 @@ def check_inequalities() -> CheckResult:
             df = free_energy_delta(res.config.beta, res.drive, pc.t_f)
             worst_jensen = min(worst_jensen, (dist.mean() - df) / w0)
 
-    drive = AmplitudeModulatedDrive(scenarios.AMPLITUDE_OMEGA0,
-                                    scenarios.AMPLITUDE_TAU_A)
-    beta = 2.0 / drive.omega0
+    res = scenarios.resolve(scenarios.get_preset("fig3b"))
+    drive, beta = res.drive, res.config.beta
     worst_wirr = math.inf
     worst_cross = 0.0
     for t_f in np.linspace(0.0, drive.tau_a, 102)[1:-1]:

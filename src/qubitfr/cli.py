@@ -3,7 +3,8 @@
 Verbs:
   run      execute a preset or a JSON config and write CSV + manifest
   presets  list the bundled scenario catalog
-  invert   solve the pump probability for a target plateau population
+  invert   resolve the phase scenario ``run`` would for a target plateau
+           population and print its derived block, pump probability first
   check    run the numeric acceptance suite
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical contract
@@ -16,10 +17,8 @@ import argparse
 import math
 import sys
 
-from . import checks, oracle, scenarios
-from .channel import invert_pump_probability
+from . import checks, scenarios
 from .core import PhaseRotatingDrive
-from .protocol import beta_reservoir
 from .scenarios import ConfigError, NumericalContractError
 
 
@@ -67,21 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.config in scenarios.PRESETS:
-        config = scenarios.get_preset(args.config)
-    else:
-        config = scenarios.load_config(args.config)
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trajectories is not None:
-        overrides["n_trajectories"] = args.trajectories
-    if args.mc_grid is not None:
-        overrides["mc_grid"] = args.mc_grid
-    if overrides:
-        config = scenarios.with_overrides(config, **overrides)
+    overrides = {"mode": args.mode, "master_seed": args.seed,
+                 "n_trajectories": args.trajectories, "mc_grid": args.mc_grid}
+    config = scenarios.with_overrides(
+        scenarios.load_config(args.config),
+        **{k: v for k, v in overrides.items() if v is not None})
     manifest = scenarios.run_scenario(config, outdir=args.outdir)
     for path in manifest["csv_paths"]:
         print(f"wrote {path}")
@@ -89,38 +78,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_presets() -> int:
-    for line in scenarios.list_presets():
-        print(line)
-    return 0
-
-
 def _cmd_invert(args: argparse.Namespace) -> int:
     if not 0.0 < args.target < 0.5:
         raise ConfigError("target population must lie in (0, 0.5)")
-    if args.tau_theta is not None:
-        if args.tau_theta <= 0.0:
-            raise ConfigError("tau-theta must be positive")
-        theta = 2.0 * math.pi / args.tau_theta
-    else:
-        theta = args.theta
-    try:
-        drive = PhaseRotatingDrive(args.omega0, theta)
-        p_pump = invert_pump_probability(drive, args.p_absorb,
-                                         drive.tau_theta, args.target)
+    if args.tau_theta is not None and args.tau_theta <= 0.0:
+        raise ConfigError("tau-theta must be positive")
+    theta = args.theta if args.tau_theta is None else 2.0 * math.pi / args.tau_theta
+    try:  # names theta when its period 2 pi / theta overflows
+        tau = PhaseRotatingDrive(args.omega0, theta).tau_theta
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    k = oracle.k_factor(p_pump, drive.alpha)
-    k_proj = oracle.k_factor(p_pump, drive.alpha, projective=True)
-    beta_r = beta_reservoir(args.target, drive.gap)
-    print(f"p_pump            {p_pump!r}")
-    print(f"closed-form p_pump {oracle.invert_pump_closed_form(args.target, drive.alpha)!r}"
-          f" (default reading)")
-    print(f"closed-form p_pump {oracle.invert_pump_closed_form(args.target, drive.alpha, projective=True)!r}"
+    d = scenarios.resolve(scenarios.ScenarioConfig(
+        name="invert", kind="conditional", drive_family="phase",
+        omega0=args.omega0, theta=theta, tau=tau, t_f_grid=(0.0,), beta=0.0,
+        p_absorb=args.p_absorb, target_upper_population=args.target)).derived
+    print(f"p_pump            {d['p_pump']!r}")
+    print(f"closed-form p_pump {d['p_pump_closed_form']!r} (default reading)")
+    print(f"closed-form p_pump {d['p_pump_closed_form_projective']!r}"
           f" (projective reading)")
-    print(f"alpha             {math.degrees(drive.alpha):.4f} deg")
-    print(f"k factor          {k!r} (default), {k_proj!r} (projective)")
-    print(f"beta_r * gap      {beta_r * drive.gap!r}")
+    print(f"alpha             {math.degrees(d['alpha_rad']):.4f} deg")
+    print(f"k factor          {d['k_factor']!r} (default), "
+          f"{d['k_factor_projective']!r} (projective)")
+    print(f"beta_r * gap      {d['beta_r_gap']!r}")
     return 0
 
 
@@ -143,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "presets":
-            return _cmd_presets()
+            print("\n".join(scenarios.list_presets()))
+            return 0
         if args.command == "invert":
             return _cmd_invert(args)
         return _cmd_check(args)

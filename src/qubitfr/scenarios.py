@@ -66,6 +66,9 @@ MAX_PULSES = 1000
 # 2 x n_trajectories x (that count + the number of sampled points).  107x
 # the largest preset, fig5a with mc_grid "all" at the default count (4.0e7).
 MAX_SAMPLED_STEPS = 2**32
+# exp overflows past log(float max), about 709.78: the limit on beta dE in
+# the Gibbs weights and (beta - beta_r) dE in the fluctuation functional.
+MAX_EXP_ARG = math.log(np.finfo(float).max)
 # UTF-8 bytes of a name or prefix: "<prefix>_manifest.json" plus a
 # temporary-file suffix must fit the common 255-byte file-name limit.
 MAX_NAME_LENGTH = 200
@@ -237,20 +240,13 @@ class ResolvedScenario:
                                        t_f=t_f)
 
 
-def build_drive(config: ScenarioConfig) -> DriveSpec:
-    if config.drive_family == "amplitude":
-        return AmplitudeModulatedDrive(config.omega0, config.tau_a)
-    return PhaseRotatingDrive(config.omega0, config.theta)
-
-
 def resolve(config: ScenarioConfig) -> ResolvedScenario:
-    """Fill in the pump probability and reservoir temperature.
+    """The drive, channel and derived values that every command reads.
 
     The pump inversion is exact for the channel fixed point (closed form,
-    ``channel.invert_pump_probability``).  Only the ``oracle`` k-factor
-    inversions are comparison-only: they are reported in the derived block
-    and never used to set parameters.  A value the drive, channel or
-    thermal model rejects raises ``ConfigError``.
+    ``channel.invert_pump_probability``); the ``oracle`` k-factor inversions
+    are only reported.  A value the drive, channel or thermal model rejects
+    raises ``ConfigError``.
     """
     try:
         return _resolve(config)
@@ -259,7 +255,9 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
 
 
 def _resolve(config: ScenarioConfig) -> ResolvedScenario:
-    drive = build_drive(config)
+    drive = (AmplitudeModulatedDrive(config.omega0, config.tau_a)
+             if config.drive_family == "amplitude"
+             else PhaseRotatingDrive(config.omega0, config.theta))
     derived: dict = {"energy_unit": "hbar_omega0", "omega0_rad_per_ns": config.omega0}
 
     p_pump = config.p_pump
@@ -303,6 +301,13 @@ def _resolve(config: ScenarioConfig) -> ResolvedScenario:
     else:
         derived["tau_a_ns"] = drive.tau_a
 
+    # |dE| is at most the splitting at t = 0: the dressed gap, or omega(0).
+    splitting = 2.0 * instantaneous_eigensystem(drive, 0.0).e_plus
+    exponent = max(abs(config.beta), abs(config.beta - beta_r)) * splitting
+    if exponent > MAX_EXP_ARG:
+        raise ConfigError(f"beta = {config.beta!r} with beta_r = {beta_r!r} puts "
+                          f"exponents up to {exponent:.4g} on the level splitting "
+                          f"{splitting!r} rad/ns; exp overflows past {MAX_EXP_ARG:.2f}")
     thermal = ThermalContext(config.beta, beta_r)
     derived["beta_omega0"] = config.beta * config.omega0
     derived["beta_r_omega0"] = beta_r * config.omega0
@@ -397,14 +402,13 @@ def list_presets() -> list[str]:
     for name, cfg in PRESETS.items():
         bits = [f"{name}: {cfg.kind}", f"family={cfg.drive_family}"]
         if cfg.drive_family == "phase":
-            drive = build_drive(cfg)
-            bits.append(f"tau_theta = {drive.tau_theta:.0f} ns")
-            bits.append(f"alpha = {abs(math.degrees(drive.alpha)):.1f} deg")
+            derived = resolve(cfg).derived
+            bits.append(f"tau_theta = {derived['tau_theta_ns']:.0f} ns")
+            bits.append(f"alpha = {derived['alpha_deg_abs']:.1f} deg")
             if cfg.target_upper_population is not None:
                 bits.append(f"target P_up_inf = {cfg.target_upper_population}")
             if cfg.beta != 0.0:
-                p0 = gibbs_population(cfg.beta, drive, 0.0)
-                bits.append(f"P_up(0) = {p0:.3f}")
+                bits.append(f"P_up(0) = {derived['initial_upper_population']:.3f}")
         else:
             bits.append(f"tau = {cfg.tau:.0f} ns")
             bits.append(f"tau_a = {cfg.tau_a:.0f} ns")
@@ -599,8 +603,7 @@ def run_scenario(config: ScenarioConfig | str | Path,
     current directory.
     """
     if isinstance(config, (str, Path)):
-        config = (get_preset(str(config)) if str(config) in PRESETS
-                  else load_config(config))
+        config = load_config(config)
     resolved = resolve(config)
 
     if outdir is None:
@@ -641,7 +644,10 @@ def run_scenario(config: ScenarioConfig | str | Path,
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Read a scenario from a config file or a previously written manifest."""
+    """The preset of that name, or the scenario in a config file or a
+    previously written manifest."""
+    if str(path) in PRESETS:
+        return PRESETS[str(path)]
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")

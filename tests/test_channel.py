@@ -133,6 +133,14 @@ class TestInversion:
             # Pumping can only push the upper population below 1/2.
             invert_pump_probability(drive, 0.25, drive.tau_theta, 0.9)
 
+    def test_ill_conditioned_inversion_raises(self):
+        # At theta >> omega0 the closed form rounds the pump to 0, whose
+        # plateau is 1/2; the direct solve catches the miss.
+        drive = PhaseRotatingDrive(0.9459512814479974, 1e4)
+        with pytest.raises(ValueError, match="puts the plateau at 0.5"):
+            invert_pump_probability(drive, 0.6937820608755615, drive.tau_theta,
+                                    0.033059807879091796)
+
     def test_degenerate_probability_rejected(self):
         drive = phase_drive(616.0)
         for bad in (0.0, 1.0, -0.2):

@@ -1,19 +1,23 @@
 """Command-line and scenario-runner tests: outputs, round trips, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qubitfr
 from qubitfr import scenarios
-from qubitfr.channel import PulseChannelParams, invert_pump_probability
+from qubitfr.channel import invert_pump_probability
 from qubitfr.cli import main
 from qubitfr.core import PhaseRotatingDrive
 from qubitfr.scenarios import (ConfigError, ScenarioConfig, get_preset,
@@ -557,8 +561,19 @@ class TestCli:
         ("fig6e", {"omega0": 1e307}, "omega0"),
         ("fig4b", {"omega0": 1e306}, "omega0"),
         ("fig6e", {"theta": 1e308, "t_f_grid": [0.0]}, "theta"),
+        ("fig4b", {"beta": 1e306}, "beta"),
+        ("fig6e", {"beta": 1e306}, "beta"),
+        ("fig5b", {"beta": 1e306}, "beta"),
+        ("fig4b", {"beta": -1e306}, "beta"),
+        # |beta| gap = 700 passes alone; beta_r gap = 11.5 at this plateau
+        # takes |beta - beta_r| gap past 709.78.
+        ("fig6e", {"omega0": 0.005, "theta": 1.0, "tau": 2.0 * math.pi,
+                   "t_f_grid": [0.0, 2.0 * math.pi], "beta": -700.0,
+                   "target_upper_population": 1e-5}, "beta"),
     ], ids=["period", "phase_grid", "phase_rabi", "tau_a", "omega0_phase",
-            "omega0_amplitude", "phase_tau"])
+            "omega0_amplitude", "phase_tau", "beta_fr_amplitude",
+            "beta_fr_phase", "beta_conditional", "beta_negative",
+            "beta_minus_beta_r"])
     def test_overflowing_drive_phase_is_config_error(self, tmp_path, capsys,
                                                      preset, overrides, field):
         data = get_preset(preset).to_dict()
@@ -570,11 +585,80 @@ class TestCli:
         assert err.startswith(f"configuration error: {field} = "), err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    def test_invert_with_overflowing_period_is_config_error(self, capsys):
-        assert main(["invert", "--target", "0.138", "--theta", "1e-320"]) == 2
+    @pytest.mark.parametrize("drive_args,field", [
+        (["--theta", "1e-320"], "theta = 1e-320"),
+        (["--theta", "1", "--omega0", "1e308"], "omega0 = "),
+    ], ids=["period", "dressed_phase"])
+    def test_invert_with_overflowing_period_is_config_error(self, capsys,
+                                                            drive_args, field):
+        assert main(["invert", "--target", "0.138", *drive_args]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("configuration error: theta = 1e-320")
+        assert captured.err.startswith(f"configuration error: {field}")
         assert captured.out == ""
+
+    def test_degenerate_channel_is_config_error(self, tmp_path, capsys):
+        # At theta = 1e308 the period map leaves rz alone, and the inverted
+        # pump of 0 conserves it too: the fixed point is not unique.
+        message = ("configuration error: pump inversion failed: "
+                   "p_absorb = 0.25, p_pump = 0.0, tau = ")
+        assert main(["invert", "--target", "0.138", "--theta", "1e308",
+                     "--omega0", "0.005"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message), captured.err
+        assert "unique fixed point" in captured.err
+        assert captured.out == ""
+        tau = PhaseRotatingDrive(0.005, 1e308).tau_theta
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_phase_config(
+            kind="conditional", omega0=0.005, theta=1e308, tau=tau,
+            t_f_grid=(0.0, tau), p_pump=None,
+            target_upper_population=0.138).to_dict()))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message), captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_inversion_that_misses_the_target_is_config_error(self, capsys):
+        # Near theta >> omega0 the inverted pump rounds to 0, whose plateau
+        # is 1/2; this used to print p_pump 0.0 and exit 0.
+        assert main(["invert", "--target", "0.033059807879091796",
+                     "--theta", "1e4", "--omega0", "0.9459512814479974",
+                     "--p-absorb", "0.6937820608755615"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "configuration error: pump inversion failed: p_pump = 0.0 puts the "
+            "plateau at 0.5, not at the target population 0.033059807879091796"
+            ), captured.err
+        assert captured.out == ""
+
+    def test_given_pump_is_not_held_to_the_target(self, tmp_path):
+        # With p_pump given nothing is inverted; the miss is only reported.
+        data = {**get_preset("fig6e").to_dict(), "p_pump": 0.3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+        derived = read_manifest(tmp_path / "fig6e_manifest.json")["derived"]
+        assert derived["asymptote_gap_to_target"] > 0.05
+
+    @pytest.mark.parametrize("name", ["fig5b", "fig5c", "fig5d"])
+    def test_invert_prints_the_derived_block_of_run(self, tmp_path, capsys, name):
+        cfg = get_preset(name)
+        assert main(["run", name, "--outdir", str(tmp_path)]) == 0
+        d = read_manifest(tmp_path / f"{name}_manifest.json")["derived"]
+        capsys.readouterr()
+        assert main(["invert", "--target", repr(cfg.target_upper_population),
+                     "--tau-theta", repr(cfg.tau)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"p_pump            {d['p_pump']!r}",
+            f"closed-form p_pump {d['p_pump_closed_form']!r} (default reading)",
+            f"closed-form p_pump {d['p_pump_closed_form_projective']!r}"
+            " (projective reading)",
+            f"alpha             {math.degrees(d['alpha_rad']):.4f} deg",
+            f"k factor          {d['k_factor']!r} (default), "
+            f"{d['k_factor_projective']!r} (projective)",
+            f"beta_r * gap      {d['beta_r_gap']!r}",
+        ]
 
     def test_invert_without_absorption_is_config_error(self):
         proc = run_cli("invert", "--target", "0.138", "--tau-theta", "616",
@@ -582,6 +666,44 @@ class TestCli:
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+INVERT_FIELDS = ("target", "period", "omega0", "p_absorb")
+BOUNDARY_FLOATS = st.sampled_from([
+    0.0, -0.0, 0.5, 1.0, -1.0, 5e-324, 1e-320, 1e-9, 1e9, 1e306, 1e308,
+    sys.float_info.max, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200)
+@given(period_flag=st.sampled_from(["--theta", "--tau-theta"]),
+       typical=st.fixed_dictionaries({
+           "target": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           "period": st.floats(1e-3, 1e4), "omega0": st.floats(1e-4, 1.0),
+           "p_absorb": st.floats(0.0, 1.0)}),
+       hostile=st.dictionaries(st.sampled_from(INVERT_FIELDS),
+                               BOUNDARY_FLOATS | st.floats(), max_size=4))
+def test_invert_exits_0_or_2_with_a_message(period_flag, typical, hostile):
+    """Typical values with up to four of them replaced by boundary or
+    arbitrary floats, NaN and infinities included."""
+    v = {**typical, **hostile}
+    # "--flag=value" keeps argparse from reading "-1e-05" as an option.
+    argv = ["invert", f"--target={v['target']!r}", f"{period_flag}={v['period']!r}",
+            f"--omega0={v['omega0']!r}", f"--p-absorb={v['p_absorb']!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        p_pump = float(out.splitlines()[0].split()[1])
+        assert 0.0 <= p_pump <= 1.0
 
 
 # SHA-256 of each preset's deterministic CSV.  Any change to these bytes,
