@@ -93,12 +93,9 @@ def _cmd_invert(args: argparse.Namespace) -> int:
         omega0=args.omega0, theta=theta, tau=tau, t_f_grid=(0.0,), beta=0.0,
         p_absorb=args.p_absorb, target_upper_population=args.target)).derived
     print(f"p_pump            {d['p_pump']!r}")
-    print(f"closed-form p_pump {d['p_pump_closed_form']!r} (default reading)")
-    print(f"closed-form p_pump {d['p_pump_closed_form_projective']!r}"
-          f" (projective reading)")
+    print(f"closed-form p_pump {d['p_pump_closed_form']!r}")
     print(f"alpha             {math.degrees(d['alpha_rad']):.4f} deg")
-    print(f"k factor          {d['k_factor']!r} (default), "
-          f"{d['k_factor_projective']!r} (projective)")
+    print(f"k factor          {d['k_factor']!r}")
     print(f"beta_r * gap      {d['beta_r_gap']!r}")
     return 0
 

@@ -9,16 +9,18 @@ The fixed-axis (amplitude) family is exactly solvable: each pulse pulls
 the measured population toward 1/2 by a factor (1 - p_absorb) and the
 drive never mixes populations, so the mean work and heat are sums of
 geometric per-pulse terms.  The rotating (phase) family admits a
-one-pulse population recursion built on a pulse-strength factor k; two
-readings of k are provided (``k_factor``'s ``projective`` flag) and the
-gap between recursion and full propagation is measurable via
-``floquet_recursion_gap`` instead of being assumed zero.
+one-pulse population recursion built on the pulse-strength factor
+k = 1 - (1 - p_pump) cos^2(alpha), the projective reading: its rate
+1 - p_absorb k sits within 0.007 of the slow eigenvalue of the
+one-period map on the fig5b-d presets (0.8080 vs 0.8058, 0.8607 vs
+0.8598, 0.9383 vs 0.9446).  The recursion is still not exact, because
+coherences survive between pulses; ``floquet_recursion_gap`` measures
+the gap instead of assuming it zero.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -67,30 +69,29 @@ def work_heat_series_amplitude(config: ProtocolConfig) -> tuple[float, float]:
     return float(per_w.sum()) + tail, float(per_q.sum())
 
 
-def k_factor(p_pump: float, alpha: float, projective: bool = False) -> float:
-    """Pulse-strength factor 1 + s (1 - p_pump) cos^2(alpha).
+def k_factor(p_pump: float, alpha: float) -> float:
+    """Pulse-strength factor 1 - (1 - p_pump) cos^2(alpha), in [0, 1].
 
-    The default reading (s = +1) lies in [1, 2].  The projective reading
-    (s = -1, in [0, 1]) is the factor produced by composing projection and
-    pumping exactly on a dressed-basis-diagonal state; both are kept so
-    they can be compared against full propagation.
+    The factor produced by composing projection and pumping exactly on a
+    dressed-basis-diagonal state.  It is the one reading kept because its
+    rate 1 - p_absorb k tracks the one-period map's slow eigenvalue to
+    0.007 on fig5b-d; the reading 1 + (1 - p_pump) cos^2(alpha) missed
+    it by up to 0.38.
     """
     if not (0.0 <= p_pump <= 1.0):
         raise ValueError(f"p_pump must be a probability, got {p_pump}")
-    s = -1.0 if projective else 1.0
-    return 1.0 + s * (1.0 - p_pump) * math.cos(alpha) ** 2
+    return 1.0 - (1.0 - p_pump) * math.cos(alpha) ** 2
 
 
-def floquet_asymptote(p_pump: float, alpha: float, projective: bool = False) -> float:
+def floquet_asymptote(p_pump: float, alpha: float) -> float:
     """Limiting upper-level weight 1/2 (1 - (p_pump/k) cos(alpha)), k from
-    ``k_factor`` in the chosen reading."""
-    k = k_factor(p_pump, alpha, projective)
+    ``k_factor``."""
+    k = k_factor(p_pump, alpha)
     return 0.5 * (1.0 - (p_pump / k) * math.cos(alpha))
 
 
 def floquet_population_recursion(p0: float, p_absorb: float, p_pump: float,
-                                 alpha: float, n: int,
-                                 projective: bool = False) -> float:
+                                 alpha: float, n: int) -> float:
     """n-pulse upper-level population for the rotating drive.
 
     P(n) = (1 - p_absorb k)^n P(0) + (1 - (1 - p_absorb k)^n) P_inf with
@@ -100,50 +101,41 @@ def floquet_population_recursion(p0: float, p_absorb: float, p_pump: float,
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    k = k_factor(p_pump, alpha, projective)
-    damp = 1.0 - p_absorb * k
-    if damp <= 0.0:
-        warnings.warn(f"p_absorb * k = {p_absorb * k:.4f} >= 1: recursion "
-                      "leaves the monotone-contraction regime", stacklevel=2)
-    p_inf = floquet_asymptote(p_pump, alpha, projective)
+    damp = 1.0 - p_absorb * k_factor(p_pump, alpha)
+    if damp == 1.0:  # the pulses move nothing, and k may be 0
+        return p0
+    p_inf = floquet_asymptote(p_pump, alpha)
     return damp ** n * p0 + (1.0 - damp ** n) * p_inf
 
 
-def invert_pump_closed_form(target: float, alpha: float,
-                            projective: bool = False) -> float:
+def invert_pump_closed_form(target: float, alpha: float) -> float:
     """Pump probability whose recursion asymptote equals the target weight.
 
-    Solves target = 1/2 (1 - (p/k(p)) cos(alpha)) for p with the chosen k
-    reading.  The result can fall outside [0, 1] for unreachable targets;
-    callers validate.
+    Solves target = 1/2 (1 - (p/k(p)) cos(alpha)) for p.  The result can
+    fall outside [0, 1] for unreachable targets; callers validate.
     """
     c = math.cos(alpha)
     if c == 0.0:
         raise ValueError("cos(alpha) = 0: asymptote is 1/2 for every pump value")
-    s = -1.0 if projective else 1.0
     excess = 1.0 - 2.0 * target
-    denom = c * (1.0 + s * excess * c)
+    denom = c * (1.0 - excess * c)
     if denom == 0.0:
         raise ValueError("target is at the inversion singularity")
-    return excess * (1.0 + s * c * c) / denom
+    return excess * (1.0 - c * c) / denom
 
 
 def mean_heat_phase(config: ProtocolConfig) -> float:
-    """Cumulative heat after the config's n stroboscopic pulses of the
-    rotating drive, with the default k factor.
-
-    E_theta (1 - (1 - p_absorb k)^n)(1 - (p_pump/k) cos(alpha) - 2 P(0)),
-    which equals gap * (P(n) - P(0)) for the recursion populations.
-    """
+    """Cumulative heat gap * (P(n) - P(0)) after the config's n
+    stroboscopic pulses of the rotating drive, P from
+    ``floquet_population_recursion``."""
     drive = config.drive
     if not isinstance(drive, PhaseRotatingDrive):
         raise TypeError("stroboscopic heat requires the rotating drive")
-    pd = config.channel.p_pump
-    k = k_factor(pd, drive.alpha)
     p0 = gibbs_population(config.thermal.beta, drive, 0.0)
-    damp = 1.0 - config.channel.p_absorb * k
-    return drive.e_theta * (1.0 - damp ** config.n_pulses) * (
-        1.0 - (pd / k) * math.cos(drive.alpha) - 2.0 * p0)
+    p_n = floquet_population_recursion(p0, config.channel.p_absorb,
+                                       config.channel.p_pump, drive.alpha,
+                                       config.n_pulses)
+    return drive.gap * (p_n - p0)
 
 
 def rabi_conditional(omega0: float, theta: float, t: float) -> float:
@@ -158,14 +150,13 @@ def rabi_conditional(omega0: float, theta: float, t: float) -> float:
     return 1.0 - weight * math.sin(0.5 * theta * t) ** 2
 
 
-def floquet_recursion_gap(config: ProtocolConfig,
-                          projective: bool = False) -> np.ndarray:
+def floquet_recursion_gap(config: ProtocolConfig) -> np.ndarray:
     """|recursion - full map| per pulse count 0..config.n_pulses,
     maximized over basis starts.
 
     Propagates both dressed basis states through ``pulse_train`` (exact
     drive periods, then pulses) and compares their upper-level weights
-    with the recursion, in the chosen k reading, at the same pulse count;
+    with the recursion at the same pulse count;
     entry n is the larger of the two absolute gaps.
     """
     drive = config.drive
@@ -180,7 +171,7 @@ def floquet_recursion_gap(config: ProtocolConfig,
         for n in range(n_max + 1):
             exact = 0.5 * (1.0 + float(post[n][start] @ axis))
             predicted = floquet_population_recursion(
-                p0, params.p_absorb, params.p_pump, drive.alpha, n, projective)
+                p0, params.p_absorb, params.p_pump, drive.alpha, n)
             gaps[n] = max(gaps[n], abs(exact - predicted))
     return gaps
 

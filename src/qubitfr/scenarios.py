@@ -79,8 +79,11 @@ FLOAT_FIELDS = ("omega0", "tau", "beta", "p_absorb", "tau_a", "theta", "p_pump",
 
 
 def _is_finite_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int past the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -185,10 +188,12 @@ class ScenarioConfig:
         sampled = self.sampled_grid()  # ascending, so the last has the most pulses
         steps = 2 * self.n_trajectories * (self.pulses_at(sampled[-1]) + len(sampled))
         if steps > MAX_SAMPLED_STEPS:
+            from decimal import Decimal  # formats ints past the float range
             raise ConfigError(
-                f"n_trajectories = {self.n_trajectories} asks for {steps:.3g} pulse "
-                f"steps and measurements over {len(sampled)} sampled grid "
-                f"point(s); at most {MAX_SAMPLED_STEPS} are allowed")
+                f"n_trajectories = {self.n_trajectories} asks for "
+                f"{Decimal(steps):.3g} pulse steps and measurements over "
+                f"{len(sampled)} sampled grid point(s); at most "
+                f"{MAX_SAMPLED_STEPS} are allowed")
 
     def pulses_at(self, t_f: float) -> int:
         """Pulses fired up to t_f; rabi scenarios fire none."""
@@ -244,8 +249,8 @@ def resolve(config: ScenarioConfig) -> ResolvedScenario:
     """The drive, channel and derived values that every command reads.
 
     The pump inversion is exact for the channel fixed point (closed form,
-    ``channel.invert_pump_probability``); the ``oracle`` k-factor inversions
-    are only reported.  A value the drive, channel or thermal model rejects
+    ``channel.invert_pump_probability``); the ``oracle`` k-factor inversion
+    is only reported.  A value the drive, channel or thermal model rejects
     raises ``ConfigError``.
     """
     try:
@@ -283,12 +288,10 @@ def _resolve(config: ScenarioConfig) -> ResolvedScenario:
         derived["alpha_deg_abs"] = abs(math.degrees(drive.alpha))
         derived["e_theta"] = drive.e_theta / config.omega0
         derived["gap"] = drive.gap / config.omega0
-        for suffix, projective in (("", False), ("_projective", True)):
-            derived["k_factor" + suffix] = oracle.k_factor(
-                p_pump, drive.alpha, projective)
-            if config.target_upper_population is not None:
-                derived["p_pump_closed_form" + suffix] = oracle.invert_pump_closed_form(
-                    config.target_upper_population, drive.alpha, projective)
+        derived["k_factor"] = oracle.k_factor(p_pump, drive.alpha)
+        if config.target_upper_population is not None:
+            derived["p_pump_closed_form"] = oracle.invert_pump_closed_form(
+                config.target_upper_population, drive.alpha)
         if config.p_absorb > 0.0:
             p_inf = channel_mod.stationary_upper_population(
                 drive, params, config.tau)

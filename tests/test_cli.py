@@ -135,6 +135,13 @@ class TestScenarioConfig:
                      "--outdir", str(tmp_path)]) == 2
         assert "n_trajectories" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+        # Past the float range the step count still formats.
+        cfg_path = tmp_path / "huge_count.json"
+        cfg_path.write_text(json.dumps(
+            dict(get_preset("fig6e").to_dict(), n_trajectories=10**308)))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
+        assert "n_trajectories" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
         for cfg in scenarios.PRESETS.values():
             modes = ("deterministic",) if cfg.kind == "bloch" else scenarios.MODES
             for mode in modes:
@@ -142,7 +149,11 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("tau", math.nan), ("beta", -math.inf), ("p_absorb", "0.25"),
-        ("omega0", True), ("t_f_grid", (0.0, "616"))])
+        ("omega0", True), ("t_f_grid", (0.0, "616")),
+        *(pytest.param(field, value, id=f"{field}-huge_int")
+          for field, value in [("omega0", 10**400), ("tau", 10**400),
+                               ("beta", 10**400), ("p_pump", 10**400),
+                               ("t_f_grid", (0.0, 10**400))])])
     def test_floats_must_be_finite_numbers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_phase_config(**{field: value})
@@ -182,7 +193,9 @@ class TestResolve:
         assert d["p_up_infinity"] == pytest.approx(0.138, abs=1e-9)
         assert d["beta_r_gap"] == pytest.approx(
             math.log((1.0 - 0.138) / 0.138), abs=1e-9)
-        assert d["k_factor"] + d["k_factor_projective"] == pytest.approx(2.0)
+        # The k-factor closed form lands near the exact channel inversion.
+        assert d["p_pump_closed_form"] == pytest.approx(d["p_pump"], abs=5e-4)
+        assert not any(key.endswith("_projective") for key in d)
 
     def test_presets_all_resolve(self):
         for name in scenarios.PRESETS:
@@ -459,8 +472,11 @@ class TestCli:
     @pytest.mark.parametrize("overrides", [
         {"omega0": -1}, {"theta": -1}, {"beta": math.inf},
         {"target_upper_population": "0.1"}, {"t_f_grid": [0.0, math.nan]},
-        {"tau": math.nan}], ids=["omega0", "theta", "beta", "target",
-                                 "t_f_grid", "tau"])
+        {"tau": math.nan}, {"omega0": 10**400}, {"tau": 10**400},
+        {"beta": 10**400}, {"p_pump": 10**400}, {"t_f_grid": [0.0, 10**400]}],
+        ids=["omega0", "theta", "beta", "target", "t_f_grid", "tau",
+             "huge_int_omega0", "huge_int_tau", "huge_int_beta",
+             "huge_int_p_pump", "huge_int_t_f_grid"])
     def test_bad_config_values_are_config_errors(self, tmp_path, overrides):
         cfg_path = tmp_path / "bad.json"
         data = small_phase_config().to_dict()
@@ -651,12 +667,9 @@ class TestCli:
                      "--tau-theta", repr(cfg.tau)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"p_pump            {d['p_pump']!r}",
-            f"closed-form p_pump {d['p_pump_closed_form']!r} (default reading)",
-            f"closed-form p_pump {d['p_pump_closed_form_projective']!r}"
-            " (projective reading)",
+            f"closed-form p_pump {d['p_pump_closed_form']!r}",
             f"alpha             {math.degrees(d['alpha_rad']):.4f} deg",
-            f"k factor          {d['k_factor']!r} (default), "
-            f"{d['k_factor_projective']!r} (projective)",
+            f"k factor          {d['k_factor']!r}",
             f"beta_r * gap      {d['beta_r_gap']!r}",
         ]
 
@@ -709,8 +722,10 @@ def test_invert_exits_0_or_2_with_a_message(period_flag, typical, hostile):
 # SHA-256 of each preset's deterministic CSV.  Any change to these bytes,
 # however small, is a change to the published numbers and must be deliberate:
 # re-derive with ``python3 tests/output_digest.py`` and say why.  Derived on
-# x86-64 Linux with numpy 2.4; a platform whose libm rounds cos or sin
-# differently would need its own table.
+# x86-64 Linux with numpy 2.4 on an AVX-512 host; the digests move with the
+# OpenBLAS core type (its gemv/gemm kernels and LAPACK solve round
+# differently) and with numpy's SIMD dispatch (the exp and dot loops), so
+# another host may need its own table.
 PRESET_CSV_SHA256 = {
     "fig2a":
         "fcde37385e718a0d84afa8acfa88cc686c616b5320d8635c623674f8e58f8e37",
@@ -733,11 +748,11 @@ PRESET_CSV_SHA256 = {
     "fig5d":
         "fb075e57da1b4e38809711d1b9c08855b723ce3da136f0c79a52b4b78c83b6f3",
     "fig6a":
-        "6766630ef2ef44dc2a7a7c6ac0ac7f1eadb6e4421448fd206d436c01520616af",
+        "fbcf39420b90f1b25ec4a92217acac66d401912c73dad005e497cf98c281cb25",
     "fig6b":
-        "e72033fecd68f0211f36f0cb7d567c92ef175bf7a6d3fe7f7a8f080f9ff169a9",
+        "eab792b1adf1207c9a3d5d888f55df885eaa4f18ce25c81b25e50f7831c6c48b",
     "fig6c":
-        "02b77d7b41ae0dbb8a23e1d228df61844a0c9a8992b88064f1937bf02b29ccf8",
+        "a46b92dfc910fa83c4b55186e3046ebd4476f0e3d4eefeb40680196debc77e4c",
     "fig6d":
         "b913c63c901df91b7f52aa087dcb4939cefd8779d6fc4c3160f03f89670a586c",
     "fig6e":
@@ -751,7 +766,7 @@ STDOUT_SHA256 = {
     ("presets",):
         "b2a471151d77e41b3b87cb155443c0e2ae7ac1fd399c49f51433ddd92b263ef1",
     ("invert", "--target", "0.138", "--tau-theta", "616"):
-        "5de13da232755c9ca80903709c84840d01a7b3c164e1d2440d1846d07633d861",
+        "c40235804924c8d0a6bfcc4e235ed4c5c89c2a3693388d4fd7afa16fdc0faac2",
 }
 
 

@@ -7,7 +7,8 @@ import pytest
 from scipy.linalg import expm
 
 import dmtools
-from qubitfr.channel import PulseChannelParams
+from qubitfr import scenarios
+from qubitfr.channel import PulseChannelParams, period_map
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, free_energy_delta,
                           gibbs_population)
@@ -105,30 +106,33 @@ class TestWorkHeatSeries:
 
 class TestPulseStrengthFactor:
     def test_reference_values(self):
-        assert k_factor(0.5, -math.pi / 4) == pytest.approx(1.25)
-        assert k_factor(0.5, -math.pi / 4, projective=True) == pytest.approx(0.75)
+        assert k_factor(0.5, -math.pi / 4) == pytest.approx(0.75)
 
-    def test_readings_are_complementary(self):
-        for pd in (0.1, 0.45, 0.9):
-            alpha = -0.3
-            assert k_factor(pd, alpha) + k_factor(pd, alpha, projective=True) == \
-                pytest.approx(2.0)
-
-    def test_full_pump_collapses_both_readings(self):
+    def test_full_pump_gives_unit_factor(self):
         assert k_factor(1.0, -0.8) == pytest.approx(1.0)
-        assert k_factor(1.0, -0.8, projective=True) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", ["fig5b", "fig5c", "fig5d"])
+    def test_rate_tracks_period_map_slow_eigenvalue(self, name):
+        # The recursion rate 1 - p_absorb k against the spectral radius of
+        # the one-period map's linear part (drive for tau, then pulse).
+        res = scenarios.resolve(scenarios.get_preset(name))
+        lin, _ = period_map(res.drive, res.channel, res.config.tau)
+        slow = float(np.max(np.abs(np.linalg.eigvals(lin))))
+        rate = 1.0 - res.channel.p_absorb * k_factor(res.channel.p_pump,
+                                                     res.drive.alpha)
+        assert rate == pytest.approx(slow, abs=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             k_factor(1.5, -0.3)
         with pytest.raises(ValueError):
-            k_factor(-0.1, -0.3, projective=True)
+            k_factor(-0.1, -0.3)
 
 
 class TestFloquetRecursion:
     def test_asymptote_reference_value(self):
         assert floquet_asymptote(0.5, -math.pi / 4) == pytest.approx(
-            0.5 * (1.0 - (0.5 / 1.25) * math.cos(-math.pi / 4)))
+            0.5 * (1.0 - (0.5 / 0.75) * math.cos(-math.pi / 4)))
 
     def test_no_pump_asymptote_is_half(self):
         assert floquet_asymptote(0.0, -0.7) == pytest.approx(0.5)
@@ -139,20 +143,18 @@ class TestFloquetRecursion:
         assert floquet_population_recursion(*args, 4000) == pytest.approx(
             floquet_asymptote(0.45, -0.3))
 
-    @pytest.mark.parametrize("projective", [False, True])
-    def test_single_step_is_affine(self, projective):
+    def test_single_step_is_affine(self):
         p0, pa, pd, alpha = 0.3, 0.25, 0.45, -0.3
-        k = k_factor(pd, alpha, projective)
-        expected = ((1.0 - pa * k) * p0
-                    + pa * k * floquet_asymptote(pd, alpha, projective))
-        assert floquet_population_recursion(p0, pa, pd, alpha, 1,
-                                            projective) == \
+        k = k_factor(pd, alpha)
+        expected = (1.0 - pa * k) * p0 + pa * k * floquet_asymptote(pd, alpha)
+        assert floquet_population_recursion(p0, pa, pd, alpha, 1) == \
             pytest.approx(expected, abs=1e-15)
 
-    def test_warns_outside_contraction_regime(self):
-        # p_absorb * k > 1 flips the sign of the damping factor.
-        with pytest.warns(UserWarning, match="contraction"):
-            floquet_population_recursion(0.5, 0.9, 0.1, -1.2, 3)
+    def test_pulses_that_move_nothing_keep_the_population(self):
+        # No pump on an axis cos(alpha) = 1 gives k = 0, where the
+        # asymptote p_pump / k is undefined.
+        assert k_factor(0.0, 0.0) == 0.0
+        assert floquet_population_recursion(0.3, 0.25, 0.0, 0.0, 5) == 0.3
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -160,19 +162,16 @@ class TestFloquetRecursion:
 
 
 class TestClosedFormInversion:
-    @pytest.mark.parametrize("projective", [False, True])
     @pytest.mark.parametrize("target,alpha", [(0.276, -0.8), (0.138, -0.458),
                                               (0.050, -0.2415)])
-    def test_round_trip_through_asymptote(self, target, alpha, projective):
-        pd = invert_pump_closed_form(target, alpha, projective=projective)
-        assert floquet_asymptote(pd, alpha, projective) == pytest.approx(
-            target, abs=1e-12)
+    def test_round_trip_through_asymptote(self, target, alpha):
+        pd = invert_pump_closed_form(target, alpha)
+        assert floquet_asymptote(pd, alpha) == pytest.approx(target, abs=1e-12)
 
     def test_singular_denominator_rejected(self):
-        # excess * cos(alpha) = -1 makes the default-reading denominator
-        # exactly zero.
+        # excess * cos(alpha) = 1 makes the denominator exactly zero.
         with pytest.raises(ValueError):
-            invert_pump_closed_form(1.0, 0.0)
+            invert_pump_closed_form(0.0, 0.0)
 
     def test_near_perpendicular_axis_escapes_unit_interval(self):
         # cos(-pi/2) is only float-zero-ish; the documented contract is
@@ -231,12 +230,6 @@ class TestRecursionGap:
         gaps = floquet_recursion_gap(phase_config(n_pulses=6))
         assert gaps.shape == (7,)
         assert gaps[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_projective_reading_tracks_map_more_closely(self):
-        pc = phase_config(tau_theta=616.0, n_pulses=50, pd=0.4498)
-        gap_default = floquet_recursion_gap(pc).max()
-        gap_projective = floquet_recursion_gap(pc, projective=True).max()
-        assert gap_projective < gap_default
 
     def test_rejects_fixed_axis_drive(self):
         with pytest.raises(TypeError):
