@@ -11,9 +11,9 @@ is the affine map
 
 One drive period of free evolution followed by a pulse is a contraction
 whenever pa > 0, so its fixed point exists and is obtained here by a
-direct linear solve rather than by iterating the map.  The fixed point is
-linear-fractional in pd, so the pump probability that puts it on a target
-population is found in closed form.
+direct 3x3 solve (Cramer's rule) rather than by iterating the map.  The
+fixed point is linear-fractional in pd, so the pump probability that puts
+it on a target population is found in closed form.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (BLOCH_NORM_TOL, DriveSpec, bloch_rotation,
-                   instantaneous_eigensystem, population_along)
+from .core import (BLOCH_NORM_TOL, IDENTITY3, DriveSpec, Matrix3, Vector,
+                   bloch_rotation, instantaneous_eigensystem, matvec3,
+                   population_along)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 # Largest |plateau - target| an inverted pump may leave (presets: 3.5e-16).
@@ -57,14 +56,29 @@ def pulse_step(rx: float, ry: float, rz: float, p_absorb: float,
             (1.0 - p_absorb) * rz + p_absorb * rz_pulsed)
 
 
+def _scale_rows(d: Vector, m: Matrix3) -> Matrix3:
+    """diag(d) m."""
+    return tuple(tuple(di * x for x in row) for di, row in zip(d, m))
+
+
+def _solve_ez(lin: Matrix3) -> Vector:
+    """(I - lin)^-1 e_z by Cramer's rule: the cofactors of the last row of
+    I - lin over its determinant, expanded along that row.  Raises
+    ZeroDivisionError when the determinant is 0."""
+    (a, b, c), (d, e, f), (g, h, i) = (
+        tuple(one - x for one, x in zip(eye_row, row))
+        for eye_row, row in zip(IDENTITY3, lin))
+    cofactors = (b * f - c * e, c * d - a * f, a * e - b * d)
+    det = g * cofactors[0] + h * cofactors[1] + i * cofactors[2]
+    return tuple(x / det for x in cofactors)
+
+
 def period_map(drive: DriveSpec, params: PulseChannelParams,
-               tau: float) -> tuple[np.ndarray, np.ndarray]:
+               tau: float) -> tuple[Matrix3, Vector]:
     """Linear part and offset of one period of drive followed by a pulse."""
     rot = bloch_rotation(drive, 0.0, tau)
     pa, pd = params.p_absorb, params.p_pump
-    pulse_lin = np.diag([1.0 - pa, 1.0 - pa, 1.0 - pa * pd])
-    offset = np.array([0.0, 0.0, pa * pd])
-    return pulse_lin @ rot, offset
+    return _scale_rows((1.0 - pa, 1.0 - pa, 1.0 - pa * pd), rot), (0.0, 0.0, pa * pd)
 
 
 def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
@@ -81,11 +95,11 @@ def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
     lin, offset = period_map(drive, params, tau)
     channel = f"p_absorb = {params.p_absorb!r}, p_pump = {params.p_pump!r}, tau = {tau!r}"
     try:
-        r = np.linalg.solve(np.eye(3) - lin, offset)
-    except np.linalg.LinAlgError:
+        r = tuple(offset[2] * x for x in _solve_ez(lin))
+    except ZeroDivisionError:
         raise DegenerateChannelError(f"{channel}: {NO_FIXED_POINT}") from None
-    residual = float(np.max(np.abs(lin @ r + offset - r)))
-    norm = float(np.linalg.norm(r))
+    residual = max(abs(m + o - x) for m, o, x in zip(matvec3(lin, r), offset, r))
+    norm = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
     if not (residual <= FIXED_POINT_RESIDUAL_TOL and norm <= 1.0 + BLOCH_NORM_TOL):
         raise DegenerateChannelError(  # NaN fails too
             f"{channel}: the fixed point has residual {residual:.3e} (at most "
@@ -118,12 +132,12 @@ def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
     pa = p_absorb
     rot = bloch_rotation(drive, 0.0, tau)
     try:
-        g = np.linalg.solve(np.eye(3) - (1.0 - pa) * rot, np.array([0.0, 0.0, 1.0]))
-    except np.linalg.LinAlgError:  # 1 - pa rounds to 1
+        g = _solve_ez(_scale_rows((1.0 - pa,) * 3, rot))
+    except ZeroDivisionError:  # 1 - pa rounds to 1
         raise DegenerateChannelError(
             f"p_absorb = {pa!r}, tau = {tau!r}: {NO_FIXED_POINT}") from None
-    a = float(np.array(instantaneous_eigensystem(drive, 0.0).basis_plus) @ g)
-    h = float(rot[2] @ g)
+    a, h = (x * g[0] + y * g[1] + z * g[2]
+            for x, y, z in (instantaneous_eigensystem(drive, 0.0).basis_plus, rot[2]))
     s = 2.0 * target_upper_population - 1.0
     denom = pa * (a - s * h)
     p_pump = s * (1.0 - pa * h) / denom if denom != 0.0 else math.nan

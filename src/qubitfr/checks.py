@@ -116,7 +116,7 @@ def check_asymptote_anchors() -> CheckResult:
         res = scenarios.resolve(scenarios.get_preset(name))
         target = res.config.target_upper_population
         lin, _ = period_map(res.drive, res.channel, res.config.tau)
-        slow = float(np.max(np.abs(np.linalg.eigvals(lin))))
+        slow = float(np.max(np.abs(np.linalg.eigvals(np.array(lin)))))
         counts = [PLATEAU_MIN_PULSES]
         if slow < 1.0:
             g0 = max(target, 1.0 - target)
@@ -188,8 +188,7 @@ def check_oracle_equivalence() -> CheckResult:
             pc = protocol.ProtocolConfig(drive, params, tau, 50, thermal)
             # An x-rotation leaves rx alone, so the post-pulse rx of pulse
             # n - 1 is also its value just before pulse n.
-            post = protocol.pulse_train(
-                pc, [np.array([2.0 * p0 - 1.0, 0.0, 0.0])], range(51))
+            post = protocol.pulse_train(pc, [(2.0 * p0 - 1.0, 0.0, 0.0)], range(51))
             rx = [rs[0][0] for rs in post]
             energy = 0.5 * drive.omega(0.0) * rx[0]
             work = heat = 0.0
@@ -210,7 +209,7 @@ def check_oracle_equivalence() -> CheckResult:
     for name in ("fig5b", "fig5c", "fig5d"):
         res = scenarios.resolve(scenarios.get_preset(name))
         pc = res.protocol_at(50 * res.config.tau)
-        gaps[name] = float(oracle.floquet_recursion_gap(pc).max())
+        gaps[name] = max(oracle.floquet_recursion_gap(pc))
     passed = (worst_amp <= 1e-10
               and max(gaps.values()) <= RECURSION_GAP_BOUND_PROJECTIVE)
     per_preset = "; ".join(f"{name} {g:.4f}" for name, g in gaps.items())
@@ -254,7 +253,7 @@ def check_monte_carlo() -> CheckResult:
         est = stats.conditional_estimate()
         err = stats.std_err()
         for i in (0, 1):
-            diff = abs(est.matrix[0, i] - exact.matrix[0, i])
+            diff = abs(est.prob(0, i) - exact.prob(0, i))
             sigma = err[i]
             pulls = 0.0 if diff == 0.0 else (math.inf if sigma == 0.0
                                              else diff / sigma)

@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 
-from . import checks, scenarios
+from . import scenarios
 from .core import PhaseRotatingDrive
 from .scenarios import ConfigError, NumericalContractError
 
@@ -101,6 +101,8 @@ def _cmd_invert(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import checks  # loads numpy, which the other commands do without
+
     results = checks.run_all(include_mc=not args.skip_mc)
     for result in results:
         print(result.line())

@@ -1,10 +1,10 @@
 """Bloch-vector model of a periodically driven two-level system.
 
 States are Bloch vectors r = (rx, ry, rz) of the density operator
-rho = (I + r . sigma)/2, held as three floats or a length-3 array (there
-is no state class), with |0> at the north pole (rz = +1) and |1> at the
-south pole.  Units: hbar = 1, time in ns, angular frequencies in
-rad/ns, so energies are in rad/ns as well.
+rho = (I + r . sigma)/2, held as three floats (there is no state class),
+with |0> at the north pole (rz = +1) and |1> at the south pole.  Units:
+hbar = 1, time in ns, angular frequencies in rad/ns, so energies are in
+rad/ns as well.
 
 Two drive families are supported:
 
@@ -20,7 +20,9 @@ Two drive families are supported:
   rotation about the dressed axis.
 
 Everything here is closed form; no differential-equation stepping is used
-anywhere in the package.
+anywhere in the package.  Rotations are 3x3 tuples of floats, multiplied
+by ``matmul3`` and ``matvec3`` in their written order, so every product
+rounds the same on every host.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 BLOCH_NORM_TOL = 1e-12
 
@@ -162,8 +162,26 @@ def phase_integral(drive: AmplitudeModulatedDrive, t0: float, t1: float) -> floa
     return anti(t1) - anti(t0)
 
 
-def _axis_angle(kx: float, ky: float, kz: float, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about the unit axis (kx, ky, kz); read-only.
+Vector = tuple[float, float, float]
+Matrix3 = tuple[Vector, Vector, Vector]
+IDENTITY3: Matrix3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def matvec3(m: Matrix3, v) -> Vector:
+    """Product m v; element i is m[i][0] v[0] + m[i][1] v[1] + m[i][2] v[2],
+    summed left to right."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+
+
+def matmul3(a: Matrix3, b: Matrix3) -> Matrix3:
+    """Product a b, one ``matvec3`` per column of b."""
+    return tuple(zip(*(matvec3(a, col) for col in zip(*b))))
+
+
+def _axis_angle(kx: float, ky: float, kz: float, angle: float) -> Matrix3:
+    """Rodrigues rotation matrix about the unit axis (kx, ky, kz).
 
     Memoized on the bit patterns of the four floats (0.0 and -0.0 compare
     equal but give different signed zeros in the matrix), so a sweep
@@ -175,7 +193,7 @@ def _axis_angle(kx: float, ky: float, kz: float, angle: float) -> np.ndarray:
 # A sweep needs one rotation per distinct angle: a few per period and one
 # tail per grid point; the four 500-pulse sweeps of the benchmark fit.
 @functools.lru_cache(maxsize=2048)
-def _rodrigues(key: bytes) -> np.ndarray:
+def _rodrigues(key: bytes) -> Matrix3:
     # Element (i, j) is (c I_ij + s K_ij) + (1 - c) k_i k_j, K the cross-product
     # matrix, in that order and with the zero terms kept, so every bit
     # (signed zeros included) matches the array expression
@@ -184,18 +202,16 @@ def _rodrigues(key: bytes) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     t = 1.0 - c
     c0, s0 = c * 0.0, s * 0.0
-    m = np.array([
-        [c + s0 + t * (kx * kx), c0 + s * -kz + t * (kx * ky), c0 + s * ky + t * (kx * kz)],
-        [c0 + s * kz + t * (ky * kx), c + s0 + t * (ky * ky), c0 + s * -kx + t * (ky * kz)],
-        [c0 + s * -ky + t * (kz * kx), c0 + s * kx + t * (kz * ky), c + s0 + t * (kz * kz)],
-    ])
-    m.flags.writeable = False
-    return m
+    return (
+        (c + s0 + t * (kx * kx), c0 + s * -kz + t * (kx * ky), c0 + s * ky + t * (kx * kz)),
+        (c0 + s * kz + t * (ky * kx), c + s0 + t * (ky * ky), c0 + s * -kx + t * (ky * kz)),
+        (c0 + s * -ky + t * (kz * kx), c0 + s * kx + t * (kz * ky), c + s0 + t * (kz * kz)),
+    )
 
 
-def _rot_z(angle: float) -> np.ndarray:
+def _rot_z(angle: float) -> Matrix3:
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
 
 
 def _dressed_axis(drive: PhaseRotatingDrive) -> tuple[float, float, float]:
@@ -210,14 +226,13 @@ def _is_stroboscopic(t: float, tau: float) -> bool:
     return abs(n - round(n)) <= _STROBE_RTOL * max(1.0, abs(n))
 
 
-def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> np.ndarray:
+def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
     """3x3 rotation carrying Bloch vectors from time t0 to t1 under the drive.
 
     For the rotating-axis family the propagator is assembled as
     R_z(theta * t1) . R_dressed(2 e_theta (t1 - t0)) . R_z(-theta * t0);
     when both endpoints are whole drive periods the outer z-rotations are
-    dropped exactly instead of being evaluated at large arguments.  The
-    result may be a shared read-only matrix; copy it before writing.
+    dropped exactly instead of being evaluated at large arguments.
     """
     if t1 < t0:
         raise ValueError(f"time interval reversed: t0={t0}, t1={t1}")
@@ -227,7 +242,8 @@ def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> np.ndarray:
     tau = drive.tau_theta
     if _is_stroboscopic(t0, tau) and _is_stroboscopic(t1, tau):
         return inner
-    return _rot_z(drive.theta * t1) @ inner @ _rot_z(-drive.theta * t0)
+    return matmul3(matmul3(_rot_z(drive.theta * t1), inner),
+                   _rot_z(-drive.theta * t0))
 
 
 def instantaneous_eigensystem(drive: DriveSpec, t: float) -> EigenSystem:

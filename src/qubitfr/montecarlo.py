@@ -1,6 +1,7 @@
 """Reproducible trajectory ensembles for the pulsed protocols.
 
-Reproducibility contract (random-number layout ``RNG_LAYOUT`` = 3): the
+Reproducibility contract (random-number layout 3, which sampling manifests
+record as ``scenarios.RNG_LAYOUT``): the
 uniform of role k (0 absorption, 1 projection outcome, 2 pump success,
 3 final measurement) read after j pulses is word i, for trajectory i, of
 its own counter-based stream ``Philox(key=[master_seed, 4 * j + k + 1])``.
@@ -21,7 +22,9 @@ counter and walks the same words pulse by pulse.
 
 Estimates are the ``protocol`` functionals evaluated on the empirical
 matrix ``EnsembleStats.conditional_estimate()``; this module adds only
-their binomial standard errors.
+their binomial standard errors.  The walk multiplies with numpy, so a
+Born probability can differ by an ulp between hosts, and a count flips
+only when a uniform lies within that ulp of its threshold.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ from .protocol import (ConditionalMatrix, ProtocolConfig, initial_probabilities,
                        segment_rotations, sweep_longest, tail_rotation)
 
 DEFAULT_CHUNK = 4096
-# Recorded in sampling manifests.  Layout 1 keyed a stream per trajectory,
-# layout 2 a block of one stream sized by the trajectory's pulse count.
-RNG_LAYOUT = 3
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,36 @@ class EnsembleStats:
         p = np.array([self.column_estimate(0), self.column_estimate(1)])
         return np.sqrt(p * (1.0 - p) / self.n_per_initial)
 
+    def _binomial_std_err(self, config: ProtocolConfig,
+                          spreads: tuple[float, float]) -> float:
+        """Standard error of sum_i w_i * spreads[i] * P(up | i), w the Gibbs
+        weights, from the two independent binomial column estimates."""
+        weights = initial_probabilities(config)
+        variance = 0.0
+        for i, spread in enumerate(spreads):
+            p = self.column_estimate(i)
+            n_i = float(self.n_per_initial[i])
+            variance += (weights[i] * spread) ** 2 * p * (1.0 - p) / n_i
+        return float(np.sqrt(variance))
+
+    def fr_std_err(self, config: ProtocolConfig) -> float:
+        """Binomial standard error of <exp(-gamma dE)> evaluated on
+        ``conditional_estimate()``, gamma = beta - beta_r."""
+        gamma = config.thermal.beta - config.thermal.beta_r
+        eig0 = instantaneous_eigensystem(config.drive, 0.0)
+        eigf = instantaneous_eigensystem(config.drive, config.t_f)
+        spreads = tuple(np.exp(-gamma * (eigf.e_plus - e_i))
+                        - np.exp(-gamma * (eigf.e_minus - e_i))
+                        for e_i in (eig0.e_plus, eig0.e_minus))
+        return self._binomial_std_err(config, spreads)
+
+    def mean_energy_std_err(self, config: ProtocolConfig) -> float:
+        """Binomial standard error of <dE> evaluated on
+        ``conditional_estimate()``."""
+        eigf = instantaneous_eigensystem(config.drive, config.t_f)
+        spread = eigf.e_plus - eigf.e_minus
+        return self._binomial_std_err(config, (spread, spread))
+
     def to_dict(self) -> dict:
         return {
             "counts": self.counts.tolist(),
@@ -111,12 +141,14 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
     of trajectory indices [0, 2 * n_per_initial), starting up below
     n_per_initial, walked once to the largest pulse count."""
     longest = sweep_longest(configs)
-    rotations = segment_rotations(longest)
+    # Arrays once per walk; the chunk loop multiplies with numpy.
+    rotations = [np.array(rot) for rot in segment_rotations(longest)]
     start_up = np.array(instantaneous_eigensystem(longest.drive, 0.0).basis_plus)
     points: dict[int, list] = {}  # pulse count -> (config, tail, final axis)
     for c, pc in enumerate(configs):
         axis = np.array(instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus)
-        points.setdefault(pc.n_pulses, []).append((c, tail_rotation(pc), axis))
+        points.setdefault(pc.n_pulses, []).append(
+            (c, np.array(tail_rotation(pc)), axis))
 
     def stream(n: int, role: int):  # role's uniforms read after n pulses
         key = np.array([master_seed, 4 * n + role + 1], dtype=np.uint64)
@@ -187,35 +219,3 @@ def run_ensemble(config: ProtocolConfig, n_per_initial: int, master_seed: int,
     return run_ensembles([config], n_per_initial, master_seed,
                          chunk_size=chunk_size)[0]
 
-
-def _binomial_std_err(stats: EnsembleStats, config: ProtocolConfig,
-                      spreads: tuple[float, float]) -> float:
-    """Standard error of sum_i w_i * spreads[i] * P(up | i), w the Gibbs
-    weights, from the two independent binomial column estimates."""
-    weights = initial_probabilities(config)
-    variance = 0.0
-    for i, spread in enumerate(spreads):
-        p = stats.column_estimate(i)
-        n_i = float(stats.n_per_initial[i])
-        variance += (weights[i] * spread) ** 2 * p * (1.0 - p) / n_i
-    return float(np.sqrt(variance))
-
-
-def fr_std_err(stats: EnsembleStats, config: ProtocolConfig) -> float:
-    """Binomial standard error of <exp(-gamma dE)> evaluated on
-    ``stats.conditional_estimate()``, gamma = beta - beta_r."""
-    gamma = config.thermal.beta - config.thermal.beta_r
-    eig0 = instantaneous_eigensystem(config.drive, 0.0)
-    eigf = instantaneous_eigensystem(config.drive, config.t_f)
-    spreads = tuple(np.exp(-gamma * (eigf.e_plus - e_i))
-                    - np.exp(-gamma * (eigf.e_minus - e_i))
-                    for e_i in (eig0.e_plus, eig0.e_minus))
-    return _binomial_std_err(stats, config, spreads)
-
-
-def mean_energy_std_err(stats: EnsembleStats, config: ProtocolConfig) -> float:
-    """Binomial standard error of <dE> evaluated on
-    ``stats.conditional_estimate()``."""
-    eigf = instantaneous_eigensystem(config.drive, config.t_f)
-    spread = eigf.e_plus - eigf.e_minus
-    return _binomial_std_err(stats, config, (spread, spread))

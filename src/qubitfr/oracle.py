@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
                    free_energy_delta, gibbs_population,
-                   instantaneous_eigensystem)
+                   instantaneous_eigensystem, population_along)
 from .protocol import ProtocolConfig, pulse_train
 
 
@@ -59,14 +57,14 @@ def work_heat_series_amplitude(config: ProtocolConfig) -> tuple[float, float]:
     pa = config.channel.p_absorb
     d0 = 1.0 - 2.0 * gibbs_population(config.thermal.beta, drive, 0.0)
 
-    per_w = np.array([0.5 * (drive.omega((n - 1) * tau) - drive.omega(n * tau))
+    per_w = math.fsum(0.5 * (drive.omega((n - 1) * tau) - drive.omega(n * tau))
                       * (1.0 - pa) ** (n - 1) * d0
-                      for n in range(1, n_pulses + 1)])
-    per_q = np.array([0.5 * drive.omega(n * tau) * pa * (1.0 - pa) ** (n - 1) * d0
-                      for n in range(1, n_pulses + 1)])
+                      for n in range(1, n_pulses + 1))
+    per_q = math.fsum(0.5 * drive.omega(n * tau) * pa * (1.0 - pa) ** (n - 1) * d0
+                      for n in range(1, n_pulses + 1))
     tail = -0.5 * (1.0 - pa) ** n_pulses * d0 * (drive.omega(t_f)
                                                  - drive.omega(n_pulses * tau))
-    return float(per_w.sum()) + tail, float(per_q.sum())
+    return per_w + tail, per_q
 
 
 def k_factor(p_pump: float, alpha: float) -> float:
@@ -150,7 +148,7 @@ def rabi_conditional(omega0: float, theta: float, t: float) -> float:
     return 1.0 - weight * math.sin(0.5 * theta * t) ** 2
 
 
-def floquet_recursion_gap(config: ProtocolConfig) -> np.ndarray:
+def floquet_recursion_gap(config: ProtocolConfig) -> list[float]:
     """|recursion - full map| per pulse count 0..config.n_pulses,
     maximized over basis starts.
 
@@ -164,12 +162,12 @@ def floquet_recursion_gap(config: ProtocolConfig) -> np.ndarray:
         raise TypeError("recursion gap is defined for the rotating drive")
     params = config.channel
     n_max = config.n_pulses
-    axis = np.array(instantaneous_eigensystem(drive, 0.0).basis_plus)
-    post = pulse_train(config, [axis, -1.0 * axis], range(n_max + 1))
-    gaps = np.zeros(n_max + 1)
+    eig = instantaneous_eigensystem(drive, 0.0)
+    post = pulse_train(config, [eig.basis_plus, eig.basis_minus], range(n_max + 1))
+    gaps = [0.0] * (n_max + 1)
     for start, p0 in enumerate((1.0, 0.0)):
         for n in range(n_max + 1):
-            exact = 0.5 * (1.0 + float(post[n][start] @ axis))
+            exact = population_along(post[n][start], eig.basis_plus)
             predicted = floquet_population_recursion(
                 p0, params.p_absorb, params.p_pump, drive.alpha, n)
             gaps[n] = max(gaps[n], abs(exact - predicted))

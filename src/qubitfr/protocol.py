@@ -11,7 +11,8 @@ every point's pulses are a prefix of the last point's.
 
 The measured object is the 2x2 ``ConditionalMatrix``; from it and the
 initial Gibbs weights the ``EnergyChangeDistribution`` follows, and the
-fluctuation functionals <exp(-gamma * dE)> are plain sums over its atoms.
+fluctuation functionals <exp(-gamma * dE)> are plain sums over its atoms,
+taken with ``math.fsum`` so that their order does not matter.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import PulseChannelParams, pulse_step
-from .core import (DriveSpec, ThermalContext, bloch_rotation, check_bloch_vector,
-                   gibbs_population, instantaneous_eigensystem, population_along)
+from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Vector,
+                   bloch_rotation, check_bloch_vector, gibbs_population,
+                   instantaneous_eigensystem, matvec3, population_along)
 
 COLUMN_SUM_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
@@ -76,33 +76,32 @@ class ProtocolConfig:
                              f"at {min_tf}")
 
 
-def tail_rotation(config: ProtocolConfig) -> np.ndarray:
+def tail_rotation(config: ProtocolConfig) -> Matrix3:
     """Drive rotation over the partial interval (N*tau, t_f) after the last
     pulse; the identity when t_f lands on it."""
     t_last = config.n_pulses * config.tau
     if config.t_f > t_last:
         return bloch_rotation(config.drive, t_last, config.t_f)
-    return np.eye(3)
+    return IDENTITY3
 
 
-def segment_rotations(config: ProtocolConfig) -> list[np.ndarray]:
+def segment_rotations(config: ProtocolConfig) -> list[Matrix3]:
     """Per-period drive rotations: entry n-1 carries ((n-1)tau, n*tau)."""
     return [bloch_rotation(config.drive, (n - 1) * config.tau, n * config.tau)
             for n in range(1, config.n_pulses + 1)]
 
 
-def pulse_train(config: ProtocolConfig, starts: Sequence[np.ndarray],
-                counts: Sequence[int]) -> list[list[np.ndarray]]:
+def pulse_train(config: ProtocolConfig, starts: Sequence[Sequence[float]],
+                counts: Sequence[int]) -> list[list[Vector]]:
     """Post-pulse Bloch vectors of each start at each requested pulse count.
 
     Walks the rotate-then-pulse steps of ``segment_rotations(config)`` once
     and keeps only the states at ``counts`` (each in 0..config.n_pulses,
     repeats allowed): entry [k][s] is start s after counts[k] pulses.  A
     state after k pulses reaches any later t_f before the next pulse through
-    that point's ``tail_rotation``.  Each step is one numpy ``rot @ r``
-    product per start, then ``channel.pulse_step`` on plain floats; a state
-    that leaves the Bloch ball, after the rotation or after the pulse,
-    raises ValueError.
+    that point's ``tail_rotation``.  Each step is one ``matvec3`` per start,
+    then ``channel.pulse_step``; a state that leaves the Bloch ball, after
+    the rotation or after the pulse, raises ValueError.
     """
     if any(not 0 <= n <= config.n_pulses for n in counts):
         raise ValueError(f"pulse counts {list(counts)} outside "
@@ -110,33 +109,33 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[np.ndarray],
     rots = segment_rotations(config)
     pa, pd = config.channel.p_absorb, config.channel.p_pump
     wanted = set(counts)
-    rs = [np.asarray(r, dtype=float) for r in starts]
+    rs = [tuple(float(x) for x in r) for r in starts]
     kept = {0: rs}
     for n, rot in enumerate(rots[:max(wanted, default=0)], start=1):
         stepped = []
         for r in rs:
-            rotated = (rot @ r).tolist()
+            rotated = matvec3(rot, r)
             check_bloch_vector(*rotated)
             pulsed = pulse_step(*rotated, pa, pd)
             check_bloch_vector(*pulsed)
             stepped.append(pulsed)
         rs = stepped
         if n in wanted:
-            kept[n] = [np.array(r) for r in rs]
+            kept[n] = rs
     return [kept[n] for n in counts]
 
 
-def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, np.ndarray]]:
+def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, Vector]]:
     """Snapshots (t_n, r_n) after pulses n = 0..N from start r, then (t_f, r)
-    past pulse N; each r is a length-3 array checked to lie in the Bloch ball."""
-    r = np.asarray(r, dtype=float)
-    check_bloch_vector(*r.tolist())
+    past pulse N; each r is three floats checked to lie in the Bloch ball."""
+    r = tuple(float(x) for x in r)
+    check_bloch_vector(*r)
     post = pulse_train(config, [r], range(config.n_pulses + 1))
     out = [(0.0, r)] + [(n * config.tau, rs[0])
                         for n, rs in enumerate(post[1:], start=1)]
     if config.t_f > config.n_pulses * config.tau:
-        final = tail_rotation(config) @ post[-1][0]
-        check_bloch_vector(*final.tolist())
+        final = matvec3(tail_rotation(config), post[-1][0])
+        check_bloch_vector(*final)
         out.append((config.t_f, final))
     return out
 
@@ -145,42 +144,44 @@ def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, np.ndarray]]
 class ConditionalMatrix:
     """Column-stochastic matrix of transition probabilities.
 
-    ``matrix[j, i]`` is the probability of the final measurement giving
+    ``matrix[j][i]`` is the probability of the final measurement giving
     outcome j when the initial one gave i; index 0 is the upper level.
     """
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"conditional matrix must be 2x2, got {m.shape}")
+        try:
+            (a, b), (c, d) = rows = tuple(tuple(float(x) for x in row)
+                                          for row in self.matrix)
+        except (TypeError, ValueError):
+            raise ValueError(f"conditional matrix must be 2x2, "
+                             f"got {self.matrix!r}") from None
         # Float comparisons, each written so that NaN fails it.
-        (a, b), (c, d) = rows = m.tolist()
         lo, hi = -PROBABILITY_TOL, 1.0 + PROBABILITY_TOL
         if not all(lo <= x <= hi for x in (a, b, c, d)):
             raise ValueError(f"entries outside [0, 1]: {rows}")
         sums = [a + c, b + d]
         if not all(-COLUMN_SUM_TOL <= s - 1.0 <= COLUMN_SUM_TOL for s in sums):
             raise ValueError(f"columns must sum to 1, got {sums}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", rows)
 
     @classmethod
     def from_upper_row(cls, p_up_given_up: float,
                        p_up_given_down: float) -> "ConditionalMatrix":
-        return cls(np.array([[p_up_given_up, p_up_given_down],
-                             [1.0 - p_up_given_up, 1.0 - p_up_given_down]]))
+        return cls(((p_up_given_up, p_up_given_down),
+                    (1.0 - p_up_given_up, 1.0 - p_up_given_down)))
 
     def prob(self, final_index: int, initial_index: int) -> float:
-        return float(self.matrix[final_index, initial_index])
+        return self.matrix[final_index][initial_index]
 
     @property
     def p_up_given_up(self) -> float:
-        return float(self.matrix[UPPER, UPPER])
+        return self.matrix[UPPER][UPPER]
 
     @property
     def p_up_given_down(self) -> float:
-        return float(self.matrix[UPPER, LOWER])
+        return self.matrix[UPPER][LOWER]
 
 
 def sweep_longest(configs: Sequence[ProtocolConfig]) -> ProtocolConfig:
@@ -206,14 +207,13 @@ def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalM
         return []
     longest = sweep_longest(configs)
     eig0 = instantaneous_eigensystem(longest.drive, 0.0)
-    post = pulse_train(
-        longest, [np.array(eig0.basis_plus), np.array(eig0.basis_minus)],
-        [pc.n_pulses for pc in configs])
+    post = pulse_train(longest, [eig0.basis_plus, eig0.basis_minus],
+                       [pc.n_pulses for pc in configs])
     out = []
     for pc, rs in zip(configs, post):
         tail = tail_rotation(pc)
         final_up = instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus
-        up, down = (population_along(tail @ r, final_up) for r in rs)
+        up, down = (population_along(matvec3(tail, r), final_up) for r in rs)
         out.append(ConditionalMatrix.from_upper_row(up, down))
     return out
 
@@ -231,19 +231,19 @@ class EnergyChangeDistribution:
     so cyclic drive points produce stable three-atom supports.
     """
 
-    values: np.ndarray
-    probs: np.ndarray
+    values: tuple[float, ...]
+    probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1:
-            raise ValueError("values and probs must be matching 1-d arrays")
-        if not all(math.isfinite(x) for x in v.tolist()):
-            raise ValueError(f"non-finite energy change in {v.tolist()}")
-        if not all(-PROBABILITY_TOL <= x for x in p.tolist()):
-            raise ValueError(f"negative or NaN probability in {p.tolist()}")
-        total = float(p.sum())
+        v = tuple(float(x) for x in self.values)
+        p = tuple(float(x) for x in self.probs)
+        if len(v) != len(p):
+            raise ValueError("values and probs must have the same length")
+        if not all(math.isfinite(x) for x in v):
+            raise ValueError(f"non-finite energy change in {list(v)}")
+        if not all(-PROBABILITY_TOL <= x for x in p):
+            raise ValueError(f"negative or NaN probability in {list(p)}")
+        total = math.fsum(p)
         if not (-1e-12 <= total - 1.0 <= 1e-12):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "values", v)
@@ -261,16 +261,16 @@ class EnergyChangeDistribution:
             else:
                 values.append(value)
                 probs.append(prob)
-        return cls(np.array(values), np.array(probs))
+        return cls(tuple(values), tuple(probs))
 
     def mean(self) -> float:
-        return float(np.dot(self.values, self.probs))
+        return math.fsum(v * p for v, p in zip(self.values, self.probs))
 
 
-def initial_probabilities(config: ProtocolConfig) -> np.ndarray:
-    """Gibbs weights [upper, lower] of the initial measurement outcomes."""
+def initial_probabilities(config: ProtocolConfig) -> tuple[float, float]:
+    """Gibbs weights (upper, lower) of the initial measurement outcomes."""
     g = gibbs_population(config.thermal.beta, config.drive, 0.0)
-    return np.array([g, 1.0 - g])
+    return g, 1.0 - g
 
 
 def energy_change_distribution(cm: ConditionalMatrix,
@@ -289,7 +289,8 @@ def energy_change_distribution(cm: ConditionalMatrix,
 
 def fr_functional(dist: EnergyChangeDistribution, gamma: float) -> float:
     """<exp(-gamma * dE)> over the distribution."""
-    return float(np.dot(dist.probs, np.exp(-gamma * dist.values)))
+    return math.fsum(p * math.exp(-gamma * v)
+                     for v, p in zip(dist.values, dist.probs))
 
 
 @dataclass(frozen=True)

@@ -20,20 +20,20 @@ import json
 import math
 import numbers
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import cache
 from pathlib import Path
 
-import numpy as np
+import qubitfr
 
+from . import oracle, protocol
 from . import channel as channel_mod
-from . import montecarlo, oracle, protocol
 from .channel import PulseChannelParams
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
                    ThermalContext, bloch_rotation, check_bloch_vector,
                    free_energy_delta, gibbs_population,
-                   instantaneous_eigensystem)
+                   instantaneous_eigensystem, matvec3)
 
 
 class ConfigError(Exception):
@@ -58,6 +58,10 @@ PHASE_OMEGA0 = 2.0 * math.pi * 0.8e-3
 
 DEFAULT_MASTER_SEED = 20260814
 DEFAULT_TRAJECTORIES = 100_000
+# The random-number layout of ``montecarlo``, recorded in sampling
+# manifests.  Layout 1 keyed a stream per trajectory, layout 2 a block of
+# one stream sized by the trajectory's pulse count.
+RNG_LAYOUT = 3
 OUTDIR_ENV = "QUBITFR_OUTDIR"
 
 # Admits every preset (at most 50 pulses) and 500-pulse sweeps.
@@ -68,7 +72,7 @@ MAX_PULSES = 1000
 MAX_SAMPLED_STEPS = 2**32
 # exp overflows past log(float max), about 709.78: the limit on beta dE in
 # the Gibbs weights and (beta - beta_r) dE in the fluctuation functional.
-MAX_EXP_ARG = math.log(np.finfo(float).max)
+MAX_EXP_ARG = math.log(sys.float_info.max)
 # UTF-8 bytes of a name or prefix: "<prefix>_manifest.json" plus a
 # temporary-file suffix must fit the common 255-byte file-name limit.
 MAX_NAME_LENGTH = 200
@@ -130,9 +134,10 @@ class ScenarioConfig:
             if value is not None and not _is_finite_number(value):
                 raise ConfigError(f"{field_name} must be a finite number, "
                                   f"got {value!r}")
-        if not all(_is_finite_number(t) for t in self.t_f_grid):
-            raise ConfigError(f"t_f_grid must hold finite numbers, "
-                              f"got {list(self.t_f_grid)!r}")
+        if not (isinstance(self.t_f_grid, (list, tuple))
+                and all(_is_finite_number(t) for t in self.t_f_grid)):
+            raise ConfigError(f"t_f_grid must be a list of finite numbers, "
+                              f"got {self.t_f_grid!r}")
         for field_name, choices in CHOICES.items():
             value = getattr(self, field_name)
             if value not in choices:
@@ -150,6 +155,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{field_name} must be in [0, 1], got {value}")
         if self.kind == "bloch" and self.mode != "deterministic":
             raise ConfigError("bloch scenarios have no stochastic estimator")
+        if self.kind == "rabi" and self.drive_family != "phase":
+            raise ConfigError("rabi scenarios need the phase drive")
         grid = tuple(float(t) for t in self.t_f_grid)
         if not grid or any(t < 0 for t in grid) or list(grid) != sorted(grid):
             raise ConfigError("t_f_grid must be a nonempty ascending list of "
@@ -222,8 +229,6 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            if "t_f_grid" in data:
-                data["t_f_grid"] = tuple(data["t_f_grid"])
             return cls(**data)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -331,8 +336,15 @@ def _strobo_grid(tau: float, n_max: int) -> tuple[float, ...]:
     return tuple(n * tau for n in range(n_max + 1))
 
 
+def linspace(start: float, stop: float, num: int) -> tuple[float, ...]:
+    """``num`` >= 2 evenly spaced points, bit for bit those of numpy's
+    ``linspace``: i * step + start, with the last point set to ``stop``."""
+    step = (stop - start) / (num - 1)
+    return tuple(i * step + start for i in range(num - 1)) + (stop,)
+
+
 def _dense_grid(tau: float, n_max: int) -> tuple[float, ...]:
-    return tuple(np.linspace(0.0, n_max * tau, 8 * n_max + 1))
+    return linspace(0.0, n_max * tau, 8 * n_max + 1)
 
 
 def _amplitude_preset(name: str, kind: str, tau: float,
@@ -366,14 +378,14 @@ def _build_presets() -> dict[str, ScenarioConfig]:
         "fig3b": _amplitude_preset("fig3b", "energetics", AMPLITUDE_TAU_A,
                                    _dense_grid(AMPLITUDE_TAU_A, 12)),
         "fig4a": _amplitude_preset("fig4a", "fr", 410.0,
-                                   tuple(np.linspace(0.0, 12 * 410.0, 50))),
+                                   linspace(0.0, 12 * 410.0, 50)),
         "fig4b": _amplitude_preset("fig4b", "fr", AMPLITUDE_TAU_A,
-                                   tuple(np.linspace(0.0, 12 * AMPLITUDE_TAU_A, 50))),
+                                   linspace(0.0, 12 * AMPLITUDE_TAU_A, 50)),
         # Pulse-free dressed-state oscillations; p_absorb 0 disables pulses.
         "fig5a": ScenarioConfig(
             name="fig5a", kind="rabi", drive_family="phase",
             omega0=PHASE_OMEGA0, theta=_phase_theta(616.0), tau=616.0,
-            t_f_grid=tuple(np.linspace(0.0, 2.0 * 616.0, 200)), beta=0.0,
+            t_f_grid=linspace(0.0, 2.0 * 616.0, 200), beta=0.0,
             p_absorb=0.0, p_pump=0.0),
         "fig5b": _phase_preset("fig5b", "conditional", 1296.0, 0.276, None, 50),
         "fig5c": _phase_preset("fig5c", "conditional", 616.0, 0.138, None, 50),
@@ -426,9 +438,9 @@ def list_presets() -> list[str]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
+    if isinstance(value, numbers.Integral):  # bool and numpy integers too
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return repr(float(value))
     return str(value)
 
@@ -471,6 +483,8 @@ def _grid(res: ResolvedScenario):
         for t_f, pc, cm in zip(cfg.t_f_grid, pcs, protocol.conditional_matrices(pcs)):
             yield t_f, pc, "deterministic", cm, None
     if cfg.mode in ("montecarlo", "both"):
+        from . import montecarlo  # loads numpy, which nothing else here needs
+
         pcs = [res.protocol_at(t_f) for t_f in cfg.sampled_grid()]
         for pc, stats in zip(pcs, montecarlo.run_ensembles(pcs, cfg.n_trajectories,
                                                            cfg.master_seed)):
@@ -513,11 +527,11 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     for label, start in (("up", eig0.basis_plus), ("down", eig0.basis_minus)):
         snapshots = protocol.mean_trajectory(pc, start)
         for (t0, s0), (t1, _) in zip(snapshots, snapshots[1:]):
-            for t in np.linspace(t0, t1, 17)[:-1]:
-                s = bloch_rotation(res.drive, t0, float(t)) @ s0
-                check_bloch_vector(*s.tolist())
+            for t in linspace(t0, t1, 17)[:-1]:
+                s = matvec3(bloch_rotation(res.drive, t0, t), s0)
+                check_bloch_vector(*s)
                 n = protocol.pulses_applied(t0, cfg.tau)
-                rows.append([float(t), n, "deterministic", label,
+                rows.append([t, n, "deterministic", label,
                              *s, int(t == t0 and t0 > 0)])
         t_end, s_end = snapshots[-1]
         n_end = protocol.pulses_applied(t_end, cfg.tau)
@@ -530,7 +544,7 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     w0 = cfg.omega0
 
     def mean_energy(pc, cm, stats):
-        err = 0.0 if stats is None else montecarlo.mean_energy_std_err(stats, pc)
+        err = 0.0 if stats is None else stats.mean_energy_std_err(pc)
         return protocol.energy_change_distribution(cm, pc).mean(), err
 
     if isinstance(res.drive, AmplitudeModulatedDrive):
@@ -567,7 +581,7 @@ def _fr_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 
     def row(t_f, pc, cm, stats):
         report = protocol.fr_report(pc, cm)
-        err = 0.0 if stats is None else montecarlo.fr_std_err(stats, pc)
+        err = 0.0 if stats is None else stats.fr_std_err(pc)
         return [gamma_omega0, report.fr_value, report.fr_target,
                 report.deviation, err]
 
@@ -581,19 +595,6 @@ _ROW_BUILDERS = {
     "energetics": _energetics_rows,
     "fr": _fr_rows,
 }
-
-
-@cache
-def _package_versions() -> dict:
-    from importlib import metadata  # about 17 ms; only manifests need it
-
-    versions = {}
-    for pkg in ("qubitfr", "numpy"):
-        try:
-            versions[pkg] = metadata.version(pkg)
-        except metadata.PackageNotFoundError:
-            versions[pkg] = "unknown"
-    return versions
 
 
 def run_scenario(config: ScenarioConfig | str | Path,
@@ -633,10 +634,13 @@ def run_scenario(config: ScenarioConfig | str | Path,
         "csv_files": [csv_path.name],
         "scenario_config": config.to_dict(),
         "derived": resolved.derived,
-        "versions": dict(_package_versions()),
+        "versions": {"qubitfr": qubitfr.__version__},
     }
     if config.mode != "deterministic":
-        manifest["rng_layout"] = montecarlo.RNG_LAYOUT
+        import numpy  # loaded already by the sampler
+
+        manifest["rng_layout"] = RNG_LAYOUT
+        manifest["versions"]["numpy"] = numpy.__version__
     manifest_path = outdir / f"{prefix}_manifest.json"
     with _replace_on_close(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -659,17 +663,17 @@ def load_config(path: str | Path) -> ScenarioConfig:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # a directory, bad UTF-8, bad JSON
         raise ConfigError(f"cannot read {path} as JSON: {exc}") from exc
-    layout = montecarlo.RNG_LAYOUT  # a plain config pins no earlier layout
+    layout = RNG_LAYOUT  # a plain config pins no earlier layout
     if isinstance(data, dict) and "scenario_config" in data:
         layout = data.get("rng_layout")
         data = data["scenario_config"]
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object of config fields")
     config = ScenarioConfig.from_dict(data)
-    if config.mode != "deterministic" and layout != montecarlo.RNG_LAYOUT:
+    if config.mode != "deterministic" and layout != RNG_LAYOUT:
         found = "no rng_layout" if layout is None else f"rng_layout {layout!r}"
         raise ConfigError(f"{path} records {found}; this version samples only "
-                          f"with rng_layout {montecarlo.RNG_LAYOUT}")
+                          f"with rng_layout {RNG_LAYOUT}")
     return config
 
 

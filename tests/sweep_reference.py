@@ -5,16 +5,20 @@ pulse train from t = 0, one basis state at a time, as the engine did
 before sweeps shared one train.  It costs O(grid x N) and shares no
 propagation code with ``qubitfr.protocol.pulse_train``: it takes only the
 rotations from the package (``segment_rotations`` and ``tail_rotation``),
-and ``pulse`` is its own copy of the pulse arithmetic, in the package's
-expression order.  So exact equality between the two is a meaningful
-check of the shared-prefix bookkeeping (pulse counts, tail rotations and
-final bases) and of the pulse arithmetic itself.  Its Bloch vectors are
+``pulse`` is its own copy of the pulse arithmetic, and ``matvec`` its own
+copy of the rotation product, each in the package's expression order.
+So exact equality between the two is a meaningful check of the
+shared-prefix bookkeeping (pulse counts, tail rotations and final bases)
+and of the pulse and product arithmetic itself.  Its Bloch vectors are
 local float triples (``triple``), and ``upper_population`` is its own copy
 of the package's measurement arithmetic.
 
 ``axis_angle`` and ``bloch_rotation`` are the numpy array-expression
 rotation builder the package used before it built each matrix element by
-element; the element-wise builder must match them bit for bit.
+element; the element-wise builder must match them bit for bit.  Their
+3x3 products go through ``matmul``, not numpy's ``@``: the package sums
+each element left to right over k, while a BLAS kernel may sum in
+another order or fuse a multiply and an add, differently on each host.
 """
 
 import math
@@ -26,6 +30,20 @@ from qubitfr.core import (AmplitudeModulatedDrive, _is_stroboscopic, _rot_z,
                           instantaneous_eigensystem, phase_integral)
 from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, segment_rotations,
                               tail_rotation)
+
+
+def matvec(m, v) -> np.ndarray:
+    """m v, each element summed left to right: m[i, 0] v[0] + m[i, 1] v[1]
+    + m[i, 2] v[2]."""
+    m = np.asarray(m)
+    return np.array([m[i, 0] * v[0] + m[i, 1] * v[1] + m[i, 2] * v[2]
+                     for i in range(3)])
+
+
+def matmul(a, b) -> np.ndarray:
+    """a b, each element summed left to right over k."""
+    b = np.asarray(b)
+    return np.array([matvec(a, b[:, j]) for j in range(3)]).T
 
 
 def axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -46,7 +64,7 @@ def bloch_rotation(drive, t0: float, t1: float) -> np.ndarray:
     tau = drive.tau_theta
     if _is_stroboscopic(t0, tau) and _is_stroboscopic(t1, tau):
         return inner
-    return _rot_z(drive.theta * t1) @ inner @ _rot_z(-drive.theta * t0)
+    return matmul(matmul(_rot_z(drive.theta * t1), inner), _rot_z(-drive.theta * t0))
 
 
 def pulse(r: np.ndarray, channel: PulseChannelParams) -> np.ndarray:
@@ -76,8 +94,8 @@ def propagate_mean(config: ProtocolConfig, start) -> tuple[float, float, float]:
     """Ensemble-averaged Bloch vector at t_f from the given vector at 0."""
     r = np.array(start)
     for rot in segment_rotations(config):
-        r = pulse(rot @ r, config.channel)
-    return triple(tail_rotation(config) @ r)
+        r = pulse(matvec(rot, r), config.channel)
+    return triple(matvec(tail_rotation(config), r))
 
 
 def mean_trajectory(config: ProtocolConfig,
@@ -86,10 +104,10 @@ def mean_trajectory(config: ProtocolConfig,
     out = [(0.0, triple(start))]
     r = np.array(start)
     for n, rot in enumerate(segment_rotations(config), start=1):
-        r = pulse(rot @ r, config.channel)
+        r = pulse(matvec(rot, r), config.channel)
         out.append((n * config.tau, triple(r)))
     if config.t_f > config.n_pulses * config.tau:
-        out.append((config.t_f, triple(tail_rotation(config) @ r)))
+        out.append((config.t_f, triple(matvec(tail_rotation(config), r))))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -36,10 +38,11 @@ def read_manifest(path):
     return strict_json(Path(path).read_text(encoding="utf-8"), str(path))
 
 
-def run_python(*args):
-    """A fresh interpreter that imports qubitfr from this tree."""
+def run_python(*args, env=None):
+    """A fresh interpreter that imports qubitfr from this tree, with the
+    variables in ``env`` added to its environment."""
     src = str(Path(qubitfr.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], capture_output=True,
@@ -81,6 +84,19 @@ class TestScenarioConfig:
     def test_grid_must_ascend(self):
         with pytest.raises(ConfigError):
             small_phase_config(t_f_grid=(616.0, 0.0))
+
+    @pytest.mark.parametrize("grid", [5, "0", {}, None])
+    def test_grid_must_be_a_list(self, grid):
+        data = small_phase_config().to_dict()
+        data["t_f_grid"] = grid
+        with pytest.raises(ConfigError, match="t_f_grid must be a list"):
+            ScenarioConfig.from_dict(data)
+
+    def test_rabi_kind_needs_the_phase_drive(self):
+        # Its closed-form column is the rotating drive's; an amplitude
+        # drive has no theta to evaluate it with.
+        with pytest.raises(ConfigError, match="rabi scenarios need the phase drive"):
+            small_phase_config(kind="rabi", drive_family="amplitude", tau_a=616.0)
 
     def test_round_trip_through_dict(self):
         cfg = small_phase_config()
@@ -349,13 +365,20 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("mode", ["deterministic", "montecarlo", "both"])
     def test_manifest_records_rng_layout_when_sampling(self, tmp_path, mode):
+        # The package version is read from the package, so a checkout that
+        # is not installed records it too; numpy's only where the sampler ran.
+        import numpy
+
         manifest = run_scenario(small_phase_config(mode=mode, n_trajectories=200),
                                 outdir=tmp_path)
         on_disk = read_manifest(manifest["manifest_path"])
         if mode == "deterministic":
             assert "rng_layout" not in on_disk
+            assert on_disk["versions"] == {"qubitfr": "0.1.0"}
         else:
             assert on_disk["rng_layout"] == 3
+            assert on_disk["versions"] == {"qubitfr": "0.1.0",
+                                           "numpy": numpy.__version__}
 
     def test_deterministic_manifest_without_layout_loads(self, tmp_path):
         manifest = run_scenario(small_phase_config(), outdir=tmp_path)
@@ -721,44 +744,45 @@ def test_invert_exits_0_or_2_with_a_message(period_flag, typical, hostile):
 
 # SHA-256 of each preset's deterministic CSV.  Any change to these bytes,
 # however small, is a change to the published numbers and must be deliberate:
-# re-derive with ``python3 tests/output_digest.py`` and say why.  Derived on
-# x86-64 Linux with numpy 2.4 on an AVX-512 host; the digests move with the
-# OpenBLAS core type (its gemv/gemm kernels and LAPACK solve round
-# differently) and with numpy's SIMD dispatch (the exp and dot loops), so
-# another host may need its own table.
+# re-derive with ``python3 tests/output_digest.py`` and say why.  The
+# deterministic path runs on Python floats with its operation order written
+# in the code and loads no numpy, so neither the BLAS kernels nor numpy's
+# SIMD loops can move these digests; test_pinned_outputs_do_not_depend_on_
+# the_host holds that.  They still rest on the platform's libm (cos, sin,
+# exp, log), which IEEE 754 does not require to round correctly.
 PRESET_CSV_SHA256 = {
     "fig2a":
         "fcde37385e718a0d84afa8acfa88cc686c616b5320d8635c623674f8e58f8e37",
     "fig2bcd":
-        "ba9269dae4ff50f357b864fbcea36e8c774efc26fab2971cea7a9d31b4ae3aa3",
+        "81f9d4f5c587f26146dd7ea0a62557dcb6af59128290e7b57448603a0ae21164",
     "fig3a":
-        "a3263e8743229413d0b30e83f969a77050ee371a532b5ed33da166c3573ea74b",
+        "cf8950932ece30c222eba895771412a515719ff191abe8d5b3fd0ac640d080e0",
     "fig3b":
-        "b3594cc05eb0e1bb1c489de91362da3912b23f891e85b49f71f2fd759f0b775d",
+        "16fc1374a6de747b151ab0a2b3c589e7e72745f8ee2f13a09f7283e0e9a16839",
     "fig4a":
-        "f8b3d4328bb768660b520f9e700db85cf1bdfea06211700466713bfaf1078ec3",
+        "4faf825aabea682ecc9c8a6491832b6c9d6e9364ff10912bedbb4a74cee8b6dd",
     "fig4b":
-        "5a5e4334c14385e86b0628c4e71ed00d58110f9fc6c20c17978f1e6d2a40bf7c",
+        "f4afa68988ba40975fb4a8bec954eda06e02fe7011344d6280c75bb58b4ec690",
     "fig5a":
-        "28685631de9796ba3d8655a9f49f89d4294eaaf9e4c36d07744766be21bdf421",
+        "552d56e4871985c43fe0d55b61ecdb4438cc4f6f4173d5c12034e1d94d772b86",
     "fig5b":
-        "7fa955a0880ebd4ff8f6fd41258108c20f9f070b1f5a34ae708d4677035d5e47",
+        "1a7ba374cf85985724be0f8fba72ec71160dfaa5e38e94c9f31818fecc8cc685",
     "fig5c":
-        "45faf08a8ed1cdb8f306b1d0e609425c5408822c1ab2ea14893e1e462d6e5181",
+        "fc9402301ef8f7f34453f88a472c71e9b9bfb45b9bb78da5c86f25503dc6e543",
     "fig5d":
-        "fb075e57da1b4e38809711d1b9c08855b723ce3da136f0c79a52b4b78c83b6f3",
+        "3fdd92ff180975b6d38c9fc4dc6755a8068939d4118efa73805cc348c2569fc7",
     "fig6a":
-        "fbcf39420b90f1b25ec4a92217acac66d401912c73dad005e497cf98c281cb25",
+        "1c6c713ada45de73592d56072c14baa254b177912a51ab6c236eaf05b87becc6",
     "fig6b":
-        "eab792b1adf1207c9a3d5d888f55df885eaa4f18ce25c81b25e50f7831c6c48b",
+        "385f250eeeca2ae14335c240d739e5a05e1783fe88da349d57250ebdfabb7ff9",
     "fig6c":
-        "a46b92dfc910fa83c4b55186e3046ebd4476f0e3d4eefeb40680196debc77e4c",
+        "587062bd6edabd2a38386fe0fdf227caeae4a5194db4790ac642d3156bcb0f75",
     "fig6d":
-        "b913c63c901df91b7f52aa087dcb4939cefd8779d6fc4c3160f03f89670a586c",
+        "731148feae36c20491fe00399e58b6b0a6fdc842305e7346b6793727d89f88c5",
     "fig6e":
-        "f4de2407b65cbff499c871196d5aaac88f89a2099e8d1b2552a216322ce05cb5",
+        "74e4d7e2d80a3335efb86543bb62f98b1c3f7af0e952ad8740ebae930a840312",
     "fig6f":
-        "55c20bdceff1047a4e6fafa2e7c11950d457d0e52036ce34aa55e7eb23fc6ddd",
+        "888f022616ba0004def4459d8b5ee3b93f8493d09ea160992ed85fab7047af5d",
 }
 
 # SHA-256 of the stdout of two catalog commands, pinned on the same terms.
@@ -766,7 +790,7 @@ STDOUT_SHA256 = {
     ("presets",):
         "b2a471151d77e41b3b87cb155443c0e2ae7ac1fd399c49f51433ddd92b263ef1",
     ("invert", "--target", "0.138", "--tau-theta", "616"):
-        "c40235804924c8d0a6bfcc4e235ed4c5c89c2a3693388d4fd7afa16fdc0faac2",
+        "8c8e690fbc82f544fe6e6b9a2ced51e3acffae5e54a98494404037f1e5722c0b",
 }
 
 
@@ -813,3 +837,184 @@ def test_import_loads_no_scipy():
                       "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+COLD_COMMANDS = [
+    ("run", "fig5d"), ("presets",),
+    ("invert", "--target", "0.138", "--tau-theta", "616")]
+# Runs a command in a fresh interpreter; prints its exit code, then which
+# of the modules numpy and importlib.metadata it loaded.
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+from qubitfr.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("numpy", "importlib.metadata")
+                         if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS, ids=lambda a: a[0])
+def test_cold_commands_load_no_numpy(argv, tmp_path):
+    outdir = ["--outdir", str(tmp_path)] if argv[0] == "run" else []
+    proc = run_python("-c", LOADED_SCRIPT, *argv, *outdir)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
+def test_sampled_run_loads_numpy_and_records_its_version(tmp_path):
+    proc = run_python("-c", LOADED_SCRIPT, "run", "fig2a", "--mode", "montecarlo",
+                      "--trajectories", "200", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0 and "numpy" in loaded
+    import numpy
+
+    versions = read_manifest(tmp_path / "fig2a_manifest.json")["versions"]
+    assert versions["numpy"] == numpy.__version__
+
+
+# Runs every preset into argv[1] and prints the SHA-256 of the stdout of
+# each command in the JSON list argv[2].
+PINNED_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from qubitfr import cli, scenarios
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["run", name, "--outdir", sys.argv[1]])
+             for name in scenarios.PRESETS]
+stdout = {}
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(cli.main(argv))
+    stdout[" ".join(argv)] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps([codes, stdout]))
+"""
+
+
+def test_pinned_outputs_do_not_depend_on_the_host(tmp_path):
+    """The pinned CSVs and stdout, with OpenBLAS held to its Nehalem
+    kernels and numpy's AVX-512 loops off, in the child process only."""
+    from numpy._core import _multiarray_umath as umath
+
+    env = {"OPENBLAS_CORETYPE": "Nehalem"}
+    avx512 = [f for f in umath.__cpu_dispatch__
+              if (f == "X86_V4" or f.startswith("AVX512"))
+              and umath.__cpu_features__.get(f)]
+    if avx512:  # numpy refuses to disable a feature it did not dispatch
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(avx512)
+    commands = [list(argv) for argv in STDOUT_SHA256]
+    proc = run_python("-c", PINNED_SCRIPT, str(tmp_path), json.dumps(commands),
+                      env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, stdout = json.loads(proc.stdout)
+    assert set(codes) == {0}
+    assert {name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+            for name in PRESET_CSV_SHA256} == PRESET_CSV_SHA256
+    assert stdout == {" ".join(argv): digest for argv, digest in STDOUT_SHA256.items()}
+
+
+def float_bits(values):
+    """Hex form of each float: unlike ==, this tells 0.0 from -0.0."""
+    return [float(v).hex() for v in values]
+
+
+def test_linspace_matches_numpy_on_every_grid():
+    """The preset grids, the 17-point sub-grids of the Bloch rows, and the
+    51-point det_sweep_long grids, bit for bit, so t_f columns keep their
+    bytes."""
+    import numpy as np
+
+    dense = [cfg.t_f_grid for cfg in scenarios.PRESETS.values()
+             if cfg.t_f_grid != tuple(n * cfg.tau for n in range(len(cfg.t_f_grid)))]
+    assert len(dense) == 6  # fig2a, 3a, 3b, 4a, 4b and 5a
+    for grid in dense:
+        assert float_bits(grid) == float_bits(np.linspace(0.0, grid[-1], len(grid)))
+    bloch = get_preset("fig2bcd").t_f_grid
+    cases = [(t0, t1, 17) for t0, t1 in zip(bloch, bloch[1:])]
+    cases += [(0.0, 500 * get_preset(name).tau, 51)
+              for name in ("fig5b", "fig5c", "fig5d", "fig4b")]
+    for args in cases:
+        assert float_bits(scenarios.linspace(*args)) == float_bits(np.linspace(*args)), args
+
+
+@given(start=st.floats(-1e6, 1e6), span=st.floats(0.0, 1e6),
+       num=st.integers(2, 300))
+def test_linspace_matches_numpy_on_generated_grids(start, span, num):
+    import numpy as np
+
+    stop = start + span
+    assert float_bits(scenarios.linspace(start, stop, num)) == float_bits(
+        np.linspace(start, stop, num))
+
+
+# Values that any config field may be given: huge ints, subnormals, bools,
+# strings, nulls, containers and non-finite floats.  Ints stay small or
+# past every cap, so that a valid sampled run stays cheap.
+HOSTILE = (st.sampled_from([
+    10**400, -10**400, 2**64, 2**1024, 5e-324, -5e-324, 1e-310, True, False,
+    "", "x", "0.5", "../x", "a/b", "..", "\0", "\ud800", "n" * 300, None, [], {},
+    math.nan, math.inf, -math.inf, -0.0, 1e308, sys.float_info.max])
+    | st.floats() | st.integers(-3, 40) | st.integers(min_value=2**64)
+    | st.text(max_size=4))
+TYPICAL = {
+    "phase": dict(
+        name="fuzz", kind="conditional", drive_family="phase",
+        omega0=2.0 * math.pi * 0.8e-3, theta=2.0 * math.pi / 616.0, tau=616.0,
+        t_f_grid=[0.0, 616.0, 1000.0], beta=0.0, p_absorb=0.25,
+        target_upper_population=0.138, n_trajectories=20),
+    "amplitude": dict(
+        name="fuzz", kind="energetics", drive_family="amplitude",
+        omega0=math.pi / 616.0, tau_a=616.0, tau=410.0,
+        t_f_grid=[0.0, 205.0, 820.0], beta=2.0 * 616.0 / math.pi, p_absorb=0.25,
+        p_pump=0.0, n_trajectories=20)}
+FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+FIELD_VALUES = {
+    "kind": st.sampled_from(scenarios.KINDS), "mode": st.sampled_from(scenarios.MODES),
+    "drive_family": st.sampled_from(scenarios.FAMILIES),
+    "mc_grid": st.sampled_from(scenarios.MC_GRIDS),
+    "p_absorb": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    "p_pump": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    "target_upper_population": st.floats(0.0, 1.0),
+    "beta": st.floats(-1e4, 1e4), "tau": st.floats(1e-3, 2000.0),
+    "t_f_grid": (st.lists(st.floats(0.0, 3000.0), min_size=1, max_size=4).map(sorted)
+                 | st.lists(HOSTILE, max_size=3) | HOSTILE),
+    "prefix": st.none() | st.sampled_from(["p", "x" * 200]),
+}
+
+
+@settings(max_examples=120)
+@given(base=st.sampled_from(sorted(TYPICAL)),
+       changes=st.dictionaries(st.sampled_from(FIELDS), HOSTILE, max_size=3),
+       chosen=st.fixed_dictionaries({}, optional=FIELD_VALUES),
+       dropped=st.sets(st.sampled_from(FIELDS), max_size=1))
+def test_run_config_exits_0_or_2_with_a_message(base, changes, chosen, dropped):
+    """A typical config with some fields given other valid or boundary
+    values, up to three given hostile values, and at most one removed."""
+    data = {**TYPICAL[base], **chosen, **changes}
+    for name in dropped:
+        data.pop(name, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg_path = root / "cfg" / "config.json"
+        cfg_path.parent.mkdir()
+        cfg_path.write_text(json.dumps(data))
+        outdir = root / "out"
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
+            code = main(["run", str(cfg_path), "--outdir", str(outdir)])
+        written = sorted(str(p.relative_to(root)) for p in root.rglob("*")
+                         if p.is_file())
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (data, code, err)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+        assert written == ["cfg/config.json"]
+    else:
+        assert err == ""
+        prefix = data.get("prefix") or data["name"]
+        assert written == ["cfg/config.json", f"out/{prefix}.csv",
+                           f"out/{prefix}_manifest.json"]

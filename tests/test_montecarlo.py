@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from qubitfr.channel import PulseChannelParams, pulse_step
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext)
-from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, fr_std_err,
-                                mean_energy_std_err, run_ensemble,
+from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, run_ensemble,
                                 run_ensembles)
 from qubitfr.protocol import (ProtocolConfig, conditional_matrix,
                               energy_change_distribution, fr_report, fr_target)
@@ -256,14 +255,14 @@ class TestStatisticalAgreement:
         est = stats.conditional_estimate()
         err = stats.std_err()
         for i in (0, 1):
-            diff = abs(est.matrix[0, i] - exact.matrix[0, i])
+            diff = abs(est.prob(0, i) - exact.prob(0, i))
             assert diff <= 4.0 * max(err[i], 1e-12)
 
     def test_fr_estimate_matches_target_within_errors(self):
         config = amplitude_config(n_pulses=3, tau=410.0)
         stats = run_ensemble(config, 20_000, SEED)
         report = fr_report(config, stats.conditional_estimate())
-        err = fr_std_err(stats, config)
+        err = stats.fr_std_err(config)
         assert report.fr_target == pytest.approx(fr_target(config))
         assert err > 0.0
         assert abs(report.fr_value - report.fr_target) <= 4.0 * err
@@ -273,7 +272,7 @@ class TestStatisticalAgreement:
         stats = run_ensemble(config, 20_000, SEED)
         mean_mc = energy_change_distribution(stats.conditional_estimate(),
                                              config).mean()
-        err = mean_energy_std_err(stats, config)
+        err = stats.mean_energy_std_err(config)
         dist = energy_change_distribution(conditional_matrix(config), config)
         assert err > 0.0
         assert abs(mean_mc - dist.mean()) <= 4.0 * err

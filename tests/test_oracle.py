@@ -228,7 +228,7 @@ class TestRabiConditional:
 class TestRecursionGap:
     def test_exact_at_zero_pulses(self):
         gaps = floquet_recursion_gap(phase_config(n_pulses=6))
-        assert gaps.shape == (7,)
+        assert len(gaps) == 7
         assert gaps[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_fixed_axis_drive(self):

@@ -57,8 +57,7 @@ def test_preset_sweeps_equal_per_point_reference(sweep):
 
 def assert_snapshots_equal(pc, start):
     """Each (t, r) snapshot equals the reference's, float by float."""
-    got = [(t, tuple(r.tolist())) for t, r in mean_trajectory(pc, start)]
-    assert got == sweep_reference.mean_trajectory(pc, start)
+    assert mean_trajectory(pc, start) == sweep_reference.mean_trajectory(pc, start)
 
 
 def test_mean_trajectory_equals_reference():
