@@ -12,11 +12,9 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import montecarlo, oracle, protocol, scenarios
+from . import oracle, protocol, scenarios
 from .channel import PulseChannelParams, period_map
-from .core import free_energy_delta
+from .core import Matrix3, free_energy_delta
 
 # Empirical recursion-vs-propagation bound for the three rotating-drive
 # presets (max absolute population gap over 50 pulses, basis starts),
@@ -97,6 +95,29 @@ def check_exchange_fr() -> CheckResult:
         f"{elapsed:.2f} s")
 
 
+def spectral_radius(m: Matrix3) -> float:
+    """Largest |eigenvalue| of a real 3x3 matrix: the roots, by Cardano or
+    the trigonometric form, of the characteristic cubic of m - (tr m / 3) I,
+    built from the shifted entries so that close eigenvalues stay accurate."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    shift = (a + e + i) / 3.0
+    a, e, i = a - shift, e - shift, i - shift
+    p = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+    q = -(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3  # roots t of t^3 + p t + q
+    if disc > 0.0:
+        u = -math.copysign((abs(q) / 2.0 + math.sqrt(disc)) ** (1.0 / 3.0), q)
+        v = -p / (3.0 * u)
+        return max(abs(shift + u + v), math.hypot(shift - (u + v) / 2.0,
+                                                  0.75 ** 0.5 * (u - v)))
+    r = 2.0 * math.sqrt(-p / 3.0)
+    if r == 0.0:
+        return abs(shift)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
+    return max(abs(shift + r * math.cos((phi - 2.0 * math.pi * k) / 3.0))
+               for k in range(3))
+
+
 def check_asymptote_anchors() -> CheckResult:
     """Inverted channels must reach the published plateaus within 0.005,
     and beta_r * gap must match ln((1 - p)/p) to 1e-6.
@@ -116,7 +137,7 @@ def check_asymptote_anchors() -> CheckResult:
         res = scenarios.resolve(scenarios.get_preset(name))
         target = res.config.target_upper_population
         lin, _ = period_map(res.drive, res.channel, res.config.tau)
-        slow = float(np.max(np.abs(np.linalg.eigvals(np.array(lin)))))
+        slow = spectral_radius(lin)
         counts = [PLATEAU_MIN_PULSES]
         if slow < 1.0:
             g0 = max(target, 1.0 - target)
@@ -181,10 +202,10 @@ def check_oracle_equivalence() -> CheckResult:
     drive, thermal = res.drive, res.thermal
     p0 = res.derived["initial_upper_population"]
     worst_amp = 0.0
-    for pa in np.linspace(0.05, 0.95, 10):
-        params = PulseChannelParams(float(pa), 0.0)
-        for ratio in np.linspace(0.1, 1.3, 10):
-            tau = float(ratio) * drive.tau_a
+    for pa in scenarios.linspace(0.05, 0.95, 10):
+        params = PulseChannelParams(pa, 0.0)
+        for ratio in scenarios.linspace(0.1, 1.3, 10):
+            tau = ratio * drive.tau_a
             pc = protocol.ProtocolConfig(drive, params, tau, 50, thermal)
             # An x-rotation leaves rx alone, so the post-pulse rx of pulse
             # n - 1 is also its value just before pulse n.
@@ -200,7 +221,7 @@ def check_oracle_equivalence() -> CheckResult:
                 heat += energy - e_before
                 pop = 0.5 * (1.0 + rx[n])
                 worst_amp = max(worst_amp, abs(
-                    pop - oracle.population_after_n_pulses(p0, float(pa), n)))
+                    pop - oracle.population_after_n_pulses(p0, pa, n)))
             worst_amp = max(worst_amp,
                             abs(work - mean_w) / drive.omega0,
                             abs(heat - mean_q) / drive.omega0)
@@ -236,6 +257,8 @@ def check_rabi_oscillation() -> CheckResult:
 
 def check_monte_carlo() -> CheckResult:
     """Estimates vs exact maps at 4 binomial sigma, plus chunk-size invariance."""
+    from . import montecarlo  # the one check that needs numpy
+
     n_trajectories = 100_000
     worst_sigma = 0.0
     worst_name = ""
@@ -285,8 +308,8 @@ def check_inequalities() -> CheckResult:
     for name in ("fig3a", "fig3b"):
         res = scenarios.resolve(scenarios.get_preset(name))
         w0 = res.config.omega0
-        pcs = [res.protocol_at(float(t_f))
-               for t_f in np.linspace(0.0, 12 * res.config.tau, 100)[1:]]
+        pcs = [res.protocol_at(t_f)
+               for t_f in scenarios.linspace(0.0, 12 * res.config.tau, 100)[1:]]
         for pc, cm in zip(pcs, protocol.conditional_matrices(pcs)):
             dist = protocol.energy_change_distribution(cm, pc)
             df = free_energy_delta(res.config.beta, res.drive, pc.t_f)
@@ -296,11 +319,11 @@ def check_inequalities() -> CheckResult:
     drive, beta = res.drive, res.config.beta
     worst_wirr = math.inf
     worst_cross = 0.0
-    for t_f in np.linspace(0.0, drive.tau_a, 102)[1:-1]:
-        value = oracle.w_irr(beta, drive, float(t_f))
+    for t_f in scenarios.linspace(0.0, drive.tau_a, 102)[1:-1]:
+        value = oracle.w_irr(beta, drive, t_f)
         worst_wirr = min(worst_wirr, value / drive.omega0)
         entropic = oracle.irreversible_work_relative_entropy(
-            beta, drive, float(t_f))
+            beta, drive, t_f)
         worst_cross = max(worst_cross, abs(value - entropic) / drive.omega0)
     passed = (worst_jensen >= -1e-12 and worst_wirr >= -1e-12
               and worst_cross <= 1e-10)

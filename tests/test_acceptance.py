@@ -5,7 +5,15 @@ asserts the check's verdict at its stated tolerance.  Tolerances live in
 ``qubitfr.checks`` next to the measurements; nothing here loosens them.
 """
 
-from qubitfr import checks, oracle
+import math
+import random
+
+import numpy as np
+import pytest
+
+from qubitfr import checks, oracle, scenarios
+from qubitfr.channel import PulseChannelParams, period_map
+from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive
 
 
 def _gate(result):
@@ -39,6 +47,59 @@ def test_criterion_3_asymptote_anchors():
     gate of 105 pulses leaves 2.4e-3.  fig5b and fig5c stay gated at 50.
     """
     _gate(checks.check_asymptote_anchors())
+
+
+def numpy_spectral_radius(m):
+    return float(np.max(np.abs(np.linalg.eigvals(np.array(m)))))
+
+
+def test_spectral_radius_prints_numpys_lambda_and_gate():
+    """On fig5b-d the closed form is within 1e-14 of numpy, and the
+    criterion-3 line, |lambda| and gate included, is the same with
+    either."""
+    for name in ("fig5b", "fig5c", "fig5d"):
+        res = scenarios.resolve(scenarios.get_preset(name))
+        lin, _ = period_map(res.drive, res.channel, res.config.tau)
+        assert checks.spectral_radius(lin) == pytest.approx(
+            numpy_spectral_radius(lin), rel=1e-14, abs=0.0)
+    detail = checks.check_asymptote_anchors().detail
+    assert "fig5d: |lambda| 0.9446, gate 105" in detail
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "spectral_radius", numpy_spectral_radius)
+        assert checks.check_asymptote_anchors().detail == detail
+
+
+def random_period_maps(rng, n):
+    """(map, exact radius or None) pairs: one-period maps of random drives
+    and channels, pure rotations (radius 1), and full-pump maps whose
+    dressed rotation over tau = tau_theta is within 1e-9 to 1e-2 rad of a
+    whole number of turns, so that all three eigenvalues nearly coincide
+    at 1 - p_absorb."""
+    for _ in range(n):
+        if rng.random() < 0.5:
+            drive = PhaseRotatingDrive(rng.uniform(1e-3, 1.0), rng.uniform(1e-3, 1.0))
+        else:
+            drive = AmplitudeModulatedDrive(rng.uniform(1e-3, 1.0),
+                                            rng.uniform(10.0, 2000.0))
+        tau = rng.uniform(1.0, 2000.0)
+        yield period_map(drive, PulseChannelParams(rng.random(), rng.random()),
+                         tau)[0], None
+        yield period_map(drive, PulseChannelParams(0.0, rng.random()), tau)[0], 1.0
+        tau = rng.uniform(10.0, 2000.0)
+        theta = 2.0 * math.pi / tau
+        miss = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -2.0)
+        angle = 2.0 * math.pi * rng.randint(2, 5) + miss
+        drive = PhaseRotatingDrive(math.sqrt((angle / tau) ** 2 - theta ** 2), theta)
+        p_absorb = rng.random()
+        yield period_map(drive, PulseChannelParams(p_absorb, 1.0), tau)[0], 1.0 - p_absorb
+
+
+def test_spectral_radius_matches_numpy_on_random_period_maps():
+    for lin, exact in random_period_maps(random.Random(2021), 300):
+        radius = checks.spectral_radius(lin)
+        assert radius == pytest.approx(numpy_spectral_radius(lin), rel=1e-12), lin
+        if exact is not None:
+            assert abs(radius - exact) <= 1e-12, (lin, exact)
 
 
 def test_criterion_4_first_law():

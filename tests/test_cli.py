@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -496,10 +497,13 @@ class TestCli:
         {"omega0": -1}, {"theta": -1}, {"beta": math.inf},
         {"target_upper_population": "0.1"}, {"t_f_grid": [0.0, math.nan]},
         {"tau": math.nan}, {"omega0": 10**400}, {"tau": 10**400},
-        {"beta": 10**400}, {"p_pump": 10**400}, {"t_f_grid": [0.0, 10**400]}],
+        {"beta": 10**400}, {"p_pump": 10**400}, {"t_f_grid": [0.0, 10**400]},
+        {"mode": "montecarlo", "n_trajectories": 10**308},
+        {"kind": "rabi", "drive_family": "amplitude", "tau_a": 616.0}],
         ids=["omega0", "theta", "beta", "target", "t_f_grid", "tau",
              "huge_int_omega0", "huge_int_tau", "huge_int_beta",
-             "huge_int_p_pump", "huge_int_t_f_grid"])
+             "huge_int_p_pump", "huge_int_t_f_grid", "huge_n_trajectories",
+             "rabi_on_amplitude"])
     def test_bad_config_values_are_config_errors(self, tmp_path, overrides):
         cfg_path = tmp_path / "bad.json"
         data = small_phase_config().to_dict()
@@ -507,8 +511,9 @@ class TestCli:
         cfg_path.write_text(json.dumps(data))
         proc = run_cli("run", str(cfg_path), "--outdir", str(tmp_path / "out"))
         assert proc.returncode == 2
-        assert "configuration error" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("configuration error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field,value", [("name", "../evil_escape"),
@@ -841,7 +846,7 @@ def test_import_loads_no_scipy():
 
 COLD_COMMANDS = [
     ("run", "fig5d"), ("presets",),
-    ("invert", "--target", "0.138", "--tau-theta", "616")]
+    ("invert", "--target", "0.138", "--tau-theta", "616"), ("check", "--skip-mc")]
 # Runs a command in a fresh interpreter; prints its exit code, then which
 # of the modules numpy and importlib.metadata it loaded.
 LOADED_SCRIPT = """
@@ -983,6 +988,12 @@ FIELD_VALUES = {
 }
 
 
+# A generous wall-time bound on one example of the property test below: a
+# typical example takes milliseconds, so only a hang or a runaway sweep
+# reaches it.
+EXAMPLE_SECONDS = 5.0
+
+
 @settings(max_examples=120)
 @given(base=st.sampled_from(sorted(TYPICAL)),
        changes=st.dictionaries(st.sampled_from(FIELDS), HOSTILE, max_size=3),
@@ -1001,13 +1012,16 @@ def test_run_config_exits_0_or_2_with_a_message(base, changes, chosen, dropped):
         cfg_path.write_text(json.dumps(data))
         outdir = root / "out"
         out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
         with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
               warnings.catch_warnings()):
             warnings.simplefilter("error")
             code = main(["run", str(cfg_path), "--outdir", str(outdir)])
+        elapsed = time.perf_counter() - start
         written = sorted(str(p.relative_to(root)) for p in root.rglob("*")
                          if p.is_file())
     out, err = out.getvalue(), err.getvalue()
+    assert elapsed < EXAMPLE_SECONDS, (data, elapsed)
     assert code in (0, 2), (data, code, err)
     if code == 2:
         assert out == ""
