@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 BLOCH_NORM_TOL = 1e-12
 
-# Relative slack used to recognise stroboscopic times t = n * tau_theta.
-_STROBE_RTOL = 1e-9
+# Relative slack used to recognise a time as a whole multiple of a period.
+WHOLE_MULTIPLE_RTOL = 1e-9
 
 # Cache key of a rotation: the bits of (kx, ky, kz, angle).
 _ROTATION_KEY = struct.Struct("<4d")
@@ -221,9 +221,12 @@ def _dressed_axis(drive: PhaseRotatingDrive) -> tuple[float, float, float]:
     return drive.omega0 / e, 0.0, -drive.theta / e
 
 
-def _is_stroboscopic(t: float, tau: float) -> bool:
-    n = t / tau
-    return abs(n - round(n)) <= _STROBE_RTOL * max(1.0, abs(n))
+def whole_multiple(t: float, tau: float) -> int | None:
+    """The integer nearest t / tau if it lies within WHOLE_MULTIPLE_RTOL of
+    it (relative, with an absolute floor of that size), else None."""
+    ratio = t / tau
+    n = round(ratio)
+    return n if abs(ratio - n) <= WHOLE_MULTIPLE_RTOL * max(1.0, abs(ratio)) else None
 
 
 def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
@@ -240,7 +243,7 @@ def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
         return _axis_angle(1.0, 0.0, 0.0, phase_integral(drive, t0, t1))
     inner = _axis_angle(*_dressed_axis(drive), 2.0 * drive.e_theta * (t1 - t0))
     tau = drive.tau_theta
-    if _is_stroboscopic(t0, tau) and _is_stroboscopic(t1, tau):
+    if whole_multiple(t0, tau) is not None and whole_multiple(t1, tau) is not None:
         return inner
     return matmul3(matmul3(_rot_z(drive.theta * t1), inner),
                    _rot_z(-drive.theta * t0))

@@ -22,9 +22,12 @@ counter and walks the same words pulse by pulse.
 
 Estimates are the ``protocol`` functionals evaluated on the empirical
 matrix ``EnsembleStats.conditional_estimate()``; this module adds only
-their binomial standard errors.  The walk multiplies with numpy, so a
-Born probability can differ by an ulp between hosts, and a count flips
-only when a uniform lies within that ulp of its threshold.
+their binomial standard errors.  Numpy only draws and walks: the tallies
+are Python ints, and the estimates and their errors are computed from
+them in Python floats with libm's ``exp`` and ``sqrt``.  The walk
+multiplies with numpy, so a Born probability can differ by an ulp
+between hosts, and a count, and with it a sampled CSV, changes only
+when a uniform lies within that ulp of its threshold.
 """
 
 from __future__ import annotations
@@ -46,44 +49,36 @@ DEFAULT_CHUNK = 4096
 class EnsembleStats:
     """Exact-integer tallies of an ensemble of trajectories.
 
-    ``counts[j, i]`` is the number of trajectories initialized in basis
-    state i whose final measurement gave j; ``n_per_initial[i]`` the
-    number initialized in i, which must be positive for both states.
+    ``ups[i]`` is the number of the ``n_per_initial`` trajectories
+    initialized in basis state i (0 up, 1 down) whose final measurement
+    gave up; the rest gave down.
     """
 
-    counts: np.ndarray
-    n_per_initial: np.ndarray
+    ups: tuple[int, int]
+    n_per_initial: int
     absorbed_pulses: int
     total_pulses: int
     master_seed: int
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
-        n = np.asarray(self.n_per_initial, dtype=np.int64)
-        if c.shape != (2, 2) or n.shape != (2,):
-            raise ValueError("counts must be 2x2 and n_per_initial length 2")
-        if np.any(c.sum(axis=0) != n):
-            raise ValueError(f"column totals {c.sum(axis=0).tolist()} disagree "
-                             f"with trajectory counts {n.tolist()}")
-        for i in (0, 1):
-            if n[i] < 1:
-                raise ValueError(f"no trajectories were initialized in state {i}")
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "n_per_initial", n)
+        n = self.n_per_initial
+        if not n >= 1:
+            raise ValueError(f"n_per_initial must be at least 1, got {n!r}")
+        if not all(0 <= up <= n for up in self.ups):
+            raise ValueError(f"up counts {self.ups!r} outside [0, {n}]")
 
     def column_estimate(self, initial_index: int) -> float:
         """Empirical P(final = up | initial = initial_index)."""
-        return (float(self.counts[0, initial_index])
-                / int(self.n_per_initial[initial_index]))
+        return self.ups[initial_index] / self.n_per_initial
 
     def conditional_estimate(self) -> ConditionalMatrix:
         return ConditionalMatrix.from_upper_row(self.column_estimate(0),
                                                 self.column_estimate(1))
 
-    def std_err(self) -> np.ndarray:
-        """Binomial standard errors of the two column estimates, shape (2,)."""
-        p = np.array([self.column_estimate(0), self.column_estimate(1)])
-        return np.sqrt(p * (1.0 - p) / self.n_per_initial)
+    def std_err(self) -> tuple[float, float]:
+        """Binomial standard errors of the two column estimates."""
+        p = (self.column_estimate(0), self.column_estimate(1))
+        return tuple(math.sqrt(q * (1.0 - q) / self.n_per_initial) for q in p)
 
     def _binomial_std_err(self, config: ProtocolConfig,
                           spreads: tuple[float, float]) -> float:
@@ -93,9 +88,9 @@ class EnsembleStats:
         variance = 0.0
         for i, spread in enumerate(spreads):
             p = self.column_estimate(i)
-            n_i = float(self.n_per_initial[i])
-            variance += (weights[i] * spread) ** 2 * p * (1.0 - p) / n_i
-        return float(np.sqrt(variance))
+            variance += ((weights[i] * spread) ** 2 * p * (1.0 - p)
+                         / self.n_per_initial)
+        return math.sqrt(variance)
 
     def fr_std_err(self, config: ProtocolConfig) -> float:
         """Binomial standard error of <exp(-gamma dE)> evaluated on
@@ -103,8 +98,8 @@ class EnsembleStats:
         gamma = config.thermal.beta - config.thermal.beta_r
         eig0 = instantaneous_eigensystem(config.drive, 0.0)
         eigf = instantaneous_eigensystem(config.drive, config.t_f)
-        spreads = tuple(np.exp(-gamma * (eigf.e_plus - e_i))
-                        - np.exp(-gamma * (eigf.e_minus - e_i))
+        spreads = tuple(math.exp(-gamma * (eigf.e_plus - e_i))
+                        - math.exp(-gamma * (eigf.e_minus - e_i))
                         for e_i in (eig0.e_plus, eig0.e_minus))
         return self._binomial_std_err(config, spreads)
 
@@ -116,12 +111,13 @@ class EnsembleStats:
         return self._binomial_std_err(config, (spread, spread))
 
     def to_dict(self) -> dict:
+        (up, down), n = self.ups, self.n_per_initial
         return {
-            "counts": self.counts.tolist(),
-            "n_per_initial": self.n_per_initial.tolist(),
-            "absorbed_pulses": int(self.absorbed_pulses),
-            "total_pulses": int(self.total_pulses),
-            "master_seed": int(self.master_seed),
+            "counts": [[up, down], [n - up, n - down]],
+            "n_per_initial": [n, n],
+            "absorbed_pulses": self.absorbed_pulses,
+            "total_pulses": self.total_pulses,
+            "master_seed": self.master_seed,
         }
 
 
@@ -135,9 +131,9 @@ def _check_arguments(*table: tuple[str, object, int, float]) -> None:
 
 
 def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: int,
-          chunk_size: int) -> tuple[np.ndarray, dict[int, int]]:
-    """(final-up counts of the up and the down starts per config, shape
-    (len(configs), 2); absorbed-pulse count at each config's pulse count)
+          chunk_size: int) -> tuple[list[list[int]], dict[int, int]]:
+    """(final-up counts [up starts, down starts] per config; absorbed-pulse
+    count at each config's pulse count)
     of trajectory indices [0, 2 * n_per_initial), starting up below
     n_per_initial, walked once to the largest pulse count."""
     longest = sweep_longest(configs)
@@ -158,7 +154,7 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
                    for n in range(len(rotations))]
     final_draws = {n: stream(n, 3) for n in points}
     p_absorb, p_pump = longest.channel.p_absorb, longest.channel.p_pump
-    ups = np.zeros((len(configs), 2), dtype=np.int64)
+    ups = [[0, 0] for _ in configs]
     absorbed_at = dict.fromkeys(points, 0)
     end = 2 * n_per_initial
     for start in range(0, end, chunk_size):
@@ -176,8 +172,8 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
                     # row-major product keeps earlier releases' Born probabilities.
                     r_final = np.ascontiguousarray((tail @ r).T)
                     hit = u_final < 0.5 * (1.0 + r_final @ axis)
-                    ups[c] += (np.count_nonzero(hit[:n_up]),
-                               np.count_nonzero(hit[n_up:]))
+                    ups[c][0] += int(np.count_nonzero(hit[:n_up]))
+                    ups[c][1] += int(np.count_nonzero(hit[n_up:]))
                 absorbed_at[n] += absorbed_total
             if n == len(rotations):
                 break
@@ -208,9 +204,9 @@ def run_ensembles(configs: Sequence[ProtocolConfig], n_per_initial: int,
         return []
     n = n_per_initial
     ups, absorbed = _walk(configs, master_seed, n, chunk_size)
-    return [EnsembleStats([[up, down], [n - up, n - down]], [n, n],
-                          absorbed[pc.n_pulses], 2 * n * pc.n_pulses, master_seed)
-            for pc, (up, down) in zip(configs, ups)]
+    return [EnsembleStats(tuple(up), n, absorbed[pc.n_pulses],
+                          2 * n * pc.n_pulses, master_seed)
+            for pc, up in zip(configs, ups)]
 
 
 def run_ensemble(config: ProtocolConfig, n_per_initial: int, master_seed: int,

@@ -9,7 +9,8 @@ linear in the density operator.  ``pulse_train`` is its one
 rotate-then-pulse loop; a sweep over final times walks it once, since
 every point's pulses are a prefix of the last point's.
 
-The measured object is the 2x2 ``ConditionalMatrix``; from it and the
+The measured object is the ``ConditionalMatrix``, stored as its upper row
+P(up|up), P(up|down) since each column sums to one; from it and the
 initial Gibbs weights the ``EnergyChangeDistribution`` follows, and the
 fluctuation functionals <exp(-gamma * dE)> are plain sums over its atoms,
 taken with ``math.fsum`` so that their order does not matter.
@@ -24,13 +25,10 @@ from dataclasses import dataclass
 from .channel import PulseChannelParams, pulse_step
 from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Vector,
                    bloch_rotation, check_bloch_vector, gibbs_population,
-                   instantaneous_eigensystem, matvec3, population_along)
+                   instantaneous_eigensystem, matvec3, partition_function,
+                   population_along, whole_multiple)
 
-COLUMN_SUM_TOL = 1e-12
 PROBABILITY_TOL = 1e-12
-
-# Relative slack when counting whole pulse periods inside [0, t_f].
-PULSE_COUNT_RTOL = 1e-9
 
 UPPER, LOWER = 0, 1
 
@@ -38,18 +36,15 @@ UPPER, LOWER = 0, 1
 def pulses_applied(t_f: float, tau: float) -> int:
     """Number of pulses fired in [0, t_f] with pulses at tau, 2*tau, ...
 
-    A pulse coinciding with t_f (within PULSE_COUNT_RTOL, relative) is
-    counted: the final measurement happens immediately after it.
+    A pulse coinciding with t_f (``core.whole_multiple``) is counted: the
+    final measurement happens immediately after it.
     """
     if t_f < 0:
         raise ValueError(f"t_f must be nonnegative, got {t_f}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    ratio = t_f / tau
-    nearest = round(ratio)
-    if abs(ratio - nearest) <= PULSE_COUNT_RTOL * max(1.0, abs(ratio)):
-        return int(nearest)
-    return int(math.floor(ratio))
+    n = whole_multiple(t_f, tau)
+    return math.floor(t_f / tau) if n is None else n
 
 
 @dataclass(frozen=True)
@@ -70,10 +65,9 @@ class ProtocolConfig:
             raise ValueError(f"n_pulses must be nonnegative, got {self.n_pulses}")
         if self.t_f is None:
             object.__setattr__(self, "t_f", self.n_pulses * self.tau)
-        min_tf = self.n_pulses * self.tau
-        if self.t_f < min_tf * (1.0 - PULSE_COUNT_RTOL) - PULSE_COUNT_RTOL:
+        if pulses_applied(self.t_f, self.tau) < self.n_pulses:
             raise ValueError(f"t_f = {self.t_f} precedes pulse {self.n_pulses} "
-                             f"at {min_tf}")
+                             f"at {self.n_pulses * self.tau}")
 
 
 def tail_rotation(config: ProtocolConfig) -> Matrix3:
@@ -142,46 +136,29 @@ def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, Vector]]:
 
 @dataclass(frozen=True)
 class ConditionalMatrix:
-    """Column-stochastic matrix of transition probabilities.
+    """Transition probabilities of the two-outcome measurement, stored as
+    the upper row: the final outcome is down with probability 1 - p."""
 
-    ``matrix[j][i]`` is the probability of the final measurement giving
-    outcome j when the initial one gave i; index 0 is the upper level.
-    """
-
-    matrix: tuple[tuple[float, float], tuple[float, float]]
+    p_up_given_up: float
+    p_up_given_down: float
 
     def __post_init__(self) -> None:
-        try:
-            (a, b), (c, d) = rows = tuple(tuple(float(x) for x in row)
-                                          for row in self.matrix)
-        except (TypeError, ValueError):
-            raise ValueError(f"conditional matrix must be 2x2, "
-                             f"got {self.matrix!r}") from None
-        # Float comparisons, each written so that NaN fails it.
-        lo, hi = -PROBABILITY_TOL, 1.0 + PROBABILITY_TOL
-        if not all(lo <= x <= hi for x in (a, b, c, d)):
-            raise ValueError(f"entries outside [0, 1]: {rows}")
-        sums = [a + c, b + d]
-        if not all(-COLUMN_SUM_TOL <= s - 1.0 <= COLUMN_SUM_TOL for s in sums):
-            raise ValueError(f"columns must sum to 1, got {sums}")
-        object.__setattr__(self, "matrix", rows)
+        # Written so that NaN fails it.
+        if not all(-PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL
+                   for p in (self.p_up_given_up, self.p_up_given_down)):
+            raise ValueError(f"probabilities outside [0, 1]: "
+                             f"{self.p_up_given_up!r}, {self.p_up_given_down!r}")
 
     @classmethod
     def from_upper_row(cls, p_up_given_up: float,
                        p_up_given_down: float) -> "ConditionalMatrix":
-        return cls(((p_up_given_up, p_up_given_down),
-                    (1.0 - p_up_given_up, 1.0 - p_up_given_down)))
+        return cls(float(p_up_given_up), float(p_up_given_down))
 
     def prob(self, final_index: int, initial_index: int) -> float:
-        return self.matrix[final_index][initial_index]
-
-    @property
-    def p_up_given_up(self) -> float:
-        return self.matrix[UPPER][UPPER]
-
-    @property
-    def p_up_given_down(self) -> float:
-        return self.matrix[UPPER][LOWER]
+        """Probability of final outcome j given initial outcome i; index 0
+        is the upper level."""
+        up = (self.p_up_given_up, self.p_up_given_down)[initial_index]
+        return up if final_index == UPPER else 1.0 - up
 
 
 def sweep_longest(configs: Sequence[ProtocolConfig]) -> ProtocolConfig:
@@ -315,8 +292,6 @@ def fr_target(config: ProtocolConfig) -> float:
     Equals exp(-beta dF); identically 1 for the rotating drive (constant
     spectrum) and for beta = 0.
     """
-    from .core import partition_function
-
     beta = config.thermal.beta
     return (partition_function(beta, config.drive, config.t_f)
             / partition_function(beta, config.drive, 0.0))

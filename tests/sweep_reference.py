@@ -26,8 +26,8 @@ import math
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr.core import (AmplitudeModulatedDrive, _is_stroboscopic, _rot_z,
-                          instantaneous_eigensystem, phase_integral)
+from qubitfr.core import (AmplitudeModulatedDrive, _rot_z, instantaneous_eigensystem,
+                          phase_integral, whole_multiple)
 from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, segment_rotations,
                               tail_rotation)
 
@@ -62,7 +62,7 @@ def bloch_rotation(drive, t0: float, t1: float) -> np.ndarray:
     axis = np.array([drive.omega0 / e, 0.0, -drive.theta / e])
     inner = axis_angle(axis, 2.0 * drive.e_theta * (t1 - t0))
     tau = drive.tau_theta
-    if _is_stroboscopic(t0, tau) and _is_stroboscopic(t1, tau):
+    if whole_multiple(t0, tau) is not None and whole_multiple(t1, tau) is not None:
         return inner
     return matmul(matmul(_rot_z(drive.theta * t1), inner), _rot_z(-drive.theta * t0))
 

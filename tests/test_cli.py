@@ -25,7 +25,7 @@ from qubitfr.cli import main
 from qubitfr.core import PhaseRotatingDrive
 from qubitfr.scenarios import (ConfigError, ScenarioConfig, get_preset,
                                load_config, run_scenario, with_overrides)
-from output_digest import strict_json
+from output_digest import SAMPLED_ARGS, strict_json
 
 
 def read_rows(path):
@@ -897,9 +897,9 @@ print(json.dumps([codes, stdout]))
 """
 
 
-def test_pinned_outputs_do_not_depend_on_the_host(tmp_path):
-    """The pinned CSVs and stdout, with OpenBLAS held to its Nehalem
-    kernels and numpy's AVX-512 loops off, in the child process only."""
+def other_host_env():
+    """Environment that holds OpenBLAS to its Nehalem kernels and turns
+    numpy's AVX-512 loops off, for a child process only."""
     from numpy._core import _multiarray_umath as umath
 
     env = {"OPENBLAS_CORETYPE": "Nehalem"}
@@ -908,15 +908,46 @@ def test_pinned_outputs_do_not_depend_on_the_host(tmp_path):
               and umath.__cpu_features__.get(f)]
     if avx512:  # numpy refuses to disable a feature it did not dispatch
         env["NPY_DISABLE_CPU_FEATURES"] = " ".join(avx512)
+    return env
+
+
+def test_pinned_outputs_do_not_depend_on_the_host(tmp_path):
+    """The pinned CSVs and stdout, in a child process with
+    ``other_host_env``."""
     commands = [list(argv) for argv in STDOUT_SHA256]
     proc = run_python("-c", PINNED_SCRIPT, str(tmp_path), json.dumps(commands),
-                      env=env)
+                      env=other_host_env())
     assert proc.returncode == 0, proc.stderr
     codes, stdout = json.loads(proc.stdout)
     assert set(codes) == {0}
     assert {name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
             for name in PRESET_CSV_SHA256} == PRESET_CSV_SHA256
     assert stdout == {" ".join(argv): digest for argv, digest in STDOUT_SHA256.items()}
+
+
+# Runs each preset named in argv[2:] sampled at every grid point into argv[1].
+SAMPLED_SCRIPT = f"""
+import sys
+from qubitfr.cli import main
+for name in sys.argv[2:]:
+    assert main(["run", name, "--outdir", sys.argv[1], *{SAMPLED_ARGS!r}]) == 0
+"""
+
+
+def test_sampled_outputs_do_not_depend_on_the_host(tmp_path):
+    """Sampled CSVs, error columns included, are the same bytes in this
+    process and in a child with ``other_host_env``: the error columns
+    come from the counts with libm, not from numpy's loops."""
+    names = ["fig4b", "fig6e"]
+    for name in names:
+        assert main(["run", name, "--outdir", str(tmp_path / "here"),
+                     *SAMPLED_ARGS]) == 0
+    proc = run_python("-c", SAMPLED_SCRIPT, str(tmp_path / "child"), *names,
+                      env=other_host_env())
+    assert proc.returncode == 0, proc.stderr
+    for name in names:
+        assert ((tmp_path / "child" / f"{name}.csv").read_bytes()
+                == (tmp_path / "here" / f"{name}.csv").read_bytes()), name
 
 
 def float_bits(values):

@@ -157,17 +157,18 @@ class TestEngineEquivalence:
             "absorbed_pulses": absorbed, "total_pulses": 2 * n * config.n_pulses,
             "master_seed": seed}
 
-    @pytest.mark.parametrize("preset,counts,absorbed", [
-        ("fig5d", [[2036, 956], [17964, 19044]], 499490),
-        ("fig4b", [[10305, 9640], [9695, 10360]], 119868)],
+    @pytest.mark.parametrize("preset,ups,absorbed", [
+        ("fig5d", (2036, 956), 499490),
+        ("fig4b", (10305, 9640), 119868)],
         ids=["fig5d", "fig4b"])
-    def test_realizations_are_pinned(self, preset, counts, absorbed):
-        # Counts of random-number layout 3; any change to the streams or to
-        # the propagation arithmetic shows here.
+    def test_realizations_are_pinned(self, preset, ups, absorbed):
+        # Counts of random-number layout 3, of 20,000 trajectories per
+        # initial state; any change to the streams or to the propagation
+        # arithmetic shows here.
         res = resolve(get_preset(preset))
         stats = run_ensemble(res.protocol_at(res.config.t_f_grid[-1]),
                              20_000, 777)
-        assert stats.counts.tolist() == counts
+        assert (stats.ups, stats.n_per_initial) == (ups, 20_000)
         assert stats.absorbed_pulses == absorbed
 
     def test_chunking_is_invisible(self):
@@ -191,35 +192,37 @@ class TestEnsembleStats:
     def test_ensemble_populates_both_columns(self):
         config = amplitude_config(n_pulses=1)
         stats = run_ensemble(config, 800, SEED)
-        assert stats.n_per_initial.tolist() == [800, 800]
+        assert stats.n_per_initial == 800
+        assert all(type(up) is int for up in stats.ups)
         assert stats.total_pulses == 1600 * config.n_pulses
         assert 0 <= stats.absorbed_pulses <= stats.total_pulses
 
     def test_count_consistency_enforced(self):
-        with pytest.raises(ValueError, match="disagree"):
-            EnsembleStats(np.array([[5, 0], [4, 0]]), np.array([10, 0]),
-                          0, 0, SEED)
+        # No more final-up trajectories than were started, nor fewer than 0.
+        for ups in ((11, 0), (5, -1)):
+            with pytest.raises(ValueError, match="outside"):
+                EnsembleStats(ups, 10, 0, 0, SEED)
 
     @pytest.mark.parametrize("column", [0, 1])
     def test_empty_column_rejected(self, column):
-        # Every estimate divides by both columns' trajectory counts.
-        counts = np.array([[3, 3], [4, 4]])
-        counts[:, column] = 0
-        with pytest.raises(ValueError, match=f"state {column}"):
-            EnsembleStats(counts, counts.sum(axis=0), 0, 0, SEED)
+        # Every estimate divides by the trajectory count.
+        ups = [0, 0]
+        ups[column] = 3
+        with pytest.raises(ValueError, match="n_per_initial"):
+            EnsembleStats(tuple(ups), 0, 0, 0, SEED)
 
     def test_zero_pulse_trajectories_are_deterministic(self):
         # Without pulses a basis start stays a basis state, so the final
         # Born draw is a certainty no matter the seed.
         config = amplitude_config(n_pulses=0, t_f=616.0)
         stats = run_ensemble(config, 300, SEED)
-        assert stats.counts.tolist() == [[300, 0], [0, 300]]
+        assert stats.ups == (300, 0)
 
     def test_std_err_is_binomial(self):
         config = phase_config(n_pulses=3)
         stats = run_ensemble(config, 2000, SEED)
         err = stats.std_err()
-        assert err.shape == (2,)
+        assert len(err) == 2
         for i in (0, 1):
             p = stats.column_estimate(i)
             assert err[i] == pytest.approx(math.sqrt(p * (1.0 - p) / 2000.0))
