@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (BLOCH_NORM_TOL, IDENTITY3, DriveSpec, Matrix3, Vector,
-                   bloch_rotation, instantaneous_eigensystem, matvec3,
-                   population_along)
+                   bloch_rotation, matvec3, population_along)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 # Largest |plateau - target| an inverted pump may leave (presets: 3.5e-16).
@@ -104,7 +103,7 @@ def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
         raise DegenerateChannelError(  # NaN fails too
             f"{channel}: the fixed point has residual {residual:.3e} (at most "
             f"{FIXED_POINT_RESIDUAL_TOL:.0e}) and norm {norm!r} (at most 1)")
-    return population_along(r, instantaneous_eigensystem(drive, 0.0).basis_plus)
+    return population_along(r, drive.basis[0])
 
 
 def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
@@ -137,7 +136,7 @@ def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,
         raise DegenerateChannelError(
             f"p_absorb = {pa!r}, tau = {tau!r}: {NO_FIXED_POINT}") from None
     a, h = (x * g[0] + y * g[1] + z * g[2]
-            for x, y, z in (instantaneous_eigensystem(drive, 0.0).basis_plus, rot[2]))
+            for x, y, z in (drive.basis[0], rot[2]))
     s = 2.0 * target_upper_population - 1.0
     denom = pa * (a - s * h)
     p_pump = s * (1.0 - pa * h) / denom if denom != 0.0 else math.nan

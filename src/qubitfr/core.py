@@ -19,6 +19,10 @@ Two drive families are supported:
   and propagation over any window composes two z-rotations with a single
   rotation about the dressed axis.
 
+Each drive holds the basis the protocol measures in, fixed in time, as
+``basis`` (upper and lower unit Bloch vectors) and the upper level's energy
+as ``level(t)``; the lower level sits at minus it.
+
 Everything here is closed form; no differential-equation stepping is used
 anywhere in the package.  Rotations are 3x3 tuples of floats, multiplied
 by ``matmul3`` and ``matvec3`` in their written order, so every product
@@ -70,6 +74,9 @@ class AmplitudeModulatedDrive:
     omega0: float
     tau_a: float
 
+    # (upper, lower) unit Bloch vectors; written out so the zeros are +0.0.
+    basis = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+
     def __post_init__(self) -> None:
         if not (self.omega0 > 0 and math.isfinite(self.omega0)):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
@@ -79,6 +86,10 @@ class AmplitudeModulatedDrive:
     def omega(self, t: float) -> float:
         c = math.cos(math.pi * t / self.tau_a)
         return 0.5 * self.omega0 * (1.0 + c * c)
+
+    def level(self, t: float) -> float:
+        """Energy of the upper level at time t; the lower one is its negative."""
+        return 0.5 * self.omega(t)
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,7 @@ class PhaseRotatingDrive:
                 and math.isfinite(self.tau_theta)):
             raise ValueError(f"theta = {self.theta!r} must be positive, with a "
                              f"finite period 2 pi / theta")
+        check_bloch_vector(*self.basis[0])  # the lower axis has the same norm
 
     @property
     def tau_theta(self) -> float:
@@ -115,18 +127,19 @@ class PhaseRotatingDrive:
     def gap(self) -> float:
         return 2.0 * self.e_theta
 
+    @property
+    def basis(self) -> tuple[Vector, Vector]:
+        """(upper, lower) unit Bloch vectors k and -k, k the dressed axis; k_z < 0
+        puts the upper level opposite the pump target |0>."""
+        kx, ky, kz = self.omega0 / self.gap, 0.0, -self.theta / self.gap
+        return (kx, ky, kz), (-kx, -ky, -kz)
+
+    def level(self, t: float) -> float:
+        """Energy e_theta of the upper level, the same at every t."""
+        return self.e_theta
+
 
 DriveSpec = AmplitudeModulatedDrive | PhaseRotatingDrive
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Measurement basis (unit Bloch vectors) and energies at a given time."""
-
-    e_plus: float
-    e_minus: float
-    basis_plus: tuple[float, float, float]
-    basis_minus: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -214,13 +227,6 @@ def _rot_z(angle: float) -> Matrix3:
     return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
 
 
-def _dressed_axis(drive: PhaseRotatingDrive) -> tuple[float, float, float]:
-    # The +e_theta level must sit on the opposite side of the pump target |0>,
-    # so the dressed axis carries a negative z-component.
-    e = 2.0 * drive.e_theta
-    return drive.omega0 / e, 0.0, -drive.theta / e
-
-
 def whole_multiple(t: float, tau: float) -> int | None:
     """The integer nearest t / tau if it lies within WHOLE_MULTIPLE_RTOL of
     it (relative, with an absolute floor of that size), else None."""
@@ -241,7 +247,7 @@ def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
         raise ValueError(f"time interval reversed: t0={t0}, t1={t1}")
     if isinstance(drive, AmplitudeModulatedDrive):
         return _axis_angle(1.0, 0.0, 0.0, phase_integral(drive, t0, t1))
-    inner = _axis_angle(*_dressed_axis(drive), 2.0 * drive.e_theta * (t1 - t0))
+    inner = _axis_angle(*drive.basis[0], 2.0 * drive.e_theta * (t1 - t0))
     tau = drive.tau_theta
     if whole_multiple(t0, tau) is not None and whole_multiple(t1, tau) is not None:
         return inner
@@ -249,33 +255,14 @@ def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
                    _rot_z(-drive.theta * t0))
 
 
-def instantaneous_eigensystem(drive: DriveSpec, t: float) -> EigenSystem:
-    """Measurement basis and energies used by the two-point protocol at time t.
-
-    Amplitude family: the +/-x states with energies +/- omega(t)/2.  Rotating
-    family: the time-independent dressed basis with energies +/- e_theta.
-    """
-    if isinstance(drive, AmplitudeModulatedDrive):
-        e = 0.5 * drive.omega(t)
-        up, down = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
-    else:
-        e = drive.e_theta
-        kx, ky, kz = up = _dressed_axis(drive)
-        down = (-kx, -ky, -kz)
-    check_bloch_vector(*up)  # down = -up has the same norm
-    return EigenSystem(e, -e, up, down)
-
-
 def partition_function(beta: float, drive: DriveSpec, t: float) -> float:
-    """Two-level partition function 2*cosh(beta * e_plus(t))."""
-    e_plus = instantaneous_eigensystem(drive, t).e_plus
-    return 2.0 * math.cosh(beta * e_plus)
+    """Two-level partition function 2*cosh(beta * level(t))."""
+    return 2.0 * math.cosh(beta * drive.level(t))
 
 
 def gibbs_population(beta: float, drive: DriveSpec, t: float) -> float:
-    """Upper-level Gibbs weight exp(-beta e_plus) / Z at time t."""
-    eig = instantaneous_eigensystem(drive, t)
-    x = beta * (eig.e_plus - eig.e_minus)
+    """Upper-level Gibbs weight exp(-beta level(t)) / Z at time t."""
+    x = beta * (2.0 * drive.level(t))
     # Logistic form stable for any beta; exp never sees a positive argument.
     if x >= 0.0:
         return math.exp(-x) / (1.0 + math.exp(-x))

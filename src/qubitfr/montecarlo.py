@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import instantaneous_eigensystem
 from .protocol import (ConditionalMatrix, ProtocolConfig, initial_probabilities,
                        segment_rotations, sweep_longest, tail_rotation)
 
@@ -96,18 +95,15 @@ class EnsembleStats:
         """Binomial standard error of <exp(-gamma dE)> evaluated on
         ``conditional_estimate()``, gamma = beta - beta_r."""
         gamma = config.thermal.beta - config.thermal.beta_r
-        eig0 = instantaneous_eigensystem(config.drive, 0.0)
-        eigf = instantaneous_eigensystem(config.drive, config.t_f)
-        spreads = tuple(math.exp(-gamma * (eigf.e_plus - e_i))
-                        - math.exp(-gamma * (eigf.e_minus - e_i))
-                        for e_i in (eig0.e_plus, eig0.e_minus))
+        l0, lf = config.drive.level(0.0), config.drive.level(config.t_f)
+        spreads = tuple(math.exp(-gamma * (lf - e_i)) - math.exp(-gamma * (-lf - e_i))
+                        for e_i in (l0, -l0))
         return self._binomial_std_err(config, spreads)
 
     def mean_energy_std_err(self, config: ProtocolConfig) -> float:
         """Binomial standard error of <dE> evaluated on
         ``conditional_estimate()``."""
-        eigf = instantaneous_eigensystem(config.drive, config.t_f)
-        spread = eigf.e_plus - eigf.e_minus
+        spread = 2.0 * config.drive.level(config.t_f)
         return self._binomial_std_err(config, (spread, spread))
 
     def to_dict(self) -> dict:
@@ -139,12 +135,11 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
     longest = sweep_longest(configs)
     # Arrays once per walk; the chunk loop multiplies with numpy.
     rotations = [np.array(rot) for rot in segment_rotations(longest)]
-    start_up = np.array(instantaneous_eigensystem(longest.drive, 0.0).basis_plus)
-    points: dict[int, list] = {}  # pulse count -> (config, tail, final axis)
+    # The up start is also the axis every point measures along.
+    up = np.array(longest.drive.basis[0])
+    points: dict[int, list] = {}  # pulse count -> (config, tail)
     for c, pc in enumerate(configs):
-        axis = np.array(instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus)
-        points.setdefault(pc.n_pulses, []).append(
-            (c, np.array(tail_rotation(pc)), axis))
+        points.setdefault(pc.n_pulses, []).append((c, np.array(tail_rotation(pc))))
 
     def stream(n: int, role: int):  # role's uniforms read after n pulses
         key = np.array([master_seed, 4 * n + role + 1], dtype=np.uint64)
@@ -162,16 +157,16 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
         m = stop - start
         n_up = min(max(n_per_initial - start, 0), m)
         sign = np.where(np.arange(start, stop) < n_per_initial, 1.0, -1.0)
-        r = start_up[:, None] * sign
+        r = up[:, None] * sign
         absorbed_total = 0
         for n in range(len(rotations) + 1):
             if n in points:
                 u_final = final_draws[n](m)
-                for c, tail, axis in points[n]:
+                for c, tail in points[n]:
                     # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the
                     # row-major product keeps earlier releases' Born probabilities.
                     r_final = np.ascontiguousarray((tail @ r).T)
-                    hit = u_final < 0.5 * (1.0 + r_final @ axis)
+                    hit = u_final < 0.5 * (1.0 + r_final @ up)
                     ups[c][0] += int(np.count_nonzero(hit[:n_up]))
                     ups[c][1] += int(np.count_nonzero(hit[n_up:]))
                 absorbed_at[n] += absorbed_total

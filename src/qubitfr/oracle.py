@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
-                   free_energy_delta, gibbs_population,
-                   instantaneous_eigensystem, population_along)
+                   free_energy_delta, gibbs_population, population_along)
 from .protocol import ProtocolConfig, pulse_train
 
 
@@ -162,12 +161,12 @@ def floquet_recursion_gap(config: ProtocolConfig) -> list[float]:
         raise TypeError("recursion gap is defined for the rotating drive")
     params = config.channel
     n_max = config.n_pulses
-    eig = instantaneous_eigensystem(drive, 0.0)
-    post = pulse_train(config, [eig.basis_plus, eig.basis_minus], range(n_max + 1))
+    basis = drive.basis
+    post = pulse_train(config, basis, range(n_max + 1))
     gaps = [0.0] * (n_max + 1)
     for start, p0 in enumerate((1.0, 0.0)):
         for n in range(n_max + 1):
-            exact = population_along(post[n][start], eig.basis_plus)
+            exact = population_along(post[n][start], basis[0])
             predicted = floquet_population_recursion(
                 p0, params.p_absorb, params.p_pump, drive.alpha, n)
             gaps[n] = max(gaps[n], abs(exact - predicted))

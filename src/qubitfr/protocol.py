@@ -1,7 +1,7 @@
 """Two-point measurement protocol over the pulsed, driven qubit.
 
-A run is specified by a ``ProtocolConfig``: measure in the instantaneous
-basis at t = 0, evolve under the drive with a pulse at each multiple of
+A run is specified by a ``ProtocolConfig``: measure in the drive's fixed
+``basis`` at t = 0, evolve under the drive with a pulse at each multiple of
 ``tau`` up to ``n_pulses``, coast to ``t_f``, measure again.  The
 deterministic engine propagates the two initial basis states through the
 ensemble-averaged channel, which is exact for all probabilities that are
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .channel import PulseChannelParams, pulse_step
 from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Vector,
                    bloch_rotation, check_bloch_vector, gibbs_population,
-                   instantaneous_eigensystem, matvec3, partition_function,
-                   population_along, whole_multiple)
+                   matvec3, partition_function, population_along,
+                   whole_multiple)
 
 PROBABILITY_TOL = 1e-12
 
@@ -43,6 +43,9 @@ def pulses_applied(t_f: float, tau: float) -> int:
         raise ValueError(f"t_f must be nonnegative, got {t_f}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    if not math.isfinite(t_f / tau):  # NaN fails too
+        raise ValueError(f"t_f / tau must be finite, got t_f = {t_f!r}, "
+                         f"tau = {tau!r}")
     n = whole_multiple(t_f, tau)
     return math.floor(t_f / tau) if n is None else n
 
@@ -177,20 +180,18 @@ def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalM
     The configs must share drive, channel and tau.  Pulses fire at tau,
     2 tau, ... whatever t_f is, so every point with n pulses has the same
     post-pulse state: one ``pulse_train`` to the largest pulse count serves
-    the whole sweep, and each point adds its own tail rotation and final
-    basis.  A sweep costs O(N_max + grid) rotations, not O(grid * N).
+    the whole sweep, and each point adds its own tail rotation.  A sweep
+    costs O(N_max + grid) rotations, not O(grid * N).
     """
     if not configs:
         return []
     longest = sweep_longest(configs)
-    eig0 = instantaneous_eigensystem(longest.drive, 0.0)
-    post = pulse_train(longest, [eig0.basis_plus, eig0.basis_minus],
-                       [pc.n_pulses for pc in configs])
+    basis = longest.drive.basis
+    post = pulse_train(longest, basis, [pc.n_pulses for pc in configs])
     out = []
     for pc, rs in zip(configs, post):
         tail = tail_rotation(pc)
-        final_up = instantaneous_eigensystem(pc.drive, pc.t_f).basis_plus
-        up, down = (population_along(matvec3(tail, r), final_up) for r in rs)
+        up, down = (population_along(matvec3(tail, r), basis[0]) for r in rs)
         out.append(ConditionalMatrix.from_upper_row(up, down))
     return out
 
@@ -253,10 +254,8 @@ def initial_probabilities(config: ProtocolConfig) -> tuple[float, float]:
 def energy_change_distribution(cm: ConditionalMatrix,
                                config: ProtocolConfig) -> EnergyChangeDistribution:
     """Distribution of E_final - E_initial with Gibbs-weighted initial outcomes."""
-    eig0 = instantaneous_eigensystem(config.drive, 0.0)
-    eigf = instantaneous_eigensystem(config.drive, config.t_f)
-    e0 = (eig0.e_plus, eig0.e_minus)
-    ef = (eigf.e_plus, eigf.e_minus)
+    l0, lf = config.drive.level(0.0), config.drive.level(config.t_f)
+    e0, ef = (l0, -l0), (lf, -lf)
     weights = initial_probabilities(config)
     atoms = [(ef[j] - e0[i], weights[i] * cm.prob(j, i))
              for i in (UPPER, LOWER) for j in (UPPER, LOWER)]

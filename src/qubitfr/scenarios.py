@@ -32,8 +32,7 @@ from . import channel as channel_mod
 from .channel import PulseChannelParams
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
                    ThermalContext, bloch_rotation, check_bloch_vector,
-                   free_energy_delta, gibbs_population,
-                   instantaneous_eigensystem, matvec3)
+                   free_energy_delta, gibbs_population, matvec3)
 
 
 class ConfigError(Exception):
@@ -310,7 +309,7 @@ def _resolve(config: ScenarioConfig) -> ResolvedScenario:
         derived["tau_a_ns"] = drive.tau_a
 
     # |dE| is at most the splitting at t = 0: the dressed gap, or omega(0).
-    splitting = 2.0 * instantaneous_eigensystem(drive, 0.0).e_plus
+    splitting = 2.0 * drive.level(0.0)
     exponent = max(abs(config.beta), abs(config.beta - beta_r)) * splitting
     if exponent > MAX_EXP_ARG:
         raise ConfigError(f"beta = {config.beta!r} with beta_r = {beta_r!r} puts "
@@ -522,9 +521,8 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
               "rx", "ry", "rz", "post_pulse"]
     t_max = cfg.t_f_grid[-1]
     pc = res.protocol_at(t_max)
-    eig0 = instantaneous_eigensystem(res.drive, 0.0)
     rows = []
-    for label, start in (("up", eig0.basis_plus), ("down", eig0.basis_minus)):
+    for label, start in zip(("up", "down"), res.drive.basis):
         snapshots = protocol.mean_trajectory(pc, start)
         for (t0, s0), (t1, _) in zip(snapshots, snapshots[1:]):
             for t in linspace(t0, t1, 17)[:-1]:
@@ -555,8 +553,7 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
             mean_de, err = mean_energy(pc, cm, stats)
             w, q = oracle.work_heat_series_amplitude(pc)
             df = free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta else 0.0
-            # Each mode keeps the rounding its rows have always had.
-            residual = mean_de - (w + q) if stats is None else mean_de - w - q
+            residual = mean_de - (w + q)
             return [mean_de / w0, w / w0, q / w0, (w + q) / w0, df / w0,
                     residual / w0, err / w0]
     else:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr.core import instantaneous_eigensystem
 from qubitfr.protocol import ProtocolConfig, segment_rotations, tail_rotation
 
 
@@ -97,9 +96,8 @@ def run_records(config: ProtocolConfig, initial_index: int, n: int,
                 master_seed: int, index_offset: int = 0) -> list[TrajectoryRecord]:
     """Trajectories ``index_offset .. index_offset + n - 1`` from one basis state."""
     rots, tail = segment_rotations(config), tail_rotation(config)
-    start = np.array(instantaneous_eigensystem(config.drive, 0.0).basis_plus)
-    final_axis = np.array(instantaneous_eigensystem(config.drive,
-                                                    config.t_f).basis_plus)
+    # The up start is also the axis of the final measurement.
+    start = final_axis = np.array(config.drive.basis[0])
     sign = 1.0 if initial_index == 0 else -1.0
     records = []
     for idx in range(index_offset, index_offset + n):

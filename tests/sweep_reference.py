@@ -26,8 +26,7 @@ import math
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr.core import (AmplitudeModulatedDrive, _rot_z, instantaneous_eigensystem,
-                          phase_integral, whole_multiple)
+from qubitfr.core import AmplitudeModulatedDrive, _rot_z, phase_integral, whole_multiple
 from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, segment_rotations,
                               tail_rotation)
 
@@ -112,9 +111,8 @@ def mean_trajectory(config: ProtocolConfig,
 
 
 def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
-    """Transition probabilities between the measurement bases at 0 and t_f."""
-    eig0 = instantaneous_eigensystem(config.drive, 0.0)
-    eigf = instantaneous_eigensystem(config.drive, config.t_f)
-    cols = [upper_population(propagate_mean(config, initial), eigf.basis_plus)
-            for initial in (eig0.basis_plus, eig0.basis_minus)]
+    """Transition probabilities within the drive's measured basis, from 0 to t_f."""
+    up, down = config.drive.basis
+    cols = [upper_population(propagate_mean(config, initial), up)
+            for initial in (up, down)]
     return ConditionalMatrix.from_upper_row(cols[0], cols[1])

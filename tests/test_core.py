@@ -13,8 +13,7 @@ import sweep_reference
 from qubitfr import core
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, bloch_rotation, check_bloch_vector,
-                          free_energy_delta, gibbs_population,
-                          instantaneous_eigensystem, matmul3, matvec3,
+                          free_energy_delta, gibbs_population, matmul3, matvec3,
                           partition_function, phase_integral, population_along)
 
 OMEGA0_A = math.pi / 616.0
@@ -252,45 +251,47 @@ class TestRotationBuilder:
 
 class TestEigensystem:
     def test_amplitude_matches_hamiltonian_diagonalization(self):
+        # One fixed basis diagonalizes H(t) at every t; only the levels move.
         drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
+        up, down = drive.basis
         for t in (0.0, 170.0, 308.0, 616.0):
-            eig = instantaneous_eigensystem(drive, t)
             upper, lower, e_up, e_dn = dmtools.projectors_from_ham(
                 dmtools.ham_amplitude(OMEGA0_A, 616.0, t))
-            assert eig.e_plus == pytest.approx(e_up, abs=1e-15)
-            assert eig.e_minus == pytest.approx(e_dn, abs=1e-15)
-            assert np.allclose(dmtools.rho_from_bloch(
-                np.array(eig.basis_plus)), upper, atol=1e-12)
-            assert np.allclose(dmtools.rho_from_bloch(
-                np.array(eig.basis_minus)), lower, atol=1e-12)
+            assert drive.level(t) == pytest.approx(e_up, abs=1e-15)
+            assert -drive.level(t) == pytest.approx(e_dn, abs=1e-15)
+            assert np.allclose(dmtools.rho_from_bloch(np.array(up)), upper,
+                               atol=1e-12)
+            assert np.allclose(dmtools.rho_from_bloch(np.array(down)), lower,
+                               atol=1e-12)
 
     def test_phase_basis_is_rotating_frame_eigensystem(self):
         theta = 2.0 * math.pi / 616.0
         drive = PhaseRotatingDrive(OMEGA0_P, theta)
         h_eff = 0.5 * (OMEGA0_P * dmtools.SX - theta * dmtools.SZ)
         upper, lower, e_up, e_dn = dmtools.projectors_from_ham(h_eff)
+        up, down = drive.basis
         for t in (0.0, 100.0, 616.0):
-            eig = instantaneous_eigensystem(drive, t)
-            assert eig.e_plus == pytest.approx(e_up, abs=1e-15)
-            assert eig.e_minus == pytest.approx(e_dn, abs=1e-15)
-            assert np.allclose(dmtools.rho_from_bloch(
-                np.array(eig.basis_plus)), upper, atol=1e-12)
+            assert drive.level(t) == pytest.approx(e_up, abs=1e-15)
+            assert -drive.level(t) == pytest.approx(e_dn, abs=1e-15)
+            assert np.allclose(dmtools.rho_from_bloch(np.array(up)), upper,
+                               atol=1e-12)
 
     def test_phase_upper_level_leans_south(self):
         # Pumping toward |0> (north) must depopulate the upper level, so
         # the upper basis state carries a negative z-component.
-        drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 1296.0)
-        eig = instantaneous_eigensystem(drive, 0.0)
-        assert eig.basis_plus[2] < 0.0
-        assert eig.basis_minus[2] > 0.0
+        up, down = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 1296.0).basis
+        assert up[2] < 0.0
+        assert down[2] > 0.0
 
     def test_basis_states_are_antipodal(self):
         for drive in (AmplitudeModulatedDrive(OMEGA0_A, 616.0),
                       PhaseRotatingDrive(OMEGA0_P, 0.01)):
-            eig = instantaneous_eigensystem(drive, 37.0)
-            assert np.allclose(np.array(eig.basis_plus),
-                               -np.array(eig.basis_minus), atol=1e-15)
-            assert math.hypot(*eig.basis_plus) == pytest.approx(1.0, abs=1e-14)
+            up, down = drive.basis
+            assert down == tuple(-x for x in up)
+            assert math.hypot(*up) == pytest.approx(1.0, abs=1e-14)
+        # The amplitude lower axis is written out, so its zeros are +0.0.
+        _, down = AmplitudeModulatedDrive(OMEGA0_A, 616.0).basis
+        assert [math.copysign(1.0, x) for x in down[1:]] == [1.0, 1.0]
 
 
 class TestThermodynamics:

@@ -1,7 +1,8 @@
 """Every public module-level function and class of the package, every
 public method and property of its classes, and every public dataclass
 field is used by the package itself, so API that only the tests call cannot
-accumulate; and no module imports another's private names."""
+accumulate; every private name is used in its own module; and no module
+imports another's private names."""
 
 import ast
 from pathlib import Path
@@ -90,6 +91,44 @@ def test_every_public_dataclass_field_is_read_in_the_package():
                        for node in reads):
                 unread.append(f"{cls.name}.{stmt.target.id}")
     assert unread == []
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a function, class or assignment statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def test_every_private_name_is_used_in_its_own_module():
+    # Private module-level functions, classes and constants, and private
+    # methods and constants of classes (dunders are exempt): each must be
+    # loaded somewhere in its module outside its own definition.
+    unused = []
+    checked = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute))
+                 and isinstance(node.ctx, ast.Load)]
+        for stmt in [stmt for node in tree.body for stmt in
+                     [node] + (node.body if isinstance(node, ast.ClassDef) else [])]:
+            own = {id(node) for node in ast.walk(stmt)}
+            for name in filter(is_private, defined_names(stmt)):
+                checked += 1
+                if not any(used == name and id(node) not in own
+                           for node, used in loads):
+                    unused.append(f"{path.name}:{stmt.lineno} {name}")
+    assert checked >= 20
+    assert unused == []
 
 
 def test_no_module_imports_a_private_name_from_another():

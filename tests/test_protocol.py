@@ -11,8 +11,7 @@ import dmtools
 from qubitfr import scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          ThermalContext, gibbs_population,
-                          instantaneous_eigensystem, partition_function,
+                          ThermalContext, gibbs_population, partition_function,
                           population_along)
 from qubitfr.oracle import population_after_n_pulses
 from qubitfr.protocol import (ConditionalMatrix, EnergyChangeDistribution,
@@ -78,6 +77,15 @@ class TestProtocolConfig:
     def test_negative_pulses_rejected(self):
         with pytest.raises(ValueError):
             amplitude_config(n_pulses=-1)
+
+    @pytest.mark.parametrize("t_f, tau", [(math.inf, 410.0), (math.nan, 410.0),
+                                          (None, math.nan), (1e10, 1e-320)])
+    def test_non_finite_pulse_count_rejected(self, t_f, tau):
+        # t_f / tau overflows or is NaN: a message naming both, not an
+        # OverflowError or a bare float-to-int ValueError.
+        with pytest.raises(ValueError,
+                           match=r"t_f / tau must be finite, got t_f = .*, tau = "):
+            amplitude_config(tau=tau, n_pulses=0, t_f=t_f)
 
 
 class TestConditionalMatrixClass:
@@ -200,12 +208,12 @@ class TestConditionalMatrixAgainstDensityMatrices:
 class TestMeanPropagation:
     def test_population_decay_matches_closed_form(self):
         pc = amplitude_config(tau=410.0, n_pulses=6)
-        eig = instantaneous_eigensystem(pc.drive, 0.0)
-        snaps = mean_trajectory(pc, eig.basis_plus)
+        up = pc.drive.basis[0]
+        snaps = mean_trajectory(pc, up)
         assert len(snaps) == 7
         for n, (t_n, state) in enumerate(snaps):
             assert t_n == pytest.approx(n * 410.0)
-            pop = population_along(state, eig.basis_plus)
+            pop = population_along(state, up)
             assert pop == pytest.approx(
                 population_after_n_pulses(1.0, 0.25, n), abs=1e-14)
 

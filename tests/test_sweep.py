@@ -12,8 +12,7 @@ from hypothesis import given, strategies as st
 import sweep_reference
 from qubitfr import core, protocol, scenarios
 from qubitfr.channel import PulseChannelParams
-from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          ThermalContext, instantaneous_eigensystem)
+from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
 from qubitfr.montecarlo import run_ensembles
 from qubitfr.protocol import (ProtocolConfig, conditional_matrices,
                               mean_trajectory, pulses_applied)
@@ -69,12 +68,11 @@ def assert_snapshots_equal(pc, start):
 def test_mean_trajectory_equals_reference():
     res = scenarios.resolve(scenarios.get_preset("fig2bcd"))
     pc = res.protocol_at(res.config.t_f_grid[-1])
-    eig0 = instantaneous_eigensystem(res.drive, 0.0)
-    for start in (eig0.basis_plus, eig0.basis_minus):
+    for start in res.drive.basis:
         assert_snapshots_equal(pc, start)
     tail = ProtocolConfig(pc.drive, pc.channel, pc.tau, 3, pc.thermal,
                           t_f=3.4 * pc.tau)
-    assert_snapshots_equal(tail, eig0.basis_plus)
+    assert_snapshots_equal(tail, res.drive.basis[0])
 
 
 @given(family=st.sampled_from(["amplitude", "phase"]),
