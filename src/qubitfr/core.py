@@ -243,8 +243,9 @@ def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
     when both endpoints are whole drive periods the outer z-rotations are
     dropped exactly instead of being evaluated at large arguments.
     """
-    if t1 < t0:
-        raise ValueError(f"time interval reversed: t0={t0}, t1={t1}")
+    if not -math.inf < t0 <= t1 < math.inf:  # NaN fails too
+        raise ValueError(f"time interval must be finite and ordered: "
+                         f"t0={t0!r}, t1={t1!r}")
     if isinstance(drive, AmplitudeModulatedDrive):
         return _axis_angle(1.0, 0.0, 0.0, phase_integral(drive, t0, t1))
     inner = _axis_angle(*drive.basis[0], 2.0 * drive.e_theta * (t1 - t0))

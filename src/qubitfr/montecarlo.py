@@ -20,9 +20,10 @@ The engine is vectorized over a chunk of trajectories; the tests hold it
 to an independent scalar walker that builds each word's generator at its
 counter and walks the same words pulse by pulse.
 
-Estimates are the ``protocol`` functionals evaluated on the empirical
-matrix ``EnsembleStats.conditional_estimate()``; this module adds only
-their binomial standard errors.  Numpy only draws and walks: the tallies
+Estimates are the ``protocol`` sums over the four (dE, p) atoms evaluated
+on the empirical matrix ``EnsembleStats.conditional_estimate()``; this
+module adds only one binomial standard error for any such sum,
+``EnsembleStats.functional_std_err``.  Numpy only draws and walks: the tallies
 are Python ints, and the estimates and their errors are computed from
 them in Python floats with libm's ``exp`` and ``sqrt``.  The walk
 multiplies with numpy, so a Born probability can differ by an ulp
@@ -33,12 +34,13 @@ when a uniform lies within that ulp of its threshold.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import (ConditionalMatrix, ProtocolConfig, initial_probabilities,
+from .protocol import (ConditionalMatrix, ProtocolConfig,
+                       energy_change_distribution, initial_probabilities,
                        segment_rotations, sweep_longest, tail_rotation)
 
 DEFAULT_CHUNK = 4096
@@ -79,32 +81,21 @@ class EnsembleStats:
         p = (self.column_estimate(0), self.column_estimate(1))
         return tuple(math.sqrt(q * (1.0 - q) / self.n_per_initial) for q in p)
 
-    def _binomial_std_err(self, config: ProtocolConfig,
-                          spreads: tuple[float, float]) -> float:
-        """Standard error of sum_i w_i * spreads[i] * P(up | i), w the Gibbs
-        weights, from the two independent binomial column estimates."""
+    def functional_std_err(self, config: ProtocolConfig,
+                           f: Callable[[float], float]) -> float:
+        """Binomial standard error of the sum of p * f(dE) over the atoms of
+        ``conditional_estimate()``, e.g. <dE> for f the identity.  The sum is
+        linear in each independent column P(up | i), with slope
+        w_i * (f(dE_i,up) - f(dE_i,down)), w the Gibbs weights."""
+        atoms = energy_change_distribution(self.conditional_estimate(), config)
         weights = initial_probabilities(config)
         variance = 0.0
-        for i, spread in enumerate(spreads):
+        for i in (0, 1):
+            (de_up, _), (de_down, _) = atoms[2 * i:2 * i + 2]
             p = self.column_estimate(i)
-            variance += ((weights[i] * spread) ** 2 * p * (1.0 - p)
-                         / self.n_per_initial)
+            variance += ((weights[i] * (f(de_up) - f(de_down))) ** 2
+                         * p * (1.0 - p) / self.n_per_initial)
         return math.sqrt(variance)
-
-    def fr_std_err(self, config: ProtocolConfig) -> float:
-        """Binomial standard error of <exp(-gamma dE)> evaluated on
-        ``conditional_estimate()``, gamma = beta - beta_r."""
-        gamma = config.thermal.beta - config.thermal.beta_r
-        l0, lf = config.drive.level(0.0), config.drive.level(config.t_f)
-        spreads = tuple(math.exp(-gamma * (lf - e_i)) - math.exp(-gamma * (-lf - e_i))
-                        for e_i in (l0, -l0))
-        return self._binomial_std_err(config, spreads)
-
-    def mean_energy_std_err(self, config: ProtocolConfig) -> float:
-        """Binomial standard error of <dE> evaluated on
-        ``conditional_estimate()``."""
-        spread = 2.0 * config.drive.level(config.t_f)
-        return self._binomial_std_err(config, (spread, spread))
 
     def to_dict(self) -> dict:
         (up, down), n = self.ups, self.n_per_initial

@@ -10,10 +10,11 @@ rotate-then-pulse loop; a sweep over final times walks it once, since
 every point's pulses are a prefix of the last point's.
 
 The measured object is the ``ConditionalMatrix``, stored as its upper row
-P(up|up), P(up|down) since each column sums to one; from it and the
-initial Gibbs weights the ``EnergyChangeDistribution`` follows, and the
-fluctuation functionals <exp(-gamma * dE)> are plain sums over its atoms,
-taken with ``math.fsum`` so that their order does not matter.
+P(up|up), P(up|down) since each column sums to one; with the initial Gibbs
+weights it gives the four (dE, p) atoms of the two-point energy change,
+one per (initial, final) outcome pair.  The mean <dE> and the fluctuation
+functionals <exp(-gamma * dE)> are plain sums over the atoms, taken with
+``math.fsum`` so that their order does not matter.
 """
 
 from __future__ import annotations
@@ -201,88 +202,41 @@ def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
     return conditional_matrices([config])[0]
 
 
-@dataclass(frozen=True)
-class EnergyChangeDistribution:
-    """Discrete distribution of the two-point energy difference.
-
-    At most four atoms for a qubit; construction merges coincident values
-    so cyclic drive points produce stable three-atom supports.
-    """
-
-    values: tuple[float, ...]
-    probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        v = tuple(float(x) for x in self.values)
-        p = tuple(float(x) for x in self.probs)
-        if len(v) != len(p):
-            raise ValueError("values and probs must have the same length")
-        if not all(math.isfinite(x) for x in v):
-            raise ValueError(f"non-finite energy change in {list(v)}")
-        if not all(-PROBABILITY_TOL <= x for x in p):
-            raise ValueError(f"negative or NaN probability in {list(p)}")
-        total = math.fsum(p)
-        if not (-1e-12 <= total - 1.0 <= 1e-12):
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def from_atoms(cls, atoms: list[tuple[float, float]],
-                   merge_tol: float) -> "EnergyChangeDistribution":
-        atoms = sorted(atoms)
-        values: list[float] = []
-        probs: list[float] = []
-        for value, prob in atoms:
-            if values and abs(value - values[-1]) <= merge_tol:
-                probs[-1] += prob
-            else:
-                values.append(value)
-                probs.append(prob)
-        return cls(tuple(values), tuple(probs))
-
-    def mean(self) -> float:
-        return math.fsum(v * p for v, p in zip(self.values, self.probs))
-
-
 def initial_probabilities(config: ProtocolConfig) -> tuple[float, float]:
-    """Gibbs weights (upper, lower) of the initial measurement outcomes."""
-    g = gibbs_population(config.thermal.beta, config.drive, 0.0)
-    return g, 1.0 - g
+    """Gibbs weights (upper, lower) of the initial measurement outcomes, each
+    its own logistic: 1 - g would lose the small one's digits at large |beta|."""
+    return tuple(gibbs_population(b, config.drive, 0.0)
+                 for b in (config.thermal.beta, -config.thermal.beta))
 
 
 def energy_change_distribution(cm: ConditionalMatrix,
-                               config: ProtocolConfig) -> EnergyChangeDistribution:
-    """Distribution of E_final - E_initial with Gibbs-weighted initial outcomes."""
+                               config: ProtocolConfig) -> tuple[tuple[float, float], ...]:
+    """The four atoms (E_final - E_initial, probability), Gibbs-weighted, in
+    (initial, final) order (up, up), (up, down), (down, up), (down, down).
+
+    Unchecked: the atoms are finite and sum to one, since a validated drive's
+    levels are finite at a finite t_f, the Gibbs weights sum to one, and
+    ``ConditionalMatrix`` rejects columns outside [0, 1] and NaN.
+    """
     l0, lf = config.drive.level(0.0), config.drive.level(config.t_f)
     e0, ef = (l0, -l0), (lf, -lf)
     weights = initial_probabilities(config)
-    atoms = [(ef[j] - e0[i], weights[i] * cm.prob(j, i))
-             for i in (UPPER, LOWER) for j in (UPPER, LOWER)]
-    return EnergyChangeDistribution.from_atoms(
-        atoms, merge_tol=1e-12 * config.drive.omega0)
+    return tuple((ef[j] - e0[i], weights[i] * cm.prob(j, i))
+                 for i in (UPPER, LOWER) for j in (UPPER, LOWER))
 
 
-def fr_functional(dist: EnergyChangeDistribution, gamma: float) -> float:
-    """<exp(-gamma * dE)> over the distribution."""
-    return math.fsum(p * math.exp(-gamma * v)
-                     for v, p in zip(dist.values, dist.probs))
+def mean(atoms: Sequence[tuple[float, float]]) -> float:
+    """<dE> over the atoms."""
+    return math.fsum(v * p for v, p in atoms)
 
 
-@dataclass(frozen=True)
-class FrReport:
-    """One evaluation of a fluctuation functional against its target."""
+def fr_functional(atoms: Sequence[tuple[float, float]], gamma: float) -> float:
+    """<exp(-gamma * dE)> over the atoms.
 
-    fr_value: float
-    fr_target: float
-
-    def __post_init__(self) -> None:
-        if not self.fr_value > 0.0:
-            raise ValueError(f"fr_value must be positive, got {self.fr_value}")
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.fr_value - self.fr_target)
+    Positive for a resolved scenario: ``scenarios.MAX_EXP_ARG`` bounds
+    |gamma dE|, so every exp term is finite and positive.
+    """
+    return math.fsum(p * math.exp(-gamma * v) for v, p in atoms)
 
 
 def fr_target(config: ProtocolConfig) -> float:
@@ -294,15 +248,6 @@ def fr_target(config: ProtocolConfig) -> float:
     beta = config.thermal.beta
     return (partition_function(beta, config.drive, config.t_f)
             / partition_function(beta, config.drive, 0.0))
-
-
-def fr_report(config: ProtocolConfig, cm: ConditionalMatrix) -> FrReport:
-    """Fluctuation-relation evaluation of one config's transition matrix,
-    with gamma = beta - beta_r from the thermal context."""
-    gamma = config.thermal.beta - config.thermal.beta_r
-    dist = energy_change_distribution(cm, config)
-    return FrReport(fr_value=fr_functional(dist, gamma),
-                    fr_target=fr_target(config))
 
 
 def beta_reservoir(p_up_infinity: float, gap: float) -> float:

@@ -542,8 +542,8 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     w0 = cfg.omega0
 
     def mean_energy(pc, cm, stats):
-        err = 0.0 if stats is None else stats.mean_energy_std_err(pc)
-        return protocol.energy_change_distribution(cm, pc).mean(), err
+        err = 0.0 if stats is None else stats.functional_std_err(pc, lambda v: v)
+        return protocol.mean(protocol.energy_change_distribution(cm, pc)), err
 
     if isinstance(res.drive, AmplitudeModulatedDrive):
         columns = ["mean_delta_e", "mean_work", "mean_heat", "work_plus_heat",
@@ -572,15 +572,16 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 
 
 def _fr_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
-    gamma_omega0 = (res.thermal.beta - res.thermal.beta_r) * res.config.omega0
+    gamma = res.thermal.beta - res.thermal.beta_r
     columns = ["gamma_omega0", "fr_value", "fr_target", "fr_deviation",
                "err_fr_value"]
 
     def row(t_f, pc, cm, stats):
-        report = protocol.fr_report(pc, cm)
-        err = 0.0 if stats is None else stats.fr_std_err(pc)
-        return [gamma_omega0, report.fr_value, report.fr_target,
-                report.deviation, err]
+        atoms = protocol.energy_change_distribution(cm, pc)
+        value, target = protocol.fr_functional(atoms, gamma), protocol.fr_target(pc)
+        err = 0.0 if stats is None else stats.functional_std_err(
+            pc, lambda v: math.exp(-gamma * v))
+        return [gamma * res.config.omega0, value, target, abs(value - target), err]
 
     return _grid_rows(res, columns, row)
 

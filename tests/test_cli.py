@@ -761,13 +761,13 @@ PRESET_CSV_SHA256 = {
     "fig2bcd":
         "81f9d4f5c587f26146dd7ea0a62557dcb6af59128290e7b57448603a0ae21164",
     "fig3a":
-        "cf8950932ece30c222eba895771412a515719ff191abe8d5b3fd0ac640d080e0",
+        "65df6f743e62148cadb5eeb432942348da2c74d7c749c6d8421fa6da5a40aeb3",
     "fig3b":
-        "16fc1374a6de747b151ab0a2b3c589e7e72745f8ee2f13a09f7283e0e9a16839",
+        "86cb8f41514845d088c01391ada55280dec5cc16d29e545c83ca858c04b1e74b",
     "fig4a":
-        "4faf825aabea682ecc9c8a6491832b6c9d6e9364ff10912bedbb4a74cee8b6dd",
+        "cf37e784231016b3551fb53209de9e19e481581d5c00b028630f8ae5ea7d73a2",
     "fig4b":
-        "f4afa68988ba40975fb4a8bec954eda06e02fe7011344d6280c75bb58b4ec690",
+        "79af9a552480739f24436d62f41ea240dc28c66c9b739d9a31a5bee742e1259c",
     "fig5a":
         "552d56e4871985c43fe0d55b61ecdb4438cc4f6f4173d5c12034e1d94d772b86",
     "fig5b":
@@ -777,17 +777,17 @@ PRESET_CSV_SHA256 = {
     "fig5d":
         "3fdd92ff180975b6d38c9fc4dc6755a8068939d4118efa73805cc348c2569fc7",
     "fig6a":
-        "1c6c713ada45de73592d56072c14baa254b177912a51ab6c236eaf05b87becc6",
+        "7222fbae2c14b25092f25d7e82f42d790dd0c6e302cd8e3a02824c69647ac139",
     "fig6b":
         "385f250eeeca2ae14335c240d739e5a05e1783fe88da349d57250ebdfabb7ff9",
     "fig6c":
-        "587062bd6edabd2a38386fe0fdf227caeae4a5194db4790ac642d3156bcb0f75",
+        "cd0454dee70aba0b97fb06916c406a02c5b1943420856e17fe7d3247015546d1",
     "fig6d":
-        "731148feae36c20491fe00399e58b6b0a6fdc842305e7346b6793727d89f88c5",
+        "a7fc58e2533a2c42071e031e01477d8f488f3c7df6e33495dc2c55d7d585e0e6",
     "fig6e":
-        "74e4d7e2d80a3335efb86543bb62f98b1c3f7af0e952ad8740ebae930a840312",
+        "258fea7a442c9b6bd13a84685eb8b4d945b5e010a5be33d2780c6b35ccfe03fc",
     "fig6f":
-        "888f022616ba0004def4459d8b5ee3b93f8493d09ea160992ed85fab7047af5d",
+        "eeeea5667b12381b8785e65890196d23ca68b63cd76cb46e1b1566db3dc09e49",
 }
 
 # SHA-256 of the stdout of two catalog commands, pinned on the same terms.

@@ -127,6 +127,15 @@ class TestBlochRotation:
         with pytest.raises(ValueError):
             bloch_rotation(drive, 10.0, 5.0)
 
+    @pytest.mark.parametrize("drive", [AmplitudeModulatedDrive(OMEGA0_A, 616.0),
+                                       PhaseRotatingDrive(OMEGA0_P, 0.01)],
+                             ids=["amplitude", "phase"])
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0),
+                                        (0.0, math.inf)])
+    def test_non_finite_endpoint_rejected(self, drive, t0, t1):
+        with pytest.raises(ValueError, match=rf"t0={t0!r}, t1={t1!r}"):
+            bloch_rotation(drive, t0, t1)
+
     def test_amplitude_against_density_matrix(self):
         drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
         rng = np.random.default_rng(11)

@@ -12,8 +12,9 @@ from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext)
 from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, run_ensemble,
                                 run_ensembles)
-from qubitfr.protocol import (ProtocolConfig, conditional_matrix,
-                              energy_change_distribution, fr_report, fr_target)
+from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig,
+                              conditional_matrix, energy_change_distribution,
+                              fr_functional, fr_target, mean)
 from qubitfr.scenarios import get_preset, resolve
 from scalar_sampler import PulseEvent, derive_stream, run_records, sample_pulse
 
@@ -263,19 +264,48 @@ class TestStatisticalAgreement:
 
     def test_fr_estimate_matches_target_within_errors(self):
         config = amplitude_config(n_pulses=3, tau=410.0)
+        gamma = config.thermal.beta - config.thermal.beta_r
         stats = run_ensemble(config, 20_000, SEED)
-        report = fr_report(config, stats.conditional_estimate())
-        err = stats.fr_std_err(config)
-        assert report.fr_target == pytest.approx(fr_target(config))
+        value = fr_functional(
+            energy_change_distribution(stats.conditional_estimate(), config), gamma)
+        err = stats.functional_std_err(config, lambda v: math.exp(-gamma * v))
         assert err > 0.0
-        assert abs(report.fr_value - report.fr_target) <= 4.0 * err
+        assert abs(value - fr_target(config)) <= 4.0 * err
 
     def test_mean_energy_matches_deterministic_within_errors(self):
         config = phase_config(n_pulses=4, pd=0.5184, beta=44.0)
         stats = run_ensemble(config, 20_000, SEED)
-        mean_mc = energy_change_distribution(stats.conditional_estimate(),
-                                             config).mean()
-        err = stats.mean_energy_std_err(config)
-        dist = energy_change_distribution(conditional_matrix(config), config)
+        mean_mc = mean(energy_change_distribution(stats.conditional_estimate(),
+                                                  config))
+        err = stats.functional_std_err(config, lambda v: v)
+        exact = mean(energy_change_distribution(conditional_matrix(config), config))
         assert err > 0.0
-        assert abs(mean_mc - dist.mean()) <= 4.0 * err
+        assert abs(mean_mc - exact) <= 4.0 * err
+
+
+class TestFunctionalStdErr:
+    @pytest.mark.parametrize("make", [
+        amplitude_config,
+        lambda: phase_config(n_pulses=4, pd=0.5184, beta=44.0, beta_r=-30.0)],
+        ids=["amplitude", "phase"])
+    @pytest.mark.parametrize("functional", ["mean", "fr"])
+    def test_equals_delta_method_error(self, make, functional):
+        # The delta method on the two binomial columns, with each slope taken
+        # as F(column i set to 1) - F(column i set to 0): F is linear in
+        # each column.
+        config = make()
+        gamma = config.thermal.beta - config.thermal.beta_r
+        stats = run_ensemble(config, 20_000, SEED)
+
+        def total(p_uu, p_ud):
+            atoms = energy_change_distribution(
+                ConditionalMatrix.from_upper_row(p_uu, p_ud), config)
+            return mean(atoms) if functional == "mean" else fr_functional(atoms, gamma)
+
+        up = [stats.column_estimate(i) for i in (0, 1)]
+        slopes = (total(1.0, up[1]) - total(0.0, up[1]),
+                  total(up[0], 1.0) - total(up[0], 0.0))
+        expected = math.sqrt(sum(s * s * p * (1.0 - p) / 20_000
+                                 for s, p in zip(slopes, up)))
+        f = (lambda v: v) if functional == "mean" else (lambda v: math.exp(-gamma * v))
+        assert stats.functional_std_err(config, f) == pytest.approx(expected, rel=1e-12)

@@ -14,12 +14,11 @@ from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, gibbs_population, partition_function,
                           population_along)
 from qubitfr.oracle import population_after_n_pulses
-from qubitfr.protocol import (ConditionalMatrix, EnergyChangeDistribution,
-                              FrReport, ProtocolConfig, beta_reservoir,
-                              conditional_fixed_point, conditional_matrix,
-                              energy_change_distribution, fr_functional,
-                              fr_report, fr_target, initial_probabilities,
-                              mean_trajectory, pulse_train, pulses_applied)
+from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, beta_reservoir,
+                              conditional_fixed_point, conditional_matrices,
+                              conditional_matrix, energy_change_distribution,
+                              fr_functional, fr_target, initial_probabilities,
+                              mean, mean_trajectory, pulse_train, pulses_applied)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -247,58 +246,30 @@ class TestPulseTrainBlochCheck:
             pulse_train(config, [np.array([math.nan, 0.0, 0.0])], [1])
 
 
-class TestEnergyChangeDistribution:
-    def test_merging_of_coincident_atoms(self):
-        dist = EnergyChangeDistribution.from_atoms(
-            [(1.0, 0.25), (1.0 + 1e-15, 0.25), (-1.0, 0.5)], merge_tol=1e-12)
-        assert len(dist.values) == 2
-        assert dist.probs == pytest.approx((0.5, 0.5))
+class TestAtoms:
+    def test_atoms_in_initial_final_order(self):
+        pc = amplitude_config(tau=410.0, n_pulses=2, t_f=2 * 410.0)
+        cm = conditional_matrix(pc)
+        atoms = energy_change_distribution(cm, pc)
+        l0, lf = pc.drive.level(0.0), pc.drive.level(pc.t_f)
+        w = initial_probabilities(pc)
+        assert atoms == (
+            (lf - l0, w[0] * cm.p_up_given_up),
+            (-lf - l0, w[0] * (1.0 - cm.p_up_given_up)),
+            (lf + l0, w[1] * cm.p_up_given_down),
+            (-lf + l0, w[1] * (1.0 - cm.p_up_given_down)))
+        assert math.fsum(p for _, p in atoms) == pytest.approx(1.0, abs=1e-15)
 
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            EnergyChangeDistribution(np.array([0.0, 1.0]),
-                                     np.array([0.5, 0.4]))
-
-    def test_negative_probability_rejected(self):
-        with pytest.raises(ValueError):
-            EnergyChangeDistribution(np.array([0.0, 1.0]),
-                                     np.array([1.1, -0.1]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_probability_rejected(self, bad):
-        for probs in ([bad, 1.0], [1.0, bad], [bad, bad]):
-            with pytest.raises(ValueError):
-                EnergyChangeDistribution(np.array([0.0, 1.0]), np.array(probs))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_value_rejected(self, bad):
-        for values in ([bad, 1.0], [1.0, bad]):
-            with pytest.raises(ValueError, match="non-finite energy change"):
-                EnergyChangeDistribution(np.array(values), np.array([0.5, 0.5]))
-
-    def test_nan_probability_fails_the_sign_check(self):
-        # NaN fails every comparison, so "p < -tol" lets it through.
-        with pytest.raises(ValueError, match="negative or NaN"):
-            EnergyChangeDistribution(np.array([0.0, 1.0]),
-                                     np.array([math.nan, 1.0]))
+    def test_cyclic_final_time_has_two_zero_change_atoms(self):
+        # At whole modulation periods the spectra at 0 and t_f coincide.
+        pc = amplitude_config(tau=616.0, n_pulses=2, t_f=2 * 616.0)
+        atoms = energy_change_distribution(conditional_matrix(pc), pc)
+        assert atoms[0][0] == pytest.approx(0.0, abs=1e-15)
+        assert atoms[3][0] == pytest.approx(0.0, abs=1e-15)
 
     def test_mean(self):
-        dist = EnergyChangeDistribution(np.array([-1.0, 0.0, 2.0]),
-                                        np.array([0.25, 0.5, 0.25]))
-        assert dist.mean() == pytest.approx(0.25)
-
-    def test_cyclic_final_time_gives_three_atoms(self):
-        # At whole modulation periods the spectra at 0 and t_f coincide,
-        # so the two zero-change outcomes merge.
-        pc = amplitude_config(tau=616.0, n_pulses=2, t_f=2 * 616.0)
-        dist = energy_change_distribution(conditional_matrix(pc), pc)
-        assert len(dist.values) == 3
-        assert dist.values[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_generic_final_time_gives_four_atoms(self):
-        pc = amplitude_config(tau=410.0, n_pulses=2, t_f=2 * 410.0)
-        dist = energy_change_distribution(conditional_matrix(pc), pc)
-        assert len(dist.values) == 4
+        atoms = ((-1.0, 0.25), (0.0, 0.5), (2.0, 0.25))
+        assert mean(atoms) == pytest.approx(0.25)
 
 
 class TestInitialWeights:
@@ -306,20 +277,22 @@ class TestInitialWeights:
         pc = phase_config()
         assert initial_probabilities(pc) == pytest.approx((0.5, 0.5))
 
-    def test_matches_gibbs_population(self):
-        pc = amplitude_config()
-        g = gibbs_population(pc.thermal.beta, pc.drive, 0.0)
-        assert initial_probabilities(pc) == (g, 1.0 - g)
-        assert g < 0.5
+    @pytest.mark.parametrize("beta_omega0", [2.0, -20.0])
+    def test_matches_gibbs_population(self, beta_omega0):
+        pc = amplitude_config(beta=beta_omega0 / OMEGA0_A)
+        g_up = gibbs_population(pc.thermal.beta, pc.drive, 0.0)
+        g_down = gibbs_population(-pc.thermal.beta, pc.drive, 0.0)
+        assert initial_probabilities(pc) == (g_up, g_down)
+        assert g_up + g_down == pytest.approx(1.0, abs=1e-15)
+        assert (g_up < 0.5) == (beta_omega0 > 0)
 
 
 class TestFunctionals:
     def test_fr_functional_by_hand(self):
-        dist = EnergyChangeDistribution(np.array([-1.0, 1.0]),
-                                        np.array([0.5, 0.5]))
+        atoms = ((-1.0, 0.5), (1.0, 0.5))
         expected = 0.5 * (math.e + 1.0 / math.e)
-        assert fr_functional(dist, 1.0) == pytest.approx(expected)
-        assert fr_functional(dist, 0.0) == pytest.approx(1.0)
+        assert fr_functional(atoms, 1.0) == pytest.approx(expected)
+        assert fr_functional(atoms, 0.0) == pytest.approx(1.0)
 
     def test_fr_target_is_partition_ratio(self):
         pc = amplitude_config(tau=410.0, n_pulses=1, t_f=410.0)
@@ -333,26 +306,35 @@ class TestFunctionals:
 
     def test_closed_evolution_satisfies_identity_exactly(self):
         # No pulses: the conditional matrix is the identity and the
-        # functional telescopes to the partition ratio.
+        # functional at gamma = beta (beta_r is 0) telescopes to the
+        # partition ratio.
         pc = amplitude_config(tau=410.0, n_pulses=0, t_f=287.0)
-        cm = conditional_matrix(pc)
-        report = fr_report(pc, cm)
-        assert report.deviation <= 1e-14
-        # gamma = beta - beta_r, and beta_r is 0 here.
-        assert report.fr_value == fr_functional(
-            energy_change_distribution(cm, pc), pc.thermal.beta)
+        atoms = energy_change_distribution(conditional_matrix(pc), pc)
+        assert abs(fr_functional(atoms, pc.thermal.beta) - fr_target(pc)) <= 1e-14
+
+    @pytest.mark.parametrize("beta_omega0", [10.0, -10.0, 20.0, -20.0])
+    def test_closed_cycle_identity_on_unital_channels(self, beta_omega0):
+        # Without pumping the pulse channel is unital, so
+        # <exp(-beta dE)> = Z(t_f)/Z(0) holds exactly at every t_f; at large
+        # |beta| it reads the small Gibbs weight times e^(|beta| gap).
+        worst = 0.0
+        for tau in (205.0, 410.0, 616.0):
+            for pa in (0.1, 0.5, 0.9):
+                pcs = [amplitude_config(tau=tau, n_pulses=pulses_applied(t_f, tau),
+                                        t_f=t_f, beta=beta_omega0 / OMEGA0_A, pa=pa)
+                       for t_f in scenarios.linspace(0.0, 12 * tau, 40)]
+                for pc, cm in zip(pcs, conditional_matrices(pcs)):
+                    value = fr_functional(energy_change_distribution(cm, pc),
+                                          pc.thermal.beta)
+                    worst = max(worst, abs(value / fr_target(pc) - 1.0))
+        assert worst <= 1e-13
 
     def test_one_pulse_exchange_identity_with_matrix_fixed_point(self):
         pc = phase_config(tau_theta=616.0, n_pulses=1, pd=0.45)
         cm = conditional_matrix(pc)
         beta_r = beta_reservoir(conditional_fixed_point(cm), pc.drive.gap)
-        dist = energy_change_distribution(cm, pc)
-        assert fr_functional(dist, -beta_r) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
-    def test_fr_report_requires_positive_value(self, value):
-        with pytest.raises(ValueError, match="fr_value must be positive"):
-            FrReport(fr_value=value, fr_target=1.0)
+        atoms = energy_change_distribution(cm, pc)
+        assert fr_functional(atoms, -beta_r) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestReservoirTemperature:
