@@ -19,9 +19,8 @@ it on a target population is found in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import (BLOCH_NORM_TOL, IDENTITY3, DriveSpec, Matrix3, Vector,
+from .core import (BLOCH_NORM_TOL, IDENTITY3, DriveSpec, Matrix3, Value, Vector,
                    bloch_rotation, matvec3, population_along)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
@@ -34,14 +33,11 @@ class DegenerateChannelError(ValueError):
     """Raised when the pulse channel has no contracting fixed point."""
 
 
-@dataclass(frozen=True)
-class PulseChannelParams:
+class PulseChannelParams(Value):
     """Absorption and pump-success probabilities of one pulse."""
 
-    p_absorb: float
-    p_pump: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, p_absorb: float, p_pump: float) -> None:
+        self.__dict__.update(p_absorb=p_absorb, p_pump=p_pump)
         for name, p in (("p_absorb", self.p_absorb), ("p_pump", self.p_pump)):
             if not (0.0 <= p <= 1.0) or not math.isfinite(p):
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")

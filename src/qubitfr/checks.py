@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 from . import oracle, protocol, scenarios
 from .channel import PulseChannelParams, period_map
-from .core import Matrix3, free_energy_delta
+from .core import Matrix3, Value, free_energy_delta
 
 # Empirical recursion-vs-propagation bound for the three rotating-drive
 # presets (max absolute population gap over 50 pulses, basis starts),
@@ -30,11 +29,9 @@ PLATEAU_MIN_PULSES = 50
 PLATEAU_TRANSIENT = 0.0025
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Value):
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -263,7 +260,12 @@ def check_rabi_oscillation() -> CheckResult:
 
 def check_monte_carlo() -> CheckResult:
     """Estimates vs exact maps at 4 binomial sigma, plus chunk-size invariance."""
-    from . import montecarlo  # the one check that needs numpy
+    try:  # the one check that needs numpy
+        from . import montecarlo
+    except ImportError as exc:
+        raise scenarios.ConfigError(
+            f"the monte carlo check needs numpy, which cannot be imported; "
+            f"{scenarios.INSTALL_MC}, or skip the check with --skip-mc") from exc
 
     n_trajectories = 100_000
     worst_sigma = 0.0

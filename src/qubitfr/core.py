@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 
 BLOCH_NORM_TOL = 1e-12
 
@@ -63,21 +62,53 @@ def population_along(r, axis: tuple[float, float, float]) -> float:
     return 0.5 * (1.0 + (rx * ux + ry * uy + rz * uz))
 
 
-@dataclass(frozen=True)
-class AmplitudeModulatedDrive:
+class Value:
+    """Immutable record.  Each subclass's ``__init__`` sets its fields in
+    order with one ``self.__dict__.update``, then validates them.  Records
+    are equal when their types and field values are; the hash is that of
+    the field values in order."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({args})"
+
+    @classmethod
+    def fields(cls) -> tuple[str, ...]:
+        """Field names, in order: the parameters of ``__init__``."""
+        code = cls.__init__.__code__
+        return code.co_varnames[1:code.co_argcount]
+
+    def replace(self, **changes) -> Value:
+        """A copy with some fields changed; ``__init__`` validates it again."""
+        return type(self)(**{**self.__dict__, **changes})
+
+
+class AmplitudeModulatedDrive(Value):
     """Fixed-axis sigma_x drive with a periodically modulated rate.
 
     omega(t) = omega0/2 * (1 + cos^2(pi t / tau_a)); omega(0) = omega0 and
     omega(tau_a / 2) = omega0 / 2.  ``tau_a`` is the modulation period in ns.
     """
 
-    omega0: float
-    tau_a: float
-
     # (upper, lower) unit Bloch vectors; written out so the zeros are +0.0.
     basis = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
 
-    def __post_init__(self) -> None:
+    def __init__(self, omega0: float, tau_a: float) -> None:
+        self.__dict__.update(omega0=omega0, tau_a=tau_a)
         if not (self.omega0 > 0 and math.isfinite(self.omega0)):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not (self.tau_a > 0 and math.isfinite(self.tau_a)):
@@ -92,14 +123,11 @@ class AmplitudeModulatedDrive:
         return 0.5 * self.omega(t)
 
 
-@dataclass(frozen=True)
-class PhaseRotatingDrive:
+class PhaseRotatingDrive(Value):
     """Constant-amplitude drive whose axis rotates in the equator at rate theta."""
 
-    omega0: float
-    theta: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, omega0: float, theta: float) -> None:
+        self.__dict__.update(omega0=omega0, theta=theta)
         if not (self.omega0 > 0 and math.isfinite(self.omega0)):
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not (self.theta > 0 and math.isfinite(self.theta)
@@ -142,8 +170,7 @@ class PhaseRotatingDrive:
 DriveSpec = AmplitudeModulatedDrive | PhaseRotatingDrive
 
 
-@dataclass(frozen=True)
-class ThermalContext:
+class ThermalContext(Value):
     """Inverse temperatures entering the exchange bookkeeping.
 
     ``beta`` weights the initial two-outcome measurement; ``beta_r`` is the
@@ -151,10 +178,8 @@ class ThermalContext:
     (zero for a pulse train that drives the populations to 1/2).
     """
 
-    beta: float
-    beta_r: float = 0.0
-
-    def __post_init__(self) -> None:
+    def __init__(self, beta: float, beta_r: float = 0.0) -> None:
+        self.__dict__.update(beta=beta, beta_r=beta_r)
         if not math.isfinite(self.beta) or not math.isfinite(self.beta_r):
             raise ValueError("temperatures must be finite")
 

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Value
 from .protocol import (ConditionalMatrix, ProtocolConfig,
                        energy_change_distribution, initial_probabilities,
                        segment_rotations, sweep_longest, tail_rotation)
@@ -46,8 +46,7 @@ from .protocol import (ConditionalMatrix, ProtocolConfig,
 DEFAULT_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
+class EnsembleStats(Value):
     """Exact-integer tallies of an ensemble of trajectories.
 
     ``ups[i]`` is the number of the ``n_per_initial`` trajectories
@@ -55,13 +54,11 @@ class EnsembleStats:
     gave up; the rest gave down.
     """
 
-    ups: tuple[int, int]
-    n_per_initial: int
-    absorbed_pulses: int
-    total_pulses: int
-    master_seed: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, ups: tuple[int, int], n_per_initial: int,
+                 absorbed_pulses: int, total_pulses: int, master_seed: int) -> None:
+        self.__dict__.update(ups=ups, n_per_initial=n_per_initial,
+                             absorbed_pulses=absorbed_pulses,
+                             total_pulses=total_pulses, master_seed=master_seed)
         n = self.n_per_initial
         if not n >= 1:
             raise ValueError(f"n_per_initial must be at least 1, got {n!r}")

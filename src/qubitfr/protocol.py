@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .channel import PulseChannelParams, pulse_step
-from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Vector,
-                   bloch_rotation, check_bloch_vector, gibbs_population,
-                   matvec3, partition_function, population_along,
-                   whole_multiple)
+from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Value,
+                   Vector, bloch_rotation, check_bloch_vector,
+                   gibbs_population, matvec3, partition_function,
+                   population_along, whole_multiple)
 
 PROBABILITY_TOL = 1e-12
 
@@ -51,24 +50,21 @@ def pulses_applied(t_f: float, tau: float) -> int:
     return math.floor(t_f / tau) if n is None else n
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Full description of one two-point measurement run."""
+class ProtocolConfig(Value):
+    """Full description of one two-point measurement run; ``t_f`` defaults
+    to the last pulse, ``n_pulses * tau``."""
 
-    drive: DriveSpec
-    channel: PulseChannelParams
-    tau: float
-    n_pulses: int
-    thermal: ThermalContext
-    t_f: float | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, drive: DriveSpec, channel: PulseChannelParams, tau: float,
+                 n_pulses: int, thermal: ThermalContext,
+                 t_f: float | None = None) -> None:
+        if t_f is None:
+            t_f = n_pulses * tau
+        self.__dict__.update(drive=drive, channel=channel, tau=tau,
+                             n_pulses=n_pulses, thermal=thermal, t_f=t_f)
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.n_pulses < 0:
             raise ValueError(f"n_pulses must be nonnegative, got {self.n_pulses}")
-        if self.t_f is None:
-            object.__setattr__(self, "t_f", self.n_pulses * self.tau)
         if pulses_applied(self.t_f, self.tau) < self.n_pulses:
             raise ValueError(f"t_f = {self.t_f} precedes pulse {self.n_pulses} "
                              f"at {self.n_pulses * self.tau}")
@@ -138,15 +134,13 @@ def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, Vector]]:
     return out
 
 
-@dataclass(frozen=True)
-class ConditionalMatrix:
+class ConditionalMatrix(Value):
     """Transition probabilities of the two-outcome measurement, stored as
     the upper row: the final outcome is down with probability 1 - p."""
 
-    p_up_given_up: float
-    p_up_given_down: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, p_up_given_up: float, p_up_given_down: float) -> None:
+        self.__dict__.update(p_up_given_up=p_up_given_up,
+                             p_up_given_down=p_up_given_down)
         # Written so that NaN fails it.
         if not all(-PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL
                    for p in (self.p_up_given_up, self.p_up_given_down)):

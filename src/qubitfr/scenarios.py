@@ -22,7 +22,6 @@ import numbers
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import qubitfr
@@ -31,7 +30,7 @@ from . import oracle, protocol
 from . import channel as channel_mod
 from .channel import PulseChannelParams
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
-                   ThermalContext, bloch_rotation, check_bloch_vector,
+                   ThermalContext, Value, bloch_rotation, check_bloch_vector,
                    free_energy_delta, gibbs_population, matvec3)
 
 
@@ -62,6 +61,8 @@ DEFAULT_TRAJECTORIES = 100_000
 # one stream sized by the trajectory's pulse count.
 RNG_LAYOUT = 3
 OUTDIR_ENV = "QUBITFR_OUTDIR"
+# How to get numpy, which only the sampler needs.
+INSTALL_MC = "install the mc extra: pip install 'qubitfr[mc]'"
 
 # Admits every preset (at most 50 pulses) and 500-pulse sweeps.
 MAX_PULSES = 1000
@@ -89,27 +90,23 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    kind: str
-    drive_family: str
-    omega0: float
-    tau: float
-    t_f_grid: tuple[float, ...]
-    beta: float
-    p_absorb: float
-    tau_a: float | None = None
-    theta: float | None = None
-    p_pump: float | None = None
-    target_upper_population: float | None = None
-    mode: str = "deterministic"
-    n_trajectories: int = DEFAULT_TRAJECTORIES
-    master_seed: int = DEFAULT_MASTER_SEED
-    mc_grid: str = "final"
-    prefix: str | None = None
-
-    def __post_init__(self) -> None:
+class ScenarioConfig(Value):
+    def __init__(self, name: str, kind: str, drive_family: str, omega0: float,
+                 tau: float, t_f_grid: tuple[float, ...], beta: float,
+                 p_absorb: float, tau_a: float | None = None,
+                 theta: float | None = None, p_pump: float | None = None,
+                 target_upper_population: float | None = None,
+                 mode: str = "deterministic",
+                 n_trajectories: int = DEFAULT_TRAJECTORIES,
+                 master_seed: int = DEFAULT_MASTER_SEED, mc_grid: str = "final",
+                 prefix: str | None = None) -> None:
+        self.__dict__.update(
+            name=name, kind=kind, drive_family=drive_family, omega0=omega0,
+            tau=tau, t_f_grid=t_f_grid, beta=beta, p_absorb=p_absorb,
+            tau_a=tau_a, theta=theta, p_pump=p_pump,
+            target_upper_population=target_upper_population, mode=mode,
+            n_trajectories=n_trajectories, master_seed=master_seed,
+            mc_grid=mc_grid, prefix=prefix)
         if not self.name:
             raise ConfigError("scenario name must be nonempty")
         for field_name in ("name", "prefix"):
@@ -160,7 +157,7 @@ class ScenarioConfig:
         if not grid or any(t < 0 for t in grid) or list(grid) != sorted(grid):
             raise ConfigError("t_f_grid must be a nonempty ascending list of "
                               "nonnegative times")
-        object.__setattr__(self, "t_f_grid", grid)
+        self.__dict__["t_f_grid"] = grid
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         # The drive phases the propagators take cos and sin of, up to the
@@ -210,21 +207,15 @@ class ScenarioConfig:
         return self.t_f_grid if self.mc_grid == "all" else self.t_f_grid[-1:]
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in self.__dict__.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         # Manifests of earlier versions carry the sampler's thread count,
         # which never changed a result.
         data = {k: v for k, v in data.items() if k != "workers"}
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.fields())
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
@@ -233,15 +224,14 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class ResolvedScenario:
+class ResolvedScenario(Value):
     """Scenario with every derived quantity pinned to numbers."""
 
-    config: ScenarioConfig
-    drive: DriveSpec
-    channel: PulseChannelParams
-    thermal: ThermalContext
-    derived: dict
+    def __init__(self, config: ScenarioConfig, drive: DriveSpec,
+                 channel: PulseChannelParams, thermal: ThermalContext,
+                 derived: dict) -> None:
+        self.__dict__.update(config=config, drive=drive, channel=channel,
+                             thermal=thermal, derived=derived)
 
     def protocol_at(self, t_f: float) -> protocol.ProtocolConfig:
         return protocol.ProtocolConfig(self.drive, self.channel, self.config.tau,
@@ -482,8 +472,11 @@ def _grid(res: ResolvedScenario):
         for t_f, pc, cm in zip(cfg.t_f_grid, pcs, protocol.conditional_matrices(pcs)):
             yield t_f, pc, "deterministic", cm, None
     if cfg.mode in ("montecarlo", "both"):
-        from . import montecarlo  # loads numpy, which nothing else here needs
-
+        try:  # loads numpy, which nothing else here needs
+            from . import montecarlo
+        except ImportError as exc:
+            raise ConfigError(f"mode {cfg.mode!r} samples with numpy, which "
+                              f"cannot be imported; {INSTALL_MC}") from exc
         pcs = [res.protocol_at(t_f) for t_f in cfg.sampled_grid()]
         for pc, stats in zip(pcs, montecarlo.run_ensembles(pcs, cfg.n_trajectories,
                                                            cfg.master_seed)):
@@ -678,6 +671,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
     """Copy a scenario with some fields replaced; validation reruns."""
     try:
-        return replace(config, **overrides)
+        return config.replace(**overrides)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -848,14 +847,19 @@ COLD_COMMANDS = [
     ("run", "fig5d"), ("presets",),
     ("invert", "--target", "0.138", "--tau-theta", "616"), ("check", "--skip-mc")]
 # Runs a command in a fresh interpreter; prints its exit code, then which
-# of the modules numpy and importlib.metadata it loaded.
+# of the modules numpy, importlib.metadata, dataclasses and inspect it
+# loaded.  A module the interpreter had loaded before the script started
+# (say, from a site hook) is not counted.
 LOADED_SCRIPT = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import contextlib, io, json
 from qubitfr.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in ("numpy", "importlib.metadata")
-                         if m in sys.modules]]))
+print(json.dumps([code, [m for m in ("numpy", "importlib.metadata", "dataclasses",
+                                     "inspect")
+                         if m in sys.modules and m not in before]]))
 """
 
 
@@ -923,6 +927,44 @@ def test_pinned_outputs_do_not_depend_on_the_host(tmp_path):
     assert {name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
             for name in PRESET_CSV_SHA256} == PRESET_CSV_SHA256
     assert stdout == {" ".join(argv): digest for argv, digest in STDOUT_SHA256.items()}
+
+
+@pytest.fixture
+def no_numpy_env(tmp_path):
+    """Environment whose ``sitecustomize`` blocks numpy's import, as in an
+    install without the mc extra, for a child process only."""
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text('import sys\nsys.modules["numpy"] = None\n')
+    return {"PYTHONPATH": str(site)}
+
+
+def test_pinned_outputs_do_not_need_numpy(tmp_path, no_numpy_env):
+    """Every preset's deterministic CSV and the catalog commands' stdout
+    keep their pins without numpy, and ``check --skip-mc`` passes."""
+    commands = [list(argv) for argv in STDOUT_SHA256] + [["check", "--skip-mc"]]
+    proc = run_python("-c", PINNED_SCRIPT, str(tmp_path), json.dumps(commands),
+                      env=no_numpy_env)
+    assert proc.returncode == 0, proc.stderr
+    codes, stdout = json.loads(proc.stdout)
+    assert codes == [0] * (len(scenarios.PRESETS) + len(commands))
+    assert {name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+            for name in PRESET_CSV_SHA256} == PRESET_CSV_SHA256
+    assert {key: stdout[key] for key in map(" ".join, STDOUT_SHA256)} == {
+        " ".join(argv): digest for argv, digest in STDOUT_SHA256.items()}
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (("run", "fig4b", "--mode", "montecarlo"), "qubitfr[mc]"),
+    (("check",), "--skip-mc")], ids=["run", "check"])
+def test_sampled_commands_without_numpy_exit_2_naming_the_mc_extra(
+        argv, hint, tmp_path, no_numpy_env):
+    outdir = ["--outdir", str(tmp_path)] if argv[0] == "run" else []
+    proc = run_python("-m", "qubitfr.cli", *argv, *outdir, env=no_numpy_env)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("configuration error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "mc extra" in proc.stderr and hint in proc.stderr
 
 
 # Runs each preset named in argv[2:] sampled at every grid point into argv[1].
@@ -1004,7 +1046,7 @@ TYPICAL = {
         omega0=math.pi / 616.0, tau_a=616.0, tau=410.0,
         t_f_grid=[0.0, 205.0, 820.0], beta=2.0 * 616.0 / math.pi, p_absorb=0.25,
         p_pump=0.0, n_trajectories=20)}
-FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+FIELDS = list(ScenarioConfig.fields())
 FIELD_VALUES = {
     "kind": st.sampled_from(scenarios.KINDS), "mode": st.sampled_from(scenarios.MODES),
     "drive_family": st.sampled_from(scenarios.FAMILIES),

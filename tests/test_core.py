@@ -10,11 +10,13 @@ from scipy.linalg import expm
 
 import dmtools
 import sweep_reference
-from qubitfr import core
+from qubitfr import core, scenarios
+from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, bloch_rotation, check_bloch_vector,
                           free_energy_delta, gibbs_population, matmul3, matvec3,
                           partition_function, phase_integral, population_along)
+from qubitfr.protocol import ProtocolConfig
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -26,6 +28,56 @@ def random_bloch(rng, pure=False):
     if not pure:
         v *= rng.uniform(0.0, 1.0)
     return v
+
+
+class TestValue:
+    """The immutable records on ``core.Value``."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        thermal = ThermalContext(1.0, 0.5)
+        with pytest.raises(AttributeError):
+            thermal.beta = 2.0
+        with pytest.raises(AttributeError):
+            thermal.extra = 2.0
+        with pytest.raises(AttributeError):
+            del thermal.beta_r
+        assert (thermal.beta, thermal.beta_r) == (1.0, 0.5)
+
+    def test_equality_is_by_type_and_field_values(self):
+        assert PulseChannelParams(0.25, 0.0) != ThermalContext(0.25, 0.0)
+        assert PulseChannelParams(0.25, 0.0) == PulseChannelParams(0.25, 0.0)
+        assert PulseChannelParams(0.25, 0.0) != PulseChannelParams(0.25, 0.5)
+        assert ThermalContext(1.0) == ThermalContext(1.0, 0.0)
+
+    def test_equal_records_hash_equal_and_as_their_field_values(self):
+        one, two = PhaseRotatingDrive(OMEGA0_P, 0.01), PhaseRotatingDrive(OMEGA0_P, 0.01)
+        assert one is not two and hash(one) == hash(two) == hash((OMEGA0_P, 0.01))
+        assert len({one, two, PhaseRotatingDrive(OMEGA0_P, 0.02)}) == 2
+
+    def test_a_record_holding_a_dict_is_unhashable(self):
+        res = scenarios.resolve(scenarios.get_preset("fig5d"))
+        with pytest.raises(TypeError):
+            hash(res)
+
+    def test_repr_and_fields_follow_the_init_parameters(self):
+        assert ThermalContext.fields() == ("beta", "beta_r")
+        assert repr(ThermalContext(1.0)) == "ThermalContext(beta=1.0, beta_r=0.0)"
+        assert ProtocolConfig.fields() == ("drive", "channel", "tau", "n_pulses",
+                                           "thermal", "t_f")
+
+    def test_replace_reruns_validation(self):
+        cfg = scenarios.get_preset("fig5d")
+        assert scenarios.with_overrides(cfg, p_absorb=0.5).p_absorb == 0.5
+        with pytest.raises(scenarios.ConfigError, match="p_absorb"):
+            scenarios.with_overrides(cfg, p_absorb=2.0)
+        with pytest.raises(ValueError, match="p_pump"):
+            PulseChannelParams(0.25, 0.0).replace(p_pump=-1.0)
+
+    @pytest.mark.parametrize("name", sorted(scenarios.PRESETS))
+    def test_scenario_config_round_trips_through_its_dict(self, name):
+        cfg = scenarios.get_preset(name)
+        assert list(cfg.to_dict()) == list(scenarios.ScenarioConfig.fields())
+        assert scenarios.ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestBlochVector:

@@ -1,6 +1,6 @@
 """Every public module-level function and class of the package, every
-public method and property of its classes, and every public dataclass
-field is used by the package itself, so API that only the tests call cannot
+public method and property of its classes, and every public field of its
+``core.Value`` records is used by the package itself, so API that only the tests call cannot
 accumulate; every private name is used in its own module; and no module
 imports another's private names."""
 
@@ -63,33 +63,34 @@ def test_every_public_method_and_property_is_used_in_the_package():
     assert unused == []
 
 
-def is_dataclass(node: ast.ClassDef) -> bool:
-    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
-               for d in node.decorator_list)
+def init_of_value(node: ast.ClassDef) -> ast.FunctionDef | None:
+    """The ``__init__`` of a ``Value`` subclass, whose parameters after
+    ``self`` are its fields; None for any other class."""
+    if not any(isinstance(b, ast.Name) and b.id == "Value" for b in node.bases):
+        return None
+    return next(stmt for stmt in node.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__")
 
 
-def test_every_public_dataclass_field_is_read_in_the_package():
+def test_every_public_record_field_is_read_in_the_package():
     # A field counts as read where it is loaded as an attribute, anywhere
-    # in the package except in its own class's __post_init__.
+    # in the package except in its own class's __init__, which sets and
+    # validates it.
     trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
-    classes = [node for tree in trees for node in tree.body
-               if isinstance(node, ast.ClassDef) and is_dataclass(node)]
-    assert any(node.name == "EnsembleStats" for node in classes)
+    inits = {node.name: init for tree in trees for node in tree.body
+             if isinstance(node, ast.ClassDef) and (init := init_of_value(node))}
+    assert "EnsembleStats" in inits
     reads = [node for tree in trees for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
     unread = []
-    for cls in classes:
-        validation = {id(node) for stmt in cls.body
-                      if isinstance(stmt, ast.FunctionDef)
-                      and stmt.name == "__post_init__"
-                      for node in ast.walk(stmt)}
-        for stmt in cls.body:
-            if (not isinstance(stmt, ast.AnnAssign)
-                    or stmt.target.id.startswith("_")):
+    for name, init in inits.items():
+        validation = {id(node) for node in ast.walk(init)}
+        for arg in init.args.args[1:]:
+            if arg.arg.startswith("_"):
                 continue
-            if not any(node.attr == stmt.target.id and id(node) not in validation
+            if not any(node.attr == arg.arg and id(node) not in validation
                        for node in reads):
-                unread.append(f"{cls.name}.{stmt.target.id}")
+                unread.append(f"{name}.{arg.arg}")
     assert unread == []
 
 
