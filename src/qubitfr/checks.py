@@ -13,7 +13,7 @@ import time
 
 from . import oracle, protocol, scenarios
 from .channel import PulseChannelParams, period_map
-from .core import Matrix3, Value, free_energy_delta
+from .core import Matrix3, Value, free_energy_delta, whole_multiple
 
 # Empirical recursion-vs-propagation bound for the three rotating-drive
 # presets (max absolute population gap over 50 pulses, basis starts),
@@ -38,18 +38,18 @@ class CheckResult(Value):
         return f"{status}  {self.name}: {self.detail}"
 
 
+def _columns(name: str):
+    """A preset's resolved scenario and the columns of the CSV that ``run``
+    writes for it, by header."""
+    res = scenarios.resolve(scenarios.get_preset(name))
+    header, rows = scenarios.table(res)
+    return res, dict(zip(header, zip(*rows)))
+
+
 def check_closed_cycle_fr() -> CheckResult:
     """<exp(-beta dE)> must equal Z(t_f)/Z(0) on the fixed-axis presets."""
     start = time.perf_counter()
-    worst = 0.0
-    for name in ("fig4a", "fig4b"):
-        res = scenarios.resolve(scenarios.get_preset(name))
-        gamma = res.thermal.beta - res.thermal.beta_r
-        pcs = [res.protocol_at(t_f) for t_f in res.config.t_f_grid]
-        for pc, cm in zip(pcs, protocol.conditional_matrices(pcs)):
-            value = protocol.fr_functional(
-                protocol.energy_change_distribution(cm, pc), gamma)
-            worst = max(worst, abs(value - protocol.fr_target(pc)))
+    worst = max(max(_columns(name)[1]["fr_deviation"]) for name in ("fig4a", "fig4b"))
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-9 and elapsed < 1.0
     return CheckResult("closed-cycle fluctuation identity", passed,
@@ -71,17 +71,13 @@ def check_exchange_fr() -> CheckResult:
     worst_one_pulse = 0.0
     worst_one_pulse_channel = 0.0
     for name in ("fig6d", "fig6e", "fig6f"):
-        res = scenarios.resolve(scenarios.get_preset(name))
-        gamma = res.thermal.beta - res.thermal.beta_r
-        pcs = [res.protocol_at(n * res.config.tau) for n in range(21)]
-        cms = protocol.conditional_matrices(pcs)
-        deviations = [abs(protocol.fr_functional(
-                           protocol.energy_change_distribution(cm, pc), gamma)
-                           - protocol.fr_target(pc))
-                      for pc, cm in zip(pcs, cms)]
+        res, columns = _columns(name)  # the grid is n tau for n = 0..20
+        deviations = columns["fr_deviation"]
         worst_sweep = max(worst_sweep, *deviations)
-        worst_one_pulse_channel = max(worst_one_pulse_channel, deviations[1])
-        pc1, cm1 = pcs[1], cms[1]
+        worst_one_pulse_channel = max(worst_one_pulse_channel,
+                                      deviations[columns["n_pulses"].index(1)])
+        pc1 = res.protocol_at(res.config.tau)
+        cm1 = protocol.conditional_matrix(pc1)
         beta_r1 = protocol.beta_reservoir(protocol.conditional_fixed_point(cm1),
                                           res.drive.gap)
         gamma1 = res.thermal.beta - beta_r1
@@ -173,20 +169,12 @@ def check_first_law() -> CheckResult:
     worst = 0.0
     worst_strobo_w = 0.0
     for name in ("fig3a", "fig3b"):
-        res = scenarios.resolve(scenarios.get_preset(name))
-        w0 = res.config.omega0
-        pcs = [res.protocol_at(t_f) for t_f in res.config.t_f_grid]
-        for t_f, pc, cm in zip(res.config.t_f_grid, pcs,
-                               protocol.conditional_matrices(pcs)):
-            mean_de = protocol.mean(protocol.energy_change_distribution(cm, pc))
-            mean_w, mean_q = oracle.work_heat_series_amplitude(pc)
-            residual = mean_de - (mean_w + mean_q)
-            worst = max(worst, abs(residual) / w0)
+        res, columns = _columns(name)
+        worst = max(worst, *map(abs, columns["first_law_residual"]))
         if res.config.tau == res.drive.tau_a:
-            for n in range(13):
-                mean_w, _ = oracle.work_heat_series_amplitude(
-                    res.protocol_at(n * res.config.tau))
-                worst_strobo_w = max(worst_strobo_w, abs(mean_w) / w0)
+            worst_strobo_w = max(worst_strobo_w, *(
+                abs(w) for t_f, w in zip(columns["t_f_ns"], columns["mean_work"])
+                if whole_multiple(t_f, res.config.tau) is not None))
     passed = worst <= 1e-9 and worst_strobo_w <= 1e-12
     return CheckResult("first law", passed,
                        f"max |dE - (W+Q)| = {worst:.3e} omega0 (tol 1e-9); "
@@ -244,18 +232,14 @@ def check_oracle_equivalence() -> CheckResult:
 
 
 def check_rabi_oscillation() -> CheckResult:
-    res = scenarios.resolve(scenarios.get_preset("fig5a"))
-    worst = 0.0
-    cms = protocol.conditional_matrices(
-        [res.protocol_at(t_f) for t_f in res.config.t_f_grid])
-    for t_f, cm in zip(res.config.t_f_grid, cms):
-        closed = oracle.rabi_conditional(res.config.omega0, res.config.theta, t_f)
-        worst = max(worst, abs(cm.p_up_given_up - closed),
-                    abs(cm.p_up_given_down - (1.0 - closed)))
+    _, columns = _columns("fig5a")
+    closed = columns["closed_form_p_up_given_up"]
+    worst = max(max(abs(up - c), abs(down - (1.0 - c))) for up, down, c in zip(
+        columns["p_up_given_up"], columns["p_up_given_down"], closed))
     passed = worst <= 1e-9
     return CheckResult("dressed-state oscillation", passed,
                        f"max closed-form deviation {worst:.3e} over "
-                       f"{len(res.config.t_f_grid)} points (tol 1e-9)")
+                       f"{len(closed)} points (tol 1e-9)")
 
 
 def check_monte_carlo() -> CheckResult:

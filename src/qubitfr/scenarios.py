@@ -426,14 +426,6 @@ def list_presets() -> list[str]:
 # execution
 
 
-def _fmt(value) -> str:
-    if isinstance(value, numbers.Integral):  # bool and numpy integers too
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return repr(float(value))
-    return str(value)
-
-
 @contextmanager
 def _replace_on_close(path: Path):
     """Text file that appears at ``path`` only once it is fully written.
@@ -455,8 +447,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with _replace_on_close(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _grid(res: ResolvedScenario):
@@ -588,6 +579,15 @@ _ROW_BUILDERS = {
 }
 
 
+def table(res: ResolvedScenario) -> tuple[list[str], list[list]]:
+    """The CSV header and rows ``run_scenario`` writes for ``res``; a
+    numeric failure while computing them raises NumericalContractError."""
+    try:
+        return _ROW_BUILDERS[res.config.kind](res)
+    except (ValueError, ArithmeticError) as exc:
+        raise NumericalContractError(str(exc)) from exc
+
+
 def run_scenario(config: ScenarioConfig | str | Path,
                  outdir: str | Path | None = None) -> dict:
     """Execute one scenario; returns the manifest that was written.
@@ -600,6 +600,7 @@ def run_scenario(config: ScenarioConfig | str | Path,
     if isinstance(config, (str, Path)):
         config = load_config(config)
     resolved = resolve(config)
+    header, rows = table(resolved)  # first, so a failed run creates no directory
 
     if outdir is None:
         outdir = os.environ.get(OUTDIR_ENV, ".")
@@ -608,11 +609,6 @@ def run_scenario(config: ScenarioConfig | str | Path,
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. the path exists and is a file
         raise ConfigError(f"cannot use output directory {outdir}: {exc}") from exc
-
-    try:
-        header, rows = _ROW_BUILDERS[config.kind](resolved)
-    except (ValueError, ArithmeticError) as exc:
-        raise NumericalContractError(str(exc)) from exc
 
     prefix = config.prefix or config.name
     csv_path = outdir / f"{prefix}.csv"

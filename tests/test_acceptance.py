@@ -27,6 +27,28 @@ def test_criterion_1_closed_cycle_identity():
     _gate(checks.check_closed_cycle_fr())
 
 
+def shift_column(monkeypatch, kind, column, offset):
+    """Make the rows ``run`` writes for scenarios of ``kind`` carry
+    ``column`` off by ``offset``."""
+    real = scenarios._ROW_BUILDERS[kind]
+
+    def shifted(res):
+        header, rows = real(res)
+        i = header.index(column)
+        return header, [row[:i] + [row[i] + offset] + row[i + 1:] for row in rows]
+
+    monkeypatch.setitem(scenarios._ROW_BUILDERS, kind, shifted)
+
+
+def test_criterion_1_gates_the_fr_deviation_column_run_writes(monkeypatch):
+    """An fr_deviation off by 1e-6 in the fig4a/b rows fails the check,
+    which prints that offset."""
+    shift_column(monkeypatch, "fr", "fr_deviation", 1e-6)
+    result = checks.check_closed_cycle_fr()
+    assert not result.passed
+    assert "max |value - Z ratio| = 1.000e-06" in result.detail
+
+
 def test_criterion_2_exchange_identity():
     """<exp(-(beta - beta_r) dE)> stays within 0.02 of 1 for up to 20
     pulses on all three rotating-drive sweeps, and the one-pulse variant
@@ -136,6 +158,15 @@ def test_criterion_6_dressed_state_oscillation():
     """Pulse-free survival probability matches the closed sinusoid to
     1e-9 on all 200 grid times."""
     _gate(checks.check_rabi_oscillation())
+
+
+def test_criterion_6_gates_the_closed_form_column_run_writes(monkeypatch):
+    """A closed_form_p_up_given_up off by 1e-6 in the fig5a rows fails the
+    check, which prints that offset."""
+    shift_column(monkeypatch, "rabi", "closed_form_p_up_given_up", 1e-6)
+    result = checks.check_rabi_oscillation()
+    assert not result.passed
+    assert "max closed-form deviation 1.000e-06" in result.detail
 
 
 def test_criterion_7_monte_carlo_consistency():

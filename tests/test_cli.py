@@ -245,10 +245,18 @@ class TestRunScenario:
         run_scenario(small_phase_config(), outdir=tmp_path)
         before = (tmp_path / "case.csv").read_bytes()
 
-        def fail(value):
-            raise OSError("synthetic write failure")
+        class Unwritable:
+            def __str__(self):
+                raise OSError("synthetic write failure")
 
-        monkeypatch.setattr(scenarios, "_fmt", fail)
+        real = scenarios._ROW_BUILDERS["fr"]
+
+        def rows_ending_in_an_unwritable_cell(res):
+            header, rows = real(res)
+            return header, rows[:-1] + [rows[-1] + [Unwritable()]]
+
+        monkeypatch.setitem(scenarios._ROW_BUILDERS, "fr",
+                            rows_ending_in_an_unwritable_cell)
         with pytest.raises(OSError, match="synthetic"):
             run_scenario(small_phase_config(beta=0.5), outdir=tmp_path)
         assert (tmp_path / "case.csv").read_bytes() == before
@@ -965,6 +973,37 @@ def test_sampled_commands_without_numpy_exit_2_naming_the_mc_extra(
     assert proc.stderr.startswith("configuration error: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "mc extra" in proc.stderr and hint in proc.stderr
+
+
+def test_failed_run_creates_no_output_directory(tmp_path, monkeypatch, capsys,
+                                                no_numpy_env):
+    """A run that fails while computing its rows (exit 3) or for want of
+    numpy (exit 2) leaves no empty output directory behind."""
+    def boom(res):
+        raise ValueError("synthetic numeric failure")
+
+    with monkeypatch.context() as mp:
+        mp.setitem(scenarios._ROW_BUILDERS, "fr", boom)
+        assert main(["run", "fig4a", "--outdir", str(tmp_path / "computed")]) == 3
+    assert not (tmp_path / "computed").exists()
+    proc = run_python("-m", "qubitfr.cli", "run", "fig4b", "--mode", "montecarlo",
+                      "--outdir", str(tmp_path / "sampled"), env=no_numpy_env)
+    assert proc.returncode == 2, proc.stderr
+    assert not (tmp_path / "sampled").exists()
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.PRESETS))
+def test_table_cells_are_plain_scalars(name):
+    """Every cell ``run`` hands to ``csv`` is exactly an int, float or str,
+    deterministic and sampled rows alike: ``csv`` writes ``repr`` of a float
+    and ``str`` of any other cell, so a numpy scalar would reach a CSV as
+    ``np.float64(...)`` under numpy 2."""
+    cfg = get_preset(name)
+    configs = [cfg] + ([] if cfg.kind == "bloch" else [with_overrides(
+        cfg, mode="both", mc_grid="all", n_trajectories=300)])
+    for config in configs:
+        _, rows = scenarios.table(scenarios.resolve(config))
+        assert {type(cell) for row in rows for cell in row} <= {int, float, str}
 
 
 # Runs each preset named in argv[2:] sampled at every grid point into argv[1].
