@@ -14,8 +14,8 @@ k = 1 - (1 - p_pump) cos^2(alpha), the projective reading: its rate
 1 - p_absorb k sits within 0.007 of the slow eigenvalue of the
 one-period map on the fig5b-d presets (0.8080 vs 0.8058, 0.8607 vs
 0.8598, 0.9383 vs 0.9446).  The recursion is still not exact, because
-coherences survive between pulses; ``floquet_recursion_gap`` measures
-the gap instead of assuming it zero.
+coherences survive between pulses; criterion 5 of ``checks`` measures
+the gap against the rows ``run`` writes instead of assuming it zero.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
-                   free_energy_delta, gibbs_population, population_along)
-from .protocol import ProtocolConfig, pulse_train
+                   free_energy_delta, gibbs_population)
+from .protocol import ProtocolConfig
 
 
 def population_after_n_pulses(p0: float, p_absorb: float, n: int) -> float:
@@ -94,7 +94,7 @@ def floquet_population_recursion(p0: float, p_absorb: float, p_pump: float,
     P(n) = (1 - p_absorb k)^n P(0) + (1 - (1 - p_absorb k)^n) P_inf with
     P_inf from ``floquet_asymptote``.  Exactness relative to the full map
     is a measured quantity, not an assumption; see
-    ``floquet_recursion_gap``.
+    ``checks.check_oracle_equivalence``.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -145,32 +145,6 @@ def rabi_conditional(omega0: float, theta: float, t: float) -> float:
         raise ValueError(f"t must be nonnegative, got {t}")
     weight = omega0 * omega0 / (omega0 * omega0 + theta * theta)
     return 1.0 - weight * math.sin(0.5 * theta * t) ** 2
-
-
-def floquet_recursion_gap(config: ProtocolConfig) -> list[float]:
-    """|recursion - full map| per pulse count 0..config.n_pulses,
-    maximized over basis starts.
-
-    Propagates both dressed basis states through ``pulse_train`` (exact
-    drive periods, then pulses) and compares their upper-level weights
-    with the recursion at the same pulse count;
-    entry n is the larger of the two absolute gaps.
-    """
-    drive = config.drive
-    if not isinstance(drive, PhaseRotatingDrive):
-        raise TypeError("recursion gap is defined for the rotating drive")
-    params = config.channel
-    n_max = config.n_pulses
-    basis = drive.basis
-    post = pulse_train(config, basis, range(n_max + 1))
-    gaps = [0.0] * (n_max + 1)
-    for start, p0 in enumerate((1.0, 0.0)):
-        for n in range(n_max + 1):
-            exact = population_along(post[n][start], basis[0])
-            predicted = floquet_population_recursion(
-                p0, params.p_absorb, params.p_pump, drive.alpha, n)
-            gaps[n] = max(gaps[n], abs(exact - predicted))
-    return gaps
 
 
 def w_irr(beta: float, drive: DriveSpec, t_f: float) -> float:

@@ -119,21 +119,6 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[Sequence[float]],
     return [kept[n] for n in counts]
 
 
-def mean_trajectory(config: ProtocolConfig, r) -> list[tuple[float, Vector]]:
-    """Snapshots (t_n, r_n) after pulses n = 0..N from start r, then (t_f, r)
-    past pulse N; each r is three floats checked to lie in the Bloch ball."""
-    r = tuple(float(x) for x in r)
-    check_bloch_vector(*r)
-    post = pulse_train(config, [r], range(config.n_pulses + 1))
-    out = [(0.0, r)] + [(n * config.tau, rs[0])
-                        for n, rs in enumerate(post[1:], start=1)]
-    if config.t_f > config.n_pulses * config.tau:
-        final = matvec3(tail_rotation(config), post[-1][0])
-        check_bloch_vector(*final)
-        out.append((config.t_f, final))
-    return out
-
-
 class ConditionalMatrix(Value):
     """Transition probabilities of the two-outcome measurement, stored as
     the upper row: the final outcome is down with probability 1 - p."""

@@ -503,21 +503,25 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     cfg = res.config
     header = ["t_f_ns", "n_pulses", "mode", "initial_state",
               "rx", "ry", "rz", "post_pulse"]
-    t_max = cfg.t_f_grid[-1]
-    pc = res.protocol_at(t_max)
+    pc = res.protocol_at(cfg.t_f_grid[-1])
+    post = protocol.pulse_train(pc, res.drive.basis, range(pc.n_pulses + 1))
     rows = []
-    for label, start in zip(("up", "down"), res.drive.basis):
-        snapshots = protocol.mean_trajectory(pc, start)
-        for (t0, s0), (t1, _) in zip(snapshots, snapshots[1:]):
+    for i, label in enumerate(("up", "down")):
+        # (t, r) after each pulse n = 0..N, then at t_f if it lies past pulse N.
+        snapshots = [(n * cfg.tau, rs[i]) for n, rs in enumerate(post)]
+        if pc.t_f > snapshots[-1][0]:
+            final = matvec3(protocol.tail_rotation(pc), snapshots[-1][1])
+            check_bloch_vector(*final)
+            snapshots.append((pc.t_f, final))
+        for n, ((t0, s0), (t1, _)) in enumerate(zip(snapshots, snapshots[1:])):
             for t in linspace(t0, t1, 17)[:-1]:
                 s = matvec3(bloch_rotation(res.drive, t0, t), s0)
                 check_bloch_vector(*s)
-                n = protocol.pulses_applied(t0, cfg.tau)
                 rows.append([t, n, "deterministic", label,
                              *s, int(t == t0 and t0 > 0)])
         t_end, s_end = snapshots[-1]
-        n_end = protocol.pulses_applied(t_end, cfg.tau)
-        rows.append([t_end, n_end, "deterministic", label, *s_end, int(t_end > 0)])
+        rows.append([t_end, pc.n_pulses, "deterministic", label, *s_end,
+                     int(t_end > 0)])
     return header, rows
 
 

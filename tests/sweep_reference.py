@@ -110,6 +110,17 @@ def mean_trajectory(config: ProtocolConfig,
     return out
 
 
+def bloch_row_snapshots(header, rows, label) -> list[tuple[float, tuple]]:
+    """One start's rows of a bloch scenario's table read back in the shape
+    of ``mean_trajectory``: the first row (t = 0), then every post-pulse
+    row, the last of which holds the final vector."""
+    col = {name: i for i, name in enumerate(header)}
+    own = [row for row in rows if row[col["initial_state"]] == label]
+    kept = own[:1] + [row for row in own[1:] if row[col["post_pulse"]]]
+    return [(row[col["t_f_ns"]], tuple(row[col["rx"]:col["rz"] + 1]))
+            for row in kept]
+
+
 def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
     """Transition probabilities within the drive's measured basis, from 0 to t_f."""
     up, down = config.drive.basis

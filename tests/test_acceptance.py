@@ -71,6 +71,15 @@ def test_criterion_3_asymptote_anchors():
     _gate(checks.check_asymptote_anchors())
 
 
+def test_criterion_3_gates_the_plateau_rows_run_writes(monkeypatch):
+    """A p_up_given_down 0.1 high in the fig5b-d rows fails the check,
+    which prints it as the 50-pulse deviation."""
+    shift_column(monkeypatch, "conditional", "p_up_given_down", 0.1)
+    result = checks.check_asymptote_anchors()
+    assert not result.passed
+    assert "fig5b: |lambda| 0.8058, gate 50, dev at 50 9.999e-02" in result.detail
+
+
 def numpy_spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(np.array(m)))))
 
@@ -148,10 +157,20 @@ def test_criterion_4_reports_a_first_law_residual(monkeypatch):
 
 def test_criterion_5_oracle_equivalence():
     """Closed forms match step-by-step map propagation to 1e-10 over a
-    10 x 10 x 50 fixed-axis grid; the projective recursion gap of each
-    rotating-drive preset (fig5b, fig5c, fig5d) at 50 pulses is at most
-    RECURSION_GAP_BOUND_PROJECTIVE = 0.06."""
+    10 x 10 x 50 fixed-axis grid; the projective recursion's gap to the
+    rows ``run`` writes for each rotating-drive preset (fig5b, fig5c,
+    fig5d), 0 to 50 pulses, is at most RECURSION_GAP_BOUND_PROJECTIVE =
+    0.06."""
     _gate(checks.check_oracle_equivalence())
+
+
+def test_criterion_5_gates_the_plateau_rows_run_writes(monkeypatch):
+    """A p_up_given_down 0.1 high in the fig5b-d rows fails the check,
+    which prints the recursion gaps it opens."""
+    shift_column(monkeypatch, "conditional", "p_up_given_down", 0.1)
+    result = checks.check_oracle_equivalence()
+    assert not result.passed
+    assert "fig5b 0.1104; fig5c 0.1000; fig5d 0.1000" in result.detail
 
 
 def test_criterion_6_dressed_state_oscillation():
@@ -170,11 +189,11 @@ def test_criterion_6_gates_the_closed_form_column_run_writes(monkeypatch):
 
 
 def test_criterion_7_monte_carlo_consistency():
-    """With 1e5 trajectories per initialization, every preset's sampled
-    conditional probabilities sit within 4 binomial sigma of the exact
-    map, results on fig6e at 20,000 trajectories per initialization are
-    bit-identical between chunks of 97 and the default chunk size, and no
-    preset takes 30 s."""
+    """With 1e5 trajectories per initialization, the sampled conditional
+    probabilities of each distinct final-point ensemble of the presets
+    sit within 4 binomial sigma of the exact map, results on fig6e at
+    20,000 trajectories per initialization are bit-identical between
+    chunks of 97 and the default chunk size, and no preset takes 30 s."""
     _gate(checks.check_monte_carlo())
 
 

@@ -13,11 +13,9 @@ from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, free_energy_delta,
                           gibbs_population)
 from qubitfr.oracle import (floquet_asymptote, floquet_population_recursion,
-                            floquet_recursion_gap, invert_pump_closed_form,
-                            irreversible_work_relative_entropy, k_factor,
-                            mean_heat_phase, population_after_n_pulses,
-                            rabi_conditional, w_irr,
-                            work_heat_series_amplitude)
+                            invert_pump_closed_form, irreversible_work_relative_entropy,
+                            k_factor, mean_heat_phase, population_after_n_pulses,
+                            rabi_conditional, w_irr, work_heat_series_amplitude)
 from qubitfr.protocol import ProtocolConfig
 
 OMEGA0_A = math.pi / 616.0
@@ -223,17 +221,6 @@ class TestRabiConditional:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             rabi_conditional(OMEGA0_P, 0.01, -1.0)
-
-
-class TestRecursionGap:
-    def test_exact_at_zero_pulses(self):
-        gaps = floquet_recursion_gap(phase_config(n_pulses=6))
-        assert len(gaps) == 7
-        assert gaps[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_rejects_fixed_axis_drive(self):
-        with pytest.raises(TypeError):
-            floquet_recursion_gap(amplitude_config())
 
 
 class TestIrreversibleWork:

@@ -2,7 +2,8 @@
 public method and property of its classes, and every public field of its
 ``core.Value`` records is used by the package itself, so API that only the tests call cannot
 accumulate; every private name is used in its own module; and no module
-imports another's private names."""
+imports another's private names.  ``oracle`` loads nothing of the
+map-propagation engine it is compared with."""
 
 import ast
 from pathlib import Path
@@ -140,3 +141,18 @@ def test_no_module_imports_a_private_name_from_another():
                and (node.level or (node.module or "").startswith("qubitfr"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+# The propagation engine: pulse trains, conditional matrices and the
+# rotations and pulse arithmetic they are built from.
+ENGINE = {"pulse_train", "conditional_matrix", "conditional_matrices",
+          "segment_rotations", "tail_rotation", "bloch_rotation", "matvec3",
+          "pulse_step", "period_map", "population_along"}
+
+
+def test_oracle_loads_nothing_of_the_propagation_engine():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert sorted(ENGINE & (loaded_names(tree) | imported)) == []

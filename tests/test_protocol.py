@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import dmtools
+import sweep_reference
 from qubitfr import scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
@@ -18,7 +19,7 @@ from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, beta_reservoir,
                               conditional_fixed_point, conditional_matrices,
                               conditional_matrix, energy_change_distribution,
                               fr_functional, fr_target, initial_probabilities,
-                              mean, mean_trajectory, pulse_train, pulses_applied)
+                              mean, pulse_train, pulses_applied)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -205,11 +206,19 @@ class TestConditionalMatrixAgainstDensityMatrices:
 
 
 class TestMeanPropagation:
+    """The mean Bloch vectors ``run`` writes for a bloch scenario."""
+
+    @staticmethod
+    def snapshots(t_f, label="up"):
+        cfg = scenarios.with_overrides(scenarios.get_preset("fig2bcd"),
+                                       t_f_grid=(t_f,))
+        header, rows = scenarios.table(scenarios.resolve(cfg))
+        return sweep_reference.bloch_row_snapshots(header, rows, label)
+
     def test_population_decay_matches_closed_form(self):
-        pc = amplitude_config(tau=410.0, n_pulses=6)
-        up = pc.drive.basis[0]
-        snaps = mean_trajectory(pc, up)
+        snaps = self.snapshots(6 * 410.0)
         assert len(snaps) == 7
+        up = AmplitudeModulatedDrive(OMEGA0_A, 616.0).basis[0]
         for n, (t_n, state) in enumerate(snaps):
             assert t_n == pytest.approx(n * 410.0)
             pop = population_along(state, up)
@@ -217,18 +226,10 @@ class TestMeanPropagation:
                 population_after_n_pulses(1.0, 0.25, n), abs=1e-14)
 
     def test_tail_snapshot_appended(self):
-        pc = amplitude_config(tau=410.0, n_pulses=2, t_f=1000.0)
-        snaps = mean_trajectory(pc, (0.0, 0.0, 1.0))
+        snaps = self.snapshots(1000.0, label="down")
         assert len(snaps) == 4
-        assert snaps[-1][0] == pytest.approx(1000.0)
-        assert snaps[0][1] == (0.0, 0.0, 1.0)
-
-    @pytest.mark.parametrize("start", [(1.0, 0.0, 0.1), (math.nan, 0.0, 0.0)],
-                             ids=["off_ball", "nan"])
-    def test_start_outside_the_ball_rejected(self, start):
-        pc = amplitude_config(tau=410.0, n_pulses=0)  # no pulse, no tail
-        with pytest.raises(ValueError, match="outside the unit ball"):
-            mean_trajectory(pc, start)
+        assert snaps[-1][0] == 1000.0
+        assert snaps[0] == (0.0, (-1.0, 0.0, 0.0))
 
 
 class TestPulseTrainBlochCheck:

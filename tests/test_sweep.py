@@ -14,8 +14,7 @@ from qubitfr import core, protocol, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
 from qubitfr.montecarlo import run_ensembles
-from qubitfr.protocol import (ProtocolConfig, conditional_matrices,
-                              mean_trajectory, pulses_applied)
+from qubitfr.protocol import ProtocolConfig, conditional_matrices, pulses_applied
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -60,19 +59,27 @@ def test_preset_sweeps_equal_per_point_reference(sweep):
     assert_matches_reference(sweep())
 
 
-def assert_snapshots_equal(pc, start):
-    """Each (t, r) snapshot equals the reference's, float by float."""
-    assert mean_trajectory(pc, start) == sweep_reference.mean_trajectory(pc, start)
+def assert_bloch_rows_equal_reference(cfg):
+    """Both starts' Bloch rows at t = 0, after each pulse and at the end
+    equal the reference's snapshots, float by float."""
+    res = scenarios.resolve(cfg)
+    header, rows = scenarios.table(res)
+    pc = res.protocol_at(cfg.t_f_grid[-1])
+    for label, start in zip(("up", "down"), res.drive.basis):
+        snapshots = sweep_reference.bloch_row_snapshots(header, rows, label)
+        assert snapshots == sweep_reference.mean_trajectory(pc, start), label
 
 
 def test_mean_trajectory_equals_reference():
-    res = scenarios.resolve(scenarios.get_preset("fig2bcd"))
-    pc = res.protocol_at(res.config.t_f_grid[-1])
-    for start in res.drive.basis:
-        assert_snapshots_equal(pc, start)
-    tail = ProtocolConfig(pc.drive, pc.channel, pc.tau, 3, pc.thermal,
-                          t_f=3.4 * pc.tau)
-    assert_snapshots_equal(tail, res.drive.basis[0])
+    """The fig2bcd rows, a 3.4 tau tail past pulse 3, and the phase drive
+    at 2.5 tau_theta."""
+    cfg = scenarios.get_preset("fig2bcd")
+    assert_bloch_rows_equal_reference(cfg)
+    assert_bloch_rows_equal_reference(
+        scenarios.with_overrides(cfg, t_f_grid=(0.0, 3.4 * cfg.tau)))
+    phase = scenarios.get_preset("fig5c")
+    assert_bloch_rows_equal_reference(scenarios.with_overrides(
+        phase, kind="bloch", t_f_grid=(2.5 * phase.tau,)))
 
 
 @given(family=st.sampled_from(["amplitude", "phase"]),
