@@ -153,6 +153,12 @@ class ScenarioConfig(Value):
             raise ConfigError("bloch scenarios have no stochastic estimator")
         if self.kind == "rabi" and self.drive_family != "phase":
             raise ConfigError("rabi scenarios need the phase drive")
+        for field_name in (("theta", "target_upper_population")
+                           if self.drive_family == "amplitude" else ("tau_a",)):
+            value = getattr(self, field_name)
+            if value is not None:
+                raise ConfigError(f"{field_name} = {value!r} has no use on the "
+                                  f"{self.drive_family} drive; leave it null")
         grid = tuple(float(t) for t in self.t_f_grid)
         if not grid or any(t < 0 for t in grid) or list(grid) != sorted(grid):
             raise ConfigError("t_f_grid must be a nonempty ascending list of "
@@ -261,10 +267,7 @@ def _resolve(config: ScenarioConfig) -> ResolvedScenario:
 
     p_pump = config.p_pump
     if p_pump is None:
-        target = config.target_upper_population
-        if config.drive_family != "phase":
-            raise ConfigError("pump inversion targets the rotating-drive "
-                              "asymptote; amplitude scenarios must give p_pump")
+        target = config.target_upper_population  # phase configs only
         try:
             p_pump = channel_mod.invert_pump_probability(
                 drive, config.p_absorb, config.tau, target)

@@ -7,7 +7,9 @@ directory:
 * ``run --mode both --mc-grid all --trajectories 500 --seed 7`` of a
   sampled subset of the presets;
 * the stdout of ``presets`` and of ``invert --target 0.138 --tau-theta 616``;
-* the stdout of ``check --skip-mc``, with elapsed seconds masked.
+* the stdout of ``check --skip-mc`` and of ``check``, with elapsed
+  seconds, the sampler's trajectories per second and the name of the
+  slowest walk, which all vary from run to run, masked.
 
 Prints one ``<sha256>  <label>`` line per output.  Two trees whose
 digests match produce byte-identical files and text.  Exits 1 if any
@@ -41,7 +43,9 @@ from qubitfr.scenarios import PRESETS
 SAMPLED = ("fig2a", "fig3a", "fig3b", "fig4b", "fig5a", "fig5d", "fig6b", "fig6e")
 SAMPLED_ARGS = ("--mode", "both", "--mc-grid", "all", "--trajectories", "500",
                 "--seed", "7")
-ELAPSED = re.compile(r"\b\d+\.\d+ s\b")
+MASKS = ((re.compile(r"\b\d+\.\d+ s\b"), "<elapsed> s"),
+         (re.compile(r"\S+ trajectories/s\b"), "<rate> trajectories/s"),
+         (re.compile(r"\bslowest walk \S+"), "slowest walk <presets>"))
 
 
 def _digest(data: bytes) -> str:
@@ -87,11 +91,12 @@ def digests() -> tuple[list[str], list[str]]:
             except ValueError as exc:
                 failed.append(str(exc))
         for argv in (["presets"], ["invert", "--target", "0.138", "--tau-theta", "616"],
-                     ["check", "--skip-mc"]):
+                     ["check", "--skip-mc"], ["check"]):
             code, text = _main(argv)
             if code:
                 failed.append(f"nonzero exit: {' '.join(argv)}")
-            text = ELAPSED.sub("<elapsed> s", text)
+            for pattern, mask in MASKS:
+                text = pattern.sub(mask, text)
             lines.append(f"{_digest(text.encode('utf-8'))}  stdout of {' '.join(argv)}")
     return lines, failed
 

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from qubitfr import checks, oracle, scenarios
+from qubitfr import checks, montecarlo, oracle, protocol, scenarios
 from qubitfr.channel import PulseChannelParams, period_map
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive
 
@@ -188,13 +188,53 @@ def test_criterion_6_gates_the_closed_form_column_run_writes(monkeypatch):
     assert "max closed-form deviation 1.000e-06" in result.detail
 
 
-def test_criterion_7_monte_carlo_consistency():
+def test_criterion_7_monte_carlo_consistency(monkeypatch):
     """With 1e5 trajectories per initialization, the sampled conditional
-    probabilities of each distinct final-point ensemble of the presets
-    sit within 4 binomial sigma of the exact map, results on fig6e at
-    20,000 trajectories per initialization are bit-identical between
-    chunks of 97 and the default chunk size, and no preset takes 30 s."""
+    probabilities at every preset's final point sit within 4 binomial
+    sigma of the exact map, results on fig6e at 20,000 trajectories per
+    initialization are bit-identical between chunks of 97 and the default
+    chunk size, and no walk takes 30 s.  The 16 final points take six
+    walks, one per shared drive, channel and tau, and the chunk check two
+    more."""
+    walks = []
+    real = montecarlo.run_ensembles
+
+    def counted(configs, n_per_initial, master_seed, **kwargs):
+        walks.append((len(configs), n_per_initial))
+        return real(configs, n_per_initial, master_seed, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_ensembles", counted)
     _gate(checks.check_monte_carlo())
+    assert sorted(walks) == [(1, 20_000), (1, 20_000), (1, 100_000),
+                             (2, 100_000), (3, 100_000), (3, 100_000),
+                             (3, 100_000), (4, 100_000)]
+
+
+def test_criterion_7_gates_every_point_of_a_shared_walk(monkeypatch):
+    """An up count 5,000 high at the 20-pulse point of the fig5b/fig6a
+    sweep, which fig5b walks on to 50 pulses, fails the check, which names
+    fig6a and prints its pull."""
+    real = montecarlo.run_ensembles
+    shifted = []
+
+    def shift_fig6a(configs, n_per_initial, master_seed, **kwargs):
+        out = real(configs, n_per_initial, master_seed, **kwargs)
+        for i, pc in enumerate(configs):
+            if pc.tau == 1296.0 and pc.n_pulses == 20:
+                out[i] = out[i].replace(ups=(out[i].ups[0] + 5000, out[i].ups[1]))
+                shifted.append((pc, out[i]))
+        return out
+
+    monkeypatch.setattr(montecarlo, "run_ensembles", shift_fig6a)
+    monkeypatch.setattr(scenarios, "PRESETS", {
+        name: scenarios.PRESETS[name] for name in ("fig5b", "fig6a", "fig6e")})
+    result = checks.check_monte_carlo()
+    assert not result.passed
+    [(pc, stats)] = shifted
+    exact = protocol.conditional_matrix(pc).p_up_given_up
+    pull = abs(stats.column_estimate(0) - exact) / stats.std_err()[0]
+    assert pull > 30.0
+    assert result.detail.startswith(f"worst pull {pull:.2f} sigma (fig6a, tol 4)")
 
 
 def test_criterion_8_inequalities():

@@ -636,6 +636,25 @@ class TestCli:
         assert err.startswith(f"configuration error: {field} = "), err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("preset,field,value", [
+        ("fig4b", "theta", 0.01),
+        ("fig4b", "target_upper_population", 0.3),
+        ("fig6e", "tau_a", 616.0),
+    ])
+    def test_field_the_drive_ignores_is_config_error(self, tmp_path, capsys,
+                                                     preset, field, value):
+        # Each used to resolve and run with the field neither used nor reported.
+        with pytest.raises(ConfigError, match=f"^{field} = {value!r} has no use"):
+            with_overrides(get_preset(preset), **{field: value})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**get_preset(preset).to_dict(),
+                                        field: value}))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {field} = "), captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("drive_args,field", [
         (["--theta", "1e-320"], "theta = 1e-320"),
         (["--theta", "1", "--omega0", "1e308"], "omega0 = "),
