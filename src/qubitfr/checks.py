@@ -203,13 +203,14 @@ def check_oracle_equivalence() -> CheckResult:
             # n - 1 is also its value just before pulse n.
             post = protocol.pulse_train(pc, [(2.0 * p0 - 1.0, 0.0, 0.0)], range(51))
             rx = [rs[0][0] for rs in post]
-            energy = 0.5 * drive.omega(0.0) * rx[0]
+            energy = drive.level(0.0) * rx[0]
             work = heat = 0.0
             mean_w, mean_q = oracle.work_heat_series_amplitude(pc)
             for n in range(1, 51):
-                e_before = 0.5 * drive.omega(n * tau) * rx[n - 1]
+                level = drive.level(n * tau)  # the same across pulse n
+                e_before = level * rx[n - 1]
                 work += e_before - energy
-                energy = 0.5 * drive.omega(n * tau) * rx[n]
+                energy = level * rx[n]
                 heat += energy - e_before
                 pop = 0.5 * (1.0 + rx[n])
                 worst_amp = max(worst_amp, abs(

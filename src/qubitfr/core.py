@@ -26,7 +26,9 @@ as ``level(t)``; the lower level sits at minus it.
 Everything here is closed form; no differential-equation stepping is used
 anywhere in the package.  Rotations are 3x3 tuples of floats, multiplied
 by ``matmul3`` and ``matvec3`` in their written order, so every product
-rounds the same on every host.
+rounds the same on every host.  ``bloch_rotations`` builds the rotations
+between consecutive times of a list in one pass; ``bloch_rotation`` is
+its one-interval case.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from collections.abc import Sequence
 
 BLOCH_NORM_TOL = 1e-12
 
@@ -260,25 +263,39 @@ def whole_multiple(t: float, tau: float) -> int | None:
     return n if abs(ratio - n) <= WHOLE_MULTIPLE_RTOL * max(1.0, abs(ratio)) else None
 
 
-def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
-    """3x3 rotation carrying Bloch vectors from time t0 to t1 under the drive.
+def bloch_rotations(drive: DriveSpec, times: Sequence[float]) -> list[Matrix3]:
+    """3x3 rotations carrying Bloch vectors between consecutive ``times``
+    under the drive: entry j carries times[j] to times[j + 1].
 
-    For the rotating-axis family the propagator is assembled as
+    For the rotating-axis family each is assembled as
     R_z(theta * t1) . R_dressed(2 e_theta (t1 - t0)) . R_z(-theta * t0);
     when both endpoints are whole drive periods the outer z-rotations are
-    dropped exactly instead of being evaluated at large arguments.
+    dropped exactly instead of being evaluated at large arguments.  The
+    rotating drive's constants are read once, and each time's
+    whole-period test is evaluated once.
     """
-    if not -math.inf < t0 <= t1 < math.inf:  # NaN fails too
-        raise ValueError(f"time interval must be finite and ordered: "
-                         f"t0={t0!r}, t1={t1!r}")
+    for t0, t1 in zip(times, times[1:]):
+        if not -math.inf < t0 <= t1 < math.inf:  # NaN fails too
+            raise ValueError(f"time interval must be finite and ordered: "
+                             f"t0={t0!r}, t1={t1!r}")
     if isinstance(drive, AmplitudeModulatedDrive):
-        return _axis_angle(1.0, 0.0, 0.0, phase_integral(drive, t0, t1))
-    inner = _axis_angle(*drive.basis[0], 2.0 * drive.e_theta * (t1 - t0))
-    tau = drive.tau_theta
-    if whole_multiple(t0, tau) is not None and whole_multiple(t1, tau) is not None:
-        return inner
-    return matmul3(matmul3(_rot_z(drive.theta * t1), inner),
-                   _rot_z(-drive.theta * t0))
+        return [_axis_angle(1.0, 0.0, 0.0, phase_integral(drive, t0, t1))
+                for t0, t1 in zip(times, times[1:])]
+    (kx, ky, kz), _ = drive.basis
+    gap, theta, tau = drive.gap, drive.theta, drive.tau_theta
+    whole = [whole_multiple(t, tau) is not None for t in times]
+    rotations = []
+    for j, (t0, t1) in enumerate(zip(times, times[1:])):
+        inner = _axis_angle(kx, ky, kz, gap * (t1 - t0))
+        if not (whole[j] and whole[j + 1]):
+            inner = matmul3(matmul3(_rot_z(theta * t1), inner), _rot_z(-theta * t0))
+        rotations.append(inner)
+    return rotations
+
+
+def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
+    """3x3 rotation carrying Bloch vectors from time t0 to t1 under the drive."""
+    return bloch_rotations(drive, (t0, t1))[0]
 
 
 def partition_function(beta: float, drive: DriveSpec, t: float) -> float:

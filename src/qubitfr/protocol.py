@@ -7,7 +7,8 @@ deterministic engine propagates the two initial basis states through the
 ensemble-averaged channel, which is exact for all probabilities that are
 linear in the density operator.  ``pulse_train`` is its one
 rotate-then-pulse loop; a sweep over final times walks it once, since
-every point's pulses are a prefix of the last point's.
+every point's pulses are a prefix of the last point's, and its period
+rotations are one ``core.bloch_rotations`` pass over the pulse times.
 
 The measured object is the ``ConditionalMatrix``, stored as its upper row
 P(up|up), P(up|down) since each column sums to one; with the initial Gibbs
@@ -24,9 +25,9 @@ from collections.abc import Sequence
 
 from .channel import PulseChannelParams, pulse_step
 from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Value,
-                   Vector, bloch_rotation, check_bloch_vector,
-                   gibbs_population, matvec3, partition_function,
-                   population_along, whole_multiple)
+                   Vector, bloch_rotation, bloch_rotations,
+                   check_bloch_vector, gibbs_population, matvec3,
+                   partition_function, population_along, whole_multiple)
 
 PROBABILITY_TOL = 1e-12
 
@@ -81,8 +82,8 @@ def tail_rotation(config: ProtocolConfig) -> Matrix3:
 
 def segment_rotations(config: ProtocolConfig) -> list[Matrix3]:
     """Per-period drive rotations: entry n-1 carries ((n-1)tau, n*tau)."""
-    return [bloch_rotation(config.drive, (n - 1) * config.tau, n * config.tau)
-            for n in range(1, config.n_pulses + 1)]
+    return bloch_rotations(config.drive,
+                           [n * config.tau for n in range(config.n_pulses + 1)])
 
 
 def pulse_train(config: ProtocolConfig, starts: Sequence[Sequence[float]],
@@ -93,9 +94,10 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[Sequence[float]],
     and keeps only the states at ``counts`` (each in 0..config.n_pulses,
     repeats allowed): entry [k][s] is start s after counts[k] pulses.  A
     state after k pulses reaches any later t_f before the next pulse through
-    that point's ``tail_rotation``.  Each step is one ``matvec3`` per start,
-    then ``channel.pulse_step``; a state that leaves the Bloch ball, after
-    the rotation or after the pulse, raises ValueError.
+    that point's ``tail_rotation``.  Each step unpacks its period's
+    rotation once and applies it to every start, summing each element as
+    ``matvec3`` does, then ``channel.pulse_step``; a state that leaves the
+    Bloch ball, after the rotation or after the pulse, raises ValueError.
     """
     if any(not 0 <= n <= config.n_pulses for n in counts):
         raise ValueError(f"pulse counts {list(counts)} outside "
@@ -105,10 +107,12 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[Sequence[float]],
     wanted = set(counts)
     rs = [tuple(float(x) for x in r) for r in starts]
     kept = {0: rs}
-    for n, rot in enumerate(rots[:max(wanted, default=0)], start=1):
+    for n, ((a, b, c), (d, e, f), (g, h, i)) in enumerate(
+            rots[:max(wanted, default=0)], start=1):
         stepped = []
-        for r in rs:
-            rotated = matvec3(rot, r)
+        for x, y, z in rs:
+            rotated = (a * x + b * y + c * z, d * x + e * y + f * z,
+                       g * x + h * y + i * z)
             check_bloch_vector(*rotated)
             pulsed = pulse_step(*rotated, pa, pd)
             check_bloch_vector(*pulsed)

@@ -66,6 +66,9 @@ INSTALL_MC = "install the mc extra: pip install 'qubitfr[mc]'"
 
 # Admits every preset (at most 50 pulses) and 500-pulse sweeps.
 MAX_PULSES = 1000
+# A run's time and memory are linear in the grid length: 500x the longest
+# preset grid (fig5a, 200 points).
+MAX_GRID_POINTS = 10**5
 # Caps a run's sampling work, one walk to the largest sampled pulse count:
 # 2 x n_trajectories x (that count + the number of sampled points).  107x
 # the largest preset, fig5a with mc_grid "all" at the default count (4.0e7).
@@ -130,8 +133,11 @@ class ScenarioConfig(Value):
             if value is not None and not _is_finite_number(value):
                 raise ConfigError(f"{field_name} must be a finite number, "
                                   f"got {value!r}")
-        if not (isinstance(self.t_f_grid, (list, tuple))
-                and all(_is_finite_number(t) for t in self.t_f_grid)):
+        is_list = isinstance(self.t_f_grid, (list, tuple))
+        if is_list and len(self.t_f_grid) > MAX_GRID_POINTS:
+            raise ConfigError(f"t_f_grid has {len(self.t_f_grid)} points; at "
+                              f"most {MAX_GRID_POINTS} are allowed")
+        if not (is_list and all(_is_finite_number(t) for t in self.t_f_grid)):
             raise ConfigError(f"t_f_grid must be a list of finite numbers, "
                               f"got {self.t_f_grid!r}")
         for field_name, choices in CHOICES.items():

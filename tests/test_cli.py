@@ -13,6 +13,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +136,20 @@ class TestScenarioConfig:
         assert small_phase_config(t_f_grid=(0.0, cap * 616.0 + 300.0))
         # Rabi scenarios fire no pulses, whatever tau is.
         assert small_phase_config(kind="rabi", tau=1e-9, t_f_grid=(0.0, 1.0))
+
+    def test_grid_length_is_capped(self, tmp_path, capsys):
+        # Validation alone decides; no grid point is run here.
+        cap = scenarios.MAX_GRID_POINTS
+        assert small_phase_config(t_f_grid=[0.0] * cap)
+        message = f"t_f_grid has {cap + 1} points; at most {cap} are allowed"
+        with pytest.raises(ConfigError, match=message):
+            small_phase_config(t_f_grid=[0.0] * (cap + 1))
+        cfg_path = tmp_path / "long_grid.json"
+        cfg_path.write_text(json.dumps(
+            dict(get_preset("fig5d").to_dict(), t_f_grid=[0.0] * (cap + 1))))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_sampling_work_is_capped(self, tmp_path, capsys):
         # Validation alone decides; no trajectory is started here.
@@ -1104,7 +1119,18 @@ TYPICAL = {
         omega0=math.pi / 616.0, tau_a=616.0, tau=410.0,
         t_f_grid=[0.0, 205.0, 820.0], beta=2.0 * 616.0 / math.pi, p_absorb=0.25,
         p_pump=0.0, n_trajectories=20)}
+# The grid-length cap while the property below runs.  A valid grid at the
+# real cap, scenarios.MAX_GRID_POINTS, takes seconds to run, so the property
+# lowers it to draw grids at and one point past it; test_grid_length_is_capped
+# holds the real cap.
+GRID_CAP = 6
 FIELDS = list(ScenarioConfig.fields())
+
+
+def grids_of_length(n):
+    return st.lists(st.floats(0.0, 3000.0), min_size=n, max_size=n).map(sorted)
+
+
 FIELD_VALUES = {
     "kind": st.sampled_from(scenarios.KINDS), "mode": st.sampled_from(scenarios.MODES),
     "drive_family": st.sampled_from(scenarios.FAMILIES),
@@ -1114,7 +1140,8 @@ FIELD_VALUES = {
     "target_upper_population": st.floats(0.0, 1.0),
     "beta": st.floats(-1e4, 1e4), "tau": st.floats(1e-3, 2000.0),
     "t_f_grid": (st.lists(st.floats(0.0, 3000.0), min_size=1, max_size=4).map(sorted)
-                 | st.lists(HOSTILE, max_size=3) | HOSTILE),
+                 | st.lists(HOSTILE, max_size=3) | HOSTILE
+                 | grids_of_length(GRID_CAP) | grids_of_length(GRID_CAP + 1)),
     "prefix": st.none() | st.sampled_from(["p", "x" * 200]),
 }
 
@@ -1132,7 +1159,8 @@ EXAMPLE_SECONDS = 5.0
        dropped=st.sets(st.sampled_from(FIELDS), max_size=1))
 def test_run_config_exits_0_or_2_with_a_message(base, changes, chosen, dropped):
     """A typical config with some fields given other valid or boundary
-    values, up to three given hostile values, and at most one removed."""
+    values (grids at the lowered length cap and one point past it among
+    them), up to three given hostile values, and at most one removed."""
     data = {**TYPICAL[base], **chosen, **changes}
     for name in dropped:
         data.pop(name, None)
@@ -1145,7 +1173,8 @@ def test_run_config_exits_0_or_2_with_a_message(base, changes, chosen, dropped):
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-              warnings.catch_warnings()):
+              warnings.catch_warnings(),
+              mock.patch.object(scenarios, "MAX_GRID_POINTS", GRID_CAP)):
             warnings.simplefilter("error")
             code = main(["run", str(cfg_path), "--outdir", str(outdir)])
         elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 """Core state/drive/propagator tests against density-matrix references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,14 @@ angles = (st.floats(-1.5, 1.5) | st.floats(1.65, 4.6) | st.floats(-4.6, -1.65)
           | st.floats(-1e5, 1e5))
 
 
+def drive_with_period(family, tau, drive_period):
+    """(drive, its period): the period is tau when ``drive_period`` is None."""
+    period = tau if drive_period is None else drive_period
+    if family == "amplitude":
+        return AmplitudeModulatedDrive(OMEGA0_A, period), period
+    return PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period), period
+
+
 class TestRotationBuilder:
     """The element-wise, memoized Rodrigues builder against the numpy array
     expression it replaced, compared bit for bit (signed zeros included)."""
@@ -295,6 +304,43 @@ class TestRotationBuilder:
     def test_bloch_rotation_endpoints(self, drive, t0, t1):
         assert same_bits(bloch_rotation(drive, t0, t1),
                          sweep_reference.bloch_rotation(drive, t0, t1))
+
+    @given(family=st.sampled_from(["amplitude", "phase"]),
+           tau=st.floats(50.0, 2000.0),
+           drive_period=st.none() | st.floats(200.0, 2000.0),
+           entries=st.lists(st.tuples(st.integers(0, 600),
+                                      st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999),
+                                      st.booleans()),
+                            max_size=60))
+    def test_batch_bits_match_reference_pair_by_pair(self, family, tau,
+                                                     drive_period, entries):
+        """Ascending times in whole and fractional multiples of tau or of
+        the drive period (tau when ``drive_period`` is None), repeats
+        included: entry j of ``bloch_rotations`` is the reference rotation
+        over (times[j], times[j + 1]), bit for bit.  The sampler's walk and
+        ``scalar_sampler`` both build their period rotations through
+        ``segment_rotations``, so only this comparison sees a batch bug."""
+        drive, period = drive_with_period(family, tau, drive_period)
+        times = sorted((n + frac) * (period if in_periods else tau)
+                       for n, frac, in_periods in entries)
+        batch = core.bloch_rotations(drive, times)
+        assert len(batch) == max(len(times) - 1, 0)
+        for rot, t0, t1 in zip(batch, times, times[1:]):
+            assert same_bits(rot, sweep_reference.bloch_rotation(drive, t0, t1)), (t0, t1)
+
+    @given(family=st.sampled_from(["amplitude", "phase"]),
+           times=st.lists(st.floats(0.0, 1e6), min_size=3, max_size=60).map(sorted),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf, "descending"]),
+           data=st.data())
+    def test_batch_names_the_first_bad_interval(self, family, times, bad, data):
+        """A NaN, infinite or descending time inside the list raises the
+        single-interval ValueError for the pair that ends on it."""
+        drive, _ = drive_with_period(family, 616.0, None)
+        k = data.draw(st.integers(1, len(times) - 2))
+        times[k] = math.nextafter(times[k - 1], -math.inf) if bad == "descending" else bad
+        pair = re.escape(f"t0={times[k - 1]!r}, t1={times[k]!r}")
+        with pytest.raises(ValueError, match=pair):
+            core.bloch_rotations(drive, times)
 
     def test_matrices_are_read_only_and_repeatable(self):
         first = core._axis_angle(0.6, 0.0, -0.8, 2.0)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from qubitfr import protocol, scenarios
+from qubitfr import scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.cli import main
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
@@ -59,14 +59,9 @@ def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
         assert stats.to_dict() == separate.to_dict(), pc.t_f
 
 
-def test_grouped_walk_equals_scalar_reference():
-    """fig2a's first 17 grid points share pulse counts; every point's
-    counts equal the scalar walker's, up starts on [0, 60) and down starts
-    on [60, 120)."""
-    _, pcs = preset_sweep("fig2a", mc_grid="all")
-    pcs = pcs[:17]
-    assert len({pc.n_pulses for pc in pcs}) < len(pcs)
-    seed, n = 777, 60
+def assert_walk_equals_scalar_reference(pcs, n, seed):
+    """Every point's counts equal the scalar walker's, up starts on
+    [0, n) and down starts on [n, 2n)."""
     for pc, stats in zip(pcs, run_ensembles(pcs, n, seed)):
         up = run_records(pc, 0, n, seed)
         down = run_records(pc, 1, n, seed, index_offset=n)
@@ -76,6 +71,27 @@ def test_grouped_walk_equals_scalar_reference():
             "counts": [ups, [n - ups[0], n - ups[1]]], "n_per_initial": [n, n],
             "absorbed_pulses": absorbed, "total_pulses": 2 * n * pc.n_pulses,
             "master_seed": seed}, pc.t_f
+
+
+def test_grouped_walk_equals_scalar_reference():
+    """fig2a's first 17 grid points share pulse counts."""
+    _, pcs = preset_sweep("fig2a", mc_grid="all")
+    pcs = pcs[:17]
+    assert len({pc.n_pulses for pc in pcs}) < len(pcs)
+    assert_walk_equals_scalar_reference(pcs, 60, 777)
+
+
+def test_off_period_phase_walk_equals_scalar_reference():
+    """A phase sweep whose tau (500 ns) is no whole number of drive periods
+    (616 ns): the period rotations differ and carry outer z-rotations, and
+    every point but 3.0 tau has a tail, so the measured counts depend on
+    each rotation of the walk."""
+    drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
+    channel, tau = PulseChannelParams(0.4, 0.3), 500.0
+    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(k * tau, tau),
+                          ThermalContext(0.0), t_f=k * tau)
+           for k in (1.3, 3.0, 4.6, 6.2)]
+    assert_walk_equals_scalar_reference(pcs, 60, 777)
 
 
 def test_sampled_sweep_csv_is_pinned(tmp_path):
@@ -88,24 +104,20 @@ def test_sampled_sweep_csv_is_pinned(tmp_path):
     assert digest == "c591abe63f33121959a4e46d82bc5c25267a56f13c96b6ee8582bc9f7869d607"
 
 
-def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch):
+def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
+                                             rotations_built):
     """fig2a's 97 points on 13 pulse counts: each chunk steps through the
     longest point's pulses once, with one stream per (pulse, role) and one
     final-measurement stream per distinct count, and each period rotation
     is built about once."""
     cfg, pcs = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
                             n_trajectories=200)
-    streams, rotations, draws = [], [], []
-    real_philox, real_rotation = np.random.Philox, protocol.bloch_rotation
-    real_generator = np.random.Generator
+    streams, draws = [], []
+    real_philox, real_generator = np.random.Philox, np.random.Generator
 
     def counting_philox(*args, **kwargs):
         streams.append(kwargs["key"][1])
         return real_philox(*args, **kwargs)
-
-    def counting_rotation(*args):
-        rotations.append(args)
-        return real_rotation(*args)
 
     class CountingGenerator(real_generator):
         def random(self, size=None, **kwargs):
@@ -114,7 +126,6 @@ def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
-    monkeypatch.setattr(protocol, "bloch_rotation", counting_rotation)
     scenarios.run_scenario(cfg, outdir=tmp_path)
     counts = {pc.n_pulses for pc in pcs}
     n_max = max(counts)
@@ -127,7 +138,7 @@ def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch):
     # one chunk of 400 trajectories here, chunks of 150, 150 and 100 below.
     per_chunk = 3 * n_max + len(counts)
     assert draws == [400] * per_chunk
-    assert 0 < len(rotations) <= n_max + len(pcs) + 2
+    assert 0 < sum(rotations_built) <= n_max + len(pcs) + 2
     draws.clear()
     run_ensembles(pcs, 200, 777, chunk_size=150)
     assert draws == [150] * per_chunk + [150] * per_chunk + [100] * per_chunk

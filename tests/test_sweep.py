@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sweep_reference
-from qubitfr import core, protocol, scenarios
+from qubitfr import core, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
 from qubitfr.montecarlo import run_ensembles
@@ -107,22 +107,14 @@ def test_generated_sweeps_equal_per_point_reference(family, tau, drive_period,
 
 
 @pytest.mark.parametrize("name", ["fig2a", "fig5d"])
-def test_sweep_builds_each_rotation_about_once(name, tmp_path, monkeypatch):
+def test_sweep_builds_each_rotation_about_once(name, tmp_path, rotations_built):
     """A deterministic run computes each period rotation once and at most
     one tail per grid point, not every rotation again at every point."""
     cfg = scenarios.get_preset(name)
     pcs = preset_sweep(name)
-    real = protocol.bloch_rotation
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(protocol, "bloch_rotation", counting)
     scenarios.run_scenario(cfg, outdir=tmp_path)
     n_max = max(pc.n_pulses for pc in pcs)
-    assert 0 < len(calls) <= n_max + len(pcs) + 2
+    assert 0 < sum(rotations_built) <= n_max + len(pcs) + 2
 
 
 def test_rotating_sweep_builds_rotations_independent_of_pulse_count(tmp_path):
