@@ -5,9 +5,12 @@ detail string, so a failing run documents how far off it was.  Checks
 never loosen their own tolerances: a bound that cannot be met fails
 loudly and states the best achievable value.
 
-Criteria 1 to 6 gate the columns ``run`` writes for their presets
-(``scenarios.table``), not a second computation of them; criterion 7
-samples the presets' final points one sweep walk at a time.
+``run_all`` builds the tables ``run`` writes for the presets the checks
+read once (``preset_tables``) and hands them to criteria 1 to 6 and 8.
+Criteria 1 to 6 gate those columns, not a second computation of them;
+criterion 8 takes its resolved scenarios from them and walks its own
+grid; criterion 7 takes no tables and samples the presets' final points
+one sweep walk at a time.
 """
 
 from __future__ import annotations
@@ -42,40 +45,55 @@ class CheckResult(Value):
         return f"{status}  {self.name}: {self.detail}"
 
 
-def _columns(name: str):
-    """A preset's resolved scenario and the columns of the CSV that ``run``
-    writes for it, by header."""
-    res = scenarios.resolve(scenarios.get_preset(name))
-    header, rows = scenarios.table(res)
-    return res, dict(zip(header, zip(*rows)))
+# The presets whose ``run`` tables criteria 1 to 6 and 8 read.
+TABLE_PRESETS = ("fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c",
+                 "fig5d", "fig6d", "fig6e", "fig6f")
 
 
-def check_closed_cycle_fr() -> CheckResult:
-    """<exp(-beta dE)> must equal Z(t_f)/Z(0) on the fixed-axis presets."""
+def preset_tables() -> dict:
+    """``{name: (resolved scenario, columns, seconds)}`` for TABLE_PRESETS:
+    the columns of the CSV that ``run`` writes for the preset, by header,
+    and the seconds that resolving it and building them took."""
+    tables = {}
+    for name in TABLE_PRESETS:
+        start = time.perf_counter()
+        res = scenarios.resolve(scenarios.get_preset(name))
+        header, rows = scenarios.table(res)
+        tables[name] = (res, dict(zip(header, zip(*rows))),
+                        time.perf_counter() - start)
+    return tables
+
+
+def check_closed_cycle_fr(tables: dict) -> CheckResult:
+    """<exp(-beta dE)> must equal Z(t_f)/Z(0) on the fixed-axis presets;
+    the time bound covers building their rows."""
     start = time.perf_counter()
-    worst = max(max(_columns(name)[1]["fr_deviation"]) for name in ("fig4a", "fig4b"))
-    elapsed = time.perf_counter() - start
+    names = ("fig4a", "fig4b")
+    worst = max(max(tables[name][1]["fr_deviation"]) for name in names)
+    elapsed = (time.perf_counter() - start
+               + sum(tables[name][2] for name in names))
     passed = worst <= 1e-9 and elapsed < 1.0
     return CheckResult("closed-cycle fluctuation identity", passed,
                        f"max |value - Z ratio| = {worst:.3e} (tol 1e-9), "
                        f"{elapsed:.2f} s")
 
 
-def check_exchange_fr() -> CheckResult:
+def check_exchange_fr(tables: dict) -> CheckResult:
     """<exp(-(beta - beta_r) dE)> stays near 1 on the rotating presets.
 
     The sweep uses beta_r from the channel fixed point.  The one-pulse
     clause is exact only against the one-period transition matrix's own
     stationary weight, so that variant is what the 1e-10 bound tests;
     the channel-fixed-point deviation at one pulse is reported next to
-    it rather than hidden.
+    it rather than hidden.  The time bound covers building the rows.
     """
     start = time.perf_counter()
+    names = ("fig6d", "fig6e", "fig6f")
     worst_sweep = 0.0
     worst_one_pulse = 0.0
     worst_one_pulse_channel = 0.0
-    for name in ("fig6d", "fig6e", "fig6f"):
-        res, columns = _columns(name)  # the grid is n tau for n = 0..20
+    for name in names:
+        res, columns, _ = tables[name]  # the grid is n tau for n = 0..20
         deviations = columns["fr_deviation"]
         worst_sweep = max(worst_sweep, *deviations)
         worst_one_pulse_channel = max(worst_one_pulse_channel,
@@ -88,7 +106,8 @@ def check_exchange_fr() -> CheckResult:
         value1 = protocol.fr_functional(
             protocol.energy_change_distribution(cm1, pc1), gamma1)
         worst_one_pulse = max(worst_one_pulse, abs(value1 - 1.0))
-    elapsed = time.perf_counter() - start
+    elapsed = (time.perf_counter() - start
+               + sum(tables[name][2] for name in names))
     passed = worst_sweep <= 0.02 and worst_one_pulse <= 1e-10 and elapsed < 1.0
     return CheckResult(
         "exchange fluctuation identity", passed,
@@ -121,7 +140,7 @@ def spectral_radius(m: Matrix3) -> float:
                for k in range(3))
 
 
-def check_asymptote_anchors() -> CheckResult:
+def check_asymptote_anchors(tables: dict) -> CheckResult:
     """Inverted channels must reach the published plateaus within 0.005,
     and beta_r * gap must match ln((1 - p)/p) to 1e-6.
 
@@ -136,7 +155,7 @@ def check_asymptote_anchors() -> CheckResult:
     """
     failures, details = [], []
     for name in ("fig5b", "fig5c", "fig5d"):
-        res, columns = _columns(name)  # the grid is n tau for n = 0..50
+        res, columns, _ = tables[name]  # the grid is n tau for n = 0..50
         target, tau = res.config.target_upper_population, res.config.tau
         at_50 = columns["n_pulses"].index(PLATEAU_MIN_PULSES)
         dev_50 = max(abs(columns[c][at_50] - target)
@@ -166,11 +185,11 @@ def check_asymptote_anchors() -> CheckResult:
                        "; ".join(details) + " (tol 0.005 / 1e-6)")
 
 
-def check_first_law() -> CheckResult:
+def check_first_law(tables: dict) -> CheckResult:
     worst = 0.0
     worst_strobo_w = 0.0
     for name in ("fig3a", "fig3b"):
-        res, columns = _columns(name)
+        res, columns, _ = tables[name]
         worst = max(worst, *map(abs, columns["first_law_residual"]))
         if res.config.tau == res.drive.tau_a:
             worst_strobo_w = max(worst_strobo_w, *(
@@ -182,7 +201,7 @@ def check_first_law() -> CheckResult:
                        f"max |W| at whole periods = {worst_strobo_w:.1e} omega0")
 
 
-def check_oracle_equivalence() -> CheckResult:
+def check_oracle_equivalence(tables: dict) -> CheckResult:
     """Closed forms against step-by-step map propagation.
 
     Fixed-axis family on a 10 x 10 x 50 grid of (p_absorb, tau/tau_a, n):
@@ -190,7 +209,7 @@ def check_oracle_equivalence() -> CheckResult:
     recursion's gap to the rows ``run`` writes for the three presets is
     held to the frozen empirical bound.
     """
-    res = scenarios.resolve(scenarios.get_preset("fig3b"))
+    res = tables["fig3b"][0]
     drive, thermal = res.drive, res.thermal
     p0 = res.derived["initial_upper_population"]
     worst_amp = 0.0
@@ -221,7 +240,7 @@ def check_oracle_equivalence() -> CheckResult:
 
     gaps = {}
     for name in ("fig5b", "fig5c", "fig5d"):
-        res, columns = _columns(name)  # the grid is n tau for n = 0..50
+        res, columns, _ = tables[name]  # the grid is n tau for n = 0..50
         gaps[name] = max(
             abs(p - oracle.floquet_population_recursion(
                 p0, res.channel.p_absorb, res.channel.p_pump, res.drive.alpha, n))
@@ -236,8 +255,8 @@ def check_oracle_equivalence() -> CheckResult:
         f"recursion gap: {per_preset} (bound {RECURSION_GAP_BOUND_PROJECTIVE})")
 
 
-def check_rabi_oscillation() -> CheckResult:
-    _, columns = _columns("fig5a")
+def check_rabi_oscillation(tables: dict) -> CheckResult:
+    columns = tables["fig5a"][1]
     closed = columns["closed_form_p_up_given_up"]
     worst = max(max(abs(up - c), abs(down - (1.0 - c))) for up, down, c in zip(
         columns["p_up_given_up"], columns["p_up_given_down"], closed))
@@ -299,11 +318,12 @@ def check_monte_carlo() -> CheckResult:
         f"of {len(scenarios.PRESETS)} presets")
 
 
-def check_inequalities() -> CheckResult:
-    """Jensen bound <dE> >= dF with a cold start, and w_irr >= 0."""
+def check_inequalities(tables: dict) -> CheckResult:
+    """Jensen bound <dE> >= dF with a cold start, on a grid of its own
+    rather than the presets' rows, and w_irr >= 0."""
     worst_jensen = math.inf
     for name in ("fig3a", "fig3b"):
-        res = scenarios.resolve(scenarios.get_preset(name))
+        res = tables[name][0]
         w0 = res.config.omega0
         pcs = [res.protocol_at(t_f)
                for t_f in scenarios.linspace(0.0, 12 * res.config.tau, 100)[1:]]
@@ -312,7 +332,7 @@ def check_inequalities() -> CheckResult:
             df = free_energy_delta(res.config.beta, res.drive, pc.t_f)
             worst_jensen = min(worst_jensen, (mean_de - df) / w0)
 
-    res = scenarios.resolve(scenarios.get_preset("fig3b"))
+    res = tables["fig3b"][0]
     drive, beta = res.drive, res.config.beta
     worst_wirr = math.inf
     worst_cross = 0.0
@@ -344,5 +364,9 @@ ALL_CHECKS = (
 
 
 def run_all(include_mc: bool = True) -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS
-            if include_mc or check is not check_monte_carlo]
+    """The checks' results in ALL_CHECKS order; the preset tables are built
+    once, before the first check, and every check but the Monte-Carlo one
+    reads them."""
+    tables = preset_tables()
+    return [check() if check is check_monte_carlo else check(tables)
+            for check in ALL_CHECKS if include_mc or check is not check_monte_carlo]

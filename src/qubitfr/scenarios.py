@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import os
+import reprlib
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -81,6 +82,12 @@ MAX_EXP_ARG = math.log(sys.float_info.max)
 MAX_NAME_LENGTH = 200
 
 
+# repr for config values in error messages: a string, sequence or integer
+# is cut to a few dozen characters or items, so a huge value still gives
+# a short message.
+_quote = reprlib.Repr().repr
+
+
 FLOAT_FIELDS = ("omega0", "tau", "beta", "p_absorb", "tau_a", "theta", "p_pump",
                 "target_upper_population")
 
@@ -119,12 +126,12 @@ class ScenarioConfig(Value):
             if (not isinstance(value, str) or value in (".", "..")
                     or any(c in value for c in "/\\\0")):
                 raise ConfigError(f"{field_name} must be a plain file name "
-                                  f"without path separators, got {value!r}")
+                                  f"without path separators, got {_quote(value)}")
             try:
                 size = len(value.encode("utf-8"))
             except UnicodeEncodeError:  # lone surrogates have no UTF-8 form
                 raise ConfigError(f"{field_name} must be valid Unicode text, "
-                                  f"got {value!r}") from None
+                                  f"got {_quote(value)}") from None
             if size > MAX_NAME_LENGTH:
                 raise ConfigError(f"{field_name} takes {size} bytes in UTF-8; "
                                   f"at most {MAX_NAME_LENGTH} are allowed")
@@ -132,18 +139,22 @@ class ScenarioConfig(Value):
             value = getattr(self, field_name)
             if value is not None and not _is_finite_number(value):
                 raise ConfigError(f"{field_name} must be a finite number, "
-                                  f"got {value!r}")
-        is_list = isinstance(self.t_f_grid, (list, tuple))
-        if is_list and len(self.t_f_grid) > MAX_GRID_POINTS:
+                                  f"got {_quote(value)}")
+        if not isinstance(self.t_f_grid, (list, tuple)):
+            raise ConfigError(f"t_f_grid must be a list of finite numbers, "
+                              f"got {_quote(self.t_f_grid)}")
+        if len(self.t_f_grid) > MAX_GRID_POINTS:
             raise ConfigError(f"t_f_grid has {len(self.t_f_grid)} points; at "
                               f"most {MAX_GRID_POINTS} are allowed")
-        if not (is_list and all(_is_finite_number(t) for t in self.t_f_grid)):
-            raise ConfigError(f"t_f_grid must be a list of finite numbers, "
-                              f"got {self.t_f_grid!r}")
+        bad = next((i for i, t in enumerate(self.t_f_grid)
+                    if not _is_finite_number(t)), None)
+        if bad is not None:
+            raise ConfigError(f"t_f_grid must be a list of finite numbers; "
+                              f"entry {bad} is {_quote(self.t_f_grid[bad])}")
         for field_name, choices in CHOICES.items():
             value = getattr(self, field_name)
             if value not in choices:
-                raise ConfigError(f"unknown {field_name} {value!r}; "
+                raise ConfigError(f"unknown {field_name} {_quote(value)}; "
                                   f"choose from {choices}")
         if self.drive_family == "amplitude" and not self.tau_a:
             raise ConfigError("amplitude drives need tau_a")
@@ -163,7 +174,7 @@ class ScenarioConfig(Value):
                            if self.drive_family == "amplitude" else ("tau_a",)):
             value = getattr(self, field_name)
             if value is not None:
-                raise ConfigError(f"{field_name} = {value!r} has no use on the "
+                raise ConfigError(f"{field_name} = {_quote(value)} has no use on the "
                                   f"{self.drive_family} drive; leave it null")
         grid = tuple(float(t) for t in self.t_f_grid)
         if not grid or any(t < 0 for t in grid) or list(grid) != sorted(grid):
@@ -181,7 +192,7 @@ class ScenarioConfig(Value):
                   {"tau_a": 2.0 * math.pi * t / self.tau_a, "omega0": self.omega0 * t})
         for field_name, phase in phases.items():
             if not math.isfinite(phase):
-                raise ConfigError(f"{field_name} = {getattr(self, field_name)!r} "
+                raise ConfigError(f"{field_name} = {_quote(getattr(self, field_name))} "
                                   f"makes the drive phase overflow by t = {t} ns")
         # The ratio test comes first: pulses_applied rounds t_f / tau to an
         # int, which raises OverflowError when the ratio is infinite.
@@ -194,18 +205,19 @@ class ScenarioConfig(Value):
         for field_name in ("n_trajectories", "master_seed"):
             value = getattr(self, field_name)
             if type(value) is not int:  # bool is an int subclass; reject it too
-                raise ConfigError(f"{field_name} must be an integer, got {value!r}")
+                raise ConfigError(f"{field_name} must be an integer, "
+                                  f"got {_quote(value)}")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories must be at least 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(
-                f"master_seed must be in [0, 2**64), got {self.master_seed}")
+                f"master_seed must be in [0, 2**64), got {_quote(self.master_seed)}")
         sampled = self.sampled_grid()  # ascending, so the last has the most pulses
         steps = 2 * self.n_trajectories * (self.pulses_at(sampled[-1]) + len(sampled))
         if steps > MAX_SAMPLED_STEPS:
             from decimal import Decimal  # formats ints past the float range
             raise ConfigError(
-                f"n_trajectories = {self.n_trajectories} asks for "
+                f"n_trajectories = {_quote(self.n_trajectories)} asks for "
                 f"{Decimal(steps):.3g} pulse steps and measurements over "
                 f"{len(sampled)} sampled grid point(s); at most "
                 f"{MAX_SAMPLED_STEPS} are allowed")
@@ -229,7 +241,7 @@ class ScenarioConfig(Value):
         data = {k: v for k, v in data.items() if k != "workers"}
         unknown = set(data) - set(cls.fields())
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {_quote(sorted(unknown))}")
         try:
             return cls(**data)
         except (TypeError, ValueError) as exc:
@@ -671,7 +683,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path} must hold a JSON object of config fields")
     config = ScenarioConfig.from_dict(data)
     if config.mode != "deterministic" and layout != RNG_LAYOUT:
-        found = "no rng_layout" if layout is None else f"rng_layout {layout!r}"
+        found = "no rng_layout" if layout is None else f"rng_layout {_quote(layout)}"
         raise ConfigError(f"{path} records {found}; this version samples only "
                           f"with rng_layout {RNG_LAYOUT}")
     return config

@@ -1,5 +1,5 @@
-"""Test-suite settings, and a fixture that counts the drive rotations a
-run builds.
+"""Test-suite settings, a fixture that counts the drive rotations a run
+builds, and the preset tables the acceptance checks read.
 
 Hypothesis runs derandomized with a bounded example count and no example
 database, so every run of the suite draws the same cases and writes no
@@ -9,7 +9,7 @@ files; property tests that propagate long pulse trains get no deadline.
 import pytest
 from hypothesis import settings
 
-from qubitfr import protocol
+from qubitfr import checks, protocol
 
 settings.register_profile("qubitfr", derandomize=True, deadline=None,
                           max_examples=40, database=None)
@@ -36,3 +36,10 @@ def rotations_built(monkeypatch):
     monkeypatch.setattr(protocol, "bloch_rotation", one)
     monkeypatch.setattr(protocol, "bloch_rotations", batch)
     return built
+
+
+@pytest.fixture(scope="session")
+def preset_tables():
+    """``checks.preset_tables()``, built once per session; tests that shift
+    a column do so on a copy."""
+    return checks.preset_tables()

@@ -3,6 +3,8 @@
 Each test prints one PASS/FAIL line with the measured numbers and then
 asserts the check's verdict at its stated tolerance.  Tolerances live in
 ``qubitfr.checks`` next to the measurements; nothing here loosens them.
+The checks read the preset tables of the ``preset_tables`` fixture, and
+the tests that feed a check a bad column shift a copy of them.
 """
 
 import math
@@ -11,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from qubitfr import checks, montecarlo, oracle, protocol, scenarios
+from qubitfr import checks, montecarlo, protocol, scenarios
 from qubitfr.channel import PulseChannelParams, period_map
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive
 
@@ -21,42 +23,71 @@ def _gate(result):
     assert result.passed, result.detail
 
 
-def test_criterion_1_closed_cycle_identity():
+def test_run_all_builds_each_preset_table_once(monkeypatch):
+    """One ``check --skip-mc`` builds the rows ``run`` writes for each of
+    the 11 presets criteria 1 to 6 and 8 read exactly once, through
+    ``scenarios.table``, and every check passes on them."""
+    built = []
+    real = scenarios.table
+
+    def counted(res):
+        built.append(res.config.name)
+        return real(res)
+
+    monkeypatch.setattr(scenarios, "table", counted)
+    results = checks.run_all(include_mc=False)
+    assert sorted(built) == ["fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
+                             "fig5c", "fig5d", "fig6d", "fig6e", "fig6f"]
+    assert [r.passed for r in results] == [True] * 7
+
+
+def test_criterion_1_closed_cycle_identity(preset_tables):
     """<exp(-beta dE)> equals the partition ratio to 1e-9 on both
-    fixed-axis sweeps (50 grid times each), in under a second."""
-    _gate(checks.check_closed_cycle_fr())
+    fixed-axis sweeps (50 grid times each), with their rows built in
+    under a second."""
+    _gate(checks.check_closed_cycle_fr(preset_tables))
 
 
-def shift_column(monkeypatch, kind, column, offset):
-    """Make the rows ``run`` writes for scenarios of ``kind`` carry
-    ``column`` off by ``offset``."""
-    real = scenarios._ROW_BUILDERS[kind]
-
-    def shifted(res):
-        header, rows = real(res)
-        i = header.index(column)
-        return header, [row[:i] + [row[i] + offset] + row[i + 1:] for row in rows]
-
-    monkeypatch.setitem(scenarios._ROW_BUILDERS, kind, shifted)
+def shift_column(tables, names, column, offset):
+    """A copy of ``tables`` whose ``column`` is off by ``offset`` in the
+    rows of the presets ``names``."""
+    shifted = dict(tables)
+    for name in names:
+        res, columns, seconds = tables[name]
+        shifted[name] = (res, {**columns, column: tuple(
+            v + offset for v in columns[column])}, seconds)
+    return shifted
 
 
-def test_criterion_1_gates_the_fr_deviation_column_run_writes(monkeypatch):
+def test_criterion_1_gates_the_fr_deviation_column_run_writes(preset_tables):
     """An fr_deviation off by 1e-6 in the fig4a/b rows fails the check,
     which prints that offset."""
-    shift_column(monkeypatch, "fr", "fr_deviation", 1e-6)
-    result = checks.check_closed_cycle_fr()
+    result = checks.check_closed_cycle_fr(shift_column(
+        preset_tables, ("fig4a", "fig4b"), "fr_deviation", 1e-6))
     assert not result.passed
     assert "max |value - Z ratio| = 1.000e-06" in result.detail
 
 
-def test_criterion_2_exchange_identity():
+def test_criterion_2_exchange_identity(preset_tables):
     """<exp(-(beta - beta_r) dE)> stays within 0.02 of 1 for up to 20
     pulses on all three rotating-drive sweeps, and the one-pulse variant
     evaluated against the map's own stationary weight is exact to 1e-10."""
-    _gate(checks.check_exchange_fr())
+    _gate(checks.check_exchange_fr(preset_tables))
 
 
-def test_criterion_3_asymptote_anchors():
+def test_criterion_2_gates_the_fr_deviation_column_run_writes(preset_tables):
+    """An fr_deviation 0.02 high in the fig6d-f rows fails the check,
+    which prints the shifted worst value."""
+    names = ("fig6d", "fig6e", "fig6f")
+    shifted = shift_column(preset_tables, names, "fr_deviation", 0.02)
+    worst = max(max(shifted[name][1]["fr_deviation"]) for name in names)
+    assert worst > 0.02
+    result = checks.check_exchange_fr(shifted)
+    assert not result.passed
+    assert f"max |value - 1| = {worst:.3e} over n <= 20 (tol 0.02)" in result.line()
+
+
+def test_criterion_3_asymptote_anchors(preset_tables):
     """Inverted channels reach their target plateaus within 0.005, and
     beta_r times the dressed gap matches the log population ratio to 1e-6.
 
@@ -68,14 +99,14 @@ def test_criterion_3_asymptote_anchors():
     (a density-matrix propagation agrees, see test_protocol), while its
     gate of 105 pulses leaves 2.4e-3.  fig5b and fig5c stay gated at 50.
     """
-    _gate(checks.check_asymptote_anchors())
+    _gate(checks.check_asymptote_anchors(preset_tables))
 
 
-def test_criterion_3_gates_the_plateau_rows_run_writes(monkeypatch):
+def test_criterion_3_gates_the_plateau_rows_run_writes(preset_tables):
     """A p_up_given_down 0.1 high in the fig5b-d rows fails the check,
     which prints it as the 50-pulse deviation."""
-    shift_column(monkeypatch, "conditional", "p_up_given_down", 0.1)
-    result = checks.check_asymptote_anchors()
+    result = checks.check_asymptote_anchors(shift_column(
+        preset_tables, ("fig5b", "fig5c", "fig5d"), "p_up_given_down", 0.1))
     assert not result.passed
     assert "fig5b: |lambda| 0.8058, gate 50, dev at 50 9.999e-02" in result.detail
 
@@ -84,7 +115,7 @@ def numpy_spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(np.array(m)))))
 
 
-def test_spectral_radius_prints_numpys_lambda_and_gate():
+def test_spectral_radius_prints_numpys_lambda_and_gate(preset_tables):
     """On fig5b-d the closed form is within 1e-14 of numpy, and the
     criterion-3 line, |lambda| and gate included, is the same with
     either."""
@@ -93,11 +124,11 @@ def test_spectral_radius_prints_numpys_lambda_and_gate():
         lin, _ = period_map(res.drive, res.channel, res.config.tau)
         assert checks.spectral_radius(lin) == pytest.approx(
             numpy_spectral_radius(lin), rel=1e-14, abs=0.0)
-    detail = checks.check_asymptote_anchors().detail
+    detail = checks.check_asymptote_anchors(preset_tables).detail
     assert "fig5d: |lambda| 0.9446, gate 105" in detail
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "spectral_radius", numpy_spectral_radius)
-        assert checks.check_asymptote_anchors().detail == detail
+        assert checks.check_asymptote_anchors(preset_tables).detail == detail
 
 
 def random_period_maps(rng, n):
@@ -133,57 +164,51 @@ def test_spectral_radius_matches_numpy_on_random_period_maps():
             assert abs(radius - exact) <= 1e-12, (lin, exact)
 
 
-def test_criterion_4_first_law():
+def test_criterion_4_first_law(preset_tables):
     """<dE> = <W> + <Q> to 1e-9 of the base rate across both fixed-axis
     energetics sweeps, and <W> vanishes at whole modulation periods when
     the pulse spacing equals the modulation period."""
-    _gate(checks.check_first_law())
+    _gate(checks.check_first_law(preset_tables))
 
 
-def test_criterion_4_reports_a_first_law_residual(monkeypatch):
-    """A heat off by 1e-6 omega0 at every grid time fails the check, and the
-    residual it prints is that offset."""
-    real = oracle.work_heat_series_amplitude
-
-    def off_by_one_micro(pc):
-        mean_w, mean_q = real(pc)
-        return mean_w, mean_q + 1e-6 * pc.drive.omega0
-
-    monkeypatch.setattr(oracle, "work_heat_series_amplitude", off_by_one_micro)
-    result = checks.check_first_law()
+def test_criterion_4_reports_a_first_law_residual(preset_tables):
+    """A first_law_residual off by 1e-6 omega0 at every fig3a/b grid time
+    fails the check, which prints that offset."""
+    result = checks.check_first_law(shift_column(
+        preset_tables, ("fig3a", "fig3b"), "first_law_residual", 1e-6))
     assert not result.passed
     assert "max |dE - (W+Q)| = 1.000e-06 omega0" in result.detail
 
 
-def test_criterion_5_oracle_equivalence():
+def test_criterion_5_oracle_equivalence(preset_tables):
     """Closed forms match step-by-step map propagation to 1e-10 over a
     10 x 10 x 50 fixed-axis grid; the projective recursion's gap to the
     rows ``run`` writes for each rotating-drive preset (fig5b, fig5c,
     fig5d), 0 to 50 pulses, is at most RECURSION_GAP_BOUND_PROJECTIVE =
     0.06."""
-    _gate(checks.check_oracle_equivalence())
+    _gate(checks.check_oracle_equivalence(preset_tables))
 
 
-def test_criterion_5_gates_the_plateau_rows_run_writes(monkeypatch):
+def test_criterion_5_gates_the_plateau_rows_run_writes(preset_tables):
     """A p_up_given_down 0.1 high in the fig5b-d rows fails the check,
     which prints the recursion gaps it opens."""
-    shift_column(monkeypatch, "conditional", "p_up_given_down", 0.1)
-    result = checks.check_oracle_equivalence()
+    result = checks.check_oracle_equivalence(shift_column(
+        preset_tables, ("fig5b", "fig5c", "fig5d"), "p_up_given_down", 0.1))
     assert not result.passed
     assert "fig5b 0.1104; fig5c 0.1000; fig5d 0.1000" in result.detail
 
 
-def test_criterion_6_dressed_state_oscillation():
+def test_criterion_6_dressed_state_oscillation(preset_tables):
     """Pulse-free survival probability matches the closed sinusoid to
     1e-9 on all 200 grid times."""
-    _gate(checks.check_rabi_oscillation())
+    _gate(checks.check_rabi_oscillation(preset_tables))
 
 
-def test_criterion_6_gates_the_closed_form_column_run_writes(monkeypatch):
+def test_criterion_6_gates_the_closed_form_column_run_writes(preset_tables):
     """A closed_form_p_up_given_up off by 1e-6 in the fig5a rows fails the
     check, which prints that offset."""
-    shift_column(monkeypatch, "rabi", "closed_form_p_up_given_up", 1e-6)
-    result = checks.check_rabi_oscillation()
+    result = checks.check_rabi_oscillation(shift_column(
+        preset_tables, ("fig5a",), "closed_form_p_up_given_up", 1e-6))
     assert not result.passed
     assert "max closed-form deviation 1.000e-06" in result.detail
 
@@ -237,8 +262,8 @@ def test_criterion_7_gates_every_point_of_a_shared_walk(monkeypatch):
     assert result.detail.startswith(f"worst pull {pull:.2f} sigma (fig6a, tol 4)")
 
 
-def test_criterion_8_inequalities():
+def test_criterion_8_inequalities(preset_tables):
     """<dE> >= dF on 100-point grids for both fixed-axis presets and the
     closed-segment irreversible work is nonnegative (tolerance -1e-12),
     with the relative-entropy form agreeing to 1e-10."""
-    _gate(checks.check_inequalities())
+    _gate(checks.check_inequalities(preset_tables))

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qubitfr
-from qubitfr import scenarios
+from qubitfr import protocol, scenarios
 from qubitfr.channel import invert_pump_probability
 from qubitfr.cli import main
 from qubitfr.core import PhaseRotatingDrive
@@ -264,14 +264,13 @@ class TestRunScenario:
             def __str__(self):
                 raise OSError("synthetic write failure")
 
-        real = scenarios._ROW_BUILDERS["fr"]
+        real = scenarios.table
 
         def rows_ending_in_an_unwritable_cell(res):
             header, rows = real(res)
             return header, rows[:-1] + [rows[-1] + [Unwritable()]]
 
-        monkeypatch.setitem(scenarios._ROW_BUILDERS, "fr",
-                            rows_ending_in_an_unwritable_cell)
+        monkeypatch.setattr(scenarios, "table", rows_ending_in_an_unwritable_cell)
         with pytest.raises(OSError, match="synthetic"):
             run_scenario(small_phase_config(beta=0.5), outdir=tmp_path)
         assert (tmp_path / "case.csv").read_bytes() == before
@@ -354,10 +353,10 @@ class TestRunScenario:
 
     def test_compute_failures_map_to_contract_errors(self, tmp_path,
                                                      monkeypatch):
-        def boom(res):
+        def boom(atoms, gamma):
             raise ValueError("synthetic numeric failure")
 
-        monkeypatch.setitem(scenarios._ROW_BUILDERS, "fr", boom)
+        monkeypatch.setattr(protocol, "fr_functional", boom)
         with pytest.raises(scenarios.NumericalContractError):
             run_scenario(small_phase_config(), outdir=tmp_path)
 
@@ -538,6 +537,25 @@ class TestCli:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"t_f_grid": [float(n) for n in range(99_999)] + [math.nan]},
+         "t_f_grid must be a list of finite numbers; entry 99999 is nan"),
+        ({"kind": "k" * 10**5}, "unknown kind 'kkk"),
+        ({"omega0": [1.0] * 10**5}, "omega0 must be a finite number, got [1.0, "),
+        ({"name": "a/" * 50_000}, "name must be a plain file name"),
+        ({"master_seed": "1" * 10**5}, "master_seed must be an integer, got '111")],
+        ids=["nan_in_long_grid", "long_kind", "long_omega0", "long_name",
+             "long_seed_string"])
+    def test_huge_config_values_give_short_messages(self, tmp_path, capsys,
+                                                    overrides, message):
+        cfg_path = tmp_path / "huge_value.json"
+        cfg_path.write_text(json.dumps({**small_phase_config().to_dict(),
+                                        **overrides}))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"configuration error: {message}")
+        assert len(err.encode()) < 300, len(err.encode())
+
     @pytest.mark.parametrize("field,value", [("name", "../evil_escape"),
                                              ("prefix", "../evil_prefix")])
     def test_outputs_stay_inside_outdir(self, tmp_path, field, value):
@@ -593,10 +611,10 @@ class TestCli:
         assert [r["mode"] for r in rows] == ["montecarlo"]
 
     def test_contract_violation_exit_code(self, tmp_path, monkeypatch, capsys):
-        def boom(res):
+        def boom(atoms, gamma):
             raise ValueError("synthetic numeric failure")
 
-        monkeypatch.setitem(scenarios._ROW_BUILDERS, "fr", boom)
+        monkeypatch.setattr(protocol, "fr_functional", boom)
         assert main(["run", "fig4a", "--outdir", str(tmp_path)]) == 3
         assert "contract" in capsys.readouterr().err
 
@@ -1013,11 +1031,11 @@ def test_failed_run_creates_no_output_directory(tmp_path, monkeypatch, capsys,
                                                 no_numpy_env):
     """A run that fails while computing its rows (exit 3) or for want of
     numpy (exit 2) leaves no empty output directory behind."""
-    def boom(res):
+    def boom(atoms, gamma):
         raise ValueError("synthetic numeric failure")
 
     with monkeypatch.context() as mp:
-        mp.setitem(scenarios._ROW_BUILDERS, "fr", boom)
+        mp.setattr(protocol, "fr_functional", boom)
         assert main(["run", "fig4a", "--outdir", str(tmp_path / "computed")]) == 3
     assert not (tmp_path / "computed").exists()
     proc = run_python("-m", "qubitfr.cli", "run", "fig4b", "--mode", "montecarlo",
