@@ -6,9 +6,10 @@ A run is specified by a ``ProtocolConfig``: measure in the drive's fixed
 deterministic engine propagates the two initial basis states through the
 ensemble-averaged channel, which is exact for all probabilities that are
 linear in the density operator.  ``pulse_train`` is its one
-rotate-then-pulse loop; a sweep over final times walks it once, since
-every point's pulses are a prefix of the last point's, and its period
-rotations are one ``core.bloch_rotations`` pass over the pulse times.
+rotate-then-pulse loop, and ``final_states`` (that loop plus each point's
+tail) its one readout of states: a sweep over final times walks it once,
+since every point's pulses are a prefix of the last point's, and its
+period rotations are one ``core.bloch_rotations`` pass over the pulse times.
 
 The measured object is the ``ConditionalMatrix``, stored as its upper row
 P(up|up), P(up|down) since each column sums to one; with the initial Gibbs
@@ -92,9 +93,8 @@ def pulse_train(config: ProtocolConfig, starts: Sequence[Sequence[float]],
 
     Walks the rotate-then-pulse steps of ``segment_rotations(config)`` once
     and keeps only the states at ``counts`` (each in 0..config.n_pulses,
-    repeats allowed): entry [k][s] is start s after counts[k] pulses.  A
-    state after k pulses reaches any later t_f before the next pulse through
-    that point's ``tail_rotation``.  Each step unpacks its period's
+    repeats allowed): entry [k][s] is start s after counts[k] pulses, which
+    ``final_states`` carries on to each t_f.  Each step unpacks its period's
     rotation once and applies it to every start, summing each element as
     ``matvec3`` does, then ``channel.pulse_step``; a state that leaves the
     Bloch ball, after the rotation or after the pulse, raises ValueError.
@@ -158,26 +158,30 @@ def sweep_longest(configs: Sequence[ProtocolConfig]) -> ProtocolConfig:
     return max(configs, key=lambda pc: pc.n_pulses)
 
 
-def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalMatrix]:
-    """Transition probabilities between the bases at 0 and each config's t_f.
+def final_states(configs: Sequence[ProtocolConfig],
+                 starts: Sequence[Sequence[float]]) -> list[list[Vector]]:
+    """Entry [k][s]: start s's Bloch vector at configs[k].t_f; one outside the
+    Bloch ball raises ValueError.  The configs, at least one, must share
+    drive, channel and tau.  Pulses fire at tau, 2 tau, ... whatever t_f is,
+    so one ``pulse_train`` to the largest pulse count serves the sweep and
+    each point adds its own tail: O(N_max + grid) rotations, not O(grid * N)."""
+    post = pulse_train(sweep_longest(configs), starts,
+                       [pc.n_pulses for pc in configs])
+    out = [[matvec3(tail, r) for r in rs]
+           for tail, rs in zip(map(tail_rotation, configs), post)]
+    for r in (r for rs in out for r in rs):
+        check_bloch_vector(*r)
+    return out
 
-    The configs must share drive, channel and tau.  Pulses fire at tau,
-    2 tau, ... whatever t_f is, so every point with n pulses has the same
-    post-pulse state: one ``pulse_train`` to the largest pulse count serves
-    the whole sweep, and each point adds its own tail rotation.  A sweep
-    costs O(N_max + grid) rotations, not O(grid * N).
-    """
+
+def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalMatrix]:
+    """Transition probabilities between the bases at 0 and each config's t_f:
+    the ``final_states`` of the basis states, measured along the upper one."""
     if not configs:
         return []
-    longest = sweep_longest(configs)
-    basis = longest.drive.basis
-    post = pulse_train(longest, basis, [pc.n_pulses for pc in configs])
-    out = []
-    for pc, rs in zip(configs, post):
-        tail = tail_rotation(pc)
-        up, down = (population_along(matvec3(tail, r), basis[0]) for r in rs)
-        out.append(ConditionalMatrix.from_upper_row(up, down))
-    return out
+    basis = configs[0].drive.basis
+    return [ConditionalMatrix.from_upper_row(*(population_along(r, basis[0]) for r in rs))
+            for rs in final_states(configs, basis)]
 
 
 def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:

@@ -31,8 +31,7 @@ from . import oracle, protocol
 from . import channel as channel_mod
 from .channel import PulseChannelParams
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
-                   ThermalContext, Value, bloch_rotation, check_bloch_vector,
-                   free_energy_delta, gibbs_population, matvec3)
+                   ThermalContext, Value, free_energy_delta, gibbs_population)
 
 
 class ConfigError(Exception):
@@ -83,9 +82,13 @@ MAX_NAME_LENGTH = 200
 
 
 # repr for config values in error messages: a string, sequence or integer
-# is cut to a few dozen characters or items, so a huge value still gives
-# a short message.
-_quote = reprlib.Repr().repr
+# is cut to a few dozen characters or items, and an int past 128 bits (whose
+# repr raises past 4,300 digits) is given by its bit length, so a huge value
+# still gives a short message.
+_REPR = reprlib.Repr()
+_REPR.repr_int = lambda x, level: (f"<int of {x.bit_length()} bits>" if x.bit_length() > 128
+                                   else reprlib.Repr.repr_int(_REPR, x, level))
+_quote = _REPR.repr
 
 
 FLOAT_FIELDS = ("omega0", "tau", "beta", "p_absorb", "tau_a", "theta", "p_pump",
@@ -521,29 +524,22 @@ def _conditional_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 
 
 def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
+    """Both starts' Bloch vectors at 16 times per pulse interval (and past the
+    last pulse), then at the end; ``post_pulse`` marks the pulse times n tau > 0."""
     cfg = res.config
     header = ["t_f_ns", "n_pulses", "mode", "initial_state",
               "rx", "ry", "rz", "post_pulse"]
-    pc = res.protocol_at(cfg.t_f_grid[-1])
-    post = protocol.pulse_train(pc, res.drive.basis, range(pc.n_pulses + 1))
-    rows = []
-    for i, label in enumerate(("up", "down")):
-        # (t, r) after each pulse n = 0..N, then at t_f if it lies past pulse N.
-        snapshots = [(n * cfg.tau, rs[i]) for n, rs in enumerate(post)]
-        if pc.t_f > snapshots[-1][0]:
-            final = matvec3(protocol.tail_rotation(pc), snapshots[-1][1])
-            check_bloch_vector(*final)
-            snapshots.append((pc.t_f, final))
-        for n, ((t0, s0), (t1, _)) in enumerate(zip(snapshots, snapshots[1:])):
-            for t in linspace(t0, t1, 17)[:-1]:
-                s = matvec3(bloch_rotation(res.drive, t0, t), s0)
-                check_bloch_vector(*s)
-                rows.append([t, n, "deterministic", label,
-                             *s, int(t == t0 and t0 > 0)])
-        t_end, s_end = snapshots[-1]
-        rows.append([t_end, pc.n_pulses, "deterministic", label, *s_end,
-                     int(t_end > 0)])
-    return header, rows
+    t_f = cfg.t_f_grid[-1]
+    marks = [n * cfg.tau for n in range(cfg.pulses_at(t_f) + 1)]
+    marks += [t_f] if t_f > marks[-1] else []
+    times = [t for t0, t1 in zip(marks, marks[1:])
+             for t in linspace(t0, t1, 17)[:-1]] + marks[-1:]
+    pcs = [res.protocol_at(t) for t in times]
+    states = protocol.final_states(pcs, res.drive.basis)
+    return header, [[t, pc.n_pulses, "deterministic", label, *rs[i],
+                     int(0 < t <= pc.n_pulses * cfg.tau)]
+                    for i, label in enumerate(("up", "down"))
+                    for t, pc, rs in zip(times, pcs, states)]
 
 
 def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:

@@ -112,11 +112,13 @@ def mean_trajectory(config: ProtocolConfig,
 
 def bloch_row_snapshots(header, rows, label) -> list[tuple[float, tuple]]:
     """One start's rows of a bloch scenario's table read back in the shape
-    of ``mean_trajectory``: the first row (t = 0), then every post-pulse
-    row, the last of which holds the final vector."""
+    of ``mean_trajectory``: the first row (t = 0), every post-pulse row
+    between, and the last row, which holds the final vector whether or not
+    a pulse fired at it."""
     col = {name: i for i, name in enumerate(header)}
     own = [row for row in rows if row[col["initial_state"]] == label]
-    kept = own[:1] + [row for row in own[1:] if row[col["post_pulse"]]]
+    kept = (own[:1] + [row for row in own[1:-1] if row[col["post_pulse"]]]
+            + own[1:][-1:])
     return [(row[col["t_f_ns"]], tuple(row[col["rx"]:col["rz"] + 1]))
             for row in kept]
 

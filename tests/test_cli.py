@@ -556,6 +556,24 @@ class TestCli:
         assert out == "" and err.startswith(f"configuration error: {message}")
         assert len(err.encode()) < 300, len(err.encode())
 
+    @pytest.mark.parametrize("field,build", [
+        ("master_seed", lambda cfg: with_overrides(cfg, master_seed=10**5000)),
+        ("n_trajectories", lambda cfg: with_overrides(cfg, n_trajectories=10**5000)),
+        ("omega0", lambda cfg: with_overrides(cfg, omega0=10**5000)),
+        ("master_seed", lambda cfg: ScenarioConfig.from_dict(
+            dict(cfg.to_dict(), master_seed=10**5000))),
+        ("omega0", lambda cfg: ScenarioConfig.from_dict(
+            dict(cfg.to_dict(), omega0=[10**5000]))),
+        ("t_f_grid", lambda cfg: ScenarioConfig.from_dict(
+            dict(cfg.to_dict(), t_f_grid=[0.0, -10**5000])))],
+        ids=["overrides_seed", "overrides_trajectories", "overrides_omega0",
+             "from_dict_seed", "from_dict_omega0_list", "from_dict_t_f_grid"])
+    def test_ints_past_the_digit_limit_give_short_messages(self, field, build):
+        """Ints of 5,000 digits, past the 4,300 that ``repr`` converts."""
+        with pytest.raises(ConfigError, match=field) as info:
+            build(get_preset("fig2a"))
+        assert len(str(info.value).encode()) < 300, len(str(info.value).encode())
+
     @pytest.mark.parametrize("field,value", [("name", "../evil_escape"),
                                              ("prefix", "../evil_prefix")])
     def test_outputs_stay_inside_outdir(self, tmp_path, field, value):

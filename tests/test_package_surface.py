@@ -3,7 +3,8 @@ public method and property of its classes, and every public field of its
 ``core.Value`` records is used by the package itself, so API that only the tests call cannot
 accumulate; every private name is used in its own module; and no module
 imports another's private names.  ``oracle`` loads nothing of the
-map-propagation engine it is compared with."""
+map-propagation engine it is compared with, and ``scenarios`` none of the
+primitives a sweep's states are composed from."""
 
 import ast
 from pathlib import Path
@@ -150,9 +151,25 @@ ENGINE = {"pulse_train", "conditional_matrix", "conditional_matrices",
           "pulse_step", "period_map", "population_along"}
 
 
-def test_oracle_loads_nothing_of_the_propagation_engine():
-    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+# What a sweep's states are composed from: only ``protocol`` turns a sweep
+# into states, and ``scenarios`` reads them through its readouts.
+PROPAGATION = {"pulse_train", "segment_rotations", "tail_rotation",
+               "bloch_rotation", "matvec3", "pulse_step", "period_map",
+               "check_bloch_vector"}
+
+
+def names_of(module: str) -> set[str]:
+    """Names ``module`` loads or imports."""
+    tree = ast.parse((PACKAGE / module).read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
-    assert sorted(ENGINE & (loaded_names(tree) | imported)) == []
+    return loaded_names(tree) | imported
+
+
+def test_oracle_loads_nothing_of_the_propagation_engine():
+    assert sorted(ENGINE & names_of("oracle.py")) == []
+
+
+def test_scenarios_loads_no_propagation_primitive():
+    assert sorted(PROPAGATION & names_of("scenarios.py")) == []

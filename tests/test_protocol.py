@@ -231,6 +231,20 @@ class TestMeanPropagation:
         assert snaps[-1][0] == 1000.0
         assert snaps[0] == (0.0, (-1.0, 0.0, 0.0))
 
+    def test_only_pulse_times_are_post_pulse(self):
+        """Pulses fire at 410 and 820 ns only: the last row, at 1000 ns,
+        lies on the tail after them."""
+        cfg = scenarios.with_overrides(scenarios.get_preset("fig2bcd"),
+                                       t_f_grid=(0.0, 1000.0))
+        header, rows = scenarios.table(scenarios.resolve(cfg))
+        col = {name: i for i, name in enumerate(header)}
+        for label in ("up", "down"):
+            own = [row for row in rows if row[col["initial_state"]] == label]
+            assert own[-1][col["t_f_ns"]] == 1000.0
+            assert own[-1][col["post_pulse"]] == 0
+            assert [row[col["t_f_ns"]] for row in own
+                    if row[col["post_pulse"]]] == [410.0, 820.0]
+
 
 class TestPulseTrainBlochCheck:
     @pytest.mark.parametrize("pa", [0.25, 1.0])

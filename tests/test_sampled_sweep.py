@@ -1,9 +1,12 @@
 """The single walk of a sampled sweep: ``run_ensembles`` against separate
-per-point runs and against the scalar reference walker, a pinned CSV
-digest, and the work a sampled sweep does."""
+per-point runs, against the scalar reference walker and, in distribution,
+against the exact ``conditional_matrices``; a pinned CSV digest, and the
+work a sampled sweep does."""
 
 import hashlib
 import math
+import random
+import statistics
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -13,7 +16,7 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr.cli import main
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
 from qubitfr.montecarlo import run_ensemble, run_ensembles
-from qubitfr.protocol import ProtocolConfig, pulses_applied
+from qubitfr.protocol import ProtocolConfig, conditional_matrices, pulses_applied
 from scalar_sampler import run_records
 
 OMEGA0_A = math.pi / 616.0
@@ -92,6 +95,48 @@ def test_off_period_phase_walk_equals_scalar_reference():
                           ThermalContext(0.0), t_f=k * tau)
            for k in (1.3, 3.0, 4.6, 6.2)]
     assert_walk_equals_scalar_reference(pcs, 60, 777)
+
+
+def off_period_sweep(rng):
+    """Four points at fractional t_f up to 20 pulses, on a drive whose
+    period (200-2000 ns) is unrelated to tau (50-2000 ns); p_absorb and
+    p_pump each 0, 1 or uniform."""
+    tau, period = rng.uniform(50.0, 2000.0), rng.uniform(200.0, 2000.0)
+    drive = rng.choice([AmplitudeModulatedDrive(OMEGA0_A, period),
+                        PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)])
+    channel = PulseChannelParams(*(rng.choice([0.0, 1.0, rng.random()])
+                                   for _ in range(2)))
+    grid = sorted(rng.uniform(0.0, 20.0) * tau for _ in range(4))
+    return [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
+                           ThermalContext(0.0), t_f=t_f) for t_f in grid]
+
+
+def test_off_period_walks_follow_the_exact_matrices():
+    """Pooled over 300 generated sweeps, 1,000 trajectories per start: the
+    pull (estimate - p) / sqrt(p (1 - p) / n) of each column with
+    n p (1 - p) >= 5 is a standard normal.  One point per walk, drawn at
+    random, enters, so the pulls are independent (the points of one walk
+    share trajectories) and chi^2 / k has mean 1 and standard deviation
+    sqrt(2 / k), about 0.065 at k of about 480; it is gated at 5 of those.
+    Over generator seeds 0-39 it spread 0.82-1.14 (standard deviation
+    0.071), with max |pull| 2.6-4.2.  The max |pull| is gated by Bonferroni
+    at a family-wise 1e-4, about 5.1 sigma."""
+    rng, n, pulls = random.Random(2021), 1000, []
+    for _ in range(300):
+        pcs = off_period_sweep(rng)
+        pick = rng.randrange(len(pcs))
+        stats = run_ensembles(pcs, n, rng.randrange(2**64))[pick]
+        cm = conditional_matrices(pcs)[pick]
+        for i, p in enumerate((cm.p_up_given_up, cm.p_up_given_down)):
+            if n * p * (1.0 - p) >= 5.0:
+                pulls.append((stats.column_estimate(i) - p)
+                             / math.sqrt(p * (1.0 - p) / n))
+    k = len(pulls)
+    chi2 = math.fsum(z * z for z in pulls) / k
+    assert k > 400
+    assert abs(chi2 - 1.0) <= 5.0 * math.sqrt(2.0 / k), (chi2, k)
+    bound = statistics.NormalDist().inv_cdf(1.0 - 1e-4 / (2 * k))
+    assert max(map(abs, pulls)) <= bound, (max(map(abs, pulls)), bound)
 
 
 def test_sampled_sweep_csv_is_pinned(tmp_path):

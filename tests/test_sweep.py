@@ -71,8 +71,11 @@ def assert_bloch_rows_equal_reference(cfg):
 
 
 def test_mean_trajectory_equals_reference():
-    """The fig2bcd rows, a 3.4 tau tail past pulse 3, and the phase drive
-    at 2.5 tau_theta."""
+    """The fig2bcd rows, a 3.4 tau tail past pulse 3, the phase drive at
+    2.5 tau_theta, and a phase drive whose tau (500 ns) is no whole number
+    of its periods (616 ns): there a rotation from a pulse time to itself
+    is only close to the identity, and each pulse-time row must be the
+    post-pulse state itself."""
     cfg = scenarios.get_preset("fig2bcd")
     assert_bloch_rows_equal_reference(cfg)
     assert_bloch_rows_equal_reference(
@@ -80,6 +83,9 @@ def test_mean_trajectory_equals_reference():
     phase = scenarios.get_preset("fig5c")
     assert_bloch_rows_equal_reference(scenarios.with_overrides(
         phase, kind="bloch", t_f_grid=(2.5 * phase.tau,)))
+    assert_bloch_rows_equal_reference(scenarios.with_overrides(
+        phase, kind="bloch", tau=500.0, p_pump=0.3,
+        target_upper_population=None, t_f_grid=(2000.0,)))
 
 
 @given(family=st.sampled_from(["amplitude", "phase"]),
