@@ -187,20 +187,17 @@ class ThermalContext(Value):
             raise ValueError("temperatures must be finite")
 
 
-def phase_integral(drive: AmplitudeModulatedDrive, t0: float, t1: float) -> float:
-    """Accumulated rotation angle int_{t0}^{t1} omega(t') dt' for the fixed-axis drive.
+def phase_integral(drive: AmplitudeModulatedDrive, t: float) -> float:
+    """Rotation angle int_0^t omega(t') dt' accumulated by the fixed-axis drive.
 
-    Closed form: the antiderivative of omega is
-    (omega0/2) * [ (3/2) t + (tau_a / 4 pi) sin(2 pi t / tau_a) ].
+    Closed form, the antiderivative of omega that is exactly 0.0 at t = 0:
+    (omega0/2) * [ (3/2) t + (tau_a / 4 pi) sin(2 pi t / tau_a) ].  The
+    angle over [t0, t1] is the difference of the two values.
     """
     if not isinstance(drive, AmplitudeModulatedDrive):
         raise TypeError("phase_integral is defined for the amplitude-modulated drive")
-
-    def anti(t: float) -> float:
-        return 0.5 * drive.omega0 * (1.5 * t + (drive.tau_a / (4.0 * math.pi))
-                                     * math.sin(2.0 * math.pi * t / drive.tau_a))
-
-    return anti(t1) - anti(t0)
+    return 0.5 * drive.omega0 * (1.5 * t + (drive.tau_a / (4.0 * math.pi))
+                                 * math.sin(2.0 * math.pi * t / drive.tau_a))
 
 
 Vector = tuple[float, float, float]
@@ -279,8 +276,9 @@ def bloch_rotations(drive: DriveSpec, times: Sequence[float]) -> list[Matrix3]:
             raise ValueError(f"time interval must be finite and ordered: "
                              f"t0={t0!r}, t1={t1!r}")
     if isinstance(drive, AmplitudeModulatedDrive):
-        return [_axis_angle(1.0, 0.0, 0.0, phase_integral(drive, t0, t1))
-                for t0, t1 in zip(times, times[1:])]
+        phases = [phase_integral(drive, t) for t in times]
+        return [_axis_angle(1.0, 0.0, 0.0, p1 - p0)
+                for p0, p1 in zip(phases, phases[1:])]
     (kx, ky, kz), _ = drive.basis
     gap, theta, tau = drive.gap, drive.theta, drive.tau_theta
     whole = [whole_multiple(t, tau) is not None for t in times]

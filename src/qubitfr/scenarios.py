@@ -651,8 +651,7 @@ def run_scenario(config: ScenarioConfig | str | Path,
         manifest["versions"]["numpy"] = numpy.__version__
     manifest_path = outdir / f"{prefix}_manifest.json"
     with _replace_on_close(manifest_path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     manifest["manifest_path"] = str(manifest_path)
     manifest["csv_paths"] = [str(csv_path)]
     return manifest

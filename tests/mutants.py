@@ -1,0 +1,120 @@
+"""Mutation check of the engine: which hand-written defects the tests catch.
+
+Each entry of ``CATALOG`` is one mutant: an exact text substitution in a
+file of ``src/qubitfr`` that must match exactly once, and the tests that
+should catch it.  For each mutant the tool copies ``src/`` to a temporary
+directory, applies the substitution there (the working tree is never
+edited), and runs the named tests with ``-x`` against the copy.  A mutant
+is killed when a test fails, and survives when they all pass.  Before the
+mutants, the same tests must pass on the unmutated source.
+
+Not collected by pytest; run it from the repository root as
+
+    python3 tests/mutants.py
+
+It prints one line per mutant, "killed" (with the first failing test) or
+"survived", and exits 1 if a mutant survives, a substitution no longer
+matches exactly once, or the tests fail or error without a mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+BLOCH_CHECK = ["tests/test_protocol.py::TestPulseTrainBlochCheck"]
+OFF_PERIOD_WALK = [
+    "tests/test_sampled_sweep.py::test_off_period_phase_walk_equals_scalar_reference",
+    "tests/test_sampled_sweep.py::test_off_period_walks_follow_the_exact_matrices",
+]
+
+_ROTATED = "g * x + h * y + i * z)\n"
+_GUARDS = """\
+            if not x * x + y * y + z * z <= 1.0:
+                check_bloch_vector(x, y, z)
+            x, y, z = pulsed = pulse_step(x, y, z, pa, pd)
+            if not x * x + y * y + z * z <= 1.0:
+"""
+
+# (name, file under src/qubitfr, old text, new text, tests that should kill it)
+CATALOG = [
+    ("walk tail rotation is the identity", "montecarlo.py",
+     "np.array(tail_rotation(pc))", "np.eye(3)", OFF_PERIOD_WALK),
+    ("walk reuses the second period's rotation", "montecarlo.py",
+     "r = rotations[n] @ r", "r = rotations[min(n, 1)] @ r", OFF_PERIOD_WALK),
+    ("pulse_train reuses its first rotation", "protocol.py",
+     "rots[:max(wanted, default=0)]", "rots[:1] * max(wanted, default=0)",
+     ["tests/test_protocol.py", "tests/test_sweep.py"]),
+    ("walk keeps coherences after absorption", "montecarlo.py",
+     "            r[:2] = np.where(absorbed, 0.0, r[:2])\n", "",
+     ["tests/test_montecarlo.py", "tests/test_sampled_sweep.py"]),
+    ("functional_std_err reads the other column", "montecarlo.py",
+     "p = self.column_estimate(i)", "p = self.column_estimate(1 - i)",
+     ["tests/test_montecarlo.py"]),
+    ("pulse_train drops the check after the rotation", "protocol.py",
+     _ROTATED + "            if not x * x + y * y + z * z <= 1.0:\n"
+     "                check_bloch_vector(x, y, z)\n",
+     _ROTATED, BLOCH_CHECK),
+    ("pulse_train guards widened to 1 + 1e-9", "protocol.py",
+     _GUARDS, _GUARDS.replace("<= 1.0:", "<= 1.0 + 1e-9:"), BLOCH_CHECK),
+    ("pulse_train guards blind to NaN", "protocol.py",
+     _GUARDS, _GUARDS.replace("not x * x + y * y + z * z <= 1.0:",
+                              "x * x + y * y + z * z > 1.0:"), BLOCH_CHECK),
+]
+
+
+def run_tests(src: Path, tests: list[str]) -> tuple[int, str]:
+    """(pytest exit code, first failing test or "") for ``tests`` run with
+    the package imported from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
+         *tests], cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = re.search(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
+    return proc.returncode, failed.group(1) if failed else ""
+
+
+def check_mutant(name: str, filename: str, old: str, new: str,
+                 tests: list[str]) -> bool:
+    """Print the mutant's verdict; True if the tests killed it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "qubitfr" / filename
+        text = path.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            print(f"stale     {name}: the substitution matches "
+                  f"{text.count(old)} times in {filename}")
+            return False
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        code, first = run_tests(src, tests)
+    if code == 1:
+        print(f"killed    {name}  by {first}")
+        return True
+    print(f"survived  {name}" if code == 0 else
+          f"error     {name}: pytest exited {code}")
+    return False
+
+
+def main() -> int:
+    code, first = run_tests(ROOT / "src",
+                            sorted({test for *_, tests in CATALOG for test in tests}))
+    if code != 0:
+        print(f"the tests fail without a mutant (pytest exited {code}; {first})")
+        return 1
+    killed = [check_mutant(*entry) for entry in CATALOG]
+    print(f"{sum(killed)} of {len(killed)} mutants killed")
+    return 0 if all(killed) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

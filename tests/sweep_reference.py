@@ -56,7 +56,8 @@ def axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 def bloch_rotation(drive, t0: float, t1: float) -> np.ndarray:
     """``qubitfr.core.bloch_rotation`` on top of ``axis_angle``."""
     if isinstance(drive, AmplitudeModulatedDrive):
-        return axis_angle(np.array([1.0, 0.0, 0.0]), phase_integral(drive, t0, t1))
+        angle = phase_integral(drive, t1) - phase_integral(drive, t0)
+        return axis_angle(np.array([1.0, 0.0, 0.0]), angle)
     e = 2.0 * drive.e_theta
     axis = np.array([drive.omega0 / e, 0.0, -drive.theta / e])
     inner = axis_angle(axis, 2.0 * drive.e_theta * (t1 - t0))

@@ -905,6 +905,16 @@ def test_output_digest_reports_changed_and_missing_labels():
         "presets/fig3a.csv", "sampled/x.csv", "stdout of presets"]
 
 
+def test_every_mutant_substitution_matches_once():
+    """``tests/mutants.py`` still applies to the source it mutates."""
+    import mutants
+
+    for name, filename, old, new, tests in mutants.CATALOG:
+        text = (mutants.ROOT / "src" / "qubitfr" / filename).read_text(encoding="utf-8")
+        assert text.count(old) == 1 and old != new, name
+        assert all((mutants.ROOT / test.split("::")[0]).is_file() for test in tests), name
+
+
 @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
 def test_strict_json_rejects_non_standard_constants(constant):
     text = '{"derived": {"tau_theta_ns": ' + constant + '}}'

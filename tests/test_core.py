@@ -150,12 +150,17 @@ class TestPhaseIntegral:
                        (37.0, 38.5)):
             expected, err = quad(drive.omega, t0, t1, epsabs=1e-14)
             assert err < 1e-11
-            assert phase_integral(drive, t0, t1) == pytest.approx(
-                expected, abs=1e-11)
+            assert (phase_integral(drive, t1) - phase_integral(drive, t0)
+                    == pytest.approx(expected, abs=1e-11))
+
+    def test_zero_at_start(self):
+        """Exactly 0.0, so the angle over [0, t1] is phase_integral(drive, t1)
+        bit for bit."""
+        assert phase_integral(AmplitudeModulatedDrive(OMEGA0_A, 616.0), 0.0) == 0.0
 
     def test_wrong_family_rejected(self):
         with pytest.raises(TypeError):
-            phase_integral(PhaseRotatingDrive(OMEGA0_P, 0.01), 0.0, 1.0)
+            phase_integral(PhaseRotatingDrive(OMEGA0_P, 0.01), 1.0)
 
 
 class TestBlochRotation:

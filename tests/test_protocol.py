@@ -260,6 +260,24 @@ class TestPulseTrainBlochCheck:
         with pytest.raises(ValueError, match="outside the unit ball"):
             pulse_train(config, [np.array([math.nan, 0.0, 0.0])], [1])
 
+    @pytest.mark.parametrize("pa", [0.25, 1.0])
+    def test_start_just_outside_the_tolerance_rejected(self, pa):
+        """Norm 1 + 1e-10 exceeds 1 + BLOCH_NORM_TOL, yet its square is
+        within 1e-9 of 1, so a guard that skipped the check up to a squared
+        norm of 1 + 1e-9 would let it through.  At p_absorb = 1 only the
+        check on the rotated state sees it."""
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            pulse_train(amplitude_config(pa=pa),
+                        [np.array([1.0 + 1e-10, 0.0, 0.0])], [1])
+
+    @pytest.mark.parametrize("norm", [1.0, 1.0 + 5e-13])
+    @pytest.mark.parametrize("config", [amplitude_config(pa=0.0), phase_config()],
+                             ids=["amplitude", "phase"])
+    def test_start_within_the_tolerance_accepted(self, config, norm):
+        starts = [np.array([norm, 0.0, 0.0]), np.array([0.0, 0.0, -norm])]
+        post = pulse_train(config, starts, [config.n_pulses])
+        assert len(post[0]) == 2
+
 
 class TestAtoms:
     def test_atoms_in_initial_final_order(self):
