@@ -268,27 +268,32 @@ def bloch_rotations(drive: DriveSpec, times: Sequence[float]) -> list[Matrix3]:
     R_z(theta * t1) . R_dressed(2 e_theta (t1 - t0)) . R_z(-theta * t0);
     when both endpoints are whole drive periods the outer z-rotations are
     dropped exactly instead of being evaluated at large arguments.  The
-    rotating drive's constants are read once, and each time's
-    whole-period test is evaluated once.
+    rotating drive's constants are read once, each time's whole-period
+    test is evaluated once, and each distinct angle's axis rotation (the
+    dressed one before its z-rotations) is built once per call.
     """
     for t0, t1 in zip(times, times[1:]):
         if not -math.inf < t0 <= t1 < math.inf:  # NaN fails too
             raise ValueError(f"time interval must be finite and ordered: "
                              f"t0={t0!r}, t1={t1!r}")
     if isinstance(drive, AmplitudeModulatedDrive):
+        axis = (1.0, 0.0, 0.0)
         phases = [phase_integral(drive, t) for t in times]
-        return [_axis_angle(1.0, 0.0, 0.0, p1 - p0)
-                for p0, p1 in zip(phases, phases[1:])]
-    (kx, ky, kz), _ = drive.basis
-    gap, theta, tau = drive.gap, drive.theta, drive.tau_theta
+        angles = [p1 - p0 for p0, p1 in zip(phases, phases[1:])]
+    else:
+        axis, gap = drive.basis[0], drive.gap
+        angles = [gap * (t1 - t0) for t0, t1 in zip(times, times[1:])]
+    # Keyed on the exact angle.  +0.0 and -0.0 are one dict key, so a zero
+    # angle skips the memo and goes to _axis_angle, which keys on bits.
+    memo = {a: _axis_angle(*axis, a) for a in set(angles) if a}
+    rotations = [memo[a] if a else _axis_angle(*axis, a) for a in angles]
+    if isinstance(drive, AmplitudeModulatedDrive):
+        return rotations
+    theta, tau = drive.theta, drive.tau_theta
     whole = [whole_multiple(t, tau) is not None for t in times]
-    rotations = []
-    for j, (t0, t1) in enumerate(zip(times, times[1:])):
-        inner = _axis_angle(kx, ky, kz, gap * (t1 - t0))
-        if not (whole[j] and whole[j + 1]):
-            inner = matmul3(matmul3(_rot_z(theta * t1), inner), _rot_z(-theta * t0))
-        rotations.append(inner)
-    return rotations
+    return [inner if whole[j] and whole[j + 1] else
+            matmul3(matmul3(_rot_z(theta * t1), inner), _rot_z(-theta * t0))
+            for j, (inner, t0, t1) in enumerate(zip(rotations, times, times[1:]))]
 
 
 def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:

@@ -28,7 +28,7 @@ from .channel import PulseChannelParams, pulse_step
 from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Value,
                    Vector, bloch_rotation, bloch_rotations,
                    check_bloch_vector, gibbs_population, matvec3,
-                   partition_function, population_along, whole_multiple)
+                   partition_function, whole_multiple)
 
 PROBABILITY_TOL = 1e-12
 
@@ -135,9 +135,9 @@ class ConditionalMatrix(Value):
     def __init__(self, p_up_given_up: float, p_up_given_down: float) -> None:
         self.__dict__.update(p_up_given_up=p_up_given_up,
                              p_up_given_down=p_up_given_down)
-        # Written so that NaN fails it.
-        if not all(-PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL
-                   for p in (self.p_up_given_up, self.p_up_given_down)):
+        # One chained comparison, both entries in [-TOL, 1 + TOL]; NaN fails it.
+        if not (-PROBABILITY_TOL <= p_up_given_up <= 1.0 + PROBABILITY_TOL
+                >= p_up_given_down >= -PROBABILITY_TOL):
             raise ValueError(f"probabilities outside [0, 1]: "
                              f"{self.p_up_given_up!r}, {self.p_up_given_down!r}")
 
@@ -174,18 +174,23 @@ def final_states(configs: Sequence[ProtocolConfig],
                        [pc.n_pulses for pc in configs])
     out = [[matvec3(tail, r) for r in rs]
            for tail, rs in zip(map(tail_rotation, configs), post)]
-    for r in (r for rs in out for r in rs):
-        check_bloch_vector(*r)
+    for x, y, z in (r for rs in out for r in rs):
+        if not x * x + y * y + z * z <= 1.0:  # as in pulse_train
+            check_bloch_vector(x, y, z)
     return out
 
 
 def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalMatrix]:
     """Transition probabilities between the bases at 0 and each config's t_f:
-    the ``final_states`` of the basis states, measured along the upper one."""
+    the ``final_states`` of the basis states, measured along the upper one
+    u as ``core.population_along`` does, 0.5 (1 + r . u), on the states
+    ``final_states`` has checked."""
     if not configs:
         return []
     basis = configs[0].drive.basis
-    return [ConditionalMatrix.from_upper_row(*(population_along(r, basis[0]) for r in rs))
+    ux, uy, uz = basis[0]
+    return [ConditionalMatrix(*(0.5 * (1.0 + (x * ux + y * uy + z * uz))
+                                for x, y, z in rs))
             for rs in final_states(configs, basis)]
 
 

@@ -525,7 +525,8 @@ def _conditional_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 
 def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     """Both starts' Bloch vectors at 16 times per pulse interval (and past the
-    last pulse), then at the end; ``post_pulse`` marks the pulse times n tau > 0."""
+    last pulse), then at the end; ``post_pulse`` marks the pulse times n tau > 0.
+    Only the last entry of ``t_f_grid`` is read: it is the end."""
     cfg = res.config
     header = ["t_f_ns", "n_pulses", "mode", "initial_state",
               "rx", "ry", "rz", "post_pulse"]

@@ -30,6 +30,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 BLOCH_CHECK = ["tests/test_protocol.py::TestPulseTrainBlochCheck"]
+READOUT_CHECK = ["tests/test_protocol.py::TestReadoutBlochCheck"]
+ROTATION_MEMO = ["tests/test_core.py::TestRotationBuilder::test_batch_memo_is_exact"]
 OFF_PERIOD_WALK = [
     "tests/test_sampled_sweep.py::test_off_period_phase_walk_equals_scalar_reference",
     "tests/test_sampled_sweep.py::test_off_period_walks_follow_the_exact_matrices",
@@ -42,6 +44,11 @@ _GUARDS = """\
             x, y, z = pulsed = pulse_step(x, y, z, pa, pd)
             if not x * x + y * y + z * z <= 1.0:
 """
+_MEMO = """\
+    memo = {a: _axis_angle(*axis, a) for a in set(angles) if a}
+    rotations = [memo[a] if a else _axis_angle(*axis, a) for a in angles]
+"""
+_READOUT_GUARD = "        if not x * x + y * y + z * z <= 1.0:  # as in pulse_train\n"
 
 # (name, file under src/qubitfr, old text, new text, tests that should kill it)
 CATALOG = [
@@ -67,6 +74,14 @@ CATALOG = [
     ("pulse_train guards blind to NaN", "protocol.py",
      _GUARDS, _GUARDS.replace("not x * x + y * y + z * z <= 1.0:",
                               "x * x + y * y + z * z > 1.0:"), BLOCH_CHECK),
+    ("rotation memo keyed on the angle to 9 decimals", "core.py",
+     _MEMO, _MEMO.replace("{a:", "{round(a, 9):").replace("memo[a]", "memo[round(a, 9)]"),
+     ROTATION_MEMO),
+    ("final_states guard widened to 1 + 1e-9", "protocol.py",
+     _READOUT_GUARD, _READOUT_GUARD.replace("<= 1.0:", "<= 1.0 + 1e-9:"), READOUT_CHECK),
+    ("final_states guard blind to NaN", "protocol.py",
+     _READOUT_GUARD, _READOUT_GUARD.replace("not x * x + y * y + z * z <= 1.0:",
+                                            "x * x + y * y + z * z > 1.0:"), READOUT_CHECK),
 ]
 
 

@@ -332,6 +332,13 @@ class TestRunScenario:
         assert all(abs(float(r["ry"])) < 1e-12 for r in rows
                    if r["initial_state"] == "up")
 
+    def test_bloch_rows_read_only_the_last_grid_time(self):
+        """The other entries of a bloch config's t_f_grid change no row."""
+        cfg = get_preset("fig2bcd")
+        assert len(cfg.t_f_grid) == 13 and cfg.t_f_grid[-1] == 4920.0
+        assert scenarios.table(scenarios.resolve(cfg)) == scenarios.table(
+            scenarios.resolve(with_overrides(cfg, t_f_grid=(4920.0,))))
+
     def test_energetics_first_law_column_is_tiny(self, tmp_path):
         cfg = with_overrides(get_preset("fig3a"),
                              t_f_grid=tuple(n * 205.0 for n in range(9)))

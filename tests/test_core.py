@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -346,6 +347,34 @@ class TestRotationBuilder:
         pair = re.escape(f"t0={times[k - 1]!r}, t1={times[k]!r}")
         with pytest.raises(ValueError, match=pair):
             core.bloch_rotations(drive, times)
+
+    @given(family=st.sampled_from(["amplitude", "phase"]),
+           period=st.floats(200.0, 2000.0),
+           pool=st.lists(st.floats(1.0, 3000.0), min_size=1, max_size=3),
+           steps=st.lists(st.tuples(st.sampled_from(["zero", "whole", "pool", "snap"]),
+                                    st.integers(0, 3)),
+                          min_size=1, max_size=40))
+    def test_batch_memo_is_exact(self, family, period, pool, steps):
+        """The per-call memo of axis rotations, keyed on the exact angle,
+        gives the bits of building each interval alone.  The times start
+        with the pair (0.0, -0.0), whose angle is -0.0, and then step by
+        zero, by whole periods, by lengths drawn from a pool of at most
+        three (so lengths repeat, at whole and off-period endpoints and
+        with angles that differ in their last bits), or to the next whole
+        period."""
+        drive, _ = drive_with_period(family, period, None)
+        times = [0.0, -0.0]
+        for kind, k in steps:
+            t = times[-1]
+            times.append({"zero": t, "whole": t + (k + 1) * period,
+                          "pool": t + pool[k % len(pool)],
+                          "snap": (math.floor(t / period) + 1) * period}[kind])
+        pack = struct.Struct("<9d").pack
+        batch = core.bloch_rotations(drive, times)
+        assert len(batch) == len(times) - 1
+        for rot, t0, t1 in zip(batch, times, times[1:]):
+            assert pack(*sum(rot, ())) == pack(*sum(bloch_rotation(drive, t0, t1), ())), \
+                (t0, t1)
 
     def test_matrices_are_read_only_and_repeatable(self):
         first = core._axis_angle(0.6, 0.0, -0.8, 2.0)

@@ -18,8 +18,9 @@ from qubitfr.oracle import population_after_n_pulses
 from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, beta_reservoir,
                               conditional_fixed_point, conditional_matrices,
                               conditional_matrix, energy_change_distribution,
-                              fr_functional, fr_target, initial_probabilities,
-                              mean, pulse_train, pulses_applied)
+                              final_states, fr_functional, fr_target,
+                              initial_probabilities, mean, pulse_train,
+                              pulses_applied)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -277,6 +278,38 @@ class TestPulseTrainBlochCheck:
         starts = [np.array([norm, 0.0, 0.0]), np.array([0.0, 0.0, -norm])]
         post = pulse_train(config, starts, [config.n_pulses])
         assert len(post[0]) == 2
+
+
+def zero_pulse_config(upper):
+    """A config at t_f = 0, where ``pulse_train`` steps and checks nothing,
+    whose amplitude drive measures along ``upper``, unchecked, so that
+    ``conditional_matrices`` starts from it."""
+    basis = (upper, tuple(-x for x in upper))
+    drive = type("Measured", (AmplitudeModulatedDrive,), {"basis": basis})(OMEGA0_A, 616.0)
+    return ProtocolConfig(drive, PulseChannelParams(0.25, 0.0), 410.0, 0,
+                          ThermalContext(0.0), t_f=0.0)
+
+
+class TestReadoutBlochCheck:
+    """``final_states`` checks each state it returns behind the squared-norm
+    guard ``pulse_train`` uses; at zero pulses that check is the only one.
+    A rejected state must fail it, not ``ConditionalMatrix``'s range test."""
+
+    @pytest.mark.parametrize("upper", [(1.0 + 1e-10, 0.0, 0.0), (math.nan, 0.0, 0.0)],
+                             ids=["just_outside_the_tolerance", "nan"])
+    def test_bad_start_rejected(self, upper):
+        """Norm 1 + 1e-10 has a square within 1e-9 of 1, so a guard widened
+        to 1 + 1e-9 skips the check, and a guard written as > 1 skips NaN."""
+        config = zero_pulse_config(upper)
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            final_states([config], [upper])
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            conditional_matrices([config])
+
+    def test_start_of_norm_one_accepted(self):
+        config = zero_pulse_config((1.0, 0.0, 0.0))
+        assert final_states([config], [(0.0, 0.0, -1.0)]) == [[(0.0, 0.0, -1.0)]]
+        assert conditional_matrices([config]) == [ConditionalMatrix(1.0, 0.0)]
 
 
 class TestAtoms:
