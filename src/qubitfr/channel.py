@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .core import (BLOCH_NORM_TOL, IDENTITY3, DriveSpec, Matrix3, Value, Vector,
-                   bloch_rotation, matvec3, population_along)
+                   bloch_rotation, matvec3)
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 # Largest |plateau - target| an inverted pump may leave (presets: 3.5e-16).
@@ -99,7 +99,8 @@ def stationary_upper_population(drive: DriveSpec, params: PulseChannelParams,
         raise DegenerateChannelError(  # NaN fails too
             f"{channel}: the fixed point has residual {residual:.3e} (at most "
             f"{FIXED_POINT_RESIDUAL_TOL:.0e}) and norm {norm!r} (at most 1)")
-    return population_along(r, drive.basis[0])
+    ux, uy, uz = drive.basis[0]
+    return 0.5 * (1.0 + (r[0] * ux + r[1] * uy + r[2] * uz))
 
 
 def invert_pump_probability(drive: DriveSpec, p_absorb: float, tau: float,

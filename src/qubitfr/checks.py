@@ -224,7 +224,7 @@ def check_oracle_equivalence(tables: dict) -> CheckResult:
             rx = [rs[0][0] for rs in post]
             energy = drive.level(0.0) * rx[0]
             work = heat = 0.0
-            mean_w, mean_q = oracle.work_heat_series_amplitude(pc)
+            [(mean_w, mean_q)] = oracle.work_heat_series_amplitude([pc])
             for n in range(1, 51):
                 level = drive.level(n * tau)  # the same across pulse n
                 e_before = level * rx[n - 1]

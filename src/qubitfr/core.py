@@ -56,15 +56,6 @@ def check_bloch_vector(rx: float, ry: float, rz: float) -> None:
                          f"has norm {n!r}, outside the unit ball")
 
 
-def population_along(r, axis: tuple[float, float, float]) -> float:
-    """Weight (1 + r . u)/2 = Tr[rho |u><u|] of Bloch vector r on the pure
-    state with unit Bloch vector u = ``axis``; ValueError unless |r| <= 1."""
-    rx, ry, rz = (float(v) for v in r)
-    check_bloch_vector(rx, ry, rz)
-    ux, uy, uz = axis
-    return 0.5 * (1.0 + (rx * ux + ry * uy + rz * uz))
-
-
 class Value:
     """Immutable record.  Each subclass's ``__init__`` sets its fields in
     order with one ``self.__dict__.update``, then validates them.  Records

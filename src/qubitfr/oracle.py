@@ -8,23 +8,25 @@ rises).
 The fixed-axis (amplitude) family is exactly solvable: each pulse pulls
 the measured population toward 1/2 by a factor (1 - p_absorb) and the
 drive never mixes populations, so the mean work and heat are sums of
-geometric per-pulse terms.  The rotating (phase) family admits a
-one-pulse population recursion built on the pulse-strength factor
-k = 1 - (1 - p_pump) cos^2(alpha), the projective reading: its rate
-1 - p_absorb k sits within 0.007 of the slow eigenvalue of the
-one-period map on the fig5b-d presets (0.8080 vs 0.8058, 0.8607 vs
-0.8598, 0.9383 vs 0.9446).  The recursion is still not exact, because
-coherences survive between pulses; criterion 5 of ``checks`` measures
-the gap against the rows ``run`` writes instead of assuming it zero.
+geometric per-pulse terms, evaluated once per sweep.  The rotating
+(phase) family admits a one-pulse population recursion built on the
+pulse-strength factor k = 1 - (1 - p_pump) cos^2(alpha), the projective
+reading: its rate 1 - p_absorb k sits within 0.007 of the slow
+eigenvalue of the one-period map on the fig5b-d presets (0.8080 vs
+0.8058, 0.8607 vs 0.8598, 0.9383 vs 0.9446).  The recursion is still not
+exact, because coherences survive between pulses; criterion 5 of
+``checks`` measures the gap against the rows ``run`` writes instead of
+assuming it zero.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
                    free_energy_delta, gibbs_population)
-from .protocol import ProtocolConfig
+from .protocol import ProtocolConfig, sweep_longest
 
 
 def population_after_n_pulses(p0: float, p_absorb: float, n: int) -> float:
@@ -42,28 +44,33 @@ def population_after_n_pulses(p0: float, p_absorb: float, n: int) -> float:
     return 0.5 * (1.0 - (1.0 - p_absorb) ** n * (1.0 - 2.0 * p0))
 
 
-def work_heat_series_amplitude(config: ProtocolConfig) -> tuple[float, float]:
-    """Exact (mean work, mean heat) of the fixed-axis drive up to config.t_f.
+def work_heat_series_amplitude(
+        configs: Sequence[ProtocolConfig]) -> list[tuple[float, float]]:
+    """Exact (mean work, mean heat) of the fixed-axis drive up to each t_f of
+    a sweep whose configs share drive, channel, tau and thermal context.
 
-    Work accrues between pulses while the populations sit still; pulse n
-    contributes heat (omega(n tau)/2) p_absorb (1-p_absorb)^(n-1) (1-2P(0)).
-    A partial interval after the last pulse contributes only work.
+    Work accrues while the populations sit still, between pulses and on each
+    config's tail after the last one; pulse n adds heat (omega(n tau)/2)
+    p_absorb (1-p_absorb)^(n-1) (1-2P(0)).  Each pulse's terms are evaluated
+    once, and ``math.fsum`` sums the first n once per distinct pulse count n.
     """
-    drive = config.drive
+    longest = sweep_longest(configs)
+    drive, tau, pa = longest.drive, longest.tau, longest.channel.p_absorb
     if not isinstance(drive, AmplitudeModulatedDrive):
         raise TypeError("work/heat series requires the fixed-axis drive")
-    t_f, tau, n_pulses = config.t_f, config.tau, config.n_pulses
-    pa = config.channel.p_absorb
-    d0 = 1.0 - 2.0 * gibbs_population(config.thermal.beta, drive, 0.0)
-
-    per_w = math.fsum(0.5 * (drive.omega((n - 1) * tau) - drive.omega(n * tau))
-                      * (1.0 - pa) ** (n - 1) * d0
-                      for n in range(1, n_pulses + 1))
-    per_q = math.fsum(0.5 * drive.omega(n * tau) * pa * (1.0 - pa) ** (n - 1) * d0
-                      for n in range(1, n_pulses + 1))
-    tail = -0.5 * (1.0 - pa) ** n_pulses * d0 * (drive.omega(t_f)
-                                                 - drive.omega(n_pulses * tau))
-    return per_w + tail, per_q
+    if any(pc.thermal != longest.thermal for pc in configs):
+        raise ValueError("a sweep's configs must share the thermal context")
+    d0 = 1.0 - 2.0 * gibbs_population(longest.thermal.beta, drive, 0.0)
+    omegas = [drive.omega(n * tau) for n in range(longest.n_pulses + 1)]
+    per_w = [0.5 * (omegas[n - 1] - omegas[n]) * (1.0 - pa) ** (n - 1) * d0
+             for n in range(1, len(omegas))]
+    per_q = [0.5 * omegas[n] * pa * (1.0 - pa) ** (n - 1) * d0
+             for n in range(1, len(omegas))]
+    counts = [pc.n_pulses for pc in configs]
+    sums = {n: (math.fsum(per_w[:n]), math.fsum(per_q[:n])) for n in set(counts)}
+    tails = [-0.5 * (1.0 - pa) ** n * d0 * (drive.omega(pc.t_f) - omegas[n])
+             for pc, n in zip(configs, counts)]
+    return [(sums[n][0] + tail, sums[n][1]) for n, tail in zip(counts, tails)]
 
 
 def k_factor(p_pump: float, alpha: float) -> float:

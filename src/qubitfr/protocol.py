@@ -183,8 +183,7 @@ def final_states(configs: Sequence[ProtocolConfig],
 def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalMatrix]:
     """Transition probabilities between the bases at 0 and each config's t_f:
     the ``final_states`` of the basis states, measured along the upper one
-    u as ``core.population_along`` does, 0.5 (1 + r . u), on the states
-    ``final_states`` has checked."""
+    u as 0.5 (1 + r . u), on the states ``final_states`` has checked."""
     if not configs:
         return []
     basis = configs[0].drive.basis

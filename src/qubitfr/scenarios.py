@@ -67,12 +67,12 @@ INSTALL_MC = "install the mc extra: pip install 'qubitfr[mc]'"
 # Admits every preset (at most 50 pulses) and 500-pulse sweeps.
 MAX_PULSES = 1000
 # A run's time and memory are linear in the grid length: 500x the longest
-# preset grid (fig5a, 200 points).
+# preset grid (fig5a, 200 points), each kind under 6 s on a 2-vCPU host.
 MAX_GRID_POINTS = 10**5
 # Caps a run's sampling work, one walk to the largest sampled pulse count:
-# 2 x n_trajectories x (that count + the number of sampled points).  107x
-# the largest preset, fig5a with mc_grid "all" at the default count (4.0e7).
-MAX_SAMPLED_STEPS = 2**32
+# 2 x n_trajectories x (that count + the number of sampled points).  Within
+# 10 s: fig5d's drive at 1,000 pulses takes 6.3 s on a 2-vCPU host (2**28: 12.8 s).
+MAX_SAMPLED_STEPS = 2**27
 # exp overflows past log(float max), about 709.78: the limit on beta dE in
 # the Gibbs weights and (beta - beta_r) dE in the fluctuation functional.
 MAX_EXP_ARG = math.log(sys.float_info.max)
@@ -554,10 +554,12 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     if isinstance(res.drive, AmplitudeModulatedDrive):
         columns = ["mean_delta_e", "mean_work", "mean_heat", "work_plus_heat",
                    "delta_f", "first_law_residual", "err_mean_delta_e"]
+        series = dict(zip(cfg.t_f_grid, oracle.work_heat_series_amplitude(
+            [res.protocol_at(t_f) for t_f in cfg.t_f_grid])))
 
         def row(t_f, pc, cm, stats):
             mean_de, err = mean_energy(pc, cm, stats)
-            w, q = oracle.work_heat_series_amplitude(pc)
+            w, q = series[t_f]
             df = free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta else 0.0
             residual = mean_de - (w + q)
             return [mean_de / w0, w / w0, q / w0, (w + q) / w0, df / w0,

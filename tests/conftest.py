@@ -1,5 +1,6 @@
-"""Test-suite settings, a fixture that counts the drive rotations a run
-builds, and the preset tables the acceptance checks read.
+"""Test-suite settings, fixtures that count the drive rotations a run
+builds and the fixed-axis drive's rate evaluations, and the preset tables
+the acceptance checks read.
 
 Hypothesis runs derandomized with a bounded example count and no example
 database, so every run of the suite draws the same cases and writes no
@@ -9,7 +10,7 @@ files; property tests that propagate long pulse trains get no deadline.
 import pytest
 from hypothesis import settings
 
-from qubitfr import checks, protocol
+from qubitfr import checks, core, protocol
 
 settings.register_profile("qubitfr", derandomize=True, deadline=None,
                           max_examples=40, database=None)
@@ -36,6 +37,21 @@ def rotations_built(monkeypatch):
     monkeypatch.setattr(protocol, "bloch_rotation", one)
     monkeypatch.setattr(protocol, "bloch_rotations", batch)
     return built
+
+
+@pytest.fixture
+def omega_calls(monkeypatch):
+    """A list that gets the time of each ``AmplitudeModulatedDrive.omega``
+    call, the fixed-axis drive's rate."""
+    calls = []
+    real = core.AmplitudeModulatedDrive.omega
+
+    def omega(self, t):
+        calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(core.AmplitudeModulatedDrive, "omega", omega)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BLOCH_CHECK = ["tests/test_protocol.py::TestPulseTrainBlochCheck"]
 READOUT_CHECK = ["tests/test_protocol.py::TestReadoutBlochCheck"]
 ROTATION_MEMO = ["tests/test_core.py::TestRotationBuilder::test_batch_memo_is_exact"]
+WORK_HEAT_SWEEP = ["tests/test_sweep.py::test_work_heat_sweep_equals_per_config_reference"]
 OFF_PERIOD_WALK = [
     "tests/test_sampled_sweep.py::test_off_period_phase_walk_equals_scalar_reference",
     "tests/test_sampled_sweep.py::test_off_period_walks_follow_the_exact_matrices",
@@ -49,6 +50,7 @@ _MEMO = """\
     rotations = [memo[a] if a else _axis_angle(*axis, a) for a in angles]
 """
 _READOUT_GUARD = "        if not x * x + y * y + z * z <= 1.0:  # as in pulse_train\n"
+_TAIL = "(1.0 - pa) ** n * d0 * (drive.omega(pc.t_f) - omegas[n])"
 
 # (name, file under src/qubitfr, old text, new text, tests that should kill it)
 CATALOG = [
@@ -82,6 +84,11 @@ CATALOG = [
     ("final_states guard blind to NaN", "protocol.py",
      _READOUT_GUARD, _READOUT_GUARD.replace("not x * x + y * y + z * z <= 1.0:",
                                             "x * x + y * y + z * z > 1.0:"), READOUT_CHECK),
+    ("work/heat prefix sums one pulse short", "oracle.py",
+     "math.fsum(per_w[:n])", "math.fsum(per_w[:n - 1])", WORK_HEAT_SWEEP),
+    ("work/heat tail takes the longest config's pulse count", "oracle.py",
+     _TAIL, _TAIL.replace("[n]", "[longest.n_pulses]").replace(
+         "** n ", "** longest.n_pulses "), WORK_HEAT_SWEEP),
 ]
 
 

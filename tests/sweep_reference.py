@@ -13,6 +13,11 @@ and of the pulse and product arithmetic itself.  Its Bloch vectors are
 local float triples (``triple``), and ``upper_population`` is its own copy
 of the package's measurement arithmetic.
 
+``work_heat_series_amplitude`` is the per-config work and heat series
+of the fixed-axis drive as the package evaluated it before a sweep shared
+its pulse terms: every config sums its own terms from pulse 1, so the
+sweep form must match it bit for bit.
+
 ``axis_angle`` and ``bloch_rotation`` are the numpy array-expression
 rotation builder the package used before it built each matrix element by
 element; the element-wise builder must match them bit for bit.  Their
@@ -26,7 +31,8 @@ import math
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr.core import AmplitudeModulatedDrive, _rot_z, phase_integral, whole_multiple
+from qubitfr.core import (AmplitudeModulatedDrive, _rot_z, gibbs_population,
+                          phase_integral, whole_multiple)
 from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, segment_rotations,
                               tail_rotation)
 
@@ -130,3 +136,22 @@ def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
     cols = [upper_population(propagate_mean(config, initial), up)
             for initial in (up, down)]
     return ConditionalMatrix.from_upper_row(cols[0], cols[1])
+
+
+def work_heat_series_amplitude(config: ProtocolConfig) -> tuple[float, float]:
+    """Exact (mean work, mean heat) of the fixed-axis drive up to config.t_f:
+    pulse n's work and heat terms summed with ``math.fsum`` from n = 1, and
+    the work of the partial interval after the last pulse added."""
+    drive = config.drive
+    t_f, tau, n_pulses = config.t_f, config.tau, config.n_pulses
+    pa = config.channel.p_absorb
+    d0 = 1.0 - 2.0 * gibbs_population(config.thermal.beta, drive, 0.0)
+
+    per_w = math.fsum(0.5 * (drive.omega((n - 1) * tau) - drive.omega(n * tau))
+                      * (1.0 - pa) ** (n - 1) * d0
+                      for n in range(1, n_pulses + 1))
+    per_q = math.fsum(0.5 * drive.omega(n * tau) * pa * (1.0 - pa) ** (n - 1) * d0
+                      for n in range(1, n_pulses + 1))
+    tail = -0.5 * (1.0 - pa) ** n_pulses * d0 * (drive.omega(t_f)
+                                                 - drive.omega(n_pulses * tau))
+    return per_w + tail, per_q

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dmtools
+from qubitfr import channel
 from qubitfr.channel import (DegenerateChannelError, PulseChannelParams,
                              invert_pump_probability, pulse_step,
                              stationary_upper_population)
@@ -98,6 +99,25 @@ class TestFixedPoint:
         with pytest.raises(DegenerateChannelError):
             stationary_upper_population(phase_drive(616.0),
                                         PulseChannelParams(0.0, 0.5), 616.0)
+
+    def test_fixed_point_outside_the_ball_raises(self, monkeypatch):
+        # A period map with no linear part has the fixed point (0, 0, b_z),
+        # whose residual is 0 for finite b_z, so the norm check rejects it;
+        # inside the ball it reads 0.5 (1 + r . u), u the measured up-axis.
+        drive = phase_drive(616.0)
+        params = PulseChannelParams(0.25, 0.5)
+        zero = ((0.0,) * 3,) * 3
+        for bz in (1.0 + 1e-9, -1.5, math.nan):
+            monkeypatch.setattr(channel, "period_map",
+                                lambda *args, bz=bz: (zero, (0.0, 0.0, bz)))
+            with pytest.raises(DegenerateChannelError, match="norm"):
+                stationary_upper_population(drive, params, 616.0)
+        ux, uy, uz = drive.basis[0]
+        for bz in (1.0, -0.3):
+            monkeypatch.setattr(channel, "period_map",
+                                lambda *args, bz=bz: (zero, (0.0, 0.0, bz)))
+            assert stationary_upper_population(drive, params, 616.0) == \
+                0.5 * (1.0 + (0.0 * ux + 0.0 * uy + bz * uz))
 
     def test_stronger_pump_lowers_upper_population(self):
         drive = phase_drive(616.0)

@@ -17,7 +17,7 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, bloch_rotation, check_bloch_vector,
                           free_energy_delta, gibbs_population, matmul3, matvec3,
-                          partition_function, phase_integral, population_along)
+                          partition_function, phase_integral)
 from qubitfr.protocol import ProtocolConfig
 
 OMEGA0_A = math.pi / 616.0
@@ -89,30 +89,6 @@ class TestBlochVector:
             check_bloch_vector(1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             check_bloch_vector(float("nan"), 0.0, 0.0)
-
-    def test_population_along_checks_the_vector(self):
-        assert population_along([0.6, 0.0, 0.8], (0.0, 0.0, 1.0)) == \
-            pytest.approx(0.9)
-        with pytest.raises(ValueError):
-            population_along(np.array([1.0, 0.0, 0.1]), (0.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            population_along((float("nan"), 0.0, 0.0), (1.0, 0.0, 0.0))
-
-    def test_population_along_matches_trace_formula(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            r = random_bloch(rng)
-            u = random_bloch(rng, pure=True)
-            rho = dmtools.rho_from_bloch(r)
-            proj = dmtools.rho_from_bloch(u)  # pure state projector
-            expected = np.trace(rho @ proj).real
-            got = population_along(r, tuple(u.tolist()))
-            assert got == pytest.approx(expected, abs=1e-14)
-
-    def test_poles(self):
-        north, south = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
-        assert population_along(north, north) == pytest.approx(1.0)
-        assert population_along(north, south) == pytest.approx(0.0)
 
 
 class TestDriveSpecs:

@@ -60,7 +60,7 @@ class TestWorkHeatSeries:
         tau = 410.0
         t_f = n_pulses * tau + tail
         pc = amplitude_config(tau=tau, n_pulses=n_pulses, t_f=t_f)
-        mean_w, mean_q = work_heat_series_amplitude(pc)
+        [(mean_w, mean_q)] = work_heat_series_amplitude([pc])
 
         ham = lambda t: dmtools.ham_amplitude(OMEGA0_A, 616.0, t)
         rho = expm(-BETA_A * ham(0.0))
@@ -90,11 +90,11 @@ class TestWorkHeatSeries:
 
     def test_rejects_rotating_drive(self):
         with pytest.raises(TypeError):
-            work_heat_series_amplitude(phase_config())
+            work_heat_series_amplitude([phase_config()])
 
     def test_no_pulses_is_pure_work(self):
         pc = amplitude_config(tau=410.0, n_pulses=0, t_f=200.0)
-        mean_w, mean_q = work_heat_series_amplitude(pc)
+        [(mean_w, mean_q)] = work_heat_series_amplitude([pc])
         assert mean_q == 0.0
         mean_sx = 2.0 * gibbs_population(BETA_A, pc.drive, 0.0) - 1.0
         expected = 0.5 * (pc.drive.omega(200.0) - pc.drive.omega(0.0)) * mean_sx

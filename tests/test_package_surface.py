@@ -148,7 +148,7 @@ def test_no_module_imports_a_private_name_from_another():
 # rotations and pulse arithmetic they are built from.
 ENGINE = {"pulse_train", "conditional_matrix", "conditional_matrices",
           "segment_rotations", "tail_rotation", "bloch_rotation", "matvec3",
-          "pulse_step", "period_map", "population_along"}
+          "pulse_step", "period_map"}
 
 
 # What a sweep's states are composed from: only ``protocol`` turns a sweep

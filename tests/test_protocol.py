@@ -12,8 +12,7 @@ import sweep_reference
 from qubitfr import scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          ThermalContext, gibbs_population, partition_function,
-                          population_along)
+                          ThermalContext, gibbs_population, partition_function)
 from qubitfr.oracle import population_after_n_pulses
 from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, beta_reservoir,
                               conditional_fixed_point, conditional_matrices,
@@ -222,7 +221,7 @@ class TestMeanPropagation:
         up = AmplitudeModulatedDrive(OMEGA0_A, 616.0).basis[0]
         for n, (t_n, state) in enumerate(snaps):
             assert t_n == pytest.approx(n * 410.0)
-            pop = population_along(state, up)
+            pop = sweep_reference.upper_population(state, up)
             assert pop == pytest.approx(
                 population_after_n_pulses(1.0, 0.25, n), abs=1e-14)
 

@@ -1,19 +1,22 @@
 """The shared pulse train of a deterministic sweep against the per-point
 reference walker in ``sweep_reference``: exact equality on presets and on
 generated sweeps, the rotation count of a sweep, and mixed-sweep errors
-(also of the sampled sweep, ``run_ensembles``)."""
+(also of the sampled sweep, ``run_ensembles``, and of the fixed-axis work
+and heat series, whose sweep form must equal the per-config reference bit
+for bit and evaluate the drive's rate O(grid + pulses) times)."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sweep_reference
 from qubitfr import core, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
 from qubitfr.montecarlo import run_ensembles
+from qubitfr.oracle import work_heat_series_amplitude
 from qubitfr.protocol import ProtocolConfig, conditional_matrices, pulses_applied
 
 OMEGA0_A = math.pi / 616.0
@@ -148,9 +151,78 @@ def test_mixed_sweeps_are_rejected(change):
                   n_pulses=pcs[1].n_pulses, thermal=pcs[1].thermal, t_f=pcs[1].t_f)
     fields.update(change)
     mixed = [pcs[0], ProtocolConfig(**fields), pcs[2]]
-    for sweep in (conditional_matrices, lambda pcs: run_ensembles(pcs, 10, 0)):
+    for sweep in (conditional_matrices, lambda pcs: run_ensembles(pcs, 10, 0),
+                  work_heat_series_amplitude):
         with pytest.raises(ValueError, match="share drive, channel and tau"):
             sweep(mixed)
+
+
+def test_work_heat_sweep_with_mixed_thermal_contexts_is_rejected():
+    """The series reads beta once per sweep, so all configs must share it."""
+    pcs = preset_sweep("fig3a")[:3]
+    for thermal in (ThermalContext(-pcs[1].thermal.beta),
+                    ThermalContext(pcs[1].thermal.beta, 0.5)):
+        mixed = [pcs[0], ProtocolConfig(pcs[1].drive, pcs[1].channel, pcs[1].tau,
+                                        pcs[1].n_pulses, thermal, t_f=pcs[1].t_f),
+                 pcs[2]]
+        with pytest.raises(ValueError, match="thermal context"):
+            work_heat_series_amplitude(mixed)
+
+
+def result_reprs(pairs):
+    """repr of each (mean work, mean heat): unlike ==, it tells 0.0 from -0.0."""
+    return [(repr(w), repr(q)) for w, q in pairs]
+
+
+@given(tau=st.floats(50.0, 2000.0),
+       drive_period=st.none() | st.floats(200.0, 2000.0),
+       p_absorb=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       beta_sign=st.sampled_from([1.0, -1.0]),
+       beta_exponent=st.floats(-6.0, math.log10(50.0)),
+       points=st.lists(st.tuples(st.integers(0, 60),
+                                 st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)),
+                       min_size=1, max_size=12),
+       zero_pulse_frac=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999))
+def test_work_heat_sweep_equals_per_config_reference(tau, drive_period, p_absorb,
+                                                     beta_sign, beta_exponent,
+                                                     points, zero_pulse_frac):
+    """Generated sweeps in drawn order, with the first time repeated and a
+    0-pulse point added; beta omega0 of either sign from 1e-6 to 50."""
+    drive = AmplitudeModulatedDrive(OMEGA0_A, tau if drive_period is None
+                                    else drive_period)
+    thermal = ThermalContext(beta_sign * 10.0 ** beta_exponent / OMEGA0_A)
+    channel = PulseChannelParams(p_absorb, 0.0)
+    grid = [(n + frac) * tau for n, frac in points + points[:1]]
+    grid.append(zero_pulse_frac * tau)
+    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau), thermal,
+                          t_f=t_f) for t_f in grid]
+    assert pcs[-1].n_pulses == 0
+    assert result_reprs(work_heat_series_amplitude(pcs)) == result_reprs(
+        map(sweep_reference.work_heat_series_amplitude, pcs))
+
+
+# Rate evaluations per grid point of an amplitude energetics table: one for
+# each config's tail, two for its energy levels, two for its Gibbs weights
+# and two for its free-energy change.  The pulse terms add one per pulse.
+OMEGA_CALLS_PER_POINT = 8
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(points=st.integers(50, 300), pulses=st.integers(20, 200),
+       tau=st.floats(10.0, 600.0),
+       end_frac=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999))
+def test_energetics_table_evaluates_the_rate_linearly(omega_calls, points, pulses,
+                                                      tau, end_frac):
+    """An amplitude energetics table evaluates the drive's rate
+    O(grid + pulses) times, not once per pulse again at every grid point;
+    its grid times fall on pulse times and between them."""
+    cfg = scenarios.with_overrides(
+        scenarios.get_preset("fig3b"), tau=tau, mode="deterministic",
+        t_f_grid=scenarios.linspace(0.0, (pulses + end_frac) * tau, points))
+    res = scenarios.resolve(cfg)
+    omega_calls.clear()
+    scenarios.table(res)
+    assert 0 < len(omega_calls) <= OMEGA_CALLS_PER_POINT * (points + pulses)
 
 
 def test_empty_sweep():
