@@ -33,18 +33,13 @@ its one-interval case.
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
 from collections.abc import Sequence
 
 BLOCH_NORM_TOL = 1e-12
 
 # Relative slack used to recognise a time as a whole multiple of a period.
 WHOLE_MULTIPLE_RTOL = 1e-9
-
-# Cache key of a rotation: the bits of (kx, ky, kz, angle).
-_ROTATION_KEY = struct.Struct("<4d")
 
 
 def check_bloch_vector(rx: float, ry: float, rz: float) -> None:
@@ -212,22 +207,12 @@ def matmul3(a: Matrix3, b: Matrix3) -> Matrix3:
 def _axis_angle(kx: float, ky: float, kz: float, angle: float) -> Matrix3:
     """Rodrigues rotation matrix about the unit axis (kx, ky, kz).
 
-    Memoized on the bit patterns of the four floats (0.0 and -0.0 compare
-    equal but give different signed zeros in the matrix), so a sweep
-    builds each distinct rotation once.
+    Element (i, j) is (c I_ij + s K_ij) + (1 - c) k_i k_j, K the cross-product
+    matrix, in that order and with the zero terms kept, so every bit
+    (signed zeros included) matches the array expression
+    c * eye(3) + s * K + (1 - c) * outer(k, k).  Nothing is cached here;
+    ``bloch_rotations`` builds each distinct angle once per call.
     """
-    return _rodrigues(_ROTATION_KEY.pack(kx, ky, kz, angle))
-
-
-# A sweep needs one rotation per distinct angle: a few per period and one
-# tail per grid point; the four 500-pulse sweeps of the benchmark fit.
-@functools.lru_cache(maxsize=2048)
-def _rodrigues(key: bytes) -> Matrix3:
-    # Element (i, j) is (c I_ij + s K_ij) + (1 - c) k_i k_j, K the cross-product
-    # matrix, in that order and with the zero terms kept, so every bit
-    # (signed zeros included) matches the array expression
-    # c * eye(3) + s * K + (1 - c) * outer(k, k).
-    kx, ky, kz, angle = _ROTATION_KEY.unpack(key)
     c, s = math.cos(angle), math.sin(angle)
     t = 1.0 - c
     c0, s0 = c * 0.0, s * 0.0
@@ -274,10 +259,10 @@ def bloch_rotations(drive: DriveSpec, times: Sequence[float]) -> list[Matrix3]:
     else:
         axis, gap = drive.basis[0], drive.gap
         angles = [gap * (t1 - t0) for t0, t1 in zip(times, times[1:])]
-    # Keyed on the exact angle.  +0.0 and -0.0 are one dict key, so a zero
-    # angle skips the memo and goes to _axis_angle, which keys on bits.
-    memo = {a: _axis_angle(*axis, a) for a in set(angles) if a}
-    rotations = [memo[a] if a else _axis_angle(*axis, a) for a in angles]
+    # Keyed on the exact angle.  +0.0 and -0.0 are one key, which is exact:
+    # both build the identity with every off-diagonal element +0.0.
+    memo = {a: _axis_angle(*axis, a) for a in set(angles)}
+    rotations = [memo[a] for a in angles]
     if isinstance(drive, AmplitudeModulatedDrive):
         return rotations
     theta, tau = drive.theta, drive.tau_theta
@@ -307,9 +292,26 @@ def gibbs_population(beta: float, drive: DriveSpec, t: float) -> float:
 
 
 def free_energy_delta(beta: float, drive: DriveSpec, t_f: float) -> float:
-    """Equilibrium free-energy change -ln(Z(t_f)/Z(0))/beta between 0 and t_f."""
+    """Equilibrium free-energy change -ln(Z(t_f)/Z(0))/beta between 0 and t_f.
+
+    The log ratio ln(cosh a / cosh b), a = beta level(t_f) and b = beta
+    level(0), is taken without cancellation: a - b is beta times the
+    difference of the levels.  For |a|, |b| <= 1 it is log1p(2 sinh((a+b)/2)
+    sinh((a-b)/2) / cosh b), exact to O(beta^2) where the ratio is near 1;
+    above, it is ln cosh |a| - ln cosh |b| written as |a| - |b| plus
+    log1p((e^-2|a| - e^-2|b|) / (1 + e^-2|b|)), which cannot overflow.
+    """
     if beta == 0.0:
         raise ValueError("free energy difference is undefined at beta = 0")
-    z0 = partition_function(beta, drive, 0.0)
-    zf = partition_function(beta, drive, t_f)
-    return -math.log(zf / z0) / beta
+    lf, l0 = drive.level(t_f), drive.level(0.0)
+    a, b = abs(beta * lf), abs(beta * l0)
+    if max(a, b) <= 1.0:
+        log_ratio = math.log1p(2.0 * math.sinh(0.5 * beta * (lf + l0))
+                               * math.sinh(0.5 * beta * (lf - l0)) / math.cosh(b))
+    else:
+        edge = abs(beta) * (abs(lf) - abs(l0))  # |a| - |b|
+        # e^-2|a| - e^-2|b| = sign(edge) e^-2 min(|a|, |b|) expm1(-2 |edge|)
+        log_ratio = edge + math.log1p(
+            math.copysign(math.exp(-2.0 * min(a, b)), edge)
+            * math.expm1(-2.0 * abs(edge)) / (1.0 + math.exp(-2.0 * b)))
+    return -log_ratio / beta

@@ -33,6 +33,10 @@ BLOCH_CHECK = ["tests/test_protocol.py::TestPulseTrainBlochCheck"]
 READOUT_CHECK = ["tests/test_protocol.py::TestReadoutBlochCheck"]
 ROTATION_MEMO = ["tests/test_core.py::TestRotationBuilder::test_batch_memo_is_exact"]
 WORK_HEAT_SWEEP = ["tests/test_sweep.py::test_work_heat_sweep_equals_per_config_reference"]
+FREE_ENERGY = [
+    "tests/test_identities.py::test_jensen_at_every_temperature_scale",
+    "tests/test_identities.py::test_free_energy_delta_against_a_60_digit_reference",
+]
 OFF_PERIOD_WALK = [
     "tests/test_sampled_sweep.py::test_off_period_phase_walk_equals_scalar_reference",
     "tests/test_sampled_sweep.py::test_off_period_walks_follow_the_exact_matrices",
@@ -46,8 +50,8 @@ _GUARDS = """\
             if not x * x + y * y + z * z <= 1.0:
 """
 _MEMO = """\
-    memo = {a: _axis_angle(*axis, a) for a in set(angles) if a}
-    rotations = [memo[a] if a else _axis_angle(*axis, a) for a in angles]
+    memo = {a: _axis_angle(*axis, a) for a in set(angles)}
+    rotations = [memo[a] for a in angles]
 """
 _READOUT_GUARD = "        if not x * x + y * y + z * z <= 1.0:  # as in pulse_train\n"
 _TAIL = "(1.0 - pa) ** n * d0 * (drive.omega(pc.t_f) - omegas[n])"
@@ -89,6 +93,11 @@ CATALOG = [
     ("work/heat tail takes the longest config's pulse count", "oracle.py",
      _TAIL, _TAIL.replace("[n]", "[longest.n_pulses]").replace(
          "** n ", "** longest.n_pulses "), WORK_HEAT_SWEEP),
+    ("delta_f as the cancelling log of Z(t_f)/Z(0)", "core.py",
+     "    return -log_ratio / beta\n",
+     "    return -math.log(partition_function(beta, drive, t_f)\n"
+     "                     / partition_function(beta, drive, 0.0)) / beta\n",
+     FREE_ENERGY),
 ]
 
 

@@ -1,13 +1,16 @@
 """The acceptance identities on generated configs, read from the rows that
 ``run`` writes (``scenarios.table``) wherever a CSV carries the number,
-rather than from a second copy of the formula.  The Hypothesis profile in
+rather than from a second copy of the formula, and ``free_energy_delta``
+against a 60-digit ``mpmath`` reference.  The Hypothesis profile in
 ``conftest.py`` draws the same cases on every run."""
 
 import math
 
-from hypothesis import assume, event, given, settings, strategies as st
+import mpmath
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from qubitfr import protocol, scenarios
+from qubitfr.core import AmplitudeModulatedDrive, free_energy_delta
 
 # The worst relative deviation over the 400 draws below is 7.1e-14, at
 # beta omega0 = 637; the bound leaves 14x headroom.
@@ -22,9 +25,13 @@ FIRST_LAW_TOL = 1e-14
 # counts both).  Computing the lower Gibbs weight as 1 - g fails it (3.9e-12).
 EXCHANGE_TOL = 1e-12
 # Criterion 8's bound on <dE> - dF, in omega0.  The minimum over the 400
-# draws below is -6.9e-17, where an upper Gibbs weight near e^-550 leaves
-# only round-off.
+# draws of test_jensen_on_unital_channels is -5.4e-17, at a subnormal beta
+# where both are round-off; over the 400 log-uniform draws of
+# test_jensen_at_every_temperature_scale it is -1.4e-17, at beta omega0 = 63.
 JENSEN_TOL = -1e-12
+# The worst relative error of free_energy_delta over the 400 draws below is
+# 5.1e-16, at beta omega0 = 1.0; the bound leaves 19x headroom.
+FREE_ENERGY_RTOL = 1e-14
 
 
 @settings(max_examples=400)
@@ -106,16 +113,9 @@ def test_exchange_identity_at_the_matrix_stationary_weight(
     assert abs(value - 1.0) <= EXCHANGE_TOL, value
 
 
-@settings(max_examples=400)
-@given(omega0=st.floats(1e-3, 1.0), tau_a=st.floats(10.0, 2000.0),
-       tau=st.floats(10.0, 2000.0), p_absorb=st.floats(0.0, 1.0),
-       beta_omega0=st.floats(0.0, 700.0, exclude_min=True),
-       n_pulses=st.integers(1, 40))
-def test_jensen_on_unital_channels(omega0, tau_a, tau, p_absorb, beta_omega0,
-                                   n_pulses):
-    """<dE> >= dF for beta > 0 on the amplitude drive without pump: the
-    channel is unital, so <exp(-beta dE)> = exp(-beta dF), and Jensen's
-    inequality gives the bound.  Criterion 8's tolerance, in omega0."""
+def jensen_gap(omega0, tau_a, tau, p_absorb, beta_omega0, n_pulses):
+    """min(mean_delta_e - delta_f), in omega0, over the rows ``run`` writes
+    for an amplitude energetics config without pump on a 17-point grid."""
     try:
         res = scenarios.resolve(scenarios.ScenarioConfig(
             name="case", kind="energetics", drive_family="amplitude",
@@ -126,5 +126,64 @@ def test_jensen_on_unital_channels(omega0, tau_a, tau, p_absorb, beta_omega0,
         assume(False)
     header, rows = scenarios.table(res)
     mean_de, delta_f = header.index("mean_delta_e"), header.index("delta_f")
-    worst = min(row[mean_de] - row[delta_f] for row in rows)
+    return min(row[mean_de] - row[delta_f] for row in rows)
+
+
+@settings(max_examples=400)
+@given(omega0=st.floats(1e-3, 1.0), tau_a=st.floats(10.0, 2000.0),
+       tau=st.floats(10.0, 2000.0), p_absorb=st.floats(0.0, 1.0),
+       beta_omega0=st.floats(0.0, 700.0, exclude_min=True),
+       n_pulses=st.integers(1, 40))
+def test_jensen_on_unital_channels(omega0, tau_a, tau, p_absorb, beta_omega0,
+                                   n_pulses):
+    """<dE> >= dF for beta > 0 on the amplitude drive without pump: the
+    channel is unital, so <exp(-beta dE)> = exp(-beta dF), and Jensen's
+    inequality gives the bound.  Criterion 8's tolerance, in omega0."""
+    worst = jensen_gap(omega0, tau_a, tau, p_absorb, beta_omega0, n_pulses)
     assert worst >= JENSEN_TOL, worst
+
+
+@settings(max_examples=400)
+@given(omega0=st.floats(1e-3, 1.0), tau_a=st.floats(10.0, 2000.0),
+       tau=st.floats(10.0, 2000.0), p_absorb=st.floats(0.0, 1.0),
+       log_beta_omega0=st.floats(-9.0, math.log10(700.0)),
+       n_pulses=st.integers(1, 40))
+@example(omega0=scenarios.AMPLITUDE_OMEGA0, tau_a=scenarios.AMPLITUDE_TAU_A,
+         tau=410.0, p_absorb=0.25, log_beta_omega0=-7.0, n_pulses=2)
+def test_jensen_at_every_temperature_scale(omega0, tau_a, tau, p_absorb,
+                                           log_beta_omega0, n_pulses):
+    """The Jensen bound of ``test_jensen_on_unital_channels`` with beta
+    omega0 drawn log-uniformly over [1e-9, 700], where ``delta_f`` is
+    O(beta) times a ratio 1 + O(beta^2).  The example is fig3a at beta
+    omega0 = 1e-7 over its first 17 grid points, which hold its worst row."""
+    worst = jensen_gap(omega0, tau_a, tau, p_absorb, 10.0 ** log_beta_omega0,
+                       n_pulses)
+    assert worst >= JENSEN_TOL, worst
+
+
+def free_energy_reference(beta, drive, t_f):
+    """-ln(cosh(beta level(t_f)) / cosh(beta level(0))) / beta to 60 digits,
+    taking ``beta`` and the two float levels as exact."""
+    with mpmath.workdps(60):
+        b = mpmath.mpf(beta)
+        ratio = (mpmath.cosh(b * mpmath.mpf(drive.level(t_f)))
+                 / mpmath.cosh(b * mpmath.mpf(drive.level(0.0))))
+        return -mpmath.log(ratio) / b
+
+
+@settings(max_examples=400)
+@given(omega0=st.floats(1e-3, 1.0), tau_a=st.floats(10.0, 2000.0),
+       periods=st.floats(0.0, 40.0), sign=st.sampled_from([1.0, -1.0]),
+       log_beta_omega0=st.floats(-9.0, math.log10(709.0)))
+@example(omega0=scenarios.AMPLITUDE_OMEGA0, tau_a=scenarios.AMPLITUDE_TAU_A,
+         periods=1.0 / 3.0, sign=1.0, log_beta_omega0=-7.0)
+def test_free_energy_delta_against_a_60_digit_reference(omega0, tau_a, periods,
+                                                        sign, log_beta_omega0):
+    """``free_energy_delta`` on the amplitude drive, both signs of beta and
+    1e-9 <= |beta| omega0 <= 709, to FREE_ENERGY_RTOL of the reference
+    (exactly zero where the level is the same at both times)."""
+    drive = AmplitudeModulatedDrive(omega0, tau_a)
+    beta = sign * 10.0 ** log_beta_omega0 / omega0
+    got = free_energy_delta(beta, drive, periods * tau_a)
+    expected = free_energy_reference(beta, drive, periods * tau_a)
+    assert abs(got - expected) <= FREE_ENERGY_RTOL * abs(expected), (got, expected)

@@ -126,18 +126,28 @@ def test_sweep_builds_each_rotation_about_once(name, tmp_path, rotations_built):
     assert 0 < sum(rotations_built) <= n_max + len(pcs) + 2
 
 
-def test_rotating_sweep_builds_rotations_independent_of_pulse_count(tmp_path):
-    """The per-period rotation of a rotating drive is memoized: a 51-point
-    fig5d sweep to 500 pulses builds no more matrices than one to 50."""
+def test_rotating_sweep_builds_rotations_independent_of_pulse_count(
+        tmp_path, monkeypatch):
+    """Each distinct angle's axis rotation is built once per call: a
+    51-point fig5d sweep to 500 pulses builds no more matrices than one
+    to 50."""
     base = scenarios.get_preset("fig5d")
+    calls = []
+    real = core._axis_angle
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_axis_angle", counted)
     built = []
     for n in (50, 500):
         grid = tuple(float(t) for t in np.linspace(0.0, n * base.tau, 51))
         cfg = scenarios.with_overrides(base, t_f_grid=grid, p_absorb=0.25,
                                        mode="deterministic")
-        core._rodrigues.cache_clear()
+        calls.clear()
         scenarios.run_scenario(cfg, outdir=tmp_path)
-        built.append(core._rodrigues.cache_info().misses)
+        built.append(len(calls))
     assert 0 < built[1] <= built[0]
 
 
