@@ -5,10 +5,18 @@ record as ``scenarios.RNG_LAYOUT``): the
 uniform of role k (0 absorption, 1 projection outcome, 2 pump success,
 3 final measurement) read after j pulses is word i, for trajectory i, of
 its own counter-based stream ``Philox(key=[master_seed, 4 * j + k + 1])``.
-A pulse uses its three words whether or not the branches fire, and a
-chunk draws its words of each stream in one call; aggregates are exact
-integer counts.  Results are therefore a pure function of (master_seed, i)
-per trajectory and bit-identical however trajectories are chunked.
+A pulse uses its three words whether or not the branches fire, and
+aggregates are exact integer counts.  Results are therefore a pure
+function of (master_seed, i) per trajectory and bit-identical however
+trajectories are chunked.
+
+A stream is only its key, so a walk builds one ``Philox`` and re-keys it
+for each draw of a chunk's words of a stream: it sets the key and the
+counter of the block holding the chunk's first word (Philox4x64 makes
+four words per block), discards the words of that block before it, and
+draws the chunk into a buffer the walk reuses.  Those are the words a
+generator built at that key would give at those positions, so no word
+moves.
 
 An ensemble's up starts own indices [0, n) and its down starts [n, 2n),
 so both are one walk over [0, 2n).  No word depends on a point's pulse
@@ -129,13 +137,25 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
     for c, pc in enumerate(configs):
         points.setdefault(pc.n_pulses, []).append((c, np.array(tail_rotation(pc))))
 
-    def stream(n: int, role: int):  # role's uniforms read after n pulses
-        key = np.array([master_seed, 4 * n + role + 1], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key)).random
+    # One Philox re-keyed per draw.  ``state`` is the walk's own copy: a draw
+    # never changes it, and its buffer is empty, so after loading it the
+    # first block generated holds the stream's words 4 * counter[0] to
+    # 4 * counter[0] + 3.
+    bits = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
+    draw = np.random.Generator(bits).random
+    state = bits.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    words = np.empty((4, min(chunk_size, 2 * n_per_initial)))
 
-    pulse_draws = [[stream(n, role) for role in range(3)]
-                   for n in range(len(rotations))]
-    final_draws = {n: stream(n, 3) for n in points}
+    def uniforms(n: int, role: int, start: int, m: int) -> np.ndarray:
+        """Words [start, start + m) of role's stream read after n pulses."""
+        key[1] = 4 * n + role + 1
+        counter[0] = start // 4
+        bits.state = state
+        if start % 4:
+            bits.random_raw(start % 4)
+        return draw(out=words[role, :m])
+
     p_absorb, p_pump = longest.channel.p_absorb, longest.channel.p_pump
     ups = [[0, 0] for _ in configs]
     absorbed_at = dict.fromkeys(points, 0)
@@ -149,7 +169,7 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
         absorbed_total = 0
         for n in range(len(rotations) + 1):
             if n in points:
-                u_final = final_draws[n](m)
+                u_final = uniforms(n, 3, start, m)
                 for c, tail in points[n]:
                     # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the
                     # row-major product keeps earlier releases' Born probabilities.
@@ -160,7 +180,8 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
                 absorbed_at[n] += absorbed_total
             if n == len(rotations):
                 break
-            u_absorb, u_outcome, u_pump = (draw(m) for draw in pulse_draws[n])
+            u_absorb, u_outcome, u_pump = (uniforms(n, role, start, m)
+                                           for role in range(3))
             r = rotations[n] @ r
             absorbed = u_absorb < p_absorb
             ends_up = (u_outcome < 0.5 * (1.0 + r[2])) | (u_pump < p_pump)

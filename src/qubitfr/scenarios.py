@@ -72,6 +72,8 @@ MAX_GRID_POINTS = 10**5
 # Caps a run's sampling work, one walk to the largest sampled pulse count:
 # 2 x n_trajectories x (that count + the number of sampled points).  Within
 # 10 s: fig5d's drive at 1,000 pulses takes 6.3 s on a 2-vCPU host (2**28: 12.8 s).
+# Mode "both" also builds the deterministic table, up to 5.4 s at the grid
+# cap, so it gets half (fig5d at both caps took 12.5 s with the whole).
 MAX_SAMPLED_STEPS = 2**27
 # exp overflows past log(float max), about 709.78: the limit on beta dE in
 # the Gibbs weights and (beta - beta_r) dE in the fluctuation functional.
@@ -217,13 +219,14 @@ class ScenarioConfig(Value):
                 f"master_seed must be in [0, 2**64), got {_quote(self.master_seed)}")
         sampled = self.sampled_grid()  # ascending, so the last has the most pulses
         steps = 2 * self.n_trajectories * (self.pulses_at(sampled[-1]) + len(sampled))
-        if steps > MAX_SAMPLED_STEPS:
+        cap = MAX_SAMPLED_STEPS // 2 if self.mode == "both" else MAX_SAMPLED_STEPS
+        if steps > cap:
             from decimal import Decimal  # formats ints past the float range
             raise ConfigError(
                 f"n_trajectories = {_quote(self.n_trajectories)} asks for "
                 f"{Decimal(steps):.3g} pulse steps and measurements over "
                 f"{len(sampled)} sampled grid point(s); at most "
-                f"{MAX_SAMPLED_STEPS} are allowed")
+                f"{cap} are allowed in mode {self.mode!r}")
 
     def pulses_at(self, t_f: float) -> int:
         """Pulses fired up to t_f; rabi scenarios fire none."""
@@ -474,8 +477,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _grid(res: ResolvedScenario):
-    """(t_f, protocol, mode, conditional matrix, stats or None) per CSV row.
+def _grid_configs(res: ResolvedScenario) -> list[protocol.ProtocolConfig]:
+    """The protocol at each grid time a row reads: the whole grid, or only
+    the sampled grid when the mode only samples."""
+    cfg = res.config
+    grid = cfg.sampled_grid() if cfg.mode == "montecarlo" else cfg.t_f_grid
+    return [res.protocol_at(t_f) for t_f in grid]
+
+
+def _grid(res: ResolvedScenario, pcs: list[protocol.ProtocolConfig]):
+    """(t_f, protocol, mode, conditional matrix, stats or None) per CSV row,
+    given ``pcs = _grid_configs(res)``.
 
     Deterministic rows cover the whole grid with the exact matrix;
     Monte-Carlo rows follow at the sampled points with the empirical
@@ -483,28 +495,27 @@ def _grid(res: ResolvedScenario):
     """
     cfg = res.config
     if cfg.mode in ("deterministic", "both"):
-        pcs = [res.protocol_at(t_f) for t_f in cfg.t_f_grid]
-        for t_f, pc, cm in zip(cfg.t_f_grid, pcs, protocol.conditional_matrices(pcs)):
-            yield t_f, pc, "deterministic", cm, None
+        for pc, cm in zip(pcs, protocol.conditional_matrices(pcs)):
+            yield pc.t_f, pc, "deterministic", cm, None
     if cfg.mode in ("montecarlo", "both"):
         try:  # loads numpy, which nothing else here needs
             from . import montecarlo
         except ImportError as exc:
             raise ConfigError(f"mode {cfg.mode!r} samples with numpy, which "
                               f"cannot be imported; {INSTALL_MC}") from exc
-        pcs = [res.protocol_at(t_f) for t_f in cfg.sampled_grid()]
-        for pc, stats in zip(pcs, montecarlo.run_ensembles(pcs, cfg.n_trajectories,
-                                                           cfg.master_seed)):
+        sampled = pcs[-len(cfg.sampled_grid()):]  # the grid's last points
+        for pc, stats in zip(sampled, montecarlo.run_ensembles(
+                sampled, cfg.n_trajectories, cfg.master_seed)):
             yield pc.t_f, pc, "montecarlo", stats.conditional_estimate(), stats
 
 
-def _grid_rows(res: ResolvedScenario, columns: list[str],
-               row) -> tuple[list[str], list[list]]:
-    """One CSV row per ``_grid`` point: t_f, pulse count, mode, then
-    ``row(t_f, pc, cm, stats)``."""
+def _grid_rows(res: ResolvedScenario, pcs: list[protocol.ProtocolConfig],
+               columns: list[str], row) -> tuple[list[str], list[list]]:
+    """One CSV row per ``_grid(res, pcs)`` point: t_f, pulse count, mode,
+    then ``row(t_f, pc, cm, stats)``."""
     return (["t_f_ns", "n_pulses", "mode"] + columns,
             [[t_f, pc.n_pulses, mode, *row(t_f, pc, cm, stats)]
-             for t_f, pc, mode, cm, stats in _grid(res)])
+             for t_f, pc, mode, cm, stats in _grid(res, pcs)])
 
 
 def _conditional_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
@@ -520,7 +531,7 @@ def _conditional_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
             out.append(oracle.rabi_conditional(cfg.omega0, cfg.theta, t_f))
         return out
 
-    return _grid_rows(res, columns, row)
+    return _grid_rows(res, _grid_configs(res), columns, row)
 
 
 def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
@@ -546,6 +557,7 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     cfg = res.config
     w0 = cfg.omega0
+    pcs = _grid_configs(res)
 
     def mean_energy(pc, cm, stats):
         err = 0.0 if stats is None else stats.functional_std_err(pc, lambda v: v)
@@ -554,8 +566,8 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     if isinstance(res.drive, AmplitudeModulatedDrive):
         columns = ["mean_delta_e", "mean_work", "mean_heat", "work_plus_heat",
                    "delta_f", "first_law_residual", "err_mean_delta_e"]
-        series = dict(zip(cfg.t_f_grid, oracle.work_heat_series_amplitude(
-            [res.protocol_at(t_f) for t_f in cfg.t_f_grid])))
+        series = dict(zip((pc.t_f for pc in pcs),
+                          oracle.work_heat_series_amplitude(pcs)))
 
         def row(t_f, pc, cm, stats):
             mean_de, err = mean_energy(pc, cm, stats)
@@ -576,7 +588,7 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
             return [mean_de / w0, heat / w0, (mean_de - heat) / w0,
                     delta_beta * mean_de, delta_beta * heat, err / w0]
 
-    return _grid_rows(res, columns, row)
+    return _grid_rows(res, pcs, columns, row)
 
 
 def _fr_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
@@ -591,7 +603,7 @@ def _fr_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
             pc, lambda v: math.exp(-gamma * v))
         return [gamma * res.config.omega0, value, target, abs(value - target), err]
 
-    return _grid_rows(res, columns, row)
+    return _grid_rows(res, _grid_configs(res), columns, row)
 
 
 _ROW_BUILDERS = {

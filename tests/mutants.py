@@ -41,8 +41,17 @@ OFF_PERIOD_WALK = [
     "tests/test_sampled_sweep.py::test_off_period_phase_walk_equals_scalar_reference",
     "tests/test_sampled_sweep.py::test_off_period_walks_follow_the_exact_matrices",
 ]
+REKEY = [
+    "tests/test_sampled_sweep.py::test_sampled_sweep_csv_is_pinned",
+    "tests/test_sampled_sweep.py::test_sampled_sweep_walks_its_pulses_once",
+    "tests/test_sampled_sweep.py::test_grouped_walk_equals_separate_runs",
+]
 
 _ROTATED = "g * x + h * y + i * z)\n"
+_DISCARD = """\
+        if start % 4:
+            bits.random_raw(start % 4)
+"""
 _GUARDS = """\
             if not x * x + y * y + z * z <= 1.0:
                 check_bloch_vector(x, y, z)
@@ -68,6 +77,12 @@ CATALOG = [
     ("walk keeps coherences after absorption", "montecarlo.py",
      "            r[:2] = np.where(absorbed, 0.0, r[:2])\n", "",
      ["tests/test_montecarlo.py", "tests/test_sampled_sweep.py"]),
+    ("walk re-keys one Philox block past the chunk's first word", "montecarlo.py",
+     "counter[0] = start // 4", "counter[0] = start // 4 + 1", REKEY),
+    ("walk keeps the words before the chunk's first in its block", "montecarlo.py",
+     _DISCARD, "", REKEY),
+    ("walk keys each stream one role low", "montecarlo.py",
+     "key[1] = 4 * n + role + 1", "key[1] = 4 * n + role", REKEY),
     ("functional_std_err reads the other column", "montecarlo.py",
      "p = self.column_estimate(i)", "p = self.column_estimate(1 - i)",
      ["tests/test_montecarlo.py"]),

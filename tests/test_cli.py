@@ -160,6 +160,12 @@ class TestScenarioConfig:
             small_phase_config(n_trajectories=cap // 8 + 1)
         with pytest.raises(ConfigError, match="n_trajectories"):
             small_phase_config(mc_grid="all", n_trajectories=cap // 8)
+        # Mode "both" also builds the deterministic table, so it gets half.
+        assert small_phase_config(mode="both", n_trajectories=cap // 16)
+        with pytest.raises(ConfigError, match=f"at most {cap // 2} are allowed "
+                                              f"in mode 'both'"):
+            small_phase_config(mode="both", n_trajectories=cap // 16 + 1)
+        assert small_phase_config(mode="montecarlo", n_trajectories=cap // 8)
         with pytest.raises(ConfigError, match="n_trajectories"):
             with_overrides(get_preset("fig6e"), n_trajectories=10**15)
         assert main(["run", "fig6e", "--trajectories", str(10**15),

@@ -151,39 +151,48 @@ def test_sampled_sweep_csv_is_pinned(tmp_path):
 
 def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
                                              rotations_built):
-    """fig2a's 97 points on 13 pulse counts: each chunk steps through the
-    longest point's pulses once, with one stream per (pulse, role) and one
-    final-measurement stream per distinct count, and each period rotation
-    is built about once."""
+    """fig2a's 97 points on 13 pulse counts: each ``run_ensembles`` call
+    builds one Philox, and each chunk steps through the longest point's
+    pulses once, with one draw per (pulse, role) and one final-measurement
+    draw per distinct count, each at its stream's key and at the chunk's
+    first trajectory; each period rotation is built about once."""
     cfg, pcs = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
                             n_trajectories=200)
-    streams, draws = [], []
+    philox_builds, draws = [], []
     real_philox, real_generator = np.random.Philox, np.random.Generator
 
     def counting_philox(*args, **kwargs):
-        streams.append(kwargs["key"][1])
+        philox_builds.append(1)
         return real_philox(*args, **kwargs)
 
-    class CountingGenerator(real_generator):
-        def random(self, size=None, **kwargs):
-            draws.append(size)
-            return super().random(size, **kwargs)
+    class RecordingGenerator(real_generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            # (stream key, position of the next word, words drawn)
+            state = self.bit_generator.state
+            next_word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+            draws.append((int(state["state"]["key"][1]), next_word,
+                          size if out is None else len(out)))
+            return super().random(size, dtype, out)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
-    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
     scenarios.run_scenario(cfg, outdir=tmp_path)
     counts = {pc.n_pulses for pc in pcs}
     n_max = max(counts)
     assert (len(pcs), len(counts), n_max) == (97, 13, 12)
-    # Keys 4 j + k + 1: roles 0..2 of each pulse, role 3 at each count.
-    role_keys = [4 * j + k + 1 for j in range(n_max) for k in range(3)]
-    assert sorted(streams) == sorted(role_keys + [4 * n + 4 for n in counts])
-    assert len(streams) == 3 * n_max + len(counts)
-    # Per chunk, three draws per pulse step and one per measured count:
-    # one chunk of 400 trajectories here, chunks of 150, 150 and 100 below.
-    per_chunk = 3 * n_max + len(counts)
-    assert draws == [400] * per_chunk
+    assert len(philox_builds) == 1
+
+    def chunk_draws(start, m):
+        # Keys 4 n + k + 1: role 3 at each measured count, then roles 0..2
+        # of the pulse that follows it.
+        return [(4 * n + k + 1, start, m) for n in range(n_max + 1)
+                for k in ([3] if n in counts else []) + ([0, 1, 2] if n < n_max else [])]
+
+    assert len(chunk_draws(0, 400)) == 3 * n_max + len(counts)
+    # One chunk of 400 trajectories here, chunks of 150, 150 and 100 below.
+    assert draws == chunk_draws(0, 400)
     assert 0 < sum(rotations_built) <= n_max + len(pcs) + 2
     draws.clear()
     run_ensembles(pcs, 200, 777, chunk_size=150)
-    assert draws == [150] * per_chunk + [150] * per_chunk + [100] * per_chunk
+    assert len(philox_builds) == 2
+    assert draws == chunk_draws(0, 150) + chunk_draws(150, 150) + chunk_draws(300, 100)

@@ -235,6 +235,30 @@ def test_energetics_table_evaluates_the_rate_linearly(omega_calls, points, pulse
     assert 0 < len(omega_calls) <= OMEGA_CALLS_PER_POINT * (points + pulses)
 
 
+@pytest.mark.parametrize("mode,mc_grid", [
+    ("deterministic", "final"), ("montecarlo", "final"), ("both", "all")])
+def test_energetics_table_builds_each_point_once(monkeypatch, mode, mc_grid):
+    """A fig3b table builds one ``ProtocolConfig`` per grid time its rows
+    read, shared by the work and heat series, the exact matrices and the
+    sampled walk; a sampling-only table reads only the sampled times."""
+    cfg = scenarios.with_overrides(scenarios.get_preset("fig3b"), mode=mode,
+                                   mc_grid=mc_grid, n_trajectories=20)
+    res = scenarios.resolve(cfg)
+    asked = []
+    real = scenarios.ResolvedScenario.protocol_at
+
+    def protocol_at(self, t_f):
+        asked.append(t_f)
+        return real(self, t_f)
+
+    monkeypatch.setattr(scenarios.ResolvedScenario, "protocol_at", protocol_at)
+    header, rows = scenarios.table(res)
+    read = cfg.sampled_grid() if mode == "montecarlo" else cfg.t_f_grid
+    assert asked == list(read)
+    assert len(rows) == len(cfg.t_f_grid) * (mode != "montecarlo") + len(
+        cfg.sampled_grid()) * (mode != "deterministic")
+
+
 def test_empty_sweep():
     assert conditional_matrices([]) == []
     assert run_ensembles([], 10, 0) == []
