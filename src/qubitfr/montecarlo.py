@@ -24,9 +24,18 @@ count, so a sweep is one walk to its largest count that measures each
 point when its count comes up: the points share trajectory prefixes, and
 their estimates are correlated across t_f.
 
-The engine is vectorized over a chunk of trajectories; the tests hold it
-to an independent scalar walker that builds each word's generator at its
-counter and walks the same words pulse by pulse.
+The engine is vectorized over a chunk of trajectories.  Between two
+absorptions a trajectory only rotates, and an absorption projects it onto
+a pole, so a chunk's walk state is one label per trajectory: the column
+of a small per-chunk table of Bloch vectors that holds the up and the down
+start and the +z and -z poles of each pulse.  A pulse rotates the table,
+draws each outcome from its trajectory's column and writes the new pole's
+label where it absorbed; a measured point rotates the table by its tail.
+Each column goes through the products a per-trajectory Bloch vector would,
+and once the table is wider than the chunk it is cut to the columns some
+label points at.  The tests hold the engine to an independent scalar
+walker that builds each word's generator at its counter and walks the
+same words pulse by pulse on one Bloch vector per trajectory.
 
 Estimates are the ``protocol`` sums over the four (dE, p) atoms evaluated
 on the empirical matrix ``EnsembleStats.conditional_estimate()``; this
@@ -51,7 +60,7 @@ from .protocol import (ConditionalMatrix, ProtocolConfig,
                        energy_change_distribution, initial_probabilities,
                        segment_rotations, sweep_longest, tail_rotation)
 
-DEFAULT_CHUNK = 4096
+DEFAULT_CHUNK = 16384
 
 
 class EnsembleStats(Value):
@@ -122,6 +131,12 @@ def _check_arguments(*table: tuple[str, object, int, float]) -> None:
                              f"got {value!r}")
 
 
+def _compact(table: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, label) cut to the columns some label points at, relabelled."""
+    live, label = np.unique(label, return_inverse=True)
+    return table[:, live], label
+
+
 def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: int,
           chunk_size: int) -> tuple[list[list[int]], dict[int, int]]:
     """(final-up counts [up starts, down starts] per config; absorbed-pulse
@@ -145,18 +160,20 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
     draw = np.random.Generator(bits).random
     state = bits.state
     key, counter = state["state"]["key"], state["state"]["counter"]
-    words = np.empty((4, min(chunk_size, 2 * n_per_initial)))
+    words = np.empty(min(chunk_size, 2 * n_per_initial))
 
     def uniforms(n: int, role: int, start: int, m: int) -> np.ndarray:
-        """Words [start, start + m) of role's stream read after n pulses."""
+        """Words [start, start + m) of role's stream read after n pulses, in
+        the one buffer that the next draw overwrites."""
         key[1] = 4 * n + role + 1
         counter[0] = start // 4
         bits.state = state
         if start % 4:
             bits.random_raw(start % 4)
-        return draw(out=words[role, :m])
+        return draw(out=words[:m])
 
     p_absorb, p_pump = longest.channel.p_absorb, longest.channel.p_pump
+    poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])  # +z, -z
     ups = [[0, 0] for _ in configs]
     absorbed_at = dict.fromkeys(points, 0)
     end = 2 * n_per_initial
@@ -164,29 +181,34 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
         stop = min(start + chunk_size, end)
         m = stop - start
         n_up = min(max(n_per_initial - start, 0), m)
-        sign = np.where(np.arange(start, stop) < n_per_initial, 1.0, -1.0)
-        r = up[:, None] * sign
+        # Trajectory j's Bloch vector is column label[j] of table, which
+        # starts as the up and the down start; each pulse appends its poles.
+        table = up[:, None] * np.array([1.0, -1.0])
+        label = np.zeros(m, dtype=np.intp)
+        label[n_up:] = 1
         absorbed_total = 0
         for n in range(len(rotations) + 1):
             if n in points:
                 u_final = uniforms(n, 3, start, m)
                 for c, tail in points[n]:
-                    # (m, 3) @ (3,) rounds differently from (3,) @ (3, m); the
+                    # (k, 3) @ (3,) rounds differently from (3,) @ (3, k); the
                     # row-major product keeps earlier releases' Born probabilities.
-                    r_final = np.ascontiguousarray((tail @ r).T)
-                    hit = u_final < 0.5 * (1.0 + r_final @ up)
+                    born = 0.5 * (1.0 + np.ascontiguousarray((tail @ table).T) @ up)
+                    hit = u_final < born[label]
                     ups[c][0] += int(np.count_nonzero(hit[:n_up]))
                     ups[c][1] += int(np.count_nonzero(hit[n_up:]))
                 absorbed_at[n] += absorbed_total
             if n == len(rotations):
                 break
-            u_absorb, u_outcome, u_pump = (uniforms(n, role, start, m)
-                                           for role in range(3))
-            r = rotations[n] @ r
-            absorbed = u_absorb < p_absorb
-            ends_up = (u_outcome < 0.5 * (1.0 + r[2])) | (u_pump < p_pump)
-            r[2] = np.where(absorbed, np.where(ends_up, 1.0, -1.0), r[2])
-            r[:2] = np.where(absorbed, 0.0, r[:2])
+            table = rotations[n] @ table
+            k = table.shape[1]
+            absorbed = uniforms(n, 0, start, m) < p_absorb
+            ends_up = uniforms(n, 1, start, m) < (0.5 * (1.0 + table[2]))[label]
+            ends_up |= uniforms(n, 2, start, m) < p_pump
+            label = np.where(absorbed, (k + 1) - ends_up, label)
+            table = np.concatenate((table, poles), axis=1)
+            if k + 2 > m:
+                table, label = _compact(table, label)
             absorbed_total += int(np.count_nonzero(absorbed))
     return ups, absorbed_at
 

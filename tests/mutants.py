@@ -41,6 +41,8 @@ OFF_PERIOD_WALK = [
     "tests/test_sampled_sweep.py::test_off_period_phase_walk_equals_scalar_reference",
     "tests/test_sampled_sweep.py::test_off_period_walks_follow_the_exact_matrices",
 ]
+WALK = ["tests/test_montecarlo.py", "tests/test_sampled_sweep.py"]
+COMPACTION = ["tests/test_sampled_sweep.py::test_long_walks_compact_their_label_table"]
 REKEY = [
     "tests/test_sampled_sweep.py::test_sampled_sweep_csv_is_pinned",
     "tests/test_sampled_sweep.py::test_sampled_sweep_walks_its_pulses_once",
@@ -70,13 +72,23 @@ CATALOG = [
     ("walk tail rotation is the identity", "montecarlo.py",
      "np.array(tail_rotation(pc))", "np.eye(3)", OFF_PERIOD_WALK),
     ("walk reuses the second period's rotation", "montecarlo.py",
-     "r = rotations[n] @ r", "r = rotations[min(n, 1)] @ r", OFF_PERIOD_WALK),
+     "table = rotations[n] @ table", "table = rotations[min(n, 1)] @ table",
+     OFF_PERIOD_WALK),
     ("pulse_train reuses its first rotation", "protocol.py",
      "rots[:max(wanted, default=0)]", "rots[:1] * max(wanted, default=0)",
      ["tests/test_protocol.py", "tests/test_sweep.py"]),
     ("walk keeps coherences after absorption", "montecarlo.py",
-     "            r[:2] = np.where(absorbed, 0.0, r[:2])\n", "",
-     ["tests/test_montecarlo.py", "tests/test_sampled_sweep.py"]),
+     "np.concatenate((table, poles), axis=1)",
+     "np.concatenate((table, np.vstack((table[:2, :2], poles[2:]))), axis=1)", WALK),
+    ("walk swaps the +z and -z poles", "montecarlo.py",
+     "(k + 1) - ends_up", "k + ends_up", WALK),
+    ("walk builds the down start's column with +1", "montecarlo.py",
+     "up[:, None] * np.array([1.0, -1.0])", "up[:, None] * np.array([1.0, 1.0])", WALK),
+    ("walk compaction keeps the old labels", "montecarlo.py",
+     "live, label = np.unique(label, return_inverse=True)", "live = np.unique(label)",
+     COMPACTION),
+    ("walk never compacts its table", "montecarlo.py",
+     "if k + 2 > m:", "if False:", COMPACTION),
     ("walk re-keys one Philox block past the chunk's first word", "montecarlo.py",
      "counter[0] = start // 4", "counter[0] = start // 4 + 1", REKEY),
     ("walk keeps the words before the chunk's first in its block", "montecarlo.py",

@@ -9,9 +9,10 @@ import random
 import statistics
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from qubitfr import scenarios
+from qubitfr import montecarlo, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.cli import main
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
@@ -62,10 +63,11 @@ def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
         assert stats.to_dict() == separate.to_dict(), pc.t_f
 
 
-def assert_walk_equals_scalar_reference(pcs, n, seed):
+def assert_walk_equals_scalar_reference(pcs, n, seed,
+                                        chunk_size=montecarlo.DEFAULT_CHUNK):
     """Every point's counts equal the scalar walker's, up starts on
     [0, n) and down starts on [n, 2n)."""
-    for pc, stats in zip(pcs, run_ensembles(pcs, n, seed)):
+    for pc, stats in zip(pcs, run_ensembles(pcs, n, seed, chunk_size=chunk_size)):
         up = run_records(pc, 0, n, seed)
         down = run_records(pc, 1, n, seed, index_offset=n)
         ups = [sum(r.final_index == 0 for r in side) for side in (up, down)]
@@ -95,6 +97,32 @@ def test_off_period_phase_walk_equals_scalar_reference():
                           ThermalContext(0.0), t_f=k * tau)
            for k in (1.3, 3.0, 4.6, 6.2)]
     assert_walk_equals_scalar_reference(pcs, 60, 777)
+
+
+@pytest.mark.parametrize("p_absorb, chunk_size, n_max",
+                         [(0.0, 3, 60), (1e-3, 8, 200), (0.3, 5, 120), (1.0, 4, 90)])
+def test_long_walks_compact_their_label_table(monkeypatch, p_absorb, chunk_size,
+                                              n_max):
+    """Walks many times longer than their chunk equal the scalar walker:
+    each pulse appends two poles to a chunk's table, so the table outgrows
+    the chunk and is cut back to its live labels, and before each cut it
+    holds at most the chunk plus the two poles just appended."""
+    widths = []  # (table columns, chunk trajectories) at each compaction
+    real_compact = montecarlo._compact
+
+    def counting_compact(table, label):
+        widths.append((table.shape[1], len(label)))
+        return real_compact(table, label)
+
+    monkeypatch.setattr(montecarlo, "_compact", counting_compact)
+    drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
+    channel, tau = PulseChannelParams(p_absorb, 0.3), 500.0
+    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
+                          ThermalContext(0.0), t_f=t_f)
+           for t_f in (0.35 * n_max * tau, (n_max + 0.6) * tau)]
+    assert_walk_equals_scalar_reference(pcs, 6, 777, chunk_size=chunk_size)
+    assert widths
+    assert all(m < k <= m + 2 for k, m in widths), widths
 
 
 def off_period_sweep(rng):
