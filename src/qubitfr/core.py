@@ -26,9 +26,10 @@ as ``level(t)``; the lower level sits at minus it.
 Everything here is closed form; no differential-equation stepping is used
 anywhere in the package.  Rotations are 3x3 tuples of floats, multiplied
 by ``matmul3`` and ``matvec3`` in their written order, so every product
-rounds the same on every host.  ``bloch_rotations`` builds the rotations
-between consecutive times of a list in one pass; ``bloch_rotation`` is
-its one-interval case.
+rounds the same on every host.  ``interval_rotations`` builds the
+rotations over a list of intervals between given times in one pass;
+``bloch_rotations``, between consecutive times, and ``bloch_rotation``,
+over one interval, are its cases.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _axis_angle(kx: float, ky: float, kz: float, angle: float) -> Matrix3:
     matrix, in that order and with the zero terms kept, so every bit
     (signed zeros included) matches the array expression
     c * eye(3) + s * K + (1 - c) * outer(k, k).  Nothing is cached here;
-    ``bloch_rotations`` builds each distinct angle once per call.
+    ``interval_rotations`` builds each distinct angle once per call.
     """
     c, s = math.cos(angle), math.sin(angle)
     t = 1.0 - c
@@ -236,29 +237,32 @@ def whole_multiple(t: float, tau: float) -> int | None:
     return n if abs(ratio - n) <= WHOLE_MULTIPLE_RTOL * max(1.0, abs(ratio)) else None
 
 
-def bloch_rotations(drive: DriveSpec, times: Sequence[float]) -> list[Matrix3]:
-    """3x3 rotations carrying Bloch vectors between consecutive ``times``
-    under the drive: entry j carries times[j] to times[j + 1].
+def interval_rotations(drive: DriveSpec, times: Sequence[float],
+                       starts: Sequence[int], ends: Sequence[int]) -> list[Matrix3]:
+    """3x3 rotations carrying Bloch vectors over intervals between ``times``
+    under the drive: entry j carries times[starts[j]] to times[ends[j]].
 
     For the rotating-axis family each is assembled as
     R_z(theta * t1) . R_dressed(2 e_theta (t1 - t0)) . R_z(-theta * t0);
     when both endpoints are whole drive periods the outer z-rotations are
     dropped exactly instead of being evaluated at large arguments.  The
-    rotating drive's constants are read once, each time's whole-period
-    test is evaluated once, and each distinct angle's axis rotation (the
-    dressed one before its z-rotations) is built once per call.
+    rotating drive's constants are read once, each time's phase and
+    whole-period test are evaluated once, and each distinct angle's axis
+    rotation (the dressed one before its z-rotations) is built once per
+    call.
     """
-    for t0, t1 in zip(times, times[1:]):
+    for a, b in zip(starts, ends):
+        t0, t1 = times[a], times[b]
         if not -math.inf < t0 <= t1 < math.inf:  # NaN fails too
             raise ValueError(f"time interval must be finite and ordered: "
                              f"t0={t0!r}, t1={t1!r}")
     if isinstance(drive, AmplitudeModulatedDrive):
         axis = (1.0, 0.0, 0.0)
         phases = [phase_integral(drive, t) for t in times]
-        angles = [p1 - p0 for p0, p1 in zip(phases, phases[1:])]
+        angles = [phases[b] - phases[a] for a, b in zip(starts, ends)]
     else:
         axis, gap = drive.basis[0], drive.gap
-        angles = [gap * (t1 - t0) for t0, t1 in zip(times, times[1:])]
+        angles = [gap * (times[b] - times[a]) for a, b in zip(starts, ends)]
     # Keyed on the exact angle.  +0.0 and -0.0 are one key, which is exact:
     # both build the identity with every off-diagonal element +0.0.
     memo = {a: _axis_angle(*axis, a) for a in set(angles)}
@@ -267,14 +271,21 @@ def bloch_rotations(drive: DriveSpec, times: Sequence[float]) -> list[Matrix3]:
         return rotations
     theta, tau = drive.theta, drive.tau_theta
     whole = [whole_multiple(t, tau) is not None for t in times]
-    return [inner if whole[j] and whole[j + 1] else
-            matmul3(matmul3(_rot_z(theta * t1), inner), _rot_z(-theta * t0))
-            for j, (inner, t0, t1) in enumerate(zip(rotations, times, times[1:]))]
+    return [inner if whole[a] and whole[b] else
+            matmul3(matmul3(_rot_z(theta * times[b]), inner),
+                    _rot_z(-theta * times[a]))
+            for inner, a, b in zip(rotations, starts, ends)]
+
+
+def bloch_rotations(drive: DriveSpec, times: Sequence[float]) -> list[Matrix3]:
+    """``interval_rotations`` between consecutive ``times``: entry j carries
+    times[j] to times[j + 1]."""
+    return interval_rotations(drive, times, range(len(times) - 1), range(1, len(times)))
 
 
 def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
     """3x3 rotation carrying Bloch vectors from time t0 to t1 under the drive."""
-    return bloch_rotations(drive, (t0, t1))[0]
+    return interval_rotations(drive, (t0, t1), (0,), (1,))[0]
 
 
 def partition_function(beta: float, drive: DriveSpec, t: float) -> float:

@@ -5,10 +5,12 @@ record as ``scenarios.RNG_LAYOUT``): the
 uniform of role k (0 absorption, 1 projection outcome, 2 pump success,
 3 final measurement) read after j pulses is word i, for trajectory i, of
 its own counter-based stream ``Philox(key=[master_seed, 4 * j + k + 1])``.
-A pulse uses its three words whether or not the branches fire, and
-aggregates are exact integer counts.  Results are therefore a pure
-function of (master_seed, i) per trajectory and bit-identical however
-trajectories are chunked.
+A uniform lies in [0, 1), so at p_pump 0 no pump succeeds and the pump
+stream is not drawn (the amplitude presets, the paper's
+infinite-temperature reservoir).  Every other stream is read at its
+words whether or not the branches fire, and aggregates are exact integer
+counts.  Results are therefore a pure function of (master_seed, i) per
+trajectory and bit-identical however trajectories are chunked.
 
 A stream is only its key, so a walk builds one ``Philox`` and re-keys it
 for each draw of a chunk's words of a stream: it sets the key and the
@@ -30,10 +32,15 @@ a pole, so a chunk's walk state is one label per trajectory: the column
 of a small per-chunk table of Bloch vectors that holds the up and the down
 start and the +z and -z poles of each pulse.  A pulse rotates the table,
 draws each outcome from its trajectory's column and writes the new pole's
-label where it absorbed; a measured point rotates the table by its tail.
-Each column goes through the products a per-trajectory Bloch vector would,
-and once the table is wider than the chunk it is cut to the columns some
-label points at.  The tests hold the engine to an independent scalar
+label where it absorbed.  The points measured at one pulse count read
+their tails, built in one ``protocol.tail_rotations`` pass per sweep,
+stacked as one (P, 3, 3) array: one (P, 3, 3) @ (3, k) product rotates the
+table by every tail and one (P, k, 3) @ (3,) product gives every Born
+probability, which each point then gathers by label and counts.  Numpy
+runs these stacked products slice by slice, as the one-point products
+they replace.  Each column goes through the products a per-trajectory
+Bloch vector would, and once the table is wider than the chunk it is cut
+to the columns some label points at.  The tests hold the engine to an independent scalar
 walker that builds each word's generator at its counter and walks the
 same words pulse by pulse on one Bloch vector per trajectory.
 
@@ -56,11 +63,13 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .core import Value
-from .protocol import (ConditionalMatrix, ProtocolConfig,
-                       energy_change_distribution, initial_probabilities,
-                       segment_rotations, sweep_longest, tail_rotation)
+from .protocol import (ConditionalMatrix, ProtocolConfig, segment_rotations,
+                       sweep_longest, tail_rotations)
 
 DEFAULT_CHUNK = 16384
+# Born probabilities per stacked product at most, which bounds its
+# temporaries however many points a pulse count has.
+BORN_BLOCK = 1 << 16
 
 
 class EnsembleStats(Value):
@@ -95,14 +104,17 @@ class EnsembleStats(Value):
         p = (self.column_estimate(0), self.column_estimate(1))
         return tuple(math.sqrt(q * (1.0 - q) / self.n_per_initial) for q in p)
 
-    def functional_std_err(self, config: ProtocolConfig,
+    def functional_std_err(self, atoms: Sequence[tuple[float, float]],
+                           weights: tuple[float, float],
                            f: Callable[[float], float]) -> float:
-        """Binomial standard error of the sum of p * f(dE) over the atoms of
-        ``conditional_estimate()``, e.g. <dE> for f the identity.  The sum is
-        linear in each independent column P(up | i), with slope
-        w_i * (f(dE_i,up) - f(dE_i,down)), w the Gibbs weights."""
-        atoms = energy_change_distribution(self.conditional_estimate(), config)
-        weights = initial_probabilities(config)
+        """Binomial standard error of the sum of p * f(dE) over ``atoms``,
+        the four atoms of ``conditional_estimate()`` that
+        ``protocol.energy_change_distribution`` built with the Gibbs weights
+        ``weights``; e.g. <dE> for f the identity.  The sum is linear in
+        each independent column P(up | i), with slope
+        w_i * (f(dE_i,up) - f(dE_i,down)).  Only the atoms' dE are read, so
+        a row that has built its atoms and a sweep's weights passes them
+        here rather than having them built again."""
         variance = 0.0
         for i in (0, 1):
             (de_up, _), (de_down, _) = atoms[2 * i:2 * i + 2]
@@ -148,9 +160,12 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
     rotations = [np.array(rot) for rot in segment_rotations(longest)]
     # The up start is also the axis every point measures along.
     up = np.array(longest.drive.basis[0])
-    points: dict[int, list] = {}  # pulse count -> (config, tail)
+    tails = np.array(tail_rotations(configs))
+    at: dict[int, list[int]] = {}  # pulse count -> its configs
     for c, pc in enumerate(configs):
-        points.setdefault(pc.n_pulses, []).append((c, np.array(tail_rotation(pc))))
+        at.setdefault(pc.n_pulses, []).append(c)
+    # pulse count -> (its configs, their tails stacked as one (P, 3, 3) array)
+    points = {n: (cs, tails[cs]) for n, cs in at.items()}
 
     # One Philox re-keyed per draw.  ``state`` is the walk's own copy: a draw
     # never changes it, and its buffer is empty, so after loading it the
@@ -190,13 +205,19 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
         for n in range(len(rotations) + 1):
             if n in points:
                 u_final = uniforms(n, 3, start, m)
-                for c, tail in points[n]:
-                    # (k, 3) @ (3,) rounds differently from (3,) @ (3, k); the
-                    # row-major product keeps earlier releases' Born probabilities.
-                    born = 0.5 * (1.0 + np.ascontiguousarray((tail @ table).T) @ up)
-                    hit = u_final < born[label]
-                    ups[c][0] += int(np.count_nonzero(hit[:n_up]))
-                    ups[c][1] += int(np.count_nonzero(hit[n_up:]))
+                cs, stacked = points[n]
+                step = max(1, BORN_BLOCK // table.shape[1])
+                for lo in range(0, len(cs), step):
+                    # Per point, (3, 3) @ (3, k) and the row-major (k, 3) @ (3,),
+                    # which rounds differently from (3,) @ (3, k) and keeps
+                    # earlier releases' Born probabilities; stacked, numpy runs
+                    # the same products slice by slice.
+                    born = 0.5 * (1.0 + np.ascontiguousarray(
+                        (stacked[lo:lo + step] @ table).transpose(0, 2, 1)) @ up)
+                    for c, row in zip(cs[lo:lo + step], born):
+                        hit = u_final < row[label]
+                        ups[c][0] += int(np.count_nonzero(hit[:n_up]))
+                        ups[c][1] += int(np.count_nonzero(hit[n_up:]))
                 absorbed_at[n] += absorbed_total
             if n == len(rotations):
                 break
@@ -204,7 +225,10 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
             k = table.shape[1]
             absorbed = uniforms(n, 0, start, m) < p_absorb
             ends_up = uniforms(n, 1, start, m) < (0.5 * (1.0 + table[2]))[label]
-            ends_up |= uniforms(n, 2, start, m) < p_pump
+            # A uniform lies in [0, 1), so at p_pump 0 no pump succeeds and
+            # the pump stream is not drawn.
+            if p_pump > 0.0:
+                ends_up |= uniforms(n, 2, start, m) < p_pump
             label = np.where(absorbed, (k + 1) - ends_up, label)
             table = np.concatenate((table, poles), axis=1)
             if k + 2 > m:

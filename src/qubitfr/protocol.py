@@ -8,8 +8,9 @@ ensemble-averaged channel, which is exact for all probabilities that are
 linear in the density operator.  ``pulse_train`` is its one
 rotate-then-pulse loop, and ``final_states`` (that loop plus each point's
 tail) its one readout of states: a sweep over final times walks it once,
-since every point's pulses are a prefix of the last point's, and its
-period rotations are one ``core.bloch_rotations`` pass over the pulse times.
+since every point's pulses are a prefix of the last point's: its period
+rotations are one ``core.bloch_rotations`` pass over the pulse times, and
+its tails one ``tail_rotations`` pass.
 
 The measured object is the ``ConditionalMatrix``, stored as its upper row
 P(up|up), P(up|down) since each column sums to one; with the initial Gibbs
@@ -26,8 +27,8 @@ from collections.abc import Sequence
 
 from .channel import PulseChannelParams, pulse_step
 from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Value,
-                   Vector, bloch_rotation, bloch_rotations,
-                   check_bloch_vector, gibbs_population, matvec3,
+                   Vector, bloch_rotations, check_bloch_vector,
+                   gibbs_population, interval_rotations, matvec3,
                    partition_function, whole_multiple)
 
 PROBABILITY_TOL = 1e-12
@@ -72,13 +73,21 @@ class ProtocolConfig(Value):
                              f"at {self.n_pulses * self.tau}")
 
 
-def tail_rotation(config: ProtocolConfig) -> Matrix3:
-    """Drive rotation over the partial interval (N*tau, t_f) after the last
-    pulse; the identity when t_f lands on it."""
-    t_last = config.n_pulses * config.tau
-    if config.t_f > t_last:
-        return bloch_rotation(config.drive, t_last, config.t_f)
-    return IDENTITY3
+def tail_rotations(configs: Sequence[ProtocolConfig]) -> list[Matrix3]:
+    """Each config's drive rotation over the partial interval (N*tau, t_f)
+    after its last pulse, the identity when t_f lands on it; the others are
+    one ``core.interval_rotations`` pass over their distinct endpoints, on
+    the drive of configs[0], which the configs of a sweep share."""
+    index: dict[float, int] = {}  # endpoint -> its position in the pass
+    starts, ends = [], []
+    for pc in configs:
+        t_last = pc.n_pulses * pc.tau
+        if pc.t_f > t_last:
+            starts.append(index.setdefault(t_last, len(index)))
+            ends.append(index.setdefault(pc.t_f, len(index)))
+    built = iter(interval_rotations(configs[0].drive, list(index), starts, ends))
+    return [next(built) if pc.t_f > pc.n_pulses * pc.tau else IDENTITY3
+            for pc in configs]
 
 
 def segment_rotations(config: ProtocolConfig) -> list[Matrix3]:
@@ -173,7 +182,7 @@ def final_states(configs: Sequence[ProtocolConfig],
     post = pulse_train(sweep_longest(configs), starts,
                        [pc.n_pulses for pc in configs])
     out = [[matvec3(tail, r) for r in rs]
-           for tail, rs in zip(map(tail_rotation, configs), post)]
+           for tail, rs in zip(tail_rotations(configs), post)]
     for x, y, z in (r for rs in out for r in rs):
         if not x * x + y * y + z * z <= 1.0:  # as in pulse_train
             check_bloch_vector(x, y, z)
@@ -205,10 +214,13 @@ def initial_probabilities(config: ProtocolConfig) -> tuple[float, float]:
                  for b in (config.thermal.beta, -config.thermal.beta))
 
 
-def energy_change_distribution(cm: ConditionalMatrix,
-                               config: ProtocolConfig) -> tuple[tuple[float, float], ...]:
+def energy_change_distribution(
+        cm: ConditionalMatrix, config: ProtocolConfig,
+        weights: tuple[float, float] | None = None) -> tuple[tuple[float, float], ...]:
     """The four atoms (E_final - E_initial, probability), Gibbs-weighted, in
     (initial, final) order (up, up), (up, down), (down, up), (down, down).
+    ``weights`` are ``initial_probabilities(config)``, which the configs of a
+    sweep share, so its rows pass them in; they are computed when omitted.
 
     Unchecked: the atoms are finite and sum to one, since a validated drive's
     levels are finite at a finite t_f, the Gibbs weights sum to one, and
@@ -216,7 +228,8 @@ def energy_change_distribution(cm: ConditionalMatrix,
     """
     l0, lf = config.drive.level(0.0), config.drive.level(config.t_f)
     e0, ef = (l0, -l0), (lf, -lf)
-    weights = initial_probabilities(config)
+    if weights is None:
+        weights = initial_probabilities(config)
     return tuple((ef[j] - e0[i], weights[i] * cm.prob(j, i))
                  for i in (UPPER, LOWER) for j in (UPPER, LOWER))
 

@@ -558,23 +558,28 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     cfg = res.config
     w0 = cfg.omega0
     pcs = _grid_configs(res)
+    weights = protocol.initial_probabilities(pcs[0])  # the sweep's Gibbs weights
 
     def mean_energy(pc, cm, stats):
-        err = 0.0 if stats is None else stats.functional_std_err(pc, lambda v: v)
-        return protocol.mean(protocol.energy_change_distribution(cm, pc)), err
+        atoms = protocol.energy_change_distribution(cm, pc, weights)
+        err = 0.0 if stats is None else stats.functional_std_err(
+            atoms, weights, lambda v: v)
+        return protocol.mean(atoms), err
 
     if isinstance(res.drive, AmplitudeModulatedDrive):
         columns = ["mean_delta_e", "mean_work", "mean_heat", "work_plus_heat",
                    "delta_f", "first_law_residual", "err_mean_delta_e"]
         series = dict(zip((pc.t_f for pc in pcs),
                           oracle.work_heat_series_amplitude(pcs)))
+        # One per grid time, which both rows of mode "both" read.
+        delta_f = {t_f: free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta
+                   else 0.0 for t_f in series}
 
         def row(t_f, pc, cm, stats):
             mean_de, err = mean_energy(pc, cm, stats)
             w, q = series[t_f]
-            df = free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta else 0.0
             residual = mean_de - (w + q)
-            return [mean_de / w0, w / w0, q / w0, (w + q) / w0, df / w0,
+            return [mean_de / w0, w / w0, q / w0, (w + q) / w0, delta_f[t_f] / w0,
                     residual / w0, err / w0]
     else:
         delta_beta = res.thermal.beta - res.thermal.beta_r
@@ -595,15 +600,17 @@ def _fr_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     gamma = res.thermal.beta - res.thermal.beta_r
     columns = ["gamma_omega0", "fr_value", "fr_target", "fr_deviation",
                "err_fr_value"]
+    pcs = _grid_configs(res)
+    weights = protocol.initial_probabilities(pcs[0])  # the sweep's Gibbs weights
 
     def row(t_f, pc, cm, stats):
-        atoms = protocol.energy_change_distribution(cm, pc)
+        atoms = protocol.energy_change_distribution(cm, pc, weights)
         value, target = protocol.fr_functional(atoms, gamma), protocol.fr_target(pc)
         err = 0.0 if stats is None else stats.functional_std_err(
-            pc, lambda v: math.exp(-gamma * v))
+            atoms, weights, lambda v: math.exp(-gamma * v))
         return [gamma * res.config.omega0, value, target, abs(value - target), err]
 
-    return _grid_rows(res, _grid_configs(res), columns, row)
+    return _grid_rows(res, pcs, columns, row)
 
 
 _ROW_BUILDERS = {

@@ -19,23 +19,24 @@ settings.load_profile("qubitfr")
 
 @pytest.fixture
 def rotations_built(monkeypatch):
-    """A list that gets, for each rotation ``protocol`` asks ``core`` for,
-    the number of intervals it covers: ``len(times) - 1`` per
-    ``bloch_rotations`` batch (the period rotations) and 1 per
-    ``bloch_rotation`` (the tails)."""
+    """A list that gets, for each batch of rotations ``protocol`` asks
+    ``core`` for, its kind and the number of intervals it covers:
+    ("periods", len(times) - 1) per ``bloch_rotations`` call, and
+    ("tails", len(starts)) per ``interval_rotations`` call, which
+    ``tail_rotations`` makes for a sweep's tails."""
     built = []
-    real_one, real_batch = protocol.bloch_rotation, protocol.bloch_rotations
+    real_periods, real_tails = protocol.bloch_rotations, protocol.interval_rotations
 
-    def one(drive, t0, t1):
-        built.append(1)
-        return real_one(drive, t0, t1)
+    def periods(drive, times):
+        built.append(("periods", len(times) - 1))
+        return real_periods(drive, times)
 
-    def batch(drive, times):
-        built.append(len(times) - 1)
-        return real_batch(drive, times)
+    def tails(drive, times, starts, ends):
+        built.append(("tails", len(starts)))
+        return real_tails(drive, times, starts, ends)
 
-    monkeypatch.setattr(protocol, "bloch_rotation", one)
-    monkeypatch.setattr(protocol, "bloch_rotations", batch)
+    monkeypatch.setattr(protocol, "bloch_rotations", periods)
+    monkeypatch.setattr(protocol, "interval_rotations", tails)
     return built
 
 

@@ -42,6 +42,7 @@ OFF_PERIOD_WALK = [
     "tests/test_sampled_sweep.py::test_off_period_walks_follow_the_exact_matrices",
 ]
 WALK = ["tests/test_montecarlo.py", "tests/test_sampled_sweep.py"]
+SETTLED = ["tests/test_sampled_sweep.py::test_walk_draws_only_unsettled_streams"]
 COMPACTION = ["tests/test_sampled_sweep.py::test_long_walks_compact_their_label_table"]
 REKEY = [
     "tests/test_sampled_sweep.py::test_sampled_sweep_csv_is_pinned",
@@ -70,7 +71,13 @@ _TAIL = "(1.0 - pa) ** n * d0 * (drive.omega(pc.t_f) - omegas[n])"
 # (name, file under src/qubitfr, old text, new text, tests that should kill it)
 CATALOG = [
     ("walk tail rotation is the identity", "montecarlo.py",
-     "np.array(tail_rotation(pc))", "np.eye(3)", OFF_PERIOD_WALK),
+     "np.array(tail_rotations(configs))", "np.array([np.eye(3)] * len(configs))",
+     OFF_PERIOD_WALK),
+    ("walk reverses the Born rows of a count's points", "montecarlo.py",
+     "zip(cs[lo:lo + step], born)", "zip(cs[lo:lo + step], born[::-1])",
+     ["tests/test_sampled_sweep.py"]),
+    ("walk settles the pump stream below 1e-3", "montecarlo.py",
+     "if p_pump > 0.0:", "if p_pump >= 1e-3:", SETTLED),
     ("walk reuses the second period's rotation", "montecarlo.py",
      "table = rotations[n] @ table", "table = rotations[min(n, 1)] @ table",
      OFF_PERIOD_WALK),
@@ -97,6 +104,9 @@ CATALOG = [
      "key[1] = 4 * n + role + 1", "key[1] = 4 * n + role", REKEY),
     ("functional_std_err reads the other column", "montecarlo.py",
      "p = self.column_estimate(i)", "p = self.column_estimate(1 - i)",
+     ["tests/test_montecarlo.py"]),
+    ("row error swaps the Gibbs weights", "montecarlo.py",
+     "(weights[i] * (f(de_up)", "(weights[1 - i] * (f(de_up)",
      ["tests/test_montecarlo.py"]),
     ("pulse_train drops the check after the rotation", "protocol.py",
      _ROTATED + "            if not x * x + y * y + z * z <= 1.0:\n"

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr.protocol import ProtocolConfig, segment_rotations, tail_rotation
+from qubitfr.protocol import ProtocolConfig, segment_rotations
+from sweep_reference import tail_rotation
 
 
 def derive_stream(master_seed: int, n: int, role: int,

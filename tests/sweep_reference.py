@@ -4,7 +4,8 @@ Every grid point rebuilds all of its period rotations and walks its own
 pulse train from t = 0, one basis state at a time, as the engine did
 before sweeps shared one train.  It costs O(grid x N) and shares no
 propagation code with ``qubitfr.protocol.pulse_train``: it takes only the
-rotations from the package (``segment_rotations`` and ``tail_rotation``),
+rotations from the package (``segment_rotations``, and ``tail_rotation``
+here, which builds each tail alone with ``core.bloch_rotation``),
 ``pulse`` is its own copy of the pulse arithmetic, and ``matvec`` its own
 copy of the rotation product, each in the package's expression order.
 So exact equality between the two is a meaningful check of the
@@ -31,10 +32,20 @@ import math
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
+from qubitfr import core
 from qubitfr.core import (AmplitudeModulatedDrive, _rot_z, gibbs_population,
                           phase_integral, whole_multiple)
-from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, segment_rotations,
-                              tail_rotation)
+from qubitfr.protocol import ConditionalMatrix, ProtocolConfig, segment_rotations
+
+
+def tail_rotation(config: ProtocolConfig):
+    """The package's drive rotation over (N tau, t_f) after the last pulse,
+    built alone rather than in a sweep's batch; the identity when t_f lands
+    on the last pulse."""
+    t_last = config.n_pulses * config.tau
+    if config.t_f > t_last:
+        return core.bloch_rotation(config.drive, t_last, config.t_f)
+    return core.IDENTITY3
 
 
 def matvec(m, v) -> np.ndarray:

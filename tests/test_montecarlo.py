@@ -14,7 +14,8 @@ from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, run_ensemble,
                                 run_ensembles)
 from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig,
                               conditional_matrix, energy_change_distribution,
-                              fr_functional, fr_target, mean)
+                              fr_functional, fr_target, initial_probabilities,
+                              mean)
 from qubitfr.scenarios import get_preset, resolve
 from scalar_sampler import PulseEvent, derive_stream, run_records, sample_pulse
 
@@ -266,18 +267,20 @@ class TestStatisticalAgreement:
         config = amplitude_config(n_pulses=3, tau=410.0)
         gamma = config.thermal.beta - config.thermal.beta_r
         stats = run_ensemble(config, 20_000, SEED)
-        value = fr_functional(
-            energy_change_distribution(stats.conditional_estimate(), config), gamma)
-        err = stats.functional_std_err(config, lambda v: math.exp(-gamma * v))
+        atoms = energy_change_distribution(stats.conditional_estimate(), config)
+        value = fr_functional(atoms, gamma)
+        err = stats.functional_std_err(atoms, initial_probabilities(config),
+                                       lambda v: math.exp(-gamma * v))
         assert err > 0.0
         assert abs(value - fr_target(config)) <= 4.0 * err
 
     def test_mean_energy_matches_deterministic_within_errors(self):
         config = phase_config(n_pulses=4, pd=0.5184, beta=44.0)
         stats = run_ensemble(config, 20_000, SEED)
-        mean_mc = mean(energy_change_distribution(stats.conditional_estimate(),
-                                                  config))
-        err = stats.functional_std_err(config, lambda v: v)
+        atoms = energy_change_distribution(stats.conditional_estimate(), config)
+        mean_mc = mean(atoms)
+        err = stats.functional_std_err(atoms, initial_probabilities(config),
+                                       lambda v: v)
         exact = mean(energy_change_distribution(conditional_matrix(config), config))
         assert err > 0.0
         assert abs(mean_mc - exact) <= 4.0 * err
@@ -308,4 +311,6 @@ class TestFunctionalStdErr:
         expected = math.sqrt(sum(s * s * p * (1.0 - p) / 20_000
                                  for s, p in zip(slopes, up)))
         f = (lambda v: v) if functional == "mean" else (lambda v: math.exp(-gamma * v))
-        assert stats.functional_std_err(config, f) == pytest.approx(expected, rel=1e-12)
+        atoms = energy_change_distribution(stats.conditional_estimate(), config)
+        assert stats.functional_std_err(atoms, initial_probabilities(config), f) \
+            == pytest.approx(expected, rel=1e-12)

@@ -1,7 +1,8 @@
 """The single walk of a sampled sweep: ``run_ensembles`` against separate
 per-point runs, against the scalar reference walker and, in distribution,
 against the exact ``conditional_matrices``; a pinned CSV digest, and the
-work a sampled sweep does."""
+work a sampled sweep does: the streams it draws, the rotations it builds
+and the atoms its rows build."""
 
 import hashlib
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qubitfr import montecarlo, scenarios
+from qubitfr import montecarlo, protocol, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.cli import main
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
@@ -177,15 +178,9 @@ def test_sampled_sweep_csv_is_pinned(tmp_path):
     assert digest == "c591abe63f33121959a4e46d82bc5c25267a56f13c96b6ee8582bc9f7869d607"
 
 
-def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
-                                             rotations_built):
-    """fig2a's 97 points on 13 pulse counts: each ``run_ensembles`` call
-    builds one Philox, and each chunk steps through the longest point's
-    pulses once, with one draw per (pulse, role) and one final-measurement
-    draw per distinct count, each at its stream's key and at the chunk's
-    first trajectory; each period rotation is built about once."""
-    cfg, pcs = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
-                            n_trajectories=200)
+def record_draws(monkeypatch):
+    """(Philox builds, draws) of the package from here on, each draw as
+    (stream key, position of its first word, words drawn)."""
     philox_builds, draws = [], []
     real_philox, real_generator = np.random.Philox, np.random.Generator
 
@@ -195,7 +190,6 @@ def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
 
     class RecordingGenerator(real_generator):
         def random(self, size=None, dtype=np.float64, out=None):
-            # (stream key, position of the next word, words drawn)
             state = self.bit_generator.state
             next_word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
             draws.append((int(state["state"]["key"][1]), next_word,
@@ -204,23 +198,143 @@ def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+    return philox_builds, draws
+
+
+def walk_draws(counts, roles, start, m):
+    """The draws of one chunk: keys 4 n + k + 1, role 3 at each measured
+    pulse count n, then ``roles`` of the pulse that follows it."""
+    n_max = max(counts)
+    return [(4 * n + k + 1, start, m) for n in range(n_max + 1)
+            for k in ([3] if n in counts else []) + (roles if n < n_max else [])]
+
+
+def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
+                                             rotations_built):
+    """fig2a's 97 points on 13 pulse counts: each ``run_ensembles`` call
+    builds one Philox, and each chunk steps through the longest point's
+    pulses once, with one draw per pulse of the absorption and outcome
+    streams (``p_pump`` 0 settles the pump stream) and one
+    final-measurement draw per distinct count, each at its stream's key and
+    at the chunk's first trajectory; each period rotation is built about
+    once, and the 84 tails off the pulses in one batch."""
+    cfg, pcs = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
+                            n_trajectories=200)
+    philox_builds, draws = record_draws(monkeypatch)
     scenarios.run_scenario(cfg, outdir=tmp_path)
     counts = {pc.n_pulses for pc in pcs}
     n_max = max(counts)
     assert (len(pcs), len(counts), n_max) == (97, 13, 12)
+    assert pcs[0].channel.p_pump == 0.0
     assert len(philox_builds) == 1
-
-    def chunk_draws(start, m):
-        # Keys 4 n + k + 1: role 3 at each measured count, then roles 0..2
-        # of the pulse that follows it.
-        return [(4 * n + k + 1, start, m) for n in range(n_max + 1)
-                for k in ([3] if n in counts else []) + ([0, 1, 2] if n < n_max else [])]
-
-    assert len(chunk_draws(0, 400)) == 3 * n_max + len(counts)
+    assert len(walk_draws(counts, [0, 1], 0, 400)) == 2 * n_max + len(counts)
     # One chunk of 400 trajectories here, chunks of 150, 150 and 100 below.
-    assert draws == chunk_draws(0, 400)
-    assert 0 < sum(rotations_built) <= n_max + len(pcs) + 2
+    assert draws == walk_draws(counts, [0, 1], 0, 400)
+    assert 0 < sum(n for _, n in rotations_built) <= n_max + len(pcs) + 2
+    assert [entry for entry in rotations_built if entry[0] == "tails"] == [
+        ("tails", len(pcs) - len(counts))]
     draws.clear()
     run_ensembles(pcs, 200, 777, chunk_size=150)
     assert len(philox_builds) == 2
-    assert draws == chunk_draws(0, 150) + chunk_draws(150, 150) + chunk_draws(300, 100)
+    assert draws == (walk_draws(counts, [0, 1], 0, 150) + walk_draws(counts, [0, 1], 150, 150)
+                     + walk_draws(counts, [0, 1], 300, 100))
+
+
+@pytest.mark.parametrize("p_absorb, p_pump, roles", [
+    (0.3, 0.4, [0, 1, 2]), (1e-4, 5e-4, [0, 1, 2]), (0.3, 0.0, [0, 1]),
+    (1.0, 1.0, [0, 1, 2]), (0.0, 1.0, [0, 1, 2]), (0.0, 0.0, [0, 1])])
+def test_walk_draws_only_unsettled_streams(monkeypatch, p_absorb, p_pump, roles):
+    """Uniforms lie in [0, 1), so at ``p_pump`` 0 no pump succeeds and the
+    pump stream is not drawn.  Every other stream is drawn once per pulse,
+    however small its threshold, and the final measurement once per
+    measured count."""
+    drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
+    channel, tau = PulseChannelParams(p_absorb, p_pump), 500.0
+    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
+                          ThermalContext(0.0), t_f=t_f)
+           for t_f in (1.3 * tau, 3.0 * tau, 3.5 * tau, 6.2 * tau)]
+    _, draws = record_draws(monkeypatch)
+    run_ensembles(pcs, 5, 777, chunk_size=7)
+    counts = {pc.n_pulses for pc in pcs}
+    assert draws == walk_draws(counts, roles, 0, 7) + walk_draws(counts, roles, 7, 3)
+
+
+@pytest.mark.parametrize("p_absorb", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("p_pump", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("family", ["amplitude", "phase"])
+def test_settled_corners_equal_scalar_reference(family, p_absorb, p_pump):
+    """The walks, which skip the pump stream at ``p_pump`` 0, count what the
+    scalar walker, which reads every stream, counts: at ``p_absorb`` and
+    ``p_pump`` each 0, 1 or between, on off-period sweeps of both drives."""
+    if family == "amplitude":
+        drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
+    else:
+        drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
+    channel, tau = PulseChannelParams(p_absorb, p_pump), 500.0
+    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(k * tau, tau),
+                          ThermalContext(0.0), t_f=k * tau)
+           for k in (1.3, 3.0, 3.4, 5.6)]
+    assert_walk_equals_scalar_reference(pcs, 12, 4242, chunk_size=5)
+
+
+@given(family=st.sampled_from(["amplitude", "phase"]),
+       tau=st.floats(50.0, 2000.0), period=st.floats(200.0, 2000.0),
+       p_absorb=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       p_pump=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       fractions=st.dictionaries(st.integers(0, 5),
+                                 st.lists(st.floats(0.0, 0.999), min_size=1,
+                                          max_size=12),
+                                 min_size=1, max_size=3),
+       n=st.integers(1, 5), chunk_size=st.integers(3, 4096),
+       seed=st.integers(0, 2**64 - 1))
+def test_dense_off_period_sweeps_equal_single_runs_and_scalar_reference(
+        family, tau, period, p_absorb, p_pump, fractions, n, chunk_size, seed):
+    """Sweeps with 1-12 points at each of up to three pulse counts, off the
+    drive's period: the walk's one Born product per count gives each point
+    the counts of its own run and of the scalar walker."""
+    if family == "amplitude":
+        drive = AmplitudeModulatedDrive(OMEGA0_A, period)
+    else:
+        drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)
+    channel = PulseChannelParams(p_absorb, p_pump)
+    grid = sorted((k + f) * tau for k, fs in fractions.items() for f in fs)
+    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
+                          ThermalContext(0.0), t_f=t_f) for t_f in grid]
+    for pc, stats in zip(pcs, run_ensembles(pcs, n, seed, chunk_size=chunk_size)):
+        assert stats.to_dict() == run_ensemble(pc, n, seed).to_dict(), pc.t_f
+    assert_walk_equals_scalar_reference(pcs, n, seed, chunk_size=chunk_size)
+
+
+def test_born_products_in_blocks_equal_one_product(monkeypatch):
+    """A count's stacked Born product is cut into blocks of at most
+    ``BORN_BLOCK`` probabilities; cut to one or a few points per block, the
+    counts stay those of one product per count."""
+    _, pcs = preset_sweep("fig2a", mc_grid="all")
+    whole = [s.to_dict() for s in run_ensembles(pcs, 300, 99, chunk_size=128)]
+    for block in (1, 50):
+        monkeypatch.setattr(montecarlo, "BORN_BLOCK", block)
+        assert [s.to_dict() for s in run_ensembles(pcs, 300, 99,
+                                                   chunk_size=128)] == whole
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig6b", "fig4b", "fig6e"])
+@pytest.mark.parametrize("mode", ["montecarlo", "both"])
+def test_sampled_rows_build_their_atoms_once(monkeypatch, name, mode):
+    """A sampled energetics or fr table computes the Gibbs weights once per
+    sweep, and each row's four atoms once: its value and its error both
+    read them."""
+    cfg = scenarios.with_overrides(scenarios.get_preset(name), mode=mode,
+                                   mc_grid="all", n_trajectories=20)
+    res = scenarios.resolve(cfg)
+    calls = {"initial_probabilities": 0, "energy_change_distribution": 0}
+    for fname in calls:
+        real = getattr(protocol, fname)
+
+        def counted(*args, _real=real, _name=fname):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(protocol, fname, counted)
+    _, rows = scenarios.table(res)
+    assert sum(row[2] == "montecarlo" for row in rows) == len(cfg.t_f_grid)
+    assert calls == {"initial_probabilities": 1, "energy_change_distribution": len(rows)}

@@ -118,12 +118,14 @@ def test_generated_sweeps_equal_per_point_reference(family, tau, drive_period,
 @pytest.mark.parametrize("name", ["fig2a", "fig5d"])
 def test_sweep_builds_each_rotation_about_once(name, tmp_path, rotations_built):
     """A deterministic run computes each period rotation once and at most
-    one tail per grid point, not every rotation again at every point."""
+    one tail per grid point, not every rotation again at every point, with
+    the tails in at most one batch."""
     cfg = scenarios.get_preset(name)
     pcs = preset_sweep(name)
     scenarios.run_scenario(cfg, outdir=tmp_path)
     n_max = max(pc.n_pulses for pc in pcs)
-    assert 0 < sum(rotations_built) <= n_max + len(pcs) + 2
+    assert 0 < sum(n for _, n in rotations_built) <= n_max + len(pcs) + 2
+    assert [kind for kind, _ in rotations_built].count("tails") <= 1
 
 
 def test_rotating_sweep_builds_rotations_independent_of_pulse_count(
