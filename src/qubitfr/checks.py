@@ -217,14 +217,14 @@ def check_oracle_equivalence(tables: dict) -> CheckResult:
         params = PulseChannelParams(pa, 0.0)
         for ratio in scenarios.linspace(0.1, 1.3, 10):
             tau = ratio * drive.tau_a
-            pc = protocol.ProtocolConfig(drive, params, tau, 50, thermal)
+            sweep = protocol.Sweep(drive, params, tau, thermal, (50 * tau,))
             # An x-rotation leaves rx alone, so the post-pulse rx of pulse
             # n - 1 is also its value just before pulse n.
-            post = protocol.pulse_train(pc, [(2.0 * p0 - 1.0, 0.0, 0.0)], range(51))
+            post = protocol.pulse_train(sweep, [(2.0 * p0 - 1.0, 0.0, 0.0)], range(51))
             rx = [rs[0][0] for rs in post]
             energy = drive.level(0.0) * rx[0]
             work = heat = 0.0
-            [(mean_w, mean_q)] = oracle.work_heat_series_amplitude([pc])
+            [(mean_w, mean_q)] = oracle.work_heat_series_amplitude(sweep)
             for n in range(1, 51):
                 level = drive.level(n * tau)  # the same across pulse n
                 e_before = level * rx[n - 1]
@@ -268,7 +268,7 @@ def check_rabi_oscillation(tables: dict) -> CheckResult:
 
 def check_monte_carlo() -> CheckResult:
     """Estimates vs exact maps at 4 binomial sigma, plus chunk-size invariance;
-    one ``run_ensembles`` walk per drive, channel, tau, count and seed."""
+    one ``run_ensembles`` walk per drive, channel, tau, pulse limit, count and seed."""
     try:  # the one check that needs numpy
         from . import montecarlo
     except ImportError as exc:
@@ -278,23 +278,26 @@ def check_monte_carlo() -> CheckResult:
 
     walks = {}
     for name, cfg in scenarios.PRESETS.items():
-        pc = scenarios.resolve(cfg).protocol_at(cfg.t_f_grid[-1])
-        key = (pc.drive, pc.channel, pc.tau, cfg.n_trajectories, cfg.master_seed)
-        walks.setdefault(key, []).append((name, pc))
+        final = (res := scenarios.resolve(cfg)).sweep(cfg.t_f_grid[-1:])
+        key = (final.drive, final.channel, final.tau, final.max_pulses,
+               cfg.n_trajectories, cfg.master_seed)
+        walks.setdefault(key, []).append((name, res, cfg.t_f_grid[-1]))
     worst_sigma, worst_name = 0.0, ""
     slowest, slowest_names = 0.0, ""
     sampler_s = walked = 0
     for (*_, n_trajectories, seed), points in walks.items():
-        names, pcs = zip(*points)
+        names, resolved, times = zip(*points)
+        # The walk and the exact matrices read no thermal context.
+        sweep = resolved[0].sweep(times)
         start = time.perf_counter()
-        ensembles = montecarlo.run_ensembles(pcs, n_trajectories, seed)
+        ensembles = montecarlo.run_ensembles(sweep, n_trajectories, seed)
         elapsed = time.perf_counter() - start
         sampler_s += elapsed
         walked += 2 * n_trajectories
         if elapsed > slowest:
             slowest, slowest_names = elapsed, "/".join(names)
         for name, stats, exact in zip(names, ensembles,
-                                      protocol.conditional_matrices(pcs)):
+                                      protocol.conditional_matrices(sweep)):
             for i, sigma in enumerate(stats.std_err()):
                 diff = abs(stats.column_estimate(i) - exact.prob(0, i))
                 pulls = 0.0 if diff == 0.0 else (math.inf if sigma == 0.0
@@ -325,12 +328,14 @@ def check_inequalities(tables: dict) -> CheckResult:
     for name in ("fig3a", "fig3b"):
         res = tables[name][0]
         w0 = res.config.omega0
-        pcs = [res.protocol_at(t_f)
-               for t_f in scenarios.linspace(0.0, 12 * res.config.tau, 100)[1:]]
-        for pc, cm in zip(pcs, protocol.conditional_matrices(pcs)):
-            mean_de = protocol.mean(protocol.energy_change_distribution(cm, pc))
-            df = free_energy_delta(res.config.beta, res.drive, pc.t_f)
-            worst_jensen = min(worst_jensen, (mean_de - df) / w0)
+        sweep = res.sweep(scenarios.linspace(0.0, 12 * res.config.tau, 100)[1:])
+        levels = protocol.sweep_levels(sweep)
+        atoms = protocol.energy_changes(sweep, protocol.initial_probabilities(sweep),
+                                        levels, protocol.conditional_matrices(sweep))
+        l0 = res.drive.level(0.0)
+        for lf, a in zip(levels, atoms):
+            df = free_energy_delta(res.config.beta, l0, lf)
+            worst_jensen = min(worst_jensen, (protocol.mean(a) - df) / w0)
 
     res = tables["fig3b"][0]
     drive, beta = res.drive, res.config.beta

@@ -54,9 +54,9 @@ def check_bloch_vector(rx: float, ry: float, rz: float) -> None:
 
 class Value:
     """Immutable record.  Each subclass's ``__init__`` sets its fields in
-    order with one ``self.__dict__.update``, then validates them.  Records
-    are equal when their types and field values are; the hash is that of
-    the field values in order."""
+    order with one ``self.__dict__.update``, then validates them, and may
+    then add values derived from them.  Records are equal when their types
+    and held values are; the hash is that of the held values in order."""
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -73,7 +73,7 @@ class Value:
         return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.fields())
         return f"{type(self).__qualname__}({args})"
 
     @classmethod
@@ -84,7 +84,7 @@ class Value:
 
     def replace(self, **changes) -> Value:
         """A copy with some fields changed; ``__init__`` validates it again."""
-        return type(self)(**{**self.__dict__, **changes})
+        return type(self)(**{**{k: getattr(self, k) for k in self.fields()}, **changes})
 
 
 class AmplitudeModulatedDrive(Value):
@@ -302,19 +302,19 @@ def gibbs_population(beta: float, drive: DriveSpec, t: float) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
-def free_energy_delta(beta: float, drive: DriveSpec, t_f: float) -> float:
-    """Equilibrium free-energy change -ln(Z(t_f)/Z(0))/beta between 0 and t_f.
+def free_energy_delta(beta: float, l0: float, lf: float) -> float:
+    """Equilibrium free-energy change -ln(Z(t_f)/Z(0))/beta between 0 and
+    t_f, from the upper level's energies l0 = level(0) and lf = level(t_f).
 
-    The log ratio ln(cosh a / cosh b), a = beta level(t_f) and b = beta
-    level(0), is taken without cancellation: a - b is beta times the
-    difference of the levels.  For |a|, |b| <= 1 it is log1p(2 sinh((a+b)/2)
-    sinh((a-b)/2) / cosh b), exact to O(beta^2) where the ratio is near 1;
-    above, it is ln cosh |a| - ln cosh |b| written as |a| - |b| plus
+    The log ratio ln(cosh a / cosh b), a = beta lf and b = beta l0, is
+    taken without cancellation: a - b is beta times the difference of the
+    levels.  For |a|, |b| <= 1 it is log1p(2 sinh((a+b)/2) sinh((a-b)/2) /
+    cosh b), exact to O(beta^2) where the ratio is near 1; above, it is
+    ln cosh |a| - ln cosh |b| written as |a| - |b| plus
     log1p((e^-2|a| - e^-2|b|) / (1 + e^-2|b|)), which cannot overflow.
     """
     if beta == 0.0:
         raise ValueError("free energy difference is undefined at beta = 0")
-    lf, l0 = drive.level(t_f), drive.level(0.0)
     a, b = abs(beta * lf), abs(beta * l0)
     if max(a, b) <= 1.0:
         log_ratio = math.log1p(2.0 * math.sinh(0.5 * beta * (lf + l0))

@@ -33,8 +33,8 @@ of a small per-chunk table of Bloch vectors that holds the up and the down
 start and the +z and -z poles of each pulse.  A pulse rotates the table,
 draws each outcome from its trajectory's column and writes the new pole's
 label where it absorbed.  The points measured at one pulse count read
-their tails, built in one ``protocol.tail_rotations`` pass per sweep,
-stacked as one (P, 3, 3) array: one (P, 3, 3) @ (3, k) product rotates the
+their tails, which the ``protocol.Sweep`` record built once, stacked as
+one (P, 3, 3) array: one (P, 3, 3) @ (3, k) product rotates the
 table by every tail and one (P, k, 3) @ (3,) product gives every Born
 probability, which each point then gathers by label and counts.  Numpy
 runs these stacked products slice by slice, as the one-point products
@@ -63,8 +63,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .core import Value
-from .protocol import (ConditionalMatrix, ProtocolConfig, segment_rotations,
-                       sweep_longest, tail_rotations)
+from .protocol import ConditionalMatrix, ProtocolConfig, Sweep, segment_rotations
 
 DEFAULT_CHUNK = 16384
 # Born probabilities per stacked product at most, which bounds its
@@ -88,7 +87,7 @@ class EnsembleStats(Value):
         n = self.n_per_initial
         if not n >= 1:
             raise ValueError(f"n_per_initial must be at least 1, got {n!r}")
-        if not all(0 <= up <= n for up in self.ups):
+        if not 0 <= min(ups) <= max(ups) <= n:
             raise ValueError(f"up counts {self.ups!r} outside [0, {n}]")
 
     def column_estimate(self, initial_index: int) -> float:
@@ -96,32 +95,29 @@ class EnsembleStats(Value):
         return self.ups[initial_index] / self.n_per_initial
 
     def conditional_estimate(self) -> ConditionalMatrix:
-        return ConditionalMatrix.from_upper_row(self.column_estimate(0),
-                                                self.column_estimate(1))
+        (up, down), n = self.ups, self.n_per_initial
+        return ConditionalMatrix.from_upper_row(up / n, down / n)
 
     def std_err(self) -> tuple[float, float]:
         """Binomial standard errors of the two column estimates."""
-        p = (self.column_estimate(0), self.column_estimate(1))
-        return tuple(math.sqrt(q * (1.0 - q) / self.n_per_initial) for q in p)
+        (up, down), n = self.ups, self.n_per_initial
+        p, q = up / n, down / n
+        return math.sqrt(p * (1.0 - p) / n), math.sqrt(q * (1.0 - q) / n)
 
     def functional_std_err(self, atoms: Sequence[tuple[float, float]],
                            weights: tuple[float, float],
                            f: Callable[[float], float]) -> float:
         """Binomial standard error of the sum of p * f(dE) over ``atoms``,
-        the four atoms of ``conditional_estimate()`` that
-        ``protocol.energy_change_distribution`` built with the Gibbs weights
-        ``weights``; e.g. <dE> for f the identity.  The sum is linear in
-        each independent column P(up | i), with slope
-        w_i * (f(dE_i,up) - f(dE_i,down)).  Only the atoms' dE are read, so
-        a row that has built its atoms and a sweep's weights passes them
-        here rather than having them built again."""
-        variance = 0.0
-        for i in (0, 1):
-            (de_up, _), (de_down, _) = atoms[2 * i:2 * i + 2]
-            p = self.column_estimate(i)
-            variance += ((weights[i] * (f(de_up) - f(de_down))) ** 2
-                         * p * (1.0 - p) / self.n_per_initial)
-        return math.sqrt(variance)
+        the four atoms of ``conditional_estimate()`` built with the Gibbs
+        weights ``weights`` (``protocol.energy_changes``), e.g. <dE> for f
+        the identity: the sum is linear in each independent column
+        P(up | i), with slope w_i * (f(dE_i,up) - f(dE_i,down)).  Only the
+        atoms' dE are read."""
+        (uu, _), (ud, _), (du, _), (dd, _) = atoms
+        (up, down), n = self.ups, self.n_per_initial
+        p, q = up / n, down / n
+        return math.sqrt((weights[0] * (f(uu) - f(ud))) ** 2 * p * (1.0 - p) / n
+                         + (weights[1] * (f(du) - f(dd))) ** 2 * q * (1.0 - q) / n)
 
     def to_dict(self) -> dict:
         (up, down), n = self.ups, self.n_per_initial
@@ -149,22 +145,20 @@ def _compact(table: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return table[:, live], label
 
 
-def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: int,
+def _walk(sweep: Sweep, master_seed: int, n_per_initial: int,
           chunk_size: int) -> tuple[list[list[int]], dict[int, int]]:
-    """(final-up counts [up starts, down starts] per config; absorbed-pulse
-    count at each config's pulse count)
-    of trajectory indices [0, 2 * n_per_initial), starting up below
-    n_per_initial, walked once to the largest pulse count."""
-    longest = sweep_longest(configs)
+    """(final-up counts [up starts, down starts] per point of the sweep;
+    absorbed-pulse count at each point's pulse count) of trajectory indices
+    [0, 2 * n_per_initial), starting up below n_per_initial, walked once."""
     # Arrays once per walk; the chunk loop multiplies with numpy.
-    rotations = [np.array(rot) for rot in segment_rotations(longest)]
+    rotations = [np.array(rot) for rot in segment_rotations(sweep)]
     # The up start is also the axis every point measures along.
-    up = np.array(longest.drive.basis[0])
-    tails = np.array(tail_rotations(configs))
-    at: dict[int, list[int]] = {}  # pulse count -> its configs
-    for c, pc in enumerate(configs):
-        at.setdefault(pc.n_pulses, []).append(c)
-    # pulse count -> (its configs, their tails stacked as one (P, 3, 3) array)
+    up = np.array(sweep.drive.basis[0])
+    tails = np.array(sweep.tails)
+    at: dict[int, list[int]] = {}  # pulse count -> its points
+    for c, n in enumerate(sweep.counts):
+        at.setdefault(n, []).append(c)
+    # pulse count -> (its points, their tails stacked as one (P, 3, 3) array)
     points = {n: (cs, tails[cs]) for n, cs in at.items()}
 
     # One Philox re-keyed per draw.  ``state`` is the walk's own copy: a draw
@@ -187,9 +181,9 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
             bits.random_raw(start % 4)
         return draw(out=words[:m])
 
-    p_absorb, p_pump = longest.channel.p_absorb, longest.channel.p_pump
+    p_absorb, p_pump = sweep.channel.p_absorb, sweep.channel.p_pump
     poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])  # +z, -z
-    ups = [[0, 0] for _ in configs]
+    ups = [[0, 0] for _ in sweep.times]
     absorbed_at = dict.fromkeys(points, 0)
     end = 2 * n_per_initial
     for start in range(0, end, chunk_size):
@@ -237,31 +231,25 @@ def _walk(configs: Sequence[ProtocolConfig], master_seed: int, n_per_initial: in
     return ups, absorbed_at
 
 
-def run_ensembles(configs: Sequence[ProtocolConfig], n_per_initial: int,
-                  master_seed: int, *,
+def run_ensembles(sweep: Sweep, n_per_initial: int, master_seed: int, *,
                   chunk_size: int = DEFAULT_CHUNK) -> list[EnsembleStats]:
-    """Both initializations at each config of a sweep, walked once to the
+    """Both initializations at each point of a sweep, walked once to the
     largest pulse count: the sampled ``protocol.conditional_matrices``.
-
-    The configs must share drive, channel and tau, else ``ValueError``,
-    which is also raised naming the first argument that is not an int in
-    range.
-    """
+    Raises ``ValueError`` naming the first argument not an int in range."""
     _check_arguments(("n_per_initial", n_per_initial, 1, math.inf),
                      ("chunk_size", chunk_size, 1, math.inf),
                      ("master_seed", master_seed, 0, 2**64))
-    if not configs:
+    if not sweep.times:
         return []
     n = n_per_initial
-    ups, absorbed = _walk(configs, master_seed, n, chunk_size)
-    return [EnsembleStats(tuple(up), n, absorbed[pc.n_pulses],
-                          2 * n * pc.n_pulses, master_seed)
-            for pc, up in zip(configs, ups)]
+    ups, absorbed = _walk(sweep, master_seed, n, chunk_size)
+    return [EnsembleStats(tuple(up), n, absorbed[k], 2 * n * k, master_seed)
+            for k, up in zip(sweep.counts, ups)]
 
 
 def run_ensemble(config: ProtocolConfig, n_per_initial: int, master_seed: int,
                  *, chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
     """Both initializations with disjoint stream indices ([0,n) and [n,2n))."""
-    return run_ensembles([config], n_per_initial, master_seed,
+    return run_ensembles(config, n_per_initial, master_seed,
                          chunk_size=chunk_size)[0]
 

@@ -22,11 +22,9 @@ assuming it zero.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
 from .core import (AmplitudeModulatedDrive, DriveSpec, PhaseRotatingDrive,
                    free_energy_delta, gibbs_population)
-from .protocol import ProtocolConfig, sweep_longest
+from .protocol import Sweep
 
 
 def population_after_n_pulses(p0: float, p_absorb: float, n: int) -> float:
@@ -44,32 +42,28 @@ def population_after_n_pulses(p0: float, p_absorb: float, n: int) -> float:
     return 0.5 * (1.0 - (1.0 - p_absorb) ** n * (1.0 - 2.0 * p0))
 
 
-def work_heat_series_amplitude(
-        configs: Sequence[ProtocolConfig]) -> list[tuple[float, float]]:
-    """Exact (mean work, mean heat) of the fixed-axis drive up to each t_f of
-    a sweep whose configs share drive, channel, tau and thermal context.
+def work_heat_series_amplitude(sweep: Sweep) -> list[tuple[float, float]]:
+    """Exact (mean work, mean heat) of the fixed-axis drive up to each t_f of a sweep.
 
     Work accrues while the populations sit still, between pulses and on each
-    config's tail after the last one; pulse n adds heat (omega(n tau)/2)
+    point's tail after the last one; pulse n adds heat (omega(n tau)/2)
     p_absorb (1-p_absorb)^(n-1) (1-2P(0)).  Each pulse's terms are evaluated
     once, and ``math.fsum`` sums the first n once per distinct pulse count n.
     """
-    longest = sweep_longest(configs)
-    drive, tau, pa = longest.drive, longest.tau, longest.channel.p_absorb
+    drive, tau, pa = sweep.drive, sweep.tau, sweep.channel.p_absorb
     if not isinstance(drive, AmplitudeModulatedDrive):
         raise TypeError("work/heat series requires the fixed-axis drive")
-    if any(pc.thermal != longest.thermal for pc in configs):
-        raise ValueError("a sweep's configs must share the thermal context")
-    d0 = 1.0 - 2.0 * gibbs_population(longest.thermal.beta, drive, 0.0)
-    omegas = [drive.omega(n * tau) for n in range(longest.n_pulses + 1)]
+    d0 = 1.0 - 2.0 * gibbs_population(sweep.thermal.beta, drive, 0.0)
+    n_max = max(sweep.counts, default=0)
+    omegas = [drive.omega(n * tau) for n in range(n_max + 1)]
     per_w = [0.5 * (omegas[n - 1] - omegas[n]) * (1.0 - pa) ** (n - 1) * d0
              for n in range(1, len(omegas))]
     per_q = [0.5 * omegas[n] * pa * (1.0 - pa) ** (n - 1) * d0
              for n in range(1, len(omegas))]
-    counts = [pc.n_pulses for pc in configs]
+    counts = sweep.counts
     sums = {n: (math.fsum(per_w[:n]), math.fsum(per_q[:n])) for n in set(counts)}
-    tails = [-0.5 * (1.0 - pa) ** n * d0 * (drive.omega(pc.t_f) - omegas[n])
-             for pc, n in zip(configs, counts)]
+    tails = [-0.5 * (1.0 - pa) ** n * d0 * (drive.omega(t_f) - omegas[n])
+             for t_f, n in zip(sweep.times, counts)]
     return [(sums[n][0] + tail, sums[n][1]) for n, tail in zip(counts, tails)]
 
 
@@ -128,18 +122,18 @@ def invert_pump_closed_form(target: float, alpha: float) -> float:
     return excess * (1.0 - c * c) / denom
 
 
-def mean_heat_phase(config: ProtocolConfig) -> float:
-    """Cumulative heat gap * (P(n) - P(0)) after the config's n
+def mean_heat_phase(sweep: Sweep) -> list[float]:
+    """Cumulative heat gap * (P(n) - P(0)) after each point's n
     stroboscopic pulses of the rotating drive, P from
-    ``floquet_population_recursion``."""
-    drive = config.drive
+    ``floquet_population_recursion``, evaluated once per distinct n."""
+    drive = sweep.drive
     if not isinstance(drive, PhaseRotatingDrive):
         raise TypeError("stroboscopic heat requires the rotating drive")
-    p0 = gibbs_population(config.thermal.beta, drive, 0.0)
-    p_n = floquet_population_recursion(p0, config.channel.p_absorb,
-                                       config.channel.p_pump, drive.alpha,
-                                       config.n_pulses)
-    return drive.gap * (p_n - p0)
+    p0 = gibbs_population(sweep.thermal.beta, drive, 0.0)
+    pa, pp, alpha = sweep.channel.p_absorb, sweep.channel.p_pump, drive.alpha
+    heat = {n: drive.gap * (floquet_population_recursion(p0, pa, pp, alpha, n) - p0)
+            for n in set(sweep.counts)}
+    return [heat[n] for n in sweep.counts]
 
 
 def rabi_conditional(omega0: float, theta: float, t: float) -> float:
@@ -164,7 +158,7 @@ def w_irr(beta: float, drive: DriveSpec, t_f: float) -> float:
         raise TypeError("irreversible work is defined for the fixed-axis drive")
     d0 = 2.0 * gibbs_population(beta, drive, 0.0) - 1.0
     mean_w = 0.5 * (drive.omega(t_f) - drive.omega(0.0)) * d0
-    return mean_w - free_energy_delta(beta, drive, t_f)
+    return mean_w - free_energy_delta(beta, drive.level(0.0), drive.level(t_f))
 
 
 def irreversible_work_relative_entropy(beta: float, drive: DriveSpec,

@@ -1,23 +1,22 @@
 """Two-point measurement protocol over the pulsed, driven qubit.
 
-A run is specified by a ``ProtocolConfig``: measure in the drive's fixed
-``basis`` at t = 0, evolve under the drive with a pulse at each multiple of
-``tau`` up to ``n_pulses``, coast to ``t_f``, measure again.  The
-deterministic engine propagates the two initial basis states through the
+The engines read a ``Sweep``, runs that differ only in their final time
+t_f, which computes its pulse counts and tail rotations once; a
+``ProtocolConfig``, one run, is its one-time case.  The deterministic
+engine propagates the two initial basis states through the
 ensemble-averaged channel, which is exact for all probabilities that are
 linear in the density operator.  ``pulse_train`` is its one
-rotate-then-pulse loop, and ``final_states`` (that loop plus each point's
-tail) its one readout of states: a sweep over final times walks it once,
-since every point's pulses are a prefix of the last point's: its period
-rotations are one ``core.bloch_rotations`` pass over the pulse times, and
-its tails one ``tail_rotations`` pass.
+rotate-then-pulse loop, and ``final_states`` (that loop plus each
+point's tail) its one readout of states: every point's pulses are a
+prefix of the last point's, so a sweep walks the loop once.
 
 The measured object is the ``ConditionalMatrix``, stored as its upper row
 P(up|up), P(up|down) since each column sums to one; with the initial Gibbs
 weights it gives the four (dE, p) atoms of the two-point energy change,
-one per (initial, final) outcome pair.  The mean <dE> and the fluctuation
-functionals <exp(-gamma * dE)> are plain sums over the atoms, taken with
-``math.fsum`` so that their order does not matter.
+one per (initial, final) outcome pair, which ``energy_changes`` builds
+for a whole table from one ``sweep_levels`` pass.  The mean <dE> and the
+fluctuation functionals <exp(-gamma * dE)> are plain sums over the
+atoms, taken with ``math.fsum`` so that their order does not matter.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Value,
                    partition_function, whole_multiple)
 
 PROBABILITY_TOL = 1e-12
-
-UPPER, LOWER = 0, 1
 
 
 def pulses_applied(t_f: float, tau: float) -> int:
@@ -53,69 +50,84 @@ def pulses_applied(t_f: float, tau: float) -> int:
     return math.floor(t_f / tau) if n is None else n
 
 
-class ProtocolConfig(Value):
-    """Full description of one two-point measurement run; ``t_f`` defaults
-    to the last pulse, ``n_pulses * tau``."""
+class Sweep(Value):
+    """Runs that share drive, channel, tau and thermal context, one per
+    entry of ``times`` (any order, repeats allowed): measure in the drive's
+    ``basis`` at t = 0, pulse at each multiple of tau up to t_f, at most
+    ``max_pulses`` times (no limit when None), measure again at t_f.  It
+    holds each time's pulse count, ``counts`` (``pulses_applied``, which
+    validates the time), and its ``tails`` (``tail_rotations``)."""
+
+    def __init__(self, drive: DriveSpec, channel: PulseChannelParams, tau: float,
+                 thermal: ThermalContext, times: Sequence[float],
+                 max_pulses: int | None = None) -> None:
+        self.__dict__.update(drive=drive, channel=channel, tau=tau, thermal=thermal,
+                             times=tuple(times), max_pulses=max_pulses)
+        if max_pulses is not None and max_pulses < 0:
+            raise ValueError(f"max_pulses must be nonnegative, got {max_pulses}")
+        limit = math.inf if max_pulses is None else max_pulses
+        self.__dict__["counts"] = tuple(min(pulses_applied(t, tau), limit)
+                                        for t in self.times)
+        self.__dict__["tails"] = tuple(tail_rotations(self))
+
+
+class ProtocolConfig(Sweep):
+    """One run, the one-time sweep: ``n_pulses`` pulses, then a coast to
+    ``t_f``, which defaults to the last pulse, ``n_pulses * tau``."""
 
     def __init__(self, drive: DriveSpec, channel: PulseChannelParams, tau: float,
                  n_pulses: int, thermal: ThermalContext,
                  t_f: float | None = None) -> None:
-        if t_f is None:
-            t_f = n_pulses * tau
-        self.__dict__.update(drive=drive, channel=channel, tau=tau,
-                             n_pulses=n_pulses, thermal=thermal, t_f=t_f)
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.n_pulses < 0:
-            raise ValueError(f"n_pulses must be nonnegative, got {self.n_pulses}")
-        if pulses_applied(self.t_f, self.tau) < self.n_pulses:
-            raise ValueError(f"t_f = {self.t_f} precedes pulse {self.n_pulses} "
-                             f"at {self.n_pulses * self.tau}")
+        t_f = n_pulses * tau if t_f is None else t_f
+        super().__init__(drive, channel, tau, thermal, (t_f,), n_pulses)
+        if self.counts[0] < n_pulses:
+            raise ValueError(f"t_f = {t_f} precedes pulse {n_pulses} "
+                             f"at {n_pulses * tau}")
+        self.__dict__.update(n_pulses=n_pulses, t_f=t_f)
 
 
-def tail_rotations(configs: Sequence[ProtocolConfig]) -> list[Matrix3]:
-    """Each config's drive rotation over the partial interval (N*tau, t_f)
+def tail_rotations(sweep: Sweep) -> list[Matrix3]:
+    """Each time's drive rotation over the partial interval (N*tau, t_f)
     after its last pulse, the identity when t_f lands on it; the others are
-    one ``core.interval_rotations`` pass over their distinct endpoints, on
-    the drive of configs[0], which the configs of a sweep share."""
+    one ``core.interval_rotations`` pass over their distinct endpoints."""
+    tau = sweep.tau
     index: dict[float, int] = {}  # endpoint -> its position in the pass
     starts, ends = [], []
-    for pc in configs:
-        t_last = pc.n_pulses * pc.tau
-        if pc.t_f > t_last:
+    for n, t_f in zip(sweep.counts, sweep.times):
+        t_last = n * tau
+        if t_f > t_last:
             starts.append(index.setdefault(t_last, len(index)))
-            ends.append(index.setdefault(pc.t_f, len(index)))
-    built = iter(interval_rotations(configs[0].drive, list(index), starts, ends))
-    return [next(built) if pc.t_f > pc.n_pulses * pc.tau else IDENTITY3
-            for pc in configs]
+            ends.append(index.setdefault(t_f, len(index)))
+    built = iter(interval_rotations(sweep.drive, list(index), starts, ends))
+    return [next(built) if t_f > n * tau else IDENTITY3
+            for n, t_f in zip(sweep.counts, sweep.times)]
 
 
-def segment_rotations(config: ProtocolConfig) -> list[Matrix3]:
-    """Per-period drive rotations: entry n-1 carries ((n-1)tau, n*tau)."""
-    return bloch_rotations(config.drive,
-                           [n * config.tau for n in range(config.n_pulses + 1)])
+def segment_rotations(sweep: Sweep) -> list[Matrix3]:
+    """Per-period drive rotations to the largest count: entry n-1 carries
+    ((n-1)tau, n*tau)."""
+    return bloch_rotations(sweep.drive, [n * sweep.tau for n in
+                                         range(max(sweep.counts, default=0) + 1)])
 
 
-def pulse_train(config: ProtocolConfig, starts: Sequence[Sequence[float]],
+def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
                 counts: Sequence[int]) -> list[list[Vector]]:
-    """Post-pulse Bloch vectors of each start at each requested pulse count.
+    """Post-pulse Bloch vectors of each start at each requested pulse count
+    (each in 0..the sweep's largest, repeats allowed): entry [k][s] is start
+    s after counts[k] pulses, from one walk of ``segment_rotations(sweep)``.
 
-    Walks the rotate-then-pulse steps of ``segment_rotations(config)`` once
-    and keeps only the states at ``counts`` (each in 0..config.n_pulses,
-    repeats allowed): entry [k][s] is start s after counts[k] pulses, which
-    ``final_states`` carries on to each t_f.  Each step unpacks its period's
-    rotation once and applies it to every start, summing each element as
-    ``matvec3`` does, then ``channel.pulse_step``; a state that leaves the
-    Bloch ball, after the rotation or after the pulse, raises ValueError.
-    ``check_bloch_vector`` runs only when the squared norm, summed in its
-    order, is not <= 1 (NaN included): any smaller sum has sqrt <= 1, which
-    that check passes, so the verdict is always its own.
+    Each step applies its period's rotation to every start, summing each
+    element as ``matvec3`` does, then ``channel.pulse_step``; a state that
+    leaves the Bloch ball, after the rotation or after the pulse, raises
+    ValueError.  ``check_bloch_vector`` runs only when the squared norm,
+    summed in its order, is not <= 1 (NaN included): any smaller sum has
+    sqrt <= 1, which that check passes, so the verdict is always its own.
     """
-    if any(not 0 <= n <= config.n_pulses for n in counts):
-        raise ValueError(f"pulse counts {list(counts)} outside "
-                         f"0..{config.n_pulses}")
-    rots = segment_rotations(config)
-    pa, pd = config.channel.p_absorb, config.channel.p_pump
+    n_max = max(sweep.counts, default=0)
+    if any(not 0 <= n <= n_max for n in counts):
+        raise ValueError(f"pulse counts {list(counts)} outside 0..{n_max}")
+    rots = segment_rotations(sweep)
+    pa, pd = sweep.channel.p_absorb, sweep.channel.p_pump
     wanted = set(counts)
     rs = [tuple(float(x) for x in r) for r in starts]
     kept = {0: rs}
@@ -159,79 +171,77 @@ class ConditionalMatrix(Value):
         """Probability of final outcome j given initial outcome i; index 0
         is the upper level."""
         up = (self.p_up_given_up, self.p_up_given_down)[initial_index]
-        return up if final_index == UPPER else 1.0 - up
+        return up if final_index == 0 else 1.0 - up
 
 
-def sweep_longest(configs: Sequence[ProtocolConfig]) -> ProtocolConfig:
-    """The config of a sweep with the most pulses; raises ``ValueError``
-    unless all share drive, channel and tau."""
-    first = configs[0]
-    if any((pc.drive, pc.channel, pc.tau) != (first.drive, first.channel, first.tau)
-           for pc in configs):
-        raise ValueError("a sweep's configs must share drive, channel and tau")
-    return max(configs, key=lambda pc: pc.n_pulses)
-
-
-def final_states(configs: Sequence[ProtocolConfig],
+def final_states(sweep: Sweep,
                  starts: Sequence[Sequence[float]]) -> list[list[Vector]]:
-    """Entry [k][s]: start s's Bloch vector at configs[k].t_f; one outside the
-    Bloch ball raises ValueError.  The configs, at least one, must share
-    drive, channel and tau.  Pulses fire at tau, 2 tau, ... whatever t_f is,
-    so one ``pulse_train`` to the largest pulse count serves the sweep and
-    each point adds its own tail: O(N_max + grid) rotations, not O(grid * N)."""
-    post = pulse_train(sweep_longest(configs), starts,
-                       [pc.n_pulses for pc in configs])
-    out = [[matvec3(tail, r) for r in rs]
-           for tail, rs in zip(tail_rotations(configs), post)]
+    """Entry [k][s]: start s's Bloch vector at sweep.times[k]; one outside
+    the Bloch ball raises ValueError.  One ``pulse_train`` serves the sweep
+    and each point adds its own tail: O(N_max + grid) rotations."""
+    post = pulse_train(sweep, starts, sweep.counts)
+    out = [[matvec3(tail, r) for r in rs] for tail, rs in zip(sweep.tails, post)]
     for x, y, z in (r for rs in out for r in rs):
         if not x * x + y * y + z * z <= 1.0:  # as in pulse_train
             check_bloch_vector(x, y, z)
     return out
 
 
-def conditional_matrices(configs: Sequence[ProtocolConfig]) -> list[ConditionalMatrix]:
-    """Transition probabilities between the bases at 0 and each config's t_f:
-    the ``final_states`` of the basis states, measured along the upper one
-    u as 0.5 (1 + r . u), on the states ``final_states`` has checked."""
-    if not configs:
-        return []
-    basis = configs[0].drive.basis
+def conditional_matrices(sweep: Sweep) -> list[ConditionalMatrix]:
+    """Transition probabilities between the bases at 0 and each time: the
+    ``final_states`` of the basis states (checked there), measured along
+    the upper one u as 0.5 (1 + r . u)."""
+    basis = sweep.drive.basis
     ux, uy, uz = basis[0]
-    return [ConditionalMatrix(*(0.5 * (1.0 + (x * ux + y * uy + z * uz))
-                                for x, y, z in rs))
-            for rs in final_states(configs, basis)]
+    return [ConditionalMatrix(0.5 * (1.0 + (x * ux + y * uy + z * uz)),
+                              0.5 * (1.0 + (a * ux + b * uy + c * uz)))
+            for (x, y, z), (a, b, c) in final_states(sweep, basis)]
 
 
 def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
     """Transition probabilities between the measurement bases at 0 and t_f."""
-    return conditional_matrices([config])[0]
+    return conditional_matrices(config)[0]
 
 
-def initial_probabilities(config: ProtocolConfig) -> tuple[float, float]:
+def initial_probabilities(sweep: Sweep) -> tuple[float, float]:
     """Gibbs weights (upper, lower) of the initial measurement outcomes, each
     its own logistic: 1 - g would lose the small one's digits at large |beta|."""
-    return tuple(gibbs_population(b, config.drive, 0.0)
-                 for b in (config.thermal.beta, -config.thermal.beta))
+    return tuple(gibbs_population(b, sweep.drive, 0.0)
+                 for b in (sweep.thermal.beta, -sweep.thermal.beta))
 
 
-def energy_change_distribution(
-        cm: ConditionalMatrix, config: ProtocolConfig,
-        weights: tuple[float, float] | None = None) -> tuple[tuple[float, float], ...]:
-    """The four atoms (E_final - E_initial, probability), Gibbs-weighted, in
-    (initial, final) order (up, up), (up, down), (down, up), (down, down).
-    ``weights`` are ``initial_probabilities(config)``, which the configs of a
-    sweep share, so its rows pass them in; they are computed when omitted.
+def sweep_levels(sweep: Sweep) -> list[float]:
+    """The upper level at each time, one ``drive.level`` call per distinct time."""
+    level = sweep.drive.level
+    at = {t: level(t) for t in dict.fromkeys(sweep.times)}
+    return [at[t] for t in sweep.times]
+
+
+def energy_changes(sweep: Sweep, weights: tuple[float, float],
+                   levels: Sequence[float],
+                   matrices: Sequence[ConditionalMatrix]) -> list[tuple]:
+    """Per pair of a level(t_f) and a ``ConditionalMatrix``, the four atoms
+    (E_final - E_initial, probability), Gibbs-weighted by ``weights``
+    (``initial_probabilities(sweep)``), in (initial, final) order (up, up),
+    (up, down), (down, up), (down, down); level(0) is read once.
 
     Unchecked: the atoms are finite and sum to one, since a validated drive's
     levels are finite at a finite t_f, the Gibbs weights sum to one, and
     ``ConditionalMatrix`` rejects columns outside [0, 1] and NaN.
     """
-    l0, lf = config.drive.level(0.0), config.drive.level(config.t_f)
-    e0, ef = (l0, -l0), (lf, -lf)
-    if weights is None:
-        weights = initial_probabilities(config)
-    return tuple((ef[j] - e0[i], weights[i] * cm.prob(j, i))
-                 for i in (UPPER, LOWER) for j in (UPPER, LOWER))
+    l0 = sweep.drive.level(0.0)
+    up, down = weights
+    return [((lf - l0, up * uu), (-lf - l0, up * (1.0 - uu)),
+             (lf - -l0, down * ud), (-lf - -l0, down * (1.0 - ud)))
+            for lf, (uu, ud) in zip(levels, ((cm.p_up_given_up, cm.p_up_given_down)
+                                             for cm in matrices))]
+
+
+def energy_change_distribution(cm: ConditionalMatrix,
+                               config: ProtocolConfig) -> tuple:
+    """``energy_changes`` of one run: its four atoms."""
+    return energy_changes(config, initial_probabilities(config), sweep_levels(config),
+                          [cm])[0]
 
 
 def mean(atoms: Sequence[tuple[float, float]]) -> float:
@@ -248,15 +258,13 @@ def fr_functional(atoms: Sequence[tuple[float, float]], gamma: float) -> float:
     return math.fsum(p * math.exp(-gamma * v) for v, p in atoms)
 
 
-def fr_target(config: ProtocolConfig) -> float:
-    """Partition-function ratio Z(t_f)/Z(0) the functional should reproduce.
-
-    Equals exp(-beta dF); identically 1 for the rotating drive (constant
-    spectrum) and for beta = 0.
-    """
-    beta = config.thermal.beta
-    return (partition_function(beta, config.drive, config.t_f)
-            / partition_function(beta, config.drive, 0.0))
+def fr_targets(sweep: Sweep, levels: Sequence[float]) -> list[float]:
+    """Partition-function ratio Z(t_f)/Z(0), exp(-beta dF), the functional
+    should reproduce at each of the sweep's ``levels`` (``sweep_levels``);
+    Z(0) is read once.  Identically 1 for the rotating drive and beta = 0."""
+    beta = sweep.thermal.beta
+    z0 = partition_function(beta, sweep.drive, 0.0)
+    return [2.0 * math.cosh(beta * lf) / z0 for lf in levels]  # Z as partition_function
 
 
 def beta_reservoir(p_up_infinity: float, gap: float) -> float:

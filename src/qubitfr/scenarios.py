@@ -67,13 +67,12 @@ INSTALL_MC = "install the mc extra: pip install 'qubitfr[mc]'"
 # Admits every preset (at most 50 pulses) and 500-pulse sweeps.
 MAX_PULSES = 1000
 # A run's time and memory are linear in the grid length: 500x the longest
-# preset grid (fig5a, 200 points), each kind under 6 s on a 2-vCPU host.
+# preset grid (fig5a, 200 points).
 MAX_GRID_POINTS = 10**5
 # Caps a run's sampling work, one walk to the largest sampled pulse count:
-# 2 x n_trajectories x (that count + the number of sampled points).  Within
-# 10 s: fig5d's drive at 1,000 pulses takes 6.3 s on a 2-vCPU host (2**28: 12.8 s).
-# Mode "both" also builds the deterministic table, up to 5.4 s at the grid
-# cap, so it gets half (fig5d at both caps took 12.5 s with the whole).
+# 2 x n_trajectories x (that count + the number of sampled points), for a
+# run within 10 s.  Mode "both" also builds the deterministic table, so it
+# gets half.
 MAX_SAMPLED_STEPS = 2**27
 # exp overflows past log(float max), about 709.78: the limit on beta dE in
 # the Gibbs weights and (beta - beta_r) dE in the fluctuation functional.
@@ -267,6 +266,11 @@ class ResolvedScenario(Value):
         return protocol.ProtocolConfig(self.drive, self.channel, self.config.tau,
                                        self.config.pulses_at(t_f), self.thermal,
                                        t_f=t_f)
+
+    def sweep(self, times) -> protocol.Sweep:
+        """The protocol at each of ``times``; rabi scenarios fire no pulse."""
+        return protocol.Sweep(self.drive, self.channel, self.config.tau, self.thermal,
+                              times, 0 if self.config.kind == "rabi" else None)
 
 
 def resolve(config: ScenarioConfig) -> ResolvedScenario:
@@ -466,8 +470,9 @@ def _replace_on_close(path: Path):
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -477,61 +482,59 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _grid_configs(res: ResolvedScenario) -> list[protocol.ProtocolConfig]:
-    """The protocol at each grid time a row reads: the whole grid, or only
-    the sampled grid when the mode only samples."""
-    cfg = res.config
-    grid = cfg.sampled_grid() if cfg.mode == "montecarlo" else cfg.t_f_grid
-    return [res.protocol_at(t_f) for t_f in grid]
-
-
-def _grid(res: ResolvedScenario, pcs: list[protocol.ProtocolConfig]):
-    """(t_f, protocol, mode, conditional matrix, stats or None) per CSV row,
-    given ``pcs = _grid_configs(res)``.
-
-    Deterministic rows cover the whole grid with the exact matrix;
-    Monte-Carlo rows follow at the sampled points with the empirical
-    matrix and the ensemble they came from.
-    """
-    cfg = res.config
-    if cfg.mode in ("deterministic", "both"):
-        for pc, cm in zip(pcs, protocol.conditional_matrices(pcs)):
-            yield pc.t_f, pc, "deterministic", cm, None
-    if cfg.mode in ("montecarlo", "both"):
+def _grid(res: ResolvedScenario):
+    """(sweep, index, matrices, stats): the sweep of the grid times the rows
+    read (only the sampled ones when the mode only samples), and per CSV row
+    the index of its time in the sweep, its conditional matrix and its
+    ensemble statistics.  Deterministic rows (stats None) cover the whole
+    grid with the exact matrix; Monte-Carlo rows follow at the sampled
+    points, the sweep's last ones, with the empirical matrix; when every
+    point is sampled, both read the one sweep and its tails."""
+    cfg, sampled = res.config, res.config.sampled_grid()
+    sweep = res.sweep(sampled if cfg.mode == "montecarlo" else cfg.t_f_grid)
+    size, k = len(sweep.times), len(sampled)
+    index, matrices, stats = [], [], []
+    if cfg.mode != "montecarlo":
+        index += range(size)
+        matrices += protocol.conditional_matrices(sweep)
+        stats += [None] * size
+    if cfg.mode != "deterministic":
         try:  # loads numpy, which nothing else here needs
             from . import montecarlo
         except ImportError as exc:
             raise ConfigError(f"mode {cfg.mode!r} samples with numpy, which "
                               f"cannot be imported; {INSTALL_MC}") from exc
-        sampled = pcs[-len(cfg.sampled_grid()):]  # the grid's last points
-        for pc, stats in zip(sampled, montecarlo.run_ensembles(
-                sampled, cfg.n_trajectories, cfg.master_seed)):
-            yield pc.t_f, pc, "montecarlo", stats.conditional_estimate(), stats
+        ensembles = montecarlo.run_ensembles(
+            sweep if k == size else res.sweep(sweep.times[-k:]),
+            cfg.n_trajectories, cfg.master_seed)
+        index += range(size - k, size)
+        matrices += [s.conditional_estimate() for s in ensembles]
+        stats += ensembles
+    return sweep, index, matrices, stats
 
 
-def _grid_rows(res: ResolvedScenario, pcs: list[protocol.ProtocolConfig],
-               columns: list[str], row) -> tuple[list[str], list[list]]:
-    """One CSV row per ``_grid(res, pcs)`` point: t_f, pulse count, mode,
-    then ``row(t_f, pc, cm, stats)``."""
+def _grid_rows(sweep: protocol.Sweep, index: list[int], stats: list,
+               columns: list[str], values) -> tuple[list[str], list[list]]:
+    """One CSV row per row of ``_grid``: t_f, pulse count, mode, ``values``."""
+    times, counts = sweep.times, sweep.counts
     return (["t_f_ns", "n_pulses", "mode"] + columns,
-            [[t_f, pc.n_pulses, mode, *row(t_f, pc, cm, stats)]
-             for t_f, pc, mode, cm, stats in _grid(res, pcs)])
+            [[times[i], counts[i], "deterministic" if s is None else "montecarlo", *row]
+             for i, s, row in zip(index, stats, values)])
 
 
 def _conditional_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     cfg = res.config
-    rabi = cfg.kind == "rabi"
     columns = ["p_up_given_up", "p_up_given_down", "err_up_given_up",
-               "err_up_given_down"] + (["closed_form_p_up_given_up"] if rabi else [])
-
-    def row(t_f, pc, cm, stats):
-        err = (0.0, 0.0) if stats is None else stats.std_err()
-        out = [cm.p_up_given_up, cm.p_up_given_down, err[0], err[1]]
-        if rabi:
-            out.append(oracle.rabi_conditional(cfg.omega0, cfg.theta, t_f))
-        return out
-
-    return _grid_rows(res, _grid_configs(res), columns, row)
+               "err_up_given_down"]
+    sweep, index, matrices, stats = _grid(res)
+    values = [(cm.p_up_given_up, cm.p_up_given_down,
+               *((0.0, 0.0) if s is None else s.std_err()))
+              for cm, s in zip(matrices, stats)]
+    if cfg.kind == "rabi":
+        columns.append("closed_form_p_up_given_up")
+        values = [(*row, oracle.rabi_conditional(cfg.omega0, cfg.theta, sweep.times[i]))
+                  for i, row in zip(index, values)]
+    return _grid_rows(sweep, index, stats, columns, values)
 
 
 def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
@@ -544,73 +547,71 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     t_f = cfg.t_f_grid[-1]
     marks = [n * cfg.tau for n in range(cfg.pulses_at(t_f) + 1)]
     marks += [t_f] if t_f > marks[-1] else []
-    times = [t for t0, t1 in zip(marks, marks[1:])
-             for t in linspace(t0, t1, 17)[:-1]] + marks[-1:]
-    pcs = [res.protocol_at(t) for t in times]
-    states = protocol.final_states(pcs, res.drive.basis)
-    return header, [[t, pc.n_pulses, "deterministic", label, *rs[i],
-                     int(0 < t <= pc.n_pulses * cfg.tau)]
+    sweep = res.sweep([t for t0, t1 in zip(marks, marks[1:])
+                       for t in linspace(t0, t1, 17)[:-1]] + marks[-1:])
+    states = protocol.final_states(sweep, res.drive.basis)
+    return header, [[t, n, "deterministic", label, *rs[i],
+                     int(0 < t <= n * cfg.tau)]
                     for i, label in enumerate(("up", "down"))
-                    for t, pc, rs in zip(times, pcs, states)]
+                    for t, n, rs in zip(sweep.times, sweep.counts, states)]
+
+
+def _energy_grid(res: ResolvedScenario):
+    """``_grid`` with the sweep's levels and each row's four atoms, from one
+    ``sweep_levels`` pass and one set of Gibbs weights; ``error(f)`` is each
+    row's standard error of p * f(dE) over its atoms (0 for an exact row)."""
+    sweep, index, matrices, stats = _grid(res)
+    levels = protocol.sweep_levels(sweep)
+    weights = protocol.initial_probabilities(sweep)
+    atoms = protocol.energy_changes(sweep, weights, [levels[i] for i in index],
+                                    matrices)
+
+    def error(f):
+        return [0.0 if s is None else s.functional_std_err(a, weights, f)
+                for a, s in zip(atoms, stats)]
+
+    return sweep, levels, index, stats, atoms, error
 
 
 def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     cfg = res.config
     w0 = cfg.omega0
-    pcs = _grid_configs(res)
-    weights = protocol.initial_probabilities(pcs[0])  # the sweep's Gibbs weights
-
-    def mean_energy(pc, cm, stats):
-        atoms = protocol.energy_change_distribution(cm, pc, weights)
-        err = 0.0 if stats is None else stats.functional_std_err(
-            atoms, weights, lambda v: v)
-        return protocol.mean(atoms), err
-
+    sweep, levels, index, stats, atoms, error = _energy_grid(res)
+    rows = zip(index, [protocol.mean(a) for a in atoms], error(lambda v: v))
     if isinstance(res.drive, AmplitudeModulatedDrive):
         columns = ["mean_delta_e", "mean_work", "mean_heat", "work_plus_heat",
                    "delta_f", "first_law_residual", "err_mean_delta_e"]
-        series = dict(zip((pc.t_f for pc in pcs),
-                          oracle.work_heat_series_amplitude(pcs)))
+        series = oracle.work_heat_series_amplitude(sweep)
         # One per grid time, which both rows of mode "both" read.
-        delta_f = {t_f: free_energy_delta(cfg.beta, res.drive, t_f) if cfg.beta
-                   else 0.0 for t_f in series}
-
-        def row(t_f, pc, cm, stats):
-            mean_de, err = mean_energy(pc, cm, stats)
-            w, q = series[t_f]
-            residual = mean_de - (w + q)
-            return [mean_de / w0, w / w0, q / w0, (w + q) / w0, delta_f[t_f] / w0,
-                    residual / w0, err / w0]
+        l0 = res.drive.level(0.0)
+        delta_f = [free_energy_delta(cfg.beta, l0, lf) if cfg.beta else 0.0
+                   for lf in levels]
+        values = [(mean_de / w0, w / w0, q / w0, (w + q) / w0, delta_f[i] / w0,
+                   (mean_de - (w + q)) / w0, err / w0)
+                  for (i, mean_de, err), (w, q) in zip(rows, [series[i] for i in index])]
     else:
         delta_beta = res.thermal.beta - res.thermal.beta_r
         columns = ["mean_delta_e", "mean_heat_recursion", "recursion_gap",
                    "delta_beta_mean_delta_e", "delta_beta_mean_heat_recursion",
                    "err_mean_delta_e"]
-
-        def row(t_f, pc, cm, stats):
-            mean_de, err = mean_energy(pc, cm, stats)
-            heat = oracle.mean_heat_phase(pc)
-            return [mean_de / w0, heat / w0, (mean_de - heat) / w0,
-                    delta_beta * mean_de, delta_beta * heat, err / w0]
-
-    return _grid_rows(res, pcs, columns, row)
+        heats = oracle.mean_heat_phase(sweep)
+        values = [(mean_de / w0, heats[i] / w0, (mean_de - heats[i]) / w0,
+                   delta_beta * mean_de, delta_beta * heats[i], err / w0)
+                  for i, mean_de, err in rows]
+    return _grid_rows(sweep, index, stats, columns, values)
 
 
 def _fr_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     gamma = res.thermal.beta - res.thermal.beta_r
+    gamma_omega0 = gamma * res.config.omega0
     columns = ["gamma_omega0", "fr_value", "fr_target", "fr_deviation",
                "err_fr_value"]
-    pcs = _grid_configs(res)
-    weights = protocol.initial_probabilities(pcs[0])  # the sweep's Gibbs weights
-
-    def row(t_f, pc, cm, stats):
-        atoms = protocol.energy_change_distribution(cm, pc, weights)
-        value, target = protocol.fr_functional(atoms, gamma), protocol.fr_target(pc)
-        err = 0.0 if stats is None else stats.functional_std_err(
-            atoms, weights, lambda v: math.exp(-gamma * v))
-        return [gamma * res.config.omega0, value, target, abs(value - target), err]
-
-    return _grid_rows(res, pcs, columns, row)
+    sweep, levels, index, stats, atoms, error = _energy_grid(res)
+    targets = protocol.fr_targets(sweep, levels)
+    fr = [protocol.fr_functional(a, gamma) for a in atoms]
+    values = [(gamma_omega0, value, targets[i], abs(value - targets[i]), err)
+              for i, value, err in zip(index, fr, error(lambda v: math.exp(-gamma * v)))]
+    return _grid_rows(sweep, index, stats, columns, values)
 
 
 _ROW_BUILDERS = {

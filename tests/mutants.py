@@ -33,6 +33,8 @@ BLOCH_CHECK = ["tests/test_protocol.py::TestPulseTrainBlochCheck"]
 READOUT_CHECK = ["tests/test_protocol.py::TestReadoutBlochCheck"]
 ROTATION_MEMO = ["tests/test_core.py::TestRotationBuilder::test_batch_memo_is_exact"]
 WORK_HEAT_SWEEP = ["tests/test_sweep.py::test_work_heat_sweep_equals_per_config_reference"]
+TABLE_COLUMNS = ["tests/test_sweep.py::test_table_columns_equal_the_single_point_path"]
+ATOMS = ["tests/test_protocol.py::TestAtoms", "tests/test_identities.py"]
 FREE_ENERGY = [
     "tests/test_identities.py::test_jensen_at_every_temperature_scale",
     "tests/test_identities.py::test_free_energy_delta_against_a_60_digit_reference",
@@ -65,13 +67,17 @@ _MEMO = """\
     memo = {a: _axis_angle(*axis, a) for a in set(angles)}
     rotations = [memo[a] for a in angles]
 """
+_ERROR = """\
+        return math.sqrt((weights[0] * (f(uu) - f(ud))) ** 2 * p * (1.0 - p) / n
+                         + (weights[1] * (f(du) - f(dd))) ** 2 * q * (1.0 - q) / n)
+"""
 _READOUT_GUARD = "        if not x * x + y * y + z * z <= 1.0:  # as in pulse_train\n"
-_TAIL = "(1.0 - pa) ** n * d0 * (drive.omega(pc.t_f) - omegas[n])"
+_TAIL = "(1.0 - pa) ** n * d0 * (drive.omega(t_f) - omegas[n])"
 
 # (name, file under src/qubitfr, old text, new text, tests that should kill it)
 CATALOG = [
     ("walk tail rotation is the identity", "montecarlo.py",
-     "np.array(tail_rotations(configs))", "np.array([np.eye(3)] * len(configs))",
+     "np.array(sweep.tails)", "np.array([np.eye(3)] * len(sweep.times))",
      OFF_PERIOD_WALK),
     ("walk reverses the Born rows of a count's points", "montecarlo.py",
      "zip(cs[lo:lo + step], born)", "zip(cs[lo:lo + step], born[::-1])",
@@ -103,11 +109,11 @@ CATALOG = [
     ("walk keys each stream one role low", "montecarlo.py",
      "key[1] = 4 * n + role + 1", "key[1] = 4 * n + role", REKEY),
     ("functional_std_err reads the other column", "montecarlo.py",
-     "p = self.column_estimate(i)", "p = self.column_estimate(1 - i)",
+     "p, q = up / n, down / n\n        return math.sqrt((weights",
+     "p, q = down / n, up / n\n        return math.sqrt((weights",
      ["tests/test_montecarlo.py"]),
     ("row error swaps the Gibbs weights", "montecarlo.py",
-     "(weights[i] * (f(de_up)", "(weights[1 - i] * (f(de_up)",
-     ["tests/test_montecarlo.py"]),
+     _ERROR, _ERROR.replace("weights[", "weights[1 - "), ["tests/test_montecarlo.py"]),
     ("pulse_train drops the check after the rotation", "protocol.py",
      _ROTATED + "            if not x * x + y * y + z * z <= 1.0:\n"
      "                check_bloch_vector(x, y, z)\n",
@@ -127,13 +133,18 @@ CATALOG = [
                                             "x * x + y * y + z * z > 1.0:"), READOUT_CHECK),
     ("work/heat prefix sums one pulse short", "oracle.py",
      "math.fsum(per_w[:n])", "math.fsum(per_w[:n - 1])", WORK_HEAT_SWEEP),
-    ("work/heat tail takes the longest config's pulse count", "oracle.py",
-     _TAIL, _TAIL.replace("[n]", "[longest.n_pulses]").replace(
-         "** n ", "** longest.n_pulses "), WORK_HEAT_SWEEP),
+    ("work/heat tail takes the sweep's largest pulse count", "oracle.py",
+     _TAIL, _TAIL.replace("[n]", "[n_max]").replace("** n ", "** n_max "),
+     WORK_HEAT_SWEEP),
+    ("table atoms swap the Gibbs weights", "scenarios.py",
+     "weights = protocol.initial_probabilities(sweep)\n",
+     "weights = protocol.initial_probabilities(sweep)[::-1]\n", TABLE_COLUMNS),
+    ("atoms read level(0) as level(t_f)", "protocol.py",
+     "for lf, (uu, ud) in zip(levels,", "for lf, l0, (uu, ud) in zip(levels, levels,",
+     ATOMS),
     ("delta_f as the cancelling log of Z(t_f)/Z(0)", "core.py",
      "    return -log_ratio / beta\n",
-     "    return -math.log(partition_function(beta, drive, t_f)\n"
-     "                     / partition_function(beta, drive, 0.0)) / beta\n",
+     "    return -math.log(math.cosh(beta * lf) / math.cosh(beta * l0)) / beta\n",
      FREE_ENERGY),
 ]
 

@@ -224,9 +224,9 @@ def test_criterion_7_monte_carlo_consistency(monkeypatch):
     walks = []
     real = montecarlo.run_ensembles
 
-    def counted(configs, n_per_initial, master_seed, **kwargs):
-        walks.append((len(configs), n_per_initial))
-        return real(configs, n_per_initial, master_seed, **kwargs)
+    def counted(sweep, n_per_initial, master_seed, **kwargs):
+        walks.append((len(sweep.times), n_per_initial))
+        return real(sweep, n_per_initial, master_seed, **kwargs)
 
     monkeypatch.setattr(montecarlo, "run_ensembles", counted)
     _gate(checks.check_monte_carlo())
@@ -242,12 +242,14 @@ def test_criterion_7_gates_every_point_of_a_shared_walk(monkeypatch):
     real = montecarlo.run_ensembles
     shifted = []
 
-    def shift_fig6a(configs, n_per_initial, master_seed, **kwargs):
-        out = real(configs, n_per_initial, master_seed, **kwargs)
-        for i, pc in enumerate(configs):
-            if pc.tau == 1296.0 and pc.n_pulses == 20:
+    def shift_fig6a(sweep, n_per_initial, master_seed, **kwargs):
+        out = real(sweep, n_per_initial, master_seed, **kwargs)
+        for i, (n, t_f) in enumerate(zip(sweep.counts, sweep.times)):
+            if sweep.tau == 1296.0 and n == 20:
                 out[i] = out[i].replace(ups=(out[i].ups[0] + 5000, out[i].ups[1]))
-                shifted.append((pc, out[i]))
+                shifted.append((protocol.ProtocolConfig(
+                    sweep.drive, sweep.channel, sweep.tau, n, sweep.thermal, t_f=t_f),
+                    out[i]))
         return out
 
     monkeypatch.setattr(montecarlo, "run_ensembles", shift_fig6a)

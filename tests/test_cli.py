@@ -283,6 +283,37 @@ class TestRunScenario:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "case.csv", "case_manifest.json"]
 
+    def test_write_that_raises_partway_keeps_the_old_file(self, tmp_path):
+        """Writing stops after part of the content: the earlier file stays
+        byte for byte, and the temporary file beside it is gone."""
+        path = tmp_path / "case.csv"
+        path.write_bytes(b"earlier\n")
+        with pytest.raises(RuntimeError, match="partway"):
+            with scenarios._replace_on_close(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                assert (tmp_path / f".case.csv.{os.getpid()}.tmp").exists()
+                raise RuntimeError("stopped partway")
+        assert path.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.csv"]
+
+    def test_successful_run_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """Each file is renamed over its path, which leaves nothing to
+        remove: a successful run unlinks nothing."""
+        unlinked = []
+        real = Path.unlink
+
+        def unlink(self, *args, **kwargs):
+            unlinked.append(self.name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        run_scenario(small_phase_config(), outdir=tmp_path)
+        run_scenario(small_phase_config(), outdir=tmp_path)
+        assert unlinked == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "case.csv", "case_manifest.json"]
+
     def test_deterministic_rerun_is_byte_identical(self, tmp_path):
         run_scenario(small_phase_config(), outdir=tmp_path / "a")
         run_scenario(small_phase_config(), outdir=tmp_path / "b")

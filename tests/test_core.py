@@ -453,12 +453,13 @@ class TestThermodynamics:
         t_f = 205.0
         expected = -math.log(partition_function(beta, drive, t_f)
                              / partition_function(beta, drive, 0.0)) / beta
-        assert free_energy_delta(beta, drive, t_f) == pytest.approx(expected)
+        assert free_energy_delta(beta, drive.level(0.0), drive.level(t_f)) == \
+            pytest.approx(expected)
         # Whole modulation periods restore the spectrum.
-        assert free_energy_delta(beta, drive, 616.0) == pytest.approx(
+        assert free_energy_delta(beta, drive.level(0.0), drive.level(616.0)) == pytest.approx(
             0.0, abs=1e-15)
         with pytest.raises(ValueError):
-            free_energy_delta(0.0, drive, 205.0)
+            free_energy_delta(0.0, drive.level(0.0), drive.level(205.0))
 
     def test_thermal_context_validation(self):
         ThermalContext(0.0)

@@ -184,6 +184,6 @@ def test_free_energy_delta_against_a_60_digit_reference(omega0, tau_a, periods,
     (exactly zero where the level is the same at both times)."""
     drive = AmplitudeModulatedDrive(omega0, tau_a)
     beta = sign * 10.0 ** log_beta_omega0 / omega0
-    got = free_energy_delta(beta, drive, periods * tau_a)
+    got = free_energy_delta(beta, drive.level(0.0), drive.level(periods * tau_a))
     expected = free_energy_reference(beta, drive, periods * tau_a)
     assert abs(got - expected) <= FREE_ENERGY_RTOL * abs(expected), (got, expected)

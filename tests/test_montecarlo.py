@@ -12,10 +12,10 @@ from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext)
 from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, run_ensemble,
                                 run_ensembles)
-from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig,
+from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, Sweep,
                               conditional_matrix, energy_change_distribution,
-                              fr_functional, fr_target, initial_probabilities,
-                              mean)
+                              fr_functional, fr_targets, initial_probabilities,
+                              mean, sweep_levels)
 from qubitfr.scenarios import get_preset, resolve
 from scalar_sampler import PulseEvent, derive_stream, run_records, sample_pulse
 
@@ -183,10 +183,11 @@ class TestEngineEquivalence:
            n_pulses=st.integers(0, 12), n=st.integers(1, 400))
     def test_any_chunking_equals_default_run(self, seed, chunk_size, n_pulses, n):
         # A sweep of up to three pulse counts, walked once.
-        configs = [phase_config(n_pulses=k)
-                   for k in sorted({0, n_pulses // 2, n_pulses})]
-        whole = [s.to_dict() for s in run_ensembles(configs, n, seed)]
-        chunked = run_ensembles(configs, n, seed, chunk_size=chunk_size)
+        pc = phase_config()
+        sweep = Sweep(pc.drive, pc.channel, pc.tau, pc.thermal,
+                      [k * pc.tau for k in sorted({0, n_pulses // 2, n_pulses})])
+        whole = [s.to_dict() for s in run_ensembles(sweep, n, seed)]
+        chunked = run_ensembles(sweep, n, seed, chunk_size=chunk_size)
         assert [s.to_dict() for s in chunked] == whole
 
 
@@ -232,14 +233,14 @@ class TestEnsembleStats:
     def test_rejects_too_few_trajectories(self):
         for n in (0, -3, 2.0):
             with pytest.raises(ValueError, match="n_per_initial"):
-                run_ensembles([amplitude_config()], n, SEED)
+                run_ensembles(amplitude_config(), n, SEED)
 
     def test_rejects_nonpositive_chunk_size(self):
         # A negative chunk once made the chunk loop empty and returned all
         # trajectories as "down" with no pulse absorbed.
         for chunk_size in (0, -5):
             with pytest.raises(ValueError, match="chunk_size"):
-                run_ensembles([amplitude_config()], 100, SEED,
+                run_ensembles(amplitude_config(), 100, SEED,
                               chunk_size=chunk_size)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
@@ -247,7 +248,7 @@ class TestEnsembleStats:
         # -1 and 2**64 once died in the key array with an OverflowError;
         # 1.5 and True ran silently as seed 1.
         with pytest.raises(ValueError, match="master_seed"):
-            run_ensembles([amplitude_config()], 10, seed)
+            run_ensembles(amplitude_config(), 10, seed)
 
 
 class TestStatisticalAgreement:
@@ -272,7 +273,7 @@ class TestStatisticalAgreement:
         err = stats.functional_std_err(atoms, initial_probabilities(config),
                                        lambda v: math.exp(-gamma * v))
         assert err > 0.0
-        assert abs(value - fr_target(config)) <= 4.0 * err
+        assert abs(value - fr_targets(config, sweep_levels(config))[0]) <= 4.0 * err
 
     def test_mean_energy_matches_deterministic_within_errors(self):
         config = phase_config(n_pulses=4, pd=0.5184, beta=44.0)

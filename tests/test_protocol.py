@@ -14,12 +14,13 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, gibbs_population, partition_function)
 from qubitfr.oracle import population_after_n_pulses
-from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, beta_reservoir,
-                              conditional_fixed_point, conditional_matrices,
-                              conditional_matrix, energy_change_distribution,
-                              final_states, fr_functional, fr_target,
+from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, Sweep,
+                              beta_reservoir, conditional_fixed_point,
+                              conditional_matrices, conditional_matrix,
+                              energy_change_distribution, energy_changes,
+                              final_states, fr_functional, fr_targets,
                               initial_probabilities, mean, pulse_train,
-                              pulses_applied)
+                              pulses_applied, sweep_levels)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -252,7 +253,8 @@ class TestPulseTrainBlochCheck:
         """An x-rotation keeps rx = 1.5.  At p_absorb = 1 the pulse maps
         that to the origin, so only the check on the rotated state sees it."""
         with pytest.raises(ValueError, match="outside the unit ball"):
-            pulse_train(amplitude_config(pa=pa), [np.array([1.5, 0.0, 0.0])], [1])
+            pulse_train(amplitude_config(pa=pa), [np.array([1.5, 0.0, 0.0])],
+                        [1])
 
     @pytest.mark.parametrize("config", [amplitude_config(), phase_config()],
                              ids=["amplitude", "phase"])
@@ -301,14 +303,14 @@ class TestReadoutBlochCheck:
         to 1 + 1e-9 skips the check, and a guard written as > 1 skips NaN."""
         config = zero_pulse_config(upper)
         with pytest.raises(ValueError, match="outside the unit ball"):
-            final_states([config], [upper])
+            final_states(config, [upper])
         with pytest.raises(ValueError, match="outside the unit ball"):
-            conditional_matrices([config])
+            conditional_matrices(config)
 
     def test_start_of_norm_one_accepted(self):
         config = zero_pulse_config((1.0, 0.0, 0.0))
-        assert final_states([config], [(0.0, 0.0, -1.0)]) == [[(0.0, 0.0, -1.0)]]
-        assert conditional_matrices([config]) == [ConditionalMatrix(1.0, 0.0)]
+        assert final_states(config, [(0.0, 0.0, -1.0)]) == [[(0.0, 0.0, -1.0)]]
+        assert conditional_matrices(config) == [ConditionalMatrix(1.0, 0.0)]
 
 
 class TestAtoms:
@@ -352,6 +354,11 @@ class TestInitialWeights:
         assert (g_up < 0.5) == (beta_omega0 > 0)
 
 
+def fr_target(pc):
+    """Z(t_f)/Z(0) of one run, the one-time case of ``fr_targets``."""
+    return fr_targets(pc, sweep_levels(pc))[0]
+
+
 class TestFunctionals:
     def test_fr_functional_by_hand(self):
         atoms = ((-1.0, 0.5), (1.0, 0.5))
@@ -383,15 +390,17 @@ class TestFunctionals:
         # <exp(-beta dE)> = Z(t_f)/Z(0) holds exactly at every t_f; at large
         # |beta| it reads the small Gibbs weight times e^(|beta| gap).
         worst = 0.0
+        beta = beta_omega0 / OMEGA0_A
         for tau in (205.0, 410.0, 616.0):
             for pa in (0.1, 0.5, 0.9):
-                pcs = [amplitude_config(tau=tau, n_pulses=pulses_applied(t_f, tau),
-                                        t_f=t_f, beta=beta_omega0 / OMEGA0_A, pa=pa)
-                       for t_f in scenarios.linspace(0.0, 12 * tau, 40)]
-                for pc, cm in zip(pcs, conditional_matrices(pcs)):
-                    value = fr_functional(energy_change_distribution(cm, pc),
-                                          pc.thermal.beta)
-                    worst = max(worst, abs(value / fr_target(pc) - 1.0))
+                sweep = Sweep(AmplitudeModulatedDrive(OMEGA0_A, 616.0),
+                              PulseChannelParams(pa, 0.0), tau, ThermalContext(beta),
+                              scenarios.linspace(0.0, 12 * tau, 40))
+                levels = sweep_levels(sweep)
+                atoms = energy_changes(sweep, initial_probabilities(sweep), levels,
+                                       conditional_matrices(sweep))
+                for a, target in zip(atoms, fr_targets(sweep, levels)):
+                    worst = max(worst, abs(fr_functional(a, beta) / target - 1.0))
         assert worst <= 1e-13
 
     def test_one_pulse_exchange_identity_with_matrix_fixed_point(self):

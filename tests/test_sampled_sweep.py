@@ -18,7 +18,7 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr.cli import main
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
 from qubitfr.montecarlo import run_ensemble, run_ensembles
-from qubitfr.protocol import ProtocolConfig, conditional_matrices, pulses_applied
+from qubitfr.protocol import ProtocolConfig, Sweep, conditional_matrices
 from scalar_sampler import run_records
 
 OMEGA0_A = math.pi / 616.0
@@ -27,8 +27,17 @@ OMEGA0_P = 2.0 * math.pi * 0.8e-3
 
 def preset_sweep(name, **overrides):
     cfg = scenarios.with_overrides(scenarios.get_preset(name), **overrides)
-    res = scenarios.resolve(cfg)
-    return cfg, [res.protocol_at(t_f) for t_f in cfg.sampled_grid()]
+    return cfg, scenarios.resolve(cfg).sweep(cfg.sampled_grid())
+
+
+def point_configs(sweep):
+    """Each point of a sweep as its own ``ProtocolConfig``."""
+    return [ProtocolConfig(sweep.drive, sweep.channel, sweep.tau, n, sweep.thermal,
+                           t_f=t_f) for n, t_f in zip(sweep.counts, sweep.times)]
+
+
+def generated_sweep(drive, channel, tau, grid):
+    return Sweep(drive, channel, tau, ThermalContext(0.0), grid)
 
 
 @given(family=st.sampled_from(["amplitude", "phase"]),
@@ -55,20 +64,20 @@ def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
         drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)
     channel = PulseChannelParams(p_absorb, p_pump)
     grid = [(k + frac) * tau for k, frac in sorted(points)]
-    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
-                          ThermalContext(0.0), t_f=t_f) for t_f in grid]
-    grouped = run_ensembles(pcs, n, seed, chunk_size=chunk_size)
-    assert len(grouped) == len(pcs)
-    for pc, stats in zip(pcs, grouped):
+    sweep = generated_sweep(drive, channel, tau, grid)
+    grouped = run_ensembles(sweep, n, seed, chunk_size=chunk_size)
+    assert len(grouped) == len(grid)
+    for pc, stats in zip(point_configs(sweep), grouped):
         separate = run_ensemble(pc, n, seed, chunk_size=single_chunk_size)
         assert stats.to_dict() == separate.to_dict(), pc.t_f
 
 
-def assert_walk_equals_scalar_reference(pcs, n, seed,
+def assert_walk_equals_scalar_reference(sweep, n, seed,
                                         chunk_size=montecarlo.DEFAULT_CHUNK):
     """Every point's counts equal the scalar walker's, up starts on
     [0, n) and down starts on [n, 2n)."""
-    for pc, stats in zip(pcs, run_ensembles(pcs, n, seed, chunk_size=chunk_size)):
+    for pc, stats in zip(point_configs(sweep),
+                         run_ensembles(sweep, n, seed, chunk_size=chunk_size)):
         up = run_records(pc, 0, n, seed)
         down = run_records(pc, 1, n, seed, index_offset=n)
         ups = [sum(r.final_index == 0 for r in side) for side in (up, down)]
@@ -81,10 +90,10 @@ def assert_walk_equals_scalar_reference(pcs, n, seed,
 
 def test_grouped_walk_equals_scalar_reference():
     """fig2a's first 17 grid points share pulse counts."""
-    _, pcs = preset_sweep("fig2a", mc_grid="all")
-    pcs = pcs[:17]
-    assert len({pc.n_pulses for pc in pcs}) < len(pcs)
-    assert_walk_equals_scalar_reference(pcs, 60, 777)
+    cfg, _ = preset_sweep("fig2a", mc_grid="all")
+    sweep = scenarios.resolve(cfg).sweep(cfg.t_f_grid[:17])
+    assert len(set(sweep.counts)) < len(sweep.counts)
+    assert_walk_equals_scalar_reference(sweep, 60, 777)
 
 
 def test_off_period_phase_walk_equals_scalar_reference():
@@ -94,10 +103,8 @@ def test_off_period_phase_walk_equals_scalar_reference():
     each rotation of the walk."""
     drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
     channel, tau = PulseChannelParams(0.4, 0.3), 500.0
-    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(k * tau, tau),
-                          ThermalContext(0.0), t_f=k * tau)
-           for k in (1.3, 3.0, 4.6, 6.2)]
-    assert_walk_equals_scalar_reference(pcs, 60, 777)
+    sweep = generated_sweep(drive, channel, tau, [k * tau for k in (1.3, 3.0, 4.6, 6.2)])
+    assert_walk_equals_scalar_reference(sweep, 60, 777)
 
 
 @pytest.mark.parametrize("p_absorb, chunk_size, n_max",
@@ -118,10 +125,9 @@ def test_long_walks_compact_their_label_table(monkeypatch, p_absorb, chunk_size,
     monkeypatch.setattr(montecarlo, "_compact", counting_compact)
     drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
     channel, tau = PulseChannelParams(p_absorb, 0.3), 500.0
-    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
-                          ThermalContext(0.0), t_f=t_f)
-           for t_f in (0.35 * n_max * tau, (n_max + 0.6) * tau)]
-    assert_walk_equals_scalar_reference(pcs, 6, 777, chunk_size=chunk_size)
+    sweep = generated_sweep(drive, channel, tau,
+                            (0.35 * n_max * tau, (n_max + 0.6) * tau))
+    assert_walk_equals_scalar_reference(sweep, 6, 777, chunk_size=chunk_size)
     assert widths
     assert all(m < k <= m + 2 for k, m in widths), widths
 
@@ -135,9 +141,8 @@ def off_period_sweep(rng):
                         PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)])
     channel = PulseChannelParams(*(rng.choice([0.0, 1.0, rng.random()])
                                    for _ in range(2)))
-    grid = sorted(rng.uniform(0.0, 20.0) * tau for _ in range(4))
-    return [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
-                           ThermalContext(0.0), t_f=t_f) for t_f in grid]
+    return generated_sweep(drive, channel, tau,
+                           sorted(rng.uniform(0.0, 20.0) * tau for _ in range(4)))
 
 
 def test_off_period_walks_follow_the_exact_matrices():
@@ -152,10 +157,10 @@ def test_off_period_walks_follow_the_exact_matrices():
     at a family-wise 1e-4, about 5.1 sigma."""
     rng, n, pulls = random.Random(2021), 1000, []
     for _ in range(300):
-        pcs = off_period_sweep(rng)
-        pick = rng.randrange(len(pcs))
-        stats = run_ensembles(pcs, n, rng.randrange(2**64))[pick]
-        cm = conditional_matrices(pcs)[pick]
+        sweep = off_period_sweep(rng)
+        pick = rng.randrange(len(sweep.times))
+        stats = run_ensembles(sweep, n, rng.randrange(2**64))[pick]
+        cm = conditional_matrices(sweep)[pick]
         for i, p in enumerate((cm.p_up_given_up, cm.p_up_given_down)):
             if n * p * (1.0 - p) >= 5.0:
                 pulls.append((stats.column_estimate(i) - p)
@@ -218,23 +223,24 @@ def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
     final-measurement draw per distinct count, each at its stream's key and
     at the chunk's first trajectory; each period rotation is built about
     once, and the 84 tails off the pulses in one batch."""
-    cfg, pcs = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
-                            n_trajectories=200)
+    cfg, sweep = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
+                              n_trajectories=200)
+    rotations_built.clear()  # building the sweep above built its tails
     philox_builds, draws = record_draws(monkeypatch)
     scenarios.run_scenario(cfg, outdir=tmp_path)
-    counts = {pc.n_pulses for pc in pcs}
+    counts = set(sweep.counts)
     n_max = max(counts)
-    assert (len(pcs), len(counts), n_max) == (97, 13, 12)
-    assert pcs[0].channel.p_pump == 0.0
+    assert (len(sweep.times), len(counts), n_max) == (97, 13, 12)
+    assert sweep.channel.p_pump == 0.0
     assert len(philox_builds) == 1
     assert len(walk_draws(counts, [0, 1], 0, 400)) == 2 * n_max + len(counts)
     # One chunk of 400 trajectories here, chunks of 150, 150 and 100 below.
     assert draws == walk_draws(counts, [0, 1], 0, 400)
-    assert 0 < sum(n for _, n in rotations_built) <= n_max + len(pcs) + 2
+    assert 0 < sum(n for _, n in rotations_built) <= n_max + len(sweep.times) + 2
     assert [entry for entry in rotations_built if entry[0] == "tails"] == [
-        ("tails", len(pcs) - len(counts))]
+        ("tails", len(sweep.times) - len(counts))]
     draws.clear()
-    run_ensembles(pcs, 200, 777, chunk_size=150)
+    run_ensembles(sweep, 200, 777, chunk_size=150)
     assert len(philox_builds) == 2
     assert draws == (walk_draws(counts, [0, 1], 0, 150) + walk_draws(counts, [0, 1], 150, 150)
                      + walk_draws(counts, [0, 1], 300, 100))
@@ -250,12 +256,11 @@ def test_walk_draws_only_unsettled_streams(monkeypatch, p_absorb, p_pump, roles)
     measured count."""
     drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
     channel, tau = PulseChannelParams(p_absorb, p_pump), 500.0
-    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
-                          ThermalContext(0.0), t_f=t_f)
-           for t_f in (1.3 * tau, 3.0 * tau, 3.5 * tau, 6.2 * tau)]
+    sweep = generated_sweep(drive, channel, tau,
+                            [k * tau for k in (1.3, 3.0, 3.5, 6.2)])
     _, draws = record_draws(monkeypatch)
-    run_ensembles(pcs, 5, 777, chunk_size=7)
-    counts = {pc.n_pulses for pc in pcs}
+    run_ensembles(sweep, 5, 777, chunk_size=7)
+    counts = set(sweep.counts)
     assert draws == walk_draws(counts, roles, 0, 7) + walk_draws(counts, roles, 7, 3)
 
 
@@ -271,10 +276,8 @@ def test_settled_corners_equal_scalar_reference(family, p_absorb, p_pump):
     else:
         drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
     channel, tau = PulseChannelParams(p_absorb, p_pump), 500.0
-    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(k * tau, tau),
-                          ThermalContext(0.0), t_f=k * tau)
-           for k in (1.3, 3.0, 3.4, 5.6)]
-    assert_walk_equals_scalar_reference(pcs, 12, 4242, chunk_size=5)
+    sweep = generated_sweep(drive, channel, tau, [k * tau for k in (1.3, 3.0, 3.4, 5.6)])
+    assert_walk_equals_scalar_reference(sweep, 12, 4242, chunk_size=5)
 
 
 @given(family=st.sampled_from(["amplitude", "phase"]),
@@ -298,22 +301,22 @@ def test_dense_off_period_sweeps_equal_single_runs_and_scalar_reference(
         drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)
     channel = PulseChannelParams(p_absorb, p_pump)
     grid = sorted((k + f) * tau for k, fs in fractions.items() for f in fs)
-    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
-                          ThermalContext(0.0), t_f=t_f) for t_f in grid]
-    for pc, stats in zip(pcs, run_ensembles(pcs, n, seed, chunk_size=chunk_size)):
+    sweep = generated_sweep(drive, channel, tau, grid)
+    for pc, stats in zip(point_configs(sweep),
+                         run_ensembles(sweep, n, seed, chunk_size=chunk_size)):
         assert stats.to_dict() == run_ensemble(pc, n, seed).to_dict(), pc.t_f
-    assert_walk_equals_scalar_reference(pcs, n, seed, chunk_size=chunk_size)
+    assert_walk_equals_scalar_reference(sweep, n, seed, chunk_size=chunk_size)
 
 
 def test_born_products_in_blocks_equal_one_product(monkeypatch):
     """A count's stacked Born product is cut into blocks of at most
     ``BORN_BLOCK`` probabilities; cut to one or a few points per block, the
     counts stay those of one product per count."""
-    _, pcs = preset_sweep("fig2a", mc_grid="all")
-    whole = [s.to_dict() for s in run_ensembles(pcs, 300, 99, chunk_size=128)]
+    _, sweep = preset_sweep("fig2a", mc_grid="all")
+    whole = [s.to_dict() for s in run_ensembles(sweep, 300, 99, chunk_size=128)]
     for block in (1, 50):
         monkeypatch.setattr(montecarlo, "BORN_BLOCK", block)
-        assert [s.to_dict() for s in run_ensembles(pcs, 300, 99,
+        assert [s.to_dict() for s in run_ensembles(sweep, 300, 99,
                                                    chunk_size=128)] == whole
 
 
@@ -321,20 +324,24 @@ def test_born_products_in_blocks_equal_one_product(monkeypatch):
 @pytest.mark.parametrize("mode", ["montecarlo", "both"])
 def test_sampled_rows_build_their_atoms_once(monkeypatch, name, mode):
     """A sampled energetics or fr table computes the Gibbs weights once per
-    sweep, and each row's four atoms once: its value and its error both
-    read them."""
+    sweep, and each row's four atoms once, in one ``energy_changes`` pass
+    for the whole table: its value and its error both read them."""
     cfg = scenarios.with_overrides(scenarios.get_preset(name), mode=mode,
                                    mc_grid="all", n_trajectories=20)
     res = scenarios.resolve(cfg)
-    calls = {"initial_probabilities": 0, "energy_change_distribution": 0}
+    calls = {"initial_probabilities": [], "energy_changes": [],
+             "energy_change_distribution": []}
     for fname in calls:
         real = getattr(protocol, fname)
 
         def counted(*args, _real=real, _name=fname):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _real(*args)
 
         monkeypatch.setattr(protocol, fname, counted)
     _, rows = scenarios.table(res)
     assert sum(row[2] == "montecarlo" for row in rows) == len(cfg.t_f_grid)
-    assert calls == {"initial_probabilities": 1, "energy_change_distribution": len(rows)}
+    [(_, _, levels, matrices)] = calls["energy_changes"]
+    assert len(levels) == len(matrices) == len(rows)
+    assert (len(calls["initial_probabilities"]),
+            len(calls["energy_change_distribution"])) == (1, 0)

@@ -1,9 +1,11 @@
-"""The shared pulse train of a deterministic sweep against the per-point
-reference walker in ``sweep_reference``: exact equality on presets and on
-generated sweeps, the rotation count of a sweep, and mixed-sweep errors
-(also of the sampled sweep, ``run_ensembles``, and of the fixed-axis work
-and heat series, whose sweep form must equal the per-config reference bit
-for bit and evaluate the drive's rate O(grid + pulses) times)."""
+"""The ``protocol.Sweep`` record and the engines that read it: the shared
+pulse train of a deterministic sweep against the per-point reference
+walker in ``sweep_reference`` (exact equality on presets and on generated
+sweeps), the rotations, tails and levels a table builds, the record's
+validation, the fixed-axis work and heat series, whose sweep form must
+equal the per-point reference bit for bit and evaluate the drive's rate
+O(grid + pulses) times, and the table columns, which must equal the
+single-point path repr for repr."""
 
 import math
 
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sweep_reference
-from qubitfr import core, scenarios
+from qubitfr import core, oracle, protocol, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
-from qubitfr.montecarlo import run_ensembles
+from qubitfr.montecarlo import run_ensemble, run_ensembles
 from qubitfr.oracle import work_heat_series_amplitude
-from qubitfr.protocol import ProtocolConfig, conditional_matrices, pulses_applied
+from qubitfr.protocol import ProtocolConfig, Sweep, conditional_matrices
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -27,8 +29,13 @@ def preset_sweep(name, **overrides):
     cfg = scenarios.get_preset(name)
     if overrides:
         cfg = scenarios.with_overrides(cfg, **overrides)
-    res = scenarios.resolve(cfg)
-    return [res.protocol_at(t_f) for t_f in cfg.t_f_grid]
+    return scenarios.resolve(cfg).sweep(cfg.t_f_grid)
+
+
+def point_configs(sweep):
+    """Each point of a sweep as its own ``ProtocolConfig``."""
+    return [ProtocolConfig(sweep.drive, sweep.channel, sweep.tau, n, sweep.thermal,
+                           t_f=t_f) for n, t_f in zip(sweep.counts, sweep.times)]
 
 
 def upper_row_bits(cm):
@@ -37,19 +44,19 @@ def upper_row_bits(cm):
     return [cm.p_up_given_up.hex(), cm.p_up_given_down.hex()]
 
 
-def assert_matches_reference(pcs):
-    swept = conditional_matrices(pcs)
-    assert len(swept) == len(pcs)
-    for pc, cm in zip(pcs, swept):
+def assert_matches_reference(sweep):
+    swept = conditional_matrices(sweep)
+    assert len(swept) == len(sweep.times)
+    for pc, cm in zip(point_configs(sweep), swept):
         expected = sweep_reference.conditional_matrix(pc)
         assert upper_row_bits(cm) == upper_row_bits(expected), pc.t_f
 
 
 def fig5d_500_pulses():
     tau = scenarios.get_preset("fig5d").tau
-    pcs = preset_sweep("fig5d", t_f_grid=tuple(np.linspace(0.0, 500 * tau, 51)))
-    assert pcs[-1].n_pulses == 500
-    return pcs
+    sweep = preset_sweep("fig5d", t_f_grid=tuple(np.linspace(0.0, 500 * tau, 51)))
+    assert sweep.counts[-1] == 500
+    return sweep
 
 
 @pytest.mark.parametrize("sweep", [
@@ -110,9 +117,7 @@ def test_generated_sweeps_equal_per_point_reference(family, tau, drive_period,
         drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / period)
     channel = PulseChannelParams(p_absorb, p_pump)
     grid = [(n + frac) * tau for n, frac in sorted(points)]
-    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau),
-                          ThermalContext(0.0), t_f=t_f) for t_f in grid]
-    assert_matches_reference(pcs)
+    assert_matches_reference(Sweep(drive, channel, tau, ThermalContext(0.0), grid))
 
 
 @pytest.mark.parametrize("name", ["fig2a", "fig5d"])
@@ -121,10 +126,9 @@ def test_sweep_builds_each_rotation_about_once(name, tmp_path, rotations_built):
     one tail per grid point, not every rotation again at every point, with
     the tails in at most one batch."""
     cfg = scenarios.get_preset(name)
-    pcs = preset_sweep(name)
     scenarios.run_scenario(cfg, outdir=tmp_path)
-    n_max = max(pc.n_pulses for pc in pcs)
-    assert 0 < sum(n for _, n in rotations_built) <= n_max + len(pcs) + 2
+    n_max = cfg.pulses_at(cfg.t_f_grid[-1])
+    assert 0 < sum(n for _, n in rotations_built) <= n_max + len(cfg.t_f_grid) + 2
     assert [kind for kind, _ in rotations_built].count("tails") <= 1
 
 
@@ -153,32 +157,51 @@ def test_rotating_sweep_builds_rotations_independent_of_pulse_count(
     assert 0 < built[1] <= built[0]
 
 
-@pytest.mark.parametrize("change", [
-    {"drive": AmplitudeModulatedDrive(OMEGA0_A, 410.0)},
-    {"channel": PulseChannelParams(0.3, 0.0)},
-    {"tau": 616.0, "t_f": 616.0}], ids=["drive", "channel", "tau"])
-def test_mixed_sweeps_are_rejected(change):
-    pcs = preset_sweep("fig4a")[:3]
-    fields = dict(drive=pcs[1].drive, channel=pcs[1].channel, tau=pcs[1].tau,
-                  n_pulses=pcs[1].n_pulses, thermal=pcs[1].thermal, t_f=pcs[1].t_f)
-    fields.update(change)
-    mixed = [pcs[0], ProtocolConfig(**fields), pcs[2]]
-    for sweep in (conditional_matrices, lambda pcs: run_ensembles(pcs, 10, 0),
-                  work_heat_series_amplitude):
-        with pytest.raises(ValueError, match="share drive, channel and tau"):
-            sweep(mixed)
+@pytest.mark.parametrize("fields, message", [
+    ({"times": (-1.0,)}, "t_f must be nonnegative"),
+    ({"times": (0.0, math.nan)}, "t_f / tau must be finite"),
+    ({"times": (math.inf,)}, "t_f / tau must be finite"),
+    ({"tau": 0.0}, "tau must be positive"),
+    ({"tau": math.nan}, "t_f / tau must be finite"),
+    ({"max_pulses": -1}, "max_pulses must be nonnegative")],
+    ids=["negative", "nan", "inf", "zero_tau", "nan_tau", "negative_limit"])
+def test_sweep_rejects_invalid_fields(fields, message):
+    """A sweep shares its drive, channel, tau and thermal context by
+    construction; what it validates is tau, each time and the pulse limit."""
+    args = dict(drive=AmplitudeModulatedDrive(OMEGA0_A, 616.0),
+                channel=PulseChannelParams(0.25, 0.0), tau=410.0,
+                thermal=ThermalContext(1.0), times=(0.0, 500.0), max_pulses=None)
+    args.update(fields)
+    with pytest.raises(ValueError, match=message):
+        Sweep(**args)
 
 
-def test_work_heat_sweep_with_mixed_thermal_contexts_is_rejected():
-    """The series reads beta once per sweep, so all configs must share it."""
-    pcs = preset_sweep("fig3a")[:3]
-    for thermal in (ThermalContext(-pcs[1].thermal.beta),
-                    ThermalContext(pcs[1].thermal.beta, 0.5)):
-        mixed = [pcs[0], ProtocolConfig(pcs[1].drive, pcs[1].channel, pcs[1].tau,
-                                        pcs[1].n_pulses, thermal, t_f=pcs[1].t_f),
-                 pcs[2]]
-        with pytest.raises(ValueError, match="thermal context"):
-            work_heat_series_amplitude(mixed)
+def test_sweep_counts_and_tails():
+    """Counts are each time's ``pulses_applied``, at most ``max_pulses``;
+    a time on its last pulse has the identity tail, any other the drive's
+    rotation from that pulse, and a run is the one-time case."""
+    drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0)
+    channel, thermal = PulseChannelParams(0.25, 0.3), ThermalContext(0.0)
+    times = (0.0, 500.0 * (1.0 - 1e-12), 750.0, 1500.0, 750.0)
+    sweep = Sweep(drive, channel, 500.0, thermal, times)
+    assert sweep.counts == (0, 1, 1, 3, 1)
+    assert sweep.tails == (core.IDENTITY3, core.IDENTITY3,
+                           core.bloch_rotation(drive, 500.0, 750.0), core.IDENTITY3,
+                           core.bloch_rotation(drive, 500.0, 750.0))
+    limited = Sweep(drive, channel, 500.0, thermal, times, 1)
+    assert limited.counts == (0, 1, 1, 1, 1)
+    assert limited.tails[3] == core.bloch_rotation(drive, 500.0, 1500.0)
+    assert Sweep(drive, channel, 500.0, thermal, times, 0).counts == (0,) * 5
+    one = ProtocolConfig(drive, channel, 500.0, 1, thermal, t_f=1500.0)
+    assert isinstance(one, Sweep) and (one.n_pulses, one.t_f) == (1, 1500.0)
+    assert (one.times, one.counts, one.tails) == (
+        (1500.0,), (1,), (core.bloch_rotation(drive, 500.0, 1500.0),))
+    # The counts and tails are held, not fields: repr and replace read the
+    # fields alone, and a replaced record derives its own.
+    assert repr(one).startswith("ProtocolConfig(drive=") and "tails" not in repr(one)
+    assert one.replace(t_f=1000.0) == ProtocolConfig(drive, channel, 500.0, 1, thermal,
+                                                     t_f=1000.0)
+    assert sweep.replace(times=(1500.0,)).tails == limited.replace(max_pulses=3).tails[3:4]
 
 
 def result_reprs(pairs):
@@ -206,17 +229,17 @@ def test_work_heat_sweep_equals_per_config_reference(tau, drive_period, p_absorb
     channel = PulseChannelParams(p_absorb, 0.0)
     grid = [(n + frac) * tau for n, frac in points + points[:1]]
     grid.append(zero_pulse_frac * tau)
-    pcs = [ProtocolConfig(drive, channel, tau, pulses_applied(t_f, tau), thermal,
-                          t_f=t_f) for t_f in grid]
-    assert pcs[-1].n_pulses == 0
-    assert result_reprs(work_heat_series_amplitude(pcs)) == result_reprs(
-        map(sweep_reference.work_heat_series_amplitude, pcs))
+    sweep = Sweep(drive, channel, tau, thermal, grid)
+    assert sweep.counts[-1] == 0
+    assert result_reprs(work_heat_series_amplitude(sweep)) == result_reprs(
+        map(sweep_reference.work_heat_series_amplitude, point_configs(sweep)))
 
 
 # Rate evaluations per grid point of an amplitude energetics table: one for
-# each config's tail, two for its energy levels, two for its Gibbs weights
-# and two for its free-energy change.  The pulse terms add one per pulse.
-OMEGA_CALLS_PER_POINT = 8
+# its tail in the work and heat series and one for its level, which its
+# atoms and free-energy change share; the pulse terms add one per pulse, and
+# level(0) a few per table.
+OMEGA_CALLS_PER_POINT = 3
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -240,27 +263,162 @@ def test_energetics_table_evaluates_the_rate_linearly(omega_calls, points, pulse
 @pytest.mark.parametrize("mode,mc_grid", [
     ("deterministic", "final"), ("montecarlo", "final"), ("both", "all")])
 def test_energetics_table_builds_each_point_once(monkeypatch, mode, mc_grid):
-    """A fig3b table builds one ``ProtocolConfig`` per grid time its rows
-    read, shared by the work and heat series, the exact matrices and the
-    sampled walk; a sampling-only table reads only the sampled times."""
+    """A fig3b table builds one ``Sweep`` of the grid times its rows read,
+    shared by the work and heat series, the exact matrices and the sampled
+    walk, and no ``ProtocolConfig`` per point; a sampling-only table reads
+    only the sampled times."""
     cfg = scenarios.with_overrides(scenarios.get_preset("fig3b"), mode=mode,
                                    mc_grid=mc_grid, n_trajectories=20)
     res = scenarios.resolve(cfg)
-    asked = []
-    real = scenarios.ResolvedScenario.protocol_at
+    swept, configs = [], []
+    real_sweep, real_config = protocol.Sweep.__init__, protocol.ProtocolConfig.__init__
 
-    def protocol_at(self, t_f):
-        asked.append(t_f)
-        return real(self, t_f)
+    def sweep_init(self, *args, **kwargs):
+        real_sweep(self, *args, **kwargs)
+        swept.append(self.times)
 
-    monkeypatch.setattr(scenarios.ResolvedScenario, "protocol_at", protocol_at)
+    def config_init(self, *args, **kwargs):
+        configs.append(args)
+        real_config(self, *args, **kwargs)
+
+    monkeypatch.setattr(protocol.Sweep, "__init__", sweep_init)
+    monkeypatch.setattr(protocol.ProtocolConfig, "__init__", config_init)
     header, rows = scenarios.table(res)
     read = cfg.sampled_grid() if mode == "montecarlo" else cfg.t_f_grid
-    assert asked == list(read)
+    assert (swept, configs) == ([read], [])
     assert len(rows) == len(cfg.t_f_grid) * (mode != "montecarlo") + len(
         cfg.sampled_grid()) * (mode != "deterministic")
 
 
+@pytest.mark.parametrize("name", ["fig2a", "fig3a", "fig3b", "fig4b", "fig6b", "fig6e"])
+def test_both_mode_builds_each_tail_once(rotations_built, name):
+    """In mode "both" with every point sampled, the exact rows and the walk
+    read the tails of one ``tail_rotations`` pass."""
+    cfg = scenarios.with_overrides(scenarios.get_preset(name), mode="both",
+                                   mc_grid="all", n_trajectories=20)
+    res = scenarios.resolve(cfg)
+    scenarios.table(res)
+    assert [kind for kind, _ in rotations_built].count("tails") == 1
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig4a", "fig4b", "fig6b", "fig6e"])
+@pytest.mark.parametrize("mode", ["deterministic", "montecarlo", "both"])
+def test_energy_tables_evaluate_each_level_once(monkeypatch, name, mode):
+    """An energetics or fr table evaluates the drive's level once per
+    distinct grid time, for its atoms, Z(t_f) and delta_f alike, not again
+    per row nor once per block in mode "both"; level(0) is read once for
+    each quantity of the sweep: the atoms, each of the two Gibbs weights,
+    and Z(0), or the initial contrast of the work and heat series or of the
+    recursion, and delta_f."""
+    cfg = scenarios.with_overrides(scenarios.get_preset(name), mode=mode,
+                                   mc_grid="all", n_trajectories=20)
+    res = scenarios.resolve(cfg)
+    times = []
+    real = type(res.drive).level
+
+    def level(drive, t):
+        times.append(t)
+        return real(drive, t)
+
+    monkeypatch.setattr(type(res.drive), "level", level)
+    _, rows = scenarios.table(res)
+    distinct = set(cfg.t_f_grid)
+    assert len(rows) >= len(cfg.t_f_grid)
+    assert sorted(t for t in times if t != 0.0) == sorted(distinct - {0.0})
+    assert 1 <= times.count(0.0) <= 5 + (0.0 in distinct)
+
+
+# Scenario fields of the generated sweeps, by drive family.
+FAMILY_FIELDS = {"amplitude": dict(drive_family="amplitude", omega0=OMEGA0_A),
+                 "phase": dict(drive_family="phase", omega0=OMEGA0_P)}
+
+
+def single_point_rows(res):
+    """The table of ``res`` built one point at a time: each row from its own
+    ``ProtocolConfig`` through the single-point functions, in the order the
+    columns of ``scenarios.table`` take."""
+    cfg = res.config
+    kind, w0, beta = cfg.kind, cfg.omega0, res.thermal.beta
+    gamma = beta - res.thermal.beta_r
+    rows = []
+    blocks = [("deterministic", cfg.t_f_grid)] * (cfg.mode != "montecarlo") + [
+        ("montecarlo", cfg.sampled_grid())] * (cfg.mode != "deterministic")
+    for mode, grid in blocks:
+        for t_f in grid:
+            pc = res.protocol_at(t_f)
+            stats = None
+            if mode == "montecarlo":
+                stats = run_ensemble(pc, cfg.n_trajectories, cfg.master_seed)
+                cm = stats.conditional_estimate()
+            else:
+                cm = protocol.conditional_matrix(pc)
+            head = [t_f, pc.n_pulses, mode]
+            if kind == "conditional":
+                err = (0.0, 0.0) if stats is None else stats.std_err()
+                rows.append(head + [cm.p_up_given_up, cm.p_up_given_down, *err])
+                continue
+            atoms = protocol.energy_change_distribution(cm, pc)
+            weights = protocol.initial_probabilities(pc)
+            f = (lambda v: v) if kind == "energetics" else (
+                lambda v: math.exp(-gamma * v))
+            err = 0.0 if stats is None else stats.functional_std_err(atoms, weights, f)
+            if kind == "fr":
+                value = protocol.fr_functional(atoms, gamma)
+                target = protocol.fr_targets(pc, protocol.sweep_levels(pc))[0]
+                rows.append(head + [gamma * w0, value, target, abs(value - target), err])
+                continue
+            mean_de = protocol.mean(atoms)
+            if cfg.drive_family == "amplitude":
+                [(w, q)] = oracle.work_heat_series_amplitude(pc)
+                levels = pc.drive.level(0.0), pc.drive.level(t_f)
+                df = core.free_energy_delta(beta, *levels) if beta else 0.0
+                rows.append(head + [mean_de / w0, w / w0, q / w0, (w + q) / w0,
+                                    df / w0, (mean_de - (w + q)) / w0, err / w0])
+            else:
+                [heat] = oracle.mean_heat_phase(pc)
+                rows.append(head + [mean_de / w0, heat / w0, (mean_de - heat) / w0,
+                                    gamma * mean_de, gamma * heat, err / w0])
+    return rows
+
+
+@given(family=st.sampled_from(["amplitude", "phase"]),
+       kind=st.sampled_from(["conditional", "energetics", "fr"]),
+       mode=st.sampled_from(["deterministic", "montecarlo", "both"]),
+       mc_grid=st.sampled_from(["final", "all"]),
+       tau=st.floats(50.0, 2000.0), period=st.floats(200.0, 2000.0),
+       p_absorb=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       p_pump=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       beta_omega0=st.sampled_from([0.0]) | st.floats(-3.0, 3.0),
+       points=st.lists(st.tuples(st.integers(0, 8),
+                                 st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)),
+                       min_size=1, max_size=10),
+       repeats=st.integers(0, 2), seed=st.integers(0, 2**64 - 1))
+def test_table_columns_equal_the_single_point_path(
+        family, kind, mode, mc_grid, tau, period, p_absorb, p_pump, beta_omega0,
+        points, repeats, seed):
+    """Tables of generated sweeps on both drive families, with times off the
+    pulses, repeated times, t_f = 0 and one-time sweeps, in every mode: each
+    conditional, energetics and fr row equals the row built from its own
+    ``ProtocolConfig``, repr for repr."""
+    omega0 = FAMILY_FIELDS[family]["omega0"]
+    grid = sorted([0.0] * (points[0][0] == 0) + [(n + frac) * tau for n, frac in points]
+                  + [points[-1][0] * tau] * repeats)
+    shape = (dict(tau_a=period) if family == "amplitude"
+             else dict(theta=2.0 * math.pi / period))
+    cfg = scenarios.ScenarioConfig(
+        name="generated", kind=kind, tau=tau, t_f_grid=tuple(grid),
+        beta=beta_omega0 / omega0, p_absorb=p_absorb, p_pump=p_pump, mode=mode,
+        mc_grid=mc_grid, n_trajectories=7, master_seed=seed, **shape,
+        **FAMILY_FIELDS[family])
+    res = scenarios.resolve(cfg)
+    _, rows = scenarios.table(res)
+    assert [list(map(repr, row)) for row in rows] == [
+        list(map(repr, row)) for row in single_point_rows(res)]
+
+
 def test_empty_sweep():
-    assert conditional_matrices([]) == []
-    assert run_ensembles([], 10, 0) == []
+    empty = Sweep(AmplitudeModulatedDrive(OMEGA0_A, 616.0), PulseChannelParams(0.25, 0.0),
+                  410.0, ThermalContext(0.0), ())
+    assert (empty.counts, empty.tails) == ((), ())
+    assert conditional_matrices(empty) == []
+    assert run_ensembles(empty, 10, 0) == []
