@@ -277,6 +277,22 @@ def interval_rotations(drive: DriveSpec, times: Sequence[float],
             for inner, a, b in zip(rotations, starts, ends)]
 
 
+def period_quaternion(drive: DriveSpec, tau: float) -> tuple[float, float, float, float]:
+    """Unit quaternion (cos phi/2, sin phi/2 k) of ``bloch_rotation(drive, 0, tau)``,
+    a turn by phi about the unit axis k; whole periods drop the z-turn by theta tau."""
+    if not 0.0 <= tau < math.inf:  # NaN fails too, as in ``interval_rotations``
+        raise ValueError(f"time interval must be finite and ordered: t0=0.0, t1={tau!r}")
+    if isinstance(drive, AmplitudeModulatedDrive):
+        half = 0.5 * phase_integral(drive, tau)
+        return math.cos(half), math.sin(half), 0.0, 0.0
+    (kx, _, kz), half = drive.basis[0], 0.5 * (drive.gap * tau)  # k_y = 0
+    w, x, z = math.cos(half), math.sin(half) * kx, math.sin(half) * kz
+    if whole_multiple(tau, drive.tau_theta) is not None:
+        return w, x, 0.0, z
+    cz, sz = math.cos(0.5 * (drive.theta * tau)), math.sin(0.5 * (drive.theta * tau))
+    return cz * w - sz * z, cz * x, sz * x, cz * z + sz * w  # (cz, sz e_z) (w, x, 0, z)
+
+
 def bloch_rotations(drive: DriveSpec, times: Sequence[float]) -> list[Matrix3]:
     """``interval_rotations`` between consecutive ``times``: entry j carries
     times[j] to times[j + 1]."""

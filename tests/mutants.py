@@ -44,6 +44,11 @@ OFF_PERIOD_WALK = [
     "tests/test_sampled_sweep.py::test_off_period_walks_follow_the_exact_matrices",
 ]
 WALK = ["tests/test_montecarlo.py", "tests/test_sampled_sweep.py"]
+CLOSED_FORM = [
+    "tests/test_identities.py::test_channel_fixed_point_against_a_50_digit_reference",
+    "tests/test_cli.py::TestCli::test_invert_reaches_ill_conditioned_plateaus",
+    "tests/test_core.py::TestRotationBuilder::test_period_quaternion_is_the_period_rotation",
+]
 SETTLED = ["tests/test_sampled_sweep.py::test_walk_draws_only_unsettled_streams"]
 COMPACTION = ["tests/test_sampled_sweep.py::test_long_walks_compact_their_label_table"]
 REKEY = [
@@ -146,6 +151,14 @@ CATALOG = [
      "    return -log_ratio / beta\n",
      "    return -math.log(math.cosh(beta * lf) / math.cosh(beta * l0)) / beta\n",
      FREE_ENERGY),
+    ("period quaternion drops the off-period z-turn", "core.py",
+     "if whole_multiple(tau, drive.tau_theta) is not None:", "if True:", CLOSED_FORM),
+    ("closed form flips the sign of sin phi", "channel.py",
+     "cw = 2.0 * c * (1.0 + c) * z, 2.0 * c * w * pa",
+     "cw = 2.0 * c * (1.0 + c) * z, -2.0 * c * w * pa", CLOSED_FORM),
+    ("closed form takes 1 - k_z^2 by subtraction", "channel.py",
+     "2.0 * (x * x + y * y) * (1.0 + c) / d", "2.0 * (sin2 - z * z) * (1.0 + c) / d",
+     CLOSED_FORM),
 ]
 
 

@@ -1,6 +1,7 @@
 """Pulse channel tests: mean map, fixed point, inversion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,23 +102,50 @@ class TestFixedPoint:
                                         PulseChannelParams(0.0, 0.5), 616.0)
 
     def test_fixed_point_outside_the_ball_raises(self, monkeypatch):
-        # A period map with no linear part has the fixed point (0, 0, b_z),
-        # whose residual is 0 for finite b_z, so the norm check rejects it;
-        # inside the ball it reads 0.5 (1 + r . u), u the measured up-axis.
+        # A closed form with m = 1 puts the fixed point at p_pump (pa g) =
+        # (0, 0, b_z); held to a period map with no linear part and offset
+        # (0, 0, b_z), its residual is 0, so only the norm check can reject
+        # it.  Inside the ball it reads 0.5 (1 + p_pump a), a = u . (pa g).
         drive = phase_drive(616.0)
         params = PulseChannelParams(0.25, 0.5)
         zero = ((0.0,) * 3,) * 3
-        for bz in (1.0 + 1e-9, -1.5, math.nan):
+        uz = drive.basis[0][2]
+        for bz in (1.0 + 1e-9, -1.5, 1.0, -0.3):
+            monkeypatch.setattr(channel, "_closed_form",
+                                lambda *args, bz=bz: ((0.0, 0.0, 2.0 * bz), 2.0 * bz * uz, 1.0))
             monkeypatch.setattr(channel, "period_map",
                                 lambda *args, bz=bz: (zero, (0.0, 0.0, bz)))
-            with pytest.raises(DegenerateChannelError, match="norm"):
+            if abs(bz) <= 1.0:
+                assert stationary_upper_population(drive, params, 616.0) == \
+                    0.5 * (1.0 + 0.5 * (2.0 * bz * uz) / 1.0)
+                continue
+            with pytest.raises(DegenerateChannelError) as info:
                 stationary_upper_population(drive, params, 616.0)
-        ux, uy, uz = drive.basis[0]
-        for bz in (1.0, -0.3):
-            monkeypatch.setattr(channel, "period_map",
-                                lambda *args, bz=bz: (zero, (0.0, 0.0, bz)))
-            assert stationary_upper_population(drive, params, 616.0) == \
-                0.5 * (1.0 + (0.0 * ux + 0.0 * uy + bz * uz))
+            assert str(info.value) == (
+                "p_absorb = 0.25, p_pump = 0.5, tau = 616.0: the fixed point has "
+                f"norm {math.sqrt(bz * bz)!r} (at most 1)")
+
+    def test_residual_past_tolerance_names_only_the_residual(self, monkeypatch):
+        # Held to the period map of another pump, the fixed point is far
+        # from fixed but inside the ball.
+        drive = phase_drive(616.0)
+        real = channel.period_map
+        monkeypatch.setattr(channel, "period_map", lambda d, params, tau: real(
+            d, params.replace(p_pump=0.1), tau))
+        with pytest.raises(DegenerateChannelError) as info:
+            stationary_upper_population(drive, PulseChannelParams(0.25, 0.5), 616.0)
+        assert re.fullmatch(r"p_absorb = 0\.25, p_pump = 0\.5, tau = 616\.0: the fixed "
+                            r"point has residual \d\.\d{3}e-\d\d \(at most 1e-12\)",
+                            str(info.value)), str(info.value)
+
+    def test_nan_fixed_point_names_both_bounds(self, monkeypatch):
+        monkeypatch.setattr(channel, "_closed_form",
+                            lambda *args: ((math.nan,) * 3, math.nan, 1.0))
+        with pytest.raises(DegenerateChannelError) as info:
+            stationary_upper_population(phase_drive(616.0), PulseChannelParams(0.25, 0.5),
+                                        616.0)
+        assert str(info.value).endswith(
+            "the fixed point has residual nan (at most 1e-12) and norm nan (at most 1)")
 
     def test_stronger_pump_lowers_upper_population(self):
         drive = phase_drive(616.0)
@@ -153,13 +181,17 @@ class TestInversion:
             # Pumping can only push the upper population below 1/2.
             invert_pump_probability(drive, 0.25, drive.tau_theta, 0.9)
 
-    def test_ill_conditioned_inversion_raises(self):
-        # At theta >> omega0 the closed form rounds the pump to 0, whose
-        # plateau is 1/2; the direct solve catches the miss.
+    def test_tiny_pump_far_above_resonance_reaches_its_plateau(self):
+        # At theta >> omega0 the pump is 1.3552294089568873e-22 (a 50-digit
+        # solve on the same float angles); Cramer's rule rounded it to 0,
+        # whose plateau is 1/2, and rejected the inversion.
         drive = PhaseRotatingDrive(0.9459512814479974, 1e4)
-        with pytest.raises(ValueError, match="puts the plateau at 0.5"):
-            invert_pump_probability(drive, 0.6937820608755615, drive.tau_theta,
-                                    0.033059807879091796)
+        pa, target = 0.6937820608755615, 0.033059807879091796
+        pd = invert_pump_probability(drive, pa, drive.tau_theta, target)
+        assert pd == pytest.approx(1.3552294089568873e-22, rel=1e-12, abs=0.0)
+        plateau = stationary_upper_population(drive, PulseChannelParams(pa, pd),
+                                              drive.tau_theta)
+        assert abs(plateau - target) <= channel.PLATEAU_TOL
 
     def test_degenerate_probability_rejected(self):
         drive = phase_drive(616.0)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qubitfr
-from qubitfr import protocol, scenarios
+from qubitfr import channel, protocol, scenarios
 from qubitfr.channel import invert_pump_probability
 from qubitfr.cli import main
 from qubitfr.core import PhaseRotatingDrive
@@ -784,18 +784,36 @@ class TestCli:
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    def test_inversion_that_misses_the_target_is_config_error(self, capsys):
-        # Near theta >> omega0 the inverted pump rounds to 0, whose plateau
-        # is 1/2; this used to print p_pump 0.0 and exit 0.
-        assert main(["invert", "--target", "0.033059807879091796",
-                     "--theta", "1e4", "--omega0", "0.9459512814479974",
-                     "--p-absorb", "0.6937820608755615"]) == 2
+    def test_inversion_that_misses_the_target_is_config_error(self, capsys,
+                                                              monkeypatch):
+        # A forward formula that leaves the plateau at 1/2 whatever the pump:
+        # the inverted pump misses the target by more than PLATEAU_TOL.
+        monkeypatch.setattr(channel, "_plateau", lambda *args: 0.5)
+        assert main(["invert", "--target", "0.138", "--tau-theta", "616"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(
-            "configuration error: pump inversion failed: p_pump = 0.0 puts the "
-            "plateau at 0.5, not at the target population 0.033059807879091796"
-            ), captured.err
+        assert captured.err.startswith("configuration error: pump inversion failed: "
+                                       "p_pump = 0.449"), captured.err
+        assert captured.err.endswith(" puts the plateau at 0.5, not at the target "
+                                     "population 0.138\n"), captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,p_pump", [
+        # Cramer's rule rounded this pump to 0, whose plateau is 1/2, and
+        # exited 2 (50-digit solve: 1.3552294089568873e-22).
+        (["--target", "0.033059807879091796", "--theta", "1e4",
+          "--omega0", "0.9459512814479974", "--p-absorb", "0.6937820608755615"],
+         1.3552294089568873e-22),
+        # Cramer's rule lost eps / p_absorb and put this plateau at
+        # 0.1380000269 (50-digit solve: 0.44987216831849).
+        (["--target", "0.138", "--tau-theta", "616", "--p-absorb", "1e-9"],
+         0.44987216831849),
+    ], ids=["theta_far_above_omega0", "p_absorb_1e-9"])
+    def test_invert_reaches_ill_conditioned_plateaus(self, capsys, argv, p_pump):
+        assert main(["invert", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed = float(captured.out.splitlines()[0].split()[1])
+        assert printed == pytest.approx(p_pump, rel=1e-12, abs=0.0)
 
     def test_given_pump_is_not_held_to_the_target(self, tmp_path):
         # With p_pump given nothing is inverted; the miss is only reported.
@@ -893,23 +911,23 @@ PRESET_CSV_SHA256 = {
     "fig5a":
         "552d56e4871985c43fe0d55b61ecdb4438cc4f6f4173d5c12034e1d94d772b86",
     "fig5b":
-        "1a7ba374cf85985724be0f8fba72ec71160dfaa5e38e94c9f31818fecc8cc685",
+        "a4ef05d4c9a2aeb1b821b2d88d689a45248c586f474bc369ed031f1ef7cf85c9",
     "fig5c":
-        "fc9402301ef8f7f34453f88a472c71e9b9bfb45b9bb78da5c86f25503dc6e543",
+        "06d5236d851b0a3183ca50b215bfc35bc37be85a4d4fd927e69e06ab7c37046a",
     "fig5d":
-        "3fdd92ff180975b6d38c9fc4dc6755a8068939d4118efa73805cc348c2569fc7",
+        "105aadea063d9ddd7eb3c188face6aa3221baac245dc5852b30cd434519c5391",
     "fig6a":
-        "7222fbae2c14b25092f25d7e82f42d790dd0c6e302cd8e3a02824c69647ac139",
+        "f3a6b68b23402bc8e4ed3c2c205201c71cba3867c50bb568e6830215c26f3c95",
     "fig6b":
-        "385f250eeeca2ae14335c240d739e5a05e1783fe88da349d57250ebdfabb7ff9",
+        "80022a645ba0a37a846fb94933dfc239081c2aa0cfb21d577fc1044d6e9bc438",
     "fig6c":
-        "cd0454dee70aba0b97fb06916c406a02c5b1943420856e17fe7d3247015546d1",
+        "d2541dac3466db54e9369aec76bf0dd8630af0f41be74d1deabeacc6f2461fce",
     "fig6d":
-        "a7fc58e2533a2c42071e031e01477d8f488f3c7df6e33495dc2c55d7d585e0e6",
+        "57a5b30f6eef472e68f5673968b6393c28ba6afb483836e875b4c94e005ea7e4",
     "fig6e":
-        "258fea7a442c9b6bd13a84685eb8b4d945b5e010a5be33d2780c6b35ccfe03fc",
+        "f8f8a8a4e859385aaef3aa415791c70db9e8498ff7538a2871129f809ed025a3",
     "fig6f":
-        "eeeea5667b12381b8785e65890196d23ca68b63cd76cb46e1b1566db3dc09e49",
+        "e9cce93436e5132e226cc1db019991c841e37ff583be994fac2ace8e1f17db5f",
 }
 
 # SHA-256 of the stdout of two catalog commands, pinned on the same terms.
@@ -917,7 +935,7 @@ STDOUT_SHA256 = {
     ("presets",):
         "b2a471151d77e41b3b87cb155443c0e2ae7ac1fd399c49f51433ddd92b263ef1",
     ("invert", "--target", "0.138", "--tau-theta", "616"):
-        "8c8e690fbc82f544fe6e6b9a2ced51e3acffae5e54a98494404037f1e5722c0b",
+        "a6f31f216f1f73d56f6293bc6aafce4c6e3fc871f48905301c496e9514460b84",
 }
 
 

@@ -1,7 +1,8 @@
 """The acceptance identities on generated configs, read from the rows that
 ``run`` writes (``scenarios.table``) wherever a CSV carries the number,
-rather than from a second copy of the formula, and ``free_energy_delta``
-against a 60-digit ``mpmath`` reference.  The Hypothesis profile in
+rather than from a second copy of the formula, ``free_energy_delta``
+against a 60-digit ``mpmath`` reference, and the channel fixed point and
+pump inversion against a 50-digit one.  The Hypothesis profile in
 ``conftest.py`` draws the same cases on every run."""
 
 import math
@@ -10,7 +11,10 @@ import mpmath
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from qubitfr import protocol, scenarios
-from qubitfr.core import AmplitudeModulatedDrive, free_energy_delta
+from qubitfr.channel import (PulseChannelParams, invert_pump_probability,
+                             stationary_upper_population)
+from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive, free_energy_delta,
+                          phase_integral, whole_multiple)
 
 # The worst relative deviation over the 400 draws below is 7.1e-14, at
 # beta omega0 = 637; the bound leaves 14x headroom.
@@ -32,6 +36,12 @@ JENSEN_TOL = -1e-12
 # The worst relative error of free_energy_delta over the 400 draws below is
 # 5.1e-16, at beta omega0 = 1.0; the bound leaves 19x headroom.
 FREE_ENERGY_RTOL = 1e-14
+# The worst |plateau - reference| over the 300 draws below is 2.6e-16, and
+# the worst miss of an inverted pump's reference plateau 2.6e-16 (147 phase
+# draws), both at p_absorb = 3.3e-8 off a whole period; the bound leaves 38x
+# headroom.  The Cramer's-rule solve it replaced missed by 2.3e-8 at the
+# p_absorb = 1e-9 example and by 0.11 at 1e-15.
+FIXED_POINT_TOL = 1e-14
 
 
 @settings(max_examples=400)
@@ -187,3 +197,58 @@ def test_free_energy_delta_against_a_60_digit_reference(omega0, tau_a, periods,
     got = free_energy_delta(beta, drive.level(0.0), drive.level(periods * tau_a))
     expected = free_energy_reference(beta, drive, periods * tau_a)
     assert abs(got - expected) <= FREE_ENERGY_RTOL * abs(expected), (got, expected)
+
+
+def period_rotation_reference(drive, tau):
+    """``bloch_rotation(drive, 0, tau)`` in 50 digits, Rodrigues' formula on
+    the float angles and axes it turns by, taken as exact."""
+    def turn(axis, angle):
+        kx, ky, kz = (x / mpmath.norm(axis) for x in axis)
+        k = mpmath.matrix([[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]])
+        return mpmath.eye(3) + mpmath.sin(angle) * k + (1 - mpmath.cos(angle)) * k * k
+    if isinstance(drive, AmplitudeModulatedDrive):
+        return turn([1, 0, 0], mpmath.mpf(phase_integral(drive, tau)))
+    rot = turn([mpmath.mpf(x) for x in drive.basis[0]], mpmath.mpf(drive.gap * tau))
+    if whole_multiple(tau, drive.tau_theta) is None:
+        rot = turn([0, 0, 1], mpmath.mpf(drive.theta * tau)) * rot
+    return rot
+
+
+def plateau_reference(drive, p_absorb, p_pump, tau):
+    """Upper population at the fixed point r of the period map, from an LU
+    solve of (I - A R) r = b in 50 digits, read along the float up-axis."""
+    with mpmath.workdps(50):
+        pa, pd = mpmath.mpf(p_absorb), mpmath.mpf(p_pump)
+        lin = mpmath.diag([1 - pa, 1 - pa, 1 - pa * pd]) * period_rotation_reference(drive, tau)
+        r = mpmath.lu_solve(mpmath.eye(3) - lin, mpmath.matrix([0, 0, pa * pd]))
+        ux, uy, uz = drive.basis[0]
+        return (1 + ux * r[0] + uy * r[1] + uz * r[2]) / 2
+
+
+@settings(max_examples=300)
+@given(phase=st.booleans(), period=st.floats(100.0, 2000.0),
+       whole=st.integers(1, 5), extra=st.sampled_from([0.0, 0.25, 0.5, 0.9]),
+       log_p_absorb=st.floats(-15.0, 0.0), p_pump=st.floats(0.01, 0.99))
+@example(phase=True, period=616.0, whole=1, extra=0.0, log_p_absorb=-9.0,
+         p_pump=0.44987216831849014)
+def test_channel_fixed_point_against_a_50_digit_reference(phase, period, whole, extra,
+                                                          log_p_absorb, p_pump):
+    """The plateau at p_absorb log-uniform over [1e-15, 1], on both drive
+    families with tau on and off whole periods, and on the phase drive the
+    round trip through ``invert_pump_probability``, to FIXED_POINT_TOL of the
+    reference.  The amplitude drive's plateau is 1/2 at every pump (its
+    fixed point is normal to the x axis it turns about), so only the phase
+    drive has a pump to invert.  The example is ``invert --target 0.138
+    --tau-theta 616 --p-absorb 1e-9``."""
+    drive = (PhaseRotatingDrive(scenarios.PHASE_OMEGA0, 2.0 * math.pi / period) if phase
+             else AmplitudeModulatedDrive(scenarios.AMPLITUDE_OMEGA0, period))
+    tau = (whole + extra) * (drive.tau_theta if phase else period)
+    p_absorb = 10.0 ** log_p_absorb
+    got = stationary_upper_population(drive, PulseChannelParams(p_absorb, p_pump), tau)
+    expected = plateau_reference(drive, p_absorb, p_pump, tau)
+    assert abs(got - expected) <= FIXED_POINT_TOL, (got, expected)
+    if phase:
+        target = float(expected)
+        inverted = invert_pump_probability(drive, p_absorb, tau, target)
+        miss = plateau_reference(drive, p_absorb, inverted, tau) - target
+        assert abs(miss) <= FIXED_POINT_TOL, (inverted, p_pump, miss)
