@@ -63,7 +63,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .core import Value
-from .protocol import ConditionalMatrix, ProtocolConfig, Sweep, segment_rotations
+from .protocol import ConditionalMatrix, Sweep, segment_rotations
 
 DEFAULT_CHUNK = 16384
 # Born probabilities per stacked product at most, which bounds its
@@ -247,9 +247,10 @@ def run_ensembles(sweep: Sweep, n_per_initial: int, master_seed: int, *,
             for k, up in zip(sweep.counts, ups)]
 
 
-def run_ensemble(config: ProtocolConfig, n_per_initial: int, master_seed: int,
+def run_ensemble(run: Sweep, n_per_initial: int, master_seed: int,
                  *, chunk_size: int = DEFAULT_CHUNK) -> EnsembleStats:
-    """Both initializations with disjoint stream indices ([0,n) and [n,2n))."""
-    return run_ensembles(config, n_per_initial, master_seed,
+    """Both initializations of a one-time sweep with disjoint stream indices
+    ([0,n) and [n,2n))."""
+    return run_ensembles(run, n_per_initial, master_seed,
                          chunk_size=chunk_size)[0]
 

@@ -54,8 +54,7 @@ def work_heat_series_amplitude(sweep: Sweep) -> list[tuple[float, float]]:
     if not isinstance(drive, AmplitudeModulatedDrive):
         raise TypeError("work/heat series requires the fixed-axis drive")
     d0 = 1.0 - 2.0 * gibbs_population(sweep.thermal.beta, drive, 0.0)
-    n_max = max(sweep.counts, default=0)
-    omegas = [drive.omega(n * tau) for n in range(n_max + 1)]
+    omegas = [drive.omega(n * tau) for n in range(sweep.n_pulses + 1)]
     per_w = [0.5 * (omegas[n - 1] - omegas[n]) * (1.0 - pa) ** (n - 1) * d0
              for n in range(1, len(omegas))]
     per_q = [0.5 * omegas[n] * pa * (1.0 - pa) ** (n - 1) * d0

@@ -1,14 +1,14 @@
 """Two-point measurement protocol over the pulsed, driven qubit.
 
 The engines read a ``Sweep``, runs that differ only in their final time
-t_f, which computes its pulse counts and tail rotations once; a
-``ProtocolConfig``, one run, is its one-time case.  The deterministic
-engine propagates the two initial basis states through the
-ensemble-averaged channel, which is exact for all probabilities that are
-linear in the density operator.  ``pulse_train`` is its one
-rotate-then-pulse loop, and ``final_states`` (that loop plus each
-point's tail) its one readout of states: every point's pulses are a
-prefix of the last point's, so a sweep walks the loop once.
+t_f, which computes its pulse counts and tail rotations once; one run is
+a sweep of one time.  The deterministic engine propagates the two initial
+basis states through the ensemble-averaged channel, which is exact for
+all probabilities that are linear in the density operator.
+``pulse_train`` is its one rotate-then-pulse loop, and ``final_states``
+(that loop plus each point's tail) its one readout of states: every
+point's pulses are a prefix of the last point's, so a sweep walks the
+loop once.
 
 The measured object is the ``ConditionalMatrix``, stored as its upper row
 P(up|up), P(up|down) since each column sums to one; with the initial Gibbs
@@ -56,34 +56,23 @@ class Sweep(Value):
     ``basis`` at t = 0, pulse at each multiple of tau up to t_f, at most
     ``max_pulses`` times (no limit when None), measure again at t_f.  It
     holds each time's pulse count, ``counts`` (``pulses_applied``, which
-    validates the time), and its ``tails`` (``tail_rotations``)."""
+    validates the time), the largest of them, ``n_pulses`` (0 with no
+    times), which its one walk fires, and its ``tails``
+    (``tail_rotations``)."""
 
     def __init__(self, drive: DriveSpec, channel: PulseChannelParams, tau: float,
                  thermal: ThermalContext, times: Sequence[float],
                  max_pulses: int | None = None) -> None:
         self.__dict__.update(drive=drive, channel=channel, tau=tau, thermal=thermal,
                              times=tuple(times), max_pulses=max_pulses)
-        if max_pulses is not None and max_pulses < 0:
-            raise ValueError(f"max_pulses must be nonnegative, got {max_pulses}")
+        # bool is an int subclass; reject it, and NaN and fractions, too.
+        if max_pulses is not None and not (type(max_pulses) is int and max_pulses >= 0):
+            raise ValueError(f"max_pulses must be None or an int >= 0, "
+                             f"got {max_pulses!r}")
         limit = math.inf if max_pulses is None else max_pulses
-        self.__dict__["counts"] = tuple(min(pulses_applied(t, tau), limit)
-                                        for t in self.times)
+        counts = tuple(min(pulses_applied(t, tau), limit) for t in self.times)
+        self.__dict__.update(counts=counts, n_pulses=max(counts, default=0))
         self.__dict__["tails"] = tuple(tail_rotations(self))
-
-
-class ProtocolConfig(Sweep):
-    """One run, the one-time sweep: ``n_pulses`` pulses, then a coast to
-    ``t_f``, which defaults to the last pulse, ``n_pulses * tau``."""
-
-    def __init__(self, drive: DriveSpec, channel: PulseChannelParams, tau: float,
-                 n_pulses: int, thermal: ThermalContext,
-                 t_f: float | None = None) -> None:
-        t_f = n_pulses * tau if t_f is None else t_f
-        super().__init__(drive, channel, tau, thermal, (t_f,), n_pulses)
-        if self.counts[0] < n_pulses:
-            raise ValueError(f"t_f = {t_f} precedes pulse {n_pulses} "
-                             f"at {n_pulses * tau}")
-        self.__dict__.update(n_pulses=n_pulses, t_f=t_f)
 
 
 def tail_rotations(sweep: Sweep) -> list[Matrix3]:
@@ -104,16 +93,16 @@ def tail_rotations(sweep: Sweep) -> list[Matrix3]:
 
 
 def segment_rotations(sweep: Sweep) -> list[Matrix3]:
-    """Per-period drive rotations to the largest count: entry n-1 carries
+    """Per-period drive rotations to pulse ``n_pulses``: entry n-1 carries
     ((n-1)tau, n*tau)."""
-    return bloch_rotations(sweep.drive, [n * sweep.tau for n in
-                                         range(max(sweep.counts, default=0) + 1)])
+    return bloch_rotations(sweep.drive, [n * sweep.tau
+                                         for n in range(sweep.n_pulses + 1)])
 
 
 def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
                 counts: Sequence[int]) -> list[list[Vector]]:
     """Post-pulse Bloch vectors of each start at each requested pulse count
-    (each in 0..the sweep's largest, repeats allowed): entry [k][s] is start
+    (each in 0..``sweep.n_pulses``, repeats allowed): entry [k][s] is start
     s after counts[k] pulses, from one walk of ``segment_rotations(sweep)``.
 
     Each step applies its period's rotation to every start, summing each
@@ -123,9 +112,8 @@ def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
     summed in its order, is not <= 1 (NaN included): any smaller sum has
     sqrt <= 1, which that check passes, so the verdict is always its own.
     """
-    n_max = max(sweep.counts, default=0)
-    if any(not 0 <= n <= n_max for n in counts):
-        raise ValueError(f"pulse counts {list(counts)} outside 0..{n_max}")
+    if any(not 0 <= n <= sweep.n_pulses for n in counts):
+        raise ValueError(f"pulse counts {list(counts)} outside 0..{sweep.n_pulses}")
     rots = segment_rotations(sweep)
     pa, pd = sweep.channel.p_absorb, sweep.channel.p_pump
     wanted = set(counts)
@@ -198,9 +186,10 @@ def conditional_matrices(sweep: Sweep) -> list[ConditionalMatrix]:
             for (x, y, z), (a, b, c) in final_states(sweep, basis)]
 
 
-def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
-    """Transition probabilities between the measurement bases at 0 and t_f."""
-    return conditional_matrices(config)[0]
+def conditional_matrix(run: Sweep) -> ConditionalMatrix:
+    """Transition probabilities between the measurement bases at 0 and the
+    one time of ``run``."""
+    return conditional_matrices(run)[0]
 
 
 def initial_probabilities(sweep: Sweep) -> tuple[float, float]:
@@ -237,11 +226,9 @@ def energy_changes(sweep: Sweep, weights: tuple[float, float],
                                              for cm in matrices))]
 
 
-def energy_change_distribution(cm: ConditionalMatrix,
-                               config: ProtocolConfig) -> tuple:
-    """``energy_changes`` of one run: its four atoms."""
-    return energy_changes(config, initial_probabilities(config), sweep_levels(config),
-                          [cm])[0]
+def energy_change_distribution(cm: ConditionalMatrix, run: Sweep) -> tuple:
+    """``energy_changes`` of a one-time sweep: its four atoms."""
+    return energy_changes(run, initial_probabilities(run), sweep_levels(run), [cm])[0]
 
 
 def mean(atoms: Sequence[tuple[float, float]]) -> float:

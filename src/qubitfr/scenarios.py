@@ -72,7 +72,7 @@ MAX_GRID_POINTS = 10**5
 # Caps a run's sampling work, one walk to the largest sampled pulse count:
 # 2 x n_trajectories x (that count + the number of sampled points), for a
 # run within 10 s.  Mode "both" also builds the deterministic table, so it
-# gets half.
+# gets half.  Bloch scenarios are never sampled and are exempt.
 MAX_SAMPLED_STEPS = 2**27
 # exp overflows past log(float max), about 709.78: the limit on beta dE in
 # the Gibbs weights and (beta - beta_r) dE in the fluctuation functional.
@@ -219,7 +219,7 @@ class ScenarioConfig(Value):
         sampled = self.sampled_grid()  # ascending, so the last has the most pulses
         steps = 2 * self.n_trajectories * (self.pulses_at(sampled[-1]) + len(sampled))
         cap = MAX_SAMPLED_STEPS // 2 if self.mode == "both" else MAX_SAMPLED_STEPS
-        if steps > cap:
+        if steps > cap and self.kind != "bloch":
             from decimal import Decimal  # formats ints past the float range
             raise ConfigError(
                 f"n_trajectories = {_quote(self.n_trajectories)} asks for "
@@ -262,10 +262,9 @@ class ResolvedScenario(Value):
         self.__dict__.update(config=config, drive=drive, channel=channel,
                              thermal=thermal, derived=derived)
 
-    def protocol_at(self, t_f: float) -> protocol.ProtocolConfig:
-        return protocol.ProtocolConfig(self.drive, self.channel, self.config.tau,
-                                       self.config.pulses_at(t_f), self.thermal,
-                                       t_f=t_f)
+    def protocol_at(self, t_f: float) -> protocol.Sweep:
+        """The one run to t_f: a sweep of one time."""
+        return self.sweep((t_f,))
 
     def sweep(self, times) -> protocol.Sweep:
         """The protocol at each of ``times``; rabi scenarios fire no pulse."""

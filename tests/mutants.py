@@ -139,8 +139,11 @@ CATALOG = [
     ("work/heat prefix sums one pulse short", "oracle.py",
      "math.fsum(per_w[:n])", "math.fsum(per_w[:n - 1])", WORK_HEAT_SWEEP),
     ("work/heat tail takes the sweep's largest pulse count", "oracle.py",
-     _TAIL, _TAIL.replace("[n]", "[n_max]").replace("** n ", "** n_max "),
+     _TAIL, _TAIL.replace("[n]", "[sweep.n_pulses]").replace("** n ", "** sweep.n_pulses "),
      WORK_HEAT_SWEEP),
+    ("a sweep's pulse count is its last time's", "protocol.py",
+     "n_pulses=max(counts, default=0)", "n_pulses=(counts or (0,))[-1]",
+     ["tests/test_sweep.py::test_sweep_counts_and_tails"] + WORK_HEAT_SWEEP),
     ("table atoms swap the Gibbs weights", "scenarios.py",
      "weights = protocol.initial_probabilities(sweep)\n",
      "weights = protocol.initial_probabilities(sweep)[::-1]\n", TABLE_COLUMNS),

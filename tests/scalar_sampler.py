@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr.protocol import ProtocolConfig, segment_rotations
+from qubitfr.protocol import Sweep, segment_rotations
 from sweep_reference import tail_rotation
 
 
@@ -93,9 +93,10 @@ def sample_pulse(state: Triple, params: PulseChannelParams, u_absorb: float,
     return SOUTH, PulseEvent(True, 1, False)
 
 
-def run_records(config: ProtocolConfig, initial_index: int, n: int,
+def run_records(config: Sweep, initial_index: int, n: int,
                 master_seed: int, index_offset: int = 0) -> list[TrajectoryRecord]:
-    """Trajectories ``index_offset .. index_offset + n - 1`` from one basis state."""
+    """Trajectories ``index_offset .. index_offset + n - 1`` from one basis
+    state, run to the one time of ``config``, a one-time sweep."""
     rots, tail = segment_rotations(config), tail_rotation(config)
     # The up start is also the axis of the final measurement.
     start = final_axis = np.array(config.drive.basis[0])

@@ -12,7 +12,9 @@ So exact equality between the two is a meaningful check of the
 shared-prefix bookkeeping (pulse counts, tail rotations and final bases)
 and of the pulse and product arithmetic itself.  Its Bloch vectors are
 local float triples (``triple``), and ``upper_population`` is its own copy
-of the package's measurement arithmetic.
+of the package's measurement arithmetic.  Each function takes one run, a
+one-time ``Sweep``, and reads only its fields and ``n_pulses``, never its
+``counts`` or ``tails``.
 
 ``work_heat_series_amplitude`` is the per-config work and heat series
 of the fixed-axis drive as the package evaluated it before a sweep shared
@@ -35,16 +37,16 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr import core
 from qubitfr.core import (AmplitudeModulatedDrive, _rot_z, gibbs_population,
                           phase_integral, whole_multiple)
-from qubitfr.protocol import ConditionalMatrix, ProtocolConfig, segment_rotations
+from qubitfr.protocol import ConditionalMatrix, Sweep, segment_rotations
 
 
-def tail_rotation(config: ProtocolConfig):
+def tail_rotation(config: Sweep):
     """The package's drive rotation over (N tau, t_f) after the last pulse,
     built alone rather than in a sweep's batch; the identity when t_f lands
     on the last pulse."""
-    t_last = config.n_pulses * config.tau
-    if config.t_f > t_last:
-        return core.bloch_rotation(config.drive, t_last, config.t_f)
+    t_last, t_f = config.n_pulses * config.tau, config.times[0]
+    if t_f > t_last:
+        return core.bloch_rotation(config.drive, t_last, t_f)
     return core.IDENTITY3
 
 
@@ -107,7 +109,7 @@ def upper_population(r, axis) -> float:
     return 0.5 * (1.0 + (rx * ux + ry * uy + rz * uz))
 
 
-def propagate_mean(config: ProtocolConfig, start) -> tuple[float, float, float]:
+def propagate_mean(config: Sweep, start) -> tuple[float, float, float]:
     """Ensemble-averaged Bloch vector at t_f from the given vector at 0."""
     r = np.array(start)
     for rot in segment_rotations(config):
@@ -115,7 +117,7 @@ def propagate_mean(config: ProtocolConfig, start) -> tuple[float, float, float]:
     return triple(matvec(tail_rotation(config), r))
 
 
-def mean_trajectory(config: ProtocolConfig,
+def mean_trajectory(config: Sweep,
                     start) -> list[tuple[float, tuple[float, float, float]]]:
     """Post-pulse snapshots (t_n, r_n) for n = 0..N plus the final vector."""
     out = [(0.0, triple(start))]
@@ -123,8 +125,9 @@ def mean_trajectory(config: ProtocolConfig,
     for n, rot in enumerate(segment_rotations(config), start=1):
         r = pulse(matvec(rot, r), config.channel)
         out.append((n * config.tau, triple(r)))
-    if config.t_f > config.n_pulses * config.tau:
-        out.append((config.t_f, triple(matvec(tail_rotation(config), r))))
+    t_f = config.times[0]
+    if t_f > config.n_pulses * config.tau:
+        out.append((t_f, triple(matvec(tail_rotation(config), r))))
     return out
 
 
@@ -141,7 +144,7 @@ def bloch_row_snapshots(header, rows, label) -> list[tuple[float, tuple]]:
             for row in kept]
 
 
-def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
+def conditional_matrix(config: Sweep) -> ConditionalMatrix:
     """Transition probabilities within the drive's measured basis, from 0 to t_f."""
     up, down = config.drive.basis
     cols = [upper_population(propagate_mean(config, initial), up)
@@ -149,12 +152,12 @@ def conditional_matrix(config: ProtocolConfig) -> ConditionalMatrix:
     return ConditionalMatrix.from_upper_row(cols[0], cols[1])
 
 
-def work_heat_series_amplitude(config: ProtocolConfig) -> tuple[float, float]:
-    """Exact (mean work, mean heat) of the fixed-axis drive up to config.t_f:
+def work_heat_series_amplitude(config: Sweep) -> tuple[float, float]:
+    """Exact (mean work, mean heat) of the fixed-axis drive up to t_f:
     pulse n's work and heat terms summed with ``math.fsum`` from n = 1, and
     the work of the partial interval after the last pulse added."""
     drive = config.drive
-    t_f, tau, n_pulses = config.t_f, config.tau, config.n_pulses
+    t_f, tau, n_pulses = config.times[0], config.tau, config.n_pulses
     pa = config.channel.p_absorb
     d0 = 1.0 - 2.0 * gibbs_population(config.thermal.beta, drive, 0.0)
 

@@ -247,9 +247,7 @@ def test_criterion_7_gates_every_point_of_a_shared_walk(monkeypatch):
         for i, (n, t_f) in enumerate(zip(sweep.counts, sweep.times)):
             if sweep.tau == 1296.0 and n == 20:
                 out[i] = out[i].replace(ups=(out[i].ups[0] + 5000, out[i].ups[1]))
-                shifted.append((protocol.ProtocolConfig(
-                    sweep.drive, sweep.channel, sweep.tau, n, sweep.thermal, t_f=t_f),
-                    out[i]))
+                shifted.append((sweep.replace(times=(t_f,)), out[i]))
         return out
 
     monkeypatch.setattr(montecarlo, "run_ensembles", shift_fig6a)

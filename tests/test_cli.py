@@ -184,6 +184,23 @@ class TestScenarioConfig:
             for mode in modes:
                 assert with_overrides(cfg, mode=mode, mc_grid="all")
 
+    def test_bloch_configs_are_not_capped_as_sampled(self, tmp_path, capsys):
+        # A bloch scenario admits mode "deterministic" alone, so no
+        # trajectory is ever sampled: 1,000 pulses at the default count
+        # load and run, though a sampled run there would pass the cap.
+        base = get_preset("fig2bcd")
+        cfg = with_overrides(base, t_f_grid=(0.0, 1000 * base.tau))
+        assert (cfg.n_trajectories, cfg.pulses_at(cfg.t_f_grid[-1])) == (100_000, 1000)
+        assert 2 * cfg.n_trajectories * 1001 > scenarios.MAX_SAMPLED_STEPS
+        with pytest.raises(ConfigError, match="no stochastic estimator"):
+            with_overrides(cfg, mode="montecarlo")
+        cfg_path = tmp_path / "long_bloch.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+        with open(tmp_path / "fig2bcd.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[-1][:4] == [repr(1000 * base.tau), "1000", "deterministic", "down"]
+
     @pytest.mark.parametrize("field,value", [
         ("tau", math.nan), ("beta", -math.inf), ("p_absorb", "0.25"),
         ("omega0", True), ("t_f_grid", (0.0, "616")),

@@ -18,7 +18,7 @@ from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, bloch_rotation, check_bloch_vector,
                           free_energy_delta, gibbs_population, matmul3, matvec3,
                           partition_function, phase_integral)
-from qubitfr.protocol import ProtocolConfig
+from qubitfr.protocol import Sweep
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -67,8 +67,8 @@ class TestValue:
     def test_repr_and_fields_follow_the_init_parameters(self):
         assert ThermalContext.fields() == ("beta", "beta_r")
         assert repr(ThermalContext(1.0)) == "ThermalContext(beta=1.0, beta_r=0.0)"
-        assert ProtocolConfig.fields() == ("drive", "channel", "tau", "n_pulses",
-                                           "thermal", "t_f")
+        assert Sweep.fields() == ("drive", "channel", "tau", "thermal", "times",
+                                  "max_pulses")
 
     def test_replace_reruns_validation(self):
         cfg = scenarios.get_preset("fig5d")

@@ -12,7 +12,7 @@ from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext)
 from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, run_ensemble,
                                 run_ensembles)
-from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, Sweep,
+from qubitfr.protocol import (ConditionalMatrix, Sweep,
                               conditional_matrix, energy_change_distribution,
                               fr_functional, fr_targets, initial_probabilities,
                               mean, sweep_levels)
@@ -25,15 +25,19 @@ SEED = 424242
 
 
 def amplitude_config(n_pulses=3, tau=410.0, t_f=None):
+    """One run, a one-time sweep: at most ``n_pulses`` pulses, then a coast
+    to ``t_f``, by default the last pulse."""
     drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
-    return ProtocolConfig(drive, PulseChannelParams(0.25, 0.0), tau, n_pulses,
-                          ThermalContext(2.0 / OMEGA0_A), t_f=t_f)
+    t_f = n_pulses * tau if t_f is None else t_f
+    return Sweep(drive, PulseChannelParams(0.25, 0.0), tau,
+                 ThermalContext(2.0 / OMEGA0_A), (t_f,), n_pulses)
 
 
 def phase_config(n_pulses=4, tau_theta=616.0, pd=0.45, beta=0.0, beta_r=0.0):
+    """One run on the phase drive, to pulse ``n_pulses`` at tau = tau_theta."""
     drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / tau_theta)
-    return ProtocolConfig(drive, PulseChannelParams(0.25, pd), tau_theta,
-                          n_pulses, ThermalContext(beta, beta_r))
+    return Sweep(drive, PulseChannelParams(0.25, pd), tau_theta,
+                 ThermalContext(beta, beta_r), (n_pulses * tau_theta,), n_pulses)
 
 
 class TestStreams:

@@ -16,7 +16,7 @@ from qubitfr.oracle import (floquet_asymptote, floquet_population_recursion,
                             invert_pump_closed_form, irreversible_work_relative_entropy,
                             k_factor, mean_heat_phase, population_after_n_pulses,
                             rabi_conditional, w_irr, work_heat_series_amplitude)
-from qubitfr.protocol import ProtocolConfig
+from qubitfr.protocol import Sweep
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -24,15 +24,19 @@ BETA_A = 2.0 / OMEGA0_A
 
 
 def amplitude_config(tau=410.0, n_pulses=4, t_f=None, pa=0.25):
+    """One run, a one-time sweep: at most ``n_pulses`` pulses, then a coast
+    to ``t_f``, by default the last pulse."""
     drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
-    return ProtocolConfig(drive, PulseChannelParams(pa, 0.0), tau, n_pulses,
-                          ThermalContext(BETA_A), t_f=t_f)
+    t_f = n_pulses * tau if t_f is None else t_f
+    return Sweep(drive, PulseChannelParams(pa, 0.0), tau, ThermalContext(BETA_A),
+                 (t_f,), n_pulses)
 
 
 def phase_config(tau_theta=616.0, n_pulses=5, pd=0.45, beta=0.0):
+    """One run on the phase drive, to pulse ``n_pulses`` at tau = tau_theta."""
     drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / tau_theta)
-    return ProtocolConfig(drive, PulseChannelParams(0.25, pd), tau_theta,
-                          n_pulses, ThermalContext(beta))
+    return Sweep(drive, PulseChannelParams(0.25, pd), tau_theta, ThermalContext(beta),
+                 (n_pulses * tau_theta,), n_pulses)
 
 
 class TestPopulationAfterPulses:

@@ -4,14 +4,19 @@ public method and property of its classes, and every public field of its
 accumulate; every private name is used in its own module; and no module
 imports another's private names.  ``oracle`` loads nothing of the
 map-propagation engine it is compared with, and ``scenarios`` none of the
-primitives a sweep's states are composed from."""
+primitives a sweep's states are composed from.  Every name the benchmark's
+workloads read on the package resolves, so API that only the benchmark
+calls cannot be deleted unnoticed."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qubitfr
+from qubitfr import scenarios
 
 PACKAGE = Path(qubitfr.__file__).resolve().parent
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 
 
 def loaded_names(top: ast.AST) -> set[str]:
@@ -175,3 +180,49 @@ def test_oracle_loads_nothing_of_the_propagation_engine():
 
 def test_scenarios_loads_no_propagation_primitive():
     assert sorted(PROPAGATION & names_of("scenarios.py")) == []
+
+
+def module_attribute_chains(tree: ast.AST) -> set[tuple[str, ...]]:
+    """Each dotted name ``module.attr[.attr...]`` read on a module that
+    ``tree`` imports with ``from qubitfr import ...``, as (module, attrs...)."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "qubitfr"
+               for alias in node.names}
+    chains = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in modules:
+            chains.add((node.id, *reversed(attrs)))
+    return chains
+
+
+def test_every_name_the_benchmark_reads_on_the_package_resolves():
+    chains = module_attribute_chains(ast.parse(WORKLOADS.read_text()))
+    assert len({chain[:2] for chain in chains}) >= 15
+    assert ("protocol", "ConditionalMatrix", "from_upper_row") in chains
+    missing = []
+    for module, *attrs in sorted(chains):
+        value = importlib.import_module(f"qubitfr.{module}")
+        for depth, attr in enumerate(attrs, start=1):
+            if not hasattr(value, attr):
+                missing.append(".".join([module, *attrs[:depth]]))
+                break
+            value = getattr(value, attr)
+    assert missing == []
+
+
+def test_protocol_at_holds_the_pulse_count_the_table_writes():
+    """The benchmark reads ``protocol_at(t).n_pulses`` as the pulse count of
+    a grid time; it is the ``n_pulses`` column of that time's rows."""
+    for name, cfg in scenarios.PRESETS.items():
+        res = scenarios.resolve(cfg)
+        header, rows = scenarios.table(res)
+        time, count = header.index("t_f_ns"), header.index("n_pulses")
+        written: dict[float, set[int]] = {}
+        for row in rows:
+            written.setdefault(row[time], set()).add(row[count])
+        assert [written.get(t) for t in cfg.t_f_grid] == [
+            {res.protocol_at(t).n_pulses} for t in cfg.t_f_grid], name

@@ -14,7 +14,7 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, gibbs_population, partition_function)
 from qubitfr.oracle import population_after_n_pulses
-from qubitfr.protocol import (ConditionalMatrix, ProtocolConfig, Sweep,
+from qubitfr.protocol import (ConditionalMatrix, Sweep,
                               beta_reservoir, conditional_fixed_point,
                               conditional_matrices, conditional_matrix,
                               energy_change_distribution, energy_changes,
@@ -27,17 +27,22 @@ OMEGA0_P = 2.0 * math.pi * 0.8e-3
 
 
 def amplitude_config(tau=410.0, n_pulses=3, t_f=None, beta=None, pa=0.25):
+    """One run, a one-time sweep: at most ``n_pulses`` pulses, then a coast
+    to ``t_f``, by default the last pulse."""
     drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
     beta = 2.0 / OMEGA0_A if beta is None else beta
-    return ProtocolConfig(drive, PulseChannelParams(pa, 0.0), tau, n_pulses,
-                          ThermalContext(beta), t_f=t_f)
+    t_f = n_pulses * tau if t_f is None else t_f
+    return Sweep(drive, PulseChannelParams(pa, 0.0), tau, ThermalContext(beta),
+                 (t_f,), n_pulses)
 
 
 def phase_config(tau_theta=616.0, n_pulses=2, t_f=None, pd=0.45, beta=0.0,
                  beta_r=0.0):
+    """As ``amplitude_config``, on the phase drive with tau = tau_theta."""
     drive = PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / tau_theta)
-    return ProtocolConfig(drive, PulseChannelParams(0.25, pd), tau_theta,
-                          n_pulses, ThermalContext(beta, beta_r), t_f=t_f)
+    t_f = n_pulses * tau_theta if t_f is None else t_f
+    return Sweep(drive, PulseChannelParams(0.25, pd), tau_theta,
+                 ThermalContext(beta, beta_r), (t_f,), n_pulses)
 
 
 class TestPulseCounting:
@@ -62,21 +67,9 @@ class TestPulseCounting:
             pulses_applied(100.0, 0.0)
 
 
-class TestProtocolConfig:
-    def test_t_f_defaults_to_last_pulse(self):
-        pc = amplitude_config(tau=410.0, n_pulses=4)
-        assert pc.t_f == pytest.approx(4 * 410.0)
-
-    def test_t_f_before_last_pulse_rejected(self):
-        with pytest.raises(ValueError):
-            amplitude_config(tau=410.0, n_pulses=4, t_f=1000.0)
-        with pytest.raises(ValueError):
-            amplitude_config(tau=410.0, n_pulses=4, t_f=4 * 410.0 * (1.0 - 1e-8))
-        # Within the tolerance that pulses_applied snaps, the pulse counts.
-        amplitude_config(tau=410.0, n_pulses=4, t_f=4 * 410.0 * (1.0 - 1e-12))
-
+class TestOneTimeSweep:
     def test_negative_pulses_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_pulses must be None or an int >= 0"):
             amplitude_config(n_pulses=-1)
 
     @pytest.mark.parametrize("t_f, tau", [(math.inf, 410.0), (math.nan, 410.0),
@@ -130,7 +123,7 @@ class TestConditionalMatrixAgainstDensityMatrices:
         pa = pc.channel.p_absorb
 
         ham0 = dmtools.ham_amplitude(OMEGA0_A, 616.0, 0.0)
-        hamf = dmtools.ham_amplitude(OMEGA0_A, 616.0, pc.t_f)
+        hamf = dmtools.ham_amplitude(OMEGA0_A, 616.0, pc.times[0])
         up0, down0, _, _ = dmtools.projectors_from_ham(ham0)
         upf, _, _, _ = dmtools.projectors_from_ham(hamf)
 
@@ -142,7 +135,7 @@ class TestConditionalMatrixAgainstDensityMatrices:
             for n in range(1, 4):
                 u = segment((n - 1) * 410.0, n * 410.0)
                 rho = dmtools.pulse_dm(u @ rho @ u.conj().T, pa, 0.0)
-            u = segment(3 * 410.0, pc.t_f)
+            u = segment(3 * 410.0, pc.times[0])
             rho = u @ rho @ u.conj().T
             expected = np.trace(rho @ upf).real
             assert cm.prob(0, col) == pytest.approx(expected, abs=1e-12)
@@ -159,7 +152,7 @@ class TestConditionalMatrixAgainstDensityMatrices:
             for n in range(1, 3):
                 u = dmtools.propagate_unitary(ham, (n - 1) * 616.0, n * 616.0)
                 rho = dmtools.pulse_dm(u @ rho @ u.conj().T, 0.25, 0.45)
-            u = dmtools.propagate_unitary(ham, 2 * 616.0, pc.t_f)
+            u = dmtools.propagate_unitary(ham, 2 * 616.0, pc.times[0])
             rho = u @ rho @ u.conj().T
             expected = np.trace(rho @ up_proj).real
             assert cm.prob(0, col) == pytest.approx(expected, abs=1e-9)
@@ -282,13 +275,13 @@ class TestPulseTrainBlochCheck:
 
 
 def zero_pulse_config(upper):
-    """A config at t_f = 0, where ``pulse_train`` steps and checks nothing,
+    """A one-time sweep at t_f = 0, where ``pulse_train`` steps and checks nothing,
     whose amplitude drive measures along ``upper``, unchecked, so that
     ``conditional_matrices`` starts from it."""
     basis = (upper, tuple(-x for x in upper))
     drive = type("Measured", (AmplitudeModulatedDrive,), {"basis": basis})(OMEGA0_A, 616.0)
-    return ProtocolConfig(drive, PulseChannelParams(0.25, 0.0), 410.0, 0,
-                          ThermalContext(0.0), t_f=0.0)
+    return Sweep(drive, PulseChannelParams(0.25, 0.0), 410.0, ThermalContext(0.0),
+                 (0.0,))
 
 
 class TestReadoutBlochCheck:
@@ -318,7 +311,7 @@ class TestAtoms:
         pc = amplitude_config(tau=410.0, n_pulses=2, t_f=2 * 410.0)
         cm = conditional_matrix(pc)
         atoms = energy_change_distribution(cm, pc)
-        l0, lf = pc.drive.level(0.0), pc.drive.level(pc.t_f)
+        l0, lf = pc.drive.level(0.0), pc.drive.level(pc.times[0])
         w = initial_probabilities(pc)
         assert atoms == (
             (lf - l0, w[0] * cm.p_up_given_up),

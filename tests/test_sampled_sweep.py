@@ -18,7 +18,7 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr.cli import main
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
 from qubitfr.montecarlo import run_ensemble, run_ensembles
-from qubitfr.protocol import ProtocolConfig, Sweep, conditional_matrices
+from qubitfr.protocol import Sweep, conditional_matrices
 from scalar_sampler import run_records
 
 OMEGA0_A = math.pi / 616.0
@@ -31,9 +31,8 @@ def preset_sweep(name, **overrides):
 
 
 def point_configs(sweep):
-    """Each point of a sweep as its own ``ProtocolConfig``."""
-    return [ProtocolConfig(sweep.drive, sweep.channel, sweep.tau, n, sweep.thermal,
-                           t_f=t_f) for n, t_f in zip(sweep.counts, sweep.times)]
+    """Each point of a sweep as its own one-time sweep."""
+    return [sweep.replace(times=(t_f,)) for t_f in sweep.times]
 
 
 def generated_sweep(drive, channel, tau, grid):
@@ -69,7 +68,7 @@ def test_grouped_walk_equals_separate_runs(family, tau, drive_period, p_absorb,
     assert len(grouped) == len(grid)
     for pc, stats in zip(point_configs(sweep), grouped):
         separate = run_ensemble(pc, n, seed, chunk_size=single_chunk_size)
-        assert stats.to_dict() == separate.to_dict(), pc.t_f
+        assert stats.to_dict() == separate.to_dict(), pc.times
 
 
 def assert_walk_equals_scalar_reference(sweep, n, seed,
@@ -85,7 +84,7 @@ def assert_walk_equals_scalar_reference(sweep, n, seed,
         assert stats.to_dict() == {
             "counts": [ups, [n - ups[0], n - ups[1]]], "n_per_initial": [n, n],
             "absorbed_pulses": absorbed, "total_pulses": 2 * n * pc.n_pulses,
-            "master_seed": seed}, pc.t_f
+            "master_seed": seed}, pc.times
 
 
 def test_grouped_walk_equals_scalar_reference():
@@ -304,7 +303,7 @@ def test_dense_off_period_sweeps_equal_single_runs_and_scalar_reference(
     sweep = generated_sweep(drive, channel, tau, grid)
     for pc, stats in zip(point_configs(sweep),
                          run_ensembles(sweep, n, seed, chunk_size=chunk_size)):
-        assert stats.to_dict() == run_ensemble(pc, n, seed).to_dict(), pc.t_f
+        assert stats.to_dict() == run_ensemble(pc, n, seed).to_dict(), pc.times
     assert_walk_equals_scalar_reference(sweep, n, seed, chunk_size=chunk_size)
 
 

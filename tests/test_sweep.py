@@ -19,7 +19,7 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
 from qubitfr.montecarlo import run_ensemble, run_ensembles
 from qubitfr.oracle import work_heat_series_amplitude
-from qubitfr.protocol import ProtocolConfig, Sweep, conditional_matrices
+from qubitfr.protocol import Sweep, conditional_matrices
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -33,9 +33,8 @@ def preset_sweep(name, **overrides):
 
 
 def point_configs(sweep):
-    """Each point of a sweep as its own ``ProtocolConfig``."""
-    return [ProtocolConfig(sweep.drive, sweep.channel, sweep.tau, n, sweep.thermal,
-                           t_f=t_f) for n, t_f in zip(sweep.counts, sweep.times)]
+    """Each point of a sweep as its own one-time sweep."""
+    return [sweep.replace(times=(t_f,)) for t_f in sweep.times]
 
 
 def upper_row_bits(cm):
@@ -49,7 +48,7 @@ def assert_matches_reference(sweep):
     assert len(swept) == len(sweep.times)
     for pc, cm in zip(point_configs(sweep), swept):
         expected = sweep_reference.conditional_matrix(pc)
-        assert upper_row_bits(cm) == upper_row_bits(expected), pc.t_f
+        assert upper_row_bits(cm) == upper_row_bits(expected), pc.times
 
 
 def fig5d_500_pulses():
@@ -163,11 +162,18 @@ def test_rotating_sweep_builds_rotations_independent_of_pulse_count(
     ({"times": (math.inf,)}, "t_f / tau must be finite"),
     ({"tau": 0.0}, "tau must be positive"),
     ({"tau": math.nan}, "t_f / tau must be finite"),
-    ({"max_pulses": -1}, "max_pulses must be nonnegative")],
-    ids=["negative", "nan", "inf", "zero_tau", "nan_tau", "negative_limit"])
+    ({"max_pulses": -1}, "max_pulses must be None or an int >= 0, got -1"),
+    ({"max_pulses": 2.5}, "max_pulses must be None or an int >= 0, got 2.5"),
+    ({"max_pulses": math.nan}, "max_pulses must be None or an int >= 0, got nan"),
+    ({"max_pulses": True}, "max_pulses must be None or an int >= 0, got True"),
+    ({"max_pulses": 3.0}, "max_pulses must be None or an int >= 0, got 3.0")],
+    ids=["negative", "nan", "inf", "zero_tau", "nan_tau", "negative_limit",
+         "fractional_limit", "nan_limit", "bool_limit", "float_limit"])
 def test_sweep_rejects_invalid_fields(fields, message):
     """A sweep shares its drive, channel, tau and thermal context by
-    construction; what it validates is tau, each time and the pulse limit."""
+    construction; what it validates is tau, each time and the pulse limit,
+    which is None or an exact int >= 0: a float, NaN or bool is rejected by
+    name rather than failing later in ``range`` or lifting the limit."""
     args = dict(drive=AmplitudeModulatedDrive(OMEGA0_A, 616.0),
                 channel=PulseChannelParams(0.25, 0.0), tau=410.0,
                 thermal=ThermalContext(1.0), times=(0.0, 500.0), max_pulses=None)
@@ -192,15 +198,17 @@ def test_sweep_counts_and_tails():
     assert limited.counts == (0, 1, 1, 1, 1)
     assert limited.tails[3] == core.bloch_rotation(drive, 500.0, 1500.0)
     assert Sweep(drive, channel, 500.0, thermal, times, 0).counts == (0,) * 5
-    one = ProtocolConfig(drive, channel, 500.0, 1, thermal, t_f=1500.0)
-    assert isinstance(one, Sweep) and (one.n_pulses, one.t_f) == (1, 1500.0)
-    assert (one.times, one.counts, one.tails) == (
-        (1500.0,), (1,), (core.bloch_rotation(drive, 500.0, 1500.0),))
-    # The counts and tails are held, not fields: repr and replace read the
-    # fields alone, and a replaced record derives its own.
-    assert repr(one).startswith("ProtocolConfig(drive=") and "tails" not in repr(one)
-    assert one.replace(t_f=1000.0) == ProtocolConfig(drive, channel, 500.0, 1, thermal,
-                                                     t_f=1000.0)
+    # The walk fires the largest count, not the last time's.
+    assert (sweep.n_pulses, limited.n_pulses) == (3, 1)
+    one = Sweep(drive, channel, 500.0, thermal, (1500.0,), 1)
+    assert (one.times, one.counts, one.n_pulses, one.tails) == (
+        (1500.0,), (1,), 1, (core.bloch_rotation(drive, 500.0, 1500.0),))
+    # The counts, n_pulses and tails are held, not fields: repr and replace
+    # read the fields alone, and a replaced record derives its own.
+    assert repr(one).startswith("Sweep(drive=") and "tails" not in repr(one)
+    assert "n_pulses" not in repr(one)
+    assert one.replace(times=(1000.0,)) == Sweep(drive, channel, 500.0, thermal,
+                                                 (1000.0,), 1)
     assert sweep.replace(times=(1500.0,)).tails == limited.replace(max_pulses=3).tails[3:4]
 
 
@@ -265,27 +273,22 @@ def test_energetics_table_evaluates_the_rate_linearly(omega_calls, points, pulse
 def test_energetics_table_builds_each_point_once(monkeypatch, mode, mc_grid):
     """A fig3b table builds one ``Sweep`` of the grid times its rows read,
     shared by the work and heat series, the exact matrices and the sampled
-    walk, and no ``ProtocolConfig`` per point; a sampling-only table reads
+    walk, and no one-time sweep per point; a sampling-only table reads
     only the sampled times."""
     cfg = scenarios.with_overrides(scenarios.get_preset("fig3b"), mode=mode,
                                    mc_grid=mc_grid, n_trajectories=20)
     res = scenarios.resolve(cfg)
-    swept, configs = [], []
-    real_sweep, real_config = protocol.Sweep.__init__, protocol.ProtocolConfig.__init__
+    swept = []
+    real_sweep = protocol.Sweep.__init__
 
     def sweep_init(self, *args, **kwargs):
         real_sweep(self, *args, **kwargs)
         swept.append(self.times)
 
-    def config_init(self, *args, **kwargs):
-        configs.append(args)
-        real_config(self, *args, **kwargs)
-
     monkeypatch.setattr(protocol.Sweep, "__init__", sweep_init)
-    monkeypatch.setattr(protocol.ProtocolConfig, "__init__", config_init)
     header, rows = scenarios.table(res)
     read = cfg.sampled_grid() if mode == "montecarlo" else cfg.t_f_grid
-    assert (swept, configs) == ([read], [])
+    assert swept == [read]
     assert len(rows) == len(cfg.t_f_grid) * (mode != "montecarlo") + len(
         cfg.sampled_grid()) * (mode != "deterministic")
 
@@ -335,7 +338,7 @@ FAMILY_FIELDS = {"amplitude": dict(drive_family="amplitude", omega0=OMEGA0_A),
 
 def single_point_rows(res):
     """The table of ``res`` built one point at a time: each row from its own
-    ``ProtocolConfig`` through the single-point functions, in the order the
+    one-time sweep through the single-point functions, in the order the
     columns of ``scenarios.table`` take."""
     cfg = res.config
     kind, w0, beta = cfg.kind, cfg.omega0, res.thermal.beta
@@ -399,7 +402,7 @@ def test_table_columns_equal_the_single_point_path(
     """Tables of generated sweeps on both drive families, with times off the
     pulses, repeated times, t_f = 0 and one-time sweeps, in every mode: each
     conditional, energetics and fr row equals the row built from its own
-    ``ProtocolConfig``, repr for repr."""
+    one-time sweep, repr for repr."""
     omega0 = FAMILY_FIELDS[family]["omega0"]
     grid = sorted([0.0] * (points[0][0] == 0) + [(n + frac) * tau for n, frac in points]
                   + [points[-1][0] * tau] * repeats)
@@ -419,6 +422,6 @@ def test_table_columns_equal_the_single_point_path(
 def test_empty_sweep():
     empty = Sweep(AmplitudeModulatedDrive(OMEGA0_A, 616.0), PulseChannelParams(0.25, 0.0),
                   410.0, ThermalContext(0.0), ())
-    assert (empty.counts, empty.tails) == ((), ())
+    assert (empty.counts, empty.n_pulses, empty.tails) == ((), 0, ())
     assert conditional_matrices(empty) == []
     assert run_ensembles(empty, 10, 0) == []
