@@ -298,8 +298,9 @@ def check_monte_carlo() -> CheckResult:
             slowest, slowest_names = elapsed, "/".join(names)
         for name, stats, exact in zip(names, ensembles,
                                       protocol.conditional_matrices(sweep)):
+            estimate = stats.conditional_estimate()
             for i, sigma in enumerate(stats.std_err()):
-                diff = abs(stats.column_estimate(i) - exact.prob(0, i))
+                diff = abs(estimate.prob(0, i) - exact.prob(0, i))
                 pulls = 0.0 if diff == 0.0 else (math.inf if sigma == 0.0
                                                  else diff / sigma)
                 if pulls > worst_sigma:

@@ -10,7 +10,7 @@ stream is not drawn (the amplitude presets, the paper's
 infinite-temperature reservoir).  Every other stream is read at its
 words whether or not the branches fire, and aggregates are exact integer
 counts.  Results are therefore a pure function of (master_seed, i) per
-trajectory and bit-identical however trajectories are chunked.
+trajectory and, but for the rounding noted below, chunking-invariant.
 
 A stream is only its key, so a walk builds one ``Philox`` and re-keys it
 for each draw of a chunk's words of a stream: it sets the key and the
@@ -32,17 +32,17 @@ a pole, so a chunk's walk state is one label per trajectory: the column
 of a small per-chunk table of Bloch vectors that holds the up and the down
 start and the +z and -z poles of each pulse.  A pulse rotates the table,
 draws each outcome from its trajectory's column and writes the new pole's
-label where it absorbed.  The points measured at one pulse count read
-their tails, which the ``protocol.Sweep`` record built once, stacked as
-one (P, 3, 3) array: one (P, 3, 3) @ (3, k) product rotates the
-table by every tail and one (P, k, 3) @ (3,) product gives every Born
-probability, which each point then gathers by label and counts.  Numpy
-runs these stacked products slice by slice, as the one-point products
-they replace.  Each column goes through the products a per-trajectory
-Bloch vector would, and once the table is wider than the chunk it is cut
-to the columns some label points at.  The tests hold the engine to an independent scalar
-walker that builds each word's generator at its counter and walks the
-same words pulse by pulse on one Bloch vector per trajectory.
+label where it absorbed.  A point measures the state r after its tail T,
+which the ``protocol.Sweep`` record built once, along the up axis u; as
+u . (T r) = (T^T u) . r, the walk carries u back through each point's
+tail once per sweep, to the point's measured axis.
+The points measured at one pulse count then take every Born probability
+from one (P, 3) @ (3, k) product of their axes and the table, which each
+point gathers by label and counts.  Once the table is wider than the
+chunk it is cut to the columns some label points at.  The tests hold the
+engine to an independent scalar walker that builds each word's generator
+at its counter and walks the same words pulse by pulse on one Bloch
+vector per trajectory, to which it applies each tail.
 
 Estimates are the ``protocol`` sums over the four (dE, p) atoms evaluated
 on the empirical matrix ``EnsembleStats.conditional_estimate()``; this
@@ -50,9 +50,10 @@ module adds only one binomial standard error for any such sum,
 ``EnsembleStats.functional_std_err``.  Numpy only draws and walks: the tallies
 are Python ints, and the estimates and their errors are computed from
 them in Python floats with libm's ``exp`` and ``sqrt``.  The walk
-multiplies with numpy, so a Born probability can differ by an ulp
-between hosts, and a count, and with it a sampled CSV, changes only
-when a uniform lies within that ulp of its threshold.
+multiplies with numpy, whose BLAS may round a Born probability by an ulp
+differently between hosts, chunk sizes and the points sharing its pulse
+count; a count, and with it a sampled CSV, changes only when a uniform
+lies within that ulp of its threshold.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from .core import Value
 from .protocol import ConditionalMatrix, Sweep, segment_rotations
 
 DEFAULT_CHUNK = 16384
-# Born probabilities per stacked product at most, which bounds its
-# temporaries however many points a pulse count has.
+# Born probabilities per (P, 3) @ (3, k) product at most, which bounds its
+# temporary however many points a pulse count has.
 BORN_BLOCK = 1 << 16
 
 
@@ -89,10 +90,6 @@ class EnsembleStats(Value):
             raise ValueError(f"n_per_initial must be at least 1, got {n!r}")
         if not 0 <= min(ups) <= max(ups) <= n:
             raise ValueError(f"up counts {self.ups!r} outside [0, {n}]")
-
-    def column_estimate(self, initial_index: int) -> float:
-        """Empirical P(final = up | initial = initial_index)."""
-        return self.ups[initial_index] / self.n_per_initial
 
     def conditional_estimate(self) -> ConditionalMatrix:
         (up, down), n = self.ups, self.n_per_initial
@@ -152,14 +149,12 @@ def _walk(sweep: Sweep, master_seed: int, n_per_initial: int,
     [0, 2 * n_per_initial), starting up below n_per_initial, walked once."""
     # Arrays once per walk; the chunk loop multiplies with numpy.
     rotations = [np.array(rot) for rot in segment_rotations(sweep)]
-    # The up start is also the axis every point measures along.
+    # The up start, and each point's measured axis T^T up for its tail T.
     up = np.array(sweep.drive.basis[0])
-    tails = np.array(sweep.tails)
-    at: dict[int, list[int]] = {}  # pulse count -> its points
+    axes = up @ np.array(sweep.tails)
+    points: dict[int, list[int]] = {}  # pulse count -> its points
     for c, n in enumerate(sweep.counts):
-        at.setdefault(n, []).append(c)
-    # pulse count -> (its points, their tails stacked as one (P, 3, 3) array)
-    points = {n: (cs, tails[cs]) for n, cs in at.items()}
+        points.setdefault(n, []).append(c)
 
     # One Philox re-keyed per draw.  ``state`` is the walk's own copy: a draw
     # never changes it, and its buffer is empty, so after loading it the
@@ -199,15 +194,10 @@ def _walk(sweep: Sweep, master_seed: int, n_per_initial: int,
         for n in range(len(rotations) + 1):
             if n in points:
                 u_final = uniforms(n, 3, start, m)
-                cs, stacked = points[n]
+                cs = points[n]
                 step = max(1, BORN_BLOCK // table.shape[1])
                 for lo in range(0, len(cs), step):
-                    # Per point, (3, 3) @ (3, k) and the row-major (k, 3) @ (3,),
-                    # which rounds differently from (3,) @ (3, k) and keeps
-                    # earlier releases' Born probabilities; stacked, numpy runs
-                    # the same products slice by slice.
-                    born = 0.5 * (1.0 + np.ascontiguousarray(
-                        (stacked[lo:lo + step] @ table).transpose(0, 2, 1)) @ up)
+                    born = 0.5 * (1.0 + axes[cs[lo:lo + step]] @ table)
                     for c, row in zip(cs[lo:lo + step], born):
                         hit = u_final < row[label]
                         ups[c][0] += int(np.count_nonzero(hit[:n_up]))

@@ -198,14 +198,18 @@ class ScenarioConfig(Value):
             if not math.isfinite(phase):
                 raise ConfigError(f"{field_name} = {_quote(getattr(self, field_name))} "
                                   f"makes the drive phase overflow by t = {t} ns")
-        # The ratio test comes first: pulses_applied rounds t_f / tau to an
-        # int, which raises OverflowError when the ratio is infinite.
-        if self.kind != "rabi" and (
-                grid[-1] / self.tau > 2 * MAX_PULSES
+        # The ratio tests come first: pulses_applied rounds t_f / tau to an
+        # int, and raises ValueError when the ratio is not finite.
+        ratio = grid[-1] / self.tau
+        if self.max_pulses is None and (
+                ratio > 2 * MAX_PULSES
                 or protocol.pulses_applied(grid[-1], self.tau) > MAX_PULSES):
             raise ConfigError(f"t_f_grid ends at {grid[-1]} ns, past pulse "
                               f"{MAX_PULSES} at tau = {self.tau} ns; at most "
                               f"{MAX_PULSES} pulses are allowed")
+        if not math.isfinite(ratio):
+            raise ConfigError(f"tau = {self.tau} ns is too short: t_f_grid ends "
+                              f"at {grid[-1]} ns, and t_f / tau overflows")
         for field_name in ("n_trajectories", "master_seed"):
             value = getattr(self, field_name)
             if type(value) is not int:  # bool is an int subclass; reject it too
@@ -217,7 +221,9 @@ class ScenarioConfig(Value):
             raise ConfigError(
                 f"master_seed must be in [0, 2**64), got {_quote(self.master_seed)}")
         sampled = self.sampled_grid()  # ascending, so the last has the most pulses
-        steps = 2 * self.n_trajectories * (self.pulses_at(sampled[-1]) + len(sampled))
+        pulses = min(protocol.pulses_applied(sampled[-1], self.tau),
+                     math.inf if self.max_pulses is None else self.max_pulses)
+        steps = 2 * self.n_trajectories * (pulses + len(sampled))
         cap = MAX_SAMPLED_STEPS // 2 if self.mode == "both" else MAX_SAMPLED_STEPS
         if steps > cap and self.kind != "bloch":
             from decimal import Decimal  # formats ints past the float range
@@ -227,9 +233,10 @@ class ScenarioConfig(Value):
                 f"{len(sampled)} sampled grid point(s); at most "
                 f"{cap} are allowed in mode {self.mode!r}")
 
-    def pulses_at(self, t_f: float) -> int:
-        """Pulses fired up to t_f; rabi scenarios fire none."""
-        return 0 if self.kind == "rabi" else protocol.pulses_applied(t_f, self.tau)
+    @property
+    def max_pulses(self) -> int | None:
+        """``protocol.Sweep``'s pulse limit: rabi scenarios fire no pulse."""
+        return 0 if self.kind == "rabi" else None
 
     def sampled_grid(self) -> tuple[float, ...]:
         """Final times the Monte-Carlo modes sample."""
@@ -267,9 +274,9 @@ class ResolvedScenario(Value):
         return self.sweep((t_f,))
 
     def sweep(self, times) -> protocol.Sweep:
-        """The protocol at each of ``times``; rabi scenarios fire no pulse."""
+        """The protocol at each of ``times``, at most ``config.max_pulses`` pulses."""
         return protocol.Sweep(self.drive, self.channel, self.config.tau, self.thermal,
-                              times, 0 if self.config.kind == "rabi" else None)
+                              times, self.config.max_pulses)
 
 
 def resolve(config: ScenarioConfig) -> ResolvedScenario:
@@ -544,7 +551,7 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     header = ["t_f_ns", "n_pulses", "mode", "initial_state",
               "rx", "ry", "rz", "post_pulse"]
     t_f = cfg.t_f_grid[-1]
-    marks = [n * cfg.tau for n in range(cfg.pulses_at(t_f) + 1)]
+    marks = [n * cfg.tau for n in range(res.protocol_at(t_f).n_pulses + 1)]
     marks += [t_f] if t_f > marks[-1] else []
     sweep = res.sweep([t for t0, t1 in zip(marks, marks[1:])
                        for t in linspace(t0, t1, 17)[:-1]] + marks[-1:])

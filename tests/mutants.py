@@ -84,6 +84,8 @@ CATALOG = [
     ("walk tail rotation is the identity", "montecarlo.py",
      "np.array(sweep.tails)", "np.array([np.eye(3)] * len(sweep.times))",
      OFF_PERIOD_WALK),
+    ("walk carries the measured axis through the untransposed tail", "montecarlo.py",
+     "up @ np.array(sweep.tails)", "np.array(sweep.tails) @ up", OFF_PERIOD_WALK),
     ("walk reverses the Born rows of a count's points", "montecarlo.py",
      "zip(cs[lo:lo + step], born)", "zip(cs[lo:lo + step], born[::-1])",
      ["tests/test_sampled_sweep.py"]),
@@ -144,6 +146,10 @@ CATALOG = [
     ("a sweep's pulse count is its last time's", "protocol.py",
      "n_pulses=max(counts, default=0)", "n_pulses=(counts or (0,))[-1]",
      ["tests/test_sweep.py::test_sweep_counts_and_tails"] + WORK_HEAT_SWEEP),
+    ("rabi grids skip the finite t_f / tau check", "scenarios.py",
+     "if not math.isfinite(ratio):",
+     "if self.max_pulses is None and not math.isfinite(ratio):",
+     ["tests/test_cli.py::TestScenarioConfig::test_grid_past_a_finite_pulse_count_is_rejected"]),
     ("table atoms swap the Gibbs weights", "scenarios.py",
      "weights = protocol.initial_probabilities(sweep)\n",
      "weights = protocol.initial_probabilities(sweep)[::-1]\n", TABLE_COLUMNS),

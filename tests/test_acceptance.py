@@ -257,7 +257,7 @@ def test_criterion_7_gates_every_point_of_a_shared_walk(monkeypatch):
     assert not result.passed
     [(pc, stats)] = shifted
     exact = protocol.conditional_matrix(pc).p_up_given_up
-    pull = abs(stats.column_estimate(0) - exact) / stats.std_err()[0]
+    pull = abs(stats.conditional_estimate().prob(0, 0) - exact) / stats.std_err()[0]
     assert pull > 30.0
     assert result.detail.startswith(f"worst pull {pull:.2f} sigma (fig6a, tol 4)")
 

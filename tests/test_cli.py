@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qubitfr
 from qubitfr import channel, protocol, scenarios
@@ -137,6 +137,23 @@ class TestScenarioConfig:
         # Rabi scenarios fire no pulses, whatever tau is.
         assert small_phase_config(kind="rabi", tau=1e-9, t_f_grid=(0.0, 1.0))
 
+    @pytest.mark.parametrize("name,message", [
+        ("fig5a", "tau = 5e-324 ns is too short: t_f_grid ends at {} ns, and "
+                  "t_f / tau overflows\n"),
+        ("fig5d", "t_f_grid ends at {} ns, past pulse 1000 at tau = 5e-324 ns; "
+                  "at most 1000 pulses are allowed\n")])
+    def test_grid_past_a_finite_pulse_count_is_rejected(self, tmp_path, capsys,
+                                                        name, message):
+        # t_f / tau overflows for every kind, rabi (fig5a, no pulse fired)
+        # included; the kinds that fire pulses keep the pulse cap's message.
+        cfg = get_preset(name)
+        cfg_path = tmp_path / "tiny_tau.json"
+        cfg_path.write_text(json.dumps(dict(cfg.to_dict(), tau=5e-324)))
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: " + message.format(cfg.t_f_grid[-1]))
+        assert not (tmp_path / "out").exists()
+
     def test_grid_length_is_capped(self, tmp_path, capsys):
         # Validation alone decides; no grid point is run here.
         cap = scenarios.MAX_GRID_POINTS
@@ -190,7 +207,9 @@ class TestScenarioConfig:
         # load and run, though a sampled run there would pass the cap.
         base = get_preset("fig2bcd")
         cfg = with_overrides(base, t_f_grid=(0.0, 1000 * base.tau))
-        assert (cfg.n_trajectories, cfg.pulses_at(cfg.t_f_grid[-1])) == (100_000, 1000)
+        res = scenarios.resolve(cfg)
+        assert (cfg.n_trajectories, res.protocol_at(cfg.t_f_grid[-1]).n_pulses) == (
+            100_000, 1000)
         assert 2 * cfg.n_trajectories * 1001 > scenarios.MAX_SAMPLED_STEPS
         with pytest.raises(ConfigError, match="no stochastic estimator"):
             with_overrides(cfg, mode="montecarlo")
@@ -1264,7 +1283,8 @@ FIELD_VALUES = {
     "p_absorb": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     "p_pump": st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     "target_upper_population": st.floats(0.0, 1.0),
-    "beta": st.floats(-1e4, 1e4), "tau": st.floats(1e-3, 2000.0),
+    "beta": st.floats(-1e4, 1e4),
+    "tau": st.sampled_from([5e-324, 1e-300, 1e300]) | st.floats(1e-3, 2000.0),
     "t_f_grid": (st.lists(st.floats(0.0, 3000.0), min_size=1, max_size=4).map(sorted)
                  | st.lists(HOSTILE, max_size=3) | HOSTILE
                  | grids_of_length(GRID_CAP) | grids_of_length(GRID_CAP + 1)),
@@ -1279,6 +1299,10 @@ EXAMPLE_SECONDS = 5.0
 
 
 @settings(max_examples=120)
+# A rabi run fires no pulse, yet t_f / tau must be finite; the pump is given,
+# since inverting the target would reject this tau first.
+@example(base="phase", changes={},
+         chosen={"kind": "rabi", "tau": 5e-324, "p_pump": 0.45}, dropped=set())
 @given(base=st.sampled_from(sorted(TYPICAL)),
        changes=st.dictionaries(st.sampled_from(FIELDS), HOSTILE, max_size=3),
        chosen=st.fixed_dictionaries({}, optional=FIELD_VALUES),

@@ -231,7 +231,7 @@ class TestEnsembleStats:
         err = stats.std_err()
         assert len(err) == 2
         for i in (0, 1):
-            p = stats.column_estimate(i)
+            p = stats.conditional_estimate().prob(0, i)
             assert err[i] == pytest.approx(math.sqrt(p * (1.0 - p) / 2000.0))
 
     def test_rejects_too_few_trajectories(self):
@@ -310,7 +310,7 @@ class TestFunctionalStdErr:
                 ConditionalMatrix.from_upper_row(p_uu, p_ud), config)
             return mean(atoms) if functional == "mean" else fr_functional(atoms, gamma)
 
-        up = [stats.column_estimate(i) for i in (0, 1)]
+        up = [stats.conditional_estimate().prob(0, i) for i in (0, 1)]
         slopes = (total(1.0, up[1]) - total(0.0, up[1]),
                   total(up[0], 1.0) - total(up[0], 0.0))
         expected = math.sqrt(sum(s * s * p * (1.0 - p) / 20_000

@@ -162,7 +162,7 @@ def test_off_period_walks_follow_the_exact_matrices():
         cm = conditional_matrices(sweep)[pick]
         for i, p in enumerate((cm.p_up_given_up, cm.p_up_given_down)):
             if n * p * (1.0 - p) >= 5.0:
-                pulls.append((stats.column_estimate(i) - p)
+                pulls.append((stats.conditional_estimate().prob(0, i) - p)
                              / math.sqrt(p * (1.0 - p) / n))
     k = len(pulls)
     chi2 = math.fsum(z * z for z in pulls) / k
@@ -308,9 +308,10 @@ def test_dense_off_period_sweeps_equal_single_runs_and_scalar_reference(
 
 
 def test_born_products_in_blocks_equal_one_product(monkeypatch):
-    """A count's stacked Born product is cut into blocks of at most
-    ``BORN_BLOCK`` probabilities; cut to one or a few points per block, the
-    counts stay those of one product per count."""
+    """A count's Born product, its points' measured axes times the label
+    table, is cut into blocks of at most ``BORN_BLOCK`` probabilities; cut
+    to one or a few points per block, the counts stay those of one product
+    per count."""
     _, sweep = preset_sweep("fig2a", mc_grid="all")
     whole = [s.to_dict() for s in run_ensembles(sweep, 300, 99, chunk_size=128)]
     for block in (1, 50):

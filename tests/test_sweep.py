@@ -125,8 +125,9 @@ def test_sweep_builds_each_rotation_about_once(name, tmp_path, rotations_built):
     one tail per grid point, not every rotation again at every point, with
     the tails in at most one batch."""
     cfg = scenarios.get_preset(name)
+    n_max = scenarios.resolve(cfg).protocol_at(cfg.t_f_grid[-1]).n_pulses
+    rotations_built.clear()
     scenarios.run_scenario(cfg, outdir=tmp_path)
-    n_max = cfg.pulses_at(cfg.t_f_grid[-1])
     assert 0 < sum(n for _, n in rotations_built) <= n_max + len(cfg.t_f_grid) + 2
     assert [kind for kind, _ in rotations_built].count("tails") <= 1
 
