@@ -222,7 +222,7 @@ def check_oracle_equivalence(tables: dict) -> CheckResult:
             # n - 1 is also its value just before pulse n.
             post = protocol.pulse_train(sweep, [(2.0 * p0 - 1.0, 0.0, 0.0)], range(51))
             rx = [rs[0][0] for rs in post]
-            energy = drive.level(0.0) * rx[0]
+            energy = sweep.level0 * rx[0]
             work = heat = 0.0
             [(mean_w, mean_q)] = oracle.work_heat_series_amplitude(sweep)
             for n in range(1, 51):
@@ -278,8 +278,8 @@ def check_monte_carlo() -> CheckResult:
 
     walks = {}
     for name, cfg in scenarios.PRESETS.items():
-        final = (res := scenarios.resolve(cfg)).sweep(cfg.t_f_grid[-1:])
-        key = (final.drive, final.channel, final.tau, final.max_pulses,
+        res = scenarios.resolve(cfg)
+        key = (res.drive, res.channel, cfg.tau, cfg.max_pulses,
                cfg.n_trajectories, cfg.master_seed)
         walks.setdefault(key, []).append((name, res, cfg.t_f_grid[-1]))
     worst_sigma, worst_name = 0.0, ""
@@ -331,11 +331,10 @@ def check_inequalities(tables: dict) -> CheckResult:
         w0 = res.config.omega0
         sweep = res.sweep(scenarios.linspace(0.0, 12 * res.config.tau, 100)[1:])
         levels = protocol.sweep_levels(sweep)
-        atoms = protocol.energy_changes(sweep, protocol.initial_probabilities(sweep),
-                                        levels, protocol.conditional_matrices(sweep))
-        l0 = res.drive.level(0.0)
+        atoms = protocol.energy_changes(sweep, levels,
+                                        protocol.conditional_matrices(sweep))
         for lf, a in zip(levels, atoms):
-            df = free_energy_delta(res.config.beta, l0, lf)
+            df = free_energy_delta(res.config.beta, sweep.level0, lf)
             worst_jensen = min(worst_jensen, (protocol.mean(a) - df) / w0)
 
     res = tables["fig3b"][0]

@@ -81,8 +81,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_invert(args: argparse.Namespace) -> int:
     if not 0.0 < args.target < 0.5:
         raise ConfigError("target population must lie in (0, 0.5)")
-    if args.tau_theta is not None and args.tau_theta <= 0.0:
-        raise ConfigError("tau-theta must be positive")
+    # NaN fails the first test; inf and periods below 2 pi / float max the second.
+    if args.tau_theta is not None and not (
+            args.tau_theta > 0.0 and 0.0 < 2.0 * math.pi / args.tau_theta < math.inf):
+        raise ConfigError(f"tau-theta = {args.tau_theta!r} must be a positive finite "
+                          f"number, with a finite rate 2 pi / tau-theta")
     theta = args.theta if args.tau_theta is None else 2.0 * math.pi / args.tau_theta
     try:  # names theta when its period 2 pi / theta overflows
         tau = PhaseRotatingDrive(args.omega0, theta).tau_theta

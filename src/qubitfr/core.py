@@ -304,11 +304,6 @@ def bloch_rotation(drive: DriveSpec, t0: float, t1: float) -> Matrix3:
     return interval_rotations(drive, (t0, t1), (0,), (1,))[0]
 
 
-def partition_function(beta: float, drive: DriveSpec, t: float) -> float:
-    """Two-level partition function 2*cosh(beta * level(t))."""
-    return 2.0 * math.cosh(beta * drive.level(t))
-
-
 def gibbs_population(beta: float, drive: DriveSpec, t: float) -> float:
     """Upper-level Gibbs weight exp(-beta level(t)) / Z at time t."""
     x = beta * (2.0 * drive.level(t))

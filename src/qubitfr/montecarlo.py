@@ -64,7 +64,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .core import Value
-from .protocol import ConditionalMatrix, Sweep, segment_rotations
+from .protocol import ConditionalMatrix, Sweep
 
 DEFAULT_CHUNK = 16384
 # Born probabilities per (P, 3) @ (3, k) product at most, which bounds its
@@ -148,7 +148,7 @@ def _walk(sweep: Sweep, master_seed: int, n_per_initial: int,
     absorbed-pulse count at each point's pulse count) of trajectory indices
     [0, 2 * n_per_initial), starting up below n_per_initial, walked once."""
     # Arrays once per walk; the chunk loop multiplies with numpy.
-    rotations = [np.array(rot) for rot in segment_rotations(sweep)]
+    rotations = [np.array(rot) for rot in sweep.periods]
     # The up start, and each point's measured axis T^T up for its tail T.
     up = np.array(sweep.drive.basis[0])
     axes = up @ np.array(sweep.tails)

@@ -53,7 +53,7 @@ def work_heat_series_amplitude(sweep: Sweep) -> list[tuple[float, float]]:
     drive, tau, pa = sweep.drive, sweep.tau, sweep.channel.p_absorb
     if not isinstance(drive, AmplitudeModulatedDrive):
         raise TypeError("work/heat series requires the fixed-axis drive")
-    d0 = 1.0 - 2.0 * gibbs_population(sweep.thermal.beta, drive, 0.0)
+    d0 = 1.0 - 2.0 * sweep.weights[0]
     omegas = [drive.omega(n * tau) for n in range(sweep.n_pulses + 1)]
     per_w = [0.5 * (omegas[n - 1] - omegas[n]) * (1.0 - pa) ** (n - 1) * d0
              for n in range(1, len(omegas))]
@@ -128,7 +128,7 @@ def mean_heat_phase(sweep: Sweep) -> list[float]:
     drive = sweep.drive
     if not isinstance(drive, PhaseRotatingDrive):
         raise TypeError("stroboscopic heat requires the rotating drive")
-    p0 = gibbs_population(sweep.thermal.beta, drive, 0.0)
+    p0 = sweep.weights[0]
     pa, pp, alpha = sweep.channel.p_absorb, sweep.channel.p_pump, drive.alpha
     heat = {n: drive.gap * (floquet_population_recursion(p0, pa, pp, alpha, n) - p0)
             for n in set(sweep.counts)}

@@ -1,10 +1,11 @@
 """Two-point measurement protocol over the pulsed, driven qubit.
 
 The engines read a ``Sweep``, runs that differ only in their final time
-t_f, which computes its pulse counts and tail rotations once; one run is
-a sweep of one time.  The deterministic engine propagates the two initial
-basis states through the ensemble-averaged channel, which is exact for
-all probabilities that are linear in the density operator.
+t_f, which computes once what all its runs share: the pulse counts, the
+period and tail rotations, level(0) and the initial Gibbs weights; one
+run is a sweep of one time.  The deterministic engine propagates the two
+initial basis states through the ensemble-averaged channel, which is
+exact for all probabilities that are linear in the density operator.
 ``pulse_train`` is its one rotate-then-pulse loop, and ``final_states``
 (that loop plus each point's tail) its one readout of states: every
 point's pulses are a prefix of the last point's, so a sweep walks the
@@ -27,8 +28,7 @@ from collections.abc import Sequence
 from .channel import PulseChannelParams, pulse_step
 from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Value,
                    Vector, bloch_rotations, check_bloch_vector,
-                   gibbs_population, interval_rotations, matvec3,
-                   partition_function, whole_multiple)
+                   gibbs_population, interval_rotations, matvec3, whole_multiple)
 
 PROBABILITY_TOL = 1e-12
 
@@ -57,8 +57,11 @@ class Sweep(Value):
     ``max_pulses`` times (no limit when None), measure again at t_f.  It
     holds each time's pulse count, ``counts`` (``pulses_applied``, which
     validates the time), the largest of them, ``n_pulses`` (0 with no
-    times), which its one walk fires, and its ``tails``
-    (``tail_rotations``)."""
+    times), which its one walk fires, the ``periods`` that walk applies
+    (entry n-1 carries ((n-1)tau, n*tau)), its ``tails``
+    (``tail_rotations``), the upper level ``level0`` at t = 0 and the Gibbs
+    ``weights`` (upper, lower) of the initial outcomes, each its own
+    logistic: 1 - g would lose the small one's digits at large |beta|."""
 
     def __init__(self, drive: DriveSpec, channel: PulseChannelParams, tau: float,
                  thermal: ThermalContext, times: Sequence[float],
@@ -71,7 +74,13 @@ class Sweep(Value):
                              f"got {max_pulses!r}")
         limit = math.inf if max_pulses is None else max_pulses
         counts = tuple(min(pulses_applied(t, tau), limit) for t in self.times)
-        self.__dict__.update(counts=counts, n_pulses=max(counts, default=0))
+        n_pulses = max(counts, default=0)
+        self.__dict__.update(
+            counts=counts, n_pulses=n_pulses,
+            periods=tuple(bloch_rotations(drive, [n * tau for n in range(n_pulses + 1)])),
+            level0=drive.level(0.0),
+            weights=tuple(gibbs_population(b, drive, 0.0)
+                          for b in (thermal.beta, -thermal.beta)))
         self.__dict__["tails"] = tuple(tail_rotations(self))
 
 
@@ -92,18 +101,11 @@ def tail_rotations(sweep: Sweep) -> list[Matrix3]:
             for n, t_f in zip(sweep.counts, sweep.times)]
 
 
-def segment_rotations(sweep: Sweep) -> list[Matrix3]:
-    """Per-period drive rotations to pulse ``n_pulses``: entry n-1 carries
-    ((n-1)tau, n*tau)."""
-    return bloch_rotations(sweep.drive, [n * sweep.tau
-                                         for n in range(sweep.n_pulses + 1)])
-
-
 def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
                 counts: Sequence[int]) -> list[list[Vector]]:
     """Post-pulse Bloch vectors of each start at each requested pulse count
     (each in 0..``sweep.n_pulses``, repeats allowed): entry [k][s] is start
-    s after counts[k] pulses, from one walk of ``segment_rotations(sweep)``.
+    s after counts[k] pulses, from one walk of ``sweep.periods``.
 
     Each step applies its period's rotation to every start, summing each
     element as ``matvec3`` does, then ``channel.pulse_step``; a state that
@@ -114,7 +116,7 @@ def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
     """
     if any(not 0 <= n <= sweep.n_pulses for n in counts):
         raise ValueError(f"pulse counts {list(counts)} outside 0..{sweep.n_pulses}")
-    rots = segment_rotations(sweep)
+    rots = sweep.periods
     pa, pd = sweep.channel.p_absorb, sweep.channel.p_pump
     wanted = set(counts)
     rs = [tuple(float(x) for x in r) for r in starts]
@@ -192,13 +194,6 @@ def conditional_matrix(run: Sweep) -> ConditionalMatrix:
     return conditional_matrices(run)[0]
 
 
-def initial_probabilities(sweep: Sweep) -> tuple[float, float]:
-    """Gibbs weights (upper, lower) of the initial measurement outcomes, each
-    its own logistic: 1 - g would lose the small one's digits at large |beta|."""
-    return tuple(gibbs_population(b, sweep.drive, 0.0)
-                 for b in (sweep.thermal.beta, -sweep.thermal.beta))
-
-
 def sweep_levels(sweep: Sweep) -> list[float]:
     """The upper level at each time, one ``drive.level`` call per distinct time."""
     level = sweep.drive.level
@@ -206,20 +201,18 @@ def sweep_levels(sweep: Sweep) -> list[float]:
     return [at[t] for t in sweep.times]
 
 
-def energy_changes(sweep: Sweep, weights: tuple[float, float],
-                   levels: Sequence[float],
+def energy_changes(sweep: Sweep, levels: Sequence[float],
                    matrices: Sequence[ConditionalMatrix]) -> list[tuple]:
     """Per pair of a level(t_f) and a ``ConditionalMatrix``, the four atoms
-    (E_final - E_initial, probability), Gibbs-weighted by ``weights``
-    (``initial_probabilities(sweep)``), in (initial, final) order (up, up),
-    (up, down), (down, up), (down, down); level(0) is read once.
+    (E_final - E_initial, probability) from ``sweep.level0``, Gibbs-weighted
+    by ``sweep.weights``, in (initial, final) order (up, up), (up, down),
+    (down, up), (down, down).
 
     Unchecked: the atoms are finite and sum to one, since a validated drive's
     levels are finite at a finite t_f, the Gibbs weights sum to one, and
     ``ConditionalMatrix`` rejects columns outside [0, 1] and NaN.
     """
-    l0 = sweep.drive.level(0.0)
-    up, down = weights
+    l0, (up, down) = sweep.level0, sweep.weights
     return [((lf - l0, up * uu), (-lf - l0, up * (1.0 - uu)),
              (lf - -l0, down * ud), (-lf - -l0, down * (1.0 - ud)))
             for lf, (uu, ud) in zip(levels, ((cm.p_up_given_up, cm.p_up_given_down)
@@ -228,7 +221,7 @@ def energy_changes(sweep: Sweep, weights: tuple[float, float],
 
 def energy_change_distribution(cm: ConditionalMatrix, run: Sweep) -> tuple:
     """``energy_changes`` of a one-time sweep: its four atoms."""
-    return energy_changes(run, initial_probabilities(run), sweep_levels(run), [cm])[0]
+    return energy_changes(run, sweep_levels(run), [cm])[0]
 
 
 def mean(atoms: Sequence[tuple[float, float]]) -> float:
@@ -247,11 +240,12 @@ def fr_functional(atoms: Sequence[tuple[float, float]], gamma: float) -> float:
 
 def fr_targets(sweep: Sweep, levels: Sequence[float]) -> list[float]:
     """Partition-function ratio Z(t_f)/Z(0), exp(-beta dF), the functional
-    should reproduce at each of the sweep's ``levels`` (``sweep_levels``);
-    Z(0) is read once.  Identically 1 for the rotating drive and beta = 0."""
+    should reproduce at each of the sweep's ``levels`` (``sweep_levels``),
+    with Z(t) = 2 cosh(beta level(t)).  Identically 1 for the rotating drive
+    and beta = 0."""
     beta = sweep.thermal.beta
-    z0 = partition_function(beta, sweep.drive, 0.0)
-    return [2.0 * math.cosh(beta * lf) / z0 for lf in levels]  # Z as partition_function
+    z0 = 2.0 * math.cosh(beta * sweep.level0)
+    return [2.0 * math.cosh(beta * lf) / z0 for lf in levels]
 
 
 def beta_reservoir(p_up_infinity: float, gap: float) -> float:

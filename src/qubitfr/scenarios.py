@@ -551,7 +551,7 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
     header = ["t_f_ns", "n_pulses", "mode", "initial_state",
               "rx", "ry", "rz", "post_pulse"]
     t_f = cfg.t_f_grid[-1]
-    marks = [n * cfg.tau for n in range(res.protocol_at(t_f).n_pulses + 1)]
+    marks = [n * cfg.tau for n in range(protocol.pulses_applied(t_f, cfg.tau) + 1)]
     marks += [t_f] if t_f > marks[-1] else []
     sweep = res.sweep([t for t0, t1 in zip(marks, marks[1:])
                        for t in linspace(t0, t1, 17)[:-1]] + marks[-1:])
@@ -564,16 +564,14 @@ def _bloch_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
 
 def _energy_grid(res: ResolvedScenario):
     """``_grid`` with the sweep's levels and each row's four atoms, from one
-    ``sweep_levels`` pass and one set of Gibbs weights; ``error(f)`` is each
+    ``sweep_levels`` pass and the sweep's Gibbs weights; ``error(f)`` is each
     row's standard error of p * f(dE) over its atoms (0 for an exact row)."""
     sweep, index, matrices, stats = _grid(res)
     levels = protocol.sweep_levels(sweep)
-    weights = protocol.initial_probabilities(sweep)
-    atoms = protocol.energy_changes(sweep, weights, [levels[i] for i in index],
-                                    matrices)
+    atoms = protocol.energy_changes(sweep, [levels[i] for i in index], matrices)
 
     def error(f):
-        return [0.0 if s is None else s.functional_std_err(a, weights, f)
+        return [0.0 if s is None else s.functional_std_err(a, sweep.weights, f)
                 for a, s in zip(atoms, stats)]
 
     return sweep, levels, index, stats, atoms, error
@@ -589,8 +587,7 @@ def _energetics_rows(res: ResolvedScenario) -> tuple[list[str], list[list]]:
                    "delta_f", "first_law_residual", "err_mean_delta_e"]
         series = oracle.work_heat_series_amplitude(sweep)
         # One per grid time, which both rows of mode "both" read.
-        l0 = res.drive.level(0.0)
-        delta_f = [free_energy_delta(cfg.beta, l0, lf) if cfg.beta else 0.0
+        delta_f = [free_energy_delta(cfg.beta, sweep.level0, lf) if cfg.beta else 0.0
                    for lf in levels]
         values = [(mean_de / w0, w / w0, q / w0, (w + q) / w0, delta_f[i] / w0,
                    (mean_de - (w + q)) / w0, err / w0)

@@ -144,15 +144,15 @@ CATALOG = [
      _TAIL, _TAIL.replace("[n]", "[sweep.n_pulses]").replace("** n ", "** sweep.n_pulses "),
      WORK_HEAT_SWEEP),
     ("a sweep's pulse count is its last time's", "protocol.py",
-     "n_pulses=max(counts, default=0)", "n_pulses=(counts or (0,))[-1]",
+     "n_pulses = max(counts, default=0)", "n_pulses = (counts or (0,))[-1]",
      ["tests/test_sweep.py::test_sweep_counts_and_tails"] + WORK_HEAT_SWEEP),
     ("rabi grids skip the finite t_f / tau check", "scenarios.py",
      "if not math.isfinite(ratio):",
      "if self.max_pulses is None and not math.isfinite(ratio):",
      ["tests/test_cli.py::TestScenarioConfig::test_grid_past_a_finite_pulse_count_is_rejected"]),
-    ("table atoms swap the Gibbs weights", "scenarios.py",
-     "weights = protocol.initial_probabilities(sweep)\n",
-     "weights = protocol.initial_probabilities(sweep)[::-1]\n", TABLE_COLUMNS),
+    ("a sweep swaps its Gibbs weights", "protocol.py",
+     "for b in (thermal.beta, -thermal.beta)", "for b in (-thermal.beta, thermal.beta)",
+     TABLE_COLUMNS + ["tests/test_protocol.py::TestInitialWeights"]),
     ("atoms read level(0) as level(t_f)", "protocol.py",
      "for lf, (uu, ud) in zip(levels,", "for lf, l0, (uu, ud) in zip(levels, levels,",
      ATOMS),

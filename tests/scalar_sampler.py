@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr.protocol import Sweep, segment_rotations
+from qubitfr.protocol import Sweep
 from sweep_reference import tail_rotation
 
 
@@ -97,7 +97,7 @@ def run_records(config: Sweep, initial_index: int, n: int,
                 master_seed: int, index_offset: int = 0) -> list[TrajectoryRecord]:
     """Trajectories ``index_offset .. index_offset + n - 1`` from one basis
     state, run to the one time of ``config``, a one-time sweep."""
-    rots, tail = segment_rotations(config), tail_rotation(config)
+    rots, tail = config.periods, tail_rotation(config)
     # The up start is also the axis of the final measurement.
     start = final_axis = np.array(config.drive.basis[0])
     sign = 1.0 if initial_index == 0 else -1.0

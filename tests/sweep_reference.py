@@ -4,7 +4,7 @@ Every grid point rebuilds all of its period rotations and walks its own
 pulse train from t = 0, one basis state at a time, as the engine did
 before sweeps shared one train.  It costs O(grid x N) and shares no
 propagation code with ``qubitfr.protocol.pulse_train``: it takes only the
-rotations from the package (``segment_rotations``, and ``tail_rotation``
+rotations from the package (the sweep's ``periods``, and ``tail_rotation``
 here, which builds each tail alone with ``core.bloch_rotation``),
 ``pulse`` is its own copy of the pulse arithmetic, and ``matvec`` its own
 copy of the rotation product, each in the package's expression order.
@@ -13,8 +13,8 @@ shared-prefix bookkeeping (pulse counts, tail rotations and final bases)
 and of the pulse and product arithmetic itself.  Its Bloch vectors are
 local float triples (``triple``), and ``upper_population`` is its own copy
 of the package's measurement arithmetic.  Each function takes one run, a
-one-time ``Sweep``, and reads only its fields and ``n_pulses``, never its
-``counts`` or ``tails``.
+one-time ``Sweep``, and reads only its fields, ``n_pulses`` and
+``periods``, never its ``counts`` or ``tails``.
 
 ``work_heat_series_amplitude`` is the per-config work and heat series
 of the fixed-axis drive as the package evaluated it before a sweep shared
@@ -37,7 +37,7 @@ from qubitfr.channel import PulseChannelParams
 from qubitfr import core
 from qubitfr.core import (AmplitudeModulatedDrive, _rot_z, gibbs_population,
                           phase_integral, whole_multiple)
-from qubitfr.protocol import ConditionalMatrix, Sweep, segment_rotations
+from qubitfr.protocol import ConditionalMatrix, Sweep
 
 
 def tail_rotation(config: Sweep):
@@ -112,7 +112,7 @@ def upper_population(r, axis) -> float:
 def propagate_mean(config: Sweep, start) -> tuple[float, float, float]:
     """Ensemble-averaged Bloch vector at t_f from the given vector at 0."""
     r = np.array(start)
-    for rot in segment_rotations(config):
+    for rot in config.periods:
         r = pulse(matvec(rot, r), config.channel)
     return triple(matvec(tail_rotation(config), r))
 
@@ -122,7 +122,7 @@ def mean_trajectory(config: Sweep,
     """Post-pulse snapshots (t_n, r_n) for n = 0..N plus the final vector."""
     out = [(0.0, triple(start))]
     r = np.array(start)
-    for n, rot in enumerate(segment_rotations(config), start=1):
+    for n, rot in enumerate(config.periods, start=1):
         r = pulse(matvec(rot, r), config.channel)
         out.append((n * config.tau, triple(r)))
     t_f = config.times[0]

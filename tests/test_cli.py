@@ -797,6 +797,15 @@ class TestCli:
         assert captured.err.startswith(f"configuration error: {field}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e-320", "0", "-4"])
+    def test_invert_names_a_bad_tau_theta(self, capsys, value):
+        # The message names the flag typed, not the rate 2 pi / tau-theta.
+        assert main(["invert", "--target", "0.138", f"--tau-theta={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"configuration error: tau-theta = {float(value)!r} must be"), captured.err
+        assert captured.out == ""
+
     def test_degenerate_channel_is_config_error(self, tmp_path, capsys):
         # At theta = 1e308 the period map leaves rz alone, and the inverted
         # pump of 0 conserves it too: the fixed point is not unique.

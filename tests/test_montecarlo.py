@@ -14,8 +14,7 @@ from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, run_ensemble,
                                 run_ensembles)
 from qubitfr.protocol import (ConditionalMatrix, Sweep,
                               conditional_matrix, energy_change_distribution,
-                              fr_functional, fr_targets, initial_probabilities,
-                              mean, sweep_levels)
+                              fr_functional, fr_targets, mean, sweep_levels)
 from qubitfr.scenarios import get_preset, resolve
 from scalar_sampler import PulseEvent, derive_stream, run_records, sample_pulse
 
@@ -274,7 +273,7 @@ class TestStatisticalAgreement:
         stats = run_ensemble(config, 20_000, SEED)
         atoms = energy_change_distribution(stats.conditional_estimate(), config)
         value = fr_functional(atoms, gamma)
-        err = stats.functional_std_err(atoms, initial_probabilities(config),
+        err = stats.functional_std_err(atoms, config.weights,
                                        lambda v: math.exp(-gamma * v))
         assert err > 0.0
         assert abs(value - fr_targets(config, sweep_levels(config))[0]) <= 4.0 * err
@@ -284,8 +283,7 @@ class TestStatisticalAgreement:
         stats = run_ensemble(config, 20_000, SEED)
         atoms = energy_change_distribution(stats.conditional_estimate(), config)
         mean_mc = mean(atoms)
-        err = stats.functional_std_err(atoms, initial_probabilities(config),
-                                       lambda v: v)
+        err = stats.functional_std_err(atoms, config.weights, lambda v: v)
         exact = mean(energy_change_distribution(conditional_matrix(config), config))
         assert err > 0.0
         assert abs(mean_mc - exact) <= 4.0 * err
@@ -317,5 +315,5 @@ class TestFunctionalStdErr:
                                  for s, p in zip(slopes, up)))
         f = (lambda v: v) if functional == "mean" else (lambda v: math.exp(-gamma * v))
         atoms = energy_change_distribution(stats.conditional_estimate(), config)
-        assert stats.functional_std_err(atoms, initial_probabilities(config), f) \
+        assert stats.functional_std_err(atoms, config.weights, f) \
             == pytest.approx(expected, rel=1e-12)

@@ -12,15 +12,14 @@ import sweep_reference
 from qubitfr import scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
-                          ThermalContext, gibbs_population, partition_function)
+                          ThermalContext, gibbs_population)
 from qubitfr.oracle import population_after_n_pulses
 from qubitfr.protocol import (ConditionalMatrix, Sweep,
                               beta_reservoir, conditional_fixed_point,
                               conditional_matrices, conditional_matrix,
                               energy_change_distribution, energy_changes,
-                              final_states, fr_functional, fr_targets,
-                              initial_probabilities, mean, pulse_train,
-                              pulses_applied, sweep_levels)
+                              final_states, fr_functional, fr_targets, mean,
+                              pulse_train, pulses_applied, sweep_levels)
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -312,7 +311,7 @@ class TestAtoms:
         cm = conditional_matrix(pc)
         atoms = energy_change_distribution(cm, pc)
         l0, lf = pc.drive.level(0.0), pc.drive.level(pc.times[0])
-        w = initial_probabilities(pc)
+        w = pc.weights
         assert atoms == (
             (lf - l0, w[0] * cm.p_up_given_up),
             (-lf - l0, w[0] * (1.0 - cm.p_up_given_up)),
@@ -335,14 +334,15 @@ class TestAtoms:
 class TestInitialWeights:
     def test_infinite_temperature_is_uniform(self):
         pc = phase_config()
-        assert initial_probabilities(pc) == pytest.approx((0.5, 0.5))
+        assert pc.weights == pytest.approx((0.5, 0.5))
 
     @pytest.mark.parametrize("beta_omega0", [2.0, -20.0])
     def test_matches_gibbs_population(self, beta_omega0):
         pc = amplitude_config(beta=beta_omega0 / OMEGA0_A)
         g_up = gibbs_population(pc.thermal.beta, pc.drive, 0.0)
         g_down = gibbs_population(-pc.thermal.beta, pc.drive, 0.0)
-        assert initial_probabilities(pc) == (g_up, g_down)
+        assert pc.weights == (g_up, g_down)
+        assert pc.level0 == pc.drive.level(0.0)
         assert g_up + g_down == pytest.approx(1.0, abs=1e-15)
         assert (g_up < 0.5) == (beta_omega0 > 0)
 
@@ -360,10 +360,14 @@ class TestFunctionals:
         assert fr_functional(atoms, 0.0) == pytest.approx(1.0)
 
     def test_fr_target_is_partition_ratio(self):
-        pc = amplitude_config(tau=410.0, n_pulses=1, t_f=410.0)
-        expected = (partition_function(pc.thermal.beta, pc.drive, 410.0)
-                    / partition_function(pc.thermal.beta, pc.drive, 0.0))
-        assert fr_target(pc) == pytest.approx(expected, rel=1e-15)
+        # Z(t) = tr exp(-beta H(t)), from the density-matrix Hamiltonian.
+        beta, times = 2.0 / OMEGA0_A, (0.0, 205.0, 410.0)
+        sweep = Sweep(AmplitudeModulatedDrive(OMEGA0_A, 616.0),
+                      PulseChannelParams(0.25, 0.0), 410.0, ThermalContext(beta), times)
+        z = [np.trace(expm(-beta * dmtools.ham_amplitude(OMEGA0_A, 616.0, t))).real
+             for t in times]
+        assert fr_targets(sweep, sweep_levels(sweep)) == pytest.approx(
+            [zt / z[0] for zt in z], rel=1e-12)
 
     def test_fr_target_is_one_for_constant_spectrum(self):
         assert fr_target(phase_config(beta=1.0)) == pytest.approx(1.0)
@@ -390,8 +394,7 @@ class TestFunctionals:
                               PulseChannelParams(pa, 0.0), tau, ThermalContext(beta),
                               scenarios.linspace(0.0, 12 * tau, 40))
                 levels = sweep_levels(sweep)
-                atoms = energy_changes(sweep, initial_probabilities(sweep), levels,
-                                       conditional_matrices(sweep))
+                atoms = energy_changes(sweep, levels, conditional_matrices(sweep))
                 for a, target in zip(atoms, fr_targets(sweep, levels)):
                     worst = max(worst, abs(fr_functional(a, beta) / target - 1.0))
         assert worst <= 1e-13

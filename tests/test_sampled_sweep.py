@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qubitfr import montecarlo, protocol, scenarios
+from qubitfr import checks, montecarlo, protocol, scenarios
 from qubitfr.channel import PulseChannelParams
 from qubitfr.cli import main
 from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext
@@ -224,7 +224,7 @@ def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
     once, and the 84 tails off the pulses in one batch."""
     cfg, sweep = preset_sweep("fig2a", mode="montecarlo", mc_grid="all",
                               n_trajectories=200)
-    rotations_built.clear()  # building the sweep above built its tails
+    rotations_built.clear()  # building the sweep above built its rotations
     philox_builds, draws = record_draws(monkeypatch)
     scenarios.run_scenario(cfg, outdir=tmp_path)
     counts = set(sweep.counts)
@@ -323,13 +323,14 @@ def test_born_products_in_blocks_equal_one_product(monkeypatch):
 @pytest.mark.parametrize("name", ["fig3a", "fig6b", "fig4b", "fig6e"])
 @pytest.mark.parametrize("mode", ["montecarlo", "both"])
 def test_sampled_rows_build_their_atoms_once(monkeypatch, name, mode):
-    """A sampled energetics or fr table computes the Gibbs weights once per
-    sweep, and each row's four atoms once, in one ``energy_changes`` pass
-    for the whole table: its value and its error both read them."""
+    """A sampled energetics or fr table computes the Gibbs weights once, in
+    its one ``Sweep`` (two ``gibbs_population`` calls), and each row's four
+    atoms once, in one ``energy_changes`` pass for the whole table: its
+    value and its error both read them."""
     cfg = scenarios.with_overrides(scenarios.get_preset(name), mode=mode,
                                    mc_grid="all", n_trajectories=20)
     res = scenarios.resolve(cfg)
-    calls = {"initial_probabilities": [], "energy_changes": [],
+    calls = {"gibbs_population": [], "energy_changes": [],
              "energy_change_distribution": []}
     for fname in calls:
         real = getattr(protocol, fname)
@@ -341,7 +342,44 @@ def test_sampled_rows_build_their_atoms_once(monkeypatch, name, mode):
         monkeypatch.setattr(protocol, fname, counted)
     _, rows = scenarios.table(res)
     assert sum(row[2] == "montecarlo" for row in rows) == len(cfg.t_f_grid)
-    [(_, _, levels, matrices)] = calls["energy_changes"]
+    [(_, levels, matrices)] = calls["energy_changes"]
     assert len(levels) == len(matrices) == len(rows)
-    assert (len(calls["initial_probabilities"]),
-            len(calls["energy_change_distribution"])) == (1, 0)
+    assert (len(calls["gibbs_population"]),
+            len(calls["energy_change_distribution"])) == (2, 0)
+
+
+def sampled_fig6e_table():
+    cfg = scenarios.with_overrides(scenarios.get_preset("fig6e"), mode="both",
+                                   mc_grid="all", n_trajectories=20)
+    scenarios.table(scenarios.resolve(cfg))
+
+
+def fig6b_fig6e_walk(monkeypatch):
+    """Criterion 7 on one preset group, fig6b and fig6e, at 20 trajectories."""
+    monkeypatch.setattr(scenarios, "PRESETS", {
+        name: scenarios.with_overrides(scenarios.PRESETS[name], n_trajectories=20)
+        for name in ("fig6b", "fig6e")})
+    checks.check_monte_carlo()
+
+
+@pytest.mark.parametrize("run", [
+    lambda monkeypatch: sampled_fig6e_table(), fig6b_fig6e_walk],
+    ids=["both_mode_table", "criterion_7"])
+def test_each_sweep_builds_its_period_rotations_once(monkeypatch, rotations_built,
+                                                     run):
+    """A mode "both" table with every point sampled, and criterion 7's walk
+    of a preset group and its chunk check, build one batch of period
+    rotations per ``Sweep``, in its constructor: the walks and the exact
+    matrices read its ``periods`` and build none."""
+    per_sweep = []
+    real = protocol.Sweep.__init__
+
+    def sweep_init(self, *args, **kwargs):
+        start = len(rotations_built)
+        real(self, *args, **kwargs)
+        per_sweep.append([kind for kind, _ in rotations_built[start:]].count("periods"))
+
+    monkeypatch.setattr(protocol.Sweep, "__init__", sweep_init)
+    run(monkeypatch)
+    assert per_sweep and per_sweep == [1] * len(per_sweep)
+    assert [kind for kind, _ in rotations_built].count("periods") == len(per_sweep)

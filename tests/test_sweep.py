@@ -310,10 +310,10 @@ def test_both_mode_builds_each_tail_once(rotations_built, name):
 def test_energy_tables_evaluate_each_level_once(monkeypatch, name, mode):
     """An energetics or fr table evaluates the drive's level once per
     distinct grid time, for its atoms, Z(t_f) and delta_f alike, not again
-    per row nor once per block in mode "both"; level(0) is read once for
-    each quantity of the sweep: the atoms, each of the two Gibbs weights,
-    and Z(0), or the initial contrast of the work and heat series or of the
-    recursion, and delta_f."""
+    per row nor once per block in mode "both"; level(0) is read three
+    times, by the one ``Sweep``: for its ``level0`` and for each of its two
+    Gibbs ``weights``, which the atoms, Z(0), delta_f and the initial
+    contrast of the work and heat series or of the recursion all read."""
     cfg = scenarios.with_overrides(scenarios.get_preset(name), mode=mode,
                                    mc_grid="all", n_trajectories=20)
     res = scenarios.resolve(cfg)
@@ -329,7 +329,7 @@ def test_energy_tables_evaluate_each_level_once(monkeypatch, name, mode):
     distinct = set(cfg.t_f_grid)
     assert len(rows) >= len(cfg.t_f_grid)
     assert sorted(t for t in times if t != 0.0) == sorted(distinct - {0.0})
-    assert 1 <= times.count(0.0) <= 5 + (0.0 in distinct)
+    assert times.count(0.0) == 3 + (0.0 in distinct)
 
 
 # Scenario fields of the generated sweeps, by drive family.
@@ -362,7 +362,8 @@ def single_point_rows(res):
                 rows.append(head + [cm.p_up_given_up, cm.p_up_given_down, *err])
                 continue
             atoms = protocol.energy_change_distribution(cm, pc)
-            weights = protocol.initial_probabilities(pc)
+            weights = tuple(core.gibbs_population(b, pc.drive, 0.0)
+                            for b in (beta, -beta))
             f = (lambda v: v) if kind == "energetics" else (
                 lambda v: math.exp(-gamma * v))
             err = 0.0 if stats is None else stats.functional_std_err(atoms, weights, f)
