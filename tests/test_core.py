@@ -18,7 +18,7 @@ from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext, bloch_rotation, check_bloch_vector,
                           free_energy_delta, gibbs_population, matmul3, matvec3,
                           phase_integral)
-from qubitfr.protocol import Sweep
+from qubitfr.protocol import Sweep, fr_targets, sweep_levels
 
 OMEGA0_A = math.pi / 616.0
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
@@ -450,6 +450,17 @@ class TestEigensystem:
 
 
 class TestThermodynamics:
+    def test_partition_function_against_matrix_exponential(self):
+        # Z(t) = tr exp(-beta H(t)), from the density-matrix Hamiltonian;
+        # the sweep's FR targets are Z(t)/Z(0).
+        beta, times = 2.0 / OMEGA0_A, (0.0, 205.0, 410.0)
+        sweep = Sweep(AmplitudeModulatedDrive(OMEGA0_A, 616.0),
+                      PulseChannelParams(0.25, 0.0), 410.0, ThermalContext(beta), times)
+        z = [np.trace(expm(-beta * dmtools.ham_amplitude(OMEGA0_A, 616.0, t))).real
+             for t in times]
+        assert fr_targets(sweep, sweep_levels(sweep)) == pytest.approx(
+            [zt / z[0] for zt in z], rel=1e-12)
+
     def test_gibbs_population_against_matrix_exponential(self):
         drive = AmplitudeModulatedDrive(OMEGA0_A, 616.0)
         beta = 2.0 / OMEGA0_A

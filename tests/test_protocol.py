@@ -360,14 +360,13 @@ class TestFunctionals:
         assert fr_functional(atoms, 0.0) == pytest.approx(1.0)
 
     def test_fr_target_is_partition_ratio(self):
-        # Z(t) = tr exp(-beta H(t)), from the density-matrix Hamiltonian.
-        beta, times = 2.0 / OMEGA0_A, (0.0, 205.0, 410.0)
-        sweep = Sweep(AmplitudeModulatedDrive(OMEGA0_A, 616.0),
-                      PulseChannelParams(0.25, 0.0), 410.0, ThermalContext(beta), times)
-        z = [np.trace(expm(-beta * dmtools.ham_amplitude(OMEGA0_A, 616.0, t))).real
-             for t in times]
-        assert fr_targets(sweep, sweep_levels(sweep)) == pytest.approx(
-            [zt / z[0] for zt in z], rel=1e-12)
+        # Z(t) = 2 cosh(beta level(t)); the expm trace check of the same
+        # ratio is test_core's test_partition_function_against_matrix_exponential.
+        pc = amplitude_config(tau=410.0, n_pulses=1, t_f=410.0)
+        beta = pc.thermal.beta
+        expected = (math.cosh(beta * pc.drive.level(410.0))
+                    / math.cosh(beta * pc.drive.level(0.0)))
+        assert fr_target(pc) == pytest.approx(expected, rel=1e-15)
 
     def test_fr_target_is_one_for_constant_spectrum(self):
         assert fr_target(phase_config(beta=1.0)) == pytest.approx(1.0)
