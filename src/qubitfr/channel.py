@@ -48,14 +48,6 @@ class PulseChannelParams(Value):
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
 
 
-def pulse_step(rx: float, ry: float, rz: float, p_absorb: float,
-               p_pump: float) -> tuple[float, float, float]:
-    """Ensemble-averaged action of one pulse on Bloch-vector components."""
-    rz_pulsed = rz + p_pump * (1.0 - rz)
-    return ((1.0 - p_absorb) * rx, (1.0 - p_absorb) * ry,
-            (1.0 - p_absorb) * rz + p_absorb * rz_pulsed)
-
-
 def period_map(drive: DriveSpec, params: PulseChannelParams,
                tau: float) -> tuple[Matrix3, Vector]:
     """Linear part and offset of one period of drive followed by a pulse."""

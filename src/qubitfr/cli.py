@@ -104,7 +104,7 @@ def _cmd_invert(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from . import checks  # about 6 ms to compile, which the other commands skip
+    from . import checks  # about 4 ms to compile, which the other commands skip
 
     results = checks.run_all(include_mc=not args.skip_mc)
     for result in results:

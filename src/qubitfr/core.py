@@ -26,10 +26,10 @@ as ``level(t)``; the lower level sits at minus it.
 Everything here is closed form; no differential-equation stepping is used
 anywhere in the package.  Rotations are 3x3 tuples of floats, multiplied
 by ``matmul3`` and ``matvec3`` in their written order, so every product
-rounds the same on every host.  ``interval_rotations`` builds the
-rotations over a list of intervals between given times in one pass;
-``bloch_rotations``, between consecutive times, and ``bloch_rotation``,
-over one interval, are its cases.
+rounds the same on every host.  A list of times is taken in one pass,
+with the one-time form its case: ``interval_rotations`` over intervals
+between given times (``bloch_rotations`` between consecutive ones,
+``bloch_rotation`` over one), ``whole_multiples``, ``phase_integrals``.
 """
 
 from __future__ import annotations
@@ -174,8 +174,9 @@ class ThermalContext(Value):
             raise ValueError("temperatures must be finite")
 
 
-def phase_integral(drive: AmplitudeModulatedDrive, t: float) -> float:
-    """Rotation angle int_0^t omega(t') dt' accumulated by the fixed-axis drive.
+def phase_integrals(drive: AmplitudeModulatedDrive, times: Sequence[float]) -> list[float]:
+    """Rotation angle int_0^t omega(t') dt' accumulated by the fixed-axis
+    drive at each of ``times``, in one pass.
 
     Closed form, the antiderivative of omega that is exactly 0.0 at t = 0:
     (omega0/2) * [ (3/2) t + (tau_a / 4 pi) sin(2 pi t / tau_a) ].  The
@@ -183,8 +184,14 @@ def phase_integral(drive: AmplitudeModulatedDrive, t: float) -> float:
     """
     if not isinstance(drive, AmplitudeModulatedDrive):
         raise TypeError("phase_integral is defined for the amplitude-modulated drive")
-    return 0.5 * drive.omega0 * (1.5 * t + (drive.tau_a / (4.0 * math.pi))
-                                 * math.sin(2.0 * math.pi * t / drive.tau_a))
+    half, scale = 0.5 * drive.omega0, drive.tau_a / (4.0 * math.pi)
+    tau_a, two_pi, sin = drive.tau_a, 2.0 * math.pi, math.sin
+    return [half * (1.5 * t + scale * sin(two_pi * t / tau_a)) for t in times]
+
+
+def phase_integral(drive: AmplitudeModulatedDrive, t: float) -> float:
+    """``phase_integrals`` at one time."""
+    return phase_integrals(drive, (t,))[0]
 
 
 Vector = tuple[float, float, float]
@@ -229,12 +236,17 @@ def _rot_z(angle: float) -> Matrix3:
     return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
 
 
+def whole_multiples(times: Sequence[float], tau: float) -> list[int | None]:
+    """Per time, in one pass, the integer nearest t / tau if it lies within
+    WHOLE_MULTIPLE_RTOL * max(1, |t / tau|) of it, else None; max is a branch."""
+    return [n if abs(ratio - n) <= WHOLE_MULTIPLE_RTOL * (
+                ratio if ratio > 1.0 else -ratio if ratio < -1.0 else 1.0) else None
+            for t in times for ratio in [t / tau] for n in [round(ratio)]]
+
+
 def whole_multiple(t: float, tau: float) -> int | None:
-    """The integer nearest t / tau if it lies within WHOLE_MULTIPLE_RTOL of
-    it (relative, with an absolute floor of that size), else None."""
-    ratio = t / tau
-    n = round(ratio)
-    return n if abs(ratio - n) <= WHOLE_MULTIPLE_RTOL * max(1.0, abs(ratio)) else None
+    """``whole_multiples`` at one time."""
+    return whole_multiples((t,), tau)[0]
 
 
 def interval_rotations(drive: DriveSpec, times: Sequence[float],
@@ -245,9 +257,10 @@ def interval_rotations(drive: DriveSpec, times: Sequence[float],
     For the rotating-axis family each is assembled as
     R_z(theta * t1) . R_dressed(2 e_theta (t1 - t0)) . R_z(-theta * t0);
     when both endpoints are whole drive periods the outer z-rotations are
-    dropped exactly instead of being evaluated at large arguments.  The
-    rotating drive's constants are read once, each time's phase and
-    whole-period test are evaluated once, and each distinct angle's axis
+    dropped exactly instead of being evaluated at large arguments, and when
+    all times are whole the axis rotations are returned as they are.  The
+    rotating drive's constants are read once, the phases and whole-period
+    tests are one pass over the times each, and each distinct angle's axis
     rotation (the dressed one before its z-rotations) is built once per
     call.
     """
@@ -258,7 +271,7 @@ def interval_rotations(drive: DriveSpec, times: Sequence[float],
                              f"t0={t0!r}, t1={t1!r}")
     if isinstance(drive, AmplitudeModulatedDrive):
         axis = (1.0, 0.0, 0.0)
-        phases = [phase_integral(drive, t) for t in times]
+        phases = phase_integrals(drive, times)
         angles = [phases[b] - phases[a] for a, b in zip(starts, ends)]
     else:
         axis, gap = drive.basis[0], drive.gap
@@ -269,11 +282,12 @@ def interval_rotations(drive: DriveSpec, times: Sequence[float],
     rotations = [memo[a] for a in angles]
     if isinstance(drive, AmplitudeModulatedDrive):
         return rotations
-    theta, tau = drive.theta, drive.tau_theta
-    whole = [whole_multiple(t, tau) is not None for t in times]
+    whole = [n is not None for n in whole_multiples(times, drive.tau_theta)]
+    if all(whole):
+        return rotations
     return [inner if whole[a] and whole[b] else
-            matmul3(matmul3(_rot_z(theta * times[b]), inner),
-                    _rot_z(-theta * times[a]))
+            matmul3(matmul3(_rot_z(drive.theta * times[b]), inner),
+                    _rot_z(-drive.theta * times[a]))
             for inner, a, b in zip(rotations, starts, ends)]
 
 

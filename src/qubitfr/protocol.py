@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .channel import PulseChannelParams, pulse_step
+from .channel import PulseChannelParams
 from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Value,
                    Vector, bloch_rotations, check_bloch_vector,
-                   gibbs_population, interval_rotations, matvec3, whole_multiple)
+                   gibbs_population, interval_rotations, matvec3, whole_multiples)
 
 PROBABILITY_TOL = 1e-12
 
@@ -39,15 +39,22 @@ def pulses_applied(t_f: float, tau: float) -> int:
     A pulse coinciding with t_f (``core.whole_multiple``) is counted: the
     final measurement happens immediately after it.
     """
-    if t_f < 0:
-        raise ValueError(f"t_f must be nonnegative, got {t_f}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not math.isfinite(t_f / tau):  # NaN fails too
-        raise ValueError(f"t_f / tau must be finite, got t_f = {t_f!r}, "
-                         f"tau = {tau!r}")
-    n = whole_multiple(t_f, tau)
-    return math.floor(t_f / tau) if n is None else n
+    return pulse_counts((t_f,), tau)[0]
+
+
+def pulse_counts(times: Sequence[float], tau: float) -> list[int]:
+    """``pulses_applied`` at each time, validated in order, from one
+    ``core.whole_multiples`` pass."""
+    for t_f in times:
+        if t_f < 0:
+            raise ValueError(f"t_f must be nonnegative, got {t_f}")
+        if tau <= 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        if not math.isfinite(t_f / tau):  # NaN fails too
+            raise ValueError(f"t_f / tau must be finite, got t_f = {t_f!r}, "
+                             f"tau = {tau!r}")
+    return [math.floor(t_f / tau) if n is None else n
+            for t_f, n in zip(times, whole_multiples(times, tau))]
 
 
 class Sweep(Value):
@@ -55,8 +62,8 @@ class Sweep(Value):
     entry of ``times`` (any order, repeats allowed): measure in the drive's
     ``basis`` at t = 0, pulse at each multiple of tau up to t_f, at most
     ``max_pulses`` times (no limit when None), measure again at t_f.  It
-    holds each time's pulse count, ``counts`` (``pulses_applied``, which
-    validates the time), the largest of them, ``n_pulses`` (0 with no
+    holds each time's pulse count, ``counts`` (``pulse_counts``, which
+    validates the times), the largest of them, ``n_pulses`` (0 with no
     times), which its one walk fires, the ``periods`` that walk applies
     (entry n-1 carries ((n-1)tau, n*tau)), its ``tails``
     (``tail_rotations``), the upper level ``level0`` at t = 0 and the Gibbs
@@ -73,7 +80,7 @@ class Sweep(Value):
             raise ValueError(f"max_pulses must be None or an int >= 0, "
                              f"got {max_pulses!r}")
         limit = math.inf if max_pulses is None else max_pulses
-        counts = tuple(min(pulses_applied(t, tau), limit) for t in self.times)
+        counts = tuple(n if n <= limit else limit for n in pulse_counts(self.times, tau))
         n_pulses = max(counts, default=0)
         self.__dict__.update(
             counts=counts, n_pulses=n_pulses,
@@ -108,7 +115,8 @@ def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
     s after counts[k] pulses, from one walk of ``sweep.periods``.
 
     Each step applies its period's rotation to every start, summing each
-    element as ``matvec3`` does, then ``channel.pulse_step``; a state that
+    element as ``matvec3`` does, then the pulse averaged over absorption,
+    (1 - pa) x, (1 - pa) y, (1 - pa) z + pa (z + pd (1 - z)); a state that
     leaves the Bloch ball, after the rotation or after the pulse, raises
     ValueError.  ``check_bloch_vector`` runs only when the squared norm,
     summed in its order, is not <= 1 (NaN included): any smaller sum has
@@ -118,6 +126,7 @@ def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
         raise ValueError(f"pulse counts {list(counts)} outside 0..{sweep.n_pulses}")
     rots = sweep.periods
     pa, pd = sweep.channel.p_absorb, sweep.channel.p_pump
+    keep = 1.0 - pa
     wanted = set(counts)
     rs = [tuple(float(x) for x in r) for r in starts]
     kept = {0: rs}
@@ -129,7 +138,7 @@ def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
                        g * x + h * y + i * z)
             if not x * x + y * y + z * z <= 1.0:
                 check_bloch_vector(x, y, z)
-            x, y, z = pulsed = pulse_step(x, y, z, pa, pd)
+            x, y, z = pulsed = (keep * x, keep * y, keep * z + pa * (z + pd * (1.0 - z)))
             if not x * x + y * y + z * z <= 1.0:
                 check_bloch_vector(x, y, z)
             stepped.append(pulsed)

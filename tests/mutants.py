@@ -65,7 +65,7 @@ _DISCARD = """\
 _GUARDS = """\
             if not x * x + y * y + z * z <= 1.0:
                 check_bloch_vector(x, y, z)
-            x, y, z = pulsed = pulse_step(x, y, z, pa, pd)
+            x, y, z = pulsed = (keep * x, keep * y, keep * z + pa * (z + pd * (1.0 - z)))
             if not x * x + y * y + z * z <= 1.0:
 """
 _MEMO = """\
@@ -130,6 +130,13 @@ CATALOG = [
     ("pulse_train guards blind to NaN", "protocol.py",
      _GUARDS, _GUARDS.replace("not x * x + y * y + z * z <= 1.0:",
                               "x * x + y * y + z * z > 1.0:"), BLOCH_CHECK),
+    ("rotating call skips composition when any time is whole", "core.py",
+     "if all(whole):", "if any(whole):",
+     ["tests/test_core.py::TestRotationBuilder::test_batch_bits_match_reference_pair_by_pair"]),
+    ("batched whole test drops its absolute floor", "core.py",
+     "-ratio if ratio < -1.0 else 1.0) else None",
+     "-ratio if ratio < -1.0 else abs(ratio)) else None",
+     ["tests/test_identities.py::test_time_lists_follow_the_one_time_rules"]),
     ("rotation memo keyed on the angle to 9 decimals", "core.py",
      _MEMO, _MEMO.replace("{a:", "{round(a, 9):").replace("memo[a]", "memo[round(a, 9)]"),
      ROTATION_MEMO),

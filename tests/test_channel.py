@@ -1,4 +1,5 @@
-"""Pulse channel tests: mean map, fixed point, inversion."""
+"""Pulse channel tests: mean map (one ``pulse_train`` step), fixed point,
+inversion."""
 
 import math
 import re
@@ -9,9 +10,10 @@ import pytest
 import dmtools
 from qubitfr import channel
 from qubitfr.channel import (DegenerateChannelError, PulseChannelParams,
-                             invert_pump_probability, pulse_step,
-                             stationary_upper_population)
-from qubitfr.core import AmplitudeModulatedDrive, PhaseRotatingDrive
+                             invert_pump_probability, stationary_upper_population)
+from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive, ThermalContext,
+                          bloch_rotation, matvec3)
+from qubitfr.protocol import Sweep, pulse_train
 
 OMEGA0_P = 2.0 * math.pi * 0.8e-3
 
@@ -20,8 +22,19 @@ def phase_drive(tau_theta):
     return PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / tau_theta)
 
 
-def pulse(r, pa, pd):
-    return np.array(pulse_step(*r, pa, pd))
+# The drive period of a one-pulse step, off the drive's own period of 616 ns.
+STEP_DRIVE = phase_drive(616.0)
+STEP_TAU = 410.0
+
+
+def rotate_then_pulse(r, pa, pd):
+    """(``pulse_train``'s state after one step from r, the test's own
+    rotation of r over that step's period): the step's pulse acts on the
+    second."""
+    sweep = Sweep(STEP_DRIVE, PulseChannelParams(pa, pd), STEP_TAU,
+                  ThermalContext(0.0), (STEP_TAU,))
+    rotated = matvec3(bloch_rotation(STEP_DRIVE, 0.0, STEP_TAU), r)
+    return pulse_train(sweep, [r], [1])[0][0], rotated
 
 
 def iterated_upper_population(tau_theta, pa, pd, periods=400):
@@ -57,24 +70,28 @@ class TestMeanMap:
             v = rng.normal(size=3)
             v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
             pa, pd = rng.uniform(0.0, 1.0, size=2)
-            out = pulse(v, pa, pd)
-            rho = dmtools.pulse_dm(dmtools.rho_from_bloch(v), pa, pd)
+            out, rotated = rotate_then_pulse(v, pa, pd)
+            rho = dmtools.pulse_dm(dmtools.rho_from_bloch(rotated), pa, pd)
             assert np.allclose(out, dmtools.bloch_from_rho(rho), atol=1e-14)
 
     def test_identity_when_never_absorbed(self):
-        assert pulse_step(0.2, -0.4, 0.3, 0.0, 0.7) == (0.2, -0.4, 0.3)
+        out, rotated = rotate_then_pulse((0.2, -0.4, 0.3), 0.0, 0.7)
+        assert out == rotated
 
     def test_always_absorbed_full_pump_resets_north(self):
-        out = pulse([0.5, 0.5, -0.5], 1.0, 1.0)
+        out, _ = rotate_then_pulse([0.5, 0.5, -0.5], 1.0, 1.0)
         assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_north_pole_invariant(self):
+        # The rotation's last row is the start it carries to the north pole.
+        start = bloch_rotation(STEP_DRIVE, 0.0, STEP_TAU)[2]
         for pd in (0.0, 0.3, 1.0):
-            out = pulse([0.0, 0.0, 1.0], 0.6, pd)
+            out, rotated = rotate_then_pulse(start, 0.6, pd)
+            assert np.allclose(rotated, [0.0, 0.0, 1.0], atol=1e-15)
             assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_contracts_into_unit_ball(self):
-        out = pulse([0.6, 0.0, 0.8], 0.4, 0.25)
+        out, _ = rotate_then_pulse([0.6, 0.0, 0.8], 0.4, 0.25)
         assert np.linalg.norm(out) <= 1.0 + 1e-12
 
 

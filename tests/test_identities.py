@@ -1,20 +1,23 @@
 """The acceptance identities on generated configs, read from the rows that
 ``run`` writes (``scenarios.table``) wherever a CSV carries the number,
 rather than from a second copy of the formula, ``free_energy_delta``
-against a 60-digit ``mpmath`` reference, and the channel fixed point and
-pump inversion against a 50-digit one.  The Hypothesis profile in
+against a 60-digit ``mpmath`` reference, the channel fixed point and pump
+inversion against a 50-digit one, and the batched whole-period test and
+amplitude phases against the rules they state.  The Hypothesis profile in
 ``conftest.py`` draws the same cases on every run."""
 
 import math
 
 import mpmath
+import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from qubitfr import protocol, scenarios
 from qubitfr.channel import (PulseChannelParams, invert_pump_probability,
                              stationary_upper_population)
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive, free_energy_delta,
-                          phase_integral, whole_multiple)
+                          phase_integral, phase_integrals, whole_multiple,
+                          whole_multiples)
 
 # The worst relative deviation over the 400 draws below is 7.1e-14, at
 # beta omega0 = 637; the bound leaves 14x headroom.
@@ -252,3 +255,75 @@ def test_channel_fixed_point_against_a_50_digit_reference(phase, period, whole, 
         inverted = invert_pump_probability(drive, p_absorb, tau, target)
         miss = plateau_reference(drive, p_absorb, inverted, tau) - target
         assert abs(miss) <= FIXED_POINT_TOL, (inverted, p_pump, miss)
+
+
+def whole_rule(t, tau):
+    """The whole-period rule: t / tau lies within 1e-9 max(1, |t / tau|) of
+    its nearest integer."""
+    r = t / tau
+    return abs(r - round(r)) <= 1e-9 * max(1, abs(r))
+
+
+def phase_rule(omega0, tau_a, t):
+    """The amplitude drive's phase integral, (omega0/2) [(3/2) t + (tau_a /
+    4 pi) sin(2 pi t / tau_a)], in the order the package evaluates it."""
+    return 0.5 * omega0 * (1.5 * t + (tau_a / (4.0 * math.pi))
+                           * math.sin(2.0 * math.pi * t / tau_a))
+
+
+# A ratio t / tau near an edge of the whole-period test: n (1 +- 1e-9), the
+# absolute floor +-1e-9, anything with |r| <= 1, or any n + fraction.
+RATIOS = (st.builds(lambda n, s: n * (1.0 + s * 1e-9), st.integers(-10**6, 10**6),
+                    st.sampled_from([1.0, -1.0]))
+          | st.sampled_from([1e-9, -1e-9])
+          | st.floats(-1.0, 1.0)
+          | st.builds(lambda n, f: n + f, st.integers(0, 10**4), st.floats(0.0, 1.0)))
+
+
+def nudged(t, ulps):
+    """t moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    return t
+
+
+@settings(max_examples=400)
+@given(tau=st.floats(1e-3, 1e4), omega0=st.floats(1e-3, 1.0),
+       tau_a=st.floats(10.0, 2000.0),
+       points=st.lists(st.tuples(RATIOS, st.integers(-4, 4)), min_size=1, max_size=8),
+       bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+       at=st.integers(0, 8))
+@example(tau=410.0, omega0=0.005, tau_a=616.0, points=[(1e-9, 1), (1e-9, -1), (-1e-9, -1)],
+         bad=None, at=0)
+def test_time_lists_follow_the_one_time_rules(tau, omega0, tau_a, points, bad, at):
+    """``whole_multiples`` on generated times with ratios within a few ulps of
+    the test's edges is the rule, with the nearest integer where it holds,
+    and equals ``whole_multiple`` time by time; ``phase_integrals`` is the
+    closed form bit for bit.  A NaN or infinite time raises what the
+    one-time forms raise: ValueError or OverflowError for the whole test,
+    ValueError for an infinite phase, whose NaN phase is NaN."""
+    times = [nudged(r * tau, ulps) for r, ulps in points]
+    expected = [round(t / tau) if whole_rule(t, tau) else None for t in times]
+    if any(whole_rule(nudged(t, -4), tau) != whole_rule(nudged(t, 4), tau) for t in times):
+        event("a time within 4 ulps of the test's edge")
+    drive = AmplitudeModulatedDrive(omega0, tau_a)
+    if bad is None:
+        assert whole_multiples(times, tau) == expected
+        assert [whole_multiple(t, tau) for t in times] == expected
+        assert [repr(x) for x in phase_integrals(drive, times)] == [
+            repr(phase_rule(omega0, tau_a, t)) for t in times]
+        return
+    times.insert(at, bad)
+    error = ValueError if math.isnan(bad) else OverflowError
+    with pytest.raises(error):
+        whole_multiples(times, tau)
+    with pytest.raises(error):
+        whole_multiple(bad, tau)
+    if math.isnan(bad):
+        assert math.isnan(phase_integrals(drive, times)[min(at, len(times) - 1)])
+        assert math.isnan(phase_integral(drive, bad))
+    else:
+        with pytest.raises(ValueError):
+            phase_integrals(drive, times)
+        with pytest.raises(ValueError):
+            phase_integral(drive, bad)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qubitfr.channel import PulseChannelParams, pulse_step
+from qubitfr.channel import PulseChannelParams
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive,
                           ThermalContext)
 from qubitfr.montecarlo import (DEFAULT_CHUNK, EnsembleStats, run_ensemble,
@@ -135,7 +135,11 @@ class TestSamplePulse:
         for _ in range(n):
             out, _ = sample_pulse(state, params, *rng.random(3))
             total += out
-        expected = np.array(pulse_step(*state, params.p_absorb, params.p_pump))
+        # The pulse averaged over absorption: coherences kept with weight
+        # 1 - pa, and the absorbed share of rz pumped toward +1.
+        (x, y, z), pa, pd = state, params.p_absorb, params.p_pump
+        expected = np.array(((1 - pa) * x, (1 - pa) * y,
+                             (1 - pa) * z + pa * (z + pd * (1 - z))))
         # rz outcomes are +-1 with probability ~1/2, so sigma <~ 1/sqrt(n).
         assert np.all(np.abs(total / n - expected) < 4.0 / math.sqrt(n))
 

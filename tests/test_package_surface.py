@@ -153,15 +153,14 @@ def test_no_module_imports_a_private_name_from_another():
 # rotations and pulse arithmetic they are built from.
 ENGINE = {"pulse_train", "conditional_matrix", "conditional_matrices",
           "periods", "tail_rotations", "bloch_rotation",
-          "bloch_rotations", "interval_rotations", "matvec3", "pulse_step",
-          "period_map"}
+          "bloch_rotations", "interval_rotations", "matvec3", "period_map"}
 
 
 # What a sweep's states are composed from: only ``protocol`` turns a sweep
 # into states, and ``scenarios`` reads them through its readouts.
 PROPAGATION = {"pulse_train", "periods", "tail_rotations",
                "bloch_rotation", "bloch_rotations",
-               "interval_rotations", "matvec3", "pulse_step", "period_map",
+               "interval_rotations", "matvec3", "period_map",
                "check_bloch_vector"}
 
 

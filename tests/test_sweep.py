@@ -7,6 +7,7 @@ equal the per-point reference bit for bit and evaluate the drive's rate
 O(grid + pulses) times, and the table columns, which must equal the
 single-point path repr for repr."""
 
+import collections
 import math
 
 import numpy as np
@@ -155,6 +156,42 @@ def test_rotating_sweep_builds_rotations_independent_of_pulse_count(
         scenarios.run_scenario(cfg, outdir=tmp_path)
         built.append(len(calls))
     assert 0 < built[1] <= built[0]
+
+
+@pytest.fixture
+def time_list_calls(monkeypatch):
+    """A Counter of the calls, by name, of ``core``'s whole-period test and
+    amplitude phase, one-time and batched, in every module that reads them."""
+    calls = collections.Counter()
+    for name in ("whole_multiple", "whole_multiples", "phase_integral", "phase_integrals"):
+        real = getattr(core, name, None)
+        if real is None:
+            continue
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (core, protocol):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig5d", "fig4b"])
+def test_sweep_walks_each_time_list_in_one_pass(name, time_list_calls):
+    """Building a 51-point sweep to 500 pulses tests and phases its times in
+    batched passes only, as many as a sweep to 50 pulses makes: no one-time
+    ``whole_multiple`` or ``phase_integral`` call per time or per pulse."""
+    res = scenarios.resolve(scenarios.get_preset(name))
+    per_length = []
+    for n in (50, 500):
+        time_list_calls.clear()
+        grid = tuple(float(t) for t in np.linspace(0.0, n * res.config.tau, 51))
+        assert res.sweep(grid).n_pulses == n
+        per_length.append(dict(time_list_calls))
+    assert not {"whole_multiple", "phase_integral"} & per_length[0].keys()
+    assert per_length[0] == per_length[1] != {}
 
 
 @pytest.mark.parametrize("fields, message", [
