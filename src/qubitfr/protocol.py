@@ -9,7 +9,9 @@ exact for all probabilities that are linear in the density operator.
 ``pulse_train`` is its one rotate-then-pulse loop, and ``final_states``
 (that loop plus each point's tail) its one readout of states: every
 point's pulses are a prefix of the last point's, so a sweep walks the
-loop once.
+loop once.  A drive periodic in tau has one period map, which a sweep
+builds once; under it the loop stops at an exact repeat of its states,
+a fixed point or a 2-cycle, and reads every later pulse count from there.
 
 The measured object is the ``ConditionalMatrix``, stored as its upper row
 P(up|up), P(up|down) since each column sums to one; with the initial Gibbs
@@ -23,11 +25,12 @@ atoms, taken with ``math.fsum`` so that their order does not matter.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 
 from .channel import PulseChannelParams
-from .core import (IDENTITY3, DriveSpec, Matrix3, ThermalContext, Value,
-                   Vector, bloch_rotations, check_bloch_vector,
+from .core import (IDENTITY3, AmplitudeModulatedDrive, DriveSpec, Matrix3,
+                   ThermalContext, Value, Vector, bloch_rotations, check_bloch_vector,
                    gibbs_population, interval_rotations, matvec3, whole_multiples)
 
 PROBABILITY_TOL = 1e-12
@@ -44,7 +47,8 @@ def pulses_applied(t_f: float, tau: float) -> int:
 
 def pulse_counts(times: Sequence[float], tau: float) -> list[int]:
     """``pulses_applied`` at each time, validated in order, from one
-    ``core.whole_multiples`` pass."""
+    ``core.whole_multiples`` pass; tau must be positive and finite, also
+    with no times."""
     for t_f in times:
         if t_f < 0:
             raise ValueError(f"t_f must be nonnegative, got {t_f}")
@@ -53,6 +57,8 @@ def pulse_counts(times: Sequence[float], tau: float) -> list[int]:
         if not math.isfinite(t_f / tau):  # NaN fails too
             raise ValueError(f"t_f / tau must be finite, got t_f = {t_f!r}, "
                              f"tau = {tau!r}")
+    if not 0 < tau < math.inf:  # with no times, or tau = inf; NaN fails too
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
     return [math.floor(t_f / tau) if n is None else n
             for t_f, n in zip(times, whole_multiples(times, tau))]
 
@@ -68,7 +74,13 @@ class Sweep(Value):
     (entry n-1 carries ((n-1)tau, n*tau)), its ``tails``
     (``tail_rotations``), the upper level ``level0`` at t = 0 and the Gibbs
     ``weights`` (upper, lower) of the initial outcomes, each its own
-    logistic: 1 - g would lose the small one's digits at large |beta|."""
+    logistic: 1 - g would lose the small one's digits at large |beta|.
+
+    When tau is a whole number n >= 1 of the drive's own period
+    (``tau_a`` or ``tau_theta``, whole as ``core.whole_multiples`` rules),
+    every period is one rotation over (0, tau), built once and held
+    ``n_pulses`` times; otherwise they are one ``core.bloch_rotations``
+    pass over 0, tau, ..., n_pulses tau."""
 
     def __init__(self, drive: DriveSpec, channel: PulseChannelParams, tau: float,
                  thermal: ThermalContext, times: Sequence[float],
@@ -82,9 +94,14 @@ class Sweep(Value):
         limit = math.inf if max_pulses is None else max_pulses
         counts = tuple(n if n <= limit else limit for n in pulse_counts(self.times, tau))
         n_pulses = max(counts, default=0)
+        period = (drive.tau_a if isinstance(drive, AmplitudeModulatedDrive)
+                  else drive.tau_theta)
+        if whole_multiples((tau,), period)[0]:  # n >= 1 drive periods; None fails
+            periods = tuple(bloch_rotations(drive, (0.0, tau))) * n_pulses
+        else:
+            periods = tuple(bloch_rotations(drive, [n * tau for n in range(n_pulses + 1)]))
         self.__dict__.update(
-            counts=counts, n_pulses=n_pulses,
-            periods=tuple(bloch_rotations(drive, [n * tau for n in range(n_pulses + 1)])),
+            counts=counts, n_pulses=n_pulses, periods=periods,
             level0=drive.level(0.0),
             weights=tuple(gibbs_population(b, drive, 0.0)
                           for b in (thermal.beta, -thermal.beta)))
@@ -121,17 +138,26 @@ def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
     ValueError.  ``check_bloch_vector`` runs only when the squared norm,
     summed in its order, is not <= 1 (NaN included): any smaller sum has
     sqrt <= 1, which that check passes, so the verdict is always its own.
+
+    When every period is one rotation object, the walk stops at the first
+    step whose states equal, with no zero component, those two steps back,
+    and reads each later count from the last two states, which alternate
+    from there (or are equal, at a fixed point).  Every state it returns
+    was made, and checked, by a step that ran: the result is the full
+    walk's, bit for bit.
     """
     if any(not 0 <= n <= sweep.n_pulses for n in counts):
         raise ValueError(f"pulse counts {list(counts)} outside 0..{sweep.n_pulses}")
-    rots = sweep.periods
+    rots = sweep.periods[:max(counts, default=0)]
+    # Only a walk that applies one rotation object at every step may stop.
+    may_stop = all(map(operator.is_, rots, rots[:1] * len(rots)))
     pa, pd = sweep.channel.p_absorb, sweep.channel.p_pump
     keep = 1.0 - pa
     wanted = set(counts)
     rs = [tuple(float(x) for x in r) for r in starts]
     kept = {0: rs}
-    for n, ((a, b, c), (d, e, f), (g, h, i)) in enumerate(
-            rots[:max(wanted, default=0)], start=1):
+    back = back2 = None  # the states one and two steps back
+    for n, ((a, b, c), (d, e, f), (g, h, i)) in enumerate(rots, start=1):
         stepped = []
         for x, y, z in rs:
             x, y, z = (a * x + b * y + c * z, d * x + e * y + f * z,
@@ -142,9 +168,16 @@ def pulse_train(sweep: Sweep, starts: Sequence[Sequence[float]],
             if not x * x + y * y + z * z <= 1.0:
                 check_bloch_vector(x, y, z)
             stepped.append(pulsed)
-        rs = stepped
+        back2, back, rs = back, rs, stepped
         if n in wanted:
             kept[n] = rs
+        # A fixed point shows here one step late.  0.0 in r is true of -0.0
+        # too: with no zero component, equal values are equal bits.
+        if may_stop and rs == back2 and not any(0.0 in r for r in rs):
+            for m in wanted:
+                if m > n:
+                    kept[m] = (rs, back)[(m - n) % 2]
+            break
     return [kept[n] for n in counts]
 
 

@@ -51,6 +51,8 @@ CLOSED_FORM = [
 ]
 SETTLED = ["tests/test_sampled_sweep.py::test_walk_draws_only_unsettled_streams"]
 COMPACTION = ["tests/test_sampled_sweep.py::test_long_walks_compact_their_label_table"]
+PER_POINT = ["tests/test_sweep.py::test_preset_sweeps_equal_per_point_reference"]
+NEVER_STOPS = "tests/test_sweep.py::test_pulse_train_equals_a_walk_that_never_stops"
 REKEY = [
     "tests/test_sampled_sweep.py::test_sampled_sweep_csv_is_pinned",
     "tests/test_sampled_sweep.py::test_sampled_sweep_walks_its_pulses_once",
@@ -94,9 +96,26 @@ CATALOG = [
     ("walk reuses the second period's rotation", "montecarlo.py",
      "table = rotations[n] @ table", "table = rotations[min(n, 1)] @ table",
      OFF_PERIOD_WALK),
+    # Equivalent wherever tau is whole drive periods, whose periods are one
+    # rotation; the off-period Bloch rows (fig2bcd's tau 410 against tau_a
+    # 616, a phase drive's tau 500 against 616) still kill it.
     ("pulse_train reuses its first rotation", "protocol.py",
-     "rots[:max(wanted, default=0)]", "rots[:1] * max(wanted, default=0)",
-     ["tests/test_protocol.py", "tests/test_sweep.py"]),
+     "sweep.periods[:max(counts, default=0)]",
+     "sweep.periods[:1] * max(counts, default=0)",
+     ["tests/test_sweep.py::test_mean_trajectory_equals_reference"]),
+    ("pulse_train stops before its one map is steady", "protocol.py",
+     "if may_stop and rs == back2", "if rs == back2",
+     ["tests/test_sweep.py::test_pulse_train_walks_on_when_the_map_changes"]),
+    ("pulse_train reads its 2-cycle in the wrong phase", "protocol.py",
+     "(rs, back)[(m - n) % 2]", "(back, rs)[(m - n) % 2]",
+     [NEVER_STOPS + "[fig5b_two_cycle]"]),
+    ("pulse_train stops at equal values with zero components", "protocol.py",
+     " and not any(0.0 in r for r in rs)", "",
+     [NEVER_STOPS + "[fig5b_signed_zeros]"]),
+    ("a sweep's periodicity test accepts n = 0", "protocol.py",
+     "if whole_multiples((tau,), period)[0]:",
+     "if whole_multiples((tau,), period)[0] is not None:",
+     ["tests/test_sweep.py::test_off_period_sweep_builds_each_interval"]),
     ("walk keeps coherences after absorption", "montecarlo.py",
      "np.concatenate((table, poles), axis=1)",
      "np.concatenate((table, np.vstack((table[:2, :2], poles[2:]))), axis=1)", WALK),
@@ -132,7 +151,8 @@ CATALOG = [
                               "x * x + y * y + z * z > 1.0:"), BLOCH_CHECK),
     ("rotating call skips composition when any time is whole", "core.py",
      "if all(whole):", "if any(whole):",
-     ["tests/test_core.py::TestRotationBuilder::test_batch_bits_match_reference_pair_by_pair"]),
+     PER_POINT + [
+         "tests/test_core.py::TestRotationBuilder::test_batch_bits_match_reference_pair_by_pair"]),
     ("batched whole test drops its absolute floor", "core.py",
      "-ratio if ratio < -1.0 else 1.0) else None",
      "-ratio if ratio < -1.0 else abs(ratio)) else None",

@@ -4,6 +4,8 @@ Runs, in-process through ``qubitfr.cli.main`` and inside a temporary
 directory:
 
 * ``run`` of each preset (CSV and manifest);
+* ``run`` of each of ``long_configs``, 51-point deterministic tables to
+  500 pulses, past the plateau where a periodic pulse train repeats;
 * ``run --mode both --mc-grid all --trajectories 500 --seed 7`` of a
   sampled subset of the presets;
 * the stdout of ``presets`` and of ``invert --target 0.138 --tau-theta 616``;
@@ -37,7 +39,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from qubitfr import cli
+from qubitfr import cli, scenarios
 from qubitfr.scenarios import PRESETS
 
 SAMPLED = ("fig2a", "fig3a", "fig3b", "fig4b", "fig5a", "fig5d", "fig6b", "fig6e")
@@ -46,6 +48,16 @@ SAMPLED_ARGS = ("--mode", "both", "--mc-grid", "all", "--trajectories", "500",
 MASKS = ((re.compile(r"\b\d+\.\d+ s\b"), "<elapsed> s"),
          (re.compile(r"\S+ trajectories/s\b"), "<rate> trajectories/s"),
          (re.compile(r"\bslowest walk \S+"), "slowest walk <presets>"))
+LONG = ("fig5b", "fig5c", "fig5d", "fig4b")
+
+
+def long_configs() -> list[scenarios.ScenarioConfig]:
+    """Each preset of ``LONG`` as a deterministic table of 51 evenly spaced
+    times from 0 to 500 pulses, at p_absorb 0.25."""
+    return [scenarios.with_overrides(
+                PRESETS[base], name=f"long_{base}", p_absorb=0.25, mode="deterministic",
+                t_f_grid=scenarios.linspace(0.0, 500 * PRESETS[base].tau, 51))
+            for base in LONG]
 
 
 def _digest(data: bytes) -> str:
@@ -74,11 +86,15 @@ def digests() -> tuple[list[str], list[str]]:
     failed = []
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [("presets", name, ()) for name in PRESETS]
-        runs += [("sampled", name, SAMPLED_ARGS) for name in SAMPLED]
-        for group, name, extra in runs:
+        runs = [("presets", name, name, ()) for name in PRESETS]
+        runs += [("sampled", name, name, SAMPLED_ARGS) for name in SAMPLED]
+        for cfg in long_configs():
+            path = Path(tmp) / f"{cfg.name}.json"
+            path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+            runs.append(("long", cfg.name, str(path), ()))
+        for group, name, source, extra in runs:
             outdir = Path(tmp) / group
-            code, _ = _main(["run", name, "--outdir", str(outdir), *extra])
+            code, _ = _main(["run", source, "--outdir", str(outdir), *extra])
             if code:
                 failed.append(f"nonzero exit: run {name} {' '.join(extra)}".strip())
                 continue

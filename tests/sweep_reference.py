@@ -2,19 +2,21 @@
 
 Every grid point rebuilds all of its period rotations and walks its own
 pulse train from t = 0, one basis state at a time, as the engine did
-before sweeps shared one train.  It costs O(grid x N) and shares no
-propagation code with ``qubitfr.protocol.pulse_train``: it takes only the
-rotations from the package (the sweep's ``periods``, and ``tail_rotation``
-here, which builds each tail alone with ``core.bloch_rotation``),
-``pulse`` is its own copy of the pulse arithmetic, and ``matvec`` its own
-copy of the rotation product, each in the package's expression order.
-So exact equality between the two is a meaningful check of the
-shared-prefix bookkeeping (pulse counts, tail rotations and final bases)
-and of the pulse and product arithmetic itself.  Its Bloch vectors are
-local float triples (``triple``), and ``upper_population`` is its own copy
-of the package's measurement arithmetic.  Each function takes one run, a
-one-time ``Sweep``, and reads only its fields, ``n_pulses`` and
-``periods``, never its ``counts`` or ``tails``.
+before sweeps shared one train, and never stops early.  It costs
+O(grid x N) and shares no propagation code with
+``qubitfr.protocol.pulse_train``: it takes only the period rotations from
+the package (the sweep's ``periods``); ``tail_rotation`` builds each tail
+alone with the reference's own ``bloch_rotation``, ``pulse`` is its own
+copy of the pulse arithmetic, and ``matvec`` its own copy of the rotation
+product, each in the package's expression order.  So exact equality
+between the two is a meaningful check of the shared-prefix bookkeeping
+(pulse counts, tail rotations and their composition, final bases), of the
+train's stop at an exact repeat, and of the pulse and product arithmetic
+itself.  Its Bloch vectors are local float triples (``triple``), and
+``upper_population`` is its own copy of the package's measurement
+arithmetic.  Each function takes one run, a one-time ``Sweep``, and reads
+only its fields, ``n_pulses`` and ``periods``, never its ``counts`` or
+``tails``.
 
 ``work_heat_series_amplitude`` is the per-config work and heat series
 of the fixed-axis drive as the package evaluated it before a sweep shared
@@ -34,20 +36,19 @@ import math
 import numpy as np
 
 from qubitfr.channel import PulseChannelParams
-from qubitfr import core
 from qubitfr.core import (AmplitudeModulatedDrive, _rot_z, gibbs_population,
                           phase_integral, whole_multiple)
 from qubitfr.protocol import ConditionalMatrix, Sweep
 
 
 def tail_rotation(config: Sweep):
-    """The package's drive rotation over (N tau, t_f) after the last pulse,
-    built alone rather than in a sweep's batch; the identity when t_f lands
-    on the last pulse."""
+    """The drive rotation over (N tau, t_f) after the last pulse, built
+    alone by the reference's own ``bloch_rotation``; the identity when t_f
+    lands on the last pulse."""
     t_last, t_f = config.n_pulses * config.tau, config.times[0]
     if t_f > t_last:
-        return core.bloch_rotation(config.drive, t_last, t_f)
-    return core.IDENTITY3
+        return bloch_rotation(config.drive, t_last, t_f)
+    return np.eye(3)
 
 
 def matvec(m, v) -> np.ndarray:

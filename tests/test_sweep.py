@@ -9,6 +9,7 @@ single-point path repr for repr."""
 
 import collections
 import math
+import types
 
 import numpy as np
 import pytest
@@ -200,24 +201,31 @@ def test_sweep_walks_each_time_list_in_one_pass(name, time_list_calls):
     ({"times": (math.inf,)}, "t_f / tau must be finite"),
     ({"tau": 0.0}, "tau must be positive"),
     ({"tau": math.nan}, "t_f / tau must be finite"),
+    ({"tau": -5.0, "times": ()}, "tau must be positive and finite, got -5.0"),
+    ({"tau": math.nan, "times": ()}, "tau must be positive and finite, got nan"),
+    ({"tau": math.inf}, "tau must be positive and finite, got inf"),
     ({"max_pulses": -1}, "max_pulses must be None or an int >= 0, got -1"),
     ({"max_pulses": 2.5}, "max_pulses must be None or an int >= 0, got 2.5"),
     ({"max_pulses": math.nan}, "max_pulses must be None or an int >= 0, got nan"),
     ({"max_pulses": True}, "max_pulses must be None or an int >= 0, got True"),
     ({"max_pulses": 3.0}, "max_pulses must be None or an int >= 0, got 3.0")],
-    ids=["negative", "nan", "inf", "zero_tau", "nan_tau", "negative_limit",
-         "fractional_limit", "nan_limit", "bool_limit", "float_limit"])
-def test_sweep_rejects_invalid_fields(fields, message):
+    ids=["negative", "nan", "inf", "zero_tau", "nan_tau", "negative_tau_no_times",
+         "nan_tau_no_times", "inf_tau", "negative_limit", "fractional_limit",
+         "nan_limit", "bool_limit", "float_limit"])
+def test_sweep_rejects_invalid_fields(fields, message, time_list_calls):
     """A sweep shares its drive, channel, tau and thermal context by
-    construction; what it validates is tau, each time and the pulse limit,
-    which is None or an exact int >= 0: a float, NaN or bool is rejected by
-    name rather than failing later in ``range`` or lifting the limit."""
+    construction; what it validates is tau, also with no times, each time
+    and the pulse limit, which is None or an exact int >= 0: a float, NaN or
+    bool is rejected by name rather than failing later in ``range`` or
+    lifting the limit.  Each is rejected before any time or tau reaches a
+    whole-period test."""
     args = dict(drive=AmplitudeModulatedDrive(OMEGA0_A, 616.0),
                 channel=PulseChannelParams(0.25, 0.0), tau=410.0,
                 thermal=ThermalContext(1.0), times=(0.0, 500.0), max_pulses=None)
     args.update(fields)
     with pytest.raises(ValueError, match=message):
         Sweep(**args)
+    assert not time_list_calls
 
 
 def test_sweep_counts_and_tails():
@@ -248,6 +256,119 @@ def test_sweep_counts_and_tails():
     assert one.replace(times=(1000.0,)) == Sweep(drive, channel, 500.0, thermal,
                                                  (1000.0,), 1)
     assert sweep.replace(times=(1500.0,)).tails == limited.replace(max_pulses=3).tails[3:4]
+
+
+def long_train(name, channel=None):
+    """A one-time sweep to 500 pulses of preset ``name``'s drive and tau,
+    on the preset's channel unless ``channel`` is given."""
+    res = scenarios.resolve(scenarios.get_preset(name))
+    return Sweep(res.drive, res.channel if channel is None else channel,
+                 res.config.tau, ThermalContext(0.0), (500 * res.config.tau,))
+
+
+def full_walk(record, starts):
+    """Entry n: the post-pulse states of ``starts`` after n pulses, n from 0
+    to ``record.n_pulses``, from the reference walker, which never stops."""
+    walks = [sweep_reference.mean_trajectory(record, start) for start in starts]
+    return [[r for _, r in states] for states in zip(*walks)]
+
+
+def reprs(states):
+    return [repr(rs) for rs in states]
+
+
+# Long trains under one period map, by how their states end: fig5b at
+# p_absorb 0.25 alternates between two states, fig5c reaches a fixed point,
+# and fig5b absorbing every pulse with no pump sinks to the origin, where
+# equal values carry zeros of changing sign.
+REPEATS = {
+    "fig5b_two_cycle": (lambda: long_train("fig5b"),
+                        lambda rs: rs[-1] == rs[-3] != rs[-2]),
+    "fig5c_fixed_point": (lambda: long_train("fig5c"), lambda rs: rs[-1] == rs[-2]),
+    "fig5b_signed_zeros": (lambda: long_train("fig5b", PulseChannelParams(1.0, 0.0)),
+                           lambda rs: rs[-1] == rs[-2] and repr(rs[-1]) != repr(rs[-2])),
+}
+
+
+@pytest.mark.parametrize("case", REPEATS)
+def test_pulse_train_equals_a_walk_that_never_stops(case):
+    """At every count 0..500, repr for repr, a train that may stop at an
+    exact repeat equals the full reference walk."""
+    build, ends_so = REPEATS[case]
+    sweep = build()
+    expected = full_walk(sweep, sweep.drive.basis)
+    assert ends_so(expected)
+    got = protocol.pulse_train(sweep, sweep.drive.basis, range(sweep.n_pulses + 1))
+    assert reprs(got) == reprs(expected)
+
+
+class CountedRotation(tuple):
+    """A rotation that counts the walk steps that unpack it."""
+
+    def __init__(self, rows):
+        self.steps = 0
+
+    def __iter__(self):
+        self.steps += 1
+        return super().__iter__()
+
+
+def test_fig5c_train_stops_at_its_fixed_point():
+    """The 500-pulse fig5c train, whose states are at a fixed point from
+    pulse 238 on, walks fewer than 500 steps and reads the rest from it."""
+    sweep = long_train("fig5c")
+    counted = CountedRotation(sweep.periods[0])
+    record = types.SimpleNamespace(**{**vars(sweep),
+                                      "periods": (counted,) * sweep.n_pulses})
+    counts = range(sweep.n_pulses + 1)
+    got = protocol.pulse_train(record, sweep.drive.basis, counts)
+    assert 0 < counted.steps < 500
+    assert reprs(got) == reprs(protocol.pulse_train(sweep, sweep.drive.basis, counts))
+
+
+def test_pulse_train_walks_on_when_the_map_changes():
+    """Periods that are fig5c's one map for 300 pulses, past its fixed
+    point, then another rotation: the states repeat under the first map,
+    yet the train walks on, since not every period is one object."""
+    sweep = long_train("fig5c")
+    other = core.bloch_rotation(sweep.drive, 0.0, 0.5 * sweep.tau)
+    record = types.SimpleNamespace(**{**vars(sweep),
+                                      "periods": sweep.periods[:300] + (other,) * 200})
+    expected = full_walk(record, sweep.drive.basis)
+    assert expected[299] == expected[298] != expected[-1]
+    got = protocol.pulse_train(record, sweep.drive.basis, range(501))
+    assert reprs(got) == reprs(expected)
+
+
+@pytest.mark.parametrize("name", ["fig4b", "fig5c"])
+def test_periodic_sweep_holds_one_period_map(name):
+    """tau is one drive period: the 500 periods are one object, the
+    rotation over (0, tau), within 1e-12 of each interval's own rotation,
+    whose angle carries the rounding of its endpoints (about 2e-13 at 1000
+    pulses on fig4b)."""
+    sweep = long_train(name)
+    one = core.bloch_rotation(sweep.drive, 0.0, sweep.tau)
+    assert len(sweep.periods) == 500
+    assert all(p is sweep.periods[0] for p in sweep.periods) and sweep.periods[0] == one
+    per_interval = core.bloch_rotations(sweep.drive,
+                                        [n * sweep.tau for n in range(501)])
+    assert np.abs(np.array(sweep.periods) - np.array(per_interval)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("drive, tau", [
+    (AmplitudeModulatedDrive(OMEGA0_A, 616.0), 410.0),
+    (PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0), 500.0),
+    (AmplitudeModulatedDrive(OMEGA0_A, 616.0), 1e-8),
+    (PhaseRotatingDrive(OMEGA0_P, 2.0 * math.pi / 616.0), 1e-8),
+], ids=["amplitude", "phase", "amplitude_zero_periods", "phase_zero_periods"])
+def test_off_period_sweep_builds_each_interval(drive, tau):
+    """tau no whole number n >= 1 of drive periods, also one within the
+    whole-multiple tolerance of n = 0: the periods are ``bloch_rotations``
+    over 0, tau, ..., N tau, bit for bit."""
+    sweep = Sweep(drive, PulseChannelParams(0.25, 0.3), tau, ThermalContext(0.0),
+                  (40 * tau,))
+    assert repr(sweep.periods) == repr(tuple(
+        core.bloch_rotations(drive, [n * tau for n in range(41)])))
 
 
 def result_reprs(pairs):
