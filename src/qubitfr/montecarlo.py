@@ -16,9 +16,10 @@ A stream is only its key, so a walk builds one ``Philox`` and re-keys it
 for each draw of a chunk's words of a stream: it sets the key and the
 counter of the block holding the chunk's first word (Philox4x64 makes
 four words per block), discards the words of that block before it, and
-draws the chunk into a buffer the walk reuses.  Those are the words a
-generator built at that key would give at those positions, so no word
-moves.
+draws the chunk's raw 64-bit words.  Those are the words a generator
+built at that key would give at those positions, so no word moves.  The
+walk makes no doubles: numpy's uniform of word w is (w >> 11) * 2**-53,
+so a uniform below a probability is exactly a word below an integer bound.
 
 An ensemble's up starts own indices [0, n) and its down starts [n, 2n),
 so both are one walk over [0, 2n).  No word depends on a point's pulse
@@ -53,13 +54,14 @@ them in Python floats with libm's ``exp`` and ``sqrt``.  The walk
 multiplies with numpy, whose BLAS may round a Born probability by an ulp
 differently between hosts, chunk sizes and the points sharing its pulse
 count; a count, and with it a sampled CSV, changes only when a uniform
-lies within that ulp of its threshold.
+lies within that ulp of its threshold.  The bounds taken from it are exact.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -70,6 +72,7 @@ DEFAULT_CHUNK = 16384
 # Born probabilities per (P, 3) @ (3, k) product at most, which bounds its
 # temporary however many points a pulse count has.
 BORN_BLOCK = 1 << 16
+SHIFT = np.uint64(11)  # numpy's uniform of a raw word w is (w >> 11) * 2**-53
 
 
 class EnsembleStats(Value):
@@ -142,13 +145,31 @@ def _compact(table: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return table[:, live], label
 
 
+def _below(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The test of raw Philox words w whose uniform (w >> 11) * 2**-53 lies
+    below p in [0, 1]: p * 2**53 is exact, so with t = ceil(p * 2**53) that
+    is w <= (t << 11) - 1, a uint64 also at p = 1, and no word at t = 0."""
+    t = math.ceil(p * 2.0**53)
+    return partial(np.greater_equal, np.uint64((t << 11) - 1)) if t else partial(np.greater, 0)
+
+
+def _born_bounds(z: np.ndarray) -> np.ndarray:
+    """Int64 bounds b with k * 2**-53 < 0.5 * (1 + z) exactly when k < b, for
+    the top bits k = w >> 11 of a word: fl(1 + z) * 2**52 is exact, and a z
+    rounded below -1 gives a bound of at most 0.  The table only holds
+    rotated finite vectors, so no NaN reaches the cast."""
+    return np.ceil((1.0 + z) * 2.0**52).astype(np.int64)
+
+
 def _walk(sweep: Sweep, master_seed: int, n_per_initial: int,
           chunk_size: int) -> tuple[list[list[int]], dict[int, int]]:
     """(final-up counts [up starts, down starts] per point of the sweep;
     absorbed-pulse count at each point's pulse count) of trajectory indices
     [0, 2 * n_per_initial), starting up below n_per_initial, walked once."""
-    # Arrays once per walk; the chunk loop multiplies with numpy.
-    rotations = [np.array(rot) for rot in sweep.periods]
+    # Arrays once per walk, and once per distinct rotation: a periodic sweep
+    # holds one object N times.  The chunk loop multiplies with numpy.
+    arrays = {i: np.array(rot) for i, rot in {id(r): r for r in sweep.periods}.items()}
+    rotations = [arrays[id(rot)] for rot in sweep.periods]
     # The up start, and each point's measured axis T^T up for its tail T.
     up = np.array(sweep.drive.basis[0])
     axes = up @ np.array(sweep.tails)
@@ -156,27 +177,30 @@ def _walk(sweep: Sweep, master_seed: int, n_per_initial: int,
     for c, n in enumerate(sweep.counts):
         points.setdefault(n, []).append(c)
 
-    # One Philox re-keyed per draw.  ``state`` is the walk's own copy: a draw
-    # never changes it, and its buffer is empty, so after loading it the
-    # first block generated holds the stream's words 4 * counter[0] to
-    # 4 * counter[0] + 3.
+    # One Philox re-keyed per draw.  ``state`` is the walk's own copy, in
+    # plain lists, which load faster than arrays: a draw never changes it,
+    # and its buffer is empty, so after loading it the first block generated
+    # holds the stream's words 4 * counter[0] to 4 * counter[0] + 3.
     bits = np.random.Philox(key=np.array([master_seed, 0], dtype=np.uint64))
-    draw = np.random.Generator(bits).random
-    state = bits.state
-    key, counter = state["state"]["key"], state["state"]["counter"]
-    words = np.empty(min(chunk_size, 2 * n_per_initial))
+    key, counter = [master_seed, 0], [0] * 4
+    state = dict(bits.state, state={"key": key, "counter": counter}, buffer=[0] * 4)
 
-    def uniforms(n: int, role: int, start: int, m: int) -> np.ndarray:
-        """Words [start, start + m) of role's stream read after n pulses, in
-        the one buffer that the next draw overwrites."""
+    def words(n: int, role: int, start: int, m: int) -> np.ndarray:
+        """Raw words [start, start + m) of role's stream read after n pulses."""
         key[1] = 4 * n + role + 1
         counter[0] = start // 4
         bits.state = state
         if start % 4:
-            bits.random_raw(start % 4)
-        return draw(out=words[:m])
+            bits.random_raw(start % 4, output=False)
+        return bits.random_raw(m)
 
-    p_absorb, p_pump = sweep.channel.p_absorb, sweep.channel.p_pump
+    def top_bits(n: int, role: int, start: int, m: int) -> np.ndarray:
+        """The words' top 53 bits w >> 11, shifted in place, as int64."""
+        w = words(n, role, start, m)
+        return np.right_shift(w, SHIFT, out=w).view(np.int64)
+
+    p_pump = sweep.channel.p_pump
+    absorbs, pumps = _below(sweep.channel.p_absorb), _below(p_pump)
     poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])  # +z, -z
     ups = [[0, 0] for _ in sweep.times]
     absorbed_at = dict.fromkeys(points, 0)
@@ -193,26 +217,27 @@ def _walk(sweep: Sweep, master_seed: int, n_per_initial: int,
         absorbed_total = 0
         for n in range(len(rotations) + 1):
             if n in points:
-                u_final = uniforms(n, 3, start, m)
+                k_final = top_bits(n, 3, start, m)
                 cs = points[n]
                 step = max(1, BORN_BLOCK // table.shape[1])
                 for lo in range(0, len(cs), step):
-                    born = 0.5 * (1.0 + axes[cs[lo:lo + step]] @ table)
+                    born = _born_bounds(axes[cs[lo:lo + step]] @ table)
                     for c, row in zip(cs[lo:lo + step], born):
-                        hit = u_final < row[label]
-                        ups[c][0] += int(np.count_nonzero(hit[:n_up]))
-                        ups[c][1] += int(np.count_nonzero(hit[n_up:]))
+                        hit = k_final < row[label]
+                        up_hits = int(np.count_nonzero(hit[:n_up]))
+                        ups[c][0] += up_hits
+                        ups[c][1] += int(np.count_nonzero(hit)) - up_hits
                 absorbed_at[n] += absorbed_total
             if n == len(rotations):
                 break
             table = rotations[n] @ table
             k = table.shape[1]
-            absorbed = uniforms(n, 0, start, m) < p_absorb
-            ends_up = uniforms(n, 1, start, m) < (0.5 * (1.0 + table[2]))[label]
+            absorbed = absorbs(words(n, 0, start, m))
+            ends_up = top_bits(n, 1, start, m) < _born_bounds(table[2])[label]
             # A uniform lies in [0, 1), so at p_pump 0 no pump succeeds and
             # the pump stream is not drawn.
             if p_pump > 0.0:
-                ends_up |= uniforms(n, 2, start, m) < p_pump
+                ends_up |= pumps(words(n, 2, start, m))
             label = np.where(absorbed, (k + 1) - ends_up, label)
             table = np.concatenate((table, poles), axis=1)
             if k + 2 > m:

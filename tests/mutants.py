@@ -50,6 +50,8 @@ CLOSED_FORM = [
     "tests/test_core.py::TestRotationBuilder::test_period_quaternion_is_the_period_rotation",
 ]
 SETTLED = ["tests/test_sampled_sweep.py::test_walk_draws_only_unsettled_streams"]
+SCALAR_BOUNDS = ["tests/test_identities.py::test_scalar_word_bounds_are_the_uniform_comparisons"]
+BORN_BOUNDS = ["tests/test_identities.py::test_born_word_bounds_are_the_uniform_comparisons"]
 COMPACTION = ["tests/test_sampled_sweep.py::test_long_walks_compact_their_label_table"]
 PER_POINT = ["tests/test_sweep.py::test_preset_sweeps_equal_per_point_reference"]
 NEVER_STOPS = "tests/test_sweep.py::test_pulse_train_equals_a_walk_that_never_stops"
@@ -62,7 +64,7 @@ REKEY = [
 _ROTATED = "g * x + h * y + i * z)\n"
 _DISCARD = """\
         if start % 4:
-            bits.random_raw(start % 4)
+            bits.random_raw(start % 4, output=False)
 """
 _GUARDS = """\
             if not x * x + y * y + z * z <= 1.0:
@@ -134,6 +136,14 @@ CATALOG = [
      _DISCARD, "", REKEY),
     ("walk keys each stream one role low", "montecarlo.py",
      "key[1] = 4 * n + role + 1", "key[1] = 4 * n + role", REKEY),
+    ("scalar word bound drops its -1", "montecarlo.py",
+     "np.uint64((t << 11) - 1)", "np.uint64(t << 11)", SCALAR_BOUNDS),
+    ("scalar word bound floors p * 2**53", "montecarlo.py",
+     "t = math.ceil(p * 2.0**53)", "t = math.floor(p * 2.0**53)", SCALAR_BOUNDS),
+    ("Born bound floors its scaled probability", "montecarlo.py",
+     "np.ceil((1.0 + z) * 2.0**52)", "np.floor((1.0 + z) * 2.0**52)", BORN_BOUNDS),
+    ("Born bound scaled by 2**53", "montecarlo.py",
+     "np.ceil((1.0 + z) * 2.0**52)", "np.ceil((1.0 + z) * 2.0**53)", BORN_BOUNDS),
     ("functional_std_err reads the other column", "montecarlo.py",
      "p, q = up / n, down / n\n        return math.sqrt((weights",
      "p, q = down / n, up / n\n        return math.sqrt((weights",

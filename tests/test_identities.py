@@ -2,8 +2,9 @@
 ``run`` writes (``scenarios.table``) wherever a CSV carries the number,
 rather than from a second copy of the formula, ``free_energy_delta``
 against a 60-digit ``mpmath`` reference, the channel fixed point and pump
-inversion against a 50-digit one, and the batched whole-period test and
-amplitude phases against the rules they state.  The Hypothesis profile in
+inversion against a 50-digit one, the batched whole-period test and
+amplitude phases against the rules they state, and the sampler's integer
+bounds on raw Philox words against the uniforms they stand for.  The Hypothesis profile in
 ``conftest.py`` draws the same cases on every run."""
 
 import math
@@ -12,7 +13,9 @@ import mpmath
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from qubitfr import protocol, scenarios
+import numpy as np
+
+from qubitfr import montecarlo, protocol, scenarios
 from qubitfr.channel import (PulseChannelParams, invert_pump_probability,
                              stationary_upper_population)
 from qubitfr.core import (AmplitudeModulatedDrive, PhaseRotatingDrive, free_energy_delta,
@@ -327,3 +330,48 @@ def test_time_lists_follow_the_one_time_rules(tau, omega0, tau_a, points, bad, a
             phase_integrals(drive, times)
         with pytest.raises(ValueError):
             phase_integral(drive, bad)
+
+
+# Probabilities at the edges of the uniforms' grid k * 2**-53, and the z of
+# Born values 0.5 * (1 + z) at 2.2e-16 either side of 0 and of 1.
+EDGE_PROBABILITIES = [0.0, 5e-324, 2.0**-53, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0]
+EDGE_BORN_Z = [2.0 * p - 1.0 for p in EDGE_PROBABILITIES] + [
+    -1.0 - 4.4e-16, -1.0 + 4.4e-16, 1.0 - 4.4e-16, 1.0 + 4.4e-16]
+RAW_WORDS = st.lists(st.integers(0, 2**64 - 1), max_size=4)
+
+
+def edge_examples(name, values):
+    """Hypothesis ``example``s putting each of ``values`` under ``name``."""
+    def decorate(test):
+        for value in values:
+            test = example(**{name: value, "extra": []})(test)
+        return test
+    return decorate
+
+
+def words_around(p, extra):
+    """Raw words at the bound t * 2**11 of p's t = ceil(p * 2**53) and on
+    either side of it, the extreme words, and ``extra``, as uint64; with
+    the uniform comparison (w >> 11) * 2**-53 < p of each."""
+    t = math.ceil(p * 2**53)
+    words = [w for w in (t * 2**11 - 1, t * 2**11, 0, 2**64 - 1, *extra) if 0 <= w < 2**64]
+    return np.array(words, dtype=np.uint64), [(w >> 11) * 2.0**-53 < p for w in words]
+
+
+@edge_examples("p", EDGE_PROBABILITIES)
+@given(p=st.sampled_from(EDGE_PROBABILITIES) | st.floats(0.0, 1.0), extra=RAW_WORDS)
+def test_scalar_word_bounds_are_the_uniform_comparisons(p, extra):
+    """The absorption and pump test of a raw word is its uniform below p."""
+    words, expected = words_around(p, extra)
+    assert montecarlo._below(p)(words).tolist() == expected
+
+
+@edge_examples("z", EDGE_BORN_Z)
+@given(z=st.sampled_from(EDGE_BORN_Z) | st.floats(-1.0 - 1e-15, 1.0 + 1e-15), extra=RAW_WORDS)
+def test_born_word_bounds_are_the_uniform_comparisons(z, extra):
+    """The outcome and final-measurement test, top bits w >> 11 below the
+    bound of z, is the uniform below the Born value 0.5 * (1 + z)."""
+    words, expected = words_around(0.5 * (1.0 + z), extra)
+    top_bits = np.right_shift(words, montecarlo.SHIFT).view(np.int64)
+    bounds = montecarlo._born_bounds(np.full(len(words), z))
+    assert (top_bits < bounds).tolist() == expected

@@ -78,6 +78,23 @@ class TestStreams:
                 assert np.array_equal(advanced, whole[i:i + 4])
 
 
+    @pytest.mark.parametrize("key", [(0, 1), (SEED, 4 * 12 + 3), (2**64 - 1, 2**64 - 1)])
+    @pytest.mark.parametrize("counter", [0, 3, 2**40 + 7])
+    def test_uniforms_are_the_raw_words_top_bits(self, key, counter):
+        # The walk compares raw words with integer bounds, which rests on
+        # numpy's uniform of word w being (w >> 11) * 2**-53 bit for bit.
+        for offset in range(4):
+            for size in (1, 5, 400, 16384):
+                raw_bits, float_bits = (np.random.Philox(key=np.array(key, dtype=np.uint64),
+                                                         counter=counter) for _ in range(2))
+                raw_bits.random_raw(offset)
+                float_bits.random_raw(offset)
+                expected = np.random.Generator(float_bits).random(size)
+                uniforms = (raw_bits.random_raw(size) >> 11) * 2.0**-53
+                assert uniforms.dtype == expected.dtype
+                assert np.array_equal(uniforms.view(np.uint64), expected.view(np.uint64))
+
+
 # (master_seed, chunk_size) for the engine cross-check.  The first case is
 # the default call; its test ids stay the bare config names.  Chunks of 97
 # straddle the up/down boundary at trajectory 300; the last case draws all

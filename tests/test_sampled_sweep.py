@@ -184,24 +184,24 @@ def test_sampled_sweep_csv_is_pinned(tmp_path):
 
 def record_draws(monkeypatch):
     """(Philox builds, draws) of the package from here on, each draw as
-    (stream key, position of its first word, words drawn)."""
+    (stream key, position of its first word, words drawn).  A discard, a
+    ``random_raw`` call that returns no words, is not a draw."""
     philox_builds, draws = [], []
-    real_philox, real_generator = np.random.Philox, np.random.Generator
+    real_philox = np.random.Philox
 
-    def counting_philox(*args, **kwargs):
-        philox_builds.append(1)
-        return real_philox(*args, **kwargs)
+    class RecordingPhilox(real_philox):
+        def __init__(self, *args, **kwargs):
+            philox_builds.append(1)
+            super().__init__(*args, **kwargs)
 
-    class RecordingGenerator(real_generator):
-        def random(self, size=None, dtype=np.float64, out=None):
-            state = self.bit_generator.state
-            next_word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
-            draws.append((int(state["state"]["key"][1]), next_word,
-                          size if out is None else len(out)))
-            return super().random(size, dtype, out)
+        def random_raw(self, size=None, output=True):
+            if output:
+                state = self.state
+                next_word = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+                draws.append((int(state["state"]["key"][1]), next_word, size))
+            return super().random_raw(size, output)
 
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
-    monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+    monkeypatch.setattr(np.random, "Philox", RecordingPhilox)
     return philox_builds, draws
 
 
@@ -243,6 +243,33 @@ def test_sampled_sweep_walks_its_pulses_once(tmp_path, monkeypatch,
     assert len(philox_builds) == 2
     assert draws == (walk_draws(counts, [0, 1], 0, 150) + walk_draws(counts, [0, 1], 150, 150)
                      + walk_draws(counts, [0, 1], 300, 100))
+
+
+@pytest.mark.parametrize("preset, distinct", [("fig5d", 1), ("fig2a", 12)])
+def test_walk_converts_each_period_rotation_once(monkeypatch, preset, distinct):
+    """The walk makes one array of each distinct period rotation: fig5d's
+    tau is its drive's period, so its 50 periods are one object; fig2a's
+    tau 410 against tau_a 616 gives 12 rotations.  The counts are those of
+    a walk that converts all of them."""
+    _, sweep = preset_sweep(preset, mode="montecarlo", mc_grid="all")
+    ids = {id(rot) for rot in sweep.periods}
+    assert len(ids) == distinct
+    expected = [stats.to_dict() for stats in run_ensembles(sweep, 50, 777, chunk_size=31)]
+    converted, real_array = [], np.array
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def array(obj, *args, **kwargs):
+            converted.append(id(obj))
+            return real_array(obj, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "np", CountingNumpy())
+    stats = run_ensembles(sweep, 50, 777, chunk_size=31)
+    assert sorted(i for i in converted if i in ids) == sorted(ids)
+    assert [s.to_dict() for s in stats] == expected
 
 
 @pytest.mark.parametrize("p_absorb, p_pump, roles", [
